@@ -77,16 +77,20 @@ fn main() {
 
         // Project to the paper's index size using the measured densities:
         // variable costs (entries + postings + mapping) scale with spectra,
-        // fixed costs (bin offset tables) do not — that is exactly why the
-        // paper's distributed overhead is small (6.4%) at full scale and
-        // why it "varies inversely with the size of data partition".
+        // the per-index bin directory does not — at the paper's sizes
+        // every bin is occupied, so it sits at its ceiling (bitmap +
+        // running popcount + one u32 offset per bin). That is exactly why
+        // the paper's distributed overhead is small (6.4%) at full scale
+        // and why it "varies inversely with the size of data partition".
+        let num_bins = SlmConfig::default().num_bins();
+        let directory_ceiling = ((num_bins / 64 + 1) * 12 + (num_bins + 1) * 4) as f64;
         let s = spectra as f64;
         let ions_per_spectrum = shared.postings as f64 / 4.0 / s; // 4 B each
         let peptides_per_spectrum = w.db.len() as f64 / s;
         let paper = scale.paper_spectra;
-        let shared_proj = paper * (16.0 + 4.0 * ions_per_spectrum) + shared.bin_offsets as f64;
+        let shared_proj = paper * (16.0 + 4.0 * ions_per_spectrum) + directory_ceiling;
         let dist_proj = paper * (16.0 + 4.0 * ions_per_spectrum)   // entries+postings
-            + ranks as f64 * shared.bin_offsets as f64             // per-rank fixed
+            + ranks as f64 * directory_ceiling                     // per-rank fixed
             + paper * peptides_per_spectrum * 4.0; // mapping table
         let overhead_proj = (dist_proj / shared_proj - 1.0) * 100.0;
         projected.row(&[

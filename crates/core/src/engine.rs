@@ -286,7 +286,7 @@ impl RankReturn {
             ),
             (
                 self.footprint.entries,
-                self.footprint.bin_offsets,
+                self.footprint.bin_directory,
                 self.footprint.postings,
                 self.footprint.mapping_table,
             ),
@@ -311,7 +311,7 @@ impl RankReturn {
             },
             footprint: MemoryFootprint {
                 entries: f.0,
-                bin_offsets: f.1,
+                bin_directory: f.1,
                 postings: f.2,
                 mapping_table: f.3,
             },

@@ -1,0 +1,278 @@
+//! The sparse bin directory: which fragment bins hold postings, and where.
+//!
+//! A partition's fragments occupy a minority of the quantized m/z axis
+//! (a quarter of the bins on a 9 M-ion index, about 1 % on a paged chunk),
+//! so a dense row-pointer per bin is mostly a 4 MB table of repeats. The
+//! directory stores only what differs:
+//!
+//! ```text
+//! bitmap:  u64[num_bins / 64 + 1]   bit b set ⇔ bin b holds ≥ 1 posting
+//! rank:    u32[bitmap.len()]        set bits in the words before this one
+//!                                   (recomputed from the bitmap, never stored)
+//! starts:  u32[occupied + 1]        posting offset of each occupied bin, in
+//!                                   bin order, then the posting count
+//! ```
+//!
+//! The k-th occupied bin's postings are `starts[k]..starts[k + 1]`, and a
+//! bin's k is its rank: `rank[b / 64] + popcount(bitmap[b / 64] below bit
+//! b % 64)`. Occupied bins of a contiguous bin window are contiguous in
+//! `starts`, so a peak's tolerance window costs two rank lookups and then
+//! walks adjacent offsets — an empty bin costs no load at all.
+//!
+//! The representation is canonical (an occupied bin is a non-empty run, so
+//! `starts` is strictly increasing): one logical CSR has exactly one
+//! directory, which is what lets index equality and byte-identical
+//! rebuilds compare the arrays directly.
+
+/// Words in the occupancy bitmap of a `num_bins`-bin axis: one bit per bin
+/// plus the one-past-the-end position `num_bins`, so the rank of a window's
+/// exclusive end is always an in-bounds lookup.
+pub(crate) fn bitmap_words(num_bins: usize) -> usize {
+    num_bins / 64 + 1
+}
+
+/// Borrowed view of one index's directory arrays.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BinDirectory<'a> {
+    pub(crate) bitmap: &'a [u64],
+    pub(crate) rank: &'a [u32],
+    pub(crate) starts: &'a [u32],
+}
+
+impl<'a> BinDirectory<'a> {
+    /// Number of occupied bins below `bin` (`bin ≤ num_bins`).
+    #[inline]
+    fn rank_of(&self, bin: u32) -> usize {
+        let w = (bin >> 6) as usize;
+        let below = self.bitmap[w] & ((1u64 << (bin & 63)) - 1);
+        self.rank[w] as usize + below.count_ones() as usize
+    }
+
+    /// The posting range of one bin; empty for an unoccupied bin and for
+    /// any bin beyond the axis (no bit is set there).
+    #[inline]
+    pub(crate) fn run(&self, bin: u32) -> std::ops::Range<usize> {
+        let word = self.bitmap.get((bin >> 6) as usize).copied().unwrap_or(0);
+        if (word >> (bin & 63)) & 1 == 0 {
+            return 0..0;
+        }
+        let k = self.rank_of(bin);
+        self.starts[k] as usize..self.starts[k + 1] as usize
+    }
+
+    /// The offsets delimiting the occupied bins of the inclusive bin window
+    /// `[lo, hi]` (`hi < num_bins`): consecutive pairs of the returned
+    /// slice are those bins' posting ranges, in ascending bin order. One
+    /// element (no pairs) when the window holds no postings.
+    #[inline]
+    pub(crate) fn window(&self, lo: u32, hi: u32) -> &'a [u32] {
+        &self.starts[self.rank_of(lo)..=self.rank_of(hi + 1)]
+    }
+
+    /// The dense `num_bins + 1` CSR row pointers this directory encodes —
+    /// what the legacy `binoffs` layouts store.
+    pub(crate) fn dense_offsets(&self, num_bins: usize) -> impl Iterator<Item = u64> + 'a {
+        let (bitmap, starts) = (self.bitmap, self.starts);
+        let mut k = 0usize;
+        (0..=num_bins).map(move |b| {
+            let at = starts[k] as u64;
+            if b < num_bins && (bitmap[b >> 6] >> (b & 63)) & 1 == 1 {
+                k += 1;
+            }
+            at
+        })
+    }
+}
+
+/// Builds the stored half of a directory (`bitmap`, `starts`) from dense
+/// CSR row pointers — the builder's prefix sums, or a legacy file's
+/// `binoffs` array. Both vectors are allocated exactly. Fails on input no
+/// directory can represent: a first offset other than 0, a decreasing
+/// pair, or an offset beyond `u32`.
+pub(crate) fn from_dense(dense: &[u64]) -> Result<(Vec<u64>, Vec<u32>), String> {
+    let Some((&first, &last)) = dense.first().zip(dense.last()) else {
+        return Err("bin offset table is empty".into());
+    };
+    if first != 0 {
+        return Err("first bin offset is not 0".into());
+    }
+    if last > u32::MAX as u64 {
+        return Err("more postings than u32 offsets".into());
+    }
+    let num_bins = dense.len() - 1;
+    let occupied = dense.windows(2).filter(|w| w[0] != w[1]).count();
+    let mut bitmap = vec![0u64; bitmap_words(num_bins)];
+    let mut starts = Vec::with_capacity(occupied + 1);
+    for (b, w) in dense.windows(2).enumerate() {
+        if w[0] > w[1] {
+            return Err("bin offsets not monotone".into());
+        }
+        if w[0] < w[1] {
+            bitmap[b >> 6] |= 1 << (b & 63);
+            // Monotone so far and `last` fits, so every offset fits.
+            starts.push(w[0] as u32);
+        }
+    }
+    starts.push(last as u32);
+    Ok((bitmap, starts))
+}
+
+/// The per-word running popcount of `bitmap`. Wrapping, so a corrupt
+/// oversized bitmap cannot panic here; [`validate`] recounts in `usize`.
+pub(crate) fn ranks(bitmap: &[u64]) -> Vec<u32> {
+    let mut acc = 0u32;
+    bitmap
+        .iter()
+        .map(|w| {
+            let before = acc;
+            acc = acc.wrapping_add(w.count_ones());
+            before
+        })
+        .collect()
+}
+
+/// Structural check of a directory against its index — O(words +
+/// occupied), no posting scan. Everything [`BinDirectory`]'s lookups index
+/// with is bounded here, so a directory that passes cannot send a search
+/// out of bounds.
+pub(crate) fn validate(
+    num_bins: usize,
+    bitmap: &[u64],
+    starts: &[u32],
+    num_postings: usize,
+) -> Result<(), String> {
+    if bitmap.len() != bitmap_words(num_bins) {
+        return Err("bin bitmap length does not match the configuration".into());
+    }
+    let tail = bitmap[bitmap.len() - 1];
+    if tail >> (num_bins & 63) != 0 {
+        return Err("bin bitmap marks a bin beyond the configured range".into());
+    }
+    let occupied: usize = bitmap.iter().map(|w| w.count_ones() as usize).sum();
+    if occupied + 1 != starts.len() {
+        return Err("bin bitmap population does not match the bin offset count".into());
+    }
+    if starts[0] != 0 {
+        return Err("first bin offset is not 0".into());
+    }
+    if starts.windows(2).any(|w| w[0] >= w[1]) {
+        return Err("bin offsets not strictly increasing".into());
+    }
+    if starts[occupied] as usize != num_postings {
+        return Err("final offset != postings length".into());
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn view<'a>(bitmap: &'a [u64], rank: &'a [u32], starts: &'a [u32]) -> BinDirectory<'a> {
+        BinDirectory {
+            bitmap,
+            rank,
+            starts,
+        }
+    }
+
+    /// Dense offsets with `counts[b]` postings in bin `b`.
+    fn dense(counts: &[u64]) -> Vec<u64> {
+        std::iter::once(0)
+            .chain(counts.iter().scan(0u64, |acc, &c| {
+                *acc += c;
+                Some(*acc)
+            }))
+            .collect()
+    }
+
+    #[test]
+    fn lookups_agree_with_dense_offsets_at_word_edges() {
+        // 130 bins: occupied at 0, 63, 64, 65 and the last bin.
+        let mut counts = vec![0u64; 130];
+        for (b, c) in [(0, 2), (63, 1), (64, 3), (65, 1), (129, 4)] {
+            counts[b] = c;
+        }
+        let d = dense(&counts);
+        let (bitmap, starts) = from_dense(&d).unwrap();
+        assert_eq!(bitmap.len(), 3);
+        assert_eq!(starts, vec![0, 2, 3, 6, 7, 11]);
+        let rank = ranks(&bitmap);
+        assert_eq!(rank, vec![0, 2, 4]);
+        validate(130, &bitmap, &starts, 11).unwrap();
+        let dir = view(&bitmap, &rank, &starts);
+        for b in 0..130usize {
+            let want = d[b] as usize..d[b + 1] as usize;
+            let got = dir.run(b as u32);
+            assert!(got == want || (got.is_empty() && want.is_empty()), "{b}");
+        }
+        assert_eq!(dir.dense_offsets(130).collect::<Vec<_>>(), d);
+        for lo in 0..130u32 {
+            for hi in lo..130u32 {
+                let want: Vec<(u32, u32)> = (lo..=hi)
+                    .filter(|&b| counts[b as usize] > 0)
+                    .map(|b| (d[b as usize] as u32, d[b as usize + 1] as u32))
+                    .collect();
+                let got: Vec<(u32, u32)> = dir
+                    .window(lo, hi)
+                    .windows(2)
+                    .map(|w| (w[0], w[1]))
+                    .collect();
+                assert_eq!(got, want, "window [{lo}, {hi}]");
+            }
+        }
+    }
+
+    #[test]
+    fn bin_count_on_a_word_boundary_keeps_the_end_rank_in_bounds() {
+        // 128 bins fill two words exactly; the third word exists only so
+        // the rank of the exclusive end (bin 128) is a plain lookup.
+        let mut counts = vec![0u64; 128];
+        counts[127] = 5;
+        let (bitmap, starts) = from_dense(&dense(&counts)).unwrap();
+        assert_eq!(bitmap.len(), 3);
+        let rank = ranks(&bitmap);
+        validate(128, &bitmap, &starts, 5).unwrap();
+        let dir = view(&bitmap, &rank, &starts);
+        assert_eq!(dir.window(120, 127), &[0, 5]);
+        assert_eq!(dir.window(0, 126), &[0]);
+    }
+
+    #[test]
+    fn empty_directory_is_valid_and_answers_empty() {
+        let (bitmap, starts) = from_dense(&dense(&[0; 70])).unwrap();
+        assert_eq!(starts, vec![0]);
+        let rank = ranks(&bitmap);
+        validate(70, &bitmap, &starts, 0).unwrap();
+        let dir = view(&bitmap, &rank, &starts);
+        assert_eq!(dir.run(69), 0..0);
+        assert_eq!(dir.run(70), 0..0);
+        assert_eq!(dir.run(u32::MAX), 0..0);
+        assert_eq!(dir.window(0, 69), &[0]);
+    }
+
+    #[test]
+    fn from_dense_rejects_what_it_cannot_represent() {
+        assert!(from_dense(&[]).is_err());
+        assert!(from_dense(&[1, 1]).unwrap_err().contains("not 0"));
+        assert!(from_dense(&[0, 5, 3]).unwrap_err().contains("monotone"));
+        assert!(from_dense(&[0, 1 << 32]).unwrap_err().contains("u32"));
+    }
+
+    #[test]
+    fn validate_names_each_broken_invariant() {
+        let (bitmap, starts) = from_dense(&dense(&[1, 0, 2, 0, 0])).unwrap();
+        validate(5, &bitmap, &starts, 3).unwrap();
+        let check =
+            |bitmap: &[u64], starts: &[u32], n: usize| validate(5, bitmap, starts, n).unwrap_err();
+        assert!(check(&[bitmap[0], 0], &starts, 3).contains("length"));
+        assert!(check(&[bitmap[0] | 1 << 5], &starts, 3).contains("beyond"));
+        assert!(check(&[bitmap[0] | 1 << 63], &starts, 3).contains("beyond"));
+        assert!(check(&[bitmap[0] ^ 2], &starts, 3).contains("population"));
+        assert!(check(&bitmap, &[0, 1], 3).contains("population"));
+        assert!(check(&bitmap, &[1, 2, 3], 3).contains("not 0"));
+        assert!(check(&bitmap, &[0, 1, 1], 1).contains("strictly"));
+        assert!(check(&bitmap, &[0, 3, 2], 2).contains("strictly"));
+        assert!(check(&bitmap, &starts, 4).contains("final offset"));
+    }
+}

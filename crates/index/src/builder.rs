@@ -25,6 +25,7 @@
 //! bin (see [`crate::query`]). Peptide and modform ids are untouched; only
 //! the internal entry numbering changes.
 
+use crate::bindir;
 use crate::config::SlmConfig;
 use crate::slm::{SlmIndex, SpectrumEntry};
 use lbe_bio::mods::{enumerate_modforms, ModSpec};
@@ -214,6 +215,10 @@ impl IndexBuilder {
             acc = slot;
         }
         bin_offsets[num_bins] = acc;
+        assert!(
+            acc <= u32::MAX as u64,
+            "index partition exceeds u32 posting offsets; partition the input"
+        );
 
         // Pass 2: fill postings, each range through its own (moved-out)
         // cursors.
@@ -252,7 +257,10 @@ impl IndexBuilder {
         };
         // Allocation-exact: footprint accounting equates capacity and length.
         entries.shrink_to_fit();
-        SlmIndex::from_parts(self.config.clone(), entries, bin_offsets, postings)
+        // The dense prefix sums were only scaffolding for the two fill
+        // passes; the index keeps the sparse directory.
+        let dir = bindir::from_dense(&bin_offsets).expect("prefix sums form a valid CSR");
+        SlmIndex::from_parts(self.config.clone(), entries, dir, postings)
     }
 
     /// Pass 1 over peptide ids `[lo, hi)`: theoretical spectra, entries,

@@ -1296,7 +1296,91 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         // The eager open touches every blob and fails immediately.
         assert!(ChunkedIndex::open_path(&p).is_err());
+
+        // Bit rot is the checksums' job. A blob whose bytes are intact but
+        // whose bin directory is *wrong* (checksums recomputed over it)
+        // gets past them, and must be stopped by the always-on cheap
+        // validation — at fault time, typed, never by a lookup walking out
+        // of its arrays.
+        c.write_path(&p).unwrap();
+        let pristine = std::fs::read(&p).unwrap();
+        let last_chunk = chunk_section_name(c.num_chunks() - 1);
+        for (what, edit, expect) in io::test_support::directory_corruptions() {
+            let bent = crate::format::rewrite_container(&pristine, MAGIC_CHUNKED, |name, blob| {
+                if *name != last_chunk {
+                    return blob.to_vec();
+                }
+                let chunk = io::read_index_bytes(blob, &ReadOptions::default()).unwrap();
+                let (mut bitmap, mut starts) = io::test_support::dir_parts(&chunk);
+                edit(&mut bitmap, &mut starts);
+                let broken = SlmIndex::from_owned_unchecked_with(
+                    chunk.config().clone(),
+                    chunk.entries().to_vec(),
+                    (bitmap, starts),
+                    chunk.postings().to_vec(),
+                    true,
+                );
+                let mut out = Vec::new();
+                io::write_index(&mut out, &broken).unwrap();
+                out
+            });
+            std::fs::write(&p, &bent).unwrap();
+            for opts in [ReadOptions::default(), ReadOptions::trusted()] {
+                let mut store = ChunkStore::open_path_with(&p, 4, &opts).unwrap();
+                let err = store.search(&perfect_query(b"PEPTIDEK")).unwrap_err();
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+                assert!(err.to_string().contains(expect), "{what}: {err}");
+            }
+            assert!(ChunkedIndex::open_path(&p).is_err(), "{what}");
+        }
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn legacy_binoffs_container_opens_and_searches_identically() {
+        // An `LBECHK2` file written before the bin directory: same outer
+        // container, every chunk blob in the dense `binoffs` layout.
+        let c = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 2);
+        let p = tmpfile("legacy_current.lbe");
+        let pl = tmpfile("legacy_binoffs.lbe");
+        c.write_path(&p).unwrap();
+        let current = std::fs::read(&p).unwrap();
+        let legacy = crate::format::rewrite_container(&current, MAGIC_CHUNKED, |name, blob| {
+            if name.starts_with(b"chk") {
+                io::test_support::downgrade_to_binoffs(blob)
+            } else {
+                blob.to_vec()
+            }
+        });
+        assert!(legacy.len() > current.len() + 3 * 4_000_000);
+        std::fs::write(&pl, &legacy).unwrap();
+
+        let reopened = ChunkedIndex::open_path(&pl).unwrap();
+        assert_eq!(reopened, c);
+        for chunk in reopened.chunks() {
+            chunk.validate().unwrap();
+        }
+        // Saving the loaded index writes the current layout.
+        reopened.write_path(&pl).unwrap();
+        assert_eq!(std::fs::read(&pl).unwrap(), current);
+        std::fs::write(&pl, &legacy).unwrap();
+
+        let queries: Vec<Spectrum> = [&b"PEPTIDEK"[..], b"ELVISLIVESK", b"GGGGGK", b"WWWWWWK"]
+            .iter()
+            .map(|s| perfect_query(s))
+            .collect();
+        let expect = c.search_batch(&queries);
+        assert_eq!(reopened.search_batch(&queries), expect);
+        for budget in [1usize, 16] {
+            let mut store = ChunkStore::open_path(&pl, budget).unwrap();
+            assert_eq!(store.search_batch(&queries).unwrap(), expect);
+            let mut now = ChunkStore::open_path(&p, budget).unwrap();
+            now.search_batch(&queries).unwrap();
+            assert_eq!(store.stats(), now.stats(), "same residency sequence");
+            assert_eq!(store.resident_heap_bytes(), now.resident_heap_bytes());
+        }
+        std::fs::remove_file(&p).ok();
+        std::fs::remove_file(&pl).ok();
     }
 
     #[test]

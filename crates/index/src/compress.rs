@@ -2,10 +2,26 @@
 //!
 //! A generation store (see [`crate::lifecycle`]) keeps each chunk as a
 //! content-addressed blob file holding a complete `LBESLM2` container.
-//! Those containers are dominated by two arrays with tiny local deltas —
-//! `postings` (u32 entry ids, ascending within every bin) and `binoffs`
-//! (u64 monotone CSR offsets) — so a blob compresses them as zigzag deltas
-//! bitpacked in fixed-size blocks, while `entries`/`config`/`flags` stay
+//! Those containers are dominated by arrays with tiny local deltas, so a
+//! blob compresses them as zigzag deltas bitpacked in fixed-size blocks and
+//! leaves the rest raw:
+//!
+//! ```text
+//! section     scheme
+//! "postings"  zigzag-delta u32 (entry ids, ascending within every bin)
+//! "binptr"    zigzag-delta u32 (strictly increasing posting offsets)
+//! "binoffs"   zigzag-delta u64 (legacy dense CSR row pointers — no writer
+//!             emits the section any more, but blobs holding it are on disk
+//!             and a legacy container handed to [`compress_container`]
+//!             still packs it)
+//! "binmap"    zigzag-delta u64, which only pays through its width-0 blocks:
+//!             128 all-zero bitmap words (81.92 Da of axis no fragment of
+//!             the chunk reaches) pack to one byte. A light chunk's bitmap
+//!             shrinks several-fold; a chunk spanning the axis stays raw
+//! "entries", "config", "flags"   raw
+//! ```
+//!
+//! Any section whose delta stream is not strictly smaller falls back to
 //! raw. Decompression reconstructs the **byte-exact** original container
 //! (verified against a stored CRC-32 of the raw bytes), so every consumer
 //! downstream of the fault path — parsing, validation, search — runs the
@@ -35,7 +51,7 @@
 //! CRC instead of panicking.
 
 use crate::format::{crc32, AlignedBuf, ParsedContainer};
-use crate::io::{SEC_BINOFFS, SEC_POSTINGS};
+use crate::io::{SEC_BINMAP, SEC_BINOFFS, SEC_BINPTR, SEC_POSTINGS};
 use std::io;
 
 /// Magic leading every compressed chunk blob.
@@ -224,7 +240,7 @@ pub fn compress_container(raw: &[u8], magic: &[u8; 8]) -> io::Result<Vec<u8>> {
 /// falling back to raw whenever the delta stream is not strictly smaller.
 fn encode_section(name: &[u8; 8], payload: &[u8]) -> (u8, Vec<u8>) {
     let try_delta = |out: &mut Vec<u8>| -> Option<u8> {
-        if *name == SEC_POSTINGS && payload.len().is_multiple_of(4) {
+        if (*name == SEC_POSTINGS || *name == SEC_BINPTR) && payload.len().is_multiple_of(4) {
             pack_deltas(
                 payload
                     .chunks_exact(4)
@@ -232,7 +248,7 @@ fn encode_section(name: &[u8; 8], payload: &[u8]) -> (u8, Vec<u8>) {
                 out,
             );
             Some(SCHEME_DELTA_U32)
-        } else if *name == SEC_BINOFFS && payload.len().is_multiple_of(8) {
+        } else if (*name == SEC_BINOFFS || *name == SEC_BINMAP) && payload.len().is_multiple_of(8) {
             pack_deltas(
                 payload
                     .chunks_exact(8)

@@ -14,9 +14,12 @@ use crate::slm::SlmIndex;
 pub struct MemoryFootprint {
     /// Entry table bytes (one record per indexed spectrum).
     pub entries: usize,
-    /// CSR bin-offset array bytes (fixed per partition — this is the term
-    /// that makes distributed overhead shrink as partitions grow).
-    pub bin_offsets: usize,
+    /// Bin-directory bytes: occupancy bitmap, running popcount and one
+    /// offset per *occupied* bin. The per-partition cost behind Fig. 5's
+    /// distributed overhead — it grows with occupancy but saturates (every
+    /// bin occupied ≈ 4.2 bytes per bin), so its share shrinks as
+    /// partitions grow.
+    pub bin_directory: usize,
     /// Posting array bytes (proportional to indexed ions).
     pub postings: usize,
     /// LBE mapping-table bytes (master only; zero for shared memory).
@@ -28,7 +31,7 @@ impl MemoryFootprint {
     pub fn of_index(idx: &SlmIndex) -> Self {
         MemoryFootprint {
             entries: idx.num_spectra() * std::mem::size_of::<crate::slm::SpectrumEntry>(),
-            bin_offsets: (idx.config().num_bins() + 1) * std::mem::size_of::<u64>(),
+            bin_directory: idx.bin_directory_bytes(),
             postings: idx.num_ions() * std::mem::size_of::<u32>(),
             mapping_table: 0,
         }
@@ -43,7 +46,7 @@ impl MemoryFootprint {
 
     /// Total bytes.
     pub fn total(&self) -> usize {
-        self.entries + self.bin_offsets + self.postings + self.mapping_table
+        self.entries + self.bin_directory + self.postings + self.mapping_table
     }
 
     /// Total in GB (the figure's unit).
@@ -62,7 +65,7 @@ impl MemoryFootprint {
     /// Component-wise sum.
     pub fn merged(mut self, other: &MemoryFootprint) -> Self {
         self.entries += other.entries;
-        self.bin_offsets += other.bin_offsets;
+        self.bin_directory += other.bin_directory;
         self.postings += other.postings;
         self.mapping_table += other.mapping_table;
         self
@@ -157,7 +160,7 @@ mod tests {
         let f = MemoryFootprint::of_index(&i);
         assert!(f.postings > 0);
         assert!(f.entries > 0);
-        assert!(f.bin_offsets > 0);
+        assert!(f.bin_directory > 0);
     }
 
     #[test]
@@ -171,7 +174,7 @@ mod tests {
     fn gb_per_million_scaling() {
         let f = MemoryFootprint {
             entries: 0,
-            bin_offsets: 0,
+            bin_directory: 0,
             postings: 346_000_000, // 0.346 GB
             mapping_table: 0,
         };
@@ -184,7 +187,7 @@ mod tests {
     fn merged_sums_components() {
         let a = MemoryFootprint {
             entries: 1,
-            bin_offsets: 2,
+            bin_directory: 2,
             postings: 3,
             mapping_table: 4,
         };
@@ -194,12 +197,29 @@ mod tests {
     }
 
     #[test]
-    fn fixed_cost_shrinks_relative_to_partition_size() {
-        // The bin_offsets term is constant; more spectra → lower GB/M.
+    fn directory_cost_is_what_the_index_holds_and_shrinks_per_spectrum() {
         let small = idx(5);
         let large = idx(60);
-        let fs = MemoryFootprint::of_index(&small).gb_per_million_spectra(small.num_spectra());
-        let fl = MemoryFootprint::of_index(&large).gb_per_million_spectra(large.num_spectra());
-        assert!(fl < fs);
+        let (fs, fl) = (
+            MemoryFootprint::of_index(&small),
+            MemoryFootprint::of_index(&large),
+        );
+        // Not a constant: the bitmap and its running popcount are fixed by
+        // the axis (12 bytes per 64 bins), the offsets follow occupancy.
+        let words = SlmConfig::default().num_bins() / 64 + 1;
+        for (f, i) in [(&fs, &small), (&fl, &large)] {
+            let occupied = (0..i.config().num_bins() as u32)
+                .filter(|&b| !i.bin_postings(b).is_empty())
+                .count();
+            assert_eq!(f.bin_directory, words * 12 + (occupied + 1) * 4);
+        }
+        assert!(fl.bin_directory > fs.bin_directory);
+        // Far below the dense row-pointer table it replaces…
+        assert!(fl.bin_directory < (SlmConfig::default().num_bins() + 1) * 8 / 20);
+        // …and still sublinear: more spectra → lower GB/M.
+        assert!(
+            fl.gb_per_million_spectra(large.num_spectra())
+                < fs.gb_per_million_spectra(small.num_spectra())
+        );
     }
 }

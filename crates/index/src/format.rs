@@ -552,6 +552,46 @@ fn parse_table(table: &[u8], expected_crc: u32, container_len: u64) -> io::Resul
     Ok(sections)
 }
 
+/// Test support: a container image over in-memory payloads, lengths and
+/// checksums computed here.
+#[cfg(test)]
+pub(crate) fn container_from_payloads(magic: &[u8; 8], payloads: &[([u8; 8], Vec<u8>)]) -> Vec<u8> {
+    let plans: Vec<SectionPlan> = payloads
+        .iter()
+        .map(|(name, p)| SectionPlan {
+            name: *name,
+            len: p.len() as u64,
+            crc: crc32(p),
+        })
+        .collect();
+    let mut out = Vec::new();
+    write_container(&mut out, magic, &plans, |i, w| w.write_all(&payloads[i].1))
+        .expect("writing to a Vec cannot fail");
+    out
+}
+
+/// Test support: re-emits the container `bytes` with every section payload
+/// mapped through `edit(name, payload)` — a checksum-valid container whose
+/// *content* is whatever the test wants (a legacy layout, a broken
+/// directory), so it reaches the validation behind the CRCs.
+#[cfg(test)]
+pub(crate) fn rewrite_container(
+    bytes: &[u8],
+    magic: &[u8; 8],
+    mut edit: impl FnMut(&[u8; 8], &[u8]) -> Vec<u8>,
+) -> Vec<u8> {
+    let parsed = ParsedContainer::parse(bytes, 0, None, magic).expect("well-formed container");
+    let payloads: Vec<([u8; 8], Vec<u8>)> = parsed
+        .sections()
+        .iter()
+        .map(|s| {
+            let payload = &bytes[s.offset as usize..(s.offset + s.len) as usize];
+            (s.name, edit(&s.name, payload))
+        })
+        .collect();
+    container_from_payloads(magic, &payloads)
+}
+
 /// A container parsed from an in-memory byte range (`bytes[base..]` holds
 /// the container). Section offsets in the returned [`Section`]s stay
 /// relative to the container start (`base`).

@@ -9,7 +9,7 @@
 //!
 //! A [`crate::format`] container (fixed header, checksummed section table,
 //! 64-byte-aligned little-endian payloads — see that module for the exact
-//! header/table byte layout) with five sections:
+//! header/table byte layout) with six sections:
 //!
 //! ```text
 //! section     payload
@@ -22,10 +22,20 @@
 //!             with no flags and search via the full-scan path.
 //! "entries"   SpectrumEntry×n — the repr(C) record: peptide u32,
 //!             modform u16, nfrag u16, mass f32 (12 bytes each)
-//! "binoffs"   u64×(num_bins+1) CSR row pointers
+//! "binmap"    u64×(num_bins/64 + 1) bin occupancy bitmap: bit b%64 of word
+//!             b/64 is set ⇔ bin b holds at least one posting; bits at or
+//!             beyond num_bins are zero
+//! "binptr"    u32×(occupied bins + 1): the posting offset of each occupied
+//!             bin in ascending bin order, then total_ions — strictly
+//!             increasing from 0
 //! "postings"  u32×total_ions entry ids, grouped by bin (each bin's list
 //!             ascending by entry id = ascending by precursor mass)
 //! ```
+//!
+//! "binmap" + "binptr" are the sparse bin directory (see `slm.rs`): the
+//! k-th set bit of the bitmap owns `postings[binptr[k]..binptr[k+1]]`. The
+//! per-word running popcount that turns a bin into its k is recomputed at
+//! load and never stored. A partition holds at most 2³² − 1 ions.
 //!
 //! Each array is one contiguous aligned region, so the reader performs one
 //! sequential read of the whole container into an aligned arena and hands
@@ -35,21 +45,32 @@
 //! verified section lengths, never from untrusted claims, so a corrupt file
 //! cannot force a large allocation.
 //!
-//! # The v1 format (`LBESLM1`) — still read, never written
+//! # Legacy layouts — still read, never written
 //!
-//! The legacy element-streamed dump: magic, config fields, then
-//! `count`-prefixed entry/offset/posting arrays, all little-endian, no
-//! checksums. [`read_index`] dispatches on the magic so v1 files keep
-//! loading (into owned storage); [`write_index_v1`] is retained for
-//! round-trip pinning and load-time comparison benchmarks.
+//! * **`LBESLM2` with "binoffs"**: containers written before the bin
+//!   directory carry one `"binoffs"` section — `u64×(num_bins+1)` dense CSR
+//!   row pointers, 4 MB at the default resolution however few ions the
+//!   index holds — in place of "binmap" + "binptr". Same magic, same
+//!   format version: the reader picks the layout by which section is
+//!   present (the way "flags" was introduced).
+//! * **`LBESLM1`**: the element-streamed dump — magic, config fields, then
+//!   `count`-prefixed entry/offset/posting arrays (offsets dense `u64`),
+//!   all little-endian, no checksums. [`write_index_v1`] is retained for
+//!   round-trip pinning and load-time comparison benchmarks.
+//!
+//! Both load by converting the dense offsets to the directory with the
+//! routine the builder uses, into owned storage (their element layout
+//! cannot back the directory's views), and then validate and search exactly
+//! like a current file.
 //!
 //! # Migration
 //!
-//! Re-write any v1 file by loading and saving it:
-//! `write_index_path(p, &read_index_path(p)?)` upgrades in place; the v2
-//! file adds per-section CRC32 corruption detection and loads via a single
-//! sequential read.
+//! Re-write any legacy file by loading and saving it:
+//! `write_index_path(p, &read_index_path(p)?)` upgrades in place; for a
+//! generation store, `lbe index compact` rewrites every chunk in the
+//! current layout.
 
+use crate::bindir;
 use crate::config::SlmConfig;
 use crate::format::{
     section_name, view_checked, AlignedBuf, CrcSink, ParsedContainer, SectionPlan,
@@ -73,6 +94,11 @@ pub const MAGIC_MANIFEST: &[u8; 8] = b"LBECHK3\0";
 
 pub(crate) const SEC_CONFIG: [u8; 8] = section_name("config");
 pub(crate) const SEC_ENTRIES: [u8; 8] = section_name("entries");
+/// Bin-directory occupancy bitmap (u64 words).
+pub(crate) const SEC_BINMAP: [u8; 8] = section_name("binmap");
+/// Bin-directory posting offsets of the occupied bins (u32, + sentinel).
+pub(crate) const SEC_BINPTR: [u8; 8] = section_name("binptr");
+/// Legacy dense CSR row pointers (u64×(num_bins+1)) — read, never written.
 pub(crate) const SEC_BINOFFS: [u8; 8] = section_name("binoffs");
 pub(crate) const SEC_POSTINGS: [u8; 8] = section_name("postings");
 /// Optional layout-flags section (u64 LE bitfield). Files written before
@@ -355,16 +381,18 @@ fn index_flags(index: &SlmIndex) -> [u8; 8] {
     flags.to_le_bytes()
 }
 
-/// Plans the five v2 sections of one index: one checksum pass over each
+/// Plans the six v2 sections of one index: one checksum pass over each
 /// array, no serialization. The chunked container writer caches the result
 /// so each chunk's arrays are checksummed exactly once.
 pub(crate) fn plan_index_sections(
     index: &SlmIndex,
     cfg_bytes: &[u8],
-) -> io::Result<[SectionPlan; 5]> {
+) -> io::Result<[SectionPlan; 6]> {
     let flags = index_flags(index);
+    let dir = index.bin_directory();
     let (e_len, e_crc) = plan_section(|s| emit_entries(s, index.entries()))?;
-    let (o_len, o_crc) = plan_section(|s| emit_u64s(s, index.bin_offsets()))?;
+    let (m_len, m_crc) = plan_section(|s| emit_u64s(s, dir.bitmap))?;
+    let (s_len, s_crc) = plan_section(|s| emit_u32s(s, dir.starts))?;
     let (p_len, p_crc) = plan_section(|s| emit_u32s(s, index.postings()))?;
     Ok([
         SectionPlan {
@@ -383,9 +411,14 @@ pub(crate) fn plan_index_sections(
             crc: e_crc,
         },
         SectionPlan {
-            name: SEC_BINOFFS,
-            len: o_len,
-            crc: o_crc,
+            name: SEC_BINMAP,
+            len: m_len,
+            crc: m_crc,
+        },
+        SectionPlan {
+            name: SEC_BINPTR,
+            len: s_len,
+            crc: s_crc,
         },
         SectionPlan {
             name: SEC_POSTINGS,
@@ -401,13 +434,15 @@ pub(crate) fn write_index_sections(
     mut w: &mut dyn Write,
     index: &SlmIndex,
     cfg_bytes: &[u8],
-    plans: &[SectionPlan; 5],
+    plans: &[SectionPlan; 6],
 ) -> io::Result<()> {
+    let dir = index.bin_directory();
     crate::format::write_container(&mut w, MAGIC_V2, plans, |i, w| match i {
         0 => w.write_all(cfg_bytes),
         1 => w.write_all(&index_flags(index)),
         2 => emit_entries(w, index.entries()),
-        3 => emit_u64s(w, index.bin_offsets()),
+        3 => emit_u64s(w, dir.bitmap),
+        4 => emit_u32s(w, dir.starts),
         _ => emit_u32s(w, index.postings()),
     })
 }
@@ -437,9 +472,9 @@ pub fn write_index_v1<W: Write>(writer: W, index: &SlmIndex) -> io::Result<()> {
         w_f32(&mut w, e.precursor_mass)?;
     }
 
-    let bin_offsets = index.bin_offsets();
-    w_u64(&mut w, bin_offsets.len() as u64)?;
-    for &o in bin_offsets {
+    let num_bins = cfg.num_bins();
+    w_u64(&mut w, num_bins as u64 + 1)?;
+    for o in index.bin_directory().dense_offsets(num_bins) {
         w_u64(&mut w, o)?;
     }
 
@@ -448,6 +483,127 @@ pub fn write_index_v1<W: Write>(writer: W, index: &SlmIndex) -> io::Result<()> {
         w_u32(&mut w, p)?;
     }
     w.flush()
+}
+
+/// Test support shared by this module's tests and the chunk-level tests in
+/// `chunked.rs` and `lifecycle.rs`: a writer of the legacy `binoffs` layout
+/// and a table of bin-directory corruptions.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+
+    /// Serializes an index as `LBESLM2` in the **legacy `binoffs` layout** —
+    /// byte for byte what [`write_index`] emitted before the bin directory.
+    /// (As [`write_index_v1`] is kept for its format: the legacy-read tests
+    /// need real pre-directory files, blobs and containers.)
+    pub(crate) fn index_binoffs_bytes(index: &SlmIndex) -> Vec<u8> {
+        let mut entries = Vec::new();
+        emit_entries(&mut entries, index.entries()).unwrap();
+        let dense: Vec<u64> = index
+            .bin_directory()
+            .dense_offsets(index.config().num_bins())
+            .collect();
+        let mut binoffs = Vec::new();
+        emit_u64s(&mut binoffs, &dense).unwrap();
+        let mut postings = Vec::new();
+        emit_u32s(&mut postings, index.postings()).unwrap();
+        crate::format::container_from_payloads(
+            MAGIC_V2,
+            &[
+                (SEC_CONFIG, config_bytes(index.config()).unwrap()),
+                (SEC_FLAGS, index_flags(index).to_vec()),
+                (SEC_ENTRIES, entries),
+                (SEC_BINOFFS, binoffs),
+                (SEC_POSTINGS, postings),
+            ],
+        )
+    }
+
+    /// The legacy-layout image of a current-layout `LBESLM2`
+    /// image (what the chunk-level legacy tests feed through
+    /// [`crate::format::rewrite_container`]).
+    pub(crate) fn downgrade_to_binoffs(current: &[u8]) -> Vec<u8> {
+        index_binoffs_bytes(&read_index_bytes(current, &ReadOptions::default()).unwrap())
+    }
+
+    /// Owned copies of an index's stored directory arrays.
+    pub(crate) fn dir_parts(idx: &SlmIndex) -> (Vec<u64>, Vec<u32>) {
+        let dir = idx.bin_directory();
+        (dir.bitmap.to_vec(), dir.starts.to_vec())
+    }
+
+    /// Every way a checksum-valid container can carry a broken
+    /// bin directory, as `(what, edit, expected message fragment)` — for the
+    /// load tests here and the chunk-fault test in `chunked.rs`. The edits
+    /// assume the default configuration and at least three occupied bins.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn directory_corruptions(
+    ) -> Vec<(&'static str, fn(&mut Vec<u64>, &mut Vec<u32>), &'static str)> {
+        vec![
+            (
+                "flipped bitmap bit",
+                |m, _| {
+                    let w = m.iter().position(|&w| w != 0).unwrap();
+                    m[w] ^= 1 << m[w].trailing_zeros();
+                },
+                "population",
+            ),
+            (
+                "extra bitmap bit",
+                |m, _| {
+                    let w = m.iter().position(|&w| w != u64::MAX).unwrap();
+                    m[w] |= 1 << m[w].trailing_ones();
+                },
+                "population",
+            ),
+            (
+                "bit at num_bins",
+                |m, _| *m.last_mut().unwrap() |= 1 << (SlmConfig::default().num_bins() % 64),
+                "beyond the configured range",
+            ),
+            (
+                "bit past num_bins",
+                |m, _| *m.last_mut().unwrap() |= 1 << 63,
+                "beyond the configured range",
+            ),
+            (
+                "short bitmap",
+                |m, _| {
+                    m.pop();
+                },
+                "length",
+            ),
+            (
+                "missing offset",
+                |_, s| {
+                    s.pop();
+                },
+                "population",
+            ),
+            ("extra offset", |_, s| s.push(u32::MAX), "population"),
+            ("first offset not 0", |_, s| s[0] = 1, "not 0"),
+            ("repeated offset", |_, s| s[2] = s[1], "strictly increasing"),
+            (
+                "descending offset",
+                |_, s| s[1] = s[3],
+                "strictly increasing",
+            ),
+            (
+                "last occupied bin dropped",
+                |m, s| {
+                    let w = m.iter().rposition(|&w| w != 0).unwrap();
+                    m[w] &= !(1 << (63 - m[w].leading_zeros()));
+                    s.pop();
+                },
+                "final offset",
+            ),
+            (
+                "last offset past the postings",
+                |_, s| *s.last_mut().unwrap() += 7,
+                "final offset",
+            ),
+        ]
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -576,58 +732,107 @@ pub(crate) fn read_v2_parsed(
     }
     let n_entries = e_bytes / esz;
 
-    let (o_off, o_bytes) = container.section_checked(bytes, &SEC_BINOFFS)?;
-    if o_bytes % 8 != 0 {
-        return Err(bad("binoffs section length is not a whole u64 count"));
-    }
-    let n_offsets = o_bytes / 8;
-
     let (p_off, p_bytes) = container.section_checked(bytes, &SEC_POSTINGS)?;
     if p_bytes % 4 != 0 {
         return Err(bad("postings section length is not a whole u32 count"));
     }
     let n_postings = p_bytes / 4;
+    check_posting_count(n_postings as u64)?;
 
-    let index = if NATIVE_LE {
-        // Validate bounds + alignment once; the index's accessors then cast
-        // unchecked.
-        view_checked::<SpectrumEntry>(bytes, e_off, n_entries)?;
-        view_checked::<u64>(bytes, o_off, n_offsets)?;
-        view_checked::<u32>(bytes, p_off, n_postings)?;
-        SlmIndex::from_arena(
+    let index = if container.find(&SEC_BINMAP).is_some() {
+        let (m_off, m_bytes) = container.section_checked(bytes, &SEC_BINMAP)?;
+        if m_bytes % 8 != 0 {
+            return Err(bad("binmap section length is not a whole u64 count"));
+        }
+        let (s_off, s_bytes) = container.section_checked(bytes, &SEC_BINPTR)?;
+        if s_bytes % 4 != 0 {
+            return Err(bad("binptr section length is not a whole u32 count"));
+        }
+        if NATIVE_LE {
+            // Validate bounds + alignment once; the index's accessors then
+            // cast unchecked.
+            view_checked::<SpectrumEntry>(bytes, e_off, n_entries)?;
+            view_checked::<u64>(bytes, m_off, m_bytes / 8)?;
+            view_checked::<u32>(bytes, s_off, s_bytes / 4)?;
+            view_checked::<u32>(bytes, p_off, n_postings)?;
+            SlmIndex::from_arena(
+                config,
+                arena.clone(),
+                (e_off, n_entries),
+                (m_off, m_bytes / 8),
+                (s_off, s_bytes / 4),
+                (p_off, n_postings),
+                mass_sorted,
+            )
+        } else {
+            // Big-endian host: views of little-endian data are impossible;
+            // decode element-wise into owned storage.
+            SlmIndex::from_owned_unchecked_with(
+                config,
+                decode_entries(&bytes[e_off..e_off + e_bytes]),
+                (
+                    decode_u64s(&bytes[m_off..m_off + m_bytes]),
+                    decode_u32s(&bytes[s_off..s_off + s_bytes]),
+                ),
+                decode_u32s(&bytes[p_off..p_off + p_bytes]),
+                mass_sorted,
+            )
+        }
+    } else {
+        // Legacy layout: dense u64 row pointers. Converted to the directory
+        // by the builder's own routine; the arrays move to owned storage
+        // because the directory has nothing in the arena to view.
+        let (o_off, o_bytes) = container.section_checked(bytes, &SEC_BINOFFS)?;
+        if o_bytes % 8 != 0 || o_bytes / 8 != config.num_bins() + 1 {
+            return Err(bad("binoffs section does not match the configuration"));
+        }
+        let dense = decode_u64s(&bytes[o_off..o_off + o_bytes]);
+        let dir = bindir::from_dense(&dense).map_err(|e| bad(&e))?;
+        SlmIndex::from_owned_unchecked_with(
             config,
-            arena.clone(),
-            (e_off, n_entries),
-            (o_off, n_offsets),
-            (p_off, n_postings),
+            decode_entries(&bytes[e_off..e_off + e_bytes]),
+            dir,
+            decode_u32s(&bytes[p_off..p_off + p_bytes]),
             mass_sorted,
         )
-    } else {
-        // Big-endian host: views of little-endian data are impossible;
-        // decode element-wise into owned storage.
-        let mut er = &bytes[e_off..e_off + e_bytes];
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            entries.push(SpectrumEntry {
-                peptide: r_u32(&mut er)?,
-                modform: r_u16(&mut er)?,
-                num_fragments: r_u16(&mut er)?,
-                precursor_mass: r_f32(&mut er)?,
-            });
-        }
-        let mut or = &bytes[o_off..o_off + o_bytes];
-        let mut bin_offsets = Vec::with_capacity(n_offsets);
-        for _ in 0..n_offsets {
-            bin_offsets.push(r_u64(&mut or)?);
-        }
-        let mut pr = &bytes[p_off..p_off + p_bytes];
-        let mut postings = Vec::with_capacity(n_postings);
-        for _ in 0..n_postings {
-            postings.push(r_u32(&mut pr)?);
-        }
-        SlmIndex::from_owned_unchecked_with(config, entries, bin_offsets, postings, mass_sorted)
     };
     validate_loaded(index, opts)
+}
+
+/// Rejects a posting count the directory's `u32` offsets cannot address.
+fn check_posting_count(n_postings: u64) -> io::Result<()> {
+    if n_postings > u32::MAX as u64 {
+        return Err(bad(
+            "index holds more ions than u32 posting offsets address",
+        ));
+    }
+    Ok(())
+}
+
+fn decode_entries(bytes: &[u8]) -> Vec<SpectrumEntry> {
+    bytes
+        .chunks_exact(std::mem::size_of::<SpectrumEntry>())
+        .map(|c| SpectrumEntry {
+            peptide: u32::from_le_bytes(c[0..4].try_into().unwrap()),
+            modform: u16::from_le_bytes(c[4..6].try_into().unwrap()),
+            num_fragments: u16::from_le_bytes(c[6..8].try_into().unwrap()),
+            precursor_mass: f32::from_le_bytes(c[8..12].try_into().unwrap()),
+        })
+        .collect()
+}
+
+fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
+    bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect()
+}
+
+fn decode_u64s(bytes: &[u8]) -> Vec<u64> {
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect()
 }
 
 /// The v1 body after its magic has been consumed.
@@ -657,20 +862,21 @@ fn read_v1_body<R: Read>(r: &mut R) -> io::Result<SlmIndex> {
         bin_offsets.push(r_u64(r)?);
     }
 
-    let n_postings = r_u64(r)? as usize;
-    if *bin_offsets.last().unwrap_or(&0) as usize != n_postings {
+    let n_postings = r_u64(r)?;
+    if *bin_offsets.last().unwrap_or(&0) != n_postings {
         return Err(bad("posting count does not match offsets"));
     }
+    check_posting_count(n_postings)?;
+    let dir = bindir::from_dense(&bin_offsets).map_err(|e| bad(&e))?;
+    drop(bin_offsets);
+    let n_postings = n_postings as usize;
     let mut postings = Vec::with_capacity(bounded_capacity(n_postings, 4));
     for _ in 0..n_postings {
         postings.push(r_u32(r)?);
     }
 
     Ok(SlmIndex::from_owned_unchecked(
-        config,
-        entries,
-        bin_offsets,
-        postings,
+        config, entries, dir, postings,
     ))
 }
 
@@ -681,6 +887,7 @@ pub fn write_index_path(path: impl AsRef<Path>, index: &SlmIndex) -> io::Result<
 
 #[cfg(test)]
 mod tests {
+    use super::test_support::*;
     use super::*;
     use crate::builder::IndexBuilder;
     use lbe_bio::mods::ModSpec;
@@ -843,24 +1050,150 @@ mod tests {
     }
 
     #[test]
-    fn cheap_validation_rejects_non_monotone_offsets() {
-        // A well-formed v2 file (valid checksums) whose CSR offsets are
-        // structurally inconsistent: the always-on cheap invariants catch
-        // it at load.
+    fn cheap_validation_rejects_every_corrupt_directory() {
+        // Well-formed v2 files (valid checksums) whose bin directory is
+        // structurally inconsistent: the always-on cheap invariants reject
+        // each one at load, typed, before any lookup could index with it.
         let idx = sample_index(false);
-        let mut offsets = idx.bin_offsets().to_vec();
-        let mid = offsets.len() / 2;
-        offsets[mid] = offsets[mid].wrapping_add(1_000_000);
-        let broken = SlmIndex::from_owned_unchecked(
-            idx.config().clone(),
-            idx.entries().to_vec(),
-            offsets,
-            idx.postings().to_vec(),
-        );
+        assert_eq!(idx.config(), &SlmConfig::default());
+        for (what, edit, expect) in directory_corruptions() {
+            let (mut bitmap, mut starts) = dir_parts(&idx);
+            edit(&mut bitmap, &mut starts);
+            let broken = SlmIndex::from_owned_unchecked(
+                idx.config().clone(),
+                idx.entries().to_vec(),
+                (bitmap, starts),
+                idx.postings().to_vec(),
+            );
+            let mut buf = Vec::new();
+            write_index(&mut buf, &broken).unwrap();
+            let err = read_index_with(&buf[..], &ReadOptions::trusted()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains(expect), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn container_missing_half_the_directory_is_rejected() {
+        // "binmap" without "binptr" is neither layout.
+        let idx = sample_index(false);
+        let cfg_bytes = config_bytes(idx.config()).unwrap();
+        let all = plan_index_sections(&idx, &cfg_bytes).unwrap();
+        let cut: Vec<SectionPlan> = all
+            .iter()
+            .filter(|p| p.name != SEC_BINPTR)
+            .copied()
+            .collect();
         let mut buf = Vec::new();
-        write_index(&mut buf, &broken).unwrap();
+        crate::format::write_container(&mut buf, MAGIC_V2, &cut, |i, w| match i {
+            0 => w.write_all(&cfg_bytes),
+            1 => w.write_all(&index_flags(&idx)),
+            2 => super::emit_entries(w, idx.entries()),
+            3 => emit_u64s(w, idx.bin_directory().bitmap),
+            _ => emit_u32s(w, idx.postings()),
+        })
+        .unwrap();
         let err = read_index(&buf[..]).unwrap_err();
-        assert!(err.to_string().contains("monotone"), "{err}");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn oversized_posting_counts_are_rejected_before_any_allocation() {
+        // The directory addresses postings with u32: a v1 header claiming
+        // more is refused outright (the v2 reader applies the same guard to
+        // its verified section length).
+        assert!(check_posting_count(u32::MAX as u64).is_ok());
+        let err = check_posting_count(u32::MAX as u64 + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let idx = IndexBuilder::new(SlmConfig::default(), ModSpec::none()).build(&PeptideDb::new());
+        let mut v1 = Vec::new();
+        write_index_v1(&mut v1, &idx).unwrap();
+        // An empty index ends with its dense offsets (all 0) and a zero
+        // posting count; forge both the final offset and the count.
+        let big = (u32::MAX as u64 + 1).to_le_bytes();
+        let n = v1.len();
+        v1[n - 16..n - 8].copy_from_slice(&big);
+        v1[n - 8..].copy_from_slice(&big);
+        let err = read_index(&v1[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("u32"), "{err}");
+    }
+
+    #[test]
+    fn legacy_binoffs_file_loads_validates_and_searches_identically() {
+        use crate::query::{QueryOptions, Searcher};
+        use lbe_spectra::synthetic::{SyntheticDataset, SyntheticDatasetParams};
+        let db = PeptideDb::from_vec(
+            ["ELVISLIVESK", "PEPTIDEK", "MNKQMGGR", "SAMPLERK"]
+                .iter()
+                .map(|s| Peptide::new(s.as_bytes(), 0, 0).unwrap())
+                .collect(),
+        );
+        let idx = IndexBuilder::new(SlmConfig::default(), ModSpec::paper_default()).build(&db);
+        let legacy = index_binoffs_bytes(&idx);
+        let mut current = Vec::new();
+        write_index(&mut current, &idx).unwrap();
+        // The legacy image really is the old layout: a dense table of
+        // num_bins + 1 row pointers the current image does not carry.
+        let dense_bytes = (idx.config().num_bins() + 1) * 8;
+        assert!(legacy.len() > dense_bytes);
+        assert!(current.len() < dense_bytes / 4);
+
+        let from_legacy = read_index(&legacy[..]).unwrap();
+        from_legacy.validate().unwrap();
+        assert!(from_legacy.is_mass_sorted(), "flags survive the old layout");
+        assert_eq!(from_legacy, idx);
+        assert_eq!(from_legacy.heap_bytes(), idx.heap_bytes());
+        // Saving what was loaded upgrades the file to the current bytes.
+        let mut upgraded = Vec::new();
+        write_index(&mut upgraded, &from_legacy).unwrap();
+        assert_eq!(upgraded, current);
+
+        let queries = SyntheticDataset::generate(
+            &db,
+            &ModSpec::paper_default(),
+            &SyntheticDatasetParams {
+                num_spectra: 8,
+                ..Default::default()
+            },
+            7,
+        );
+        let from_current = read_index(&current[..]).unwrap();
+        let (mut a, mut b) = (Searcher::new(&from_legacy), Searcher::new(&from_current));
+        for tol in [0.5, f64::INFINITY] {
+            let opts = QueryOptions {
+                precursor_tolerance: Some(tol),
+                ..Default::default()
+            };
+            for q in &queries.spectra {
+                assert_eq!(a.search_with_opts(q, &opts), b.search_with_opts(q, &opts));
+            }
+        }
+
+        // A legacy file is rejected as cleanly as a current one: wrong
+        // table length, decreasing rows, a first row that is not 0.
+        type Edit = fn(&mut Vec<u8>);
+        let edits: [(Edit, &str); 3] = [
+            (
+                |b| b.truncate(b.len() - 8),
+                "does not match the configuration",
+            ),
+            (|b| b[8 * 1000] = 0xff, "monotone"),
+            (|b| b[0] = 1, "not 0"),
+        ];
+        for (edit, expect) in edits {
+            let bent = crate::format::rewrite_container(&legacy, MAGIC_V2, |name, payload| {
+                let mut p = payload.to_vec();
+                if *name == SEC_BINOFFS {
+                    edit(&mut p);
+                }
+                p
+            });
+            let err = read_index(&bent[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(expect), "{err}");
+        }
     }
 
     #[test]
@@ -874,7 +1207,7 @@ mod tests {
         let broken = SlmIndex::from_owned_unchecked(
             idx.config().clone(),
             entries,
-            idx.bin_offsets().to_vec(),
+            dir_parts(&idx),
             idx.postings().to_vec(),
         );
         let mut buf = Vec::new();
@@ -896,7 +1229,7 @@ mod tests {
         let broken = SlmIndex::from_owned_unchecked(
             idx.config().clone(),
             entries,
-            idx.bin_offsets().to_vec(),
+            dir_parts(&idx),
             idx.postings().to_vec(),
         );
         let mut buf = Vec::new();
@@ -1041,10 +1374,12 @@ mod tests {
             .copied()
             .collect();
         let mut buf = Vec::new();
+        let dir = idx.bin_directory();
         crate::format::write_container(&mut buf, MAGIC_V2, &old, |i, w| match i {
             0 => w.write_all(&cfg_bytes),
             1 => super::emit_entries(w, idx.entries()),
-            2 => emit_u64s(w, idx.bin_offsets()),
+            2 => emit_u64s(w, dir.bitmap),
+            3 => emit_u32s(w, dir.starts),
             _ => emit_u32s(w, idx.postings()),
         })
         .unwrap();
@@ -1068,7 +1403,7 @@ mod tests {
         let forged = SlmIndex::from_owned_unchecked_with(
             idx.config().clone(),
             entries,
-            idx.bin_offsets().to_vec(),
+            dir_parts(&idx),
             idx.postings().to_vec(),
             true, // the forged claim
         );

@@ -6,8 +6,9 @@
 //!
 //! * theoretical b/y fragments are **quantized** at resolution `r` (paper:
 //!   0.01 Da) into integer bins;
-//! * a CSR (offsets + postings) structure maps every ion bin to the indexed
-//!   spectra containing it;
+//! * a CSR structure (a sparse bin directory — occupancy bitmap plus the
+//!   offsets of the occupied bins — over one flat posting array) maps every
+//!   ion bin to the indexed spectra containing it;
 //! * a query walks its peaks' tolerance windows (`ΔF`, paper: ±0.05 Da),
 //!   counts shared peaks per indexed spectrum, and keeps candidates with
 //!   `shared ≥ shpeak` (paper: 4) inside the precursor window (`ΔM`, paper:
@@ -41,6 +42,7 @@
 
 #![deny(missing_docs)]
 
+pub(crate) mod bindir;
 pub mod builder;
 pub mod chunked;
 pub mod compress;

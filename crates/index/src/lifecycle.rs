@@ -1252,6 +1252,107 @@ mod tests {
         assert_eq!(search_all(&mut a, &seqs), search_all(&mut b, &seqs));
     }
 
+    /// Rewrites every live chunk of the store at `dir` the way a build
+    /// from before the bin directory stored it: dense `binoffs` layout,
+    /// compressed (its row pointers under the delta-u64 scheme), filed
+    /// under the content hash of *those* bytes, with a manifest to match.
+    fn downgrade_store_to_binoffs(dir: &Path) {
+        let (cur, mut man) = load_current(dir).unwrap();
+        for r in man.records.iter_mut().filter(|r| !r.tombstone) {
+            let old_path = blob_path(dir, r.hash);
+            let stored = std::fs::read(&old_path).unwrap();
+            let raw = if crate::compress::is_compressed_blob(&stored) {
+                crate::compress::decompress_container(&stored, MAGIC_V2)
+                    .unwrap()
+                    .as_slice()
+                    .to_vec()
+            } else {
+                stored
+            };
+            let legacy = io::test_support::downgrade_to_binoffs(&raw);
+            let enc = crate::compress::compress_container(&legacy, MAGIC_V2).unwrap();
+            // 4 MB of mostly-repeated row pointers: the old layout always
+            // compressed, and by a lot.
+            assert!(enc.len() * 4 < legacy.len());
+            std::fs::remove_file(&old_path).unwrap();
+            r.hash = content_hash64(&legacy);
+            r.compressed = true;
+            r.raw_len = legacy.len() as u64;
+            r.stored_len = enc.len() as u64;
+            std::fs::write(blob_path(dir, r.hash), &enc).unwrap();
+        }
+        write_manifest(dir, manifest_seq(&cur).unwrap() + 1, &man).unwrap();
+    }
+
+    fn live_hashes(dir: &Path) -> Vec<u64> {
+        let (_, man) = load_current(dir).unwrap();
+        man.live().map(|r| r.hash).collect()
+    }
+
+    #[test]
+    fn legacy_blobs_serve_beside_new_ones_and_compact_away() {
+        let d = tmpdir("legacy_mixed");
+        let all = many_db(60);
+        let init = |dir: &Path, db: &PeptideDb| {
+            GenerationStore::init(dir, db, SlmConfig::default(), ModSpec::none(), 16)
+                .unwrap()
+                .0
+        };
+        // `old`: written by the previous layout's writer, then appended to
+        // by this one. `new`: the same history, all in the current layout.
+        let old = init(&d.join("old"), &sub(&all, 0..40));
+        let new = init(&d.join("new"), &sub(&all, 0..40));
+        downgrade_store_to_binoffs(old.dir());
+        assert!(live_hashes(old.dir())
+            .iter()
+            .zip(live_hashes(new.dir()))
+            .all(|(a, b)| *a != b));
+        let seqs: Vec<&[u8]> = all
+            .peptides()
+            .iter()
+            .step_by(7)
+            .map(|p| p.sequence())
+            .collect();
+        let search = |dir: &Path, budget: usize| {
+            let mut s = ChunkStore::open_generation_dir(dir, budget).unwrap();
+            let results = search_all(&mut s, &seqs);
+            (results, s.stats())
+        };
+        // A store of legacy compressed blobs alone faults, validates and
+        // searches like its current-layout twin, residency events included.
+        assert_eq!(search(old.dir(), 2), search(new.dir(), 2));
+        let legacy_logical = old.stats().unwrap().logical_bytes;
+        assert!(legacy_logical > 3 * 4_000_000);
+
+        old.append(&sub(&all, 30..60)).unwrap();
+        new.append(&sub(&all, 30..60)).unwrap();
+        // Legacy and current chunks side by side.
+        let (gens_old, gens_new) = (live_hashes(old.dir()), live_hashes(new.dir()));
+        assert_eq!(
+            gens_old[3..],
+            gens_new[3..],
+            "appended chunks are current-layout"
+        );
+        assert_eq!(search(old.dir(), 2), search(new.dir(), 2));
+        assert_eq!(search(old.dir(), usize::MAX), search(new.dir(), usize::MAX));
+
+        // Compaction rewrites every chunk in the current layout: the store
+        // ends byte-identical to one built from scratch over the peptides.
+        let compacted = old.compact().unwrap();
+        assert_eq!(compacted.blobs_reused, 0, "no legacy blob survives");
+        let scratch = init(&d.join("scratch"), &all);
+        let hashes = live_hashes(scratch.dir());
+        assert_eq!(live_hashes(old.dir()), hashes);
+        for h in &hashes {
+            assert_eq!(
+                std::fs::read(blob_path(old.dir(), *h)).unwrap(),
+                std::fs::read(blob_path(scratch.dir(), *h)).unwrap()
+            );
+        }
+        assert!(old.stats().unwrap().logical_bytes * 4 < legacy_logical);
+        assert_eq!(search(old.dir(), 2), search(scratch.dir(), 2));
+    }
+
     #[test]
     fn compaction_reuses_unchanged_blobs() {
         let d = tmpdir("blob_reuse");
@@ -1549,6 +1650,16 @@ mod tests {
             })
         }
 
+        /// The properties below bend and restore the *same* fixture files,
+        /// and the test harness runs them on parallel threads: each case
+        /// holds this lock from its first write to its restore.
+        fn serial() -> std::sync::MutexGuard<'static, ()> {
+            static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+            // A failed case panics while holding the guard; its files were
+            // restored first, so the poison carries no broken state.
+            LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
         /// Restores every file of the fixture store to pristine bytes.
         fn restore(f: &Fixture) {
             std::fs::write(&f.manifest_path, &f.manifest_bytes).unwrap();
@@ -1565,6 +1676,7 @@ mod tests {
             #[test]
             fn manifest_truncation_fails_cleanly(cut in 0usize..(1 << 30)) {
                 let f = fixture();
+                let _serial = serial();
                 restore(f);
                 let cut = cut % f.manifest_bytes.len();
                 std::fs::write(&f.manifest_path, &f.manifest_bytes[..cut]).unwrap();
@@ -1582,6 +1694,7 @@ mod tests {
                 bit in 0u32..8,
             ) {
                 let f = fixture();
+                let _serial = serial();
                 restore(f);
                 let mut bent = f.manifest_bytes.clone();
                 let pos = pos % bent.len();
@@ -1624,6 +1737,7 @@ mod tests {
                 bit in 0u32..8,
             ) {
                 let f = fixture();
+                let _serial = serial();
                 restore(f);
                 let (path, bytes) = &f.blobs[which % f.blobs.len()];
                 let mut bent = bytes.clone();

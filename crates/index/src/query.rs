@@ -398,11 +398,13 @@ impl<'a> Searcher<'a> {
         }
 
         // Phase one: resolve every bin in every peak's tolerance window to
-        // its admitted posting run. Most bins either carry no postings or
-        // are decided by the O(1) fragment-level band (endpoint prune /
-        // whole-bin accept); only band-cut bins pay binary searches. Runs
+        // its admitted posting run. The bin directory hands back only the
+        // window's occupied bins (two rank lookups, then adjacent offsets)
+        // — empty bins, most of the axis, are never visited. Most occupied
+        // bins are decided by the O(1) fragment-level band (endpoint prune
+        // / whole-bin accept); only band-cut bins pay binary searches. Runs
         // land in SoA scratch as (start, end, weight) descriptors.
-        let bin_offsets = index.bin_offsets();
+        let directory = index.bin_directory();
         let postings = index.postings();
         debug_assert!(self.run_start.is_empty());
         for peak in &query.peaks {
@@ -410,18 +412,16 @@ impl<'a> Searcher<'a> {
                 continue;
             };
             stats.bins_touched += (bhi - blo + 1) as u64;
-            for bin in blo..=bhi {
-                let o0 = bin_offsets[bin as usize] as usize;
-                let o1 = bin_offsets[bin as usize + 1] as usize;
-                if bin < bhi {
-                    // The window's next bin is contiguous in the posting
-                    // array; its endpoint loads are the admission loop's
-                    // cold misses, so hint them while this bin resolves.
-                    let n1 = bin_offsets[bin as usize + 2] as usize;
-                    scan::prefetch_endpoints(&postings[o1..n1]);
-                }
-                if o0 == o1 {
-                    continue;
+            let runs = directory.window(blo, bhi);
+            for k in 0..runs.len() - 1 {
+                let o0 = runs[k] as usize;
+                let o1 = runs[k + 1] as usize;
+                if let Some(&n1) = runs.get(k + 2) {
+                    // The window's next occupied bin is contiguous in the
+                    // posting array; its endpoint loads are the admission
+                    // loop's cold misses, so hint them while this bin
+                    // resolves.
+                    scan::prefetch_endpoints(&postings[o1..n1 as usize]);
                 }
                 let (start, end) = if banded {
                     let (s, e, by_endpoints) = admitted_run(&postings[o0..o1], band_lo, band_hi);

@@ -1,20 +1,29 @@
 //! The SLM-style ion index structure: CSR postings over quantized fragment
-//! bins.
+//! bins, addressed through a sparse bin directory.
 //!
 //! Layout (all flat arrays, mirroring SLM-Transform's memory frugality):
 //!
 //! ```text
-//! entries:      SpectrumEntry[num_spectra]   // one per indexed theoretical spectrum
-//! bin_offsets:  u64[num_bins + 1]            // CSR row pointers
-//! postings:     u32[total_ions]              // entry ids, grouped by bin
+//! entries:     SpectrumEntry[num_spectra]  // one per indexed theoretical spectrum
+//! bin_bitmap:  u64[num_bins / 64 + 1]      // bit b set ⇔ bin b holds postings
+//! bin_rank:    u32[num_bins / 64 + 1]      // occupied bins before each word
+//!                                          // (derived at load, never stored)
+//! bin_starts:  u32[occupied_bins + 1]      // posting offset per occupied bin
+//! postings:    u32[total_ions]             // entry ids, grouped by bin
 //! ```
 //!
+//! The three `bin_*` arrays are the sparse bin directory (`bindir.rs`): a bin's
+//! posting run is a bit test, a popcount and two adjacent `bin_starts`
+//! loads, and empty bins — most of the axis — take no space and no loads.
+//!
 //! "Index size" in the paper's figures is `entries.len()` ("Million peptides
-//! & spectra") and the ion count is `postings.len()` (the "2 billion ions
-//! (8GB)" limit the paper mentions is the `int`-indexing limit of their C++
-//! arrays; we use `u64` offsets so the limit does not apply, but partition
-//! sizing still matters for RAM).
+//! & spectra") and the ion count is `postings.len()`. The paper's C++ arrays
+//! are `int`-indexed, capping a node at 2³¹ ions ("2 billion ions (8GB)");
+//! `bin_starts` is `u32`, so a partition here holds at most 2³² − 1 ions —
+//! the builder and the loaders enforce it, and LBE partitioning is what
+//! keeps real partitions far below it.
 
+use crate::bindir::{self, BinDirectory};
 use crate::config::SlmConfig;
 use crate::format::AlignedBuf;
 use std::sync::Arc;
@@ -127,7 +136,8 @@ enum IndexStorage {
     /// impossible).
     Owned {
         entries: Vec<SpectrumEntry>,
-        bin_offsets: Vec<u64>,
+        bin_bitmap: Vec<u64>,
+        bin_starts: Vec<u32>,
         postings: Vec<u32>,
     },
     /// Zero-copy views into a shared arena (one buffer per container; the
@@ -136,7 +146,8 @@ enum IndexStorage {
     Arena {
         arena: Arc<AlignedBuf>,
         entries: ArenaSlice,
-        bin_offsets: ArenaSlice,
+        bin_bitmap: ArenaSlice,
+        bin_starts: ArenaSlice,
         postings: ArenaSlice,
     },
 }
@@ -146,6 +157,10 @@ enum IndexStorage {
 pub struct SlmIndex {
     config: SlmConfig,
     storage: IndexStorage,
+    /// Per-word running popcount of the bin bitmap ([`bindir::ranks`]) —
+    /// always owned: it is derived from the bitmap at construction, for
+    /// arena-backed indexes too.
+    bin_rank: Vec<u32>,
     /// `true` when entry ids ascend by `precursor_mass` — the invariant the
     /// banded query kernel needs to binary-search each bin's posting list
     /// down to a precursor window. Freshly built indexes always have it;
@@ -159,38 +174,33 @@ impl PartialEq for SlmIndex {
     /// Logical equality: same configuration and same flat arrays,
     /// regardless of whether they are owned or arena-backed.
     fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.bin_directory(), other.bin_directory());
         self.config == other.config
             && self.entries() == other.entries()
-            && self.bin_offsets() == other.bin_offsets()
+            && a.bitmap == b.bitmap
+            && a.starts == b.starts
             && self.postings() == other.postings()
     }
 }
 
 impl SlmIndex {
-    /// Assembles an index from parts (used by [`crate::builder`]).
+    /// Assembles an index from parts (used by [`crate::builder`]); `dir`
+    /// is [`bindir::from_dense`]'s `(bitmap, starts)` pair.
     pub(crate) fn from_parts(
         config: SlmConfig,
         entries: Vec<SpectrumEntry>,
-        bin_offsets: Vec<u64>,
+        dir: (Vec<u64>, Vec<u32>),
         postings: Vec<u32>,
     ) -> Self {
-        debug_assert_eq!(bin_offsets.len(), config.num_bins() + 1);
-        debug_assert_eq!(*bin_offsets.last().unwrap() as usize, postings.len());
         debug_assert!(
             entries
                 .windows(2)
                 .all(|w| w[0].precursor_mass <= w[1].precursor_mass),
             "builder must emit entries in ascending precursor-mass order"
         );
-        SlmIndex {
-            config,
-            storage: IndexStorage::Owned {
-                entries,
-                bin_offsets,
-                postings,
-            },
-            mass_sorted: true,
-        }
+        let index = Self::from_owned_unchecked_with(config, entries, dir, postings, true);
+        debug_assert_eq!(index.validate_cheap(), Ok(()));
+        index
     }
 
     /// Assembles an owned-storage index from possibly-inconsistent parts
@@ -200,10 +210,10 @@ impl SlmIndex {
     pub(crate) fn from_owned_unchecked(
         config: SlmConfig,
         entries: Vec<SpectrumEntry>,
-        bin_offsets: Vec<u64>,
+        dir: (Vec<u64>, Vec<u32>),
         postings: Vec<u32>,
     ) -> Self {
-        Self::from_owned_unchecked_with(config, entries, bin_offsets, postings, false)
+        Self::from_owned_unchecked_with(config, entries, dir, postings, false)
     }
 
     /// [`SlmIndex::from_owned_unchecked`] with an explicit mass-sorted
@@ -212,15 +222,17 @@ impl SlmIndex {
     pub(crate) fn from_owned_unchecked_with(
         config: SlmConfig,
         entries: Vec<SpectrumEntry>,
-        bin_offsets: Vec<u64>,
+        (bin_bitmap, bin_starts): (Vec<u64>, Vec<u32>),
         postings: Vec<u32>,
         mass_sorted: bool,
     ) -> Self {
         SlmIndex {
             config,
+            bin_rank: bindir::ranks(&bin_bitmap),
             storage: IndexStorage::Owned {
                 entries,
-                bin_offsets,
+                bin_bitmap,
+                bin_starts,
                 postings,
             },
             mass_sorted,
@@ -235,17 +247,21 @@ impl SlmIndex {
         config: SlmConfig,
         arena: Arc<AlignedBuf>,
         entries: (usize, usize),
-        bin_offsets: (usize, usize),
+        bin_bitmap: (usize, usize),
+        bin_starts: (usize, usize),
         postings: (usize, usize),
         mass_sorted: bool,
     ) -> Self {
         let slice = |(byte_off, len): (usize, usize)| ArenaSlice { byte_off, len };
+        let bin_bitmap = slice(bin_bitmap);
         SlmIndex {
             config,
+            bin_rank: bindir::ranks(bin_bitmap.get(&arena)),
             storage: IndexStorage::Arena {
                 arena,
                 entries: slice(entries),
-                bin_offsets: slice(bin_offsets),
+                bin_bitmap,
+                bin_starts: slice(bin_starts),
                 postings: slice(postings),
             },
             mass_sorted,
@@ -300,15 +316,38 @@ impl SlmIndex {
         }
     }
 
-    /// The CSR row-pointer array (`num_bins + 1` offsets).
+    /// The sparse bin directory (bin → posting run).
     #[inline]
-    pub(crate) fn bin_offsets(&self) -> &[u64] {
-        match &self.storage {
-            IndexStorage::Owned { bin_offsets, .. } => bin_offsets,
+    pub(crate) fn bin_directory(&self) -> BinDirectory<'_> {
+        let (bitmap, starts) = match &self.storage {
+            IndexStorage::Owned {
+                bin_bitmap,
+                bin_starts,
+                ..
+            } => (&bin_bitmap[..], &bin_starts[..]),
             IndexStorage::Arena {
-                arena, bin_offsets, ..
-            } => bin_offsets.get(arena),
+                arena,
+                bin_bitmap,
+                bin_starts,
+                ..
+            } => (bin_bitmap.get(arena), bin_starts.get(arena)),
+        };
+        BinDirectory {
+            bitmap,
+            rank: &self.bin_rank,
+            starts,
         }
+    }
+
+    /// Bytes the bin directory holds in memory: bitmap, running popcount
+    /// and one `u32` per occupied bin (+ sentinel) — the per-partition
+    /// cost of Fig. 5, which grows with occupancy up to a ceiling of about
+    /// 4.2 bytes per bin.
+    pub(crate) fn bin_directory_bytes(&self) -> usize {
+        let dir = self.bin_directory();
+        std::mem::size_of_val(dir.bitmap)
+            + std::mem::size_of_val(dir.rank)
+            + std::mem::size_of_val(dir.starts)
     }
 
     /// The flat posting array.
@@ -331,14 +370,7 @@ impl SlmIndex {
     /// The posting list (entry ids) of one ion bin.
     #[inline]
     pub fn bin_postings(&self, bin: u32) -> &[u32] {
-        let bin_offsets = self.bin_offsets();
-        let b = bin as usize;
-        if b + 1 >= bin_offsets.len() {
-            return &[];
-        }
-        let lo = bin_offsets[b] as usize;
-        let hi = bin_offsets[b + 1] as usize;
-        &self.postings()[lo..hi]
+        &self.postings()[self.bin_directory().run(bin)]
     }
 
     /// The inclusive bin window `[lo, hi]` covering the fragment-tolerance
@@ -361,10 +393,10 @@ impl SlmIndex {
         let Some((lo, hi)) = self.bins_for_mz(mz) else {
             return 0;
         };
-        for bin in lo..=hi {
-            for &entry in self.bin_postings(bin) {
-                f(entry);
-            }
+        // The window's occupied bins are adjacent in the posting array.
+        let runs = self.bin_directory().window(lo, hi);
+        for &entry in &self.postings()[runs[0] as usize..runs[runs.len() - 1] as usize] {
+            f(entry);
         }
         hi - lo + 1
     }
@@ -402,8 +434,9 @@ impl SlmIndex {
             return (0, 0);
         };
         let mut skipped = 0u64;
-        for bin in lo..=hi {
-            let postings = self.bin_postings(bin);
+        let all = self.postings();
+        for run in self.bin_directory().window(lo, hi).windows(2) {
+            let postings = &all[run[0] as usize..run[1] as usize];
             let (start, end, _) = admitted_run(postings, entry_lo, entry_hi);
             for &entry in &postings[start..end] {
                 f(entry);
@@ -415,29 +448,26 @@ impl SlmIndex {
 
     /// Exact heap bytes of the index structures (Fig. 5's y-axis).
     ///
-    /// For an arena-backed index this is the bytes its three views span
-    /// (not the whole arena — chunks of a shared arena would otherwise be
-    /// multi-counted when summed).
+    /// For an arena-backed index this is the bytes its views span (not
+    /// the whole arena — chunks of a shared arena would otherwise be
+    /// multi-counted when summed) plus the owned running popcount.
     pub fn heap_bytes(&self) -> usize {
+        // The directory's vectors are allocated exactly (capacity = length).
+        let directory = self.bin_directory_bytes();
         match &self.storage {
             IndexStorage::Owned {
-                entries,
-                bin_offsets,
-                postings,
+                entries, postings, ..
             } => {
                 entries.capacity() * std::mem::size_of::<SpectrumEntry>()
-                    + bin_offsets.capacity() * std::mem::size_of::<u64>()
                     + postings.capacity() * std::mem::size_of::<u32>()
+                    + directory
             }
             IndexStorage::Arena {
-                entries,
-                bin_offsets,
-                postings,
-                ..
+                entries, postings, ..
             } => {
                 entries.len * std::mem::size_of::<SpectrumEntry>()
-                    + bin_offsets.len * std::mem::size_of::<u64>()
                     + postings.len * std::mem::size_of::<u32>()
+                    + directory
             }
         }
     }
@@ -466,21 +496,21 @@ impl SlmIndex {
         Ok(())
     }
 
-    /// Cheap structural invariants — O(bins), no posting scan: the CSR
-    /// offset array has the configured length, is monotone, and its final
-    /// offset equals the posting count. Always run by the deserializers;
-    /// the full [`SlmIndex::validate`] scan sits behind a read option.
+    /// Cheap structural invariants — O(bins / 64 + occupied bins), no
+    /// posting scan: the bin directory is well-formed for the configured
+    /// axis (`bindir::validate` — bitmap length and range, one strictly
+    /// increasing offset per set bit, final offset equal to the posting
+    /// count), so no lookup can leave its arrays. Always run by the
+    /// deserializers; the full [`SlmIndex::validate`] scan sits behind a
+    /// read option.
     pub fn validate_cheap(&self) -> Result<(), String> {
-        let bin_offsets = self.bin_offsets();
-        if bin_offsets.len() != self.config.num_bins() + 1 {
-            return Err("bin_offsets length mismatch".into());
-        }
-        if bin_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("bin_offsets not monotone".into());
-        }
-        if *bin_offsets.last().unwrap() as usize != self.postings().len() {
-            return Err("final offset != postings length".into());
-        }
+        let dir = self.bin_directory();
+        bindir::validate(
+            self.config.num_bins(),
+            dir.bitmap,
+            dir.starts,
+            self.postings().len(),
+        )?;
         if self.entries().len() > u32::MAX as usize {
             return Err("more entries than u32 ids".into());
         }

@@ -401,3 +401,436 @@ proptest! {
         prop_assert_eq!(builder.stats().ions, idx.num_ions());
     }
 }
+
+// ---------------------------------------------------------------------------
+// Sparse bin directory ≡ dense CSR oracle.
+//
+// The index keeps a sparse directory (occupancy bitmap + offsets of the
+// occupied bins); the files it used to write keep dense row pointers. The
+// oracle below *is* the dense CSR, built by hand and handed to the index
+// through those legacy files, so every lookup the directory answers can be
+// checked against plain slicing.
+// ---------------------------------------------------------------------------
+
+mod bin_directory_oracle {
+    use lbe::index::format::{crc32, section_name, write_container, SectionPlan};
+    use lbe::index::io::{MAGIC_V1, MAGIC_V2};
+    use lbe::index::query::AUTO_FULL_SCAN_COVERAGE;
+    use lbe::index::{
+        read_index, write_index, QueryOptions, QueryStats, ScanMode, Searcher, SlmConfig, SlmIndex,
+        FLAG_MASS_SORTED,
+    };
+    use lbe::spectra::spectrum::{Peak, Spectrum};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// A hand-built index: dense CSR over `num_bins` unit-width bins.
+    struct Dense {
+        cfg: SlmConfig,
+        /// Ascending precursor masses, one per entry.
+        masses: Vec<f32>,
+        /// `num_bins + 1` row pointers.
+        offsets: Vec<u64>,
+        /// Entry ids, ascending within each bin (duplicates allowed).
+        postings: Vec<u32>,
+    }
+
+    impl Dense {
+        fn num_bins(&self) -> usize {
+            self.offsets.len() - 1
+        }
+
+        fn bin(&self, b: usize) -> &[u32] {
+            &self.postings[self.offsets[b] as usize..self.offsets[b + 1] as usize]
+        }
+
+        /// The inclusive bin window of `mz`, as the index defines it.
+        fn window(&self, mz: f64) -> Option<(usize, usize)> {
+            let center = self.cfg.bin_of(mz)? as usize;
+            let t = self.cfg.tolerance_bins() as usize;
+            Some((
+                center.saturating_sub(t),
+                (center + t).min(self.num_bins() - 1),
+            ))
+        }
+
+        fn generate(seed: u64) -> Dense {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let num_bins = [2usize, 64, 65, 128, 129, 200, 1000][rng.gen_range(0..7usize)];
+            let tol_bins = [0u32, 1, 5, 70][rng.gen_range(0..4usize)];
+            let cfg = SlmConfig {
+                resolution: 1.0,
+                fragment_tolerance: tol_bins as f64,
+                max_fragment_mz: (num_bins - 1) as f64,
+                shared_peak_threshold: 1,
+                top_k: usize::MAX,
+                ..SlmConfig::default()
+            };
+            assert_eq!(cfg.num_bins(), num_bins);
+            // Occupancy shapes, each hit many times over a run: nothing
+            // occupied; everything inside one bitmap word; the word edges
+            // (0, 63, 64) and the last bin forced on top of a random fill.
+            let shape = seed % 4;
+            let num_entries = if shape == 0 {
+                0
+            } else {
+                rng.gen_range(1..=20u32)
+            };
+            let density = [0.02, 0.3, 0.9][rng.gen_range(0..3usize)];
+            let occupied = |b: usize, rng: &mut ChaCha8Rng| match shape {
+                0 => false,
+                1 => (64..128).contains(&b) && rng.gen_bool(0.5),
+                _ => [0, 63, 64, num_bins - 1].contains(&b) || rng.gen_bool(density),
+            };
+            let mut offsets = vec![0u64];
+            let mut postings = Vec::new();
+            for b in 0..num_bins {
+                if occupied(b, &mut rng) {
+                    let mut run: Vec<u32> = (0..rng.gen_range(1..=6))
+                        .map(|_| rng.gen_range(0..num_entries))
+                        .collect();
+                    run.sort_unstable();
+                    postings.extend(run);
+                }
+                offsets.push(postings.len() as u64);
+            }
+            let mut mass = 500.0f32;
+            let masses = (0..num_entries)
+                .map(|_| {
+                    mass += rng.gen_range(0..30) as f32;
+                    mass
+                })
+                .collect();
+            Dense {
+                cfg,
+                masses,
+                offsets,
+                postings,
+            }
+        }
+
+        fn config_bytes(&self) -> Vec<u8> {
+            let c = &self.cfg;
+            let mut b = Vec::new();
+            b.extend_from_slice(&c.resolution.to_le_bytes());
+            b.extend_from_slice(&c.fragment_tolerance.to_le_bytes());
+            b.extend_from_slice(&c.precursor_tolerance.to_le_bytes());
+            b.extend_from_slice(&c.shared_peak_threshold.to_le_bytes());
+            b.extend_from_slice(&c.max_fragment_mz.to_le_bytes());
+            b.extend_from_slice(&[c.theo.b_ions as u8, c.theo.y_ions as u8]);
+            b.push(c.theo.charges.len() as u8);
+            b.extend_from_slice(&c.theo.charges);
+            b.extend_from_slice(&(c.top_k as u64).to_le_bytes());
+            b
+        }
+
+        fn entry_bytes(&self) -> Vec<u8> {
+            let mut b = Vec::new();
+            for (id, &mass) in self.masses.iter().enumerate() {
+                let fragments = self.postings.iter().filter(|&&e| e as usize == id).count();
+                b.extend_from_slice(&(id as u32).to_le_bytes());
+                b.extend_from_slice(&0u16.to_le_bytes());
+                b.extend_from_slice(&(fragments as u16).to_le_bytes());
+                b.extend_from_slice(&mass.to_le_bytes());
+            }
+            b
+        }
+
+        fn offset_bytes(&self) -> Vec<u8> {
+            self.offsets.iter().flat_map(|o| o.to_le_bytes()).collect()
+        }
+
+        fn posting_bytes(&self) -> Vec<u8> {
+            self.postings.iter().flat_map(|p| p.to_le_bytes()).collect()
+        }
+
+        /// The element-streamed `LBESLM1` file (no layout flags).
+        fn v1_file(&self) -> Vec<u8> {
+            let mut f = MAGIC_V1.to_vec();
+            f.extend(self.config_bytes());
+            f.extend((self.masses.len() as u64).to_le_bytes());
+            f.extend(self.entry_bytes());
+            f.extend((self.offsets.len() as u64).to_le_bytes());
+            f.extend(self.offset_bytes());
+            f.extend((self.postings.len() as u64).to_le_bytes());
+            f.extend(self.posting_bytes());
+            f
+        }
+
+        /// The `LBESLM2` container as written before the bin directory:
+        /// dense `binoffs`, MASS_SORTED claimed.
+        fn binoffs_file(&self) -> Vec<u8> {
+            let payloads = [
+                ("config", self.config_bytes()),
+                ("flags", FLAG_MASS_SORTED.to_le_bytes().to_vec()),
+                ("entries", self.entry_bytes()),
+                ("binoffs", self.offset_bytes()),
+                ("postings", self.posting_bytes()),
+            ];
+            let plans: Vec<SectionPlan> = payloads
+                .iter()
+                .map(|(name, p)| SectionPlan {
+                    name: section_name(name),
+                    len: p.len() as u64,
+                    crc: crc32(p),
+                })
+                .collect();
+            let mut f = Vec::new();
+            write_container(&mut f, MAGIC_V2, &plans, |i, w| w.write_all(&payloads[i].1)).unwrap();
+            f
+        }
+
+        /// What the kernel must report for `q` at ΔM = `tol`: work
+        /// counters and `(entry, shared peaks)` per candidate, from plain
+        /// loops over the dense rows. `band` is the admitted entry range
+        /// when the banded path applies.
+        fn search(
+            &self,
+            q: &Spectrum,
+            tol: f64,
+            band: Option<(u32, u32)>,
+        ) -> (QueryStats, Vec<(u32, u16)>) {
+            let mut stats = QueryStats {
+                peaks: q.peaks.len() as u64,
+                ..Default::default()
+            };
+            let mut shared = vec![0u16; self.masses.len()];
+            for peak in &q.peaks {
+                let Some((lo, hi)) = self.window(peak.mz) else {
+                    continue;
+                };
+                stats.bins_touched += (hi - lo + 1) as u64;
+                for b in lo..=hi {
+                    let run = self.bin(b);
+                    let Some((blo, bhi)) = band else {
+                        stats.postings_scanned += run.len() as u64;
+                        run.iter().for_each(|&e| shared[e as usize] += 1);
+                        continue;
+                    };
+                    let (Some(&first), Some(&last)) = (run.first(), run.last()) else {
+                        continue;
+                    };
+                    let admitted = run.iter().filter(|&&e| (blo..bhi).contains(&e));
+                    let n = admitted.clone().count();
+                    stats.postings_scanned += n as u64;
+                    stats.postings_skipped_by_band += (run.len() - n) as u64;
+                    if last < blo || first >= bhi {
+                        stats.bins_pruned_by_band += 1;
+                    }
+                    admitted.for_each(|&e| shared[e as usize] += 1);
+                }
+            }
+            let qm = q.precursor_neutral_mass();
+            let candidates: Vec<(u32, u16)> = shared
+                .iter()
+                .enumerate()
+                .filter(|&(e, &n)| {
+                    n >= self.cfg.shared_peak_threshold
+                        && SlmConfig::precursor_admits_with(tol, qm, self.masses[e] as f64)
+                })
+                .map(|(e, &n)| (e as u32, n))
+                .collect();
+            stats.candidates = candidates.len() as u64;
+            (stats, candidates)
+        }
+    }
+
+    /// Every directory-answered lookup of `idx` against the dense rows.
+    fn check_lookups(d: &Dense, idx: &SlmIndex, rng: &mut ChaCha8Rng) -> Result<(), String> {
+        let num_bins = d.num_bins();
+        for b in 0..num_bins {
+            if idx.bin_postings(b as u32) != d.bin(b) {
+                return Err(format!("bin_postings({b})"));
+            }
+        }
+        for beyond in [num_bins as u32, num_bins as u32 + 63, u32::MAX] {
+            if !idx.bin_postings(beyond).is_empty() {
+                return Err(format!("bin_postings({beyond}) beyond the axis"));
+            }
+        }
+        let n = d.masses.len() as u32;
+        let mzs = (0..num_bins).map(|b| b as f64).chain([
+            -1.0,
+            num_bins as f64 + 0.4,
+            0.49,
+            num_bins as f64 - 1.49,
+        ]);
+        for mz in mzs {
+            let want: Vec<u32> = match d.window(mz) {
+                Some((lo, hi)) => (lo..=hi).flat_map(|b| d.bin(b).iter().copied()).collect(),
+                None => Vec::new(),
+            };
+            let want_bins = d.window(mz).map_or(0, |(lo, hi)| (hi - lo + 1) as u32);
+            let mut got = Vec::new();
+            let bins = idx.for_postings_near(mz, |e| got.push(e));
+            if (bins, &got) != (want_bins, &want) {
+                return Err(format!("for_postings_near({mz})"));
+            }
+            let lo = rng.gen_range(0..=n);
+            let hi = rng.gen_range(lo..=n + 1);
+            let mut got = Vec::new();
+            let (bins, skipped) = idx.for_postings_near_in_entry_band(mz, lo, hi, |e| got.push(e));
+            let in_band: Vec<u32> = want
+                .iter()
+                .copied()
+                .filter(|e| (lo..hi).contains(e))
+                .collect();
+            if (bins, skipped, &got) != (want_bins, (want.len() - in_band.len()) as u64, &in_band) {
+                return Err(format!("for_postings_near_in_entry_band({mz}, {lo}, {hi})"));
+            }
+        }
+        Ok(())
+    }
+
+    /// `Searcher` over `idx` against the oracle's plain loops: same PSMs,
+    /// same work counters, on both scan paths.
+    fn check_searches(d: &Dense, idx: &SlmIndex, rng: &mut ChaCha8Rng) -> Result<(), String> {
+        let n = d.masses.len() as u32;
+        let mut searcher = Searcher::new(idx);
+        for _ in 0..6 {
+            let peaks = (0..rng.gen_range(0..12))
+                .map(|_| Peak::new(rng.gen_range(0..d.num_bins() + 2) as f64 - 1.0, 10.0))
+                .collect();
+            let mass = match n {
+                0 => 700.0,
+                _ => d.masses[rng.gen_range(0..n) as usize] as f64,
+            };
+            let q = Spectrum::new(0, lbe::bio::aa::precursor_mz(mass, 2), 2, peaks);
+            let qm = q.precursor_neutral_mass();
+            for tol in [f64::INFINITY, 45.0, 0.5] {
+                for mode in [ScanMode::Auto, ScanMode::FullScan] {
+                    let band = (mode == ScanMode::Auto && idx.is_mass_sorted() && tol.is_finite())
+                        .then(|| idx.entry_range_for_mass_band(qm - tol, qm + tol))
+                        .filter(|&(lo, hi)| {
+                            n > 0 && ((hi - lo) as f64 / n as f64) < AUTO_FULL_SCAN_COVERAGE
+                        });
+                    let (stats, candidates) = d.search(&q, tol, band);
+                    let opts = QueryOptions {
+                        scan_mode: mode,
+                        precursor_tolerance: Some(tol),
+                        ..Default::default()
+                    };
+                    let got = searcher.search_with_opts(&q, &opts);
+                    let mut psms: Vec<(u32, u16)> =
+                        got.psms.iter().map(|p| (p.entry, p.shared_peaks)).collect();
+                    psms.sort_unstable();
+                    if got.stats != stats || psms != candidates {
+                        return Err(format!(
+                            "search at ΔM {tol} {mode:?}: {:?} vs oracle {stats:?}",
+                            got.stats
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One case: a dense CSR drawn from `seed`, loaded through a legacy
+    /// file (v1 or `binoffs` `LBESLM2`, by a seed bit the occupancy shape
+    /// does not use), then re-saved in the current layout and loaded again
+    /// as arena views.
+    pub fn check_case(seed: u64) -> Result<(), String> {
+        let d = Dense::generate(seed);
+        let as_binoffs = (seed >> 2) & 1 == 1;
+        let legacy_file = if as_binoffs {
+            d.binoffs_file()
+        } else {
+            d.v1_file()
+        };
+        let legacy = read_index(&legacy_file[..]).map_err(|e| format!("legacy load: {e}"))?;
+        let mut current_file = Vec::new();
+        write_index(&mut current_file, &legacy).map_err(|e| e.to_string())?;
+        let current = read_index(&current_file[..]).map_err(|e| format!("reload: {e}"))?;
+        if legacy.is_mass_sorted() != as_binoffs || !current.is_arena_backed() {
+            return Err("fixture did not take the intended load paths".into());
+        }
+        if current != legacy || current.heap_bytes() != legacy.heap_bytes() {
+            return Err("legacy-converted and reloaded indexes differ".into());
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        for idx in [&legacy, &current] {
+            check_lookups(&d, idx, &mut rng)?;
+            check_searches(&d, idx, &mut rng)?;
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn bin_directory_agrees_with_dense_csr_oracle(seed in any::<u64>()) {
+        if let Err(what) = bin_directory_oracle::check_case(seed) {
+            prop_assert!(false, "case seed {:#x}: {}", seed, what);
+        }
+    }
+}
+
+/// The kernel's findings *and its work accounting* on the checked-in
+/// corpus, pinned to `tests/data/expected_query_stats.tsv` — generated by
+/// the commit before the sparse bin directory (dense row pointers), so a
+/// directory walk that visits, prunes, scans or skips differently from the
+/// dense walk fails here even when the ranked PSMs still agree. Four
+/// tolerances × both scan paths × the 24 corpus spectra. Regenerate (only
+/// for an intended accounting change) with `LBE_REGENERATE_GOLDEN=1`.
+#[test]
+fn searcher_psms_and_stats_match_golden_on_regression_corpus() {
+    use lbe::core::ingest::{load_proteome_digested, load_queries};
+    use lbe::index::{QueryOptions, ScanMode};
+    use std::fmt::Write;
+
+    let data = |name: &str| format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
+    let (db, _) = load_proteome_digested(data("corpus.fasta"), &DigestParams::default()).unwrap();
+    let (queries, _) = load_queries(data("corpus.mgf"), &Default::default()).unwrap();
+    let index = IndexBuilder::new(SlmConfig::default(), ModSpec::paper_default()).build(&db);
+    let mut searcher = Searcher::new(&index);
+    let mut report = String::from(
+        "tolerance\tmode\tscan\tpeaks\tbins_touched\tbins_pruned_by_band\tpostings_scanned\t\
+         postings_skipped_by_band\tcandidates\tpsms(peptide:modform:shared:score_bits)\n",
+    );
+    for tol in [0.01, 1.0, 500.0, f64::INFINITY] {
+        for mode in [ScanMode::Auto, ScanMode::FullScan] {
+            let opts = QueryOptions {
+                scan_mode: mode,
+                precursor_tolerance: Some(tol),
+                ..Default::default()
+            };
+            for q in &queries {
+                let r = searcher.search_with_opts(q, &opts);
+                let s = r.stats;
+                let psms: Vec<String> = r
+                    .psms
+                    .iter()
+                    .map(|p| {
+                        let bits = p.score.to_bits();
+                        format!("{}:{}:{}:{bits:08x}", p.peptide, p.modform, p.shared_peaks)
+                    })
+                    .collect();
+                writeln!(
+                    report,
+                    "{tol}\t{mode:?}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                    q.scan,
+                    s.peaks,
+                    s.bins_touched,
+                    s.bins_pruned_by_band,
+                    s.postings_scanned,
+                    s.postings_skipped_by_band,
+                    s.candidates,
+                    psms.join(","),
+                )
+                .unwrap();
+            }
+        }
+    }
+    let golden = data("expected_query_stats.tsv");
+    if std::env::var_os("LBE_REGENERATE_GOLDEN").is_some() {
+        std::fs::write(&golden, &report).unwrap();
+    }
+    let want = std::fs::read_to_string(&golden).unwrap();
+    for (n, (got, want)) in report.lines().zip(want.lines()).enumerate() {
+        assert_eq!(got, want, "line {}", n + 1);
+    }
+    assert_eq!(report.lines().count(), want.lines().count());
+}
