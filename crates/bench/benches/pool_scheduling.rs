@@ -1,19 +1,17 @@
-//! Criterion: contiguous-chunk vs work-stealing batch scheduling, and
+//! Criterion: work-stealing batch scheduling on a skewed batch, and
 //! sequential vs pool-parallel index build.
 //!
 //! The batch is deliberately **skewed**, emulating a production mix of
 //! cheap closed-search spectra and expensive open-search spectra: one in
 //! eight queries carries a peak list ~12× larger (so it scans ~12× the
 //! postings), and the heavy queries are clustered at the front of the
-//! batch. Contiguous chunking hands that whole cluster to one thread and
-//! finishes with it; work stealing re-balances block by block. The
-//! `work_stealing` row should therefore be at least as fast as (on a
-//! skewed batch, decisively faster than) `contiguous_chunks`.
+//! batch — the shape a static contiguous split finishes last on, and the
+//! one block-by-block stealing exists to re-balance.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lbe_bench::build_workload;
 use lbe_bio::mods::ModSpec;
-use lbe_index::{search_batch_chunked, search_batch_parallel, IndexBuilder, SlmConfig};
+use lbe_index::{search_batch_parallel, IndexBuilder, SlmConfig};
 use lbe_spectra::spectrum::Spectrum;
 
 const THREADS: usize = 4;
@@ -23,7 +21,7 @@ const HEAVY_EVERY: usize = 8;
 const HEAVY_FACTOR: usize = 12;
 
 /// Builds a skewed batch: heavy (concatenated-peak) queries first, light
-/// queries after — the worst case for static contiguous chunking.
+/// queries after.
 fn skewed_batch(base: &[Spectrum]) -> Vec<Spectrum> {
     let mut heavy = Vec::new();
     let mut light = Vec::new();
@@ -51,12 +49,6 @@ fn bench_scheduling(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("pool_scheduling");
     group.sample_size(10);
-    group.bench_function("contiguous_chunks", |b| {
-        b.iter(|| {
-            let (r, stats) = search_batch_chunked(&index, black_box(&batch), THREADS);
-            black_box((r.len(), stats.postings_scanned))
-        })
-    });
     group.bench_function("work_stealing", |b| {
         b.iter(|| {
             let (r, stats) = search_batch_parallel(&index, black_box(&batch), THREADS);

@@ -25,7 +25,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lbe_bench::build_workload;
 use lbe_bio::mods::ModSpec;
-use lbe_index::{IndexBuilder, QueryStats, ScanMode, Searcher, SlmConfig, SlmIndex};
+use lbe_index::{IndexBuilder, QueryOptions, QueryStats, ScanMode, Searcher, SlmConfig, SlmIndex};
 use lbe_spectra::spectrum::Spectrum;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -46,9 +46,17 @@ const SWEEP: &[(&str, f64)] = &[
     ("open_inf", f64::INFINITY),
 ];
 
+/// Index-default options under an explicit scan mode.
+fn opts(scan_mode: ScanMode) -> QueryOptions {
+    QueryOptions {
+        scan_mode,
+        ..Default::default()
+    }
+}
+
 fn batch_stats(index: &SlmIndex, queries: &[Spectrum], mode: ScanMode) -> QueryStats {
     let mut s = Searcher::new(index);
-    s.search_batch_with_mode(queries, mode).1
+    s.search_batch_with_opts(queries, &opts(mode)).1
 }
 
 /// Interleaved min-of-rounds wall clock of one whole-batch search in each
@@ -56,15 +64,15 @@ fn batch_stats(index: &SlmIndex, queries: &[Spectrum], mode: ScanMode) -> QueryS
 /// the page cache and branch predictors for both paths.
 fn time_batch_pair(index: &SlmIndex, queries: &[Spectrum], rounds: usize) -> (f64, f64) {
     let mut s = Searcher::new(index);
-    black_box(s.search_batch_with_mode(black_box(queries), ScanMode::Auto));
-    black_box(s.search_batch_with_mode(black_box(queries), ScanMode::FullScan));
+    black_box(s.search_batch_with_opts(black_box(queries), &opts(ScanMode::Auto)));
+    black_box(s.search_batch_with_opts(black_box(queries), &opts(ScanMode::FullScan)));
     let (mut t_auto, mut t_full) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..rounds {
         let t0 = Instant::now();
-        black_box(s.search_batch_with_mode(black_box(queries), ScanMode::Auto));
+        black_box(s.search_batch_with_opts(black_box(queries), &opts(ScanMode::Auto)));
         t_auto = t_auto.min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
-        black_box(s.search_batch_with_mode(black_box(queries), ScanMode::FullScan));
+        black_box(s.search_batch_with_opts(black_box(queries), &opts(ScanMode::FullScan)));
         t_full = t_full.min(t0.elapsed().as_secs_f64());
     }
     (t_auto, t_full)
@@ -109,8 +117,8 @@ fn bench_query_kernel(c: &mut Criterion) {
         // Semantics first: identical PSMs on every query, both paths.
         let mut s = Searcher::new(&index);
         for q in queries {
-            let banded = s.search_with_mode(q, ScanMode::Auto);
-            let full = s.search_with_mode(q, ScanMode::FullScan);
+            let banded = s.search_with_opts(q, &opts(ScanMode::Auto));
+            let full = s.search_with_opts(q, &opts(ScanMode::FullScan));
             assert_eq!(banded.psms, full.psms, "{label}: mode changed findings");
             assert_eq!(banded.stats.candidates, full.stats.candidates);
         }
@@ -183,14 +191,16 @@ fn bench_query_kernel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("banded", label), &index, |b, index| {
             let mut s = Searcher::new(index);
             b.iter(|| {
-                let (r, stats) = s.search_batch_with_mode(black_box(queries), ScanMode::Auto);
+                let (r, stats) =
+                    s.search_batch_with_opts(black_box(queries), &opts(ScanMode::Auto));
                 black_box((r.len(), stats.postings_scanned))
             })
         });
         group.bench_with_input(BenchmarkId::new("full_scan", label), &index, |b, index| {
             let mut s = Searcher::new(index);
             b.iter(|| {
-                let (r, stats) = s.search_batch_with_mode(black_box(queries), ScanMode::FullScan);
+                let (r, stats) =
+                    s.search_batch_with_opts(black_box(queries), &opts(ScanMode::FullScan));
                 black_box((r.len(), stats.postings_scanned))
             })
         });

@@ -11,16 +11,16 @@
 
 use lbe_bench::build_workload;
 use lbe_bio::mods::ModSpec;
-use lbe_index::{IndexBuilder, ScanMode, Searcher, SlmConfig};
+use lbe_index::{IndexBuilder, QueryOptions, ScanMode, Searcher, SlmConfig};
 use std::time::Instant;
 
 fn time_auto(index: &lbe_index::SlmIndex, queries: &[lbe_spectra::spectrum::Spectrum]) -> f64 {
     let mut s = Searcher::new(index);
-    s.search_batch_with_mode(queries, ScanMode::Auto);
+    s.search_batch(queries);
     let mut t = f64::INFINITY;
     for _ in 0..10 {
         let t0 = Instant::now();
-        std::hint::black_box(s.search_batch_with_mode(queries, ScanMode::Auto));
+        std::hint::black_box(s.search_batch(queries));
         t = t.min(t0.elapsed().as_secs_f64());
     }
     t
@@ -59,11 +59,15 @@ fn probe_open_500da() {
     let auto = time_auto(&index, &w.queries);
     let full = {
         let mut s = Searcher::new(&index);
-        s.search_batch_with_mode(&w.queries, ScanMode::FullScan);
+        let full_scan = QueryOptions {
+            scan_mode: ScanMode::FullScan,
+            ..Default::default()
+        };
+        s.search_batch_with_opts(&w.queries, &full_scan);
         let mut t = f64::INFINITY;
         for _ in 0..10 {
             let t0 = Instant::now();
-            std::hint::black_box(s.search_batch_with_mode(&w.queries, ScanMode::FullScan));
+            std::hint::black_box(s.search_batch_with_opts(&w.queries, &full_scan));
             t = t.min(t0.elapsed().as_secs_f64());
         }
         t

@@ -13,22 +13,31 @@
 //! collective and transport-internal traffic; user code should stay below
 //! that range.
 //!
-//! Each collective comes in two flavours: a `try_*` form returning
-//! [`CommError`] with rank/tag context (what engine code uses, so a dead
-//! peer or timeout is reportable), and a panicking convenience wrapper
-//! keeping the original MPI-like names.
+//! Every collective is fallible: a dead peer, a timeout or a mis-typed
+//! exchange comes back as a [`CommError`] naming the rank, peer and tag.
+//! None panics on a communication failure; a caller that cannot continue
+//! without the collective unwraps the result itself.
 //!
 //! ## Fault tolerance
 //!
-//! The `try_*` cores are built from [`Communicator::try_send`] /
+//! The collectives are built from [`Communicator::try_send`] /
 //! [`Communicator::try_recv`], so a communicator configured with
 //! [`crate::RetryPolicy`] (via [`Communicator::with_retry`]) transparently
 //! retries transient failures *inside* every collective — a delayed frame
 //! that missed one receive window is picked up by the next bounded
-//! attempt. On top of that, the `*_lenient` master-side variants below
-//! tolerate dead contributors outright: instead of failing the whole
-//! collective, they record which ranks failed and keep going, which is
-//! what supervised distributed search uses to survive a killed worker.
+//! attempt.
+//!
+//! The barrier and the gather — the two collectives the search program is
+//! made of — additionally take an optional **dead-set** on the root
+//! ([`Communicator::try_barrier_tolerating`],
+//! [`Communicator::try_gather_tolerating`]). Without one, the first failed
+//! exchange is returned and the collective is over. With one, a peer whose
+//! exchange fails (after the retry policy is exhausted) is recorded in the
+//! set and skipped from then on, and the collective completes among the
+//! survivors; that is what supervised distributed search uses to outlive a
+//! killed worker. Non-root ranks only ever talk to the root, so their side
+//! is the same either way. [`Communicator::try_barrier`] and
+//! [`Communicator::try_gather`] are the no-dead-set case.
 
 use crate::comm::{CommError, Communicator, Tag};
 use crate::wire::Wire;
@@ -44,35 +53,65 @@ const TAG_REDUCE: Tag = COLLECTIVE_TAG_BASE + 4;
 const TAG_SCATTER: Tag = COLLECTIVE_TAG_BASE + 5;
 
 impl Communicator {
+    /// The root's side of one exchange with `peer` inside a collective.
+    /// A peer already in `dead` is skipped (`Ok(None)`); a failed exchange
+    /// adds the peer to `dead` when there is a dead-set and is returned
+    /// otherwise.
+    fn exchange_with<T>(
+        &mut self,
+        peer: usize,
+        dead: &mut Option<&mut BTreeSet<usize>>,
+        op: impl FnOnce(&mut Self) -> Result<T, CommError>,
+    ) -> Result<Option<T>, CommError> {
+        if dead.as_ref().is_some_and(|d| d.contains(&peer)) {
+            return Ok(None);
+        }
+        match (op(self), dead) {
+            (Ok(v), _) => Ok(Some(v)),
+            (Err(_), Some(d)) => {
+                d.insert(peer);
+                Ok(None)
+            }
+            (Err(e), None) => Err(e),
+        }
+    }
+
     /// Synchronizes all ranks. On return, every rank's virtual clock is at
     /// the same value (the latest arrival plus the release transfer).
     pub fn try_barrier(&mut self) -> Result<(), CommError> {
+        self.try_barrier_tolerating(None)
+    }
+
+    /// [`Communicator::try_barrier`] with an optional dead-set on rank 0
+    /// (see the module docs): ranks in `dead` are neither waited for nor
+    /// released, and a rank whose check-in or release fails joins the set
+    /// instead of failing the barrier. Other ranks ignore `dead`.
+    pub fn try_barrier_tolerating(
+        &mut self,
+        mut dead: Option<&mut BTreeSet<usize>>,
+    ) -> Result<(), CommError> {
         let p = self.size();
         if p == 1 {
             return Ok(());
         }
-        if self.is_master() {
-            for src in 1..p {
-                self.try_recv::<()>(src, TAG_BARRIER_UP)?;
-            }
-            for dest in 1..p {
-                self.try_send(dest, TAG_BARRIER_DOWN, (), 0)?;
-            }
-            // Align the root with the released ranks: they exit at
-            // release + transfer, so the barrier leaves *all* clocks equal —
-            // the invariant imbalance measurements rely on.
-            let release_arrival = self.now() + self.cost_model().transfer_time(0);
-            self.sync_clock_to(release_arrival);
-        } else {
+        if !self.is_master() {
             self.try_send(0, TAG_BARRIER_UP, (), 0)?;
-            self.try_recv::<()>(0, TAG_BARRIER_DOWN)?;
+            return self.try_recv::<()>(0, TAG_BARRIER_DOWN);
         }
+        for src in 1..p {
+            self.exchange_with(src, &mut dead, |c| c.try_recv::<()>(src, TAG_BARRIER_UP))?;
+        }
+        for dest in 1..p {
+            self.exchange_with(dest, &mut dead, |c| {
+                c.try_send(dest, TAG_BARRIER_DOWN, (), 0)
+            })?;
+        }
+        // Align the root with the released ranks: they exit at
+        // release + transfer, so the barrier leaves *all* clocks equal —
+        // the invariant imbalance measurements rely on.
+        let release_arrival = self.now() + self.cost_model().transfer_time(0);
+        self.sync_clock_to(release_arrival);
         Ok(())
-    }
-
-    /// Panicking wrapper around [`Communicator::try_barrier`].
-    pub fn barrier(&mut self) {
-        self.try_barrier().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Gathers one `T` per rank at `root`. Returns `Some(values)` (indexed
@@ -84,36 +123,44 @@ impl Communicator {
         value: T,
         sim_bytes: usize,
     ) -> Result<Option<Vec<T>>, CommError> {
-        assert!(root < self.size(), "gather root out of range");
-        if self.rank() == root {
-            let mut slots: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
-            slots[root] = Some(value);
-            // Receives are matched by source rank, so indexing by `src` is
-            // the point here, not an iteration smell.
-            #[allow(clippy::needless_range_loop)]
-            for src in 0..self.size() {
-                if src != root {
-                    slots[src] = Some(self.try_recv::<T>(src, TAG_GATHER)?);
-                }
-            }
-            Ok(Some(
-                slots.into_iter().map(|s| s.expect("gather slot")).collect(),
-            ))
-        } else {
-            self.try_send(root, TAG_GATHER, value, sim_bytes)?;
-            Ok(None)
-        }
+        let slots = self.try_gather_tolerating(root, value, sim_bytes, None)?;
+        Ok(slots.map(|slots| {
+            slots
+                .into_iter()
+                .map(|s| s.expect("without a dead-set every slot is filled"))
+                .collect()
+        }))
     }
 
-    /// Panicking wrapper around [`Communicator::try_gather`].
-    pub fn gather<T: Wire + Send + 'static>(
+    /// [`Communicator::try_gather`] with an optional dead-set on the root
+    /// (see the module docs). The root gets one slot per rank: `Some` for
+    /// every rank that contributed (its own included), `None` for ranks in
+    /// `dead` on entry or whose receive failed — those join the set.
+    /// Other ranks ignore `dead` and get `None`.
+    pub fn try_gather_tolerating<T: Wire + Send + 'static>(
         &mut self,
         root: usize,
         value: T,
         sim_bytes: usize,
-    ) -> Option<Vec<T>> {
-        self.try_gather(root, value, sim_bytes)
-            .unwrap_or_else(|e| panic!("{e}"))
+        mut dead: Option<&mut BTreeSet<usize>>,
+    ) -> Result<Option<Vec<Option<T>>>, CommError> {
+        assert!(root < self.size(), "gather root out of range");
+        if self.rank() != root {
+            self.try_send(root, TAG_GATHER, value, sim_bytes)?;
+            return Ok(None);
+        }
+        let mut slots: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
+        slots[root] = Some(value);
+        // Receives are matched by source rank, so indexing by `src` is
+        // the point here, not an iteration smell.
+        #[allow(clippy::needless_range_loop)]
+        for src in 0..self.size() {
+            if src != root {
+                slots[src] =
+                    self.exchange_with(src, &mut dead, |c| c.try_recv::<T>(src, TAG_GATHER))?;
+            }
+        }
+        Ok(Some(slots))
     }
 
     /// Broadcasts the root's value to all ranks. The root passes
@@ -140,17 +187,6 @@ impl Communicator {
             );
             self.try_recv::<T>(root, TAG_BCAST)
         }
-    }
-
-    /// Panicking wrapper around [`Communicator::try_broadcast`].
-    pub fn broadcast<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        root: usize,
-        value: Option<T>,
-        sim_bytes: usize,
-    ) -> T {
-        self.try_broadcast(root, value, sim_bytes)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Reduces one `T` per rank with `op` at `root` (returns `Some` there,
@@ -187,16 +223,6 @@ impl Communicator {
         }
     }
 
-    /// Panicking wrapper around [`Communicator::try_reduce`].
-    pub fn reduce<T, F>(&mut self, root: usize, value: T, op: F, sim_bytes: usize) -> Option<T>
-    where
-        T: Wire + Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        self.try_reduce(root, value, op, sim_bytes)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Reduce + broadcast: every rank gets the reduced value.
     pub fn try_all_reduce<T, F>(
         &mut self,
@@ -212,16 +238,6 @@ impl Communicator {
         self.try_broadcast(0, reduced, sim_bytes)
     }
 
-    /// Panicking wrapper around [`Communicator::try_all_reduce`].
-    pub fn all_reduce<T, F>(&mut self, value: T, op: F, sim_bytes: usize) -> T
-    where
-        T: Wire + Clone + Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        self.try_all_reduce(value, op, sim_bytes)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Gather + broadcast: every rank gets the full rank-indexed vector.
     pub fn try_all_gather<T: Wire + Clone + Send + 'static>(
         &mut self,
@@ -231,16 +247,6 @@ impl Communicator {
         let p = self.size();
         let gathered = self.try_gather(0, value, sim_bytes)?;
         self.try_broadcast(0, gathered, sim_bytes * p)
-    }
-
-    /// Panicking wrapper around [`Communicator::try_all_gather`].
-    pub fn all_gather<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        value: T,
-        sim_bytes: usize,
-    ) -> Vec<T> {
-        self.try_all_gather(value, sim_bytes)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Scatters one `T` to each rank from the root's rank-indexed vector.
@@ -272,91 +278,11 @@ impl Communicator {
             self.try_recv::<T>(root, TAG_SCATTER)
         }
     }
-
-    /// Panicking wrapper around [`Communicator::try_scatter`].
-    pub fn scatter<T: Wire + Send + 'static>(
-        &mut self,
-        root: usize,
-        values: Option<Vec<T>>,
-        sim_bytes: usize,
-    ) -> T {
-        self.try_scatter(root, values, sim_bytes)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Master-side half of a barrier that tolerates dead workers. Pairs
-    /// with plain [`Communicator::try_barrier`] on the workers: collects
-    /// READY from every rank not already in `dead`, marking ranks whose
-    /// exchange fails (after the communicator's retry policy is exhausted)
-    /// instead of failing, then releases the survivors.
-    ///
-    /// Must be called on rank 0. Newly failed ranks are added to `dead`.
-    pub fn try_barrier_lenient(&mut self, dead: &mut BTreeSet<usize>) -> Result<(), CommError> {
-        assert!(self.is_master(), "lenient barrier is master-side only");
-        let p = self.size();
-        for src in 1..p {
-            if dead.contains(&src) {
-                continue;
-            }
-            if self.try_recv::<()>(src, TAG_BARRIER_UP).is_err() {
-                dead.insert(src);
-            }
-        }
-        for dest in 1..p {
-            if dead.contains(&dest) {
-                continue;
-            }
-            if self.try_send(dest, TAG_BARRIER_DOWN, (), 0).is_err() {
-                dead.insert(dest);
-            }
-        }
-        let release_arrival = self.now() + self.cost_model().transfer_time(0);
-        self.sync_clock_to(release_arrival);
-        Ok(())
-    }
-
-    /// Master-side half of a gather to rank 0 that tolerates dead workers.
-    /// Pairs with plain [`Communicator::try_gather`]`(0, ..)` on the
-    /// workers. Returns one slot per rank: `Some(value)` for ranks that
-    /// contributed (slot 0 is `value`, the master's own), `None` for ranks
-    /// in `dead` or whose exchange failed — those are added to `dead`.
-    pub fn try_gather_lenient<T: Wire + Send + 'static>(
-        &mut self,
-        value: T,
-        dead: &mut BTreeSet<usize>,
-    ) -> Result<Vec<Option<T>>, CommError> {
-        assert!(self.is_master(), "lenient gather is master-side only");
-        let p = self.size();
-        let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
-        slots[0] = Some(value);
-        #[allow(clippy::needless_range_loop)]
-        for src in 1..p {
-            if dead.contains(&src) {
-                continue;
-            }
-            match self.try_recv::<T>(src, TAG_GATHER) {
-                Ok(v) => slots[src] = Some(v),
-                Err(_) => {
-                    dead.insert(src);
-                }
-            }
-        }
-        Ok(slots)
-    }
-
-    /// Convenience: `all_reduce` over `f64` (8 modelled bytes).
-    pub fn all_reduce_f64<F: Fn(f64, f64) -> f64>(&mut self, value: f64, op: F) -> f64 {
-        self.all_reduce(value, op, 8)
-    }
-
-    /// Convenience: `all_gather` over `f64` (8 modelled bytes each).
-    pub fn all_gather_f64(&mut self, value: f64) -> Vec<f64> {
-        self.all_gather(value, 8)
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::clock::CommCostModel;
     use crate::threaded::{Cluster, ClusterConfig};
 
@@ -372,7 +298,7 @@ mod tests {
         });
         let out = Cluster::new(cfg).run(|c| {
             c.compute(c.rank() as f64); // rank r at t=r
-            c.barrier();
+            c.try_barrier().unwrap();
             c.now()
         });
         // All ranks released at the same virtual instant.
@@ -385,7 +311,7 @@ mod tests {
     #[test]
     fn barrier_on_single_rank_is_noop() {
         let out = cluster(1).run(|c| {
-            c.barrier();
+            c.try_barrier().unwrap();
             c.now()
         });
         assert_eq!(out.results[0], 0.0);
@@ -393,14 +319,14 @@ mod tests {
 
     #[test]
     fn gather_collects_in_rank_order() {
-        let out = cluster(4).run(|c| c.gather(0, c.rank() * 11, 8));
+        let out = cluster(4).run(|c| c.try_gather(0, c.rank() * 11, 8).unwrap());
         assert_eq!(out.results[0], Some(vec![0, 11, 22, 33]));
         assert!(out.results[1..].iter().all(Option::is_none));
     }
 
     #[test]
     fn gather_to_nonzero_root() {
-        let out = cluster(3).run(|c| c.gather(2, c.rank(), 8));
+        let out = cluster(3).run(|c| c.try_gather(2, c.rank(), 8).unwrap());
         assert_eq!(out.results[2], Some(vec![0, 1, 2]));
         assert!(out.results[0].is_none() && out.results[1].is_none());
     }
@@ -413,7 +339,7 @@ mod tests {
             } else {
                 None
             };
-            c.broadcast(0, v, 7)
+            c.try_broadcast(0, v, 7).unwrap()
         });
         assert!(out.results.iter().all(|r| r == "payload"));
     }
@@ -421,7 +347,7 @@ mod tests {
     #[test]
     fn reduce_folds_in_rank_order() {
         let out = cluster(4).run(|c| {
-            c.reduce(
+            c.try_reduce(
                 0,
                 vec![c.rank()],
                 |mut a, b| {
@@ -430,19 +356,20 @@ mod tests {
                 },
                 8,
             )
+            .unwrap()
         });
         assert_eq!(out.results[0], Some(vec![0, 1, 2, 3]));
     }
 
     #[test]
     fn all_reduce_sum() {
-        let out = cluster(5).run(|c| c.all_reduce(c.rank() as u64, |a, b| a + b, 8));
+        let out = cluster(5).run(|c| c.try_all_reduce(c.rank() as u64, |a, b| a + b, 8).unwrap());
         assert!(out.results.iter().all(|&r| r == 10));
     }
 
     #[test]
     fn all_gather_full_vector_everywhere() {
-        let out = cluster(3).run(|c| c.all_gather(c.rank() as u8, 1));
+        let out = cluster(3).run(|c| c.try_all_gather(c.rank() as u8, 1).unwrap());
         assert!(out.results.iter().all(|r| r == &vec![0u8, 1, 2]));
     }
 
@@ -454,7 +381,7 @@ mod tests {
             } else {
                 None
             };
-            c.scatter(0, v, 8)
+            c.try_scatter(0, v, 8).unwrap()
         });
         assert_eq!(out.results, vec![100, 101, 102, 103]);
     }
@@ -462,10 +389,10 @@ mod tests {
     #[test]
     fn sequence_of_collectives_does_not_cross_talk() {
         let out = cluster(3).run(|c| {
-            let s1 = c.all_reduce(1u32, |a, b| a + b, 4);
-            c.barrier();
-            let s2 = c.all_reduce(10u32, |a, b| a + b, 4);
-            let g = c.all_gather(c.rank() as u32, 4);
+            let s1 = c.try_all_reduce(1u32, |a, b| a + b, 4).unwrap();
+            c.try_barrier().unwrap();
+            let s2 = c.try_all_reduce(10u32, |a, b| a + b, 4).unwrap();
+            let g = c.try_all_gather(c.rank() as u32, 4).unwrap();
             (s1, s2, g)
         });
         for r in &out.results {
@@ -483,7 +410,7 @@ mod tests {
         });
         let out = Cluster::new(cfg).run(|c| {
             let v = if c.is_master() { Some(0u8) } else { None };
-            c.broadcast(0, v, 3);
+            c.try_broadcast(0, v, 3).unwrap();
             c.now()
         });
         assert!((out.results[1] - 3.0).abs() < 1e-12);
@@ -497,7 +424,7 @@ mod tests {
         let cfg = ClusterConfig::new(2).with_recv_timeout(std::time::Duration::from_millis(100));
         Cluster::new(cfg).run(|c| {
             let v = if c.is_master() { Some(vec![1]) } else { None };
-            c.scatter(0, v, 8);
+            let _ = c.try_scatter(0, v, 8);
         });
     }
 
@@ -505,5 +432,139 @@ mod tests {
     fn makespan_is_max_time() {
         let out = cluster(3).run(|c| c.compute(c.rank() as f64));
         assert_eq!(out.makespan(), 2.0);
+    }
+
+    /// One row of the dead-set tables below: the root's dead-set on entry
+    /// (`None` = the strict collective) and whether rank 2 fails
+    /// mid-collective by never taking part.
+    struct Case {
+        name: &'static str,
+        dead_on_entry: Option<&'static [usize]>,
+        rank2_silent: bool,
+    }
+
+    impl Case {
+        /// The root's dead-set on exit: rank 2 joins it exactly when it is
+        /// silent and there is a set to join.
+        fn dead_after(&self) -> Option<Vec<usize>> {
+            self.dead_on_entry?;
+            Some(if self.rank2_silent { vec![2] } else { vec![] })
+        }
+    }
+
+    const CASES: [Case; 5] = [
+        Case {
+            name: "no dead-set",
+            dead_on_entry: None,
+            rank2_silent: false,
+        },
+        Case {
+            name: "empty dead-set",
+            dead_on_entry: Some(&[]),
+            rank2_silent: false,
+        },
+        Case {
+            name: "pre-marked dead rank",
+            dead_on_entry: Some(&[2]),
+            rank2_silent: true,
+        },
+        Case {
+            name: "rank fails mid-collective, no dead-set",
+            dead_on_entry: None,
+            rank2_silent: true,
+        },
+        Case {
+            name: "rank fails mid-collective, dead-set",
+            dead_on_entry: Some(&[]),
+            rank2_silent: true,
+        },
+    ];
+
+    /// What one rank saw: the collective's value, or the timeout it was
+    /// failed with as `(rank, src, tag)`; plus the dead-set it ended with.
+    type Seen<T> = (Result<T, (usize, usize, Tag)>, Option<Vec<usize>>);
+
+    /// Runs `collective` on 3 ranks under `case`; rank 2, when silent,
+    /// returns `None` without touching its communicator. The root gives up
+    /// on a peer well before the workers give up on the root, so whether
+    /// rank 1 is released never depends on which timer fires first.
+    fn run_case<T: Send>(
+        case: &Case,
+        collective: impl Fn(&mut Communicator, Option<&mut BTreeSet<usize>>) -> Result<T, CommError>
+            + Sync,
+    ) -> Vec<Option<Seen<T>>> {
+        use std::time::Duration;
+        let collective = &collective;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = crate::transport::SimTransport::mesh(3)
+                .into_iter()
+                .enumerate()
+                .map(|(rank, t)| {
+                    scope.spawn(move || {
+                        if rank == 2 && case.rank2_silent {
+                            return None;
+                        }
+                        let timeout = Duration::from_millis(if rank == 0 { 100 } else { 1500 });
+                        let mut c =
+                            Communicator::over(Box::new(t), CommCostModel::default(), timeout);
+                        let mut dead: Option<BTreeSet<usize>> =
+                            case.dead_on_entry.map(|d| d.iter().copied().collect());
+                        let seen = collective(&mut c, dead.as_mut()).map_err(|e| match e {
+                            CommError::Timeout { rank, src, tag } => (rank, src, tag),
+                            other => panic!("{}: expected a timeout, got {other}", case.name),
+                        });
+                        Some((seen, dead.map(|d| d.into_iter().collect())))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn barrier_core_over_dead_set_table() {
+        for case in &CASES {
+            let seen = run_case(case, |c, dead| c.try_barrier_tolerating(dead));
+            let tolerant = case.dead_on_entry.is_some();
+            let (root, root_dead) = seen[0].clone().expect("root takes part");
+            let (worker, _) = seen[1].clone().expect("rank 1 takes part");
+            if case.rank2_silent && !tolerant {
+                // Strict: the root fails on the missing check-in and never
+                // releases rank 1, which times out on the release.
+                assert_eq!(root, Err((0, 2, TAG_BARRIER_UP)), "{}", case.name);
+                assert_eq!(worker, Err((1, 0, TAG_BARRIER_DOWN)), "{}", case.name);
+            } else {
+                assert_eq!(root, Ok(()), "{}", case.name);
+                assert_eq!(worker, Ok(()), "{}", case.name);
+            }
+            assert_eq!(root_dead, case.dead_after(), "{}", case.name);
+        }
+    }
+
+    #[test]
+    fn gather_core_over_dead_set_table() {
+        for case in &CASES {
+            let seen = run_case(case, |c, dead| {
+                c.try_gather_tolerating(0, c.rank() as u32 * 11, 4, dead)
+            });
+            let tolerant = case.dead_on_entry.is_some();
+            let (root, root_dead) = seen[0].clone().expect("root takes part");
+            let (worker, _) = seen[1].clone().expect("rank 1 takes part");
+            // A worker's side is one eager send: it succeeds regardless.
+            assert_eq!(worker, Ok(None), "{}", case.name);
+            let want_root = match (case.rank2_silent, tolerant) {
+                (false, _) => Ok(Some(vec![Some(0), Some(11), Some(22)])),
+                (true, true) => Ok(Some(vec![Some(0), Some(11), None])),
+                (true, false) => Err((0, 2, TAG_GATHER)),
+            };
+            assert_eq!(root, want_root, "{}", case.name);
+            assert_eq!(root_dead, case.dead_after(), "{}", case.name);
+            // The strict spelling is the no-dead-set case, slots unwrapped.
+            if !tolerant && !case.rank2_silent {
+                let strict = run_case(case, |c, _| c.try_gather(0, c.rank() as u32 * 11, 4));
+                let (root, _) = strict[0].clone().expect("root takes part");
+                assert_eq!(root, Ok(Some(vec![0, 11, 22])), "{}", case.name);
+            }
+        }
     }
 }

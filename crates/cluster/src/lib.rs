@@ -46,7 +46,9 @@
 //! let outcome = Cluster::new(ClusterConfig::new(4)).run(|comm| {
 //!     // Unequal virtual work: rank r costs (r+1) seconds.
 //!     comm.compute((comm.rank() + 1) as f64);
-//!     let total = comm.all_reduce_f64(comm.rank() as f64, |a, b| a + b);
+//!     let total = comm
+//!         .try_all_reduce(comm.rank() as f64, |a, b| a + b, 8)
+//!         .unwrap();
 //!     assert_eq!(total, 0.0 + 1.0 + 2.0 + 3.0);
 //!     comm.rank()
 //! });

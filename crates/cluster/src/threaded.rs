@@ -172,7 +172,7 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::new(4));
         let prog = |c: &mut crate::comm::Communicator| {
             c.compute((c.rank() + 1) as f64 * 0.25);
-            let v = c.all_gather_f64(c.now());
+            let v = c.try_all_gather(c.now(), 8).unwrap();
             v.iter().sum::<f64>()
         };
         let a = cluster.run(prog);

@@ -1,26 +1,27 @@
-//! Backend-agnostic distributed drivers: the cluster-facing entry points
-//! for running LBE's SPMD programs over *any* [`Communicator`] — the
-//! threaded simulator or a real TCP cluster of OS processes.
+//! Rank-callable entry points for externally-created communicators: one
+//! [`Communicator`] per process (a real TCP cluster) or per thread (the
+//! simulator), every rank calling the same function with the same inputs,
+//! and rank 0 — only rank 0 — getting the assembled result back.
 //!
-//! [`crate::engine::run_distributed_search`] owns the simulator path: it
-//! creates the thread cluster itself and assembles the report from thread
-//! joins. The functions here are the complement for externally-created
-//! communicators (one per process): every rank calls the same function with
-//! the same inputs, the function runs the rank's share, and rank 0 — and
-//! only rank 0 — gets the assembled result back. All rank-agreed state
-//! (partition, mapping table, serial-cost estimate) is recomputed
-//! deterministically per rank from the shared inputs, so no coordination
-//! traffic is spent on it and sim/TCP runs agree bit-for-bit.
+//! The search entry points are the two settings of one program,
+//! [`crate::engine`]'s `search_program`: [`cluster_search_rank`] fails on
+//! the first lost peer, [`cluster_search_rank_supervised`] re-executes a
+//! lost worker's share on the master. [`crate::engine::run_distributed_search`]
+//! is the same program again on a thread cluster it creates itself, so
+//! simulated, TCP and supervised runs cannot disagree. The partition is
+//! recomputed deterministically per rank from the shared inputs — no
+//! coordination traffic is spent on it.
+//!
+//! [`cluster_build_rank`] is the build-only job: the front half of a
+//! rank's share (extract + build), shipped to rank 0 as container shards.
 //!
 //! Communication failures surface as [`CommError`] with rank/tag context;
 //! nothing in this module panics on a dead or misbehaving peer.
 
-use crate::engine::{self, DistributedSearchReport, EngineConfig, RankReturn, RankReturnWire};
+use crate::engine::{self, DistributedSearchReport, EngineConfig};
 use crate::grouping::Grouping;
-use crate::mapping::MappingTable;
 use lbe_bio::peptide::PeptideDb;
 use lbe_cluster::{CommError, Communicator};
-use lbe_index::IndexBuilder;
 use lbe_spectra::spectrum::Spectrum;
 use std::io::Write;
 
@@ -47,7 +48,7 @@ pub struct ShardBlob {
 /// rank 0, `None` elsewhere.
 ///
 /// Results are identical to [`crate::engine::run_distributed_search`] with
-/// the same inputs and rank count — the same `rank_program` runs; only the
+/// the same inputs and rank count — the same program runs; only the
 /// transport underneath (and therefore whether the report's times are
 /// virtual or wall-clock) differs.
 pub fn cluster_search_rank(
@@ -57,53 +58,23 @@ pub fn cluster_search_rank(
     queries: &[Spectrum],
     cfg: &EngineConfig,
 ) -> Result<Option<DistributedSearchReport>, CommError> {
-    let ranks = comm.size();
-    let partition = engine::make_partition(grouping, cfg, ranks);
-    let mapping = MappingTable::from_partition(&partition);
-    let serial_seconds = engine::serial_seconds(db, queries, cfg);
-
-    let (rr, merged) =
-        engine::rank_program(comm, db, &partition, &mapping, queries, cfg, serial_seconds)?;
-
-    // Report assembly: what the simulator collects via thread joins travels
-    // over the wire here — each rank's counters, then its final clock
-    // (capturing the gather itself in the totals, like a thread join does).
-    let gathered_rr = comm.try_gather(0, rr.to_wire(), std::mem::size_of::<RankReturnWire>())?;
-    let now = comm.now();
-    let gathered_times = comm.try_gather(0, now, std::mem::size_of::<f64>())?;
-
-    let Some(rrs) = gathered_rr else {
-        return Ok(None);
-    };
-    let rank_returns: Vec<RankReturn> = rrs.into_iter().map(RankReturn::from_wire).collect();
-    let total_times = gathered_times.expect("rank 0 holds gathered times");
-    let psms = merged.expect("rank 0 holds merged PSMs");
-    Ok(Some(engine::report_from_parts(
-        &partition,
-        &mapping,
-        cfg,
-        serial_seconds,
-        rank_returns,
-        total_times,
-        psms,
-        None,
-    )))
+    let partition = engine::make_partition(grouping, cfg, comm.size());
+    engine::search_program(comm, db, &partition, queries, cfg, false)
 }
 
 /// Like [`cluster_search_rank`], but rank 0 *supervises*: a worker that
 /// dies mid-run (or stays unreachable after the communicator's retry
 /// policy is exhausted) is detected through typed
 /// [`CommError::Disconnected`] / [`CommError::Timeout`] failures, its
-/// query share is re-executed deterministically on the master, and the
-/// run completes with results **byte-identical** to a failure-free run.
-/// What happened is recorded in
+/// share is re-executed on the master, and the run completes with results
+/// **byte-identical** to a failure-free run. What happened is recorded in
 /// [`DistributedSearchReport::recovery`](crate::engine::RecoveryReport):
 /// ranks lost, queries re-executed, and recovery wall time.
 ///
-/// Workers behave exactly as in [`cluster_search_rank`] — supervision is
-/// entirely master-side, so the wire pattern (and with it sim/TCP
-/// equivalence) is unchanged. A supervised run with no failures returns
-/// `recovery = Some(report)` with an empty `ranks_lost`.
+/// Supervision is entirely master-side — workers send exactly what they
+/// send to [`cluster_search_rank`], so the two can be mixed in one job. A
+/// supervised run with no failures returns `recovery = Some(report)` with
+/// an empty `ranks_lost`.
 pub fn cluster_search_rank_supervised(
     comm: &mut Communicator,
     db: &PeptideDb,
@@ -111,15 +82,8 @@ pub fn cluster_search_rank_supervised(
     queries: &[Spectrum],
     cfg: &EngineConfig,
 ) -> Result<Option<DistributedSearchReport>, CommError> {
-    if !comm.is_master() {
-        return cluster_search_rank(comm, db, grouping, queries, cfg);
-    }
-    let ranks = comm.size();
-    let partition = engine::make_partition(grouping, cfg, ranks);
-    let mapping = MappingTable::from_partition(&partition);
-    let serial_seconds = engine::serial_seconds(db, queries, cfg);
-    engine::supervised_master_program(comm, db, &partition, &mapping, queries, cfg, serial_seconds)
-        .map(Some)
+    let partition = engine::make_partition(grouping, cfg, comm.size());
+    engine::search_program(comm, db, &partition, queries, cfg, true)
 }
 
 /// Runs one rank of the distributed index build: extracts this rank's
@@ -142,8 +106,7 @@ pub fn cluster_build_rank(
 
     let local_db = engine::extract_local_db(db, &partition, me, cfg);
     comm.compute(cfg.cost.per_peptide_extract_s * db.len() as f64);
-    let mut builder = IndexBuilder::new(cfg.slm.clone(), cfg.modspec.clone());
-    let index = builder.build_parallel(&local_db, cfg.threads_per_rank);
+    let index = engine::build_partial_index(&local_db, cfg);
     comm.compute(cfg.cost.build_seconds(index.num_ions()));
 
     let mut blob = Vec::new();

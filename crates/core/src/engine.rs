@@ -1,17 +1,36 @@
-//! Distributed index construction and querying (§III-D/E, Fig. 3 and 4).
+//! Distributed index construction and querying (§III-D/E, Fig. 3 and 4):
+//! one rank program, run by every backend.
 //!
-//! The SPMD program each rank executes:
+//! The paper's pipeline is one SPMD program, and it exists here once:
 //!
-//! 1. read + preprocess the query spectra (every rank, as in the paper);
-//! 2. extract its peptide partition from the clustered database;
-//! 3. build its *partial* SLM index; the master additionally builds the
-//!    mapping table (workers "discard their partial peptide indices");
-//! 4. barrier — the paper times querying separately from construction;
-//! 5. search every query against the partial index, advancing the virtual
-//!    clock through [`SearchCostModel`];
-//! 6. send per-query candidate lists (virtual = local indices) to the
-//!    master, which maps them to original peptide ids in O(1) each via the
-//!    [`crate::mapping::MappingTable`] and merges top-k.
+//! * `rank_share` is a rank's **work** — extract its peptide partition
+//!   from the clustered database, build its *partial* SLM index
+//!   (optionally spilling it to disk and reopening it), search every query
+//!   against it. It sends nothing and depends only on `(db, partition,
+//!   rank, queries, cfg)`, so any process can compute any rank's share and
+//!   get the same bytes.
+//! * `search_program` is the **protocol** around it: charge the virtual
+//!   clock for the share through [`SearchCostModel`] (serial preprocessing,
+//!   extraction, build), barrier — the paper times querying separately
+//!   from construction — charge the query phase, gather the per-query
+//!   candidate lists (rank-local peptide ids) at the master, gather each
+//!   rank's counters and clock, and on the master map local ids to
+//!   original ones in O(1) each via the [`MappingTable`], merge top-k and
+//!   assemble the [`DistributedSearchReport`].
+//!
+//! The simulator ([`run_distributed_search`]), real TCP clusters and
+//! supervised runs ([`crate::dist`]) all run `search_program`; they differ
+//! only in the transport under the [`Communicator`] and in whether the
+//! master's collectives carry a dead-set. With one, a worker that is lost
+//! costs its slot, not the run: after the gathers the master calls
+//! `rank_share` for every rank in the dead-set, which *is* what the lost
+//! rank would have sent, and reports the loss in
+//! [`DistributedSearchReport::recovery`].
+//!
+//! A rank's top-k is cut on rank-local peptide ids. Partitions store each
+//! rank's peptides ascending by global id ([`crate::partition`]), so that
+//! cut keeps exactly the candidates a single index over the whole database
+//! would — exact-score ties included.
 //!
 //! All figures of the paper are measurements of this program under varying
 //! `(policy, ranks, index size)` — see `lbe-bench`.
@@ -24,9 +43,11 @@ use lbe_bio::peptide::{Peptide, PeptideDb};
 use lbe_cluster::sim::ImbalanceSummary;
 use lbe_cluster::{Cluster, ClusterConfig, CommError, Communicator};
 use lbe_index::footprint::MemoryFootprint;
-use lbe_index::query::{Psm, QueryStats, Searcher};
-use lbe_index::{IndexBuilder, SlmConfig};
+use lbe_index::query::{Psm, QueryOptions, QueryStats};
+use lbe_index::{IndexBuilder, SlmConfig, SlmIndex};
 use lbe_spectra::spectrum::Spectrum;
+use std::collections::BTreeSet;
+use std::time::Instant;
 
 /// Per-unit costs of the parallel phases (drive the virtual clock).
 ///
@@ -250,21 +271,21 @@ pub struct GlobalPsm {
 
 /// What one rank reports to the master (and to the caller).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RankReturn {
-    pub(crate) peptides: usize,
-    pub(crate) spectra: usize,
-    pub(crate) ions: usize,
-    pub(crate) build_time: f64,
-    pub(crate) query_time: f64,
-    pub(crate) stats: QueryStats,
-    pub(crate) footprint: MemoryFootprint,
+struct RankReturn {
+    peptides: usize,
+    spectra: usize,
+    ions: usize,
+    build_time: f64,
+    query_time: f64,
+    stats: QueryStats,
+    footprint: MemoryFootprint,
 }
 
 /// `RankReturn` flattened into `Wire`-implementing tuples so real backends
 /// can gather it at rank 0. (The `Wire` trait lives in `lbe-cluster`, which
 /// cannot name index types — hence tuples at the boundary instead of trait
 /// impls on foreign structs.)
-pub(crate) type RankReturnWire = (
+type RankReturnWire = (
     (usize, usize, usize),          // peptides, spectra, ions
     (f64, f64),                     // build_time, query_time
     (u64, u64, u64, u64, u64, u64), // QueryStats fields
@@ -272,7 +293,7 @@ pub(crate) type RankReturnWire = (
 );
 
 impl RankReturn {
-    pub(crate) fn to_wire(&self) -> RankReturnWire {
+    fn to_wire(&self) -> RankReturnWire {
         (
             (self.peptides, self.spectra, self.ions),
             (self.build_time, self.query_time),
@@ -293,7 +314,7 @@ impl RankReturn {
         )
     }
 
-    pub(crate) fn from_wire(w: RankReturnWire) -> RankReturn {
+    fn from_wire(w: RankReturnWire) -> RankReturn {
         let ((peptides, spectra, ions), (build_time, query_time), s, f) = w;
         RankReturn {
             peptides,
@@ -394,7 +415,8 @@ impl DistributedSearchReport {
     }
 }
 
-/// Runs the full distributed pipeline on `ranks` simulated machines.
+/// Runs the full distributed pipeline on `ranks` simulated machines:
+/// the rank program on every rank of a thread cluster, rank 0's report.
 ///
 /// `grouping` is Algorithm 1's output over `db` (serial preprocessing, per
 /// the paper's workflow); `queries` are preprocessed spectra searched by
@@ -407,23 +429,14 @@ pub fn run_distributed_search(
     ranks: usize,
 ) -> DistributedSearchReport {
     let partition = make_partition(grouping, cfg, ranks);
-    let mapping = MappingTable::from_partition(&partition);
-    let serial_seconds = serial_seconds(db, queries, cfg);
-
-    let cluster = Cluster::new(ClusterConfig::new(ranks));
-    let outcome = cluster.run(|comm| {
-        rank_program(comm, db, &partition, &mapping, queries, cfg, serial_seconds)
-            .unwrap_or_else(|e| panic!("{e}"))
-    });
-
-    assemble_report(
-        outcome,
-        &partition,
-        &mapping,
-        cfg,
-        serial_seconds,
-        queries.len(),
-    )
+    Cluster::new(ClusterConfig::new(ranks))
+        .run(|comm| {
+            search_program(comm, db, &partition, queries, cfg, false)
+                .unwrap_or_else(|e| panic!("{e}"))
+        })
+        .results
+        .swap_remove(0)
+        .expect("rank 0 assembles the report")
 }
 
 /// The data distribution every rank (and the report assembly) agrees on.
@@ -440,64 +453,44 @@ pub(crate) fn make_partition(grouping: &Grouping, cfg: &EngineConfig, ranks: usi
     }
 }
 
-/// Modelled serial preprocessing seconds (query I/O + grouping), charged to
-/// every rank's clock.
-pub(crate) fn serial_seconds(db: &PeptideDb, queries: &[Spectrum], cfg: &EngineConfig) -> f64 {
-    cfg.serial.per_spectrum_io_s * queries.len() as f64
-        + cfg.serial.per_peptide_grouping_s * db.len() as f64
-}
-
 /// One PSM on the cluster wire: `(local peptide id, modform, shared_peaks,
 /// score)`. Entry ids are index-internal and never travel.
-pub(crate) type PsmWire = (u32, u16, u16, f32);
+type PsmWire = (u32, u16, u16, f32);
 
-fn psm_to_wire(p: &Psm) -> PsmWire {
-    (p.peptide, p.modform, p.shared_peaks, p.score)
+/// Everything one rank contributes to a job, computed without sending a
+/// message (see [`rank_share`]).
+struct RankShare {
+    /// Per query, the rank's top-k against its partial index.
+    psms: Vec<Vec<PsmWire>>,
+    /// Per query, the kernel's work counters — what the cost model charges
+    /// the query phase from.
+    work: Vec<QueryStats>,
+    /// The rank's report row; its build and query times are the wall
+    /// seconds the two phases really took.
+    counters: RankReturn,
 }
 
-/// The SPMD body executed by each rank.
+/// Rank `rank`'s whole share of a job: extract its partition, build the
+/// partial index, search every query.
 ///
-/// Backend-agnostic: the same program runs on the threaded simulator (via
-/// [`run_distributed_search`]) and on real TCP clusters (via
-/// [`crate::dist`]). Communication failures — a dead peer, a timeout, a
-/// mis-typed exchange — surface as [`CommError`] with rank/tag context
-/// instead of panicking inside the cluster runtime.
-#[allow(clippy::type_complexity)] // (rank counters, rank-0-only merged PSMs)
-pub(crate) fn rank_program(
-    comm: &mut Communicator,
+/// Every output except the two wall times depends only on `(db, partition,
+/// rank, queries, cfg)`. The rank itself runs this at the top of
+/// [`search_program`]; the master runs it again for a rank it lost, and so
+/// recovers exactly what that rank would have sent.
+///
+/// With `threads_per_rank > 1` (hybrid mode, the paper's §VIII hybrid
+/// OpenMP+MPI direction) the build and the batch go through the real
+/// work-stealing pool; results are bit-identical for any thread count.
+fn rank_share(
     db: &PeptideDb,
     partition: &Partition,
-    mapping: &MappingTable,
+    rank: usize,
     queries: &[Spectrum],
     cfg: &EngineConfig,
-    serial_seconds: f64,
-) -> Result<(RankReturn, Option<Vec<Vec<GlobalPsm>>>), CommError> {
-    let me = comm.rank();
-    let speed = cfg.speed_of(me);
-
-    // 1. Serial preprocessing: grouping happened upstream; every rank reads
-    //    and preprocesses the query file (does not scale with p).
-    comm.compute(serial_seconds / speed);
-
-    // 2. Extract this rank's partition from the clustered database: one
-    //    pass over all N peptides either way (the virtual clock charges
-    //    it), but with `stream_db_from` the pass is a streaming read of
-    //    the on-disk FASTA that keeps only this rank's records — no second
-    //    in-memory copy of peptides that belong to other ranks.
-    comm.compute(cfg.cost.per_peptide_extract_s * db.len() as f64 / speed);
-    let local_db = extract_local_db(db, partition, me, cfg);
-
-    // 3. Build the partial SLM index (and the mapping table on the master —
-    //    its cost is one pass over N ids, folded into extraction above).
-    //    Hybrid mode builds with its intra-rank threads too (the two-pass
-    //    CSR build is embarrassingly parallel per peptide range); the
-    //    virtual clock still charges the cost model's per-ion total, since
-    //    the figures time the flat-MPI build.
-    let t_build0 = comm.now();
-    let mut builder = IndexBuilder::new(cfg.slm.clone(), cfg.modspec.clone());
-    let index = builder.build_parallel(&local_db, cfg.threads_per_rank);
-    comm.compute(cfg.cost.build_seconds(index.num_ions()) / speed);
-    let build_time = comm.now() - t_build0;
+) -> RankShare {
+    let local_db = extract_local_db(db, partition, rank, cfg);
+    let t_build = Instant::now();
+    let index = build_partial_index(&local_db, cfg);
 
     // Optional disk spill: write the freshly built index as a v2 container,
     // drop the owned arrays, and reopen arena-backed. The rank then
@@ -512,9 +505,9 @@ pub(crate) fn rank_program(
         Some(dir) => {
             std::fs::create_dir_all(dir)
                 .unwrap_or_else(|e| panic!("cannot create spill dir {}: {e}", dir.display()));
-            let path = dir.join(format!("rank{me:04}.slm2"));
+            let path = dir.join(format!("rank{rank:04}.slm2"));
             lbe_index::write_index_path(&path, &index).unwrap_or_else(|e| {
-                panic!("cannot spill rank {me} index to {}: {e}", path.display())
+                panic!("cannot spill rank {rank} index to {}: {e}", path.display())
             });
             drop(index);
             // This process wrote the file one line above: checksums still
@@ -523,70 +516,205 @@ pub(crate) fn rank_program(
                 .unwrap_or_else(|e| panic!("cannot reopen spilled index {}: {e}", path.display()))
         }
     };
+    let build_time = t_build.elapsed().as_secs_f64();
 
+    // The master (rank 0) also holds the mapping table: one id per peptide
+    // of the whole database.
     let mut footprint = MemoryFootprint::of_index(&index);
-    if comm.is_master() {
-        footprint = footprint.with_mapping_table(mapping.len());
+    if rank == 0 {
+        footprint = footprint.with_mapping_table(partition.total());
     }
 
-    // 4. Construction/query separation point.
-    comm.try_barrier()?;
-
-    // 5. Search every query against the partial index. With
-    //    `threads_per_rank > 1` (hybrid mode, the paper's §VIII hybrid
-    //    OpenMP+MPI direction), the batch is dispatched through the real
-    //    work-stealing pool — actual OS threads do the searching, and
-    //    results stay bit-identical to the sequential path. The *virtual
-    //    clock* stays cost-model-driven (the cluster sim never reads wall
-    //    clocks): per-query costs are assigned greedily to the
-    //    least-loaded virtual thread, which is what dynamic block
-    //    scheduling converges to, and the rank finishes with its slowest
-    //    thread.
-    let t_q0 = comm.now();
-    let threads = cfg.threads_per_rank;
-    let (results, totals) = if threads > 1 {
-        lbe_index::search_batch_parallel_with_mode(&index, queries, threads, cfg.scan_mode)
-    } else {
-        Searcher::new(&index).search_batch_with_mode(queries, cfg.scan_mode)
+    let t_query = Instant::now();
+    let opts = QueryOptions {
+        scan_mode: cfg.scan_mode,
+        ..Default::default()
     };
-    let mut thread_times = vec![0.0f64; threads];
-    for r in &results {
-        let slot = thread_times
-            .iter_mut()
-            .min_by(|a, b| a.partial_cmp(b).expect("finite times"))
-            .expect("threads >= 1");
-        *slot += cfg.cost.query_seconds(&r.stats) / speed;
-    }
-    let local_psms: Vec<Vec<Psm>> = results.into_iter().map(|r| r.psms).collect();
-    comm.compute(thread_times.iter().copied().fold(0.0, f64::max));
-    let query_time = comm.now() - t_q0;
+    let (results, stats) =
+        lbe_index::search_batch_parallel_with_opts(&index, queries, cfg.threads_per_rank, &opts);
+    let query_time = t_query.elapsed().as_secs_f64();
 
-    // 6. Return virtual indices to the master; O(1) mapping + merge there.
-    let psm_count: usize = local_psms.iter().map(Vec::len).sum();
-    let wire: Vec<Vec<PsmWire>> = local_psms
-        .iter()
-        .map(|q| q.iter().map(psm_to_wire).collect())
-        .collect();
-    let gathered = comm.try_gather(0, wire, psm_count * std::mem::size_of::<Psm>())?;
-
-    let merged = gathered.map(|per_rank| {
-        let total_psms: usize = per_rank.iter().flat_map(|r| r.iter().map(Vec::len)).sum();
-        comm.compute(cfg.serial.per_psm_merge_s * total_psms as f64 / speed);
-        merge_results(per_rank, mapping, cfg.slm.top_k, queries.len())
-    });
-
-    Ok((
-        RankReturn {
+    let (psms, work) = results
+        .into_iter()
+        .map(|r| (r.psms.iter().map(psm_to_wire).collect(), r.stats))
+        .unzip();
+    RankShare {
+        psms,
+        work,
+        counters: RankReturn {
             peptides: local_db.len(),
             spectra: index.num_spectra(),
             ions: index.num_ions(),
             build_time,
             query_time,
-            stats: totals,
+            stats,
             footprint,
         },
-        merged,
-    ))
+    }
+}
+
+fn psm_to_wire(p: &Psm) -> PsmWire {
+    (p.peptide, p.modform, p.shared_peaks, p.score)
+}
+
+/// Builds the partial SLM index over one rank's peptides, with the rank's
+/// intra-rank threads (the two-pass CSR build is embarrassingly parallel
+/// per peptide range; the index is byte-identical for any thread count).
+pub(crate) fn build_partial_index(local_db: &PeptideDb, cfg: &EngineConfig) -> SlmIndex {
+    IndexBuilder::new(cfg.slm.clone(), cfg.modspec.clone())
+        .build_parallel(local_db, cfg.threads_per_rank)
+}
+
+/// Advances the modelled clock by `modelled` seconds and returns how long
+/// the phase took on this communicator's time base: the clock's own
+/// advance under virtual time, the `measured` wall seconds otherwise
+/// (where [`Communicator::compute`] is a no-op and the work has already
+/// happened).
+fn charge(comm: &mut Communicator, modelled: f64, measured: f64) -> f64 {
+    let t0 = comm.now();
+    comm.compute(modelled);
+    if comm.is_virtual() {
+        comm.now() - t0
+    } else {
+        measured
+    }
+}
+
+/// The SPMD body every rank of a search job executes, on any backend.
+/// Returns the assembled report on rank 0, `None` elsewhere.
+///
+/// With `supervise`, the master's collectives carry a dead-set: a worker
+/// that dies (or stays unreachable after the communicator's retry policy
+/// is exhausted) fails *its slot*, its share is re-executed on the master,
+/// and the report's `recovery` says so. Without it the first failed
+/// exchange — a dead peer, a timeout, a mis-typed message — ends the run
+/// as a [`CommError`] with rank/tag context. Workers do the same thing
+/// either way, so the wire pattern does not depend on `supervise`.
+pub(crate) fn search_program(
+    comm: &mut Communicator,
+    db: &PeptideDb,
+    partition: &Partition,
+    queries: &[Spectrum],
+    cfg: &EngineConfig,
+    supervise: bool,
+) -> Result<Option<DistributedSearchReport>, CommError> {
+    let me = comm.rank();
+    let speed = cfg.speed_of(me);
+    let mut dead = supervise.then(BTreeSet::new);
+
+    // All of this rank's real work happens here, before the first message.
+    // What follows charges the virtual clock for it phase by phase (the
+    // cluster sim never reads wall clocks) and moves the results.
+    let share = rank_share(db, partition, me, queries, cfg);
+
+    // 1. Serial preprocessing: grouping happened upstream; every rank reads
+    //    and preprocesses the query file (does not scale with p).
+    let serial_seconds = cfg.serial.per_spectrum_io_s * queries.len() as f64
+        + cfg.serial.per_peptide_grouping_s * db.len() as f64;
+    comm.compute(serial_seconds / speed);
+
+    // 2. Partition extraction: one pass over all N peptides, in memory or
+    //    streamed (`stream_db_from`). The master's mapping table is one
+    //    more pass over N ids, folded in here.
+    comm.compute(cfg.cost.per_peptide_extract_s * db.len() as f64 / speed);
+
+    // 3. Partial index build, at the cost model's per-ion total whatever
+    //    `threads_per_rank` is: the figures time the flat-MPI build.
+    let build_time = charge(
+        comm,
+        cfg.cost.build_seconds(share.counters.ions) / speed,
+        share.counters.build_time,
+    );
+
+    // 4. Construction/query separation point.
+    comm.try_barrier_tolerating(dead.as_mut())?;
+
+    // 5. The query phase. Per-query costs go greedily to the least-loaded
+    //    of the rank's virtual threads, which is what dynamic block
+    //    scheduling converges to, and the rank finishes with its slowest
+    //    thread.
+    let mut thread_times = vec![0.0f64; cfg.threads_per_rank];
+    for stats in &share.work {
+        let slot = thread_times
+            .iter_mut()
+            .min_by(|a, b| a.partial_cmp(b).expect("finite times"))
+            .expect("threads >= 1");
+        *slot += cfg.cost.query_seconds(stats) / speed;
+    }
+    let query_time = charge(
+        comm,
+        thread_times.iter().copied().fold(0.0, f64::max),
+        share.counters.query_time,
+    );
+
+    // 6. Candidates (rank-local ids) to the master, then each rank's report
+    //    row with its clock as of now. The second gather is report
+    //    assembly, not a stage of the paper's pipeline, and is modelled at
+    //    zero bytes so it never moves the master's virtual clock.
+    let psm_count: usize = share.psms.iter().map(Vec::len).sum();
+    let psm_slots = comm.try_gather_tolerating(
+        0,
+        share.psms,
+        psm_count * std::mem::size_of::<Psm>(),
+        dead.as_mut(),
+    )?;
+    let counters = RankReturn {
+        build_time,
+        query_time,
+        ..share.counters
+    };
+    let my_clock = comm.now();
+    let counter_slots =
+        comm.try_gather_tolerating(0, (counters.to_wire(), my_clock), 0, dead.as_mut())?;
+    let (Some(mut psm_slots), Some(counter_slots)) = (psm_slots, counter_slots) else {
+        return Ok(None);
+    };
+
+    // 7. Master only from here. A rank without a report row is in the
+    //    dead-set (which only grows, and the row was gathered last): redo
+    //    its share here. A rank lost *between* the gathers is redone too —
+    //    the recovered PSMs equal the ones it had already delivered.
+    let t_recovery = Instant::now();
+    let mut rank_returns = Vec::with_capacity(counter_slots.len());
+    let mut total_times = Vec::with_capacity(counter_slots.len());
+    for (rank, slot) in counter_slots.into_iter().enumerate() {
+        let (counters, clock) = match slot {
+            Some((counters, clock)) => (RankReturn::from_wire(counters), clock),
+            None => {
+                let share = rank_share(db, partition, rank, queries, cfg);
+                psm_slots[rank] = Some(share.psms);
+                (share.counters, my_clock)
+            }
+        };
+        rank_returns.push(counters);
+        total_times.push(clock);
+    }
+    let recovery = dead.map(|dead| RecoveryReport {
+        queries_reexecuted: dead.len() * queries.len(),
+        ranks_lost: dead.into_iter().collect(),
+        recovery_seconds: t_recovery.elapsed().as_secs_f64(),
+    });
+
+    // 8. O(1) mapping + merge; the master's run ends with it.
+    let mapping = MappingTable::from_partition(partition);
+    let per_rank: Vec<Vec<Vec<PsmWire>>> = psm_slots
+        .into_iter()
+        .map(|s| s.expect("every slot filled by its rank or by recovery"))
+        .collect();
+    let total_psms: usize = per_rank.iter().flat_map(|r| r.iter().map(Vec::len)).sum();
+    comm.compute(cfg.serial.per_psm_merge_s * total_psms as f64 / speed);
+    let psms = merge_results(per_rank, &mapping, cfg.slm.top_k, queries.len());
+    total_times[0] = comm.now();
+
+    Ok(Some(report_from_parts(
+        &mapping,
+        cfg,
+        serial_seconds,
+        rank_returns,
+        total_times,
+        psms,
+        recovery,
+    )))
 }
 
 /// Materializes rank `me`'s peptide partition: cloned out of the shared
@@ -709,219 +837,9 @@ fn merge_results(
     merged
 }
 
-/// Re-executes rank `rank`'s entire share (extract → build → search) on the
-/// calling process. Used by supervised search to recover a dead worker's
-/// results: every output here depends only on `(db, partition, rank,
-/// queries, cfg)`, so the recovered PSMs are byte-identical to what the
-/// lost rank would have sent. Times are wall-clock (the re-execution really
-/// happens); the spill path is skipped — the recovered index is transient.
-pub(crate) fn execute_rank_share(
-    db: &PeptideDb,
-    partition: &Partition,
-    rank: usize,
-    queries: &[Spectrum],
-    cfg: &EngineConfig,
-) -> (RankReturn, Vec<Vec<PsmWire>>) {
-    let t0 = std::time::Instant::now();
-    let local_db = extract_local_db(db, partition, rank, cfg);
-    let mut builder = IndexBuilder::new(cfg.slm.clone(), cfg.modspec.clone());
-    let index = builder.build_parallel(&local_db, cfg.threads_per_rank);
-    let build_time = t0.elapsed().as_secs_f64();
-    let footprint = MemoryFootprint::of_index(&index);
-
-    let t_q = std::time::Instant::now();
-    let threads = cfg.threads_per_rank;
-    let (results, totals) = if threads > 1 {
-        lbe_index::search_batch_parallel_with_mode(&index, queries, threads, cfg.scan_mode)
-    } else {
-        Searcher::new(&index).search_batch_with_mode(queries, cfg.scan_mode)
-    };
-    let query_time = t_q.elapsed().as_secs_f64();
-
-    let wire: Vec<Vec<PsmWire>> = results
-        .iter()
-        .map(|r| r.psms.iter().map(psm_to_wire).collect())
-        .collect();
-    (
-        RankReturn {
-            peptides: local_db.len(),
-            spectra: index.num_spectra(),
-            ions: index.num_ions(),
-            build_time,
-            query_time,
-            stats: totals,
-            footprint,
-        },
-        wire,
-    )
-}
-
-/// Rank 0's side of a *supervised* distributed search: the same program as
-/// [`rank_program`], but every collective the master participates in is the
-/// lenient variant, so a worker that dies (or stays unreachable after the
-/// communicator's retry policy is exhausted) fails *its slot*, not the run.
-/// Lost shares are re-executed locally via [`execute_rank_share`] — which
-/// is deterministic — so the merged PSMs are byte-identical to a
-/// failure-free run, and the report records what happened in
-/// [`DistributedSearchReport::recovery`].
-///
-/// Workers keep running plain [`rank_program`] (via
-/// [`crate::dist::cluster_search_rank`]); the wire pattern is unchanged.
-pub(crate) fn supervised_master_program(
-    comm: &mut Communicator,
-    db: &PeptideDb,
-    partition: &Partition,
-    mapping: &MappingTable,
-    queries: &[Spectrum],
-    cfg: &EngineConfig,
-    serial_seconds: f64,
-) -> Result<DistributedSearchReport, CommError> {
-    use std::collections::BTreeSet;
-    assert!(comm.is_master(), "supervision runs on rank 0 only");
-    let me = comm.rank();
-    let speed = cfg.speed_of(me);
-    let ranks = comm.size();
-    let mut dead: BTreeSet<usize> = BTreeSet::new();
-
-    // Steps 1–3 are identical to `rank_program` (see its comments).
-    comm.compute(serial_seconds / speed);
-    comm.compute(cfg.cost.per_peptide_extract_s * db.len() as f64 / speed);
-    let local_db = extract_local_db(db, partition, me, cfg);
-
-    let t_build0 = comm.now();
-    let mut builder = IndexBuilder::new(cfg.slm.clone(), cfg.modspec.clone());
-    let index = builder.build_parallel(&local_db, cfg.threads_per_rank);
-    comm.compute(cfg.cost.build_seconds(index.num_ions()) / speed);
-    let build_time = comm.now() - t_build0;
-    let footprint = MemoryFootprint::of_index(&index).with_mapping_table(mapping.len());
-
-    // 4. Separation barrier — lenient: a rank that never checks in is
-    //    marked dead and the survivors are released.
-    comm.try_barrier_lenient(&mut dead)?;
-
-    // 5. Local search (same as `rank_program`).
-    let t_q0 = comm.now();
-    let threads = cfg.threads_per_rank;
-    let (results, totals) = if threads > 1 {
-        lbe_index::search_batch_parallel_with_mode(&index, queries, threads, cfg.scan_mode)
-    } else {
-        Searcher::new(&index).search_batch_with_mode(queries, cfg.scan_mode)
-    };
-    let mut thread_times = vec![0.0f64; threads];
-    for r in &results {
-        let slot = thread_times
-            .iter_mut()
-            .min_by(|a, b| a.partial_cmp(b).expect("finite times"))
-            .expect("threads >= 1");
-        *slot += cfg.cost.query_seconds(&r.stats) / speed;
-    }
-    let local_psms: Vec<Vec<Psm>> = results.into_iter().map(|r| r.psms).collect();
-    comm.compute(thread_times.iter().copied().fold(0.0, f64::max));
-    let query_time = comm.now() - t_q0;
-
-    let rr = RankReturn {
-        peptides: local_db.len(),
-        spectra: index.num_spectra(),
-        ions: index.num_ions(),
-        build_time,
-        query_time,
-        stats: totals,
-        footprint,
-    };
-
-    // 6. Lenient gathers, mirroring the worker-side sequence in
-    //    `rank_program` + `cluster_search_rank`: PSMs, counters, clocks.
-    let wire: Vec<Vec<PsmWire>> = local_psms
-        .iter()
-        .map(|q| q.iter().map(psm_to_wire).collect())
-        .collect();
-    let mut psm_slots = comm.try_gather_lenient(wire, &mut dead)?;
-    let rr_slots = comm.try_gather_lenient(rr.to_wire(), &mut dead)?;
-    let now = comm.now();
-    let time_slots = comm.try_gather_lenient(now, &mut dead)?;
-
-    // 7. Recovery: re-execute every dead rank's share locally. A rank that
-    //    died *between* gathers gets fully re-executed too — the recovered
-    //    PSMs are identical to whatever partial data it managed to send.
-    let t_rec = std::time::Instant::now();
-    let ranks_lost: Vec<usize> = dead.iter().copied().collect();
-    let mut rank_returns: Vec<RankReturn> = Vec::with_capacity(ranks);
-    let mut total_times: Vec<f64> = Vec::with_capacity(ranks);
-    for r in 0..ranks {
-        if dead.contains(&r) {
-            let (rr_r, wire_r) = execute_rank_share(db, partition, r, queries, cfg);
-            psm_slots[r] = Some(wire_r);
-            rank_returns.push(rr_r);
-            total_times.push(now);
-        } else {
-            rank_returns.push(RankReturn::from_wire(
-                rr_slots[r].expect("live rank contributed counters"),
-            ));
-            total_times.push(time_slots[r].expect("live rank contributed its clock"));
-        }
-    }
-    let queries_reexecuted = ranks_lost.len() * queries.len();
-    let recovery_seconds = t_rec.elapsed().as_secs_f64();
-
-    // 8. Merge exactly as `rank_program` does on the master.
-    let per_rank: Vec<Vec<Vec<PsmWire>>> = psm_slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled by gather or recovery"))
-        .collect();
-    let total_psms: usize = per_rank.iter().flat_map(|r| r.iter().map(Vec::len)).sum();
-    comm.compute(cfg.serial.per_psm_merge_s * total_psms as f64 / speed);
-    let psms = merge_results(per_rank, mapping, cfg.slm.top_k, queries.len());
-
-    Ok(report_from_parts(
-        partition,
-        mapping,
-        cfg,
-        serial_seconds,
-        rank_returns,
-        total_times,
-        psms,
-        Some(RecoveryReport {
-            ranks_lost,
-            queries_reexecuted,
-            recovery_seconds,
-        }),
-    ))
-}
-
-fn assemble_report(
-    outcome: lbe_cluster::RunOutcome<(RankReturn, Option<Vec<Vec<GlobalPsm>>>)>,
-    partition: &Partition,
-    mapping: &MappingTable,
-    cfg: &EngineConfig,
-    serial_seconds: f64,
-    num_queries: usize,
-) -> DistributedSearchReport {
-    let mut psms: Vec<Vec<GlobalPsm>> = vec![Vec::new(); num_queries];
-    let mut rank_returns = Vec::with_capacity(outcome.results.len());
-    for (rr, merged) in outcome.results {
-        rank_returns.push(rr);
-        if let Some(m) = merged {
-            psms = m;
-        }
-    }
-    report_from_parts(
-        partition,
-        mapping,
-        cfg,
-        serial_seconds,
-        rank_returns,
-        outcome.times,
-        psms,
-        None,
-    )
-}
-
-/// Assembles the report from rank-indexed pieces, however they were
-/// collected — thread joins (sim), wire gathers (real backends), or a mix
-/// of gathers and master-side re-execution (supervised runs).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn report_from_parts(
-    partition: &Partition,
+/// Assembles the report from rank-indexed pieces, whether a rank's row
+/// came off the wire or out of master-side re-execution.
+fn report_from_parts(
     mapping: &MappingTable,
     cfg: &EngineConfig,
     serial_seconds: f64,
@@ -930,8 +848,7 @@ pub(crate) fn report_from_parts(
     psms: Vec<Vec<GlobalPsm>>,
     recovery: Option<RecoveryReport>,
 ) -> DistributedSearchReport {
-    let ranks = partition.num_ranks();
-    assert_eq!(rank_returns.len(), ranks, "one RankReturn per rank");
+    let ranks = rank_returns.len();
     let mut partition_sizes = Vec::with_capacity(ranks);
     let mut index_spectra = Vec::with_capacity(ranks);
     let mut index_ions = Vec::with_capacity(ranks);

@@ -15,6 +15,12 @@
 //!
 //! The invariant (checked by `validate` and property tests): every peptide
 //! is assigned to **exactly one** rank.
+//!
+//! A policy decides *which* peptides a rank holds; each rank's list is then
+//! stored ascending by global id, so a rank's local id order *is* the global
+//! id order. That is what lets a rank cut its top-k on local ids and still
+//! keep exactly the candidates a single index would: exact-score ties
+//! break on `(peptide, modform)`, and they break the same way everywhere.
 
 use crate::grouping::Grouping;
 use rand::seq::SliceRandom;
@@ -68,14 +74,23 @@ impl fmt::Display for PartitionPolicy {
 /// A complete assignment of peptides to ranks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
-    /// `ranks[m]` = global peptide ids assigned to rank `m`, in local-id
-    /// order (local id `l` on rank `m` is `ranks[m][l]`).
+    /// `ranks[m]` = global peptide ids assigned to rank `m`, ascending;
+    /// local id `l` on rank `m` is `ranks[m][l]`.
     pub ranks: Vec<Vec<u32>>,
     /// The policy that produced this assignment.
     pub policy: PartitionPolicy,
 }
 
 impl Partition {
+    /// Stores an assignment with every rank's list ascending by global id
+    /// (see the module docs).
+    fn ascending(mut ranks: Vec<Vec<u32>>, policy: PartitionPolicy) -> Self {
+        for list in &mut ranks {
+            list.sort_unstable();
+        }
+        Partition { ranks, policy }
+    }
+
     /// Number of ranks.
     pub fn num_ranks(&self) -> usize {
         self.ranks.len()
@@ -177,7 +192,7 @@ pub fn partition_groups(
             }
         }
     }
-    Partition { ranks, policy }
+    Partition::ascending(ranks, policy)
 }
 
 /// Weighted cyclic partitioning for **heterogeneous** clusters — the
@@ -215,10 +230,8 @@ pub fn partition_weighted_cyclic(grouping: &Grouping, weights: &[f64]) -> Partit
         ranks[best].push(id);
         assigned[best] += 1;
     }
-    Partition {
-        ranks,
-        policy: PartitionPolicy::Cyclic, // sketch-wise equivalent family
-    }
+    // Cyclic: the sketch-wise equivalent family.
+    Partition::ascending(ranks, PartitionPolicy::Cyclic)
 }
 
 #[cfg(test)]

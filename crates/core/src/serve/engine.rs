@@ -114,78 +114,41 @@ impl ResidentEngine {
     }
 
     /// Searches one wave of `(spectrum, options)` jobs, returning results
-    /// in job order.
-    ///
-    /// The single-index backend groups jobs by identical options and runs
-    /// each group as one [`search_batch_parallel_with_opts`] batch on
-    /// `num_threads` pool workers; the chunked backend takes the store
-    /// lock once and answers the wave sequentially (its LRU state is the
-    /// shared mutable resource). Either way every result is bit-identical
-    /// to [`ResidentEngine::search_one`] on the same job.
+    /// in job order: [`ResidentEngine::search_wave_deadline`] with no
+    /// deadline, so every job runs.
     pub fn search_wave(
         &self,
         jobs: &[(Spectrum, QueryOptions)],
         num_threads: usize,
     ) -> Vec<io::Result<SearchResult>> {
-        match &self.backend {
-            Backend::Chunked(store) => {
-                let mut guard = store.lock().expect("chunk store lock poisoned");
-                jobs.iter()
-                    .map(|(q, opts)| guard.search_with_opts(q, opts))
-                    .collect()
-            }
-            Backend::Single { index, .. } => {
-                // Group job indices by options; each distinct options set
-                // becomes one parallel batch. Waves are small (bounded by
-                // the server's max_wave), so a linear scan suffices.
-                let mut groups: Vec<(QueryOptions, Vec<usize>)> = Vec::new();
-                for (i, (_, opts)) in jobs.iter().enumerate() {
-                    match groups.iter_mut().find(|(o, _)| o == opts) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => groups.push((*opts, vec![i])),
-                    }
-                }
-                let mut out: Vec<Option<io::Result<SearchResult>>> =
-                    (0..jobs.len()).map(|_| None).collect();
-                for (opts, idxs) in groups {
-                    let batch: Vec<Spectrum> = idxs.iter().map(|&i| jobs[i].0.clone()).collect();
-                    let (results, _stats) =
-                        search_batch_parallel_with_opts(index, &batch, num_threads, &opts);
-                    for (&i, r) in idxs.iter().zip(results) {
-                        out[i] = Some(Ok(r));
-                    }
-                }
-                out.into_iter()
-                    .map(|r| r.expect("every job grouped exactly once"))
-                    .collect()
-            }
-        }
+        self.search_wave_deadline(jobs, num_threads, None)
+            .into_iter()
+            .map(|r| r.expect("without a deadline every job runs"))
+            .collect()
     }
 
-    /// Like [`ResidentEngine::search_wave`], but bounded by a wall-clock
-    /// `deadline`: jobs the engine did not *start* before the deadline are
-    /// returned as `None` (degraded — the caller reports them as partial
-    /// results) instead of stalling the wave indefinitely. `deadline:
-    /// None` behaves exactly like `search_wave`.
+    /// Searches one wave of `(spectrum, options)` jobs, in job order,
+    /// bounded by an optional wall-clock `deadline`: jobs the engine did
+    /// not *start* before it are returned as `None` (degraded — the caller
+    /// reports them as partial results) instead of stalling the wave
+    /// indefinitely.
     ///
-    /// Granularity is per job (chunked backend) or per options-group batch
-    /// (single backend): a search already dispatched runs to completion —
-    /// the deadline bounds *queueing*, it does not abort compute mid-query.
-    /// Jobs that do run produce results bit-identical to `search_one`.
+    /// The single-index backend groups jobs by identical options and runs
+    /// each group as one [`search_batch_parallel_with_opts`] batch on
+    /// `num_threads` pool workers; the chunked backend takes the store
+    /// lock once and answers the wave sequentially (its LRU state is the
+    /// shared mutable resource). The deadline is checked per job (chunked)
+    /// or per options group (single): a search already dispatched runs to
+    /// completion — the deadline bounds *queueing*, it does not abort
+    /// compute mid-query. Every job that runs produces a result
+    /// bit-identical to [`ResidentEngine::search_one`] on the same job.
     pub fn search_wave_deadline(
         &self,
         jobs: &[(Spectrum, QueryOptions)],
         num_threads: usize,
         deadline: Option<std::time::Instant>,
     ) -> Vec<Option<io::Result<SearchResult>>> {
-        let Some(deadline) = deadline else {
-            return self
-                .search_wave(jobs, num_threads)
-                .into_iter()
-                .map(Some)
-                .collect();
-        };
-        let expired = || std::time::Instant::now() >= deadline;
+        let expired = || deadline.is_some_and(|d| std::time::Instant::now() >= d);
         match &self.backend {
             Backend::Chunked(store) => {
                 let mut guard = store.lock().expect("chunk store lock poisoned");
@@ -194,6 +157,9 @@ impl ResidentEngine {
                     .collect()
             }
             Backend::Single { index, .. } => {
+                // Group job indices by options; each distinct options set
+                // becomes one parallel batch. Waves are small (bounded by
+                // the server's max_wave), so a linear scan suffices.
                 let mut groups: Vec<(QueryOptions, Vec<usize>)> = Vec::new();
                 for (i, (_, opts)) in jobs.iter().enumerate() {
                     match groups.iter_mut().find(|(o, _)| o == opts) {

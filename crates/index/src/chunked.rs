@@ -919,18 +919,7 @@ impl ChunkStore {
     /// touches. Results are identical to [`ChunkedIndex::search`] on the
     /// fully-resident index.
     pub fn search(&mut self, query: &Spectrum) -> std::io::Result<SearchResult> {
-        self.search_with_mode(query, crate::query::ScanMode::Auto)
-    }
-
-    /// [`ChunkStore::search`] with an explicit [`crate::query::ScanMode`]
-    /// applied to every chunk visit (findings are mode-invariant; only the
-    /// scanned/skipped work counters differ).
-    pub fn search_with_mode(
-        &mut self,
-        query: &Spectrum,
-        mode: crate::query::ScanMode,
-    ) -> std::io::Result<SearchResult> {
-        self.search_with_opts(query, &QueryOptions::from_mode(mode))
+        self.search_with_opts(query, &QueryOptions::default())
     }
 
     /// [`ChunkStore::search`] under per-request [`QueryOptions`]: a

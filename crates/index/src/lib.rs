@@ -67,10 +67,7 @@ pub use io::{
     write_index, write_index_path, write_index_v1, ReadOptions, FLAG_MASS_SORTED,
 };
 pub use lifecycle::{GenerationStore, ManifestRecord};
-pub use parallel::{
-    search_batch_chunked, search_batch_parallel, search_batch_parallel_with_mode,
-    search_batch_parallel_with_opts,
-};
+pub use parallel::{search_batch_parallel, search_batch_parallel_with_opts};
 pub use precursor::{PrecursorIndex, PrecursorQueryStats};
 pub use query::{Psm, QueryOptions, QueryStats, ScanMode, SearchResult, SearchScratch, Searcher};
 pub use seqtag::{extract_tags, TagIndex, TagQueryStats};

@@ -5,24 +5,19 @@
 //! multi-threaded batch searcher used by node-local deployments and by the
 //! hybrid mode's intra-rank level.
 //!
-//! Two schedulers are provided:
-//!
-//! * [`search_batch_parallel`] — the production path: queries are split
-//!   into **small blocks** claimed dynamically by a fixed set of workers on
-//!   the shared work-stealing pool (`minipool`). Each worker owns one
-//!   [`Searcher`] (scratch state is allocated `num_threads` times total,
-//!   not per block), so a skewed batch — e.g. a mix of cheap closed-search
-//!   and expensive open-search spectra — never finishes with its slowest
-//!   *contiguous* slice: whichever worker goes idle claims the next block.
-//! * [`search_batch_chunked`] — the old static scheduler (one contiguous
-//!   slice per thread), kept as the baseline the `pool_scheduling` bench
-//!   compares against.
+//! [`search_batch_parallel`] splits the queries into **small blocks**
+//! claimed dynamically by a fixed set of workers on the shared
+//! work-stealing pool (`minipool`). Each worker owns one [`Searcher`]
+//! (scratch state is allocated `num_threads` times total, not per block),
+//! so a skewed batch — e.g. a mix of cheap closed-search and expensive
+//! open-search spectra — never finishes with its slowest *contiguous*
+//! slice: whichever worker goes idle claims the next block.
 //!
 //! Results are returned in query order and are bit-identical to the
 //! sequential path — parallelism must never change what is found (tested,
 //! including a proptest over batch size / thread count / skew).
 
-use crate::query::{QueryOptions, QueryStats, ScanMode, SearchResult, Searcher};
+use crate::query::{QueryOptions, QueryStats, SearchResult, Searcher};
 use crate::slm::SlmIndex;
 use lbe_spectra::spectrum::Spectrum;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,18 +46,7 @@ pub fn search_batch_parallel(
     queries: &[Spectrum],
     num_threads: usize,
 ) -> (Vec<SearchResult>, QueryStats) {
-    search_batch_parallel_with_mode(index, queries, num_threads, ScanMode::Auto)
-}
-
-/// [`search_batch_parallel`] with an explicit [`ScanMode`] (findings are
-/// mode-invariant; only the scanned/skipped work counters differ).
-pub fn search_batch_parallel_with_mode(
-    index: &SlmIndex,
-    queries: &[Spectrum],
-    num_threads: usize,
-    mode: ScanMode,
-) -> (Vec<SearchResult>, QueryStats) {
-    search_batch_parallel_with_opts(index, queries, num_threads, &QueryOptions::from_mode(mode))
+    search_batch_parallel_with_opts(index, queries, num_threads, &QueryOptions::default())
 }
 
 /// [`search_batch_parallel`] under per-request [`QueryOptions`] — the
@@ -133,50 +117,6 @@ pub fn search_batch_parallel_with_opts(
     (results, totals)
 }
 
-/// The pre-pool static scheduler: contiguous slices of `queries.len() /
-/// num_threads` queries, one per scoped OS thread.
-///
-/// Kept as the comparison baseline for the skewed-batch bench (and as a
-/// pool-free fallback); prefer [`search_batch_parallel`].
-pub fn search_batch_chunked(
-    index: &SlmIndex,
-    queries: &[Spectrum],
-    num_threads: usize,
-) -> (Vec<SearchResult>, QueryStats) {
-    assert!(num_threads >= 1, "need at least one thread");
-    if num_threads == 1 || queries.len() <= 1 {
-        let mut s = Searcher::new(index);
-        return s.search_batch(queries);
-    }
-
-    let threads = num_threads.min(queries.len());
-    let chunk = queries.len().div_ceil(threads);
-    let mut per_chunk: Vec<(Vec<SearchResult>, QueryStats)> = Vec::with_capacity(threads);
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    let mut s = Searcher::new(index);
-                    s.search_batch(slice)
-                })
-            })
-            .collect();
-        for h in handles {
-            per_chunk.push(h.join().expect("search thread panicked"));
-        }
-    });
-
-    let mut results = Vec::with_capacity(queries.len());
-    let mut totals = QueryStats::default();
-    for (r, stats) in per_chunk {
-        results.extend(r);
-        totals.accumulate(&stats);
-    }
-    (results, totals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,20 +163,6 @@ mod tests {
             assert_eq!(par, seq, "{threads} threads");
             assert_eq!(par_stats, seq_stats);
         }
-    }
-
-    #[test]
-    fn chunked_baseline_equals_sequential() {
-        let (index, queries) = setup(23);
-        let (seq, seq_stats) = search_batch_chunked(&index, &queries, 1);
-        for threads in [2usize, 4] {
-            let (par, par_stats) = search_batch_chunked(&index, &queries, threads);
-            assert_eq!(par, seq, "{threads} threads");
-            assert_eq!(par_stats, seq_stats);
-        }
-        let (ws, ws_stats) = search_batch_parallel(&index, &queries, 4);
-        assert_eq!(ws, seq);
-        assert_eq!(ws_stats, seq_stats);
     }
 
     #[test]

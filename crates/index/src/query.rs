@@ -92,7 +92,7 @@ pub fn rank_key_cmp(a: (f32, u32, u16), b: (f32, u32, u16)) -> Ordering {
     b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
 }
 
-/// Which posting path [`Searcher::search_with_mode`] takes.
+/// Which posting path [`Searcher::search_with_opts`] takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanMode {
     /// Cost-based choice: banded scan when the index is mass-sorted, ΔM is
@@ -154,15 +154,6 @@ pub struct QueryOptions {
 }
 
 impl QueryOptions {
-    /// Options that differ from the index defaults only in scan mode —
-    /// what every `_with_mode` entry point desugars to.
-    pub fn from_mode(scan_mode: ScanMode) -> Self {
-        QueryOptions {
-            scan_mode,
-            ..Default::default()
-        }
-    }
-
     /// The ΔM this request searches with.
     #[inline]
     pub fn effective_tolerance(&self, cfg: &SlmConfig) -> f64 {
@@ -343,17 +334,10 @@ impl<'a> Searcher<'a> {
         self.index
     }
 
-    /// Searches one (preprocessed) query spectrum via [`ScanMode::Auto`].
+    /// Searches one (preprocessed) query spectrum under the index's own
+    /// configuration ([`QueryOptions::default`]).
     pub fn search(&mut self, query: &Spectrum) -> SearchResult {
-        self.search_with_mode(query, ScanMode::Auto)
-    }
-
-    /// Searches one query spectrum with an explicit [`ScanMode`]. Both
-    /// modes return identical PSMs and candidate counts; they differ only
-    /// in `postings_scanned` vs `postings_skipped_by_band` (and in wall
-    /// clock).
-    pub fn search_with_mode(&mut self, query: &Spectrum, mode: ScanMode) -> SearchResult {
-        self.search_with_opts(query, &QueryOptions::from_mode(mode))
+        self.search_with_opts(query, &QueryOptions::default())
     }
 
     /// Searches one query spectrum under per-request [`QueryOptions`].
@@ -524,16 +508,7 @@ impl<'a> Searcher<'a> {
 
     /// Searches a batch, returning per-query results plus total work.
     pub fn search_batch(&mut self, queries: &[Spectrum]) -> (Vec<SearchResult>, QueryStats) {
-        self.search_batch_with_mode(queries, ScanMode::Auto)
-    }
-
-    /// [`Searcher::search_batch`] with an explicit [`ScanMode`].
-    pub fn search_batch_with_mode(
-        &mut self,
-        queries: &[Spectrum],
-        mode: ScanMode,
-    ) -> (Vec<SearchResult>, QueryStats) {
-        self.search_batch_with_opts(queries, &QueryOptions::from_mode(mode))
+        self.search_batch_with_opts(queries, &QueryOptions::default())
     }
 
     /// [`Searcher::search_batch`] under per-request [`QueryOptions`].
@@ -655,6 +630,13 @@ mod tests {
     use lbe_spectra::synthetic::{SyntheticDataset, SyntheticDatasetParams};
     use lbe_spectra::theo::TheoParams;
 
+    /// The reference path of the banded ≡ full-scan equivalence tests.
+    const FULL_SCAN: QueryOptions = QueryOptions {
+        scan_mode: ScanMode::FullScan,
+        top_k: None,
+        precursor_tolerance: None,
+    };
+
     fn db(seqs: &[&str]) -> PeptideDb {
         PeptideDb::from_vec(
             seqs.iter()
@@ -727,8 +709,8 @@ mod tests {
         let idx = IndexBuilder::new(cfg, ModSpec::none()).build(&d);
         let mut s = Searcher::new(&idx);
         let q = perfect_query(b"PEPTIDEK");
-        let banded = s.search_with_mode(&q, ScanMode::Auto);
-        let full = s.search_with_mode(&q, ScanMode::FullScan);
+        let banded = s.search(&q);
+        let full = s.search_with_opts(&q, &FULL_SCAN);
         // Identical findings...
         assert_eq!(banded.psms, full.psms);
         assert_eq!(banded.stats.candidates, full.stats.candidates);
@@ -773,7 +755,7 @@ mod tests {
         let q = Spectrum::new(0, lbe_bio::aa::precursor_mz(m_light, 2), 2, peaks);
         let mut s = Searcher::new(&idx);
         let banded = s.search(&q);
-        let full = s.search_with_mode(&q, ScanMode::FullScan);
+        let full = s.search_with_opts(&q, &FULL_SCAN);
         assert_eq!(banded.psms, full.psms);
         assert!(banded.stats.bins_pruned_by_band > 0);
         assert!(banded.stats.bins_pruned_by_band <= banded.stats.bins_touched);
@@ -810,7 +792,7 @@ mod tests {
         let mut s = Searcher::new(&idx);
         let q = perfect_query(b"PEPTIDEK");
         let auto = s.search(&q);
-        let full = s.search_with_mode(&q, ScanMode::FullScan);
+        let full = s.search_with_opts(&q, &FULL_SCAN);
         assert_eq!(auto, full, "heuristic full-scan is bit-identical");
         assert_eq!(auto.stats.postings_skipped_by_band, 0);
         assert_eq!(auto.stats.bins_pruned_by_band, 0);
@@ -892,7 +874,7 @@ mod tests {
         assert_eq!(r.stats.postings_scanned, 0);
         assert!(r.stats.postings_skipped_by_band > 0);
         // The full-scan path agrees on the findings.
-        let full = s.search_with_mode(&q, ScanMode::FullScan);
+        let full = s.search_with_opts(&q, &FULL_SCAN);
         assert!(full.psms.is_empty());
         assert!(full.stats.postings_scanned > 0);
     }
@@ -1117,25 +1099,6 @@ mod tests {
         assert_eq!(results.len(), 2);
         let sum: u64 = results.iter().map(|r| r.stats.postings_scanned).sum();
         assert_eq!(total.postings_scanned, sum);
-    }
-
-    #[test]
-    fn default_options_are_bit_identical_to_mode_paths() {
-        let d = db(&["ELVISLIVESK", "PEPTIDEK", "SAMPLERK"]);
-        let cfg = SlmConfig::default().with_precursor_tolerance(2.0);
-        let idx = IndexBuilder::new(cfg, ModSpec::none()).build(&d);
-        let mut s = Searcher::new(&idx);
-        for seq in [&b"PEPTIDEK"[..], b"ELVISLIVESK", b"SAMPLERK"] {
-            let q = perfect_query(seq);
-            assert_eq!(
-                s.search_with_opts(&q, &QueryOptions::default()),
-                s.search(&q)
-            );
-            assert_eq!(
-                s.search_with_opts(&q, &QueryOptions::from_mode(ScanMode::FullScan)),
-                s.search_with_mode(&q, ScanMode::FullScan)
-            );
-        }
     }
 
     #[test]

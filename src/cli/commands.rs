@@ -592,10 +592,13 @@ fn search<W: Write>(args: &Args, out: &mut W) -> Result<(), CmdError> {
     let output = args.require("out")?;
     let csv = args.has("csv");
     let sep = if csv { ',' } else { '\t' };
-    let mode = if args.has("full-scan") {
-        ScanMode::FullScan
-    } else {
-        ScanMode::Auto
+    let query_opts = QueryOptions {
+        scan_mode: if args.has("full-scan") {
+            ScanMode::FullScan
+        } else {
+            ScanMode::Auto
+        },
+        ..Default::default()
     };
     // 0 = no budget (all chunks resident); N > 0 caps residency.
     let max_resident = match args.get_parsed("max-resident-chunks", 0usize)? {
@@ -617,7 +620,6 @@ fn search<W: Write>(args: &Args, out: &mut W) -> Result<(), CmdError> {
     let mut sink = std::io::BufWriter::new(std::fs::File::create(output)?);
     writeln!(sink, "{}", result_header(sep))?;
 
-    let query_opts = QueryOptions::from_mode(mode);
     let mut total_psms = 0usize;
     for q in &queries {
         let r = engine.search_one(q, &query_opts)?;

@@ -13,7 +13,7 @@ fn master_worker_result_return_pattern() {
         let work = (me as f64 + 1.0) * 0.1;
         comm.compute(work);
         let local_result = vec![me * 10, me * 10 + 1];
-        let gathered = comm.gather(0, local_result, 16);
+        let gathered = comm.try_gather(0, local_result, 16).unwrap();
         match gathered {
             Some(all) => all.into_iter().flatten().sum::<usize>(),
             None => 0,
@@ -35,7 +35,7 @@ fn virtual_makespan_tracks_critical_path() {
     });
     let out = Cluster::new(cfg).run(|comm| {
         comm.compute(if comm.rank() == 2 { 5.0 } else { 1.0 });
-        comm.barrier();
+        comm.try_barrier().unwrap();
         comm.now()
     });
     // Everyone waits for rank 2 (plus two message hops through the barrier).
@@ -51,7 +51,7 @@ fn pipelined_rounds_accumulate_time() {
     let out = Cluster::new(cfg).run(|comm| {
         for _ in 0..rounds {
             comm.compute(1.0);
-            comm.barrier();
+            comm.try_barrier().unwrap();
         }
         comm.now()
     });
@@ -81,11 +81,12 @@ fn ring_communication() {
 fn reduction_tree_of_vectors() {
     let out = Cluster::new(ClusterConfig::new(4)).run(|comm| {
         let local = vec![comm.rank() as u64; 3];
-        comm.all_reduce(
+        comm.try_all_reduce(
             local,
             |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect(),
             24,
         )
+        .unwrap()
     });
     assert!(out.results.iter().all(|r| r == &vec![6u64, 6, 6]));
 }
@@ -107,8 +108,8 @@ fn repeated_runs_on_same_cluster_are_independent() {
 
 #[test]
 fn large_rank_counts() {
-    let out =
-        Cluster::new(ClusterConfig::new(32)).run(|comm| comm.all_reduce(1u64, |a, b| a + b, 8));
+    let out = Cluster::new(ClusterConfig::new(32))
+        .run(|comm| comm.try_all_reduce(1u64, |a, b| a + b, 8).unwrap());
     assert!(out.results.iter().all(|&r| r == 32));
 }
 

@@ -93,23 +93,35 @@ fn collective_gauntlet(
     let (left_rank, left_msg) = comm.recv::<(u32, String)>((me + p - 1) % p, 7);
     assert_eq!(left_rank as usize, (me + p - 1) % p);
 
-    let bcast = comm.broadcast(
-        0,
-        (me == 0).then(|| format!("root says: {left_msg}")),
-        left_msg.len(),
-    );
-    let gathered = comm.gather(0, (me as u32, bcast.clone()), bcast.len() + 4);
-    let reduced = comm.all_reduce((me as u64 + 1) * 100, |a, b| a + b, 8);
-    let all = comm.all_gather((me as u16, vec![me as u8; me + 1]), me + 3);
-    let scattered = comm.scatter(
-        0,
-        (me == 0).then(|| (0..p).map(|r| (-(r as i64), r as f64 * 0.5)).collect()),
-        16,
-    );
-    let max_at_root = comm.reduce(0, reduced + me as u64, u64::max, 8);
-    let sum = comm.all_reduce_f64(scattered.1, |a, b| a + b);
-    let times = comm.all_gather_f64(me as f64);
-    comm.barrier();
+    let bcast = comm
+        .try_broadcast(
+            0,
+            (me == 0).then(|| format!("root says: {left_msg}")),
+            left_msg.len(),
+        )
+        .unwrap();
+    let gathered = comm
+        .try_gather(0, (me as u32, bcast.clone()), bcast.len() + 4)
+        .unwrap();
+    let reduced = comm
+        .try_all_reduce((me as u64 + 1) * 100, |a, b| a + b, 8)
+        .unwrap();
+    let all = comm
+        .try_all_gather((me as u16, vec![me as u8; me + 1]), me + 3)
+        .unwrap();
+    let scattered = comm
+        .try_scatter(
+            0,
+            (me == 0).then(|| (0..p).map(|r| (-(r as i64), r as f64 * 0.5)).collect()),
+            16,
+        )
+        .unwrap();
+    let max_at_root = comm
+        .try_reduce(0, reduced + me as u64, u64::max, 8)
+        .unwrap();
+    let sum = comm.try_all_reduce(scattered.1, |a, b| a + b, 8).unwrap();
+    let times = comm.try_all_gather(me as f64, 8).unwrap();
+    comm.try_barrier().unwrap();
     (
         bcast,
         gathered,
@@ -189,7 +201,7 @@ fn tcp_self_recv_miss_is_typed_timeout() {
             CommError::Timeout { rank, src, tag } => (rank, src, tag),
             other => panic!("expected Timeout, got {other}"),
         };
-        comm.barrier();
+        comm.try_barrier().unwrap();
         shape
     });
     assert_eq!(out, vec![(0, 0, 99), (1, 1, 99)]);
@@ -232,7 +244,7 @@ fn tcp_type_mismatch_is_typed_codec_error() {
                 other => panic!("expected Codec, got {other}"),
             }
         }
-        comm.barrier();
+        comm.try_barrier().unwrap();
     });
 }
 

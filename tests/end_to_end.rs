@@ -27,9 +27,10 @@ fn pipeline_identifies_most_queries() {
 #[test]
 fn results_invariant_across_policies_and_ranks() {
     // The partitioning changes WHERE work happens, never WHAT is found:
-    // candidate sets (by peptide and shared-peak count) must be identical.
-    // Disable top-k truncation: with ties at the k-boundary, per-rank
-    // truncation legitimately keeps different equal-scored candidates.
+    // candidate sets (by peptide and shared-peak count) must be identical
+    // — all of them, so top-k truncation is off here (the truncated lists
+    // are held to a single index in
+    // `per_rank_top_k_cuts_exact_score_ties_on_global_ids`).
     let mut base = PipelineBuilder::small_demo();
     base.engine.slm.top_k = usize::MAX;
     let reference = base
@@ -104,8 +105,7 @@ fn distributed_engine_agrees_with_local_searcher() {
             .iter()
             .map(|p| (p.peptide, p.shared_peaks))
             .collect();
-        // 1-rank cyclic partition preserves grouped order, not db order, so
-        // compare as sets of (peptide, shared).
+        // Compare as sets of (peptide, shared).
         let mut da: Vec<(u32, u16)> = dist.psms[qi]
             .iter()
             .map(|p| (p.peptide, p.shared_peaks))
@@ -113,6 +113,102 @@ fn distributed_engine_agrees_with_local_searcher() {
         la.sort_unstable();
         da.sort_unstable();
         assert_eq!(la, da, "query {qi}");
+    }
+}
+
+#[test]
+fn per_rank_top_k_cuts_exact_score_ties_on_global_ids() {
+    // Leucine and isoleucine weigh the same, so every I/L spelling of a
+    // sequence has the same theoretical spectrum and ties with the others
+    // on the exact f32 score — eight-way, against top_k = 3. Ids run
+    // against lexicographic order, so the grouped order every policy deals
+    // from disagrees with id order. Each rank keeps only 3 of the tied
+    // candidates it holds; unless it picks them the way a single index
+    // would — lowest global (peptide, modform) first — the merged top-k
+    // differs from the single index's.
+    use lbe::bio::peptide::{Peptide, PeptideDb};
+    let mut seqs: Vec<String> = Vec::new();
+    for stem in ["PEPT?DE?A?K", "SAMP?ER?GG?R"] {
+        for bits in 0..8u32 {
+            let mut spots = (0..3).map(|i| if bits >> i & 1 == 1 { 'L' } else { 'I' });
+            seqs.push(
+                stem.chars()
+                    .map(|c| if c == '?' { spots.next().unwrap() } else { c })
+                    .collect(),
+            );
+        }
+    }
+    seqs.extend(["MNKQMGGR", "WWYYFFHHK", "ELVISLIVESK"].map(String::from));
+    seqs.sort_unstable_by(|a, b| b.cmp(a));
+    let db = PeptideDb::from_vec(
+        seqs.iter()
+            .map(|s| Peptide::new(s.as_bytes(), 0, 0).unwrap())
+            .collect(),
+    );
+    let dataset = SyntheticDataset::generate(
+        &db,
+        &ModSpec::none(),
+        &SyntheticDatasetParams {
+            num_spectra: 16,
+            ..Default::default()
+        },
+        21,
+    );
+    let pre = PreprocessParams::default();
+    let queries: Vec<_> = dataset
+        .spectra
+        .iter()
+        .map(|s| preprocess_spectrum(s, &pre))
+        .collect();
+
+    let slm = SlmConfig {
+        top_k: 3,
+        ..SlmConfig::default()
+    };
+    let index = IndexBuilder::new(slm.clone(), ModSpec::none()).build(&db);
+    let single: Vec<Vec<(u32, u16, u16, u32)>> = Searcher::new(&index)
+        .search_batch(&queries)
+        .0
+        .iter()
+        .map(|r| {
+            r.psms
+                .iter()
+                .map(|p| (p.peptide, p.modform, p.shared_peaks, p.score.to_bits()))
+                .collect()
+        })
+        .collect();
+    assert!(
+        single.iter().any(|q| q.len() == 3 && q[0].3 == q[2].3),
+        "fixture must put an exact-score tie across the top-k cut"
+    );
+
+    let grouping = group_peptides(&db, &GroupingParams::default());
+    for policy in [
+        PartitionPolicy::Chunk,
+        PartitionPolicy::Cyclic,
+        PartitionPolicy::Random { seed: 3 },
+    ] {
+        for threads_per_rank in [1, 2] {
+            let cfg = EngineConfig {
+                slm: slm.clone(),
+                threads_per_rank,
+                ..EngineConfig::with_policy(policy)
+            };
+            let dist = run_distributed_search(&db, &grouping, &queries, &cfg, 3);
+            let got: Vec<Vec<(u32, u16, u16, u32)>> = dist
+                .psms
+                .iter()
+                .map(|q| {
+                    q.iter()
+                        .map(|p| (p.peptide, p.modform, p.shared_peaks, p.score.to_bits()))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                got, single,
+                "{policy}, {threads_per_rank} thread(s) per rank"
+            );
+        }
     }
 }
 

@@ -11,12 +11,19 @@ use lbe::bio::mods::{ModForm, ModSpec};
 use lbe::bio::peptide::PeptideDb;
 use lbe::core::ingest::{load_proteome_digested, load_queries};
 use lbe::index::query::brute_force_shared_peaks;
-use lbe::index::{IndexBuilder, ScanMode, Searcher, SlmConfig};
+use lbe::index::{IndexBuilder, QueryOptions, ScanMode, Searcher, SlmConfig};
 use lbe::spectra::preprocess::PreprocessParams;
 use lbe::spectra::spectrum::Spectrum;
 use lbe::spectra::theo::TheoSpectrum;
 use proptest::prelude::*;
 use std::sync::OnceLock;
+
+/// The whole-bin reference path the banded kernel is held to.
+const FULL_SCAN: QueryOptions = QueryOptions {
+    scan_mode: ScanMode::FullScan,
+    top_k: None,
+    precursor_tolerance: None,
+};
 
 fn data(name: &str) -> String {
     format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -56,8 +63,8 @@ fn assert_equivalence_at(tolerance: f64) -> (u64, u64) {
     let mut searcher = Searcher::new(&index);
     let mut scanned = (0u64, 0u64);
     for q in queries {
-        let banded = searcher.search_with_mode(q, ScanMode::Auto);
-        let full = searcher.search_with_mode(q, ScanMode::FullScan);
+        let banded = searcher.search(q);
+        let full = searcher.search_with_opts(q, &FULL_SCAN);
         // The two kernel paths: identical findings, identical candidate
         // counts; only the scanned/skipped split may differ.
         assert_eq!(banded.psms, full.psms, "scan {} @ ΔM {tolerance}", q.scan);
@@ -139,8 +146,8 @@ fn empty_band_scans_nothing_but_finds_the_same_nothing() {
     for q in queries {
         let mut shifted = q.clone();
         shifted.precursor_mz += 5000.0 / shifted.charge.max(1) as f64;
-        let banded = searcher.search_with_mode(&shifted, ScanMode::Auto);
-        let full = searcher.search_with_mode(&shifted, ScanMode::FullScan);
+        let banded = searcher.search(&shifted);
+        let full = searcher.search_with_opts(&shifted, &FULL_SCAN);
         assert!(banded.psms.is_empty());
         assert!(full.psms.is_empty());
         assert_eq!(banded.stats.postings_scanned, 0, "scan {}", q.scan);

@@ -63,6 +63,34 @@ fn golden_corpus_cli_reports_match_committed() {
     }
 }
 
+/// `lbe simulate --csv` over the checked-in corpus must reproduce the
+/// committed virtual-time report byte for byte: query and execution
+/// makespans, load imbalance and cPSMs are deterministic outputs of the
+/// cost model over the rank program, so any drift is a behaviour change
+/// in partitioning, the kernel's work counters, or the program's clock
+/// accounting. One golden row per flag set, in this order.
+#[test]
+fn golden_corpus_simulate_csv_matches_committed() {
+    let want = std::fs::read_to_string(data("expected_simulate.csv")).unwrap();
+    let (header, rows) = want.split_once('\n').unwrap();
+    let flag_sets = [
+        "--policy chunk",
+        "--policy cyclic",
+        "--policy random",
+        "--policy cyclic --threads-per-rank 2",
+        "--policy cyclic --cost-scale 1000",
+    ];
+    assert_eq!(rows.lines().count(), flag_sets.len());
+    for (flags, row) in flag_sets.iter().zip(rows.lines()) {
+        let got = cli(&format!(
+            "simulate --db {} --digest --queries {} --ranks 4 --csv {flags}",
+            data("corpus.fasta"),
+            data("corpus.ms2"),
+        ));
+        assert_eq!(got, format!("{header}\n{row}\n"), "simulate {flags}");
+    }
+}
+
 /// Every corpus file reads identically through the streaming reader and
 /// the eager per-format reader.
 #[test]
