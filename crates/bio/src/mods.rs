@@ -148,6 +148,12 @@ impl ModSpec {
     /// position-major (which makes enumeration deterministic).
     pub fn candidate_sites(&self, seq: &[u8]) -> Vec<(u16, u8)> {
         let mut sites = Vec::new();
+        self.push_candidate_sites(seq, &mut sites);
+        sites
+    }
+
+    /// Appends [`ModSpec::candidate_sites`] to `sites`.
+    fn push_candidate_sites(&self, seq: &[u8], sites: &mut Vec<(u16, u8)>) {
         for (pos, &c) in seq.iter().enumerate() {
             for (mi, m) in self.mods.iter().enumerate() {
                 if m.applies_to(c) {
@@ -155,7 +161,6 @@ impl ModSpec {
                 }
             }
         }
-        sites
     }
 }
 
@@ -198,63 +203,139 @@ impl ModForm {
     }
 }
 
-/// Enumerates all modforms of `seq` under `spec`, unmodified form first,
-/// then in increasing number of modifications (breadth-first over
-/// combination size), deterministic for a given input.
+/// Walks all modforms of `seq` under `spec` without allocating per
+/// modform: `visit(sites, delta_mass)` is called once per modform with the
+/// fields a [`ModForm`] would hold, `sites` borrowed from `scratch` (a
+/// buffer the caller reuses across peptides; its contents are overwritten).
+///
+/// This is the one definition of the enumeration: unmodified form first,
+/// then by increasing number of modifications, each size in lexicographic
+/// order of its `(position, mod index)` sites — so a cap keeps the lightest
+/// combinations. At most one modification per residue position. The walk
+/// stops after the visit that reaches `spec.max_modforms_per_peptide`; the
+/// unmodified form and the first modified one are visited before the cap
+/// is first looked at, so a cap below 2 still yields two forms when `seq`
+/// has a candidate site.
+pub fn for_each_modform<F: FnMut(&[(u16, u8)], f64)>(
+    seq: &[u8],
+    spec: &ModSpec,
+    scratch: &mut Vec<(u16, u8)>,
+    mut visit: F,
+) {
+    visit(&[], 0.0);
+    if spec.mods.is_empty() || spec.max_mods_per_peptide == 0 {
+        return;
+    }
+    // `scratch` = the candidate sites, then one slot per chosen site.
+    scratch.clear();
+    spec.push_candidate_sites(seq, scratch);
+    let num_sites = scratch.len();
+    let max_size = spec.max_mods_per_peptide.min(num_sites);
+    scratch.resize(num_sites + max_size, (0, 0));
+    let (sites, chosen) = scratch.split_at_mut(num_sites);
+    let mut visited = 1usize;
+    for size in 1..=max_size {
+        let before = visited;
+        let mut walk = SizeWalk {
+            spec,
+            sites,
+            size,
+            visited: &mut visited,
+            visit: &mut visit,
+        };
+        if !walk.extend(chosen, 0, 0, 0.0) {
+            return;
+        }
+        // No combination of this size (positions ran out): none larger.
+        if visited == before {
+            return;
+        }
+    }
+}
+
+/// One combination size of [`for_each_modform`]'s walk.
+struct SizeWalk<'a, F> {
+    spec: &'a ModSpec,
+    sites: &'a [(u16, u8)],
+    size: usize,
+    visited: &'a mut usize,
+    visit: &'a mut F,
+}
+
+impl<F: FnMut(&[(u16, u8)], f64)> SizeWalk<'_, F> {
+    /// Fills `chosen[depth..size]` with every admissible continuation
+    /// drawn from `sites[from..]`, visiting each completed combination.
+    /// `delta` is the mass of `chosen[..depth]`, summed in site order.
+    /// Returns `false` once the modform cap is reached.
+    fn extend(&mut self, chosen: &mut [(u16, u8)], depth: usize, from: usize, delta: f64) -> bool {
+        for si in from..self.sites.len() {
+            let (pos, mi) = self.sites[si];
+            // One mod per position: sites are position-major, so a clash
+            // can only be with the site chosen last.
+            if depth > 0 && chosen[depth - 1].0 == pos {
+                continue;
+            }
+            chosen[depth] = (pos, mi);
+            let delta = delta + self.spec.mods[mi as usize].mod_type.delta_mass();
+            if depth + 1 < self.size {
+                if !self.extend(chosen, depth + 1, si + 1, delta) {
+                    return false;
+                }
+                continue;
+            }
+            (self.visit)(&chosen[..self.size], delta);
+            *self.visited += 1;
+            if *self.visited >= self.spec.max_modforms_per_peptide {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Enumerates all modforms of `seq` under `spec`, in [`for_each_modform`]'s
+/// order (unmodified form first, then in increasing number of
+/// modifications), deterministic for a given input.
 ///
 /// At most one modification per residue position. Truncated at
 /// `spec.max_modforms_per_peptide`.
 pub fn enumerate_modforms(seq: &[u8], spec: &ModSpec) -> Vec<ModForm> {
-    let mut out = vec![ModForm::unmodified()];
-    if spec.mods.is_empty() || spec.max_mods_per_peptide == 0 {
-        return out;
-    }
-    let sites = spec.candidate_sites(seq);
-    if sites.is_empty() {
-        return out;
-    }
-
-    // Breadth-first by combination size so a cap keeps the lightest forms.
-    // Each frontier entry is (last site index used, chosen sites, delta).
-    type FrontierEntry = (usize, Vec<(u16, u8)>, f64);
-    let mut frontier: Vec<FrontierEntry> = vec![(usize::MAX, Vec::new(), 0.0)];
-    for _k in 1..=spec.max_mods_per_peptide {
-        let mut next = Vec::new();
-        for (last, chosen, delta) in &frontier {
-            let start = match *last {
-                usize::MAX => 0,
-                l => l + 1,
-            };
-            for (si, &(pos, mi)) in sites.iter().enumerate().skip(start) {
-                // one mod per position: skip sites at a position already used
-                if chosen.last().is_some_and(|&(p, _)| p == pos) {
-                    continue;
-                }
-                let mut c = chosen.clone();
-                c.push((pos, mi));
-                let d = delta + spec.mods[mi as usize].mod_type.delta_mass();
-                out.push(ModForm {
-                    sites: c.clone(),
-                    delta_mass: d,
-                });
-                if out.len() >= spec.max_modforms_per_peptide {
-                    return out;
-                }
-                next.push((si, c, d));
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
+    let mut out = Vec::new();
+    for_each_modform(seq, spec, &mut Vec::new(), |sites, delta_mass| {
+        out.push(ModForm {
+            sites: sites.to_vec(),
+            delta_mass,
+        })
+    });
     out
 }
 
-/// Counts the modforms of `seq` without materializing them (exact unless the
-/// cap truncates, in which case the cap is returned).
+/// Counts the modforms of `seq` without enumerating them: exactly
+/// `enumerate_modforms(seq, spec).len()`, cap included.
+///
+/// With `m_p` mods applicable at position `p`, the forms of `k` modified
+/// residues number `e_k(m_1, …, m_n)` (the elementary symmetric
+/// polynomial), so one pass over the sequence updating `e_0..=e_max`
+/// gives the uncapped total.
 pub fn count_modforms(seq: &[u8], spec: &ModSpec) -> usize {
-    enumerate_modforms(seq, spec).len()
+    let max_size = spec.max_mods_per_peptide.min(seq.len());
+    if spec.mods.is_empty() || max_size == 0 {
+        return 1;
+    }
+    let mut by_size = vec![0usize; max_size + 1];
+    by_size[0] = 1;
+    for &c in seq {
+        let here = spec.mods.iter().filter(|m| m.applies_to(c)).count();
+        if here == 0 {
+            continue;
+        }
+        for k in (1..=max_size).rev() {
+            by_size[k] = by_size[k].saturating_add(by_size[k - 1].saturating_mul(here));
+        }
+    }
+    let total = by_size.iter().fold(0usize, |a, &n| a.saturating_add(n));
+    // The walk visits two forms before it first looks at the cap.
+    total.min(spec.max_modforms_per_peptide.max(2))
 }
 
 #[cfg(test)]
@@ -388,6 +469,84 @@ mod tests {
         let spec = ModSpec::paper_default();
         for f in enumerate_modforms(b"MNKQMCNQK", &spec) {
             assert!(f.sites.windows(2).all(|w| w[0].0 < w[1].0), "{f:?}");
+        }
+    }
+
+    /// The enumeration as it was before [`for_each_modform`]: breadth-first
+    /// over combination size with an owned site list per frontier entry.
+    fn enumerate_breadth_first(seq: &[u8], spec: &ModSpec) -> Vec<ModForm> {
+        let mut out = vec![ModForm::unmodified()];
+        let sites = spec.candidate_sites(seq);
+        // (last site index used, chosen sites, delta mass)
+        type FrontierEntry = (Option<usize>, Vec<(u16, u8)>, f64);
+        let mut frontier: Vec<FrontierEntry> = vec![(None, Vec::new(), 0.0)];
+        for _k in 1..=spec.max_mods_per_peptide {
+            let mut next = Vec::new();
+            for (last, chosen, delta) in &frontier {
+                let start = last.map_or(0, |l| l + 1);
+                for (si, &(pos, mi)) in sites.iter().enumerate().skip(start) {
+                    if chosen.last().is_some_and(|&(p, _)| p == pos) {
+                        continue;
+                    }
+                    let mut c = chosen.clone();
+                    c.push((pos, mi));
+                    let d = delta + spec.mods[mi as usize].mod_type.delta_mass();
+                    out.push(ModForm {
+                        sites: c.clone(),
+                        delta_mass: d,
+                    });
+                    if out.len() >= spec.max_modforms_per_peptide {
+                        return out;
+                    }
+                    next.push((Some(si), c, d));
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            frontier = next;
+        }
+        out
+    }
+
+    #[test]
+    fn walk_and_count_match_breadth_first_reference() {
+        use rand::{Rng, SeedableRng};
+        let two_on_one = ModSpec {
+            mods: vec![
+                VariableMod::new(ModType::Deamidation, b"NQ"),
+                VariableMod::new(ModType::Custom(10.0), b"NK"),
+            ],
+            max_mods_per_peptide: 3,
+            max_modforms_per_peptide: usize::MAX,
+        };
+        let bases = [
+            ModSpec::none(),
+            ModSpec::oxidation_only(),
+            ModSpec::paper_default(),
+            two_on_one,
+        ];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(15);
+        let mut scratch = Vec::new();
+        for case in 0..400 {
+            let len = rng.gen_range(1..14usize);
+            let seq: Vec<u8> = (0..len)
+                .map(|_| b"AMNQKCG"[rng.gen_range(0..7usize)])
+                .collect();
+            let mut spec = bases[case % bases.len()].clone();
+            spec.max_mods_per_peptide = rng.gen_range(0..6usize);
+            spec.max_modforms_per_peptide = [0, 1, 2, 7, 128, usize::MAX][rng.gen_range(0..6usize)];
+            let want = enumerate_breadth_first(&seq, &spec);
+            // Bit-equal, delta masses included; the scratch is reused dirty.
+            assert_eq!(enumerate_modforms(&seq, &spec), want, "case {case}");
+            assert_eq!(count_modforms(&seq, &spec), want.len(), "case {case}");
+            let mut visits = 0usize;
+            for_each_modform(&seq, &spec, &mut scratch, |sites, delta| {
+                assert_eq!(sites, &want[visits].sites[..], "case {case}");
+                assert_eq!(delta.to_bits(), want[visits].delta_mass.to_bits());
+                visits += 1;
+            });
+            assert_eq!(visits, want.len(), "case {case}");
         }
     }
 

@@ -728,13 +728,13 @@ pub(crate) fn extract_local_db(
     cfg: &EngineConfig,
 ) -> PeptideDb {
     match &cfg.stream_db_from {
-        None => partition
-            .rank(me)
-            .iter()
-            .map(|&gid| db.get(gid).clone())
-            .collect::<Vec<Peptide>>()
-            .into_iter()
-            .collect(),
+        None => PeptideDb::from_vec(
+            partition
+                .rank(me)
+                .iter()
+                .map(|&gid| db.get(gid).clone())
+                .collect(),
+        ),
         Some(path) => stream_partition_db(path, partition.rank(me), me),
     }
 }
@@ -786,12 +786,12 @@ fn stream_partition_db(path: &std::path::Path, rank_gids: &[u32], me: usize) -> 
         path.display(),
         rank_gids.len()
     );
-    slots
-        .into_iter()
-        .map(|s| s.expect("all slots filled"))
-        .collect::<Vec<Peptide>>()
-        .into_iter()
-        .collect()
+    PeptideDb::from_vec(
+        slots
+            .into_iter()
+            .map(|s| s.expect("all slots filled"))
+            .collect(),
+    )
 }
 
 /// Master-side merge: translate local ids to global, combine ranks, keep

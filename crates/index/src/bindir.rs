@@ -85,14 +85,15 @@ impl<'a> BinDirectory<'a> {
 }
 
 /// Builds the stored half of a directory (`bitmap`, `starts`) from dense
-/// CSR row pointers — the builder's prefix sums, or a legacy file's
-/// `binoffs` array. Both vectors are allocated exactly. Fails on input no
-/// directory can represent: a first offset other than 0, a decreasing
-/// pair, or an offset beyond `u32`.
-pub(crate) fn from_dense(dense: &[u64]) -> Result<(Vec<u64>, Vec<u32>), String> {
-    let Some((&first, &last)) = dense.first().zip(dense.last()) else {
+/// CSR row pointers — the builder's `u32` prefix sums, or a legacy file's
+/// `u64` `binoffs` array. Both vectors are allocated exactly. Fails on
+/// input no directory can represent: a first offset other than 0, a
+/// decreasing pair, or an offset beyond `u32`.
+pub(crate) fn from_dense<T: Copy + Into<u64>>(dense: &[T]) -> Result<(Vec<u64>, Vec<u32>), String> {
+    let Some((first, last)) = dense.first().zip(dense.last()) else {
         return Err("bin offset table is empty".into());
     };
+    let (first, last): (u64, u64) = ((*first).into(), (*last).into());
     if first != 0 {
         return Err("first bin offset is not 0".into());
     }
@@ -100,17 +101,22 @@ pub(crate) fn from_dense(dense: &[u64]) -> Result<(Vec<u64>, Vec<u32>), String> 
         return Err("more postings than u32 offsets".into());
     }
     let num_bins = dense.len() - 1;
-    let occupied = dense.windows(2).filter(|w| w[0] != w[1]).count();
+    let pairs = || {
+        dense
+            .windows(2)
+            .map(|w| -> (u64, u64) { (w[0].into(), w[1].into()) })
+    };
+    let occupied = pairs().filter(|(lo, hi)| lo != hi).count();
     let mut bitmap = vec![0u64; bitmap_words(num_bins)];
     let mut starts = Vec::with_capacity(occupied + 1);
-    for (b, w) in dense.windows(2).enumerate() {
-        if w[0] > w[1] {
+    for (b, (lo, hi)) in pairs().enumerate() {
+        if lo > hi {
             return Err("bin offsets not monotone".into());
         }
-        if w[0] < w[1] {
+        if lo < hi {
             bitmap[b >> 6] |= 1 << (b & 63);
             // Monotone so far and `last` fits, so every offset fits.
-            starts.push(w[0] as u32);
+            starts.push(lo as u32);
         }
     }
     starts.push(last as u32);
@@ -253,10 +259,10 @@ mod tests {
 
     #[test]
     fn from_dense_rejects_what_it_cannot_represent() {
-        assert!(from_dense(&[]).is_err());
-        assert!(from_dense(&[1, 1]).unwrap_err().contains("not 0"));
-        assert!(from_dense(&[0, 5, 3]).unwrap_err().contains("monotone"));
-        assert!(from_dense(&[0, 1 << 32]).unwrap_err().contains("u32"));
+        assert!(from_dense::<u64>(&[]).is_err());
+        assert!(from_dense(&[1u64, 1]).unwrap_err().contains("not 0"));
+        assert!(from_dense(&[0u32, 5, 3]).unwrap_err().contains("monotone"));
+        assert!(from_dense(&[0u64, 1 << 32]).unwrap_err().contains("u32"));
     }
 
     #[test]

@@ -1,36 +1,50 @@
-//! Index construction: modform enumeration → fragment generation →
-//! counting-sort CSR assembly.
+//! Index construction: every fragment generated once, every posting
+//! scattered once, straight into its final slot.
 //!
-//! Construction is two-pass (count bins, then fill), which is both O(ions)
-//! and allocation-exact — there is no over-allocation to distort the memory
-//! figures.
+//! **Pass 1** walks the peptides in id order. Per modform
+//! ([`for_each_modform`]) it generates the fragment m/z
+//! ([`for_each_fragment`]), quantizes each kept one to its bin and appends
+//! the bin to one flat `u32` array while bumping a `u32` bin histogram; the
+//! spectrum's [`SpectrumEntry`] records its precursor mass and how many bins
+//! it appended. Nothing is allocated per modform and no `f64` fragment is
+//! retained — the bins are all pass 2 needs.
 //!
-//! Both passes are embarrassingly parallel per peptide range, and
-//! [`IndexBuilder::build_parallel`] runs them on the shared work-stealing
-//! pool: pass 1 generates theoretical spectra and per-range bin histograms,
-//! a deterministic in-order merge turns the histograms into global CSR
-//! offsets plus disjoint per-range write cursors, and pass 2 fills each
-//! range's posting slots concurrently. Because ranges are merged in peptide
-//! order and every (range, bin) cursor window is carved from the same
-//! prefix sums, the resulting CSR arrays are **byte-identical for every
-//! thread count** (tested) — including the sequential [`IndexBuilder::build`].
+//! **Entry ids are assigned in ascending precursor-mass order**, by a
+//! stable sort over the peptide-major modform-minor pass-1 order, so equal
+//! masses keep that order. The payoff is the banded query kernel — with
+//! ids ordered by mass, a closed search binary-searches every bin's posting
+//! list down to its precursor window instead of scanning the whole bin
+//! (see [`crate::query`]). Peptide and modform ids are untouched; only the
+//! internal entry numbering changes.
 //!
-//! **Entry ids are assigned in ascending precursor-mass order** (stable
-//! over the peptide-major pass-1 order for equal masses): between the two
-//! passes a permutation renumbers the entries, pass 2 writes the renumbered
-//! ids, and a final per-bin sort restores each posting list's
-//! ascending-by-id invariant. The payoff is the banded query kernel — with
-//! ids ordered by mass, a closed search binary-searches every bin's
-//! posting list down to its precursor window instead of scanning the whole
-//! bin (see [`crate::query`]). Peptide and modform ids are untouched; only
-//! the internal entry numbering changes.
+//! **Pass 2** walks the entries in that *new* id order and writes
+//! `postings[cursor[bin]++] = id` for each of the entry's bins, the cursors
+//! starting at the histogram's prefix sums. Ids arrive ascending, so every
+//! bin's posting list is ascending as written — the invariant the kernel
+//! binary-searches on needs no sort afterwards.
+//!
+//! [`IndexBuilder::build_parallel`] splits pass 1 into contiguous peptide
+//! ranges (balanced by estimated ions) and pass 2 into contiguous *id*
+//! pieces (balanced by ions). A piece needs its own ions per bin: every
+//! piece but the last counts them in one re-read of its flat bins, the
+//! last takes what is left of pass 1's histogram, and a bin's slots are
+//! handed out to the pieces in piece order. Piece `p`'s ids are all below
+//! piece `p + 1`'s, so the lists stay ascending, and since neither the
+//! bins, the sort nor the slot of any posting depends on where the ranges
+//! and pieces were cut, the index is **identical for every thread count**
+//! (tested) — the sequential [`IndexBuilder::build`] is the same code with
+//! one range and one piece, which is the last: nothing is re-read.
+//!
+//! Construction is allocation-exact (no over-allocation to distort the
+//! memory figures), and its transient memory is 4 bytes per ion of flat
+//! bins plus one `u32` histogram per task.
 
 use crate::bindir;
 use crate::config::SlmConfig;
 use crate::slm::{SlmIndex, SpectrumEntry};
-use lbe_bio::mods::{enumerate_modforms, ModSpec};
+use lbe_bio::mods::{count_modforms, for_each_modform, ModSpec};
 use lbe_bio::peptide::PeptideDb;
-use lbe_spectra::theo::TheoSpectrum;
+use lbe_spectra::theo::for_each_fragment;
 use std::marker::PhantomData;
 
 /// Statistics from one index build.
@@ -50,17 +64,18 @@ pub struct BuildStats {
 struct RangePass1 {
     /// Index entries, in peptide-major modform-minor order within the range.
     entries: Vec<SpectrumEntry>,
-    /// The matching theoretical spectra (consumed by pass 2).
-    spectra: Vec<TheoSpectrum>,
+    /// The bin of every kept fragment, entry after entry: an entry's bins
+    /// are the `num_fragments` following those of the entries before it.
+    bins: Vec<u32>,
     /// Ions per bin contributed by this range (`num_bins` long).
-    bin_counts: Vec<u64>,
+    bin_counts: Vec<u32>,
     /// Fragments outside `max_fragment_mz`.
     dropped: usize,
 }
 
-/// Postings array shared across pass-2 range tasks.
+/// Postings array shared across pass-2 piece tasks.
 ///
-/// Every `(range, bin)` pair owns a disjoint slot window `[cursor,
+/// Every `(piece, bin)` pair owns a disjoint slot window `[cursor,
 /// cursor + count)` carved out of the same prefix sums, so concurrent
 /// writers never alias; the wrapper only exists to hand each task a raw
 /// pointer with bounds checking in debug builds.
@@ -129,125 +144,122 @@ impl IndexBuilder {
         self.build_parallel(db, 1)
     }
 
-    /// Like [`IndexBuilder::build`], with both CSR passes split across
-    /// `num_threads` contiguous peptide ranges on the shared work-stealing
-    /// pool. The produced index is identical for every thread count.
+    /// Like [`IndexBuilder::build`], with both passes split `num_threads`
+    /// ways on the shared work-stealing pool. The produced index is
+    /// identical for every thread count.
     pub fn build_parallel(&mut self, db: &PeptideDb, num_threads: usize) -> SlmIndex {
         assert!(num_threads >= 1, "need at least one thread");
+        self.check_fragment_counts(db);
         let num_bins = self.config.num_bins();
-        let ranges = split_ranges_weighted(db, &self.modspec, num_threads);
+        let this = &*self;
 
-        // Pass 1: per range, generate theoretical spectra and count ions
-        // per bin.
-        let mut pass1: Vec<Option<RangePass1>> = (0..ranges.len()).map(|_| None).collect();
-        if ranges.len() == 1 {
-            let (lo, hi) = ranges[0];
-            pass1[0] = Some(self.pass1_range(db, lo, hi));
-        } else {
-            minipool::scope(|s| {
-                for (slot, &(lo, hi)) in pass1.iter_mut().zip(&ranges) {
-                    let this = &*self;
-                    s.spawn(move |_| *slot = Some(this.pass1_range(db, lo, hi)));
-                }
-            });
-        }
-        let mut pass1: Vec<RangePass1> = pass1
-            .into_iter()
-            .map(|r| r.expect("pass-1 range task did not run"))
-            .collect();
-
-        // Deterministic merge, in range (= peptide) order: entry-id offsets,
-        // global bin totals, total dropped count.
-        let mut entry_offsets = Vec::with_capacity(pass1.len());
-        let mut total_entries = 0usize;
-        let mut dropped = 0usize;
-        let mut bin_totals = vec![0u64; num_bins];
-        for r in &pass1 {
-            entry_offsets.push(total_entries);
-            total_entries += r.entries.len();
-            dropped += r.dropped;
-            for (total, &c) in bin_totals.iter_mut().zip(&r.bin_counts) {
-                *total += c;
-            }
-        }
+        // Pass 1: per peptide range, the entries, their fragments' bins and
+        // the bin histogram.
+        let ranges = split_ranges_weighted(db, &this.modspec, num_threads);
+        let mut pass1 = run_tasks(ranges, |(lo, hi)| this.pass1_range(db, lo, hi));
+        let total_entries: usize = pass1.iter().map(|r| r.entries.len()).sum();
+        let total_ions: usize = pass1.iter().map(|r| r.bins.len()).sum();
+        let dropped: usize = pass1.iter().map(|r| r.dropped).sum();
         assert!(
             total_entries <= u32::MAX as usize,
             "index partition exceeds u32 entry ids; partition the input"
         );
+        assert!(
+            total_ions <= u32::MAX as usize,
+            "index partition exceeds u32 posting offsets; partition the input"
+        );
+        // No bin holds more than `total_ions`, so no `u32` count wrapped.
+        let mut bin_totals = std::mem::take(&mut pass1[0].bin_counts);
+        for r in &mut pass1[1..] {
+            for (total, count) in bin_totals.iter_mut().zip(std::mem::take(&mut r.bin_counts)) {
+                *total += count;
+            }
+        }
+
+        // The pass-1 (peptide-major) order: every entry and its bins.
+        let mut entries_old: Vec<SpectrumEntry> = Vec::with_capacity(total_entries);
+        let mut bins_old: Vec<&[u32]> = Vec::with_capacity(total_entries);
+        for r in &pass1 {
+            let mut rest = &r.bins[..];
+            for e in &r.entries {
+                let (own, after) = rest.split_at(e.num_fragments as usize);
+                bins_old.push(own);
+                rest = after;
+            }
+            entries_old.extend_from_slice(&r.entries);
+        }
 
         // Renumber entries into ascending precursor-mass order. The sort is
         // stable, so equal masses keep the peptide-major modform-minor
         // pass-1 order — the permutation (and with it the whole index) is
         // deterministic and thread-count-independent.
-        let mut entries_old: Vec<SpectrumEntry> = Vec::with_capacity(total_entries);
-        for r in &mut pass1 {
-            entries_old.append(&mut r.entries);
-        }
         let mut order: Vec<u32> = (0..total_entries as u32).collect();
         order.sort_by(|&a, &b| {
             entries_old[a as usize]
                 .precursor_mass
                 .total_cmp(&entries_old[b as usize].precursor_mass)
         });
-        let mut new_of = vec![0u32; total_entries];
-        for (new_id, &old_id) in order.iter().enumerate() {
-            new_of[old_id as usize] = new_id as u32;
-        }
         let mut entries: Vec<SpectrumEntry> = order
             .iter()
             .map(|&old_id| entries_old[old_id as usize])
             .collect();
         drop(entries_old);
-        drop(order);
 
-        // Exclusive prefix sum → CSR offsets; simultaneously convert each
-        // range's per-bin counts into its disjoint write cursor.
-        let mut bin_offsets = vec![0u64; num_bins + 1];
-        let mut acc = 0u64;
-        for (b, offset) in bin_offsets.iter_mut().enumerate().take(num_bins) {
-            *offset = acc;
-            let mut slot = acc;
-            for r in pass1.iter_mut() {
-                let count = r.bin_counts[b];
-                r.bin_counts[b] = slot; // now a cursor, not a count
-                slot += count;
-            }
-            acc = slot;
-        }
-        bin_offsets[num_bins] = acc;
-        assert!(
-            acc <= u32::MAX as u64,
-            "index partition exceeds u32 posting offsets; partition the input"
-        );
-
-        // Pass 2: fill postings, each range through its own (moved-out)
-        // cursors.
-        let mut postings = vec![0u32; acc as usize];
-        let shared = SharedPostings::new(&mut postings);
-        let cursor_vecs: Vec<Vec<u64>> = pass1
-            .iter_mut()
-            .map(|r| std::mem::take(&mut r.bin_counts))
-            .collect();
-        if pass1.len() == 1 {
-            let cursors = cursor_vecs.into_iter().next().expect("one range");
-            self.pass2_range(&pass1[0].spectra, cursors, 0, &new_of, &shared);
-        } else {
-            minipool::scope(|s| {
-                for ((ri, r), cursors) in pass1.iter().enumerate().zip(cursor_vecs) {
-                    let this = &*self;
-                    let shared = &shared;
-                    let new_of = &new_of;
-                    let base = entry_offsets[ri];
-                    s.spawn(move |_| this.pass2_range(&r.spectra, cursors, base, new_of, shared));
+        // Pass 2 runs over contiguous pieces of the new id range, each
+        // needing its own ions per bin: every piece but the last counts
+        // them, and the last piece's are what is left of pass 1's histogram
+        // (all of it when there is one piece).
+        let ions_of: Vec<u64> = entries.iter().map(|e| e.num_fragments as u64).collect();
+        let pieces = split_balanced(&ions_of, num_threads);
+        let mut cursors = run_tasks(pieces[..pieces.len() - 1].to_vec(), |(lo, hi)| {
+            let mut counts = vec![0u32; num_bins];
+            for &old_id in &order[lo..hi] {
+                for &bin in bins_old[old_id as usize] {
+                    counts[bin as usize] += 1;
                 }
-            });
+            }
+            counts
+        });
+        for counts in &cursors {
+            for (left, count) in bin_totals.iter_mut().zip(counts) {
+                *left -= count;
+            }
         }
+        cursors.push(bin_totals);
 
-        // Pass 2 writes renumbered ids in range order, which is no longer
-        // ascending within a bin; a per-bin sort restores the invariant the
-        // banded kernel binary-searches on. Sorting is canonical, so the
-        // result stays identical for every thread count.
-        sort_bin_postings(&bin_offsets, &mut postings, num_threads);
+        // Exclusive prefix sum → CSR offsets; within a bin the slots go to
+        // the pieces in piece (= id) order, turning each piece's counts
+        // into its disjoint write cursors.
+        let mut bin_offsets: Vec<u32> = Vec::with_capacity(num_bins + 1);
+        let mut next = 0u32;
+        for bin in 0..num_bins {
+            bin_offsets.push(next);
+            for piece in &mut cursors {
+                let count = piece[bin];
+                piece[bin] = next; // now a cursor, not a count
+                next += count;
+            }
+        }
+        bin_offsets.push(next);
+        debug_assert_eq!(next as usize, total_ions);
+        // The dense prefix sums were only scaffolding for the fill; the
+        // index keeps the sparse directory.
+        let dir = bindir::from_dense(&bin_offsets).expect("prefix sums form a valid CSR");
+
+        // Pass 2: each piece writes its ids, ascending, through its own
+        // cursors.
+        let mut postings = vec![0u32; total_ions];
+        let shared = SharedPostings::new(&mut postings);
+        let fills: Vec<_> = pieces.into_iter().zip(cursors).collect();
+        run_tasks(fills, |((lo, hi), mut cursors)| {
+            for new_id in lo..hi {
+                for &bin in bins_old[order[new_id] as usize] {
+                    let slot = &mut cursors[bin as usize];
+                    shared.write(*slot as usize, new_id as u32);
+                    *slot += 1;
+                }
+            }
+        });
 
         self.stats = BuildStats {
             peptides: db.len(),
@@ -257,165 +269,102 @@ impl IndexBuilder {
         };
         // Allocation-exact: footprint accounting equates capacity and length.
         entries.shrink_to_fit();
-        // The dense prefix sums were only scaffolding for the two fill
-        // passes; the index keeps the sparse directory.
-        let dir = bindir::from_dense(&bin_offsets).expect("prefix sums form a valid CSR");
         SlmIndex::from_parts(self.config.clone(), entries, dir, postings)
     }
 
-    /// Pass 1 over peptide ids `[lo, hi)`: theoretical spectra, entries,
-    /// per-bin ion counts, dropped-fragment count.
+    /// Fails the build if a spectrum of `db` could hold more fragments than
+    /// [`SpectrumEntry::num_fragments`] counts.
+    fn check_fragment_counts(&self, db: &PeptideDb) {
+        let theo = &self.config.theo;
+        let per_cleavage = (theo.b_ions as usize + theo.y_ions as usize) * theo.charges.len();
+        let longest = db.peptides().iter().map(|p| p.len()).max().unwrap_or(0);
+        assert!(
+            longest.saturating_sub(1).saturating_mul(per_cleavage) <= u16::MAX as usize,
+            "a {longest}-residue peptide exceeds u16 fragments per spectrum; \
+             index fewer fragment charge states or shorter peptides"
+        );
+    }
+
+    /// Pass 1 over peptide ids `[lo, hi)`: entries, the bins of their kept
+    /// fragments, per-bin ion counts, dropped-fragment count.
     fn pass1_range(&self, db: &PeptideDb, lo: u32, hi: u32) -> RangePass1 {
-        let mut entries: Vec<SpectrumEntry> = Vec::new();
-        let mut spectra: Vec<TheoSpectrum> = Vec::new();
-        let mut bin_counts = vec![0u64; self.config.num_bins()];
-        let mut dropped = 0usize;
+        let (config, modspec) = (&self.config, &self.modspec);
+        let mut out = RangePass1 {
+            entries: Vec::new(),
+            bins: Vec::new(),
+            bin_counts: vec![0u32; config.num_bins()],
+            dropped: 0,
+        };
+        // Scratch of the two generators, reused across the range.
+        let (mut site_buf, mut prefix) = (Vec::new(), Vec::new());
         for pid in lo..hi {
-            let pep = db.get(pid);
-            let forms = enumerate_modforms(pep.sequence(), &self.modspec);
-            for (fi, form) in forms.iter().enumerate() {
-                let theo = TheoSpectrum::from_sequence(
-                    pep.sequence(),
-                    form,
-                    &self.modspec,
-                    &self.config.theo,
-                );
-                let mut kept = 0u16;
-                for &mz in &theo.fragment_mzs {
-                    match self.config.bin_of(mz) {
-                        Some(bin) => {
-                            bin_counts[bin as usize] += 1;
-                            kept += 1;
+            let seq = db.get(pid).sequence();
+            let mut modform = 0usize;
+            for_each_modform(seq, modspec, &mut site_buf, |sites, _| {
+                let first = out.bins.len();
+                let mass =
+                    for_each_fragment(seq, sites, modspec, &config.theo, &mut prefix, |mz| {
+                        match config.bin_of(mz) {
+                            Some(bin) => {
+                                out.bin_counts[bin as usize] += 1;
+                                out.bins.push(bin);
+                            }
+                            None => out.dropped += 1,
                         }
-                        None => dropped += 1,
-                    }
-                }
-                entries.push(SpectrumEntry {
+                    });
+                out.entries.push(SpectrumEntry {
                     peptide: pid,
-                    modform: fi as u16,
-                    num_fragments: kept,
-                    precursor_mass: theo.precursor_mass as f32,
+                    modform: modform as u16,
+                    num_fragments: (out.bins.len() - first) as u16,
+                    precursor_mass: mass as f32,
                 });
-                spectra.push(theo);
-            }
-        }
-        RangePass1 {
-            entries,
-            spectra,
-            bin_counts,
-            dropped,
-        }
-    }
-
-    /// Pass 2 for one range: writes the *renumbered* entry id of each
-    /// spectrum (`new_of[entry_base + local index]`) into the range's
-    /// cursor windows, advancing each bin's cursor.
-    fn pass2_range(
-        &self,
-        spectra: &[TheoSpectrum],
-        mut cursors: Vec<u64>,
-        entry_base: usize,
-        new_of: &[u32],
-        postings: &SharedPostings<'_>,
-    ) {
-        for (local_eid, theo) in spectra.iter().enumerate() {
-            let eid = new_of[entry_base + local_eid];
-            for &mz in &theo.fragment_mzs {
-                if let Some(bin) = self.config.bin_of(mz) {
-                    let slot = cursors[bin as usize];
-                    postings.write(slot as usize, eid);
-                    cursors[bin as usize] = slot + 1;
-                }
-            }
-        }
-    }
-}
-
-/// Sorts every bin's posting slice ascending (by renumbered entry id),
-/// splitting the bins into up to `parts` contiguous, postings-balanced
-/// groups on the shared pool. Sorting is canonical over each bin's
-/// multiset, so the output is independent of `parts`.
-fn sort_bin_postings(bin_offsets: &[u64], postings: &mut [u32], parts: usize) {
-    let num_bins = bin_offsets.len() - 1;
-    let total = postings.len() as u64;
-    if total == 0 {
-        return;
-    }
-    let parts = parts.clamp(1, num_bins.max(1));
-    if parts == 1 {
-        for b in 0..num_bins {
-            postings[bin_offsets[b] as usize..bin_offsets[b + 1] as usize].sort_unstable();
-        }
-        return;
-    }
-    // Carve bin groups at ~equal posting counts so one dense mass region
-    // does not serialize the sort behind a single task.
-    let mut tasks: Vec<(usize, usize, &mut [u32])> = Vec::with_capacity(parts);
-    let mut rest = postings;
-    let mut lo_bin = 0usize;
-    let mut consumed = 0u64;
-    for p in 0..parts {
-        if lo_bin >= num_bins {
-            break;
-        }
-        let target = total * (p as u64 + 1) / parts as u64;
-        let mut hi_bin = lo_bin + 1;
-        while hi_bin < num_bins && bin_offsets[hi_bin] < target {
-            hi_bin += 1;
-        }
-        if p == parts - 1 {
-            hi_bin = num_bins;
-        }
-        let end = bin_offsets[hi_bin];
-        let (head, tail) = rest.split_at_mut((end - consumed) as usize);
-        tasks.push((lo_bin, hi_bin, head));
-        rest = tail;
-        consumed = end;
-        lo_bin = hi_bin;
-    }
-    minipool::scope(|s| {
-        for (lo_bin, hi_bin, slice) in tasks {
-            let base = bin_offsets[lo_bin];
-            s.spawn(move |_| {
-                for b in lo_bin..hi_bin {
-                    let from = (bin_offsets[b] - base) as usize;
-                    let to = (bin_offsets[b + 1] - base) as usize;
-                    slice[from..to].sort_unstable();
-                }
+                modform += 1;
             });
         }
-    });
+        out
+    }
 }
 
-/// Splits `0..db.len()` into at most `parts` contiguous ranges balanced by
-/// *estimated pass-1 work* (modform count × sequence length, a proxy for
-/// theoretical ions) rather than by peptide count — a database where
-/// modform-heavy peptides sit clustered (sorted input, one protein family
-/// contiguous) must not serialize the build behind one straggler range.
-/// Ranges are never empty unless `db` is (one empty range then).
-fn split_ranges_weighted(db: &PeptideDb, modspec: &ModSpec, parts: usize) -> Vec<(u32, u32)> {
-    let len = db.len();
+/// Runs `task` on every input — inline when there is at most one,
+/// otherwise concurrently on the shared pool — and returns the results in
+/// input order.
+fn run_tasks<I: Send, T: Send>(inputs: Vec<I>, task: impl Fn(I) -> T + Sync) -> Vec<T> {
+    if inputs.len() <= 1 {
+        return inputs.into_iter().map(task).collect();
+    }
+    let mut results: Vec<Option<T>> = inputs.iter().map(|_| None).collect();
+    minipool::scope(|s| {
+        for (slot, input) in results.iter_mut().zip(inputs) {
+            let task = &task;
+            s.spawn(move |_| *slot = Some(task(input)));
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("pool task did not run"))
+        .collect()
+}
+
+/// Splits `0..weights.len()` into at most `parts` contiguous ranges of
+/// near-equal total weight (a greedy boundary at each `1/parts`-th of the
+/// total). Ranges are never empty unless `weights` is (one empty range
+/// then).
+fn split_balanced(weights: &[u64], parts: usize) -> Vec<(usize, usize)> {
+    let len = weights.len();
     if len == 0 {
         return vec![(0, 0)];
     }
     let parts = parts.min(len);
     if parts == 1 {
-        return vec![(0, len as u32)];
+        return vec![(0, len)];
     }
-    let weights: Vec<u64> = (0..len as u32)
-        .map(|pid| {
-            let p = db.get(pid);
-            let forms = lbe_bio::mods::count_modforms(p.sequence(), modspec) as u64;
-            forms * p.sequence().len().max(1) as u64
-        })
-        .collect();
     let total: u64 = weights.iter().sum();
     let mut ranges = Vec::with_capacity(parts);
     let mut lo = 0usize;
     let mut acc = 0u64;
     for r in 0..parts {
         // Greedy boundary at the next 1/parts-th of total weight, keeping
-        // at least one peptide per remaining range.
+        // at least one item per remaining range.
         let target = total * (r as u64 + 1) / parts as u64;
         let max_hi = len - (parts - 1 - r);
         let mut hi = lo;
@@ -423,14 +372,36 @@ fn split_ranges_weighted(db: &PeptideDb, modspec: &ModSpec, parts: usize) -> Vec
             acc += weights[hi];
             hi += 1;
         }
-        ranges.push((lo as u32, hi as u32));
+        ranges.push((lo, hi));
         lo = hi;
     }
     // Belt and suspenders: the last range absorbs any remainder.
     if lo < len {
-        ranges.last_mut().expect("parts >= 1").1 = len as u32;
+        ranges.last_mut().expect("parts >= 1").1 = len;
     }
     ranges
+}
+
+/// Splits `0..db.len()` into at most `parts` contiguous peptide ranges
+/// balanced by *estimated pass-1 work* (modform count × sequence length, a
+/// proxy for theoretical ions) rather than by peptide count — a database
+/// where modform-heavy peptides sit clustered (sorted input, one protein
+/// family contiguous) must not serialize the build behind one straggler
+/// range. Ranges are never empty unless `db` is (one empty range then).
+fn split_ranges_weighted(db: &PeptideDb, modspec: &ModSpec, parts: usize) -> Vec<(u32, u32)> {
+    // Peptide ids are `u32` (`PeptideDb` enforces it).
+    if parts.min(db.len()) <= 1 {
+        // A single range is the whole database, whatever the weights.
+        return vec![(0, db.len() as u32)];
+    }
+    let weight = |p: &lbe_bio::peptide::Peptide| {
+        count_modforms(p.sequence(), modspec) as u64 * p.len().max(1) as u64
+    };
+    let weights: Vec<u64> = db.peptides().iter().map(weight).collect();
+    split_balanced(&weights, parts)
+        .into_iter()
+        .map(|(lo, hi)| (lo as u32, hi as u32))
+        .collect()
 }
 
 #[cfg(test)]
@@ -655,5 +626,253 @@ mod tests {
         let reference = seq_b.build(&d);
         let mut par_b = IndexBuilder::new(SlmConfig::default(), spec);
         assert_eq!(par_b.build_parallel(&d, 4), reference);
+    }
+
+    /// The build as it stood before the one-scatter rewrite, kept as the
+    /// oracle: a sorted `TheoSpectrum` per modform, the stable mass sort,
+    /// a fill in peptide order writing renumbered ids, then a sort of every
+    /// bin's postings.
+    fn build_reference(
+        config: &SlmConfig,
+        spec: &ModSpec,
+        db: &PeptideDb,
+    ) -> (SlmIndex, BuildStats) {
+        let mut old: Vec<(SpectrumEntry, Vec<u32>)> = Vec::new();
+        let mut dropped = 0usize;
+        for (pid, pep) in db.iter() {
+            let forms = lbe_bio::mods::enumerate_modforms(pep.sequence(), spec);
+            for (fi, form) in forms.iter().enumerate() {
+                let theo = lbe_spectra::theo::TheoSpectrum::from_sequence(
+                    pep.sequence(),
+                    form,
+                    spec,
+                    &config.theo,
+                );
+                let mzs = &theo.fragment_mzs;
+                let bins: Vec<u32> = mzs.iter().filter_map(|&mz| config.bin_of(mz)).collect();
+                dropped += mzs.len() - bins.len();
+                let entry = SpectrumEntry {
+                    peptide: pid,
+                    modform: fi as u16,
+                    num_fragments: bins.len() as u16,
+                    precursor_mass: theo.precursor_mass as f32,
+                };
+                old.push((entry, bins));
+            }
+        }
+        let mut order: Vec<usize> = (0..old.len()).collect();
+        order.sort_by(|&a, &b| old[a].0.precursor_mass.total_cmp(&old[b].0.precursor_mass));
+        let mut new_of = vec![0u32; old.len()];
+        for (new_id, &old_id) in order.iter().enumerate() {
+            new_of[old_id] = new_id as u32;
+        }
+        let mut per_bin: Vec<Vec<u32>> = vec![Vec::new(); config.num_bins()];
+        for (old_id, (_, bins)) in old.iter().enumerate() {
+            for &bin in bins {
+                per_bin[bin as usize].push(new_of[old_id]);
+            }
+        }
+        let mut bin_offsets = vec![0u64];
+        let mut postings = Vec::new();
+        for list in &mut per_bin {
+            list.sort_unstable();
+            postings.extend_from_slice(list);
+            bin_offsets.push(postings.len() as u64);
+        }
+        let stats = BuildStats {
+            peptides: db.len(),
+            spectra: old.len(),
+            ions: postings.len(),
+            dropped_fragments: dropped,
+        };
+        postings.shrink_to_fit();
+        let entries = order.iter().map(|&old_id| old[old_id].0).collect();
+        let dir = bindir::from_dense(&bin_offsets).unwrap();
+        let index = SlmIndex::from_parts(config.clone(), entries, dir, postings);
+        (index, stats)
+    }
+
+    /// Two mods on one residue (N), so a position has two candidate sites.
+    fn two_mods_on_one_residue() -> ModSpec {
+        use lbe_bio::mods::{ModType, VariableMod};
+        ModSpec {
+            mods: vec![
+                VariableMod::new(ModType::Deamidation, b"NQ"),
+                VariableMod::new(ModType::Custom(10.0), b"NK"),
+            ],
+            max_mods_per_peptide: 3,
+            max_modforms_per_peptide: 40,
+        }
+    }
+
+    /// New build ≡ reference build — index and stats — at every thread
+    /// count, including more threads than peptides.
+    fn check_against_reference(
+        config: &SlmConfig,
+        spec: &ModSpec,
+        d: &PeptideDb,
+    ) -> Result<(), String> {
+        let (reference, ref_stats) = build_reference(config, spec, d);
+        reference.validate()?;
+        for threads in [1, 2, 3, 8, d.len() + 5] {
+            let mut b = IndexBuilder::new(config.clone(), spec.clone());
+            let index = b.build_parallel(d, threads);
+            if index != reference || b.stats() != ref_stats {
+                return Err(format!(
+                    "{threads} threads: index or stats ({:?} vs {ref_stats:?}) differ from the reference",
+                    b.stats()
+                ));
+            }
+            if index.heap_bytes() != reference.heap_bytes() {
+                return Err(format!("{threads} threads: allocation not exact"));
+            }
+        }
+        Ok(())
+    }
+
+    fn theo_variants() -> [lbe_spectra::theo::TheoParams; 4] {
+        use lbe_spectra::theo::TheoParams;
+        [
+            TheoParams {
+                y_ions: false,
+                ..TheoParams::default()
+            },
+            TheoParams {
+                b_ions: false,
+                ..TheoParams::default()
+            },
+            TheoParams::default(),
+            TheoParams::with_doubly_charged(),
+        ]
+    }
+
+    #[test]
+    fn matches_reference_on_the_awkward_inputs() {
+        let specs = [
+            ModSpec::none(),
+            ModSpec::oxidation_only(),
+            ModSpec::paper_default(),
+            two_mods_on_one_residue(),
+        ];
+        // Duplicates and I/L isobars (equal masses: peptide-major,
+        // modform-minor order must survive), a single-residue peptide (no
+        // fragments), mod-rich peptides, and the empty database.
+        let awkward = db(&[
+            "PEPTLDEK",
+            "PEPTIDEK",
+            "K",
+            "PEPTIDEK",
+            "MNKQMCNQK",
+            "NNK",
+            "PEPTLDEK",
+            "GG",
+            "MMMNK",
+        ]);
+        // 1300 Da keeps every fragment of these peptides, 300 Da drops
+        // most; the default axis (4× the bins) runs once.
+        let config = |max_fragment_mz, theo| SlmConfig {
+            max_fragment_mz,
+            theo,
+            ..SlmConfig::default()
+        };
+        for spec in &specs {
+            for theo in theo_variants() {
+                check_against_reference(&config(1300.0, theo), spec, &awkward).unwrap();
+            }
+            let doubly = lbe_spectra::theo::TheoParams::with_doubly_charged();
+            check_against_reference(&config(300.0, doubly), spec, &awkward).unwrap();
+        }
+        check_against_reference(&SlmConfig::default(), &specs[2], &awkward).unwrap();
+        check_against_reference(&SlmConfig::default(), &specs[2], &PeptideDb::new()).unwrap();
+        // Bins so coarse that a spectrum lands several fragments in one:
+        // its id must then repeat, adjacently, in that bin's list.
+        let coarse = SlmConfig {
+            resolution: 50.0,
+            ..SlmConfig::default()
+        };
+        check_against_reference(&coarse, &specs[2], &awkward).unwrap();
+        let index = IndexBuilder::new(coarse.clone(), ModSpec::none()).build(&awkward);
+        let repeats = |bin| index.bin_postings(bin).windows(2).any(|w| w[0] == w[1]);
+        assert!((0..coarse.num_bins() as u32).any(repeats));
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Random databases (with duplicates and I/L twins) × mod specs ×
+            /// fragment series × `max_fragment_mz` (low ones drop
+            /// fragments) × thread counts: the one-scatter build equals the
+            /// reference. A failure prints the seed to replay it with
+            /// (`PROPTEST_SEED`).
+            #[test]
+            fn build_matches_reference(
+                seqs in prop::collection::vec("[ACDEFGHIKLMNPQRSTVWY]{1,16}", 0..10),
+                twins in prop::collection::vec(0usize..64, 0..4),
+                spec_ix in 0usize..4,
+                theo_ix in 0usize..4,
+                axis_ix in 0usize..4,
+            ) {
+                let mut seqs = seqs;
+                for t in twins {
+                    if !seqs.is_empty() {
+                        let twin = seqs[t % seqs.len()].replace('I', "L");
+                        seqs.insert(t % seqs.len(), twin);
+                    }
+                }
+                let refs: Vec<&str> = seqs.iter().map(String::as_str).collect();
+                let spec = [
+                    ModSpec::none(),
+                    ModSpec::oxidation_only(),
+                    ModSpec::paper_default(),
+                    two_mods_on_one_residue(),
+                ][spec_ix]
+                    .clone();
+                let config = SlmConfig {
+                    max_fragment_mz: [300.0, 300.0, 1000.0, 5100.0][axis_ix],
+                    theo: theo_variants()[theo_ix].clone(),
+                    ..SlmConfig::default()
+                };
+                let outcome = check_against_reference(&config, &spec, &db(&refs));
+                prop_assert!(outcome.is_ok(), "{:?} on {:?}", outcome, seqs);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u16 fragments per spectrum")]
+    fn more_fragments_than_u16_counts_fails_the_build() {
+        // 2 series × 299 cleavages × 110 charge states = 65 780 > 65 535.
+        let config = SlmConfig {
+            theo: lbe_spectra::theo::TheoParams {
+                charges: (1..=110).collect(),
+                ..Default::default()
+            },
+            ..SlmConfig::default()
+        };
+        let long = "G".repeat(300);
+        IndexBuilder::new(config, ModSpec::none()).build(&db(&["PEPTIDEK", &long]));
+    }
+
+    #[test]
+    fn fragment_count_at_the_u16_limit_builds() {
+        // 1 series × 257 cleavages × 255 charge states = 65 535 exactly,
+        // none dropped.
+        let config = SlmConfig {
+            max_fragment_mz: 20_000.0,
+            theo: lbe_spectra::theo::TheoParams {
+                y_ions: false,
+                charges: (1..=255).collect(),
+                ..Default::default()
+            },
+            ..SlmConfig::default()
+        };
+        let mut b = IndexBuilder::new(config, ModSpec::none());
+        let index = b.build(&db(&["G".repeat(258).as_str()]));
+        assert_eq!(index.entry(0).num_fragments, u16::MAX);
+        assert_eq!(b.stats().ions, u16::MAX as usize);
     }
 }

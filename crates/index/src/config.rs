@@ -49,13 +49,20 @@ impl SlmConfig {
         (self.max_fragment_mz / self.resolution).ceil() as usize + 1
     }
 
-    /// Quantizes an m/z value to its bin, or `None` if out of range.
+    /// Quantizes an m/z value to its bin — `mz / resolution` rounded half
+    /// away from zero — or `None` if out of range.
+    ///
+    /// The builder calls this once per ion, so the rounding is spelled
+    /// without libm's `round`: truncate, then compare the fraction, which
+    /// `x − trunc(x)` yields exactly for any finite `x ≥ 0`.
     #[inline]
     pub fn bin_of(&self, mz: f64) -> Option<u32> {
         if !(0.0..=self.max_fragment_mz).contains(&mz) {
             return None;
         }
-        Some((mz / self.resolution).round() as u32)
+        let x = mz / self.resolution;
+        let below = x as u32; // saturating, like the `as u32` of a rounded x
+        Some(below.saturating_add((x - below as f64 >= 0.5) as u32))
     }
 
     /// Half-width of the fragment tolerance window, in bins.
@@ -121,6 +128,58 @@ mod tests {
         assert_eq!(c.bin_of(100.004), Some(10_000));
         assert_eq!(c.bin_of(100.006), Some(10_001));
         assert_eq!(c.bin_of(0.0), Some(0));
+    }
+
+    #[test]
+    fn bin_quantization_is_bit_equal_to_libm_round() {
+        let oracle = |c: &SlmConfig, mz: f64| {
+            (0.0..=c.max_fragment_mz)
+                .contains(&mz)
+                .then(|| (mz / c.resolution).round() as u32)
+        };
+        let coarse = SlmConfig {
+            resolution: 0.3,
+            max_fragment_mz: 2000.0,
+            ..SlmConfig::default()
+        };
+        // A resolution so fine the quotient passes u32: both saturate.
+        let tiny = SlmConfig {
+            resolution: 1e-7,
+            ..SlmConfig::default()
+        };
+        for c in [SlmConfig::default(), coarse, tiny] {
+            let bins = c.num_bins().min(600_000) as u32;
+            for bin in (0..bins).step_by(997).chain(bins.saturating_sub(3)..bins) {
+                // Every half-bin boundary, its neighbours one ulp either
+                // side, and the same around the bin centre.
+                for at in [bin as f64 + 0.5, bin as f64] {
+                    let mz = at * c.resolution;
+                    for probe in [mz.next_down(), mz, mz.next_up()] {
+                        assert_eq!(
+                            c.bin_of(probe),
+                            oracle(&c, probe),
+                            "{probe:e} / {}",
+                            c.resolution
+                        );
+                    }
+                }
+            }
+            let max = c.max_fragment_mz;
+            for mz in [0.0, -0.0, f64::MIN_POSITIVE, max, max.next_down()] {
+                assert_eq!(c.bin_of(mz), oracle(&c, mz), "{mz:e}");
+                assert!(c.bin_of(mz).is_some());
+            }
+            for mz in [
+                max.next_up(),
+                -1e-300,
+                -1.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ] {
+                assert_eq!(c.bin_of(mz), None, "{mz:e}");
+            }
+        }
     }
 
     #[test]

@@ -58,6 +58,63 @@ pub struct TheoSpectrum {
     pub precursor_mass: f64,
 }
 
+/// Generates the fragment m/z of `seq` carrying the modform `sites`
+/// (`(position, mod index into spec.mods)`, position-sorted, at most one
+/// per position — a [`ModForm`]'s `sites`), passing each to `emit`, and
+/// returns the neutral precursor mass including modification deltas.
+///
+/// Fragments come out in generation order — per charge state, per
+/// cleavage, b before y — not sorted; nothing is allocated once `prefix`
+/// (scratch the caller reuses across spectra) has grown to the longest
+/// sequence. This is the one definition of the fragment arithmetic:
+/// [`TheoSpectrum::from_sequence`] is this, collected and sorted.
+///
+/// Panics on an empty sequence, a zero charge state, or non-standard
+/// residues — upstream digestion guarantees standard sequences.
+pub fn for_each_fragment<F: FnMut(f64)>(
+    seq: &[u8],
+    sites: &[(u16, u8)],
+    spec: &ModSpec,
+    params: &TheoParams,
+    prefix: &mut Vec<f64>,
+    mut emit: F,
+) -> f64 {
+    let n = seq.len();
+    assert!(n >= 1, "cannot fragment an empty peptide");
+
+    // Prefix sums over per-residue masses including modification deltas:
+    // prefix[i] = mass of residues 0..i.
+    prefix.clear();
+    prefix.push(0.0f64);
+    let mut acc = 0.0f64;
+    let mut sites = sites.iter().peekable();
+    for (i, &c) in seq.iter().enumerate() {
+        let delta = match sites.next_if(|&&(pos, _)| pos as usize == i) {
+            Some(&(_, mi)) => spec.mods[mi as usize].mod_type.delta_mass(),
+            None => 0.0,
+        };
+        acc += residue_mass_unchecked(c) + delta;
+        prefix.push(acc);
+    }
+    let total = prefix[n];
+
+    for &z in &params.charges {
+        assert!(z >= 1, "fragment charge must be >= 1");
+        let zf = z as f64;
+        for i in 1..n {
+            if params.b_ions {
+                let neutral = prefix[i]; // b ion: prefix, no water
+                emit((neutral + zf * PROTON_MASS) / zf);
+            }
+            if params.y_ions {
+                let neutral = total - prefix[n - i] + WATER_MASS; // y_i: last i residues
+                emit((neutral + zf * PROTON_MASS) / zf);
+            }
+        }
+    }
+    total + WATER_MASS
+}
+
 impl TheoSpectrum {
     /// Predicts the spectrum of `seq` carrying `modform` (interpreted under
     /// `spec`), with fragment series per `params`.
@@ -70,42 +127,18 @@ impl TheoSpectrum {
         spec: &ModSpec,
         params: &TheoParams,
     ) -> Self {
-        let n = seq.len();
-        assert!(n >= 1, "cannot fragment an empty peptide");
-
-        // Per-residue masses including modification deltas.
-        let masses: Vec<f64> = seq
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| residue_mass_unchecked(c) + modform.delta_at(i as u16, spec))
-            .collect();
-
-        // Prefix sums: prefix[i] = mass of residues 0..i.
-        let mut prefix = Vec::with_capacity(n + 1);
-        prefix.push(0.0f64);
-        for &m in &masses {
-            prefix.push(prefix.last().unwrap() + m);
-        }
-        let total = prefix[n];
-        let precursor_mass = total + WATER_MASS;
-
-        let series =
-            (n - 1) * (params.b_ions as usize + params.y_ions as usize) * params.charges.len();
+        let series = seq.len().saturating_sub(1)
+            * (params.b_ions as usize + params.y_ions as usize)
+            * params.charges.len();
         let mut mzs = Vec::with_capacity(series);
-        for &z in &params.charges {
-            assert!(z >= 1, "fragment charge must be >= 1");
-            let zf = z as f64;
-            for i in 1..n {
-                if params.b_ions {
-                    let neutral = prefix[i]; // b ion: prefix, no water
-                    mzs.push((neutral + zf * PROTON_MASS) / zf);
-                }
-                if params.y_ions {
-                    let neutral = total - prefix[n - i] + WATER_MASS; // y_i: last i residues
-                    mzs.push((neutral + zf * PROTON_MASS) / zf);
-                }
-            }
-        }
+        let precursor_mass = for_each_fragment(
+            seq,
+            &modform.sites,
+            spec,
+            params,
+            &mut Vec::with_capacity(seq.len() + 1),
+            |mz| mzs.push(mz),
+        );
         mzs.sort_by(|a, b| a.partial_cmp(b).expect("fragment m/z are finite"));
         TheoSpectrum {
             fragment_mzs: mzs,
@@ -268,6 +301,74 @@ mod tests {
         );
         for (a, b) in modded.fragment_mzs.iter().zip(plain.fragment_mzs.iter()) {
             assert!((a - b - 100.0).abs() < 1e-9);
+        }
+    }
+
+    /// The arithmetic as it stood before [`for_each_fragment`]: a residue
+    /// mass vector with a `delta_at` lookup per residue, then prefix sums.
+    fn reference_spectrum(
+        seq: &[u8],
+        modform: &ModForm,
+        spec: &ModSpec,
+        params: &TheoParams,
+    ) -> TheoSpectrum {
+        let n = seq.len();
+        let mut prefix = vec![0.0f64];
+        for (i, &c) in seq.iter().enumerate() {
+            let m = residue_mass_unchecked(c) + modform.delta_at(i as u16, spec);
+            prefix.push(prefix[i] + m);
+        }
+        let total = prefix[n];
+        let mut mzs = Vec::new();
+        for &z in &params.charges {
+            let zf = z as f64;
+            for i in 1..n {
+                if params.b_ions {
+                    mzs.push((prefix[i] + zf * PROTON_MASS) / zf);
+                }
+                if params.y_ions {
+                    mzs.push((total - prefix[n - i] + WATER_MASS + zf * PROTON_MASS) / zf);
+                }
+            }
+        }
+        mzs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        TheoSpectrum {
+            fragment_mzs: mzs,
+            precursor_mass: total + WATER_MASS,
+        }
+    }
+
+    #[test]
+    fn generator_is_bit_equal_to_reference_arithmetic() {
+        let spec = ModSpec::paper_default();
+        let all = TheoParams::with_doubly_charged();
+        let b_only = TheoParams {
+            y_ions: false,
+            charges: vec![2, 1, 3],
+            ..Default::default()
+        };
+        let mut prefix = Vec::new();
+        for seq in [&b"MNKQMCNQK"[..], b"ELVISLIVESK", b"K", b"NK", b"WWCMMQNK"] {
+            for form in enumerate_modforms(seq, &spec) {
+                for params in [&TheoParams::default(), &all, &b_only] {
+                    let want = reference_spectrum(seq, &form, &spec, params);
+                    let got = TheoSpectrum::from_sequence(seq, &form, &spec, params);
+                    let bits = |t: &TheoSpectrum| -> Vec<u64> {
+                        t.fragment_mzs.iter().map(|m| m.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "{form:?}");
+                    assert_eq!(got.precursor_mass.to_bits(), want.precursor_mass.to_bits());
+                    // The generator itself: same multiset, scratch reused.
+                    let mut raw = Vec::new();
+                    let mass =
+                        for_each_fragment(seq, &form.sites, &spec, params, &mut prefix, |mz| {
+                            raw.push(mz)
+                        });
+                    raw.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    assert_eq!(raw, want.fragment_mzs);
+                    assert_eq!(mass.to_bits(), want.precursor_mass.to_bits());
+                }
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 use lbe::bio::aa::{neutral_mass_from_mz, peptide_neutral_mass, precursor_mz};
 use lbe::bio::digest::{cleavage_sites, digest_protein, DigestParams, Enzyme};
 use lbe::bio::fasta::{read_fasta, write_fasta, Protein};
-use lbe::bio::mods::{enumerate_modforms, ModSpec};
+use lbe::bio::mods::{count_modforms, enumerate_modforms, ModSpec, ModType, VariableMod};
 use lbe::bio::peptide::{Peptide, PeptideDb};
 use lbe::core::distance::{edit_distance, edit_distance_bounded};
 use lbe::core::grouping::{group_peptides, Grouping, GroupingCriterion, GroupingParams};
@@ -166,6 +166,35 @@ proptest! {
         for f in &forms {
             prop_assert!(f.num_mods() <= spec.max_mods_per_peptide);
         }
+    }
+
+    /// The closed-form count is the enumeration's length for every cap —
+    /// including caps the walk overshoots (it visits two forms before it
+    /// first looks at the cap) — and with two mods competing for a residue.
+    #[test]
+    fn count_modforms_equals_enumeration_length(
+        seq in prop::collection::vec(prop::sample::select(b"AGMNQKCW".to_vec()), 1..=10),
+        cap in prop::sample::select(vec![1usize, 2, 7, 128, usize::MAX]),
+        max_mods in 0usize..=5,
+        spec_ix in 0usize..3,
+    ) {
+        let two_on_one = ModSpec {
+            mods: vec![
+                VariableMod::new(ModType::Deamidation, b"NQ"),
+                VariableMod::new(ModType::Custom(10.0), b"NK"),
+            ],
+            ..ModSpec::none()
+        };
+        let spec = ModSpec {
+            max_mods_per_peptide: max_mods,
+            max_modforms_per_peptide: cap,
+            ..[ModSpec::oxidation_only(), ModSpec::paper_default(), two_on_one][spec_ix].clone()
+        };
+        prop_assert_eq!(
+            count_modforms(&seq, &spec),
+            enumerate_modforms(&seq, &spec).len(),
+            "{:?} under {:?}", String::from_utf8_lossy(&seq), spec
+        );
     }
 
     // ---------- theoretical spectra ----------

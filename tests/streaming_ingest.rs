@@ -63,6 +63,40 @@ fn golden_corpus_cli_reports_match_committed() {
     }
 }
 
+/// `lbe index` over the checked-in corpus must write the exact bytes the
+/// committed length + CRC32 pairs describe — one chunk and many, with and
+/// without modforms. The search goldens above only pin what a search
+/// *finds*; this pins entry order, posting order and the container layout.
+#[test]
+fn golden_corpus_index_bytes_match_committed() {
+    let d = tmpdir("index_crc");
+    let p = |n: &str| d.join(n).to_string_lossy().to_string();
+    cli(&format!(
+        "digest --in {} --out {}",
+        data("corpus.fasta"),
+        p("pep.fasta")
+    ));
+    let want = std::fs::read_to_string(data("expected_index.crc")).unwrap();
+    let rows: Vec<&str> = want.lines().filter(|l| !l.starts_with('#')).collect();
+    assert_eq!(rows.len(), 4, "expected_index.crc lost a row");
+    for row in rows {
+        let f: Vec<&str> = row.split('\t').collect();
+        let (mods, chunk, bytes, crc) = (f[0], f[1], f[2], f[3]);
+        let chunk_flag = match chunk {
+            "default" => String::new(),
+            n => format!(" --chunk-size {n}"),
+        };
+        cli(&format!(
+            "index --db {} --out {} --mods {mods}{chunk_flag}",
+            p("pep.fasta"),
+            p("c.lbe")
+        ));
+        let got = std::fs::read(p("c.lbe")).unwrap();
+        let got = format!("{}\t{:08x}", got.len(), lbe::index::format::crc32(&got));
+        assert_eq!(got, format!("{bytes}\t{crc}"), "index bytes drifted: {row}");
+    }
+}
+
 /// `lbe simulate --csv` over the checked-in corpus must reproduce the
 /// committed virtual-time report byte for byte: query and execution
 /// makespans, load imbalance and cPSMs are deterministic outputs of the
