@@ -12,6 +12,9 @@
 //! * **Shuffling**: permute the interior residues (again fixing the
 //!   C-terminus), seeded for reproducibility; used when reversal would
 //!   collide with a palindromic target.
+//!
+//! Reached by: `examples/fdr_search.rs` only (with `lbe_core::fdr`); no CLI
+//! command builds a decoy database yet.
 
 use crate::peptide::{Peptide, PeptideDb};
 use rand::seq::SliceRandom;

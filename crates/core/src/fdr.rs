@@ -4,6 +4,10 @@
 //! concatenated target+decoy database, sort PSMs by score, and estimate
 //! `FDR(s) = (#decoys ≥ s) / (#targets ≥ s)`; the q-value of a PSM is the
 //! minimum FDR at which it would be accepted (monotone envelope).
+//!
+//! Reached by: `examples/fdr_search.rs` only (with `lbe_bio::decoy`). No
+//! CLI command reports q-values yet — `lbe search --fdr` is the open
+//! roadmap item that would either wire this in or remove it.
 
 /// One scored identification for FDR purposes.
 #[derive(Debug, Clone, Copy, PartialEq)]

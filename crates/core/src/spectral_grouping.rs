@@ -14,6 +14,10 @@
 //! Because the measure operates on the same bins the index queries, two
 //! peptides land in one group *iff* their indexed spectra genuinely collide
 //! with the same queries — sequence similarity is only a proxy for that.
+//!
+//! Reached by: the `ablation_grouping` figure binary (`crates/bench`) only.
+//! No CLI command or engine path groups at spectra level; the module stays
+//! as long as that binary does.
 
 use crate::grouping::Grouping;
 use lbe_bio::mods::{ModForm, ModSpec};

@@ -70,7 +70,9 @@ impl<'a> BinDirectory<'a> {
     }
 
     /// The dense `num_bins + 1` CSR row pointers this directory encodes —
-    /// what the legacy `binoffs` layouts store.
+    /// what the legacy layouts store, and so what the test-support writers
+    /// of those layouts emit.
+    #[cfg(test)]
     pub(crate) fn dense_offsets(&self, num_bins: usize) -> impl Iterator<Item = u64> + 'a {
         let (bitmap, starts) = (self.bitmap, self.starts);
         let mut k = 0usize;

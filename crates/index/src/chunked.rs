@@ -8,11 +8,18 @@
 //! LBE exists to fix that — but per-node it remains useful, and the paper's
 //! Fig. 3 notes "the data may be further partitioned at each node according
 //! to the scheme shown in Fig. 1". This module implements that per-node
-//! scheme, and — via [`ChunkedIndex::write_path`] / [`ChunkStore`] — the
-//! §II-B observation that chunks "may be stored on disks when not in use":
-//! a [`ChunkStore`] holds at most a configured number of chunks resident,
-//! faulting them in from the container on demand and evicting
-//! least-recently-used ones.
+//! scheme with one type per job:
+//!
+//! * [`ChunkedIndex`] **builds**: it is what [`ChunkedIndex::build`] hands
+//!   the writers — [`ChunkedIndex::write_path`] for an `LBECHK2` file, the
+//!   generation store of [`crate::lifecycle`] for an `LBECHK3` directory.
+//!   It neither opens nor searches anything.
+//! * [`ChunkStore`] **opens and searches** both container kinds, and is the
+//!   only thing that does: the §II-B observation that chunks "may be stored
+//!   on disks when not in use" made real. It holds at most a configured
+//!   number of chunks resident, faulting them in from the container on
+//!   demand and evicting least-recently-used ones; a budget of
+//!   `usize::MAX` is the all-resident index.
 //!
 //! # Container layout (`LBECHK2`)
 //!
@@ -28,11 +35,13 @@
 //! "chk00000"…  one complete LBESLM2 container per chunk, 64-byte aligned
 //! ```
 //!
-//! Because each blob is itself a v2 container at an aligned offset, an
-//! eager [`ChunkedIndex::open_path`] reads the whole file once and backs
-//! every chunk with views into one shared arena, while a lazy
 //! [`ChunkStore::open_path`] reads only the header, table, and metadata
-//! sections (a few KB) and leaves the blobs on disk.
+//! sections (a few KB) and leaves the blobs on disk; because each blob is
+//! itself a v2 container at an aligned offset, a fault is one read into an
+//! aligned arena that the chunk's arrays then view in place. The
+//! "gidoffs" + "gids" pair is shared with the `LBECHK3` manifest, which is
+//! why its encode and decode (`gid_csr_bytes`, `gid_csr_from_bytes`) live
+//! here once.
 
 use crate::builder::IndexBuilder;
 use crate::config::SlmConfig;
@@ -40,7 +49,7 @@ use crate::footprint::StorageFootprint;
 use crate::format::{
     content_hash64, section_name, AlignedBuf, FileContainer, ParsedContainer, Section, SectionPlan,
 };
-use crate::io::{self, ReadOptions, MAGIC_CHUNKED, MAGIC_V2};
+use crate::io::{self, ReadOptions, MAGIC_CHUNKED, MAGIC_V2, SEC_CONFIG};
 use crate::lifecycle::BlobRef;
 use crate::query::{QueryOptions, QueryStats, SearchResult, Searcher};
 use crate::slm::SlmIndex;
@@ -51,10 +60,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const SEC_CONFIG: [u8; 8] = section_name("config");
-const SEC_BOUNDS: [u8; 8] = section_name("bounds");
-const SEC_GIDOFFS: [u8; 8] = section_name("gidoffs");
-const SEC_GIDS: [u8; 8] = section_name("gids");
+pub(crate) const SEC_BOUNDS: [u8; 8] = section_name("bounds");
+pub(crate) const SEC_GIDOFFS: [u8; 8] = section_name("gidoffs");
+pub(crate) const SEC_GIDS: [u8; 8] = section_name("gids");
 
 /// Largest chunk count the `chk%05d` section naming supports.
 const MAX_CHUNKS: usize = 100_000;
@@ -71,27 +79,12 @@ fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-/// Chunk indices whose mass range intersects `[mass − tol, mass + tol]`,
-/// ascending. For an open search (infinite `tol`) this is all of them.
-fn chunks_overlapping(boundaries: &[f64], num_chunks: usize, mass: f64, tol: f64) -> Vec<usize> {
-    if tol.is_infinite() {
-        return (0..num_chunks).collect();
-    }
-    let lo = mass - tol;
-    let hi = mass + tol;
-    (0..num_chunks)
-        .filter(|&i| {
-            // chunk i spans (boundaries[i] exclusive-ish, boundaries[i+1]]
-            // — use closed overlap to be conservative at boundaries.
-            boundaries[i] <= hi && lo <= boundaries[i + 1]
-        })
-        .collect()
-}
-
-/// [`chunks_overlapping`] generalized to per-chunk `(lo, hi)` intervals —
-/// the same closed-overlap inequality, but chunks need not tile a boundary
-/// ladder: a generation store's delta chunks may overlap each other and
-/// the base generation arbitrarily.
+/// Indices of the chunks whose closed mass-coverage interval intersects
+/// `[mass − tol, mass + tol]`, ascending; all of them for an open search
+/// (infinite `tol`). Closed overlap is conservative at the edges, and the
+/// intervals need not tile: an `LBECHK2` file's are consecutive rungs of its
+/// boundary ladder, a generation store's delta chunks may overlap each
+/// other and the base generation arbitrarily.
 fn intervals_overlapping(intervals: &[(f64, f64)], mass: f64, tol: f64) -> Vec<usize> {
     if tol.is_infinite() {
         return (0..intervals.len()).collect();
@@ -106,18 +99,88 @@ fn intervals_overlapping(intervals: &[(f64, f64)], mass: f64, tol: f64) -> Vec<u
         .collect()
 }
 
-/// Merge helper shared by the in-memory and disk-backed search paths:
-/// sorts candidate PSMs best-first — score descending (total order, so
-/// crafted NaN-bearing inputs cannot panic the merge) with a deterministic
-/// `(peptide, modform)` tie-break that never mentions entry ids, keeping
-/// merged output invariant under the builder's mass renumbering — and
-/// truncates to `top_k`.
-fn finalize_psms(psms: &mut Vec<crate::query::Psm>, top_k: usize) {
-    psms.sort_by(crate::query::rank_cmp);
-    psms.truncate(top_k);
+// ---------------------------------------------------------------------------
+// Metadata section codecs, shared by the `LBECHK2` file and the `LBECHK3`
+// manifest of `crate::lifecycle`.
+// ---------------------------------------------------------------------------
+
+/// Encodes one id table per chunk as the "gidoffs" (`u64` CSR offsets) and
+/// "gids" (flat `u32` ids) section payloads.
+pub(crate) fn gid_csr_bytes(tables: &[Vec<u32>]) -> (Vec<u8>, Vec<u8>) {
+    let mut gidoffs = Vec::with_capacity((tables.len() + 1) * 8);
+    let mut gids = Vec::new();
+    let mut acc = 0u64;
+    gidoffs.extend_from_slice(&acc.to_le_bytes());
+    for table in tables {
+        acc += table.len() as u64;
+        gidoffs.extend_from_slice(&acc.to_le_bytes());
+        for &g in table {
+            gids.extend_from_slice(&g.to_le_bytes());
+        }
+    }
+    (gidoffs, gids)
 }
 
-/// A mass-partitioned sequence of SLM indices.
+/// Decodes [`gid_csr_bytes`]' payloads (already CRC-verified) back into one
+/// id table per chunk, rejecting anything that is not a CSR of exactly
+/// `num_chunks` rows over the whole id table.
+pub(crate) fn gid_csr_from_bytes(
+    gidoffs: &[u8],
+    gids: &[u8],
+    num_chunks: usize,
+) -> std::io::Result<Vec<Vec<u32>>> {
+    if !gidoffs.len().is_multiple_of(8) || gidoffs.len() / 8 != num_chunks + 1 {
+        return Err(bad("gidoffs section does not match the chunk count"));
+    }
+    if !gids.len().is_multiple_of(4) {
+        return Err(bad("gids section length is not a whole u32 count"));
+    }
+    let offs = io::decode_u64s(gidoffs);
+    let all = io::decode_u32s(gids);
+    if offs.windows(2).any(|w| w[0] > w[1])
+        || offs.first() != Some(&0)
+        || offs.last() != Some(&(all.len() as u64))
+    {
+        return Err(bad("gid offsets are not a valid CSR over the id table"));
+    }
+    Ok(offs
+        .windows(2)
+        .map(|w| all[w[0] as usize..w[1] as usize].to_vec())
+        .collect())
+}
+
+/// What a boundary ladder means for chunk selection: chunk i covers the
+/// closed interval `[boundaries[i], boundaries[i+1]]` (first edge 0, last
+/// +∞). A generation store records these per chunk, so a [`ChunkStore`]
+/// over a freshly built store selects exactly the chunks it would over the
+/// equivalent `LBECHK2` file.
+pub(crate) fn ladder_intervals(boundaries: &[f64]) -> Vec<(f64, f64)> {
+    boundaries.windows(2).map(|w| (w[0], w[1])).collect()
+}
+
+/// Decodes the "bounds" payload (already CRC-verified) — `num_chunks + 1`
+/// NaN-free, non-decreasing mass boundaries — into [`ladder_intervals`].
+pub(crate) fn bounds_from_bytes(
+    bounds: &[u8],
+    num_chunks: usize,
+) -> std::io::Result<Vec<(f64, f64)>> {
+    if !bounds.len().is_multiple_of(8) || bounds.len() / 8 != num_chunks + 1 {
+        return Err(bad("bounds section does not match the chunk count"));
+    }
+    let boundaries: Vec<f64> = bounds
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    if boundaries.iter().any(|b| b.is_nan()) || boundaries.windows(2).any(|w| w[0] > w[1]) {
+        return Err(bad("chunk boundaries are not monotone"));
+    }
+    Ok(ladder_intervals(&boundaries))
+}
+
+/// The build product: a mass-partitioned sequence of SLM indices, ready to
+/// be written as an `LBECHK2` file ([`ChunkedIndex::write_path`]) or as the
+/// blobs of a generation store ([`crate::lifecycle`]). Searching either goes
+/// through [`ChunkStore`].
 ///
 /// Chunk `i` covers precursor masses `[boundaries[i], boundaries[i+1])`;
 /// peptide ids are *local to each chunk*, with `global_ids` mapping back to
@@ -196,75 +259,6 @@ impl ChunkedIndex {
         self.chunks.iter().map(SlmIndex::num_spectra).sum()
     }
 
-    /// Chunks whose mass range intersects `[query_mass − ΔM, query_mass + ΔM]`.
-    /// For an open search this is all of them.
-    pub fn chunks_for_query(&self, query_mass: f64, precursor_tolerance: f64) -> Vec<usize> {
-        chunks_overlapping(
-            &self.boundaries,
-            self.chunks.len(),
-            query_mass,
-            precursor_tolerance,
-        )
-    }
-
-    /// Searches one query across the relevant chunks, translating PSM
-    /// peptide ids back to the input database's ids.
-    ///
-    /// Allocates fresh per-chunk scratch; batch callers should prefer
-    /// [`ChunkedIndex::search_batch`], which reuses it across queries.
-    pub fn search(&self, query: &Spectrum) -> SearchResult {
-        let mut searchers = self.empty_searchers();
-        self.search_with(&mut searchers, query)
-    }
-
-    /// Searches a batch of queries, reusing one lazily created [`Searcher`]
-    /// (O(chunk) scratch state) per touched chunk across the whole batch
-    /// instead of reallocating it for every chunk of every query.
-    ///
-    /// Results are identical to calling [`ChunkedIndex::search`] per query.
-    pub fn search_batch(&self, queries: &[Spectrum]) -> Vec<SearchResult> {
-        let mut searchers = self.empty_searchers();
-        queries
-            .iter()
-            .map(|q| self.search_with(&mut searchers, q))
-            .collect()
-    }
-
-    /// One not-yet-allocated searcher slot per chunk.
-    fn empty_searchers(&self) -> Vec<Option<Searcher<'_>>> {
-        (0..self.chunks.len()).map(|_| None).collect()
-    }
-
-    /// The search body: chunk selection, per-chunk shared-peak search with
-    /// memoized scratch, merge. Searchers are *mapped* — they emit global
-    /// peptide ids directly, so score ties already truncate in global
-    /// `(peptide, modform)` order inside each chunk's top-k, and the merge
-    /// here ranks exactly what a monolithic index over the same peptides
-    /// would.
-    fn search_with<'a>(
-        &'a self,
-        searchers: &mut [Option<Searcher<'a>>],
-        query: &Spectrum,
-    ) -> SearchResult {
-        let tol = self
-            .chunks
-            .first()
-            .map(|c| c.config().precursor_tolerance)
-            .unwrap_or(f64::INFINITY);
-        let top_k = self.chunks.first().map(|c| c.config().top_k).unwrap_or(10);
-        let mut psms = Vec::new();
-        let mut stats = QueryStats::default();
-        for ci in self.chunks_for_query(query.precursor_neutral_mass(), tol) {
-            let s = searchers[ci]
-                .get_or_insert_with(|| Searcher::mapped(&self.chunks[ci], &self.global_ids[ci]));
-            let r = s.search(query);
-            stats.accumulate(&r.stats);
-            psms.extend(r.psms);
-        }
-        finalize_psms(&mut psms, top_k);
-        SearchResult { psms, stats }
-    }
-
     /// Total heap bytes across all chunks.
     pub fn heap_bytes(&self) -> usize {
         self.chunks.iter().map(SlmIndex::heap_bytes).sum::<usize>()
@@ -285,15 +279,11 @@ impl ChunkedIndex {
             .unwrap_or_default()
     }
 
-    // -----------------------------------------------------------------------
-    // On-disk container.
-    // -----------------------------------------------------------------------
-
     /// Writes the chunked container (`LBECHK2`) to `path`.
     ///
-    /// Deterministic: the same logical index produces the same bytes
-    /// whether its chunks are owned or arena-backed, so
-    /// `write → open → write` round-trips byte-identically.
+    /// Deterministic: the same logical index produces the same bytes, and
+    /// each chunk's section is exactly what [`io::write_index`] emits for
+    /// that chunk.
     ///
     /// Fails with [`std::io::ErrorKind::InvalidInput`] — before touching
     /// the file — if the index has more chunks than the `chk%05d` section
@@ -310,42 +300,25 @@ impl ChunkedIndex {
             ));
         }
         let cfg_bytes = io::config_bytes(&self.shared_config())?;
-        let gid_offs: Vec<u64> = std::iter::once(0u64)
-            .chain(self.global_ids.iter().scan(0u64, |acc, v| {
-                *acc += v.len() as u64;
-                Some(*acc)
-            }))
-            .collect();
-        let gids_flat: Vec<u32> = self.global_ids.iter().flatten().copied().collect();
-
-        let mut plans = vec![
-            SectionPlan {
-                name: SEC_CONFIG,
-                len: cfg_bytes.len() as u64,
-                crc: crate::format::crc32(&cfg_bytes),
-            },
-            SectionPlan {
-                name: SEC_BOUNDS,
-                len: (self.boundaries.len() * 8) as u64,
-                crc: io::plan_section(|s| io::emit_f64s(s, &self.boundaries))?.1,
-            },
-            SectionPlan {
-                name: SEC_GIDOFFS,
-                len: (gid_offs.len() * 8) as u64,
-                crc: io::plan_section(|s| io::emit_u64s(s, &gid_offs))?.1,
-            },
-            SectionPlan {
-                name: SEC_GIDS,
-                len: (gids_flat.len() * 4) as u64,
-                crc: io::plan_section(|s| io::emit_u32s(s, &gids_flat))?.1,
-            },
+        let mut bounds = Vec::with_capacity(self.boundaries.len() * 8);
+        io::emit_f64s(&mut bounds, &self.boundaries)?;
+        let (gidoffs, gids) = gid_csr_bytes(&self.global_ids);
+        let meta: [([u8; 8], &[u8]); 4] = [
+            (SEC_CONFIG, &cfg_bytes),
+            (SEC_BOUNDS, &bounds),
+            (SEC_GIDOFFS, &gidoffs),
+            (SEC_GIDS, &gids),
         ];
-        // Plan each chunk blob: its four inner sections are checksummed
-        // once (`plan_index_sections`), then the planned container is
-        // streamed once into a checksumming sink for the outer blob CRC —
-        // the emit pass below reuses the cached plans, so each chunk's
-        // arrays are serialized exactly twice (CRC pass + write pass) and
-        // never materialized as a second copy.
+        let mut plans: Vec<SectionPlan> = meta
+            .iter()
+            .map(|&(name, payload)| SectionPlan::of(name, payload))
+            .collect();
+        // Plan each chunk blob: its inner sections are checksummed once
+        // (`plan_index_sections`), then the planned container is streamed
+        // once into a checksumming sink for the outer blob CRC — the emit
+        // pass below reuses the cached plans, so each chunk's arrays are
+        // serialized exactly twice (CRC pass + write pass) and never
+        // materialized as a second copy.
         let mut chunk_parts = Vec::with_capacity(self.chunks.len());
         for (i, chunk) in self.chunks.iter().enumerate() {
             let ccfg = io::config_bytes(chunk.config())?;
@@ -362,62 +335,15 @@ impl ChunkedIndex {
 
         let file = std::fs::File::create(path)?;
         let mut w = std::io::BufWriter::new(file);
-        crate::format::write_container(&mut w, MAGIC_CHUNKED, &plans, |i, w| match i {
-            0 => w.write_all(&cfg_bytes),
-            1 => io::emit_f64s(w, &self.boundaries),
-            2 => io::emit_u64s(w, &gid_offs),
-            3 => io::emit_u32s(w, &gids_flat),
-            _ => {
-                let (ccfg, inner_plans) = &chunk_parts[i - 4];
-                io::write_index_sections(w, &self.chunks[i - 4], ccfg, inner_plans)
+        crate::format::write_container(&mut w, MAGIC_CHUNKED, &plans, |i, w| match meta.get(i) {
+            Some(&(_, payload)) => w.write_all(payload),
+            None => {
+                let ci = i - meta.len();
+                let (ccfg, inner_plans) = &chunk_parts[ci];
+                io::write_index_sections(w, &self.chunks[ci], ccfg, inner_plans)
             }
         })?;
         w.flush()
-    }
-
-    /// Opens a chunked container **eagerly**: the whole file is loaded with
-    /// one sequential read into a single aligned arena shared by every
-    /// chunk (zero-copy views). Use [`ChunkStore::open_path`] instead when
-    /// the index must not be fully resident.
-    pub fn open_path(path: impl AsRef<Path>) -> std::io::Result<ChunkedIndex> {
-        Self::open_path_with(path, &ReadOptions::default())
-    }
-
-    /// [`ChunkedIndex::open_path`] with explicit [`ReadOptions`].
-    pub fn open_path_with(
-        path: impl AsRef<Path>,
-        opts: &ReadOptions,
-    ) -> std::io::Result<ChunkedIndex> {
-        use std::io::{Read, Seek};
-        let mut file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        let mut buf = AlignedBuf::zeroed(len as usize);
-        file.seek(std::io::SeekFrom::Start(0))?;
-        file.read_exact(buf.as_mut_slice())?;
-        drop(file);
-        let arena = Arc::new(buf);
-        let container = ParsedContainer::parse(arena.as_slice(), 0, None, MAGIC_CHUNKED)?;
-        let directory = chunk_directory(container.sections())?;
-        let meta = ChunkMeta::parse(arena.as_slice(), &container, directory.len())?;
-
-        let mut chunks = Vec::with_capacity(directory.len());
-        for (i, s) in directory.iter().enumerate() {
-            // The outer blob CRC is deliberately NOT verified here: the
-            // blob is itself a v2 container whose table checksum and
-            // per-section CRCs cover every data byte, and read_v2_parsed
-            // verifies those — checking the outer CRC too would checksum
-            // the same bytes twice on the load path.
-            let off = container.base + s.offset as usize;
-            let inner = ParsedContainer::parse(arena.as_slice(), off, Some(s.len), MAGIC_V2)?;
-            let chunk = io::read_v2_parsed(arena.clone(), &inner, opts)?;
-            check_gid_cover(&chunk, &meta.global_ids[i])?;
-            chunks.push(chunk);
-        }
-        Ok(ChunkedIndex {
-            chunks,
-            boundaries: meta.boundaries,
-            global_ids: meta.global_ids,
-        })
     }
 }
 
@@ -467,91 +393,6 @@ fn check_gid_cover(chunk: &SlmIndex, gids: &[u32]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The chunk-level metadata sections, shared by the eager and lazy open
-/// paths.
-struct ChunkMeta {
-    config: SlmConfig,
-    boundaries: Vec<f64>,
-    global_ids: Vec<Vec<u32>>,
-}
-
-impl ChunkMeta {
-    /// Parses the metadata from an eagerly loaded container image.
-    fn parse(
-        bytes: &[u8],
-        container: &ParsedContainer,
-        num_chunks: usize,
-    ) -> std::io::Result<Self> {
-        let section = |name: &[u8; 8]| -> std::io::Result<&[u8]> {
-            let (off, len) = container.section_checked(bytes, name)?;
-            Ok(&bytes[off..off + len])
-        };
-        Self::from_sections(
-            section(&SEC_CONFIG)?,
-            section(&SEC_BOUNDS)?,
-            section(&SEC_GIDOFFS)?,
-            section(&SEC_GIDS)?,
-            num_chunks,
-        )
-    }
-
-    /// Parses the metadata from the raw (already CRC-verified) payload
-    /// bytes of the four metadata sections.
-    fn from_sections(
-        config_bytes: &[u8],
-        bounds: &[u8],
-        gidoffs: &[u8],
-        gids: &[u8],
-        num_chunks: usize,
-    ) -> std::io::Result<Self> {
-        let config = io::config_from_bytes(config_bytes)?;
-
-        if !bounds.len().is_multiple_of(8) || bounds.len() / 8 != num_chunks + 1 {
-            return Err(bad("bounds section does not match the chunk count"));
-        }
-        let boundaries: Vec<f64> = bounds
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        if boundaries.iter().any(|b| b.is_nan()) || boundaries.windows(2).any(|w| w[0] > w[1]) {
-            return Err(bad("chunk boundaries are not monotone"));
-        }
-
-        if !gidoffs.len().is_multiple_of(8) || gidoffs.len() / 8 != num_chunks + 1 {
-            return Err(bad("gidoffs section does not match the chunk count"));
-        }
-        let gid_offs: Vec<u64> = gidoffs
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-
-        if !gids.len().is_multiple_of(4) {
-            return Err(bad("gids section length is not a whole u32 count"));
-        }
-        let total = (gids.len() / 4) as u64;
-        if gid_offs.windows(2).any(|w| w[0] > w[1])
-            || gid_offs.first() != Some(&0)
-            || gid_offs.last() != Some(&total)
-        {
-            return Err(bad("gid offsets are not a valid CSR over the id table"));
-        }
-        let gids_all: Vec<u32> = gids
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let global_ids: Vec<Vec<u32>> = gid_offs
-            .windows(2)
-            .map(|w| gids_all[w[0] as usize..w[1] as usize].to_vec())
-            .collect();
-
-        Ok(ChunkMeta {
-            config,
-            boundaries,
-            global_ids,
-        })
-    }
-}
-
 /// Cumulative counters of a [`ChunkStore`]'s residency layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidencyStats {
@@ -598,15 +439,14 @@ enum ChunkSource {
 /// *uncompressed* working-set bytes while the disk holds the compressed
 /// form.
 ///
-/// Search results are bit-identical to the fully-resident
-/// [`ChunkedIndex`] for any budget (tested down to `max_resident = 1`).
+/// Search results are bit-identical for any budget (tested down to
+/// `max_resident = 1`), and rank exactly as one monolithic index over the
+/// same peptides does; `usize::MAX` keeps every chunk resident once
+/// faulted.
 #[derive(Debug)]
 pub struct ChunkStore {
     source: ChunkSource,
     config: SlmConfig,
-    /// `LBECHK2` boundary ladder; empty for a generation store (whose
-    /// chunks carry explicit `intervals` instead).
-    boundaries: Vec<f64>,
     /// Per-chunk closed mass-coverage intervals driving chunk selection.
     intervals: Vec<(f64, f64)>,
     global_ids: Vec<Vec<u32>>,
@@ -623,6 +463,32 @@ pub struct ChunkStore {
 }
 
 impl ChunkStore {
+    /// A store with nothing resident yet over already-parsed metadata.
+    fn new(
+        source: ChunkSource,
+        config: SlmConfig,
+        intervals: Vec<(f64, f64)>,
+        global_ids: Vec<Vec<u32>>,
+        max_resident: usize,
+        opts: &ReadOptions,
+    ) -> Self {
+        assert!(max_resident >= 1, "resident budget must be at least 1");
+        let n = intervals.len();
+        ChunkStore {
+            source,
+            config,
+            intervals,
+            global_ids,
+            resident: (0..n).map(|_| None).collect(),
+            last_used: vec![0; n],
+            tick: 0,
+            max_resident,
+            read_opts: *opts,
+            stats: ResidencyStats::default(),
+            scratch: crate::query::SearchScratch::default(),
+        }
+    }
+
     /// Opens a chunked container lazily, keeping at most `max_resident`
     /// chunks in memory (≥ 1). Only the header, section table, and
     /// metadata sections are read here; chunk blobs stay on disk until a
@@ -638,41 +504,29 @@ impl ChunkStore {
         max_resident: usize,
         opts: &ReadOptions,
     ) -> std::io::Result<Self> {
-        assert!(max_resident >= 1, "resident budget must be at least 1");
         let mut container = FileContainer::open(path, MAGIC_CHUNKED)?;
         // Metadata sections are a few KB — read (and CRC-verify) only
         // those; chunk blobs stay on disk.
         let directory = chunk_directory(container.sections())?;
-        let cfg_bytes = container.read_section(&SEC_CONFIG)?;
-        let bounds = container.read_section(&SEC_BOUNDS)?;
-        let gidoffs = container.read_section(&SEC_GIDOFFS)?;
-        let gids = container.read_section(&SEC_GIDS)?;
-        let meta = ChunkMeta::from_sections(
-            cfg_bytes.as_slice(),
-            bounds.as_slice(),
-            gidoffs.as_slice(),
-            gids.as_slice(),
-            directory.len(),
-        )?;
         let n = directory.len();
-        let intervals = meta.boundaries.windows(2).map(|w| (w[0], w[1])).collect();
-        Ok(ChunkStore {
-            source: ChunkSource::Container {
+        let config = io::config_from_bytes(container.read_section(&SEC_CONFIG)?.as_slice())?;
+        let intervals = bounds_from_bytes(container.read_section(&SEC_BOUNDS)?.as_slice(), n)?;
+        let global_ids = gid_csr_from_bytes(
+            container.read_section(&SEC_GIDOFFS)?.as_slice(),
+            container.read_section(&SEC_GIDS)?.as_slice(),
+            n,
+        )?;
+        Ok(Self::new(
+            ChunkSource::Container {
                 container,
                 directory,
             },
-            config: meta.config,
-            boundaries: meta.boundaries,
+            config,
             intervals,
-            global_ids: meta.global_ids,
-            resident: (0..n).map(|_| None).collect(),
-            last_used: vec![0; n],
-            tick: 0,
+            global_ids,
             max_resident,
-            read_opts: *opts,
-            stats: ResidencyStats::default(),
-            scratch: crate::query::SearchScratch::default(),
-        })
+            opts,
+        ))
     }
 
     /// Opens a generation-store directory (see [`crate::lifecycle`])
@@ -692,29 +546,21 @@ impl ChunkStore {
         max_resident: usize,
         opts: &ReadOptions,
     ) -> std::io::Result<Self> {
-        assert!(max_resident >= 1, "resident budget must be at least 1");
         let dir = dir.as_ref();
         let (current, manifest) = crate::lifecycle::load_current(dir)?;
         let (config, blobs, intervals, global_ids) = manifest.into_store_parts();
-        let n = blobs.len();
-        Ok(ChunkStore {
-            source: ChunkSource::Generation {
+        Ok(Self::new(
+            ChunkSource::Generation {
                 dir: dir.to_path_buf(),
                 current,
                 blobs,
             },
             config,
-            boundaries: Vec::new(),
             intervals,
             global_ids,
-            resident: (0..n).map(|_| None).collect(),
-            last_used: vec![0; n],
-            tick: 0,
             max_resident,
-            read_opts: *opts,
-            stats: ResidencyStats::default(),
-            scratch: crate::query::SearchScratch::default(),
-        })
+            opts,
+        ))
     }
 
     /// For a generation store: if `CURRENT` has moved since this store
@@ -814,13 +660,6 @@ impl ChunkStore {
         &self.config
     }
 
-    /// The `num_chunks + 1` mass boundaries of an `LBECHK2` container;
-    /// empty for a generation store, whose chunks carry per-chunk
-    /// intervals instead of a shared ladder.
-    pub fn boundaries(&self) -> &[f64] {
-        &self.boundaries
-    }
-
     /// Heap bytes of the currently resident chunks (the disk-backed
     /// footprint the resident budget bounds).
     pub fn resident_heap_bytes(&self) -> usize {
@@ -915,9 +754,9 @@ impl ChunkStore {
         Ok(())
     }
 
-    /// Searches one query, faulting in the chunks its precursor window
-    /// touches. Results are identical to [`ChunkedIndex::search`] on the
-    /// fully-resident index.
+    /// Searches one query under the container's own configuration
+    /// ([`QueryOptions::default`]), faulting in the chunks its precursor
+    /// window touches.
     pub fn search(&mut self, query: &Spectrum) -> std::io::Result<SearchResult> {
         self.search_with_opts(query, &QueryOptions::default())
     }
@@ -941,9 +780,8 @@ impl ChunkStore {
             self.ensure_resident(ci)?;
             let chunk = self.resident[ci].as_ref().expect("just made resident");
             // Recycle one scratch across chunks and queries: sized once to
-            // the largest needed band instead of zero-allocated per visit
-            // (the same reuse ChunkedIndex::search_batch gets from memoized
-            // searchers). Scratch reuse is invisible in results (tested).
+            // the largest needed band instead of zero-allocated per visit.
+            // Scratch reuse is invisible in results (tested).
             // Mapped: PSMs carry global peptide ids before the per-chunk
             // top-k truncates, so tie order matches a monolithic search.
             let mut searcher = Searcher::with_scratch_mapped(
@@ -956,7 +794,12 @@ impl ChunkStore {
             stats.accumulate(&r.stats);
             psms.extend(r.psms);
         }
-        finalize_psms(&mut psms, top_k);
+        // Merge best-first: score descending (a total order, so crafted
+        // NaN-bearing inputs cannot panic the sort) with the `(peptide,
+        // modform)` tie-break, which never mentions entry ids — the merged
+        // ranking is what one index over all the peptides would return.
+        psms.sort_by(crate::query::rank_cmp);
+        psms.truncate(top_k);
         Ok(SearchResult { psms, stats })
     }
 
@@ -969,24 +812,28 @@ impl ChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::GenerationStore;
     use lbe_bio::mods::ModForm;
     use lbe_spectra::spectrum::Peak;
     use lbe_spectra::theo::{TheoParams, TheoSpectrum};
 
-    fn db() -> PeptideDb {
+    fn db_of<S: AsRef<str>>(seqs: &[S]) -> PeptideDb {
         PeptideDb::from_vec(
-            [
-                "GGGGGK",
-                "AAAGGK",
-                "PEPTIDEK",
-                "ELVISLIVESK",
-                "WWWWWWK",
-                "SAMPLERK",
-            ]
-            .iter()
-            .map(|s| Peptide::new(s.as_bytes(), 0, 0).unwrap())
-            .collect(),
+            seqs.iter()
+                .map(|s| Peptide::new(s.as_ref().as_bytes(), 0, 0).unwrap())
+                .collect(),
         )
+    }
+
+    fn db() -> PeptideDb {
+        db_of(&[
+            "GGGGGK",
+            "AAAGGK",
+            "PEPTIDEK",
+            "ELVISLIVESK",
+            "WWWWWWK",
+            "SAMPLERK",
+        ])
     }
 
     fn perfect_query(seq: &[u8]) -> Spectrum {
@@ -1009,10 +856,26 @@ mod tests {
         )
     }
 
-    fn tmpfile(name: &str) -> std::path::PathBuf {
+    /// Fresh (pre-cleaned) path under the system temp dir.
+    fn tmpfile(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join("lbe_chunked_tests");
         std::fs::create_dir_all(&d).unwrap();
-        d.join(name)
+        let p = d.join(name);
+        std::fs::remove_dir_all(&p).ok();
+        std::fs::remove_file(&p).ok();
+        p
+    }
+
+    /// The `LBECHK2` image `current` with every chunk blob in the dense
+    /// `binoffs` layout — a file written before the bin directory.
+    fn downgrade_blobs_to_binoffs(current: &[u8]) -> Vec<u8> {
+        crate::format::rewrite_container(current, MAGIC_CHUNKED, |name, blob| {
+            if name.starts_with(b"chk") {
+                io::test_support::downgrade_to_binoffs(blob)
+            } else {
+                blob.to_vec()
+            }
+        })
     }
 
     #[test]
@@ -1020,6 +883,9 @@ mod tests {
         let c = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 2);
         assert_eq!(c.num_chunks(), 3);
         assert_eq!(c.num_spectra(), 6);
+        assert!(c.heap_bytes() > 0);
+        let one = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 100);
+        assert_eq!(one.num_chunks(), 1);
     }
 
     #[test]
@@ -1045,99 +911,231 @@ mod tests {
     }
 
     #[test]
-    fn open_search_touches_all_chunks() {
-        let c = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 2);
-        assert_eq!(c.chunks_for_query(800.0, f64::INFINITY), vec![0, 1, 2]);
-    }
+    fn metadata_codecs_round_trip_and_reject_what_is_not_a_csr_or_a_ladder() {
+        let tables = vec![vec![4u32, 0, 9], vec![], vec![7]];
+        let (offs, gids) = gid_csr_bytes(&tables);
+        assert_eq!(gid_csr_from_bytes(&offs, &gids, 3).unwrap(), tables);
+        assert_eq!(gid_csr_bytes(&[]).0, 0u64.to_le_bytes());
+        let u64s = |v: &[u64]| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
+        for (what, offs, gids, rows) in [
+            ("row count", offs.clone(), gids.clone(), 2),
+            (
+                "ragged offsets",
+                offs[..offs.len() - 1].to_vec(),
+                gids.clone(),
+                3,
+            ),
+            (
+                "ragged ids",
+                offs.clone(),
+                gids[..gids.len() - 1].to_vec(),
+                3,
+            ),
+            ("first offset", u64s(&[1, 3, 3, 4]), gids.clone(), 3),
+            ("descending", u64s(&[0, 3, 2, 4]), gids.clone(), 3),
+            ("short of the table", u64s(&[0, 3, 3, 3]), gids.clone(), 3),
+            ("past the table", u64s(&[0, 3, 3, 5]), gids.clone(), 3),
+        ] {
+            let err = gid_csr_from_bytes(&offs, &gids, rows).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        }
 
-    #[test]
-    fn closed_search_skips_chunks() {
-        let cfg = SlmConfig::default().with_precursor_tolerance(1.0);
-        let c = ChunkedIndex::build(&db(), cfg, ModSpec::none(), 2);
-        let m = lbe_bio::aa::peptide_neutral_mass(b"GGGGGK").unwrap();
-        let touched = c.chunks_for_query(m, 1.0);
-        assert!(touched.len() < 3);
-        assert!(touched.contains(&0));
-    }
-
-    #[test]
-    fn search_returns_global_ids() {
-        let c = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 2);
-        let r = c.search(&perfect_query(b"PEPTIDEK"));
-        assert!(!r.psms.is_empty());
-        assert_eq!(r.psms[0].peptide, 2); // id of PEPTIDEK in the input db
-    }
-
-    #[test]
-    fn chunked_equals_monolithic_for_open_search() {
-        let cfg = SlmConfig {
-            shared_peak_threshold: 2,
-            top_k: usize::MAX,
-            ..Default::default()
-        };
-        let mono = IndexBuilder::new(cfg.clone(), ModSpec::none()).build(&db());
-        let chunked = ChunkedIndex::build(&db(), cfg, ModSpec::none(), 2);
-        let q = perfect_query(b"ELVISLIVESK");
-        let mut ms = Searcher::new(&mono);
-        let rm = ms.search(&q);
-        let rc = chunked.search(&q);
-        // Same candidate set (compare (peptide, shared) multisets).
-        let mut a: Vec<(u32, u16)> = rm
-            .psms
-            .iter()
-            .map(|p| (p.peptide, p.shared_peaks))
-            .collect();
-        let mut b: Vec<(u32, u16)> = rc
-            .psms
-            .iter()
-            .map(|p| (p.peptide, p.shared_peaks))
-            .collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn single_chunk_degenerate_case() {
-        let c = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 100);
-        assert_eq!(c.num_chunks(), 1);
-        let r = c.search(&perfect_query(b"SAMPLERK"));
-        assert_eq!(r.psms[0].peptide, 5);
-    }
-
-    #[test]
-    fn heap_bytes_positive() {
-        let c = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 2);
-        assert!(c.heap_bytes() > 0);
-    }
-
-    #[test]
-    fn batch_search_equals_per_query_search() {
-        // The batch entry point reuses per-chunk scratch across queries;
-        // scratch reuse must be invisible in the results.
-        let c = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 2);
-        let queries: Vec<Spectrum> = [
-            &b"PEPTIDEK"[..],
-            b"ELVISLIVESK",
-            b"PEPTIDEK",
-            b"GGGGGK",
-            b"SAMPLERK",
-            b"WWWWWWK",
-        ]
-        .iter()
-        .map(|s| perfect_query(s))
-        .collect();
-        let batch = c.search_batch(&queries);
-        assert_eq!(batch.len(), queries.len());
-        for (q, r) in queries.iter().zip(&batch) {
-            assert_eq!(&c.search(q), r);
+        let f64s = |v: &[f64]| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
+        let ladder = [0.0, 500.25, 500.25, f64::INFINITY];
+        assert_eq!(
+            bounds_from_bytes(&f64s(&ladder), 3).unwrap(),
+            [(0.0, 500.25), (500.25, 500.25), (500.25, f64::INFINITY)]
+        );
+        for (what, bounds, chunks) in [
+            ("chunk count", f64s(&ladder), 2),
+            ("ragged", f64s(&ladder)[..31].to_vec(), 3),
+            ("descending", f64s(&[0.0, 2.0, 1.0, 3.0]), 3),
+            ("NaN", f64s(&[0.0, f64::NAN, 1.0, 3.0]), 3),
+        ] {
+            let err = bounds_from_bytes(&bounds, chunks).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
         }
     }
 
+    // -----------------------------------------------------------------------
+    // One table: every container kind × ΔM × budget against one index.
+    // -----------------------------------------------------------------------
+
+    /// Leucine and isoleucine weigh the same, so the eight I/L spellings of
+    /// each stem share one theoretical spectrum and tie on the exact f32
+    /// score — eight-way, against `top_k = 3`, with equal masses that any
+    /// chunking splits across chunks. The one-residue variants share a whole
+    /// ion series with them, so a variant's query ranks candidates of
+    /// several masses (several chunks), tied on the shared-peak count among
+    /// themselves. Sorted descending so ids run against lexicographic — and
+    /// here and there against mass — order.
+    fn tie_db() -> PeptideDb {
+        let mut seqs: Vec<String> = Vec::new();
+        for stem in ["PEPT?DE?A?K", "SAMP?ER?GG?R"] {
+            for bits in 0..8u32 {
+                let mut spots = (0..3).map(|i| if bits >> i & 1 == 1 { 'L' } else { 'I' });
+                seqs.push(
+                    stem.chars()
+                        .map(|c| if c == '?' { spots.next().unwrap() } else { c })
+                        .collect(),
+                );
+            }
+        }
+        seqs.extend(TIE_DB_EXTRAS.map(String::from));
+        seqs.sort_unstable_by(|a, b| b.cmp(a));
+        db_of(&seqs)
+    }
+
+    const TIE_DB_EXTRAS: [&str; 9] = [
+        "AEPTIDEIAIK",
+        "SEPTIDEIAIK",
+        "TEPTIDEIAIK",
+        "PEPTIDEIAIR",
+        "AAMPIERIGGIR",
+        "TAMPIERIGGIR",
+        "MNKQMGGR",
+        "WWYYFFHHK",
+        "ELVISLIVESK",
+    ];
+
     #[test]
-    fn batch_search_empty() {
-        let c = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 2);
-        assert!(c.search_batch(&[]).is_empty());
+    fn every_container_tolerance_and_budget_agrees_with_one_index() {
+        // Coarse bins keep the legacy file's dense row pointers (8 bytes a
+        // bin, per chunk) small; ties and ranking do not depend on them.
+        let cfg = SlmConfig {
+            resolution: 0.1,
+            top_k: 3,
+            ..SlmConfig::default()
+        };
+        let all = tie_db();
+        let sub = |r: std::ops::Range<usize>| PeptideDb::from_vec(all.peptides()[r].to_vec());
+        let n = all.len();
+        let init = |dir: &Path, db: &PeptideDb| {
+            GenerationStore::init(dir, db, cfg.clone(), ModSpec::none(), 4)
+                .unwrap()
+                .0
+        };
+
+        let file = tmpfile("table.lbe");
+        ChunkedIndex::build(&all, cfg.clone(), ModSpec::none(), 4)
+            .write_path(&file)
+            .unwrap();
+        let legacy = tmpfile("table_binoffs.lbe");
+        std::fs::write(
+            &legacy,
+            downgrade_blobs_to_binoffs(&std::fs::read(&file).unwrap()),
+        )
+        .unwrap();
+        let fresh = tmpfile("table_init");
+        init(&fresh, &all);
+        // The delta repeats four stored peptides (skipped, so store ids stay
+        // `all`'s); its chunks' intervals overlap the base generation's.
+        let appended = tmpfile("table_append");
+        let out = init(&appended, &sub(0..12)).append(&sub(8..n)).unwrap();
+        assert_eq!((out.peptides_added, out.duplicates_skipped), (n - 12, 4));
+        let (base, delta) = {
+            let store = ChunkStore::open_generation_dir(&appended, 1).unwrap();
+            let (base, delta) = store.intervals.split_at(3);
+            (base.to_vec(), delta.to_vec())
+        };
+        assert!(delta
+            .iter()
+            .any(|d| base.iter().any(|b| d.0 <= b.1 && b.0 <= d.1)));
+        let compacted = tmpfile("table_compact");
+        let store = init(&compacted, &sub(0..12));
+        store.append(&sub(8..n)).unwrap();
+        store.compact().unwrap();
+
+        let sources = [&file, &legacy, &fresh, &appended, &compacted];
+        let open = |path: &Path, budget: usize| {
+            if path.is_dir() {
+                ChunkStore::open_generation_dir(path, budget)
+            } else {
+                ChunkStore::open_path(path, budget)
+            }
+            .unwrap()
+        };
+
+        let queries: Vec<Spectrum> = [
+            "PEPTIDEIAIK",
+            "SEPTIDEIAIK",
+            "SAMPLERLGGLR",
+            "TAMPIERIGGIR",
+            "MNKQMGGR",
+            "ELVISLIVESK",
+        ]
+        .iter()
+        .map(|s| perfect_query(s.as_bytes()))
+        .collect();
+        let jobs: Vec<(QueryOptions, &Spectrum)> = [0.01, 1.0, 500.0, f64::INFINITY]
+            .iter()
+            .flat_map(|&tol| {
+                let opts = QueryOptions {
+                    precursor_tolerance: Some(tol),
+                    ..Default::default()
+                };
+                queries.iter().map(move |q| (opts, q))
+            })
+            .collect();
+
+        // The reference: one index over all the peptides.
+        let mono = IndexBuilder::new(cfg.clone(), ModSpec::none()).build(&all);
+        let rows = |rs: &[SearchResult]| -> Vec<Vec<(u32, u16, u16, u32)>> {
+            rs.iter()
+                .map(|r| {
+                    r.psms
+                        .iter()
+                        .map(|p| (p.peptide, p.modform, p.shared_peaks, p.score.to_bits()))
+                        .collect()
+                })
+                .collect()
+        };
+        let mut searcher = Searcher::new(&mono);
+        let expect: Vec<SearchResult> = jobs
+            .iter()
+            .map(|(opts, q)| searcher.search_with_opts(q, opts))
+            .collect();
+        let expect = rows(&expect);
+        assert!(
+            expect.iter().any(|q| q.len() == 3 && q[0].3 == q[2].3),
+            "fixture must put an exact-score tie across the top-k cut"
+        );
+
+        // One pass over every job on a freshly opened store: the results
+        // and what the residency layer did to produce them.
+        let pass = |path: &Path, budget: usize| {
+            let mut store = open(path, budget);
+            assert!(store.num_chunks() > 4, "{path:?} must exercise chunking");
+            let results: Vec<SearchResult> = jobs
+                .iter()
+                .map(|(opts, q)| store.search_with_opts(q, opts).unwrap())
+                .collect();
+            assert!(store.num_resident() <= budget);
+            (results, store.stats(), store.resident_heap_bytes())
+        };
+        for path in sources {
+            let resident = pass(path, usize::MAX);
+            assert_eq!(resident.1.evictions, 0);
+            assert_eq!(rows(&resident.0), expect, "{path:?} vs one index");
+            for budget in [1usize, 2] {
+                // Whole results: PSMs with their entry ids, and all six
+                // work counters.
+                assert_eq!(
+                    pass(path, budget).0,
+                    resident.0,
+                    "{path:?}, budget {budget}"
+                );
+            }
+        }
+        // A pre-directory file differs from today's in layout only: same
+        // results, same fault/evict sequence, same resident bytes.
+        for budget in [1usize, 2, usize::MAX] {
+            assert_eq!(
+                pass(&legacy, budget),
+                pass(&file, budget),
+                "budget {budget}"
+            );
+        }
     }
 
     // -----------------------------------------------------------------------
@@ -1145,60 +1143,48 @@ mod tests {
     // -----------------------------------------------------------------------
 
     #[test]
-    fn container_round_trips_byte_identically() {
-        // The acceptance criterion: write → open → write produces identical
-        // bytes, including the arena-backed reopened form.
-        for (name, mods) in [("rt_plain.lbe", false), ("rt_mods.lbe", true)] {
-            let spec = if mods {
-                ModSpec::paper_default()
-            } else {
-                ModSpec::none()
-            };
+    fn faulted_chunks_equal_the_built_ones_and_reserialize_to_their_blobs() {
+        // What `write_path` wrote is what `ChunkStore` reads back: metadata
+        // and every chunk, and a faulted chunk written out again is its
+        // blob section byte for byte — from a legacy `binoffs` file too,
+        // which is how an old chunk reaches the current layout.
+        for (name, spec) in [
+            ("rt_plain.lbe", ModSpec::none()),
+            ("rt_mods.lbe", ModSpec::paper_default()),
+        ] {
             let c = ChunkedIndex::build(&db(), SlmConfig::default(), spec, 2);
-            let p1 = tmpfile(name);
-            let p2 = tmpfile(&format!("again_{name}"));
-            c.write_path(&p1).unwrap();
-            let reopened = ChunkedIndex::open_path(&p1).unwrap();
-            assert!(reopened.chunks().iter().all(SlmIndex::is_arena_backed));
-            assert_eq!(reopened, c);
-            reopened.write_path(&p2).unwrap();
-            assert_eq!(
-                std::fs::read(&p1).unwrap(),
-                std::fs::read(&p2).unwrap(),
-                "byte-identical round trip ({name})"
-            );
-            std::fs::remove_file(&p1).ok();
-            std::fs::remove_file(&p2).ok();
-        }
-    }
+            let p = tmpfile(name);
+            let pl = tmpfile(&format!("binoffs_{name}"));
+            c.write_path(&p).unwrap();
+            let bytes = std::fs::read(&p).unwrap();
+            let legacy = downgrade_blobs_to_binoffs(&bytes);
+            assert!(legacy.len() > bytes.len() + 3 * 4_000_000);
+            std::fs::write(&pl, &legacy).unwrap();
+            let written = ParsedContainer::parse(&bytes, 0, None, MAGIC_CHUNKED).unwrap();
 
-    #[test]
-    fn store_with_budget_one_is_bit_identical_to_resident_index() {
-        // The other acceptance criterion: a disk-backed store allowed one
-        // resident chunk returns bit-identical results to the fully
-        // resident in-memory index.
-        let c = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 2);
-        let p = tmpfile("budget1.lbe");
-        c.write_path(&p).unwrap();
-        let queries: Vec<Spectrum> = [
-            &b"PEPTIDEK"[..],
-            b"ELVISLIVESK",
-            b"GGGGGK",
-            b"SAMPLERK",
-            b"WWWWWWK",
-            b"AAAGGK",
-        ]
-        .iter()
-        .map(|s| perfect_query(s))
-        .collect();
-        let expect = c.search_batch(&queries);
-        for budget in [1usize, 2, 16] {
-            let mut store = ChunkStore::open_path(&p, budget).unwrap();
-            let got = store.search_batch(&queries).unwrap();
-            assert_eq!(got, expect, "budget {budget}");
-            assert!(store.num_resident() <= budget);
+            for (path, zero_copy) in [(&p, true), (&pl, false)] {
+                let mut store = ChunkStore::open_path(path, usize::MAX).unwrap();
+                assert_eq!(store.config, c.shared_config());
+                assert_eq!(store.global_ids, c.global_ids);
+                assert_eq!(store.intervals, ladder_intervals(&c.boundaries));
+                for (ci, built) in c.chunks().iter().enumerate() {
+                    store.ensure_resident(ci).unwrap();
+                    let faulted = store.resident[ci].as_ref().unwrap();
+                    assert_eq!(faulted, built, "{name} chunk {ci}");
+                    assert_eq!(faulted.is_arena_backed(), zero_copy);
+                    faulted.validate().unwrap();
+                    let mut blob = Vec::new();
+                    io::write_index(&mut blob, faulted).unwrap();
+                    let s = written.find(&chunk_section_name(ci)).unwrap();
+                    assert!(
+                        blob == bytes[s.offset as usize..(s.offset + s.len) as usize],
+                        "{name} chunk {ci} does not reserialize to its blob"
+                    );
+                }
+            }
+            std::fs::remove_file(&p).ok();
+            std::fs::remove_file(&pl).ok();
         }
-        std::fs::remove_file(&p).ok();
     }
 
     #[test]
@@ -1253,15 +1239,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_database_container_round_trips() {
+    fn empty_database_container_opens_and_finds_nothing() {
         let c = ChunkedIndex::build(&PeptideDb::new(), SlmConfig::default(), ModSpec::none(), 4);
         assert_eq!(c.num_chunks(), 0);
         let p = tmpfile("empty.lbe");
         c.write_path(&p).unwrap();
-        let reopened = ChunkedIndex::open_path(&p).unwrap();
-        assert_eq!(reopened.num_chunks(), 0);
-        assert_eq!(reopened, c);
         let mut store = ChunkStore::open_path(&p, 1).unwrap();
+        assert_eq!(store.num_chunks(), 0);
         let r = store.search(&perfect_query(b"PEPTIDEK")).unwrap();
         assert!(r.psms.is_empty());
         std::fs::remove_file(&p).ok();
@@ -1283,8 +1267,6 @@ mod tests {
         // cleanly.
         let err = store.search(&perfect_query(b"PEPTIDEK")).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        // The eager open touches every blob and fails immediately.
-        assert!(ChunkedIndex::open_path(&p).is_err());
 
         // Bit rot is the checksums' job. A blob whose bytes are intact but
         // whose bin directory is *wrong* (checksums recomputed over it)
@@ -1320,56 +1302,8 @@ mod tests {
                 assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
                 assert!(err.to_string().contains(expect), "{what}: {err}");
             }
-            assert!(ChunkedIndex::open_path(&p).is_err(), "{what}");
         }
         std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn legacy_binoffs_container_opens_and_searches_identically() {
-        // An `LBECHK2` file written before the bin directory: same outer
-        // container, every chunk blob in the dense `binoffs` layout.
-        let c = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 2);
-        let p = tmpfile("legacy_current.lbe");
-        let pl = tmpfile("legacy_binoffs.lbe");
-        c.write_path(&p).unwrap();
-        let current = std::fs::read(&p).unwrap();
-        let legacy = crate::format::rewrite_container(&current, MAGIC_CHUNKED, |name, blob| {
-            if name.starts_with(b"chk") {
-                io::test_support::downgrade_to_binoffs(blob)
-            } else {
-                blob.to_vec()
-            }
-        });
-        assert!(legacy.len() > current.len() + 3 * 4_000_000);
-        std::fs::write(&pl, &legacy).unwrap();
-
-        let reopened = ChunkedIndex::open_path(&pl).unwrap();
-        assert_eq!(reopened, c);
-        for chunk in reopened.chunks() {
-            chunk.validate().unwrap();
-        }
-        // Saving the loaded index writes the current layout.
-        reopened.write_path(&pl).unwrap();
-        assert_eq!(std::fs::read(&pl).unwrap(), current);
-        std::fs::write(&pl, &legacy).unwrap();
-
-        let queries: Vec<Spectrum> = [&b"PEPTIDEK"[..], b"ELVISLIVESK", b"GGGGGK", b"WWWWWWK"]
-            .iter()
-            .map(|s| perfect_query(s))
-            .collect();
-        let expect = c.search_batch(&queries);
-        assert_eq!(reopened.search_batch(&queries), expect);
-        for budget in [1usize, 16] {
-            let mut store = ChunkStore::open_path(&pl, budget).unwrap();
-            assert_eq!(store.search_batch(&queries).unwrap(), expect);
-            let mut now = ChunkStore::open_path(&p, budget).unwrap();
-            now.search_batch(&queries).unwrap();
-            assert_eq!(store.stats(), now.stats(), "same residency sequence");
-            assert_eq!(store.resident_heap_bytes(), now.resident_heap_bytes());
-        }
-        std::fs::remove_file(&p).ok();
-        std::fs::remove_file(&pl).ok();
     }
 
     #[test]
@@ -1380,7 +1314,6 @@ mod tests {
         let bytes = std::fs::read(&p).unwrap();
         std::fs::write(&p, &bytes[..bytes.len() - 5]).unwrap();
         assert!(ChunkStore::open_path(&p, 1).is_err());
-        assert!(ChunkedIndex::open_path(&p).is_err());
         std::fs::remove_file(&p).ok();
     }
 

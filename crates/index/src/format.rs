@@ -393,6 +393,17 @@ pub struct SectionPlan {
     pub crc: u32,
 }
 
+impl SectionPlan {
+    /// The plan of a section whose payload is already serialized.
+    pub(crate) fn of(name: [u8; 8], payload: &[u8]) -> Self {
+        SectionPlan {
+            name,
+            len: payload.len() as u64,
+            crc: crc32(payload),
+        }
+    }
+}
+
 /// Computes the total container length for the given section lengths
 /// (header + table + aligned payloads, no trailing padding).
 pub fn container_len(section_lens: &[u64]) -> u64 {
@@ -558,11 +569,7 @@ fn parse_table(table: &[u8], expected_crc: u32, container_len: u64) -> io::Resul
 pub(crate) fn container_from_payloads(magic: &[u8; 8], payloads: &[([u8; 8], Vec<u8>)]) -> Vec<u8> {
     let plans: Vec<SectionPlan> = payloads
         .iter()
-        .map(|(name, p)| SectionPlan {
-            name: *name,
-            len: p.len() as u64,
-            crc: crc32(p),
-        })
+        .map(|(name, p)| SectionPlan::of(*name, p))
         .collect();
     let mut out = Vec::new();
     write_container(&mut out, magic, &plans, |i, w| w.write_all(&payloads[i].1))

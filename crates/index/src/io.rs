@@ -55,8 +55,8 @@
 //!   present (the way "flags" was introduced).
 //! * **`LBESLM1`**: the element-streamed dump — magic, config fields, then
 //!   `count`-prefixed entry/offset/posting arrays (offsets dense `u64`),
-//!   all little-endian, no checksums. [`write_index_v1`] is retained for
-//!   round-trip pinning and load-time comparison benchmarks.
+//!   all little-endian, no checksums. Its writer survives only as test
+//!   support; `tests/data/legacy_v1.slm1` is a frozen file of it.
 //!
 //! Both load by converting the dense offsets to the directory with the
 //! routine the builder uses, into owned storage (their element layout
@@ -309,7 +309,7 @@ fn emit_entries<W: Write + ?Sized>(w: &mut W, entries: &[SpectrumEntry]) -> io::
     }
 }
 
-pub(crate) fn emit_u64s<W: Write + ?Sized>(w: &mut W, values: &[u64]) -> io::Result<()> {
+fn emit_u64s<W: Write + ?Sized>(w: &mut W, values: &[u64]) -> io::Result<()> {
     if NATIVE_LE {
         // SAFETY: plain integers, any bit pattern valid as bytes.
         let bytes = unsafe {
@@ -321,7 +321,7 @@ pub(crate) fn emit_u64s<W: Write + ?Sized>(w: &mut W, values: &[u64]) -> io::Res
     }
 }
 
-pub(crate) fn emit_u32s<W: Write + ?Sized>(w: &mut W, values: &[u32]) -> io::Result<()> {
+fn emit_u32s<W: Write + ?Sized>(w: &mut W, values: &[u32]) -> io::Result<()> {
     if NATIVE_LE {
         // SAFETY: plain integers, any bit pattern valid as bytes.
         let bytes = unsafe {
@@ -395,16 +395,8 @@ pub(crate) fn plan_index_sections(
     let (s_len, s_crc) = plan_section(|s| emit_u32s(s, dir.starts))?;
     let (p_len, p_crc) = plan_section(|s| emit_u32s(s, index.postings()))?;
     Ok([
-        SectionPlan {
-            name: SEC_CONFIG,
-            len: cfg_bytes.len() as u64,
-            crc: crate::format::crc32(cfg_bytes),
-        },
-        SectionPlan {
-            name: SEC_FLAGS,
-            len: flags.len() as u64,
-            crc: crate::format::crc32(&flags),
-        },
+        SectionPlan::of(SEC_CONFIG, cfg_bytes),
+        SectionPlan::of(SEC_FLAGS, &flags),
         SectionPlan {
             name: SEC_ENTRIES,
             len: e_len,
@@ -447,55 +439,49 @@ pub(crate) fn write_index_sections(
     })
 }
 
-// ---------------------------------------------------------------------------
-// v1 write (legacy, kept for compatibility pinning and load benchmarks).
-// ---------------------------------------------------------------------------
-
-/// Serializes an index in the **legacy v1** (`LBESLM1`) element-streamed
-/// format. New files should use [`write_index`]; this writer exists so
-/// tests can pin v1 → read compatibility and benchmarks can compare the
-/// two readers on identical indexes.
-pub fn write_index_v1<W: Write>(writer: W, index: &SlmIndex) -> io::Result<()> {
-    // Validate before the first byte goes out: an InvalidInput error must
-    // not leave a magic-only stub behind on disk.
-    let cfg = index.config();
-    check_config_serializable(cfg)?;
-    let mut w = BufWriter::new(writer);
-    w.write_all(MAGIC_V1)?;
-    write_config(&mut w, cfg)?;
-
-    w_u64(&mut w, index.num_spectra() as u64)?;
-    for e in index.entries() {
-        w_u32(&mut w, e.peptide)?;
-        w_u16(&mut w, e.modform)?;
-        w_u16(&mut w, e.num_fragments)?;
-        w_f32(&mut w, e.precursor_mass)?;
-    }
-
-    let num_bins = cfg.num_bins();
-    w_u64(&mut w, num_bins as u64 + 1)?;
-    for o in index.bin_directory().dense_offsets(num_bins) {
-        w_u64(&mut w, o)?;
-    }
-
-    w_u64(&mut w, index.num_ions() as u64)?;
-    for &p in index.postings() {
-        w_u32(&mut w, p)?;
-    }
-    w.flush()
-}
-
 /// Test support shared by this module's tests and the chunk-level tests in
-/// `chunked.rs` and `lifecycle.rs`: a writer of the legacy `binoffs` layout
-/// and a table of bin-directory corruptions.
+/// `chunked.rs` and `lifecycle.rs`: writers of the two legacy layouts (the
+/// legacy-read tests need real old files, blobs and containers) and a table
+/// of bin-directory corruptions.
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
 
+    /// Serializes an index in the **legacy v1** (`LBESLM1`) element-streamed
+    /// format, as the last build that wrote it did. Outside this crate the
+    /// v1 reader is held to the frozen `tests/data/legacy_v1.slm1`.
+    pub(crate) fn write_index_v1<W: Write>(writer: W, index: &SlmIndex) -> io::Result<()> {
+        // Validate before the first byte goes out: an InvalidInput error
+        // must not leave a magic-only stub behind on disk.
+        let cfg = index.config();
+        check_config_serializable(cfg)?;
+        let mut w = BufWriter::new(writer);
+        w.write_all(MAGIC_V1)?;
+        write_config(&mut w, cfg)?;
+
+        w_u64(&mut w, index.num_spectra() as u64)?;
+        for e in index.entries() {
+            w_u32(&mut w, e.peptide)?;
+            w_u16(&mut w, e.modform)?;
+            w_u16(&mut w, e.num_fragments)?;
+            w_f32(&mut w, e.precursor_mass)?;
+        }
+
+        let num_bins = cfg.num_bins();
+        w_u64(&mut w, num_bins as u64 + 1)?;
+        for o in index.bin_directory().dense_offsets(num_bins) {
+            w_u64(&mut w, o)?;
+        }
+
+        w_u64(&mut w, index.num_ions() as u64)?;
+        for &p in index.postings() {
+            w_u32(&mut w, p)?;
+        }
+        w.flush()
+    }
+
     /// Serializes an index as `LBESLM2` in the **legacy `binoffs` layout** —
     /// byte for byte what [`write_index`] emitted before the bin directory.
-    /// (As [`write_index_v1`] is kept for its format: the legacy-read tests
-    /// need real pre-directory files, blobs and containers.)
     pub(crate) fn index_binoffs_bytes(index: &SlmIndex) -> Vec<u8> {
         let mut entries = Vec::new();
         emit_entries(&mut entries, index.entries()).unwrap();
@@ -647,8 +633,7 @@ pub fn read_index_with<R: Read>(reader: R, opts: &ReadOptions) -> io::Result<Slm
             read_v2_arena(Arc::new(AlignedBuf::from_slice(&whole)), opts)
         }
         m if m == MAGIC_CHUNKED => Err(bad(
-            "this is a chunked index container; open it with ChunkedIndex::open_path \
-             or ChunkStore::open_path",
+            "this is a chunked index container; open it with ChunkStore::open_path",
         )),
         _ => Err(bad("not an LBE SLM index file (bad magic)")),
     }
@@ -821,14 +806,14 @@ fn decode_entries(bytes: &[u8]) -> Vec<SpectrumEntry> {
         .collect()
 }
 
-fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
+pub(crate) fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
     bytes
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
         .collect()
 }
 
-fn decode_u64s(bytes: &[u8]) -> Vec<u64> {
+pub(crate) fn decode_u64s(bytes: &[u8]) -> Vec<u64> {
     bytes
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
@@ -1012,7 +997,7 @@ mod tests {
     #[test]
     fn chunked_magic_points_at_the_right_api() {
         let err = read_index(&b"LBECHK2\0........."[..]).unwrap_err();
-        assert!(err.to_string().contains("ChunkedIndex"));
+        assert!(err.to_string().contains("ChunkStore::open_path"));
     }
 
     #[test]

@@ -64,10 +64,10 @@ pub use config::SlmConfig;
 pub use footprint::{MemoryFootprint, StorageFootprint};
 pub use io::{
     read_index, read_index_bytes, read_index_path, read_index_path_with, read_index_with,
-    write_index, write_index_path, write_index_v1, ReadOptions, FLAG_MASS_SORTED,
+    write_index, write_index_path, ReadOptions, FLAG_MASS_SORTED,
 };
 pub use lifecycle::{GenerationStore, ManifestRecord};
-pub use parallel::{search_batch_parallel, search_batch_parallel_with_opts};
+pub use parallel::search_batch_parallel_with_opts;
 pub use precursor::{PrecursorIndex, PrecursorQueryStats};
 pub use query::{Psm, QueryOptions, QueryStats, ScanMode, SearchResult, SearchScratch, Searcher};
 pub use seqtag::{extract_tags, TagIndex, TagQueryStats};

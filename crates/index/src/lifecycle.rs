@@ -39,7 +39,8 @@
 //!             raw_len u64 | stored_len u64 | lo_mass f64 | hi_mass f64
 //!             (flags bit 0 = tombstone, bit 1 = compressed blob)
 //! "gidoffs"   u64×(live+1) CSR offsets into "gids", one row per live record
-//! "gids"      u32 flat local→store peptide id table
+//! "gids"      u32 flat local→store peptide id table (the pair an LBECHK2
+//!             file carries, through the one codec in `crate::chunked`)
 //! "pepoffs"   u64×(P+1) CSR offsets into "pepseq"
 //! "pepseq"    concatenated peptide residue bytes
 //! "pepprot"   u32×P protein ids
@@ -63,16 +64,21 @@
 //! of older manifests stay valid); [`GenerationStore::gc`] reclaims
 //! unreferenced blobs and prunes old manifests once history is no longer
 //! needed.
+//!
+//! This module only *mutates* stores. Opening one for search — manifest →
+//! intervals and id tables, blob fault, decompress, hash check — is
+//! [`crate::ChunkStore::open_generation_dir`], the same reader that serves
+//! `LBECHK2` files; what a generation hands it is `Manifest::into_store_parts`.
 
-use crate::chunked::ChunkedIndex;
+use crate::chunked::{self, ChunkedIndex, SEC_BOUNDS, SEC_GIDOFFS, SEC_GIDS};
 use crate::config::SlmConfig;
-use crate::format::{content_hash64, crc32, section_name, FileContainer, SectionPlan};
-use crate::io::{self, MAGIC_CHUNKED, MAGIC_MANIFEST, MAGIC_V2};
+use crate::format::{content_hash64, section_name, FileContainer, SectionPlan};
+use crate::io::{self, MAGIC_CHUNKED, MAGIC_MANIFEST, MAGIC_V1, MAGIC_V2, SEC_CONFIG};
 use lbe_bio::dedup::dedup_peptides;
 use lbe_bio::mods::{ModSpec, ModType, VariableMod};
 use lbe_bio::peptide::{Peptide, PeptideDb};
 use std::collections::HashSet;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Name of the pointer file naming the live manifest.
@@ -91,10 +97,7 @@ const FLAG_COMPRESSED: u32 = 1 << 1;
 /// All currently defined record flags; anything else is a format error.
 const KNOWN_FLAGS: u32 = FLAG_TOMBSTONE | FLAG_COMPRESSED;
 
-const SEC_CONFIG: [u8; 8] = section_name("config");
 const SEC_MANIFEST: [u8; 8] = section_name("manifest");
-const SEC_GIDOFFS: [u8; 8] = section_name("gidoffs");
-const SEC_GIDS: [u8; 8] = section_name("gids");
 const SEC_PEPOFFS: [u8; 8] = section_name("pepoffs");
 const SEC_PEPSEQ: [u8; 8] = section_name("pepseq");
 const SEC_PEPPROT: [u8; 8] = section_name("pepprot");
@@ -230,9 +233,19 @@ pub(crate) fn blob_path(dir: &Path, hash: u64) -> PathBuf {
 }
 
 /// Reads and validates the `CURRENT` pointer, returning the manifest file
-/// name it designates.
+/// name it designates. A directory without one — a `cluster build` output,
+/// a mistyped path — is reported as what it is, not as a bare `ENOENT`.
 pub(crate) fn read_current_name(dir: &Path) -> std::io::Result<String> {
-    let raw = std::fs::read_to_string(dir.join(CURRENT))?;
+    let raw = std::fs::read_to_string(dir.join(CURRENT)).map_err(|e| match e.kind() {
+        std::io::ErrorKind::NotFound => std::io::Error::new(
+            e.kind(),
+            format!(
+                "{} is not a generation store (no {CURRENT} file)",
+                dir.display()
+            ),
+        ),
+        _ => e,
+    })?;
     let name = raw.trim();
     if manifest_seq(name).is_none() {
         return Err(bad("CURRENT does not name a MANIFEST-NNNNNN file"));
@@ -390,17 +403,7 @@ fn write_manifest(dir: &Path, seq: u64, m: &Manifest) -> std::io::Result<String>
     for r in &m.records {
         r.encode(&mut manifest);
     }
-    let mut gidoffs = Vec::with_capacity((live_count + 1) * 8);
-    let mut gids = Vec::new();
-    let mut acc = 0u64;
-    gidoffs.extend_from_slice(&acc.to_le_bytes());
-    for table in &m.global_ids {
-        acc += table.len() as u64;
-        gidoffs.extend_from_slice(&acc.to_le_bytes());
-        for &g in table {
-            gids.extend_from_slice(&g.to_le_bytes());
-        }
-    }
+    let (gidoffs, gids) = chunked::gid_csr_bytes(&m.global_ids);
     let mut pepoffs = Vec::with_capacity((m.peptides.len() + 1) * 8);
     let mut pepseq = Vec::new();
     let mut pepprot = Vec::with_capacity(m.peptides.len() * 4);
@@ -432,11 +435,7 @@ fn write_manifest(dir: &Path, seq: u64, m: &Manifest) -> std::io::Result<String>
     ];
     let plans: Vec<SectionPlan> = payloads
         .iter()
-        .map(|(name, p)| SectionPlan {
-            name: **name,
-            len: p.len() as u64,
-            crc: crc32(p),
-        })
+        .map(|(name, p)| SectionPlan::of(**name, p))
         .collect();
 
     let name = format!("{MANIFEST_PREFIX}{seq:06}");
@@ -473,35 +472,12 @@ fn read_manifest(path: &Path) -> std::io::Result<Manifest> {
         .collect::<std::io::Result<_>>()?;
     let live_count = records.iter().filter(|r| !r.tombstone).count();
 
-    let gidoffs_b = c.read_section(&SEC_GIDOFFS)?;
-    if !gidoffs_b.len().is_multiple_of(8) || gidoffs_b.len() / 8 != live_count + 1 {
-        return Err(bad("gidoffs section does not match the live chunk count"));
-    }
-    let gid_offs: Vec<u64> = gidoffs_b
-        .as_slice()
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let gids_b = c.read_section(&SEC_GIDS)?;
-    if !gids_b.len().is_multiple_of(4) {
-        return Err(bad("gids section length is not a whole u32 count"));
-    }
-    let total_gids = (gids_b.len() / 4) as u64;
-    if gid_offs.windows(2).any(|w| w[0] > w[1])
-        || gid_offs.first() != Some(&0)
-        || gid_offs.last() != Some(&total_gids)
-    {
-        return Err(bad("gid offsets are not a valid CSR over the id table"));
-    }
-    let gids_all: Vec<u32> = gids_b
-        .as_slice()
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let global_ids: Vec<Vec<u32>> = gid_offs
-        .windows(2)
-        .map(|w| gids_all[w[0] as usize..w[1] as usize].to_vec())
-        .collect();
+    // One id table per live record, in record order.
+    let global_ids = chunked::gid_csr_from_bytes(
+        c.read_section(&SEC_GIDOFFS)?.as_slice(),
+        c.read_section(&SEC_GIDS)?.as_slice(),
+        live_count,
+    )?;
 
     let pepoffs_b = c.read_section(&SEC_PEPOFFS)?;
     let pepseq = c.read_section(&SEC_PEPSEQ)?;
@@ -514,11 +490,7 @@ fn read_manifest(path: &Path) -> std::io::Result<Manifest> {
     if pepprot.len() != num_peptides * 4 || pepmc.len() != num_peptides {
         return Err(bad("peptide sections disagree on the peptide count"));
     }
-    let pep_offs: Vec<u64> = pepoffs_b
-        .as_slice()
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
+    let pep_offs = io::decode_u64s(pepoffs_b.as_slice());
     if pep_offs.windows(2).any(|w| w[0] > w[1])
         || pep_offs.first() != Some(&0)
         || pep_offs.last() != Some(&(pepseq.len() as u64))
@@ -533,10 +505,14 @@ fn read_manifest(path: &Path) -> std::io::Result<Manifest> {
             .ok_or_else(|| bad("stored peptide has an invalid residue sequence"))?;
         peptides.push(p);
     }
-    if total_gids != num_peptides as u64 {
+    if global_ids.iter().map(Vec::len).sum::<usize>() != num_peptides {
         return Err(bad("live chunks do not cover the stored peptides"));
     }
-    if gids_all.iter().any(|&g| g as usize >= num_peptides) {
+    if global_ids
+        .iter()
+        .flatten()
+        .any(|&g| g as usize >= num_peptides)
+    {
         return Err(bad("gid table references a peptide outside the store"));
     }
 
@@ -625,18 +601,6 @@ fn write_chunks(
         global_ids: index.global_ids().to_vec(),
         created_blobs,
     })
-}
-
-/// Mass-coverage intervals matching the `LBECHK2` boundary semantics:
-/// chunk i covers `[boundaries[i], boundaries[i+1]]` (first edge 0, last
-/// +∞), so a [`crate::ChunkStore`] over this store selects exactly the
-/// chunks the equivalent chunked container would.
-fn boundary_intervals(index: &ChunkedIndex) -> Vec<(f64, f64)> {
-    index
-        .boundaries()
-        .windows(2)
-        .map(|w| (w[0], w[1]))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -741,7 +705,7 @@ impl GenerationStore {
         let input = db.len();
         let (db, _) = dedup_peptides(PeptideDb::from_vec(db.peptides().to_vec()));
         let index = ChunkedIndex::build(&db, config.clone(), modspec.clone(), chunk_size);
-        let intervals = boundary_intervals(&index);
+        let intervals = chunked::ladder_intervals(index.boundaries());
         let new = write_chunks(dir, &index, &intervals, 1)?;
         let new_chunks = new.records.len();
         let total = db.len();
@@ -896,7 +860,7 @@ impl GenerationStore {
             man.modspec.clone(),
             man.chunk_size,
         );
-        let intervals = boundary_intervals(&index);
+        let intervals = chunked::ladder_intervals(index.boundaries());
         let generation = man.next_generation;
         let new = write_chunks(&self.dir, &index, &intervals, generation)?;
         let chunks_after = new.records.len();
@@ -1004,24 +968,31 @@ impl GenerationStore {
 /// [`StoreStats`] for a plain single-file `LBECHK2` container, so
 /// `lbe index stats` speaks both formats: every chunk reports generation 1,
 /// uncompressed, with its embedded blob hashed on the fly.
+///
+/// A single-index `LBESLM1`/`LBESLM2` file — a `cluster build` shard, say —
+/// has no chunks to list; the error names it and what this function reads.
 pub fn chunked_container_stats(path: impl AsRef<Path>) -> std::io::Result<StoreStats> {
-    let mut c = FileContainer::open(path, MAGIC_CHUNKED)?;
-    let directory = crate::chunked::chunk_directory(c.sections())?;
-    let bounds_b = c.read_section(&section_name("bounds"))?;
-    if !bounds_b.len().is_multiple_of(8) || bounds_b.len() / 8 != directory.len() + 1 {
-        return Err(bad("bounds section does not match the chunk count"));
+    let path = path.as_ref();
+    let mut magic = [0u8; 8];
+    std::fs::File::open(path)?.read_exact(&mut magic)?;
+    if [MAGIC_V1, MAGIC_V2].contains(&&magic) {
+        return Err(bad(&format!(
+            "{} is a single-index {} file with no chunks to list; chunk statistics \
+             read an LBECHK2 chunked container file or a generation store directory",
+            path.display(),
+            String::from_utf8_lossy(&magic[..7])
+        )));
     }
-    let bounds: Vec<f64> = bounds_b
-        .as_slice()
-        .chunks_exact(8)
-        .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-    let num_peptides = match c.find(&section_name("gids")) {
+    let mut c = FileContainer::open(path, MAGIC_CHUNKED)?;
+    let directory = chunked::chunk_directory(c.sections())?;
+    let intervals =
+        chunked::bounds_from_bytes(c.read_section(&SEC_BOUNDS)?.as_slice(), directory.len())?;
+    let num_peptides = match c.find(&SEC_GIDS) {
         Some(s) => (s.len / 4) as usize,
         None => return Err(bad("chunked container is missing its gids section")),
     };
     let mut records = Vec::with_capacity(directory.len());
-    for (i, s) in directory.iter().enumerate() {
+    for (s, &(lo_mass, hi_mass)) in directory.iter().zip(&intervals) {
         let blob = c.read_section_desc_unverified(s)?;
         records.push(ManifestRecord {
             hash: content_hash64(blob.as_slice()),
@@ -1030,8 +1001,8 @@ pub fn chunked_container_stats(path: impl AsRef<Path>) -> std::io::Result<StoreS
             compressed: false,
             raw_len: s.len,
             stored_len: s.len,
-            lo_mass: bounds[i],
-            hi_mass: bounds[i + 1],
+            lo_mass,
+            hi_mass,
         });
     }
     let logical_bytes = records.iter().map(|r| r.raw_len).sum();

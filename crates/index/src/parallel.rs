@@ -5,7 +5,7 @@
 //! multi-threaded batch searcher used by node-local deployments and by the
 //! hybrid mode's intra-rank level.
 //!
-//! [`search_batch_parallel`] splits the queries into **small blocks**
+//! [`search_batch_parallel_with_opts`] splits the queries into **small blocks**
 //! claimed dynamically by a fixed set of workers on the shared
 //! work-stealing pool (`minipool`). Each worker owns one [`Searcher`]
 //! (scratch state is allocated `num_threads` times total, not per block),
@@ -35,24 +35,16 @@ fn block_size(num_queries: usize, workers: usize) -> usize {
     (num_queries / (workers * 16)).clamp(1, 32)
 }
 
-/// Searches `queries` against `index` using `num_threads` workers on the
-/// shared work-stealing pool, with dynamic block scheduling.
+/// Searches `queries` against `index` under one set of [`QueryOptions`]
+/// using `num_threads` workers on the shared work-stealing pool, with
+/// dynamic block scheduling — the batch entry point of node-local search,
+/// cluster ranks and a resident server's query waves (one options set per
+/// wave, every worker searching under it).
 ///
 /// Returns per-query results (in input order) and the accumulated work
-/// counters, bit-identical to the sequential path for any thread count.
+/// counters, bit-identical to the sequential
+/// [`Searcher::search_batch_with_opts`] for any thread count.
 /// `num_threads = 1` degenerates to the sequential path.
-pub fn search_batch_parallel(
-    index: &SlmIndex,
-    queries: &[Spectrum],
-    num_threads: usize,
-) -> (Vec<SearchResult>, QueryStats) {
-    search_batch_parallel_with_opts(index, queries, num_threads, &QueryOptions::default())
-}
-
-/// [`search_batch_parallel`] under per-request [`QueryOptions`] — the
-/// batch entry point a resident server's query waves use: one options set
-/// per wave, every worker searching under it. Bit-identical to the
-/// sequential [`Searcher::search_batch_with_opts`] for any thread count.
 pub fn search_batch_parallel_with_opts(
     index: &SlmIndex,
     queries: &[Spectrum],
@@ -157,9 +149,15 @@ mod tests {
     #[test]
     fn parallel_equals_sequential() {
         let (index, queries) = setup(37);
-        let (seq, seq_stats) = search_batch_parallel(&index, &queries, 1);
+        let (seq, seq_stats) =
+            search_batch_parallel_with_opts(&index, &queries, 1, &QueryOptions::default());
         for threads in [2usize, 3, 4, 8] {
-            let (par, par_stats) = search_batch_parallel(&index, &queries, threads);
+            let (par, par_stats) = search_batch_parallel_with_opts(
+                &index,
+                &queries,
+                threads,
+                &QueryOptions::default(),
+            );
             assert_eq!(par, seq, "{threads} threads");
             assert_eq!(par_stats, seq_stats);
         }
@@ -168,14 +166,15 @@ mod tests {
     #[test]
     fn more_threads_than_queries() {
         let (index, queries) = setup(3);
-        let (r, _) = search_batch_parallel(&index, &queries, 16);
+        let (r, _) =
+            search_batch_parallel_with_opts(&index, &queries, 16, &QueryOptions::default());
         assert_eq!(r.len(), 3);
     }
 
     #[test]
     fn empty_batch() {
         let (index, _) = setup(1);
-        let (r, stats) = search_batch_parallel(&index, &[], 4);
+        let (r, stats) = search_batch_parallel_with_opts(&index, &[], 4, &QueryOptions::default());
         assert!(r.is_empty());
         assert_eq!(stats, QueryStats::default());
     }
@@ -183,7 +182,8 @@ mod tests {
     #[test]
     fn results_in_query_order() {
         let (index, queries) = setup(20);
-        let (par, _) = search_batch_parallel(&index, &queries, 4);
+        let (par, _) =
+            search_batch_parallel_with_opts(&index, &queries, 4, &QueryOptions::default());
         let mut s = Searcher::new(&index);
         for (q, r) in queries.iter().zip(&par) {
             assert_eq!(&s.search(q), r);
@@ -194,7 +194,7 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
         let (index, queries) = setup(2);
-        search_batch_parallel(&index, &queries, 0);
+        search_batch_parallel_with_opts(&index, &queries, 0, &QueryOptions::default());
     }
 
     /// Shared fixture for the proptest: building an index per case would
@@ -226,7 +226,7 @@ mod tests {
             }
             let mut s = Searcher::new(index);
             let (seq, seq_stats) = s.search_batch(&batch);
-            let (par, par_stats) = search_batch_parallel(index, &batch, threads);
+            let (par, par_stats) = search_batch_parallel_with_opts(index, &batch, threads, &QueryOptions::default());
             prop_assert_eq!(par, seq);
             prop_assert_eq!(par_stats, seq_stats);
         }

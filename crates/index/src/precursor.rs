@@ -12,6 +12,11 @@
 //! average peptide precursor mass across the system" — i.e. the grouping
 //! key becomes mass, not sequence similarity. See
 //! `lbe_core::grouping::group_peptides_by_mass`.
+//!
+//! Reached by: the `filtration_methods` figure binary (`crates/bench`) and
+//! `tests/filtration_and_formats.rs`, as the baseline the SLM path is
+//! compared with. No search path of `lbe` itself uses it; it stays as long
+//! as that binary does.
 
 use lbe_bio::peptide::PeptideDb;
 use lbe_spectra::spectrum::Spectrum;

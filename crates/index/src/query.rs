@@ -270,17 +270,6 @@ impl<'a> Searcher<'a> {
         Self::with_scratch(index, SearchScratch::default())
     }
 
-    /// Creates a searcher whose PSMs carry *global* peptide ids: every
-    /// emitted peptide id is `global_ids[local_id]`. The translation
-    /// happens before top-k selection, so score ties truncate in global
-    /// `(peptide, modform)` order — the property chunked search needs to
-    /// agree byte-for-byte with a monolithic index over the same peptides.
-    pub fn mapped(index: &'a SlmIndex, global_ids: &'a [u32]) -> Self {
-        let mut s = Self::new(index);
-        s.global_ids = Some(global_ids);
-        s
-    }
-
     /// Creates a searcher around recycled scratch. Surviving counter slots
     /// must be zero ([`SearchScratch`]'s invariant — the previous searcher
     /// reset every entry it touched); recycling across indexes is safe
@@ -307,8 +296,12 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// [`Searcher::with_scratch`] combined with [`Searcher::mapped`]:
-    /// recycled scratch plus local→global peptide-id translation.
+    /// [`Searcher::with_scratch`] for a searcher whose PSMs carry *global*
+    /// peptide ids: every emitted peptide id is `global_ids[local_id]`. The
+    /// translation happens before top-k selection, so score ties truncate
+    /// in global `(peptide, modform)` order — the property chunked search
+    /// needs to agree byte-for-byte with a monolithic index over the same
+    /// peptides.
     pub fn with_scratch_mapped(
         index: &'a SlmIndex,
         scratch: SearchScratch,
@@ -817,7 +810,7 @@ mod tests {
         let map: Vec<u32> = vec![107, 9, 42];
         let q = perfect_query(b"PEPTIDEK");
         let local = Searcher::new(&idx).search(&q);
-        let global = Searcher::mapped(&idx, &map).search(&q);
+        let global = Searcher::with_scratch_mapped(&idx, SearchScratch::default(), &map).search(&q);
         assert_eq!(local.stats, global.stats);
         assert_eq!(local.psms.len(), global.psms.len());
         for (l, g) in local.psms.iter().zip(&global.psms) {

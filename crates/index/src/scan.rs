@@ -9,12 +9,12 @@
 //! * **Fused range proof + scatter** ([`accumulate_run`]): the run is
 //!   consumed in [`LANES`]-wide chunks. Per chunk, the band-relative slot
 //!   indices and a fused out-of-range mask are computed in one lane loop —
-//!   pure arithmetic the compiler autovectorizes, with an explicit AVX2
-//!   variant (`_mm256_min_epu32`/`_mm256_cmpeq_epi32`) behind the `simd`
-//!   feature, runtime-detected. A clean mask *proves* every lane maps into
-//!   the scratch slice — without trusting the container's sortedness claims
-//!   — so the scatter that follows runs without bounds checks: two
-//!   read-modify-writes per lane, nothing else. A dirty mask (only possible
+//!   pure arithmetic the compiler autovectorizes (a hand-written AVX2 mask
+//!   measured no faster on `lbe-e2e`'s `batch_open`, so there is none). A
+//!   clean mask *proves* every lane maps into the scratch slice — without
+//!   trusting the container's sortedness claims — so the scatter that
+//!   follows runs without bounds checks: two read-modify-writes per lane,
+//!   nothing else. A dirty mask (only possible
 //!   for a corrupt index loaded with validation off) drops that chunk to
 //!   the bounds-checked loop, which panics exactly as the pre-SoA kernel's
 //!   indexing did instead of touching memory out of bounds. An earlier
@@ -41,11 +41,9 @@
 //! bounds-checked scalar loop; its never-taken panic branch predicts
 //! perfectly and costs less than any mask setup at those lengths.
 //!
-//! Equivalence between the chunked/unchecked path (and, with `simd`, the
-//! AVX2 mask it rests on) and the scalar reference is proptested below
-//! across lane remainders (0..[`LANES`] leftovers), unaligned band starts,
-//! duplicate ids, and empty runs; CI runs the suite with the `simd`
-//! feature on and off.
+//! Equivalence between the chunked/unchecked path and the scalar reference
+//! is proptested below across lane remainders (0..[`LANES`] leftovers),
+//! unaligned band starts, duplicate ids, and empty runs.
 
 /// Lanes per inner-loop chunk: eight `u32` entry ids — one 256-bit vector
 /// register.
@@ -88,22 +86,15 @@ impl Slot {
 }
 
 /// Per-chunk band-relative indices plus a fused out-of-range flag. Pure
-/// arithmetic over the chunk's lanes (autovectorizes); with the `simd`
-/// feature an AVX2 variant takes over on hardware that has it. Returns
-/// `true` iff **any** lane falls outside `0..width` — a `false` return
-/// proves every `idx[j] < width` without assuming the run is sorted.
+/// arithmetic over the chunk's lanes (autovectorizes). Returns `true` iff
+/// **any** lane falls outside `0..width` — a `false` return proves every
+/// `idx[j] < width` without assuming the run is sorted.
 ///
 /// `c` must hold at least [`LANES`] elements and `width` must be nonzero
 /// (both guaranteed by the chunking caller; debug-asserted).
 #[inline(always)]
 fn chunk_indices(c: &[u32], band_lo: u32, width: usize, idx: &mut [usize; LANES]) -> bool {
     debug_assert!(c.len() >= LANES && width > 0);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime; the caller
-        // guarantees `c` holds a full chunk and `width > 0`.
-        return unsafe { chunk_indices_avx2(c, band_lo, width, idx) };
-    }
     let mut oob = false;
     for j in 0..LANES {
         // wrapping_sub sends ids below the band to huge offsets, so the
@@ -113,38 +104,6 @@ fn chunk_indices(c: &[u32], band_lo: u32, width: usize, idx: &mut [usize; LANES]
         oob |= e >= width;
     }
     oob
-}
-
-/// AVX2 variant of [`chunk_indices`]: one vector subtract computes all
-/// eight band-relative offsets; an unsigned-min-against-`width − 1` clamp
-/// compared back against the offsets turns "any lane out of range" into a
-/// single movemask test.
-///
-/// # Safety
-/// The caller must have verified AVX2 support at runtime, `c` must hold at
-/// least [`LANES`] elements, and `width` must be in `1..=u32::MAX`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn chunk_indices_avx2(
-    c: &[u32],
-    band_lo: u32,
-    width: usize,
-    idx: &mut [usize; LANES],
-) -> bool {
-    use std::arch::x86_64::*;
-    debug_assert!(width > 0 && width <= u32::MAX as usize);
-    let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-    // _mm256_sub_epi32 wraps, matching the portable path's wrapping_sub.
-    let e = _mm256_sub_epi32(v, _mm256_set1_epi32(band_lo as i32));
-    let max_ok = _mm256_set1_epi32((width as u32 - 1) as i32);
-    // A lane is in range iff clamping it to `width − 1` is the identity.
-    let in_range = _mm256_cmpeq_epi32(_mm256_min_epu32(e, max_ok), e);
-    let mut lanes = [0u32; LANES];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, e);
-    for j in 0..LANES {
-        idx[j] = lanes[j] as usize;
-    }
-    _mm256_movemask_epi8(in_range) != -1
 }
 
 /// Hints the first cache lines of the next posting run into L1 while the
@@ -309,8 +268,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The chunked/unchecked accumulation (and, with `--features simd`,
-        /// the AVX2 range mask it rests on) is bit-identical to the scalar
+        /// The chunked/unchecked accumulation is bit-identical to the scalar
         /// reference for every lane-remainder length (0..LANES leftovers via
         /// the length range), unaligned band starts, duplicate-heavy runs,
         /// and degenerate empty runs.

@@ -10,6 +10,11 @@
 //! Implementation: a 3-mer index over the peptide database (3 is the
 //! classical tag length), plus spectrum-side tag extraction by chaining
 //! peak-pair gaps that match residue masses within tolerance.
+//!
+//! Reached by: the `filtration_methods` figure binary (`crates/bench`,
+//! through [`TagIndex`]) and `tests/filtration_and_formats.rs`, as the
+//! second baseline the SLM path is compared with. No search path of `lbe`
+//! itself uses it; it stays as long as that binary does.
 
 use lbe_bio::aa::{monoisotopic_residue_mass, STANDARD_AMINO_ACIDS};
 use lbe_bio::peptide::PeptideDb;

@@ -2033,27 +2033,79 @@ mod tests {
         }
     }
 
+    /// An `LBESLM1` file written once by the last build whose public API
+    /// had a v1 writer; see `tests/data/README.md`.
+    const LEGACY_V1: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/legacy_v1.slm1");
+
     #[test]
     fn search_reads_legacy_v1_single_index_files() {
-        let p = search_fixture("legacy_v1");
-        // Write a v1 file directly through the legacy writer.
-        let db = lbe_core::ingest::load_peptide_db(p("pep.fasta")).unwrap();
-        let idx = lbe_index::IndexBuilder::new(
-            lbe_index::SlmConfig::default(),
-            lbe_bio::mods::ModSpec::none(),
-        )
-        .build(&db);
-        let f = std::fs::File::create(p("old.slm")).unwrap();
-        lbe_index::write_index_v1(f, &idx).unwrap();
+        let d = tmpdir("legacy_v1");
+        let out = d.join("r.tsv").to_string_lossy().to_string();
+        let queries = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/corpus.ms2");
         let msg = run(&format!(
-            "search --index {} --queries {} --out {}",
-            p("old.slm"),
-            p("q.ms2"),
-            p("r.tsv")
+            "search --index {LEGACY_V1} --queries {queries} --out {out}"
         ))
         .unwrap();
-        assert!(msg.contains("single index"));
-        assert!(std::fs::read_to_string(p("r.tsv")).unwrap().lines().count() > 1);
+        // Frozen bytes, so a frozen answer.
+        assert!(
+            msg.contains("against 64 indexed spectra (single index), wrote 172 PSMs"),
+            "{msg}"
+        );
+        let report = std::fs::read_to_string(&out).unwrap();
+        assert_eq!(report.lines().nth(1), Some("0\t1\t20\t0\t5\t6.9423"));
+    }
+
+    /// [`search_fixture`] plus `shards/`, a 2-rank `cluster build` output:
+    /// a directory that is no generation store, holding single-index files.
+    fn shards_fixture(dir: &str) -> impl Fn(&str) -> String {
+        let p = search_fixture(dir);
+        run(&format!(
+            "cluster build --sim --ranks 2 --db {} --out {}",
+            p("pep.fasta"),
+            p("shards")
+        ))
+        .unwrap();
+        p
+    }
+
+    #[test]
+    fn a_directory_that_is_no_generation_store_is_named_as_such() {
+        let p = shards_fixture("not_a_store");
+        for cmd in [
+            format!(
+                "search --index {} --queries {} --out {}",
+                p("shards"),
+                p("q.ms2"),
+                p("r.tsv")
+            ),
+            format!("index stats --index {}", p("shards")),
+        ] {
+            let err = run(&cmd).unwrap_err().to_string();
+            assert!(
+                err.contains(&p("shards"))
+                    && err.contains("is not a generation store (no CURRENT file)"),
+                "{cmd}: {err}"
+            );
+        }
+        assert!(!std::path::Path::new(&p("r.tsv")).exists());
+    }
+
+    #[test]
+    fn index_stats_on_a_single_index_file_says_what_it_found_and_what_it_reads() {
+        let p = shards_fixture("stats_single");
+        for (file, kind) in [
+            (p("shards/shard-0000.slm2"), "LBESLM2"),
+            (LEGACY_V1.to_string(), "LBESLM1"),
+        ] {
+            let err = run(&format!("index stats --index {file}"))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("{file} is a single-index {kind} file"))
+                    && err.contains("LBECHK2 chunked container file or a generation store"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use lbe::core::engine::{run_distributed_search, EngineConfig};
 use lbe::core::grouping::{group_peptides, GroupingParams};
 use lbe::core::partition::PartitionPolicy;
 use lbe::core::pipeline::PipelineBuilder;
-use lbe::index::{ChunkedIndex, IndexBuilder, Searcher, SlmConfig};
+use lbe::index::{ChunkStore, ChunkedIndex, IndexBuilder, Searcher, SlmConfig};
 use lbe::spectra::preprocess::{preprocess_spectrum, PreprocessParams};
 use lbe::spectra::synthetic::{SyntheticDataset, SyntheticDatasetParams};
 
@@ -234,13 +234,17 @@ fn chunked_index_agrees_with_distributed_candidates() {
         .map(|s| preprocess_spectrum(s, &pre))
         .collect();
 
-    let chunked = ChunkedIndex::build(db, SlmConfig::default(), ModSpec::none(), 100);
+    let path = tmp_container("e2e_vs_dist.lbe");
+    ChunkedIndex::build(db, SlmConfig::default(), ModSpec::none(), 100)
+        .write_path(&path)
+        .unwrap();
+    let mut chunked = ChunkStore::open_path(&path, usize::MAX).unwrap();
     let grouping = group_peptides(db, &GroupingParams::default());
     let cfg = EngineConfig::with_policy(PartitionPolicy::Chunk);
     let dist = run_distributed_search(db, &grouping, &queries, &cfg, 4);
 
     for (qi, q) in queries.iter().enumerate() {
-        let c = chunked.search(q);
+        let c = chunked.search(q).unwrap();
         let mut ca: Vec<(u32, u16)> = c.psms.iter().map(|p| (p.peptide, p.shared_peaks)).collect();
         let mut da: Vec<(u32, u16)> = dist.psms[qi]
             .iter()
@@ -250,6 +254,7 @@ fn chunked_index_agrees_with_distributed_candidates() {
         da.sort_unstable();
         assert_eq!(ca, da, "query {qi}");
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -301,8 +306,9 @@ fn footprint_overhead_master_only() {
 fn disk_backed_index_is_transparent_end_to_end() {
     // The full pipeline's database, written as a v2 chunked container and
     // searched disk-backed with a one-chunk residency budget, must produce
-    // the same results as the in-memory chunked index — across the facade
-    // crate, the storage layer, and the residency layer.
+    // the same results as the all-resident store — and rank what one index
+    // over the same database ranks — across the facade crate, the storage
+    // layer, and the residency layer.
     let report = demo();
     let db = &report.db;
     let dataset = SyntheticDataset::generate(
@@ -323,23 +329,39 @@ fn disk_backed_index_is_transparent_end_to_end() {
 
     let chunked = ChunkedIndex::build(db, SlmConfig::default(), ModSpec::none(), 40);
     assert!(chunked.num_chunks() > 1, "fixture must exercise chunking");
-    let dir = std::env::temp_dir().join("lbe_e2e_disk_backed");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("e2e.lbe");
+    let path = tmp_container("e2e_disk_backed.lbe");
     chunked.write_path(&path).unwrap();
 
-    let in_memory = chunked.search_batch(&queries);
+    let mut resident = ChunkStore::open_path(&path, usize::MAX).unwrap();
+    let in_memory = resident.search_batch(&queries).unwrap();
+    assert_eq!(resident.stats().evictions, 0);
 
-    // Eagerly reopened (single shared arena) and lazily opened with the
-    // tightest budget: both must be bit-identical to the built index.
-    let reopened = lbe::index::ChunkedIndex::open_path(&path).unwrap();
-    assert_eq!(reopened.search_batch(&queries), in_memory);
-
-    let mut store = lbe::index::ChunkStore::open_path(&path, 1).unwrap();
+    let mut store = ChunkStore::open_path(&path, 1).unwrap();
     let disk_backed = store.search_batch(&queries).unwrap();
     assert_eq!(disk_backed, in_memory);
     assert!(store.num_resident() <= 1);
-    assert!(store.stats().faults > 0);
+    assert!(store.stats().evictions > 0);
+
+    let rows = |rs: &[lbe::index::SearchResult]| -> Vec<Vec<(u32, u16, u16, u32)>> {
+        rs.iter()
+            .map(|r| {
+                r.psms
+                    .iter()
+                    .map(|p| (p.peptide, p.modform, p.shared_peaks, p.score.to_bits()))
+                    .collect()
+            })
+            .collect()
+    };
+    let single = IndexBuilder::new(SlmConfig::default(), ModSpec::none()).build(db);
+    let (single, _) = Searcher::new(&single).search_batch(&queries);
+    assert_eq!(rows(&in_memory), rows(&single));
 
     std::fs::remove_file(&path).ok();
+}
+
+/// A scratch path for one test's container file.
+fn tmp_container(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("lbe_e2e_containers");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(name)
 }

@@ -4,8 +4,10 @@
 
 use lbe::bio::mods::ModSpec;
 use lbe::core::pipeline::PipelineBuilder;
-use lbe::index::parallel::search_batch_parallel;
-use lbe::index::{IndexBuilder, PrecursorIndex, Searcher, SlmConfig, TagIndex};
+use lbe::index::{
+    search_batch_parallel_with_opts, IndexBuilder, PrecursorIndex, QueryOptions, Searcher,
+    SlmConfig, TagIndex,
+};
 use lbe::spectra::mgf::{read_mgf, write_mgf};
 use lbe::spectra::ms2::{read_ms2, write_ms2};
 use lbe::spectra::mzml::{read_mzml, write_mzml};
@@ -123,8 +125,9 @@ fn all_three_formats_preserve_search_results() {
 fn parallel_search_matches_sequential_on_pipeline_workload() {
     let (db, queries, truth) = workload();
     let slm = IndexBuilder::new(SlmConfig::default(), ModSpec::none()).build(&db);
-    let (seq, seq_stats) = search_batch_parallel(&slm, &queries, 1);
-    let (par, par_stats) = search_batch_parallel(&slm, &queries, 4);
+    let opts = QueryOptions::default();
+    let (seq, seq_stats) = search_batch_parallel_with_opts(&slm, &queries, 1, &opts);
+    let (par, par_stats) = search_batch_parallel_with_opts(&slm, &queries, 4, &opts);
     assert_eq!(seq, par);
     assert_eq!(seq_stats, par_stats);
     // And it actually identifies things.
