@@ -489,6 +489,19 @@ fn read_frame_interruptible(
     Ok(ReadOutcome::Frame(payload))
 }
 
+/// Socket options of every accepted connection. `TCP_NODELAY`: replies are
+/// small frames a client is waiting on, and under Nagle a reply written
+/// while the previous one is unacknowledged sits in the kernel until the
+/// client's delayed ACK arrives — which pinned a paced client's median
+/// latency to one pacing period (the cluster links in `tcp.rs` set it for
+/// the same reason). The writer thread flushes once per drained reply queue,
+/// so disabling Nagle does not mean a segment per frame. The read timeout is
+/// what lets the reader poll the stop flag and the idle clock.
+fn configure_accepted(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(POLL_INTERVAL))
+}
+
 /// One connection: a reader loop on this thread plus a writer thread, so
 /// responses stream back while the reader keeps admitting queries.
 fn handle_connection(
@@ -500,7 +513,9 @@ fn handle_connection(
     cfg: ServeConfig,
     stats: &Arc<StatsInner>,
 ) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    if configure_accepted(&stream).is_err() {
+        return;
+    }
     let writer_stream = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -517,16 +532,27 @@ fn handle_connection(
             // Keep draining after a write error: gate slots must still be
             // released so the dispatcher and reader are never wedged by
             // one dead client.
-            while let Ok((release, response)) = reply_rx.recv() {
-                if release {
-                    gate.release();
+            while let Ok(first) = reply_rx.recv() {
+                // Frame everything already queued, then flush once: a
+                // wave's replies to this connection leave in one write (one
+                // segment, one client wake-up) instead of one per frame —
+                // and with `TCP_NODELAY` set, the flush is when they leave.
+                let mut framed = 0u64;
+                for (release, response) in std::iter::once(first).chain(reply_rx.try_iter()) {
+                    if release {
+                        gate.release();
+                    }
+                    if !broken {
+                        match proto::write_frame(&mut sink, &response.encode()) {
+                            Ok(()) => framed += 1,
+                            Err(_) => broken = true,
+                        }
+                    }
                 }
                 if !broken {
-                    let wrote = proto::write_frame(&mut sink, &response.encode())
-                        .and_then(|()| sink.flush());
-                    match wrote {
+                    match sink.flush() {
                         Ok(()) => {
-                            stats.responses.fetch_add(1, Ordering::SeqCst);
+                            stats.responses.fetch_add(framed, Ordering::SeqCst);
                         }
                         Err(_) => broken = true,
                     }
@@ -816,4 +842,31 @@ pub fn serve_stdin<R: Read, W: Write>(
         }
     }
     Ok(stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_get_nodelay_and_the_poll_read_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "Nagle is the OS default");
+        assert_eq!(accepted.read_timeout().unwrap(), None);
+        configure_accepted(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        // The kernel keeps the timeout in clock ticks: 50 ms reads back as
+        // 52 ms at 250 Hz.
+        let timeout = accepted.read_timeout().unwrap().expect("a read timeout");
+        assert!(
+            (POLL_INTERVAL..POLL_INTERVAL + Duration::from_millis(10)).contains(&timeout),
+            "{timeout:?}"
+        );
+        // The options belong to the socket, so the writer thread's clone of
+        // the stream has them too.
+        assert!(accepted.try_clone().unwrap().nodelay().unwrap());
+        drop(client);
+    }
 }

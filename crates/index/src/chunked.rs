@@ -46,9 +46,7 @@
 use crate::builder::IndexBuilder;
 use crate::config::SlmConfig;
 use crate::footprint::StorageFootprint;
-use crate::format::{
-    content_hash64, section_name, AlignedBuf, FileContainer, ParsedContainer, Section, SectionPlan,
-};
+use crate::format::{section_name, AlignedBuf, FileContainer, Section, SectionPlan, VerifiedImage};
 use crate::io::{self, ReadOptions, MAGIC_CHUNKED, MAGIC_V2, SEC_CONFIG};
 use crate::lifecycle::BlobRef;
 use crate::query::{QueryOptions, QueryStats, SearchResult, Searcher};
@@ -58,7 +56,6 @@ use lbe_bio::peptide::{Peptide, PeptideDb};
 use lbe_spectra::spectrum::Spectrum;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 pub(crate) const SEC_BOUNDS: [u8; 8] = section_name("bounds");
 pub(crate) const SEC_GIDOFFS: [u8; 8] = section_name("gidoffs");
@@ -393,6 +390,22 @@ fn check_gid_cover(chunk: &SlmIndex, gids: &[u32]) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Reads, decodes and verifies the blob file of one generation-store chunk,
+/// and holds it to the manifest: the image's length and the content hash
+/// derived from its whole-image CRC must be the record's.
+fn read_generation_blob(dir: &Path, b: BlobRef) -> std::io::Result<VerifiedImage> {
+    let bytes = std::fs::read(crate::lifecycle::blob_path(dir, b.hash))?;
+    let image = if crate::compress::is_compressed_blob(&bytes) {
+        crate::compress::decompress_verified(&bytes, MAGIC_V2)?
+    } else {
+        VerifiedImage::verify(AlignedBuf::from_slice(&bytes), MAGIC_V2)?
+    };
+    if image.as_slice().len() as u64 != b.raw_len || image.content_hash() != b.hash {
+        return Err(bad("chunk blob does not match its manifest content hash"));
+    }
+    Ok(image)
+}
+
 /// Cumulative counters of a [`ChunkStore`]'s residency layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidencyStats {
@@ -699,6 +712,27 @@ impl ChunkStore {
 
     /// Makes chunk `ci` resident, faulting it from disk (and evicting the
     /// least-recently-used resident chunk if over budget).
+    ///
+    /// **Every fault verifies the bytes it just read** — nothing remembers
+    /// that a hash or a path was good last time, because a blob can rot
+    /// between two faults — and verifies them once. Both sources end in a
+    /// [`VerifiedImage`] (header, table CRC, every section against its
+    /// table CRC, one checksum walk) and differ only in how the bytes
+    /// arrive and what the whole-image CRC that walk yields is held to:
+    ///
+    /// * an `LBECHK2` blob section is read as is; the image's own table is
+    ///   its authority (the outer section CRC would say nothing more about
+    ///   the data bytes, and is not consulted);
+    /// * a generation blob is read whole and, if compressed, decoded —
+    ///   each section checksummed as it is decoded, the fold compared with
+    ///   the frame's `raw_crc` — and then its length and the content hash
+    ///   *derived from that same CRC* must be the manifest's, which is
+    ///   what catches a swapped or misnamed blob file and damage in the
+    ///   padding no section CRC covers.
+    ///
+    /// [`io::read_v2_parsed`] then takes the image — no further checksum —
+    /// and runs the structural validation the store's [`ReadOptions`] ask
+    /// for (O(ions) by default), and the id-table cover check closes it.
     fn ensure_resident(&mut self, ci: usize) -> std::io::Result<()> {
         self.tick += 1;
         if self.resident[ci].is_some() {
@@ -719,34 +753,22 @@ impl ChunkStore {
             self.stats.evictions += 1;
         }
         let opts = self.read_opts;
-        let arena = match &mut self.source {
-            // The blob's inner container self-verifies (table checksum +
-            // per-section CRCs), so the outer section CRC is not re-checked.
+        let image = match &mut self.source {
             ChunkSource::Container {
                 container,
                 directory,
-            } => Arc::new(container.read_section_desc_unverified(&directory[ci])?),
-            // A generation blob is covered end to end by its content hash
-            // (computed over the *uncompressed* bytes, padding included),
-            // so a corrupt or swapped blob file fails here — and the
-            // compressed frame additionally self-verifies during
-            // decompression.
+            } => VerifiedImage::verify(
+                container.read_section_desc_unverified(&directory[ci])?,
+                MAGIC_V2,
+            )?,
             ChunkSource::Generation { dir, blobs, .. } => {
                 let b = blobs[ci];
-                let bytes = std::fs::read(crate::lifecycle::blob_path(dir, b.hash))?;
-                let raw = if crate::compress::is_compressed_blob(&bytes) {
-                    crate::compress::decompress_container(&bytes, MAGIC_V2)?
-                } else {
-                    AlignedBuf::from_slice(&bytes)
-                };
-                if raw.len() as u64 != b.raw_len || content_hash64(raw.as_slice()) != b.hash {
-                    return Err(bad("chunk blob does not match its manifest content hash"));
-                }
-                Arc::new(raw)
+                read_generation_blob(dir, b).map_err(|e| {
+                    std::io::Error::new(e.kind(), format!("chunk blob {:016x}: {e}", b.hash))
+                })?
             }
         };
-        let inner = ParsedContainer::parse(arena.as_slice(), 0, None, MAGIC_V2)?;
-        let chunk = io::read_v2_parsed(arena, &inner, &opts)?;
+        let chunk = io::read_v2_parsed(image, &opts)?;
         check_gid_cover(&chunk, &self.global_ids[ci])?;
         self.resident[ci] = Some(chunk);
         self.last_used[ci] = self.tick;
@@ -812,6 +834,7 @@ impl ChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::ParsedContainer;
     use crate::lifecycle::GenerationStore;
     use lbe_bio::mods::ModForm;
     use lbe_spectra::spectrum::Peak;
@@ -1386,5 +1409,363 @@ mod tests {
             store.stats()
         );
         std::fs::remove_file(&p).ok();
+    }
+
+    // -----------------------------------------------------------------------
+    // One corruption table: every blob source × every kind of damage, through
+    // `ensure_resident`.
+    // -----------------------------------------------------------------------
+
+    /// What faulting a damaged blob must do.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Verdict {
+        /// `InvalidData`, on fault.
+        Rejected,
+        /// The fault succeeds with the chunk the undamaged blob yields.
+        Invisible,
+    }
+
+    /// Where the table's blobs live: a blob file of the generation store at
+    /// `dir` — with the record to point the opened store's chunk at, when
+    /// the file was put there by the test rather than by `init` — or a `chk`
+    /// section of an `LBECHK2` file (its path and pristine bytes).
+    enum Home {
+        BlobFile {
+            dir: PathBuf,
+            path: PathBuf,
+            reseat: Option<BlobRef>,
+        },
+        FileSection(PathBuf, Vec<u8>),
+    }
+
+    struct BlobSource {
+        what: &'static str,
+        home: Home,
+        ci: usize,
+        /// The undamaged blob as stored (a compressed frame or a raw image).
+        stored: Vec<u8>,
+    }
+
+    impl BlobSource {
+        /// Puts `bytes` where the blob is stored.
+        fn install(&self, bytes: &[u8]) {
+            match &self.home {
+                Home::BlobFile { path, .. } => std::fs::write(path, bytes).unwrap(),
+                Home::FileSection(path, pristine) => {
+                    let me = chunk_section_name(self.ci);
+                    let bent =
+                        crate::format::rewrite_container(pristine, MAGIC_CHUNKED, |name, blob| {
+                            if *name == me { bytes } else { blob }.to_vec()
+                        });
+                    std::fs::write(path, bent).unwrap();
+                }
+            }
+        }
+
+        /// Opens the store the blob belongs to — which must succeed whatever
+        /// state the blob is in: blobs are not read before a fault.
+        fn open(&self) -> ChunkStore {
+            match &self.home {
+                Home::BlobFile { dir, reseat, .. } => {
+                    let mut store = ChunkStore::open_generation_dir(dir, 1).unwrap();
+                    if let (Some(b), ChunkSource::Generation { blobs, .. }) =
+                        (reseat, &mut store.source)
+                    {
+                        blobs[self.ci] = *b;
+                    }
+                    store
+                }
+                Home::FileSection(path, _) => ChunkStore::open_path(path, 1).unwrap(),
+            }
+        }
+    }
+
+    /// Every kind of single damage to a stored blob, as `(what, damaged
+    /// bytes, verdict)`. A frame is damaged in its header fields, its
+    /// prefix, and every encoded section's scheme, length and payload; a raw
+    /// image in its header, table, every payload and every padding gap —
+    /// the one region no section CRC covers, so `padding` says what the
+    /// source's whole-image check (if it has one) makes of it. Both are cut
+    /// short and given a trailing byte. Flips take bit 0, which is a value
+    /// bit in every packed byte.
+    fn damages(stored: &[u8], padding: Verdict) -> Vec<(String, Vec<u8>, Verdict)> {
+        let mut out = Vec::new();
+        let mut flip = |what: String, pos: usize, verdict: Verdict| {
+            let mut bent = stored.to_vec();
+            bent[pos] ^= 0x01;
+            out.push((format!("{what} (byte {pos})"), bent, verdict));
+        };
+        let ends = |r: &std::ops::Range<usize>| [r.start, (r.start + r.end) / 2, r.end - 1];
+        let mut cuts = vec![0, 7, 31, stored.len() / 2, stored.len() - 1];
+        let section_name = |s: &Section| String::from_utf8_lossy(&s.name).into_owned();
+        if crate::compress::is_compressed_blob(stored) {
+            for (field, pos) in [
+                ("frame magic", 3),
+                ("frame raw_len", 9),
+                ("frame prefix_len", 17),
+                ("frame raw_crc", 25),
+                ("frame n_sections", 29),
+            ] {
+                flip(field.into(), pos, Verdict::Rejected);
+            }
+            let (prefix, sections) = crate::compress::frame_layout(stored);
+            flip(
+                "prefix: inner version".into(),
+                prefix.start + 9,
+                Verdict::Rejected,
+            );
+            flip(
+                "prefix: inner table".into(),
+                prefix.start + crate::format::HEADER_LEN + 9,
+                Verdict::Rejected,
+            );
+            cuts.push(prefix.end - 1);
+            for (i, (record, payload)) in sections.iter().enumerate() {
+                flip(format!("section {i} scheme"), *record, Verdict::Rejected);
+                flip(
+                    format!("section {i} enc_len"),
+                    record + 1,
+                    Verdict::Rejected,
+                );
+                // Past a delta payload's leading count word: a count that
+                // grows *inside a width-0 final block* used to decode to the
+                // identical image and is now refused up front — the one cell
+                // that would differ from the table's run on the commit
+                // before the block decoder, so it is left to `compress.rs`.
+                let [first, mid, last] = ends(payload);
+                for pos in [(first + 8).min(last), mid, last] {
+                    flip(format!("section {i} payload"), pos, Verdict::Rejected);
+                }
+                cuts.push(payload.start);
+            }
+        } else {
+            let parsed = ParsedContainer::parse(stored, 0, None, MAGIC_V2).unwrap();
+            flip("version".into(), 9, Verdict::Rejected);
+            flip(
+                "table".into(),
+                crate::format::HEADER_LEN + 9,
+                Verdict::Rejected,
+            );
+            let mut cursor = crate::format::HEADER_LEN
+                + crate::format::SECTION_RECORD_LEN * parsed.sections().len();
+            for s in parsed.sections() {
+                let payload = s.offset as usize..(s.offset + s.len) as usize;
+                if cursor < payload.start {
+                    flip(
+                        format!("padding before {:?}", section_name(s)),
+                        (cursor + payload.start) / 2,
+                        padding,
+                    );
+                }
+                for pos in ends(&payload) {
+                    flip(
+                        format!("payload of {:?}", section_name(s)),
+                        pos,
+                        Verdict::Rejected,
+                    );
+                }
+                cuts.push(payload.start);
+                cursor = payload.end;
+            }
+        }
+        for cut in cuts {
+            out.push((
+                format!("cut to {cut} bytes"),
+                stored[..cut].to_vec(),
+                Verdict::Rejected,
+            ));
+        }
+        let mut longer = stored.to_vec();
+        longer.push(0);
+        out.push(("trailing byte".into(), longer, Verdict::Rejected));
+        out
+    }
+
+    #[test]
+    fn every_damaged_blob_is_invalid_data_on_fault_and_no_verdict_sticks() {
+        // Sources: what `init` stores (a compressed frame), the same store
+        // holding a chunk raw (what `init` writes when the frame would not
+        // be smaller) and a chunk in the legacy `binoffs` layout (compressed
+        // under the u64 scheme, filed under the hash of *those* bytes), and
+        // an `LBECHK2` file's blob section.
+        let cfg = SlmConfig {
+            resolution: 0.1,
+            ..SlmConfig::default()
+        };
+        let db = tie_db();
+        let dir = tmpfile("corrupt_table_store");
+        GenerationStore::init(&dir, &db, cfg.clone(), ModSpec::none(), 4).unwrap();
+        let file = tmpfile("corrupt_table.lbe");
+        ChunkedIndex::build(&db, cfg, ModSpec::none(), 4)
+            .write_path(&file)
+            .unwrap();
+
+        let refs: Vec<BlobRef> = match &ChunkStore::open_generation_dir(&dir, 1).unwrap().source {
+            ChunkSource::Generation { blobs, .. } => blobs.clone(),
+            ChunkSource::Container { .. } => unreachable!(),
+        };
+        assert!(refs.len() > 4);
+        let blob_file = |hash: u64| crate::lifecycle::blob_path(&dir, hash);
+        let in_store = |hash: u64, reseat: Option<BlobRef>| Home::BlobFile {
+            dir: dir.clone(),
+            path: blob_file(hash),
+            reseat,
+        };
+        let raw_of = |ci: usize| -> Vec<u8> {
+            let stored = std::fs::read(blob_file(refs[ci].hash)).unwrap();
+            assert!(crate::compress::is_compressed_blob(&stored));
+            crate::compress::decompress_container(&stored, MAGIC_V2)
+                .unwrap()
+                .as_slice()
+                .to_vec()
+        };
+
+        let compressed = BlobSource {
+            what: "compressed generation blob",
+            home: in_store(refs[0].hash, None),
+            ci: 0,
+            stored: std::fs::read(blob_file(refs[0].hash)).unwrap(),
+        };
+        let raw = BlobSource {
+            what: "raw generation blob",
+            home: in_store(refs[1].hash, None),
+            ci: 1,
+            stored: raw_of(1),
+        };
+        let legacy_image = io::test_support::downgrade_to_binoffs(&raw_of(2));
+        let legacy_ref = BlobRef {
+            hash: crate::format::content_hash64(&legacy_image),
+            raw_len: legacy_image.len() as u64,
+            stored_len: 0, // accounting only; no fault reads it
+        };
+        let legacy = BlobSource {
+            what: "legacy binoffs generation blob",
+            home: in_store(legacy_ref.hash, Some(legacy_ref)),
+            ci: 2,
+            stored: crate::compress::compress_container(&legacy_image, MAGIC_V2).unwrap(),
+        };
+        assert!(crate::compress::is_compressed_blob(&legacy.stored));
+        let file_bytes = std::fs::read(&file).unwrap();
+        let section = {
+            let parsed = ParsedContainer::parse(&file_bytes, 0, None, MAGIC_CHUNKED).unwrap();
+            let s = *parsed.find(&chunk_section_name(1)).unwrap();
+            file_bytes[s.offset as usize..(s.offset + s.len) as usize].to_vec()
+        };
+        assert_eq!(section, raw.stored, "one chunk, two containers, same image");
+        let in_file = BlobSource {
+            what: "LBECHK2 file section",
+            home: Home::FileSection(file.clone(), file_bytes),
+            ci: 1,
+            stored: section,
+        };
+
+        for source in [&compressed, &raw, &legacy, &in_file] {
+            source.install(&source.stored);
+            let pristine = {
+                let mut store = source.open();
+                store.ensure_resident(source.ci).unwrap();
+                store.resident[source.ci].take().unwrap()
+            };
+            // A generation blob answers for every byte of its image through
+            // the manifest's content hash. An `LBECHK2` blob section has no
+            // such whole-image check — its outer section CRC is deliberately
+            // not consulted — so its padding is the one place a flip is not
+            // seen (and changes nothing: no view ever reads padding).
+            let padding = match source.home {
+                Home::BlobFile { .. } => Verdict::Rejected,
+                Home::FileSection(..) => Verdict::Invisible,
+            };
+            let table = damages(&source.stored, padding);
+            assert!(table.len() > 20, "{}: {} cases", source.what, table.len());
+            if source.what == "raw generation blob" {
+                let gaps = table.iter().filter(|(w, ..)| w.starts_with("padding"));
+                assert!(gaps.count() >= 3, "the fixture must have padding to damage");
+            }
+            let other = source.ci + 2;
+            for (what, bent, verdict) in &table {
+                let case = format!("{}: {what}", source.what);
+                source.install(bent);
+                let mut store = source.open(); // on fault, not on open
+                let faulted = store.ensure_resident(source.ci);
+                match verdict {
+                    Verdict::Rejected => {
+                        let err = faulted.expect_err(&case);
+                        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{case}: {err}");
+                        assert!(store.resident[source.ci].is_none(), "{case}");
+                        // The failure poisons nothing: a neighbour faults,
+                        // and so does this chunk once its bytes are back (an
+                        // `LBECHK2` file is reopened first: its sections may
+                        // have moved under the open store's directory).
+                        store.ensure_resident(other).expect(&case);
+                        source.install(&source.stored);
+                        if let Home::FileSection(..) = source.home {
+                            store = source.open();
+                        }
+                        store.ensure_resident(source.ci).expect(&case);
+                        assert_eq!(
+                            store.resident[source.ci].as_ref(),
+                            Some(&pristine),
+                            "{case}"
+                        );
+                    }
+                    Verdict::Invisible => {
+                        faulted.expect(&case);
+                        assert_eq!(
+                            store.resident[source.ci].as_ref(),
+                            Some(&pristine),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+            // Nor does a success stick: a chunk that verified, was evicted
+            // (budget 1) and rotted on disk meanwhile fails its next fault.
+            source.install(&source.stored);
+            let mut store = source.open();
+            store.ensure_resident(source.ci).unwrap();
+            store.ensure_resident(other).unwrap();
+            let (what, bent, _) = table
+                .iter()
+                .find(|(what, ..)| what.contains("payload"))
+                .unwrap();
+            source.install(bent);
+            let err = store.ensure_resident(source.ci).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+            source.install(&source.stored);
+        }
+
+        // Intact bytes under the wrong name. Two blob files swapped: each
+        // decodes and self-verifies, and is not the chunk its record names.
+        let (a, b) = (blob_file(refs[3].hash), blob_file(refs[4].hash));
+        let (bytes_a, bytes_b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        std::fs::write(&a, &bytes_b).unwrap();
+        std::fs::write(&b, &bytes_a).unwrap();
+        let mut store = ChunkStore::open_generation_dir(&dir, 1).unwrap();
+        for ci in [3, 4] {
+            let err = store.ensure_resident(ci).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "swapped {ci}");
+            assert!(err.to_string().contains("content hash"), "{err}");
+        }
+        std::fs::write(&a, &bytes_a).unwrap();
+        std::fs::write(&b, &bytes_b).unwrap();
+        store.ensure_resident(3).unwrap();
+        store.ensure_resident(4).unwrap();
+        // A record whose hash is off by one bit, and a blob under that name.
+        let off_by_one = BlobRef {
+            hash: refs[3].hash ^ 1,
+            ..refs[3]
+        };
+        std::fs::write(blob_file(off_by_one.hash), &bytes_a).unwrap();
+        let mut store = ChunkStore::open_generation_dir(&dir, 1).unwrap();
+        if let ChunkSource::Generation { blobs, .. } = &mut store.source {
+            blobs[3] = off_by_one;
+        }
+        let err = store.ensure_resident(3).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("content hash"), "{err}");
+        store.ensure_resident(4).unwrap();
+
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&file).ok();
     }
 }

@@ -22,10 +22,30 @@
 //! ```
 //!
 //! Any section whose delta stream is not strictly smaller falls back to
-//! raw. Decompression reconstructs the **byte-exact** original container
-//! (verified against a stored CRC-32 of the raw bytes), so every consumer
-//! downstream of the fault path — parsing, validation, search — runs the
-//! unchanged v2 machinery and stays bit-identical to an uncompressed load.
+//! raw. Decompression reconstructs the **byte-exact** original container,
+//! so every consumer downstream of the fault path — parsing, validation,
+//! search — runs the unchanged v2 machinery and stays bit-identical to an
+//! uncompressed load.
+//!
+//! # Decoding: one pass to decode, one to checksum
+//!
+//! **Each section is checksummed as it is decoded.** The decoder writes a
+//! section into its place in the aligned arena and, right after the last
+//! byte — while the section is still in cache — takes its CRC-32 once. That
+//! one number is compared with the CRC the container's own section table
+//! records *and* folded (`format::crc32_combine`) into the CRC of the whole
+//! image, which at the end must equal the frame's `raw_crc`. So a frame is
+//! held to both authorities it carries — table and frame — by a single
+//! checksum walk, and what comes out is a `format::VerifiedImage` the
+//! chunk-fault path parses, and names by content hash, without reading the
+//! bytes again.
+//!
+//! The delta decoder works a 128-value block at a time, straight into the
+//! destination words: a width-0 block (all deltas zero — most of a light
+//! chunk's bitmap) is a fill; widths up to 56 bits take one unaligned
+//! 8-byte load, a shift and a mask per value; only wider blocks, which no
+//! real section produces, keep a byte-at-a-time accumulator. The encoded
+//! format is what it always was.
 //!
 //! # Blob framing (`LBEZCHK1`)
 //!
@@ -47,10 +67,10 @@
 //! blocks of up to `BLOCK` zigzag-encoded deltas, each block a `width u8`
 //! (bits per value) and `ceil(n·width/8)` LSB-first packed bytes. Delta
 //! arithmetic wraps, so the codec is a bijection on any value stream — no
-//! input can overflow it — and corrupt *encoded* streams fail the final
-//! CRC instead of panicking.
+//! input can overflow it — and corrupt *encoded* streams fail a length
+//! check or a CRC instead of panicking.
 
-use crate::format::{crc32, AlignedBuf, ParsedContainer};
+use crate::format::{crc32, AlignedBuf, ParsedContainer, VerifiedImage};
 use crate::io::{SEC_BINMAP, SEC_BINOFFS, SEC_BINPTR, SEC_POSTINGS};
 use std::io;
 
@@ -139,9 +159,129 @@ fn pack_deltas(values: impl ExactSizeIterator<Item = u64>, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a [`pack_deltas`] stream, invoking `emit(index, value)` for each
-/// reconstructed value. Fails cleanly on truncated or nonsense input.
-fn unpack_deltas(src: &[u8], mut emit: impl FnMut(usize, u64)) -> io::Result<()> {
+/// Reconstructs one value from its zigzag delta and stores its low `W`
+/// bytes, little-endian, in `slot` (`slot.len() == W`).
+#[inline(always)]
+fn put_value<const W: usize>(prev: &mut u64, z: u64, slot: &mut [u8]) {
+    *prev = prev.wrapping_add(unzigzag(z) as u64);
+    slot.copy_from_slice(&prev.to_le_bytes()[..W]);
+}
+
+/// Decodes a [`pack_deltas`] stream of exactly `dst.len() / W` values
+/// straight into `dst` as `W`-byte little-endian words (`W` = 4 or 8), a
+/// block at a time. Fails cleanly on a count that is not the destination's,
+/// on truncated or trailing bytes and on nonsense widths; no input can make
+/// it read or write out of bounds.
+///
+/// Per block, by width: **0** is a fill (every delta is zero — 128 empty
+/// bitmap words, a run of equal offsets). **1–56** takes one unaligned
+/// 8-byte little-endian load per value — a value starts at most 7 bits into
+/// its first byte, so 7 + 56 bits always sit inside the load — shifted and
+/// masked; the loads may run on into the bytes of the *next* block, which are
+/// in the slice anyway, so only the last few values of a stream (those
+/// starting within 8 bytes of its end) need care: what is left of the stream
+/// is shorter than one load, and a single zero-padded load serves them all.
+/// **57–64** (only a `u64` stream that jumps by more than 2⁵⁵ — never a real
+/// section) keeps the byte-at-a-time `u128` accumulator.
+fn unpack_deltas<const W: usize>(src: &[u8], dst: &mut [u8]) -> io::Result<()> {
+    if !dst.len().is_multiple_of(W) {
+        return Err(bad("delta section length is not a whole value count"));
+    }
+    let count = u64::from_le_bytes(
+        src.get(..8)
+            .ok_or_else(|| bad("delta stream shorter than its count"))?
+            .try_into()
+            .unwrap(),
+    );
+    if count != (dst.len() / W) as u64 {
+        return Err(bad("delta stream count mismatch"));
+    }
+    let mut pos = 8usize;
+    let mut prev = 0u64;
+    for block in dst.chunks_mut(BLOCK * W) {
+        let n = block.len() / W;
+        let width = *src
+            .get(pos)
+            .ok_or_else(|| bad("delta stream truncated at a block header"))?
+            as usize;
+        pos += 1;
+        if width > 64 {
+            return Err(bad("delta block claims more than 64 bits per value"));
+        }
+        let nbytes = (n * width).div_ceil(8);
+        // From the block's first packed byte to the end of the stream.
+        let window = &src[pos..];
+        if window.len() < nbytes {
+            return Err(bad("delta stream truncated inside a block"));
+        }
+        pos += nbytes;
+        match width {
+            0 => {
+                let word = prev.to_le_bytes();
+                for slot in block.chunks_exact_mut(W) {
+                    slot.copy_from_slice(&word[..W]);
+                }
+            }
+            1..=56 => {
+                let mask = (1u64 << width) - 1;
+                // Value i starts in byte ⌊i·width/8⌋; its load fits the
+                // window while that byte is at most `window.len() - 8`.
+                let fits = match window.len().checked_sub(8) {
+                    Some(last) => (8 * (last + 1)).div_ceil(width).min(n),
+                    None => 0,
+                };
+                let (head, tail) = block.split_at_mut(fits * W);
+                let mut bit = 0usize;
+                for slot in head.chunks_exact_mut(W) {
+                    let at = bit >> 3;
+                    let word = u64::from_le_bytes(window[at..at + 8].try_into().unwrap());
+                    put_value::<W>(&mut prev, (word >> (bit & 7)) & mask, slot);
+                    bit += width;
+                }
+                if !tail.is_empty() {
+                    // Fewer than 8 bytes remain from here to the end of the
+                    // stream, and every remaining value lies inside them.
+                    let rest = &window[bit >> 3..];
+                    let mut padded = [0u8; 8];
+                    padded[..rest.len()].copy_from_slice(rest);
+                    let word = u64::from_le_bytes(padded);
+                    let mut shift = bit & 7;
+                    for slot in tail.chunks_exact_mut(W) {
+                        put_value::<W>(&mut prev, (word >> shift) & mask, slot);
+                        shift += width;
+                    }
+                }
+            }
+            _ => {
+                let packed = &window[..nbytes];
+                let mask = u64::MAX >> (64 - width);
+                let mut acc = 0u128;
+                let mut bits = 0usize;
+                let mut byte = 0usize;
+                for slot in block.chunks_exact_mut(W) {
+                    while bits < width {
+                        acc |= (packed[byte] as u128) << bits;
+                        byte += 1;
+                        bits += 8;
+                    }
+                    put_value::<W>(&mut prev, (acc as u64) & mask, slot);
+                    acc >>= width;
+                    bits -= width;
+                }
+            }
+        }
+    }
+    if pos != src.len() {
+        return Err(bad("delta stream has trailing bytes"));
+    }
+    Ok(())
+}
+
+/// The value-at-a-time decoder [`unpack_deltas`] replaced, kept as the
+/// reference its tests hold the block decoder to: `emit(index, value)` per
+/// reconstructed value, one byte of input at a time.
+#[cfg(test)]
+fn unpack_deltas_scalar(src: &[u8], mut emit: impl FnMut(usize, u64)) -> io::Result<()> {
     let count = u64::from_le_bytes(
         src.get(..8)
             .ok_or_else(|| bad("delta stream shorter than its count"))?
@@ -270,9 +410,25 @@ fn encode_section(name: &[u8; 8], payload: &[u8]) -> (u8, Vec<u8>) {
 /// Decompresses an `LBEZCHK1` frame back to the byte-exact original
 /// container, aligned for zero-copy parsing. `magic` is the expected inner
 /// container magic. Any corruption — in the frame, the prefix, or a delta
-/// stream — fails with `InvalidData`; the stored CRC-32 of the raw bytes
-/// is always re-verified, so no corrupt reconstruction can escape.
+/// stream — fails with `InvalidData`: every decoded section is checked
+/// against the CRC its table records and the whole reconstruction against
+/// the frame's `raw_crc`, so no corrupt reconstruction can escape.
 pub fn decompress_container(enc: &[u8], magic: &[u8; 8]) -> io::Result<AlignedBuf> {
+    decompress_verified(enc, magic).map(VerifiedImage::into_arena)
+}
+
+/// [`decompress_container`], keeping the proof: the decoded image *as* a
+/// [`VerifiedImage`], which is what the chunk-fault path parses and derives
+/// the blob's content hash from without touching the bytes again.
+///
+/// Each section is checksummed as it is decoded — right after its last
+/// byte is written, while it is still in cache — by
+/// [`VerifiedImage::fill_and_verify`], which compares that CRC with the
+/// section table's and folds it into the CRC of the whole image; the fold is
+/// then compared with the frame's `raw_crc`. One decode pass and one
+/// checksum pass over every byte, both checks the frame and the table can
+/// offer.
+pub(crate) fn decompress_verified(enc: &[u8], magic: &[u8; 8]) -> io::Result<VerifiedImage> {
     if enc.len() < FRAME_HEADER_LEN {
         return Err(bad("compressed blob shorter than its header"));
     }
@@ -295,20 +451,17 @@ pub fn decompress_container(enc: &[u8], magic: &[u8; 8]) -> io::Result<AlignedBu
         .get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + prefix_len)
         .ok_or_else(|| bad("compressed blob truncated inside its prefix"))?;
 
+    // The prefix holds the header + checksummed section table, which is all
+    // `fill_and_verify` parses before asking for the first payload; the
+    // zeroed rest is the padding every gap must decode to.
     let mut raw = AlignedBuf::zeroed(raw_len);
     raw.as_mut_slice()[..prefix_len].copy_from_slice(prefix);
 
-    // The prefix holds the header + checksummed section table; parsing it
-    // yields every payload's (offset, len) before any payload exists (the
-    // zeroed tail is never read here).
-    let container = ParsedContainer::parse(raw.as_slice(), 0, None, magic)?;
-    let sections = container.sections().to_vec();
-    if sections.len() != n_sections {
-        return Err(bad("blob section count disagrees with the table"));
-    }
-
     let mut pos = FRAME_HEADER_LEN + prefix_len;
-    for s in &sections {
+    let image = VerifiedImage::fill_and_verify(raw, magic, |s, dst| {
+        if (s.offset as usize) < prefix_len {
+            return Err(bad("section payload outside the container"));
+        }
         let scheme = *enc
             .get(pos)
             .ok_or_else(|| bad("compressed blob truncated at a section scheme"))?;
@@ -319,62 +472,59 @@ pub fn decompress_container(enc: &[u8], magic: &[u8; 8]) -> io::Result<AlignedBu
                 .unwrap(),
         ) as usize;
         pos += 9;
-        let payload = enc
-            .get(pos..pos + enc_len)
+        let payload = pos
+            .checked_add(enc_len)
+            .and_then(|end| enc.get(pos..end))
             .ok_or_else(|| bad("compressed blob truncated inside a section"))?;
         pos += enc_len;
-        let (off, len) = (s.offset as usize, s.len as usize);
-        if off.checked_add(len).is_none_or(|end| end > raw_len) || off < prefix_len {
-            return Err(bad("section payload outside the container"));
-        }
-        let dst = &mut raw.as_mut_slice()[off..off + len];
         match scheme {
             SCHEME_RAW => {
-                if enc_len != len {
+                if enc_len != dst.len() {
                     return Err(bad("raw section length mismatch"));
                 }
                 dst.copy_from_slice(payload);
+                Ok(())
             }
-            SCHEME_DELTA_U32 => {
-                if !len.is_multiple_of(4) {
-                    return Err(bad("u32 section length is not a whole value count"));
-                }
-                let mut wrote = 0usize;
-                unpack_deltas(payload, |i, v| {
-                    if let Some(c) = dst.get_mut(i * 4..i * 4 + 4) {
-                        c.copy_from_slice(&(v as u32).to_le_bytes());
-                        wrote += 1;
-                    }
-                })?;
-                if wrote != len / 4 {
-                    return Err(bad("u32 delta stream count mismatch"));
-                }
-            }
-            SCHEME_DELTA_U64 => {
-                if !len.is_multiple_of(8) {
-                    return Err(bad("u64 section length is not a whole value count"));
-                }
-                let mut wrote = 0usize;
-                unpack_deltas(payload, |i, v| {
-                    if let Some(c) = dst.get_mut(i * 8..i * 8 + 8) {
-                        c.copy_from_slice(&v.to_le_bytes());
-                        wrote += 1;
-                    }
-                })?;
-                if wrote != len / 8 {
-                    return Err(bad("u64 delta stream count mismatch"));
-                }
-            }
-            _ => return Err(bad("unknown section compression scheme")),
+            SCHEME_DELTA_U32 => unpack_deltas::<4>(payload, dst),
+            SCHEME_DELTA_U64 => unpack_deltas::<8>(payload, dst),
+            _ => Err(bad("unknown section compression scheme")),
         }
+    })?;
+    if image.sections().len() != n_sections {
+        return Err(bad("blob section count disagrees with the table"));
     }
     if pos != enc.len() {
         return Err(bad("compressed blob has trailing bytes"));
     }
-    if crc32(raw.as_slice()) != raw_crc {
+    if image.crc() != raw_crc {
         return Err(bad("decompressed container fails its checksum"));
     }
-    Ok(raw)
+    Ok(image)
+}
+
+/// Test support: where the parts of a well-formed frame lie — the byte range
+/// of its prefix and, per section, the position of its record (`scheme u8`,
+/// then `enc_len u64`) and the byte range of its encoded payload — for the
+/// tests that damage each part in turn.
+#[cfg(test)]
+#[allow(clippy::type_complexity)]
+pub(crate) fn frame_layout(
+    enc: &[u8],
+) -> (std::ops::Range<usize>, Vec<(usize, std::ops::Range<usize>)>) {
+    let prefix_len = u64::from_le_bytes(enc[16..24].try_into().unwrap()) as usize;
+    let n_sections = u32::from_le_bytes(enc[28..32].try_into().unwrap());
+    let prefix = FRAME_HEADER_LEN..FRAME_HEADER_LEN + prefix_len;
+    let mut pos = prefix.end;
+    let sections = (0..n_sections)
+        .map(|_| {
+            let record = pos;
+            let enc_len = u64::from_le_bytes(enc[pos + 1..pos + 9].try_into().unwrap()) as usize;
+            pos += 9 + enc_len;
+            (record, record + 9..pos)
+        })
+        .collect();
+    assert_eq!(pos, enc.len(), "not a well-formed frame");
+    (prefix, sections)
 }
 
 #[cfg(test)]
@@ -470,6 +620,169 @@ mod tests {
         }
     }
 
+    /// A frame small enough to damage at *every* byte: one peptide at 1 Da
+    /// bins (an 80-word bitmap), every section kind present, the delta
+    /// sections a few blocks at most — so the cuts and flips below land in
+    /// block headers, in the zero-padded tail loads and in the frame's own
+    /// fields, not just in the bulk.
+    fn small_frame() -> (Vec<u8>, Vec<u8>) {
+        let db = PeptideDb::from_vec(vec![
+            Peptide::new(b"PEPTIDEK", 0, 0).unwrap(),
+            Peptide::new(b"ELVISLIVESK", 0, 0).unwrap(),
+        ]);
+        let cfg = SlmConfig {
+            resolution: 1.0,
+            fragment_tolerance: 0.5,
+            ..SlmConfig::default()
+        };
+        let idx = IndexBuilder::new(cfg, ModSpec::none()).build(&db);
+        let mut raw = Vec::new();
+        crate::io::write_index(&mut raw, &idx).unwrap();
+        let enc = compress_container(&raw, MAGIC_V2).unwrap();
+        assert!(enc.len() < 1200, "{} bytes is not a small frame", enc.len());
+        (raw, enc)
+    }
+
+    #[test]
+    fn truncation_at_every_byte_of_a_small_frame_is_invalid_data() {
+        let (raw, enc) = small_frame();
+        assert_eq!(
+            decompress_container(&enc, MAGIC_V2).unwrap().as_slice(),
+            &raw[..]
+        );
+        for cut in 0..enc.len() {
+            let err = decompress_container(&enc[..cut], MAGIC_V2).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_flip_at_every_17th_byte_of_a_small_frame_never_escapes() {
+        let (raw, enc) = small_frame();
+        for start in 0..17 {
+            for pos in (start..enc.len()).step_by(17) {
+                for bit in [0x01u8, 0x10, 0x80] {
+                    let mut bent = enc.clone();
+                    bent[pos] ^= bit;
+                    match decompress_container(&bent, MAGIC_V2) {
+                        Ok(dec) => assert_eq!(dec.as_slice(), &raw[..], "flip at {pos}"),
+                        Err(e) => {
+                            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "flip at {pos}")
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_over_a_container_with_a_wrong_section_crc_does_not_decompress() {
+        // `compress_container` frames whatever parses; the frame's own
+        // `raw_crc` then vouches for those bytes. The decoder holds each
+        // section to the *table* as well, so a container that no load would
+        // accept does not come back out of a frame either.
+        let raw = v2_blob(&["PEPTIDEK", "ELVISLIVESK"]);
+        let mut bent = raw.clone();
+        *bent.last_mut().unwrap() ^= 1; // inside "postings", the last section
+        let enc = compress_container(&bent, MAGIC_V2).unwrap();
+        let err = decompress_container(&enc, MAGIC_V2).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("postings"), "{err}");
+    }
+
+    /// Decodes `enc` with the block decoder into `W`-byte words and with
+    /// the scalar reference, and requires the same verdict and values.
+    fn both_decoders<const W: usize>(enc: &[u8], count: usize) -> io::Result<Vec<u64>> {
+        let mut dst = vec![0xAAu8; count * W];
+        let block = unpack_deltas::<W>(enc, &mut dst);
+        let mut reference = vec![0u64; count];
+        let mut stray = false;
+        let scalar = unpack_deltas_scalar(enc, |i, v| match reference.get_mut(i) {
+            Some(slot) => *slot = v,
+            None => stray = true,
+        });
+        let words: Vec<u64> = dst
+            .chunks_exact(W)
+            .map(|c| {
+                let mut le = [0u8; 8];
+                le[..W].copy_from_slice(c);
+                u64::from_le_bytes(le)
+            })
+            .collect();
+        match (block, scalar) {
+            (Ok(()), Ok(())) => {
+                assert!(!stray);
+                let keep = if W == 8 { u64::MAX } else { u32::MAX as u64 };
+                let reference: Vec<u64> = reference.iter().map(|v| v & keep).collect();
+                assert_eq!(words, reference);
+                Ok(words)
+            }
+            (Err(e), Err(_)) => Err(e),
+            // The scalar decoder discovers a wrong count only by writing
+            // past (or short of) the destination; the block decoder checks
+            // it up front.
+            (Err(e), Ok(())) => {
+                assert!(e.to_string().contains("count"), "{e}");
+                Err(e)
+            }
+            (Ok(()), Err(e)) => panic!("block decoder accepted what the reference rejects: {e}"),
+        }
+    }
+
+    #[test]
+    fn block_decoder_equals_the_scalar_reference_for_every_width_and_block_shape() {
+        // Every width 0..=64 (the largest zigzag in a block sets it) × block
+        // lengths around the 128-value block: one value, two, a block less
+        // one, exactly one, one more, and two full blocks plus a tail.
+        for width in 0..=64u32 {
+            for len in [1usize, 2, 127, 128, 129, 300] {
+                // Deltas whose zigzag has exactly `width` bits at least once
+                // per block, smaller ones in between.
+                let top = if width == 0 { 0 } else { 1u64 << (width - 1) };
+                let mut v = 0u64;
+                let values: Vec<u64> = (0..len)
+                    .map(|i| {
+                        let z = match i % 5 {
+                            0 => top | (top.wrapping_sub(1) & 0x5555_5555_5555_5555),
+                            1 => top,
+                            2 => top >> 1,
+                            3 => top.wrapping_sub(1) & (i as u64).wrapping_mul(0x9E37_79B9),
+                            _ => 0,
+                        };
+                        v = v.wrapping_add(unzigzag(z) as u64);
+                        v
+                    })
+                    .collect();
+                let mut enc = Vec::new();
+                pack_deltas(values.iter().copied(), &mut enc);
+                assert!(
+                    width == 0 || enc[8] as u32 == width,
+                    "fixture width {} != {width}",
+                    enc[8]
+                );
+                let got = both_decoders::<8>(&enc, len).unwrap();
+                assert_eq!(got, values, "width {width}, len {len}");
+                // The u32 scheme keeps the low word of the same stream.
+                let low: Vec<u64> = values.iter().map(|v| v & u32::MAX as u64).collect();
+                assert_eq!(both_decoders::<4>(&enc, len).unwrap(), low);
+                // Wrong destination sizes and every truncation are typed.
+                assert!(both_decoders::<8>(&enc, len + 1).is_err());
+                assert!(both_decoders::<8>(&enc, len - 1).is_err());
+                for cut in [enc.len() - 1, enc.len() / 2, 8, 7] {
+                    let e = both_decoders::<8>(&enc[..cut], len).unwrap_err();
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                }
+                enc.push(0);
+                assert!(both_decoders::<8>(&enc, len).is_err(), "trailing byte");
+            }
+        }
+        // A width byte past 64 is nonsense in either decoder.
+        let mut enc = Vec::new();
+        pack_deltas([1u64, 2, 3].into_iter(), &mut enc);
+        enc[8] = 65;
+        assert!(both_decoders::<8>(&enc, 3).is_err());
+    }
+
     #[test]
     fn delta_codec_handles_adversarial_value_streams() {
         // Wrapping deltas are a bijection: any u64 stream round-trips,
@@ -485,9 +798,7 @@ mod tests {
         for vals in streams {
             let mut enc = Vec::new();
             pack_deltas(vals.iter().copied(), &mut enc);
-            let mut out = vec![0u64; vals.len()];
-            unpack_deltas(&enc, |i, v| out[i] = v).unwrap();
-            assert_eq!(out, vals);
+            assert_eq!(both_decoders::<8>(&enc, vals.len()).unwrap(), vals);
         }
     }
 }

@@ -19,8 +19,9 @@
 //!                 +16  payload length in bytes, u64 LE
 //!                 +24  CRC-32 of the payload, u32 LE
 //!                 +28  reserved (0)
-//! ...           payloads, each at a 64-byte-aligned offset, zero padding
-//!               in the gaps; the container ends where the last payload ends
+//! ...           payloads in table order, each at a 64-byte-aligned offset,
+//!               zero padding in the gaps; the container ends where the
+//!               last payload ends
 //! ```
 //!
 //! All integers are little-endian. Payload offsets are multiples of
@@ -30,6 +31,19 @@
 //! not an element-by-element parse. Checksums make bit rot and truncation a
 //! clean [`std::io::ErrorKind::InvalidData`] error instead of a corrupt
 //! search result.
+//!
+//! # Verifying an image: each byte checksummed once
+//!
+//! Loading an index or faulting a chunk goes through one crate-private
+//! type, the *verified image*: an arena, its parsed table, and the CRC-32
+//! of the whole image, which only one routine can construct — it checks
+//! every section against its table CRC and, because `crc32(a ‖ b)` follows
+//! from `crc32(a)`, `crc32(b)` and `|b|` (`crc32_combine`, below the CRC
+//! tables), folds those same per-section values with the few hundred bytes
+//! of prefix and padding into the whole-image CRC. A generation store's
+//! content hash ([`content_hash64`]) and a compressed frame's `raw_crc` are
+//! both functions of that one number, so a chunk fault walks its image once
+//! however many checks hang off it.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -154,27 +168,105 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     h.finish()
 }
 
-/// Domain-separation salt for the second [`content_hash64`] CRC pass.
+// ---------------------------------------------------------------------------
+// CRC-32 of a concatenation from the CRCs of its parts.
+//
+// A CRC is the remainder of its (conditioned) input polynomial mod P, so
+// appending `n` bytes multiplies the running remainder by x^(8n) mod P:
+// `crc(a ‖ b) = crc(a) · x^(8·|b|) ⊕ crc(b)`, pre- and post-inversion
+// included. This is the polynomial form zlib ≥ 1.2.12 uses — one modular
+// multiplication per set bit of the length against a table of x^(2^k) — and
+// costs about a microsecond a call (the older 32×32 matrix-squaring form
+// costs tens). The chunk-fault path calls it a dozen times per image to fold
+// the CRCs of a container's regions into the CRC of the whole, and once to
+// derive the salted word of a content hash from the plain one.
+// ---------------------------------------------------------------------------
+
+/// `a(x) · b(x) mod P` in the CRC's reflected bit order (bit 31 is x^0).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                break;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC_POLY
+        } else {
+            b >> 1
+        };
+    }
+    p
+}
+
+/// `X2N[k]` = x^(2^k) mod P. x has order dividing 2³² − 1, so the powers
+/// repeat with period 32 in `k` and one row serves any length.
+const X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        t[k] = p;
+        p = multmodp(p, p);
+        k += 1;
+    }
+    t
+};
+
+/// x^(n · 2^k) mod P.
+fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// `crc32(a ‖ b)` from `crc32(a)`, `crc32(b)` and `b`'s length in bytes —
+/// an identity, not an approximation, and O(log len_b).
+pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b
+}
+
+/// Domain-separation salt of the low [`content_hash64`] word.
 const CONTENT_HASH_SALT: [u8; 8] = *b"LBEHASH1";
 
-/// 64-bit content address of a payload, built from the existing CRC-32
-/// machinery: the plain CRC in the high word and a salted CRC (same
-/// polynomial, domain-separated by a fixed prefix) in the low word, with
-/// the length folded in so payloads that collide on both checksums still
-/// separate when their sizes differ.
+/// 64-bit content address of a payload, built from the CRC-32 machinery:
+/// the plain CRC in the high word, the CRC of `salt ‖ payload` in the low
+/// word, and the length folded over both.
+///
+/// The input is walked **once**: the salted word is
+/// `crc32_combine(crc32(salt), plain, len)`, so it is a function of the
+/// plain CRC and the length and adds no checksum bits of its own. The
+/// address therefore carries **32 checksum bits plus the length** under a
+/// 64-bit name. (The two-pass definition — hash the bytes again behind the
+/// salt — computes the same value, which is why every stored hash, blob file
+/// name and manifest stays valid; a test holds the two equal.)
 ///
 /// This is a *content address*, not a cryptographic digest: it names chunk
 /// blobs in a generation store so identical chunks are shared across
-/// generations, and every blob read re-verifies the full hash after
-/// decompression, so a collision could only alias two chunks that already
-/// agree on 64 checksum bits and their length.
+/// generations. Every blob fault re-derives it from the bytes it read, so a
+/// collision could only alias two chunks that already agree on their CRC-32
+/// and their length.
 pub fn content_hash64(bytes: &[u8]) -> u64 {
-    let plain = crc32(bytes) as u64;
-    let mut salted = Crc32::new();
-    salted.update(&CONTENT_HASH_SALT);
-    salted.update(bytes);
-    let h = (plain << 32) | salted.finish() as u64;
-    h ^ (bytes.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    content_hash_of_crc(crc32(bytes), bytes.len() as u64)
+}
+
+/// [`content_hash64`] of a payload whose CRC-32 and length are already
+/// known — what a chunk fault, which has just checksummed the image it
+/// decoded, names the blob with.
+pub(crate) fn content_hash_of_crc(plain: u32, len: u64) -> u64 {
+    let salted = crc32_combine(crc32(&CONTENT_HASH_SALT), plain, len);
+    let h = ((plain as u64) << 32) | salted as u64;
+    h ^ len.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// A [`Write`] sink that counts bytes and checksums them without storing
@@ -615,8 +707,9 @@ impl ParsedContainer {
     /// Parses and verifies the container starting at `bytes[base]` and
     /// spanning `len` bytes (the whole remaining buffer when `len` is
     /// `None`). Verifies the header, the declared length, and the section
-    /// table checksum — payload checksums are verified per section by
-    /// [`ParsedContainer::section_checked`].
+    /// table checksum — **not** the payloads: the load paths check those by
+    /// turning the image into a crate-private verified image (every
+    /// section against its table CRC, in one walk) before reading any.
     pub fn parse(bytes: &[u8], base: usize, len: Option<u64>, magic: &[u8; 8]) -> io::Result<Self> {
         let avail = bytes
             .len()
@@ -654,25 +747,123 @@ impl ParsedContainer {
     pub fn find(&self, name: &[u8; 8]) -> Option<&Section> {
         self.sections.iter().find(|s| &s.name == name)
     }
+}
 
-    /// Returns a section's payload (verifying its CRC) as a byte range
-    /// *absolute in the enclosing buffer*: `(byte_offset, byte_len)`.
-    pub fn section_checked(&self, bytes: &[u8], name: &[u8; 8]) -> io::Result<(usize, usize)> {
-        let s = self.find(name).ok_or_else(|| {
+/// A whole container image in an aligned arena, **every byte of which has
+/// been checked**: header and declared length, section-table CRC, each
+/// section's payload against its table CRC — and [`VerifiedImage::crc`] is
+/// the CRC-32 of the entire image, padding included.
+///
+/// The fields are private and [`VerifiedImage::fill_and_verify`] is the only
+/// code that builds one (its two users: [`VerifiedImage::verify`] for an
+/// image read as is, `compress::decompress_verified` for one decoded from a
+/// compressed frame), so holding the type *is* the proof;
+/// `io::read_v2_parsed` takes nothing else.
+///
+/// Each byte is checksummed exactly once. The whole-image CRC is not a
+/// second pass: it is the [`crc32_combine`] fold, in layout order, of the
+/// regions' CRCs — prefix (header + table), each padding gap, each section
+/// (the value just checked against the table), the tail.
+#[derive(Debug)]
+pub(crate) struct VerifiedImage {
+    arena: AlignedBuf,
+    container: ParsedContainer,
+    crc: u32,
+}
+
+impl VerifiedImage {
+    /// Verifies a complete image as read from disk.
+    pub(crate) fn verify(arena: AlignedBuf, magic: &[u8; 8]) -> io::Result<Self> {
+        Self::fill_and_verify(arena, magic, |_, _| Ok(()))
+    }
+
+    /// Verifies an image whose prefix (header + table, at least) is in
+    /// `arena` and whose section payloads `fill(section, payload)` puts in
+    /// place, in table order. Each payload is checksummed right after its
+    /// `fill` — while a freshly decoded one is still in cache — and the
+    /// result both checked against the table and folded into the whole.
+    ///
+    /// Sections must lie after the table, in table order, without
+    /// overlapping (what [`write_container`] emits): a fold over regions
+    /// that alias would not be the image's CRC, and a later `fill` could
+    /// rewrite a payload already checked.
+    pub(crate) fn fill_and_verify(
+        mut arena: AlignedBuf,
+        magic: &[u8; 8],
+        mut fill: impl FnMut(&Section, &mut [u8]) -> io::Result<()>,
+    ) -> io::Result<Self> {
+        let container = ParsedContainer::parse(arena.as_slice(), 0, None, magic)?;
+        let bytes = arena.as_mut_slice();
+        let mut cursor = HEADER_LEN + SECTION_RECORD_LEN * container.sections.len();
+        let mut crc = crc32(&bytes[..cursor]);
+        for s in &container.sections {
+            // In bounds and overflow-free: `parse_table` checked both.
+            let (off, end) = (s.offset as usize, (s.offset + s.len) as usize);
+            if off < cursor {
+                return Err(bad("container sections overlap or are not in table order"));
+            }
+            crc = crc32_combine(crc, crc32(&bytes[cursor..off]), (off - cursor) as u64);
+            let payload = &mut bytes[off..end];
+            fill(s, payload)?;
+            if crc32(payload) != s.crc {
+                return Err(bad(&format!(
+                    "section {:?} checksum mismatch (corrupt file)",
+                    String::from_utf8_lossy(&s.name)
+                )));
+            }
+            crc = crc32_combine(crc, s.crc, s.len);
+            cursor = end;
+        }
+        let tail = &bytes[cursor..];
+        crc = crc32_combine(crc, crc32(tail), tail.len() as u64);
+        Ok(VerifiedImage {
+            arena,
+            container,
+            crc,
+        })
+    }
+
+    /// CRC-32 of the whole image.
+    pub(crate) fn crc(&self) -> u32 {
+        self.crc
+    }
+
+    /// [`content_hash64`] of the whole image, from the CRC already taken.
+    pub(crate) fn content_hash(&self) -> u64 {
+        content_hash_of_crc(self.crc, self.arena.len() as u64)
+    }
+
+    /// The image bytes.
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        self.arena.as_slice()
+    }
+
+    /// The arena, once nothing needs the section table any more.
+    pub(crate) fn into_arena(self) -> AlignedBuf {
+        self.arena
+    }
+
+    /// All sections, in table order.
+    pub(crate) fn sections(&self) -> &[Section] {
+        self.container.sections()
+    }
+
+    /// `(byte_offset, byte_len)` of a section's payload in the image, if
+    /// the table names it.
+    pub(crate) fn find(&self, name: &[u8; 8]) -> Option<(usize, usize)> {
+        self.container
+            .find(name)
+            .map(|s| (s.offset as usize, s.len as usize))
+    }
+
+    /// [`VerifiedImage::find`] for a section the layout requires.
+    pub(crate) fn section(&self, name: &[u8; 8]) -> io::Result<(usize, usize)> {
+        self.find(name).ok_or_else(|| {
             bad(&format!(
                 "missing section {:?}",
                 String::from_utf8_lossy(name)
             ))
-        })?;
-        let off = self.base + s.offset as usize;
-        let payload = &bytes[off..off + s.len as usize];
-        if crc32(payload) != s.crc {
-            return Err(bad(&format!(
-                "section {:?} checksum mismatch (corrupt file)",
-                String::from_utf8_lossy(&s.name)
-            )));
-        }
-        Ok((off, s.len as usize))
+        })
     }
 }
 
@@ -809,6 +1000,135 @@ mod tests {
         assert_eq!(sink.finish(), (9, 0xCBF4_3926));
     }
 
+    /// Deterministic noise for the checksum properties (splitmix64).
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// The lengths the combine and content-hash properties sweep: around
+    /// the 16-byte slicing stride, around the 64-byte alignment, and one
+    /// past a MiB (a length with high and low bits set).
+    const LENGTHS: [usize; 9] = [0, 1, 15, 16, 17, 63, 64, 65, (1 << 20) + 3];
+
+    #[test]
+    fn crc32_combine_known_vectors() {
+        // x^(2^k) mod P: x itself, then repeated squaring back to x.
+        assert_eq!(X2N[0], 0x4000_0000);
+        assert_eq!(X2N[1], 0x2000_0000);
+        assert_eq!(X2N[3], 0x0080_0000); // x^8: one byte of zeros
+        assert_eq!(multmodp(X2N[31], X2N[31]), X2N[0]);
+        // "123456789" split at every point, the empty halves included.
+        let whole = b"123456789";
+        for cut in 0..=whole.len() {
+            let (a, b) = whole.split_at(cut);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                0xCBF4_3926,
+                "cut {cut}"
+            );
+        }
+        // Published CRC-32 values of "a", "b" and "ab"; then a run of
+        // zeros, where the combine is the x^(8n) multiplication alone.
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(crc32(b"b"), 0x71BE_EFF9);
+        assert_eq!(crc32_combine(0xE8B7_BE43, 0x71BE_EFF9, 1), crc32(b"ab"));
+        assert_eq!(crc32(b"ab"), 0x9E83_486D);
+        assert_eq!(
+            crc32_combine(crc32(b"x"), crc32(&[0u8; 1000]), 1000),
+            crc32(&[&b"x"[..], &[0u8; 1000]].concat())
+        );
+    }
+
+    mod checksum_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What [`content_hash64`] was before it was one walk: the plain
+        /// CRC, then the bytes again behind the salt.
+        fn content_hash64_two_pass(bytes: &[u8]) -> u64 {
+            let plain = crc32(bytes) as u64;
+            let mut salted = Crc32::new();
+            salted.update(&CONTENT_HASH_SALT);
+            salted.update(bytes);
+            let h = (plain << 32) | salted.finish() as u64;
+            h ^ (bytes.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        }
+
+        #[test]
+        fn content_hash_values_are_the_ones_the_two_pass_build_wrote() {
+            // Computed by the last commit whose `content_hash64` hashed its
+            // input twice. These name files on disk: they may never move.
+            let pattern: Vec<u8> = (0..(1usize << 20) + 3)
+                .map(|i| (i * 31 + (i >> 8)) as u8)
+                .collect();
+            assert_eq!(content_hash64(b""), 0x0000_0000_dbbe_8e4a);
+            assert_eq!(content_hash64(b"123456789"), 0x4407_7ea3_b7d4_a3fb);
+            assert_eq!(content_hash64(&pattern), 0xc736_7d6b_226e_e0fd);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(6))]
+
+            /// `combine(crc(a), crc(b), |b|) == crc(a ‖ b)` for every pair
+            /// of lengths, and folding three parts left-to-right equals
+            /// folding them right-to-left. A failure prints the seed to
+            /// replay it with (`PROPTEST_SEED`).
+            #[test]
+            fn combine_is_concatenation_and_associates(seed in any::<u64>()) {
+                let parts: Vec<Vec<u8>> = LENGTHS
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &len)| noise(seed ^ i as u64, len))
+                    .collect();
+                let crcs: Vec<u32> = parts.iter().map(|p| crc32(p)).collect();
+                for (a, &ca) in parts.iter().zip(&crcs) {
+                    for (b, &cb) in parts.iter().zip(&crcs) {
+                        let mut h = Crc32::new();
+                        h.update(a);
+                        h.update(b);
+                        prop_assert_eq!(
+                            crc32_combine(ca, cb, b.len() as u64),
+                            h.finish(),
+                            "|a| = {}, |b| = {}", a.len(), b.len()
+                        );
+                    }
+                }
+                for w in 0..parts.len() - 2 {
+                    let (lb, lc) = (parts[w + 1].len() as u64, parts[w + 2].len() as u64);
+                    let left = crc32_combine(crc32_combine(crcs[w], crcs[w + 1], lb), crcs[w + 2], lc);
+                    let right = crc32_combine(crcs[w], crc32_combine(crcs[w + 1], crcs[w + 2], lc), lb + lc);
+                    let mut h = Crc32::new();
+                    parts[w..w + 3].iter().for_each(|p| h.update(p));
+                    prop_assert_eq!(left, h.finish(), "window {}", w);
+                    prop_assert_eq!(right, h.finish(), "window {}", w);
+                }
+            }
+
+            /// The one-walk content hash is the two-pass one, bit for bit.
+            #[test]
+            fn content_hash_equals_its_two_pass_definition(seed in any::<u64>()) {
+                for len in LENGTHS {
+                    let bytes = noise(seed, len);
+                    prop_assert_eq!(
+                        content_hash64(&bytes),
+                        content_hash64_two_pass(&bytes),
+                        "len {}", len
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn aligned_buf_is_aligned_and_round_trips() {
         for len in [0usize, 1, 63, 64, 65, 1000] {
@@ -864,43 +1184,106 @@ mod tests {
             out.len() as u64,
             container_len(&[a.len() as u64, b.len() as u64])
         );
-        let buf = AlignedBuf::from_slice(&out);
-        let c = ParsedContainer::parse(buf.as_slice(), 0, None, b"LBESLM2\0").unwrap();
-        assert_eq!(c.sections().len(), 2);
-        let (off_a, len_a) = c
-            .section_checked(buf.as_slice(), &section_name("alpha"))
-            .unwrap();
-        assert_eq!(&buf.as_slice()[off_a..off_a + len_a], &a[..]);
+        let image = VerifiedImage::verify(AlignedBuf::from_slice(&out), b"LBESLM2\0").unwrap();
+        assert_eq!(image.sections().len(), 2);
+        let (off_a, len_a) = image.section(&section_name("alpha")).unwrap();
+        assert_eq!(&image.as_slice()[off_a..off_a + len_a], &a[..]);
         assert_eq!(off_a % ALIGNMENT, 0);
-        let (off_b, len_b) = c
-            .section_checked(buf.as_slice(), &section_name("beta"))
-            .unwrap();
-        assert_eq!(&buf.as_slice()[off_b..off_b + len_b], &b[..]);
+        let (off_b, len_b) = image.section(&section_name("beta")).unwrap();
+        assert_eq!(&image.as_slice()[off_b..off_b + len_b], &b[..]);
         assert_eq!(off_b % ALIGNMENT, 0);
-        assert!(c.find(&section_name("gamma")).is_none());
+        assert!(image.find(&section_name("gamma")).is_none());
+        let err = image.section(&section_name("gamma")).unwrap_err();
+        assert!(err.to_string().contains("missing section"), "{err}");
     }
 
     #[test]
     fn corrupt_payload_detected_by_section_crc() {
-        let (mut out, a, _) = sample_container();
-        let buf0 = AlignedBuf::from_slice(&out);
-        let c = ParsedContainer::parse(buf0.as_slice(), 0, None, b"LBESLM2\0").unwrap();
-        let (off, _) = c
-            .section_checked(buf0.as_slice(), &section_name("alpha"))
-            .unwrap();
-        out[off + 3] ^= 0x40;
-        let buf = AlignedBuf::from_slice(&out);
-        let c = ParsedContainer::parse(buf.as_slice(), 0, None, b"LBESLM2\0").unwrap();
-        let err = c
-            .section_checked(buf.as_slice(), &section_name("alpha"))
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("checksum"));
-        // The other section is untouched and still verifies.
-        assert!(c
-            .section_checked(buf.as_slice(), &section_name("beta"))
-            .is_ok());
-        let _ = a;
+        let (out, _, _) = sample_container();
+        let image = VerifiedImage::verify(AlignedBuf::from_slice(&out), b"LBESLM2\0").unwrap();
+        for name in ["alpha", "beta"] {
+            let (off, _) = image.section(&section_name(name)).unwrap();
+            let mut bent = out.clone();
+            bent[off + 3] ^= 0x40;
+            let err =
+                VerifiedImage::verify(AlignedBuf::from_slice(&bent), b"LBESLM2\0").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            // The error names the damaged section, not merely the file.
+            assert!(
+                err.to_string().contains("checksum") && err.to_string().contains(name),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn verified_image_crc_is_the_crc_of_every_byte_padding_included() {
+        let (out, a, _) = sample_container();
+        let image = VerifiedImage::verify(AlignedBuf::from_slice(&out), b"LBESLM2\0").unwrap();
+        assert_eq!(image.crc(), crc32(&out));
+        assert_eq!(image.content_hash(), content_hash64(&out));
+        assert_eq!(image.into_arena().as_slice(), &out[..]);
+        // "alpha" ends 28 bytes short of the next aligned offset. No section
+        // CRC covers that gap, so a flip there still verifies — but the
+        // folded whole-image CRC moves with it, which is what lets a
+        // content-hash check hang off the fold instead of a second pass.
+        let off_a = (HEADER_LEN + 2 * SECTION_RECORD_LEN).next_multiple_of(ALIGNMENT);
+        let gap = off_a + a.len() + 5;
+        assert_eq!(out[gap], 0);
+        let mut bent = out.clone();
+        bent[gap] ^= 0x04;
+        let image = VerifiedImage::verify(AlignedBuf::from_slice(&bent), b"LBESLM2\0").unwrap();
+        assert_eq!(image.crc(), crc32(&bent));
+        assert_ne!(image.crc(), crc32(&out));
+        // Empty container: the image is its prefix.
+        let mut empty = Vec::new();
+        write_container(&mut empty, b"LBESLM2\0", &[], |_, _| unreachable!()).unwrap();
+        let image = VerifiedImage::verify(AlignedBuf::from_slice(&empty), b"LBESLM2\0").unwrap();
+        assert_eq!(image.crc(), crc32(&empty));
+    }
+
+    #[test]
+    fn verified_image_rejects_sections_that_alias_or_run_backwards() {
+        // A table whose records are individually fine (aligned, in bounds,
+        // CRCs right) but do not describe consecutive regions: the fold of
+        // such regions is not the image's CRC, so it is refused, typed.
+        let (out, _, _) = sample_container();
+        let parsed = ParsedContainer::parse(&out, 0, None, b"LBESLM2\0").unwrap();
+        let [alpha, beta] = [parsed.sections()[0], parsed.sections()[1]];
+        let with_table = |records: &[Section]| {
+            let mut bent = out.clone();
+            let table = table_bytes(records);
+            bent[HEADER_LEN..HEADER_LEN + table.len()].copy_from_slice(&table);
+            bent[24..28].copy_from_slice(&crc32(&table).to_le_bytes());
+            bent
+        };
+        let renamed = Section {
+            name: section_name("alpha2"),
+            ..alpha
+        };
+        let over_the_header = Section {
+            offset: 0,
+            len: HEADER_LEN as u64,
+            crc: crc32(&with_table(&[alpha, beta])[..HEADER_LEN]),
+            ..alpha
+        };
+        for (what, records) in [
+            ("same payload twice", [alpha, renamed]),
+            ("descending offsets", [beta, alpha]),
+            ("a section over the header", [over_the_header, beta]),
+        ] {
+            let bent = with_table(&records);
+            ParsedContainer::parse(&bent, 0, None, b"LBESLM2\0").expect(what);
+            let err =
+                VerifiedImage::verify(AlignedBuf::from_slice(&bent), b"LBESLM2\0").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains("table order"), "{what}: {err}");
+        }
+        assert!(VerifiedImage::verify(
+            AlignedBuf::from_slice(&with_table(&[alpha, beta])),
+            b"LBESLM2\0"
+        )
+        .is_ok());
     }
 
     #[test]

@@ -45,6 +45,16 @@
 //! verified section lengths, never from untrusted claims, so a corrupt file
 //! cannot force a large allocation.
 //!
+//! Every v2 load has the same two steps. The bytes become a *verified
+//! image* ([`crate::format`]: header, table CRC, every section against its
+//! table CRC — each byte checksummed once, unknown sections included), by
+//! `VerifiedImage::verify` for a file, a byte slice or an `LBECHK2` blob
+//! section, or by the decompressor for a compressed generation blob. Then
+//! the one parser here, `read_v2_parsed`, which accepts nothing but that
+//! type and takes no checksum itself, lays the views and runs the
+//! structural validation once: the O(ions) [`SlmIndex::validate`] by
+//! default, its cheap O(bins) opening alone under [`ReadOptions::trusted`].
+//!
 //! # Legacy layouts — still read, never written
 //!
 //! * **`LBESLM2` with "binoffs"**: containers written before the bin
@@ -72,9 +82,7 @@
 
 use crate::bindir;
 use crate::config::SlmConfig;
-use crate::format::{
-    section_name, view_checked, AlignedBuf, CrcSink, ParsedContainer, SectionPlan,
-};
+use crate::format::{section_name, view_checked, AlignedBuf, CrcSink, SectionPlan, VerifiedImage};
 use crate::slm::{SlmIndex, SpectrumEntry};
 use lbe_spectra::theo::TheoParams;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -596,11 +604,16 @@ pub(crate) mod test_support {
 // Read: magic dispatch.
 // ---------------------------------------------------------------------------
 
+/// The structural validation every load and every chunk fault ends in, run
+/// once: the full O(ions) [`SlmIndex::validate`] — which *begins* with the
+/// cheap O(bins) invariants — or, for a trusted file, those alone.
 fn validate_loaded(index: SlmIndex, opts: &ReadOptions) -> io::Result<SlmIndex> {
-    index.validate_cheap().map_err(|e| bad(&e))?;
     if opts.full_validation {
-        index.validate().map_err(|e| bad(&e))?;
+        index.validate()
+    } else {
+        index.validate_cheap()
     }
+    .map_err(|e| bad(&e))?;
     Ok(index)
 }
 
@@ -630,7 +643,7 @@ pub fn read_index_with<R: Read>(reader: R, opts: &ReadOptions) -> io::Result<Slm
             // arena. `read_index_path` avoids the extra copy.
             let mut whole = magic.to_vec();
             r.read_to_end(&mut whole)?;
-            read_v2_arena(Arc::new(AlignedBuf::from_slice(&whole)), opts)
+            read_v2_arena(AlignedBuf::from_slice(&whole), opts)
         }
         m if m == MAGIC_CHUNKED => Err(bad(
             "this is a chunked index container; open it with ChunkStore::open_path",
@@ -645,7 +658,7 @@ pub fn read_index_with<R: Read>(reader: R, opts: &ReadOptions) -> io::Result<Slm
 /// memory-bandwidth-bound sizes.
 pub fn read_index_bytes(bytes: &[u8], opts: &ReadOptions) -> io::Result<SlmIndex> {
     if bytes.len() >= 8 && &bytes[..8] == MAGIC_V2 {
-        read_v2_arena(Arc::new(AlignedBuf::from_slice(bytes)), opts)
+        read_v2_arena(AlignedBuf::from_slice(bytes), opts)
     } else {
         read_index_with(bytes, opts)
     }
@@ -667,41 +680,37 @@ pub fn read_index_path_with(path: impl AsRef<Path>, opts: &ReadOptions) -> io::R
         let mut buf = AlignedBuf::zeroed(len as usize);
         file.seek(SeekFrom::Start(0))?;
         file.read_exact(buf.as_mut_slice())?;
-        read_v2_arena(Arc::new(buf), opts)
+        read_v2_arena(buf, opts)
     } else {
         file.seek(SeekFrom::Start(0))?;
         read_index_with(file, opts)
     }
 }
 
-/// Parses a v2 single-index container occupying all of `arena`.
-fn read_v2_arena(arena: Arc<AlignedBuf>, opts: &ReadOptions) -> io::Result<SlmIndex> {
-    let container = ParsedContainer::parse(arena.as_slice(), 0, None, MAGIC_V2)?;
-    read_v2_parsed(arena, &container, opts)
+/// Verifies and parses a v2 single-index container occupying all of `arena`.
+fn read_v2_arena(arena: AlignedBuf, opts: &ReadOptions) -> io::Result<SlmIndex> {
+    read_v2_parsed(VerifiedImage::verify(arena, MAGIC_V2)?, opts)
 }
 
-/// Parses a v2 single-index container already located inside `arena`
-/// (`container.base` may be nonzero for blobs embedded in a chunked
-/// container). Verifies section checksums, derives element counts from the
-/// verified section lengths, and — on little-endian hosts — backs the index
-/// with zero-copy views into `arena`.
-pub(crate) fn read_v2_parsed(
-    arena: Arc<AlignedBuf>,
-    container: &ParsedContainer,
-    opts: &ReadOptions,
-) -> io::Result<SlmIndex> {
-    let bytes = arena.as_slice();
-    let (cfg_off, cfg_len) = container.section_checked(bytes, &SEC_CONFIG)?;
+/// Turns a **verified** v2 single-index image into an index: the one tail
+/// of every v2 load — a file, a byte slice, an `LBECHK2` blob section, a
+/// generation-store blob (raw or just decompressed). The checksums are
+/// the type's business (no CRC is taken here); this derives element counts
+/// from the verified section lengths, backs the index with zero-copy views
+/// into the image's arena on little-endian hosts, and runs the structural
+/// validation [`ReadOptions`] asks for.
+pub(crate) fn read_v2_parsed(image: VerifiedImage, opts: &ReadOptions) -> io::Result<SlmIndex> {
+    let bytes = image.as_slice();
+    let (cfg_off, cfg_len) = image.section(&SEC_CONFIG)?;
     let config = config_from_bytes(&bytes[cfg_off..cfg_off + cfg_len])?;
 
     // Layout flags: optional (older files lack the section → no flags, and
     // with them no banded search). Unknown bits are ignored for forward
     // compatibility; the MASS_SORTED claim itself is verified by the
     // always-on cheap validation after construction.
-    let flags = match container.find(&SEC_FLAGS) {
+    let flags = match image.find(&SEC_FLAGS) {
         None => 0u64,
-        Some(_) => {
-            let (f_off, f_len) = container.section_checked(bytes, &SEC_FLAGS)?;
+        Some((f_off, f_len)) => {
             if f_len != 8 {
                 return Err(bad("flags section is not a single u64"));
             }
@@ -710,26 +719,25 @@ pub(crate) fn read_v2_parsed(
     };
     let mass_sorted = flags & FLAG_MASS_SORTED != 0;
 
-    let (e_off, e_bytes) = container.section_checked(bytes, &SEC_ENTRIES)?;
+    let (e_off, e_bytes) = image.section(&SEC_ENTRIES)?;
     let esz = std::mem::size_of::<SpectrumEntry>();
     if e_bytes % esz != 0 {
         return Err(bad("entries section length is not a whole record count"));
     }
     let n_entries = e_bytes / esz;
 
-    let (p_off, p_bytes) = container.section_checked(bytes, &SEC_POSTINGS)?;
+    let (p_off, p_bytes) = image.section(&SEC_POSTINGS)?;
     if p_bytes % 4 != 0 {
         return Err(bad("postings section length is not a whole u32 count"));
     }
     let n_postings = p_bytes / 4;
     check_posting_count(n_postings as u64)?;
 
-    let index = if container.find(&SEC_BINMAP).is_some() {
-        let (m_off, m_bytes) = container.section_checked(bytes, &SEC_BINMAP)?;
+    let index = if let Some((m_off, m_bytes)) = image.find(&SEC_BINMAP) {
         if m_bytes % 8 != 0 {
             return Err(bad("binmap section length is not a whole u64 count"));
         }
-        let (s_off, s_bytes) = container.section_checked(bytes, &SEC_BINPTR)?;
+        let (s_off, s_bytes) = image.section(&SEC_BINPTR)?;
         if s_bytes % 4 != 0 {
             return Err(bad("binptr section length is not a whole u32 count"));
         }
@@ -742,7 +750,7 @@ pub(crate) fn read_v2_parsed(
             view_checked::<u32>(bytes, p_off, n_postings)?;
             SlmIndex::from_arena(
                 config,
-                arena.clone(),
+                Arc::new(image.into_arena()),
                 (e_off, n_entries),
                 (m_off, m_bytes / 8),
                 (s_off, s_bytes / 4),
@@ -767,7 +775,7 @@ pub(crate) fn read_v2_parsed(
         // Legacy layout: dense u64 row pointers. Converted to the directory
         // by the builder's own routine; the arrays move to owned storage
         // because the directory has nothing in the arena to view.
-        let (o_off, o_bytes) = container.section_checked(bytes, &SEC_BINOFFS)?;
+        let (o_off, o_bytes) = image.section(&SEC_BINOFFS)?;
         if o_bytes % 8 != 0 || o_bytes / 8 != config.num_bins() + 1 {
             return Err(bad("binoffs section does not match the configuration"));
         }
@@ -1038,7 +1046,10 @@ mod tests {
     fn cheap_validation_rejects_every_corrupt_directory() {
         // Well-formed v2 files (valid checksums) whose bin directory is
         // structurally inconsistent: the always-on cheap invariants reject
-        // each one at load, typed, before any lookup could index with it.
+        // each one at load, typed, before any lookup could index with it —
+        // with the same message whether they run alone (`trusted`) or as
+        // the opening of the full validation (`default`), which is the one
+        // or the other, never both.
         let idx = sample_index(false);
         assert_eq!(idx.config(), &SlmConfig::default());
         for (what, edit, expect) in directory_corruptions() {
@@ -1052,9 +1063,12 @@ mod tests {
             );
             let mut buf = Vec::new();
             write_index(&mut buf, &broken).unwrap();
-            let err = read_index_with(&buf[..], &ReadOptions::trusted()).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
-            assert!(err.to_string().contains(expect), "{what}: {err}");
+            let [trusted, full] = [ReadOptions::trusted(), ReadOptions::default()]
+                .map(|opts| read_index_with(&buf[..], &opts).unwrap_err());
+            assert_eq!(trusted.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(trusted.to_string().contains(expect), "{what}: {trusted}");
+            assert_eq!(full.kind(), trusted.kind(), "{what}");
+            assert_eq!(full.to_string(), trusted.to_string(), "{what}");
         }
     }
 

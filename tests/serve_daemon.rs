@@ -186,6 +186,65 @@ fn responses_match_request_ids_under_interleaving() {
     runner.join().unwrap();
 }
 
+/// A pipelined burst — 64 queries written in one go, all in flight on one
+/// connection (the per-connection cap) — comes back whole: the writer
+/// thread frames whatever replies are queued and flushes once per drained
+/// queue, so a wave's replies share segments, and still every reply is a
+/// complete frame, in request order, with the payload of its own query, and
+/// the run counts one response per request.
+#[test]
+fn pipelined_burst_is_answered_completely_and_in_request_order() {
+    let (addr, handle, runner) = start_daemon(ServeConfig::default());
+    let spectra: Vec<Spectrum> = SpectrumReader::open(data("corpus.ms2"))
+        .unwrap()
+        .map(|s| s.unwrap())
+        .collect();
+    let engine = ResidentEngine::open(corpus_index(), usize::MAX).unwrap();
+    let opts = QueryOptions::default();
+    let expected: Vec<Vec<(u32, u16, u16, f32)>> = spectra
+        .iter()
+        .map(|s| {
+            engine
+                .search_one(&engine.preprocess(s), &opts)
+                .unwrap()
+                .psms
+                .iter()
+                .map(|p| (p.peptide, p.modform, p.shared_peaks, p.score))
+                .collect()
+        })
+        .collect();
+
+    const BURST: usize = 64;
+    assert_eq!(ServeConfig::default().per_conn_inflight, BURST);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut rd = BufReader::new(stream.try_clone().unwrap());
+    let mut burst = Vec::new();
+    for i in 0..BURST {
+        burst.extend_from_slice(&query_frame(i as u64, &spectra[i % spectra.len()]));
+    }
+    stream.write_all(&burst).unwrap();
+    for i in 0..BURST {
+        match read_response(&mut rd) {
+            Response::Result {
+                req_id,
+                psms,
+                flags,
+            } => {
+                assert_eq!(req_id, i as u64, "replies left out of request order");
+                assert_eq!(flags, 0);
+                assert_eq!(psms, expected[i % spectra.len()], "request {i}");
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    drop(stream);
+    handle.shutdown();
+    let stats = runner.join().unwrap();
+    assert_eq!(stats.requests, BURST as u64);
+    assert_eq!(stats.responses, stats.requests);
+    assert_eq!((stats.protocol_errors, stats.degraded), (0, 0));
+}
+
 /// The stdin transport answers the same frames sequentially: ping →
 /// queries (with per-request overrides) → shutdown, over an in-memory
 /// stream, with results identical to the TCP/dispatcher path.

@@ -97,6 +97,79 @@ fn golden_corpus_index_bytes_match_committed() {
     }
 }
 
+/// The generation store CI's lifecycle step builds — `init --chunk-size 64`
+/// on the first half of the digested corpus, `append` the rest, `compact`,
+/// `gc` — must list exactly the committed blobs: content hash (the blob's
+/// file name), generation, liveness, whether it is stored compressed, raw
+/// and stored byte counts, as `lbe index stats` prints them. The hash names
+/// a file on disk and is a function of the chunk's CRC-32 and length; the
+/// stored size is the compressor's output. Neither may move without a
+/// format revision, whatever is done to how they are *computed*.
+#[test]
+fn golden_corpus_store_blob_names_and_sizes_match_committed() {
+    let d = tmpdir("store_hashes");
+    let p = |n: &str| d.join(n).to_string_lossy().to_string();
+    std::fs::remove_dir_all(d.join("store")).ok();
+    cli(&format!(
+        "digest --in {} --out {}",
+        data("corpus.fasta"),
+        p("pep.fasta")
+    ));
+    // Split on a 2-line FASTA record boundary, as the CI step does.
+    let pep = std::fs::read_to_string(p("pep.fasta")).unwrap();
+    let lines: Vec<&str> = pep.lines().collect();
+    let half = lines.len() / 4 * 2;
+    let join = |ls: &[&str]| ls.iter().map(|l| format!("{l}\n")).collect::<String>();
+    std::fs::write(p("base.fasta"), join(&lines[..half])).unwrap();
+    std::fs::write(p("delta.fasta"), join(&lines[half..])).unwrap();
+    cli(&format!(
+        "index init --db {} --out {} --chunk-size 64",
+        p("base.fasta"),
+        p("store")
+    ));
+    cli(&format!(
+        "index append --index {} --db {}",
+        p("store"),
+        p("delta.fasta")
+    ));
+    cli(&format!("index compact --index {}", p("store")));
+    cli(&format!("index gc --index {}", p("store")));
+    let stats = cli(&format!("index stats --index {}", p("store")));
+    // Chunk rows: `chunk hash gen live comp raw stored [lo, hi]`.
+    let got: Vec<String> = stats
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .filter(|f| f.len() > 7 && f[1].len() == 16 && f[0].parse::<usize>().is_ok())
+        .map(|f| f[1..7].join("\t"))
+        .collect();
+    let want = std::fs::read_to_string(data("expected_store_hashes.tsv")).unwrap();
+    let want: Vec<&str> = want.lines().filter(|l| !l.starts_with('#')).collect();
+    assert_eq!(want.len(), 11, "expected_store_hashes.tsv lost a row");
+    assert_eq!(got, want, "store blobs drifted:\n{stats}");
+    // The names are the files: one blob per row, nothing else, each as
+    // large as its `stored` column says.
+    let mut on_disk: Vec<(String, u64)> = std::fs::read_dir(d.join("store").join("chunks"))
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                e.metadata().unwrap().len(),
+            )
+        })
+        .collect();
+    let mut listed: Vec<(String, u64)> = want
+        .iter()
+        .map(|row| {
+            let f: Vec<&str> = row.split('\t').collect();
+            (format!("{}.chk", f[0]), f[5].parse().unwrap())
+        })
+        .collect();
+    on_disk.sort();
+    listed.sort();
+    assert_eq!(on_disk, listed);
+}
+
 /// `lbe simulate --csv` over the checked-in corpus must reproduce the
 /// committed virtual-time report byte for byte: query and execution
 /// makespans, load imbalance and cPSMs are deterministic outputs of the
