@@ -38,14 +38,21 @@
 //! (`entry − band_lo`), so a closed search's counter footprint is the
 //! admitted band, not the whole index. The candidate pass (which also
 //! resets the scratch for the next query) is a **sequential sweep** of the
-//! band's counters in zero-skippable chunks rather than a walk of a
-//! first-touch list: tracking first touches inside the scatter would put a
-//! data-dependent branch on every posting (mispredicted on a large
-//! fraction of lanes), while the sweep costs one predictable pass over
-//! O(band) contiguous memory — the all-zero chunk test vectorizes, and
-//! candidate order becomes ascending entry id, which [`rank_cmp`]'s total
-//! order makes invisible in every ranked output. Top-k selection is a
-//! bounded heap (O(candidates · log k)), not a full sort.
+//! band's counters (`scan::sweep_band`) rather than a walk of a
+//! first-touch list. What that sweep may branch on was measured, not
+//! assumed (numbers and phase split in `crate::scan`'s module doc): on a
+//! ±500 Da band about half the slots are hit and about 2 % of the hit ones
+//! reach `shared_peak_threshold`, so "was this slot hit?" is a coin flip —
+//! a per-slot test of it was two thirds of such a query, and a first-touch
+//! test inside the scatter would be the same coin flipped once per
+//! posting — while "is it a candidate?" is rare and predictable. The sweep
+//! builds a per-chunk mask of the second question without branching on the
+//! first. Sub-threshold slots never reach the entry table; only the few
+//! hundred candidates pay that random load, and it was never the sweep's
+//! dominant cost — the branch was. Candidates arrive in ascending entry
+//! id, which [`rank_cmp`]'s total order makes invisible in every ranked
+//! output. Top-k selection is a bounded heap (O(candidates · log k)), not
+//! a full sort.
 
 use crate::config::SlmConfig;
 use crate::scan;
@@ -440,37 +447,17 @@ impl<'a> Searcher<'a> {
         self.run_end.clear();
         self.run_weight.clear();
 
-        // Candidate pass: sweep the band's slots sequentially in
-        // zero-skippable chunks (the all-clear test over a slot chunk
-        // vectorizes), resetting each hit slot as it is inspected. Hit
-        // slots are discovered in ascending entry-id order; `rank_cmp` is a
-        // total order, so candidate order cannot affect the ranked output.
+        // Candidate pass: `scan::sweep_band` hands over the slots that
+        // reach the shared-peak threshold, in ascending entry-id order, and
+        // leaves the band clear for the next query. What is left here is
+        // admission, scoring and the top-k push; `rank_cmp` is a total
+        // order, so candidate order cannot affect the ranked output.
         let mut topk = TopK::new(top_k);
-        const SWEEP_CHUNK: usize = 32;
-        let mut e = 0usize;
-        while e < width {
-            let chunk_end = (e + SWEEP_CHUNK).min(width);
-            if self.slots[e..chunk_end].iter().all(scan::Slot::is_clear) {
-                e = chunk_end;
-                continue;
-            }
-            for off in e..chunk_end {
-                let shared = self.slots[off].count;
-                if shared == 0 {
-                    continue;
-                }
-                // Reset scratch as we go (intensity is only ever written
-                // alongside the count, so zero-count slots are already
-                // clean).
-                let matched = self.slots[off].intensity;
-                self.slots[off] = scan::Slot::default();
-                // Threshold first: most hit slots are sub-threshold
-                // fragment collisions, and rejecting them here skips the
-                // random entry-metadata load entirely — the sweep's
-                // dominant cost at open-mod band widths.
-                if shared < cfg.shared_peak_threshold {
-                    continue;
-                }
+        let global_ids = self.global_ids;
+        scan::sweep_band(
+            &mut self.slots[..width],
+            cfg.shared_peak_threshold,
+            |off, shared, matched| {
                 let entry = band_lo + off as u32;
                 let meta = index.entry(entry);
                 if SlmConfig::precursor_admits_with(tol, query_mass, meta.precursor_mass as f64) {
@@ -480,7 +467,7 @@ impl<'a> Searcher<'a> {
                         // Global-id translation (when mapped) happens *here*,
                         // before the top-k push, so score ties truncate in
                         // global (peptide, modform) order.
-                        peptide: match self.global_ids {
+                        peptide: match global_ids {
                             Some(map) => map[meta.peptide as usize],
                             None => meta.peptide,
                         },
@@ -489,9 +476,8 @@ impl<'a> Searcher<'a> {
                         score: score(shared, matched),
                     });
                 }
-            }
-            e = chunk_end;
-        }
+            },
+        );
 
         SearchResult {
             psms: topk.into_sorted(),
@@ -920,6 +906,53 @@ mod tests {
                 scratch = s2.into_scratch();
             }
         }
+    }
+
+    #[test]
+    fn every_band_shape_hands_back_clean_scratch() {
+        // `with_scratch` checks the recycling invariant with a
+        // `debug_assert!`; this holds the sweep to it with a plain
+        // `assert!`, after bands that are whole sweep chunks plus a
+        // remainder (∞, ±300 Da), narrower than one chunk (±1 Da) and
+        // empty — most hit slots staying below the default threshold of 4.
+        const RESIDUES: &[u8] = b"ACDEFGHILMNPQSTVWY";
+        let seqs: Vec<String> = (0..150usize)
+            .map(|i| {
+                let mut seq: Vec<u8> = (0..6 + i % 7)
+                    .map(|j| RESIDUES[(i * 7 + j * (i % 5 + 1)) % RESIDUES.len()])
+                    .collect();
+                seq.push(b'K');
+                String::from_utf8(seq).unwrap()
+            })
+            .collect();
+        let refs: Vec<&str> = seqs.iter().map(String::as_str).collect();
+        let d = db(&refs);
+        let idx = IndexBuilder::new(SlmConfig::default(), ModSpec::none()).build(&d);
+        let entries = idx.num_spectra() as u32;
+        assert!(entries > 128, "index spans several sweep chunks");
+        let mut scratch = SearchScratch::default();
+        let mut widths = Vec::new();
+        for seq in [&seqs[3], &seqs[77], &seqs[149]] {
+            let q = perfect_query(seq.as_bytes());
+            for tol in [f64::INFINITY, 1.0, 300.0, 1e-9, f64::INFINITY] {
+                let m = q.precursor_neutral_mass();
+                let (lo, hi) = idx.entry_range_for_mass_band(m - tol, m + tol);
+                widths.push(hi - lo);
+                let opts = QueryOptions {
+                    precursor_tolerance: Some(tol),
+                    ..Default::default()
+                };
+                let mut s = Searcher::with_scratch(&idx, scratch);
+                let r = s.search_with_opts(&q, &opts);
+                assert!(r.stats.postings_scanned > 0 || tol < 1.0);
+                scratch = s.into_scratch();
+                assert!(scratch.is_clean(), "{seq} at ΔM {tol} left counts behind");
+            }
+        }
+        assert!(
+            widths.iter().any(|&w| w > 32 && w < entries && w % 32 != 0),
+            "no finite band wider than a sweep chunk with a remainder: {widths:?}"
+        );
     }
 
     #[cfg(debug_assertions)]

@@ -93,32 +93,47 @@ fn read_response(rd: &mut impl Read) -> Response {
 
 /// Tentpole acceptance: ≥ 4 concurrent CLI clients, covering all three
 /// query formats, each get a report byte-identical to the committed
-/// one-shot CLI goldens from a single running daemon.
+/// one-shot CLI goldens from a single running daemon — and two more ask
+/// for ±500 Da (bands of whole sweep chunks plus a remainder), banded and
+/// full-scan, against the golden the pre-`sweep_band` binary wrote.
 #[test]
 fn concurrent_clients_match_cli_goldens() {
     let (addr, handle, runner) = start_daemon(ServeConfig::default());
     let d = tmpdir("concurrent");
-    let clients: Vec<(&str, &str, &str)> = vec![
-        ("a", "corpus.ms2", "expected_search_text.tsv"),
-        ("b", "corpus.mgf", "expected_search_text.tsv"),
-        ("c", "corpus.mzML", "expected_search_mzml.tsv"),
-        ("d", "corpus.ms2", "expected_search_text.tsv"),
-        ("e", "corpus.mgf", "expected_search_text.tsv"),
+    let clients: Vec<(&str, &str, &str, &str)> = vec![
+        ("a", "corpus.ms2", "", "expected_search_text.tsv"),
+        ("b", "corpus.mgf", "", "expected_search_text.tsv"),
+        ("c", "corpus.mzML", "", "expected_search_mzml.tsv"),
+        ("d", "corpus.ms2", "", "expected_search_text.tsv"),
+        ("e", "corpus.mgf", "", "expected_search_text.tsv"),
+        (
+            "f",
+            "corpus.ms2",
+            "--tolerance 500",
+            "expected_query_tol500.tsv",
+        ),
+        (
+            "g",
+            "corpus.mgf",
+            "--tolerance 500 --full-scan",
+            "expected_query_tol500.tsv",
+        ),
     ];
+    let n_clients = clients.len() as u64;
     let threads: Vec<_> = clients
         .into_iter()
-        .map(|(tag, queries, expected)| {
+        .map(|(tag, queries, flags, expected)| {
             let out = d.join(format!("{tag}.tsv")).to_string_lossy().to_string();
             std::thread::spawn(move || {
                 cli(&format!(
-                    "query --addr {addr} --queries {} --out {out}",
+                    "query --addr {addr} --queries {} --out {out} {flags}",
                     data(queries)
                 ));
                 let got = std::fs::read_to_string(&out).unwrap();
                 let want = std::fs::read_to_string(data(expected)).unwrap();
                 assert_eq!(
                     got, want,
-                    "client {tag} ({queries}) diverged from {expected}"
+                    "client {tag} ({queries} {flags}) diverged from {expected}"
                 );
             })
         })
@@ -128,9 +143,9 @@ fn concurrent_clients_match_cli_goldens() {
     }
     handle.shutdown();
     let stats = runner.join().unwrap();
-    assert_eq!(stats.connections, 5);
-    assert_eq!(stats.requests, 5 * 24);
-    assert_eq!(stats.responses, 5 * 24);
+    assert_eq!(stats.connections, n_clients);
+    assert_eq!(stats.requests, n_clients * 24);
+    assert_eq!(stats.responses, n_clients * 24);
     assert_eq!(stats.protocol_errors, 0);
 }
 
