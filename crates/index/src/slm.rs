@@ -283,6 +283,27 @@ impl SlmIndex {
         matches!(self.storage, IndexStorage::Arena { .. })
     }
 
+    /// The arena this index views, if nothing else holds it — a chunk
+    /// store recycles an evicted chunk's buffer this way.
+    pub(crate) fn into_unshared_arena(self) -> Option<AlignedBuf> {
+        match self.storage {
+            IndexStorage::Arena { arena, .. } => Arc::try_unwrap(arena).ok(),
+            IndexStorage::Owned { .. } => None,
+        }
+    }
+
+    /// Start and capacity of the arena's allocation, for tests that check
+    /// which buffer a chunk landed in.
+    #[cfg(test)]
+    pub(crate) fn arena_allocation(&self) -> Option<(*const u8, usize)> {
+        match &self.storage {
+            IndexStorage::Arena { arena, .. } => {
+                Some((arena.as_slice().as_ptr(), arena.capacity()))
+            }
+            IndexStorage::Owned { .. } => None,
+        }
+    }
+
     /// The configuration this index was built with.
     #[inline]
     pub fn config(&self) -> &SlmConfig {
