@@ -211,7 +211,7 @@ pub struct EngineConfig {
     pub spill_dir: Option<std::path::PathBuf>,
     /// Posting-scan mode for every rank's query phase:
     /// [`lbe_index::ScanMode::Auto`] (the default) lets closed searches
-    /// take the banded precursor-filtered kernel on mass-sorted indexes;
+    /// take the banded precursor-filtered kernel;
     /// [`lbe_index::ScanMode::FullScan`] forces whole-bin scans (A/B
     /// comparisons; findings are identical either way).
     pub scan_mode: lbe_index::ScanMode,

@@ -68,60 +68,33 @@ impl<'a> BinDirectory<'a> {
     pub(crate) fn window(&self, lo: u32, hi: u32) -> &'a [u32] {
         &self.starts[self.rank_of(lo)..=self.rank_of(hi + 1)]
     }
-
-    /// The dense `num_bins + 1` CSR row pointers this directory encodes —
-    /// what the legacy layouts store, and so what the test-support writers
-    /// of those layouts emit.
-    #[cfg(test)]
-    pub(crate) fn dense_offsets(&self, num_bins: usize) -> impl Iterator<Item = u64> + 'a {
-        let (bitmap, starts) = (self.bitmap, self.starts);
-        let mut k = 0usize;
-        (0..=num_bins).map(move |b| {
-            let at = starts[k] as u64;
-            if b < num_bins && (bitmap[b >> 6] >> (b & 63)) & 1 == 1 {
-                k += 1;
-            }
-            at
-        })
-    }
 }
 
-/// Builds the stored half of a directory (`bitmap`, `starts`) from dense
-/// CSR row pointers — the builder's `u32` prefix sums, or a legacy file's
-/// `u64` `binoffs` array. Both vectors are allocated exactly. Fails on
-/// input no directory can represent: a first offset other than 0, a
-/// decreasing pair, or an offset beyond `u32`.
-pub(crate) fn from_dense<T: Copy + Into<u64>>(dense: &[T]) -> Result<(Vec<u64>, Vec<u32>), String> {
-    let Some((first, last)) = dense.first().zip(dense.last()) else {
+/// Builds the stored half of a directory (`bitmap`, `starts`) from the
+/// builder's dense CSR prefix sums. Both vectors are allocated exactly.
+/// Fails on input no directory can represent: a first offset other than 0
+/// or a decreasing pair.
+pub(crate) fn from_dense(dense: &[u32]) -> Result<(Vec<u64>, Vec<u32>), String> {
+    let Some((&first, &last)) = dense.first().zip(dense.last()) else {
         return Err("bin offset table is empty".into());
     };
-    let (first, last): (u64, u64) = ((*first).into(), (*last).into());
     if first != 0 {
         return Err("first bin offset is not 0".into());
     }
-    if last > u32::MAX as u64 {
-        return Err("more postings than u32 offsets".into());
-    }
     let num_bins = dense.len() - 1;
-    let pairs = || {
-        dense
-            .windows(2)
-            .map(|w| -> (u64, u64) { (w[0].into(), w[1].into()) })
-    };
-    let occupied = pairs().filter(|(lo, hi)| lo != hi).count();
+    let occupied = dense.windows(2).filter(|w| w[0] != w[1]).count();
     let mut bitmap = vec![0u64; bitmap_words(num_bins)];
     let mut starts = Vec::with_capacity(occupied + 1);
-    for (b, (lo, hi)) in pairs().enumerate() {
-        if lo > hi {
+    for (b, w) in dense.windows(2).enumerate() {
+        if w[0] > w[1] {
             return Err("bin offsets not monotone".into());
         }
-        if lo < hi {
+        if w[0] < w[1] {
             bitmap[b >> 6] |= 1 << (b & 63);
-            // Monotone so far and `last` fits, so every offset fits.
-            starts.push(lo as u32);
+            starts.push(w[0]);
         }
     }
-    starts.push(last as u32);
+    starts.push(last);
     Ok((bitmap, starts))
 }
 
@@ -185,9 +158,9 @@ mod tests {
     }
 
     /// Dense offsets with `counts[b]` postings in bin `b`.
-    fn dense(counts: &[u64]) -> Vec<u64> {
+    fn dense(counts: &[u32]) -> Vec<u32> {
         std::iter::once(0)
-            .chain(counts.iter().scan(0u64, |acc, &c| {
+            .chain(counts.iter().scan(0u32, |acc, &c| {
                 *acc += c;
                 Some(*acc)
             }))
@@ -197,14 +170,17 @@ mod tests {
     #[test]
     fn lookups_agree_with_dense_offsets_at_word_edges() {
         // 130 bins: occupied at 0, 63, 64, 65 and the last bin.
-        let mut counts = vec![0u64; 130];
+        // The directory is written out by hand here, not by `from_dense`,
+        // so its lookups are checked against plain slicing of the dense
+        // offsets; `from_dense` must then produce the same arrays.
+        let mut counts = vec![0u32; 130];
         for (b, c) in [(0, 2), (63, 1), (64, 3), (65, 1), (129, 4)] {
             counts[b] = c;
         }
         let d = dense(&counts);
-        let (bitmap, starts) = from_dense(&d).unwrap();
-        assert_eq!(bitmap.len(), 3);
-        assert_eq!(starts, vec![0, 2, 3, 6, 7, 11]);
+        let bitmap: Vec<u64> = vec![1 | 1 << 63, 0b11, 1 << (129 - 128)];
+        let starts: Vec<u32> = vec![0, 2, 3, 6, 7, 11];
+        assert_eq!(from_dense(&d).unwrap(), (bitmap.clone(), starts.clone()));
         let rank = ranks(&bitmap);
         assert_eq!(rank, vec![0, 2, 4]);
         validate(130, &bitmap, &starts, 11).unwrap();
@@ -214,7 +190,6 @@ mod tests {
             let got = dir.run(b as u32);
             assert!(got == want || (got.is_empty() && want.is_empty()), "{b}");
         }
-        assert_eq!(dir.dense_offsets(130).collect::<Vec<_>>(), d);
         for lo in 0..130u32 {
             for hi in lo..130u32 {
                 let want: Vec<(u32, u32)> = (lo..=hi)
@@ -235,7 +210,7 @@ mod tests {
     fn bin_count_on_a_word_boundary_keeps_the_end_rank_in_bounds() {
         // 128 bins fill two words exactly; the third word exists only so
         // the rank of the exclusive end (bin 128) is a plain lookup.
-        let mut counts = vec![0u64; 128];
+        let mut counts = vec![0u32; 128];
         counts[127] = 5;
         let (bitmap, starts) = from_dense(&dense(&counts)).unwrap();
         assert_eq!(bitmap.len(), 3);
@@ -261,10 +236,9 @@ mod tests {
 
     #[test]
     fn from_dense_rejects_what_it_cannot_represent() {
-        assert!(from_dense::<u64>(&[]).is_err());
-        assert!(from_dense(&[1u64, 1]).unwrap_err().contains("not 0"));
-        assert!(from_dense(&[0u32, 5, 3]).unwrap_err().contains("monotone"));
-        assert!(from_dense(&[0u64, 1 << 32]).unwrap_err().contains("u32"));
+        assert!(from_dense(&[]).is_err());
+        assert!(from_dense(&[1, 1]).unwrap_err().contains("not 0"));
+        assert!(from_dense(&[0, 5, 3]).unwrap_err().contains("monotone"));
     }
 
     #[test]

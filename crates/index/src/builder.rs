@@ -457,7 +457,6 @@ mod tests {
         // AMK: unmod + 1 ox; GGR: unmod only — ids follow mass, not input
         // order: GGR (288 Da) < AMK (348 Da) < AMK+ox (364 Da).
         assert_eq!(idx.num_spectra(), 3);
-        assert!(idx.is_mass_sorted());
         assert!(idx
             .entries()
             .windows(2)
@@ -672,12 +671,12 @@ mod tests {
                 per_bin[bin as usize].push(new_of[old_id]);
             }
         }
-        let mut bin_offsets = vec![0u64];
+        let mut bin_offsets = vec![0u32];
         let mut postings = Vec::new();
         for list in &mut per_bin {
             list.sort_unstable();
             postings.extend_from_slice(list);
-            bin_offsets.push(postings.len() as u64);
+            bin_offsets.push(postings.len() as u32);
         }
         let stats = BuildStats {
             peptides: db.len(),

@@ -771,6 +771,7 @@ impl ChunkStore {
     /// [`io::read_v2_parsed`] then takes the image — no further checksum —
     /// and runs the structural validation the store's [`ReadOptions`] ask
     /// for (O(ions) by default), and the id-table cover check closes it.
+    /// Whatever fails a generation blob is prefixed `chunk blob <hash>:`.
     fn ensure_resident(&mut self, ci: usize) -> std::io::Result<()> {
         self.tick += 1;
         if self.resident[ci].is_some() {
@@ -794,22 +795,26 @@ impl ChunkStore {
         }
         let opts = self.read_opts;
         let into = self.image_buffer();
-        let image = match &mut self.source {
+        let chunk = match &mut self.source {
             ChunkSource::Container {
                 container,
                 directory,
-            } => VerifiedImage::verify(
-                container.read_section_desc_into(&directory[ci], into)?,
-                MAGIC_V2,
+            } => io::read_v2_parsed(
+                VerifiedImage::verify(
+                    container.read_section_desc_into(&directory[ci], into)?,
+                    MAGIC_V2,
+                )?,
+                &opts,
             )?,
             ChunkSource::Generation { dir, blobs, .. } => {
                 let b = blobs[ci];
-                read_generation_blob(dir, b, into, &mut self.read_buf).map_err(|e| {
-                    std::io::Error::new(e.kind(), format!("chunk blob {:016x}: {e}", b.hash))
-                })?
+                read_generation_blob(dir, b, into, &mut self.read_buf)
+                    .and_then(|image| io::read_v2_parsed(image, &opts))
+                    .map_err(|e| {
+                        std::io::Error::new(e.kind(), format!("chunk blob {:016x}: {e}", b.hash))
+                    })?
             }
         };
-        let chunk = io::read_v2_parsed(image, &opts)?;
         check_gid_cover(&chunk, &self.global_ids[ci])?;
         self.resident[ci] = Some(chunk);
         self.last_used[ci] = self.tick;
@@ -947,18 +952,6 @@ mod tests {
         p
     }
 
-    /// The `LBECHK2` image `current` with every chunk blob in the dense
-    /// `binoffs` layout — a file written before the bin directory.
-    fn downgrade_blobs_to_binoffs(current: &[u8]) -> Vec<u8> {
-        crate::format::rewrite_container(current, MAGIC_CHUNKED, |name, blob| {
-            if name.starts_with(b"chk") {
-                io::test_support::downgrade_to_binoffs(blob)
-            } else {
-                blob.to_vec()
-            }
-        })
-    }
-
     #[test]
     fn chunk_count_and_sizes() {
         let c = ChunkedIndex::build(&db(), SlmConfig::default(), ModSpec::none(), 2);
@@ -1081,8 +1074,8 @@ mod tests {
 
     #[test]
     fn every_container_tolerance_and_budget_agrees_with_one_index() {
-        // Coarse bins keep the legacy file's dense row pointers (8 bytes a
-        // bin, per chunk) small; ties and ranking do not depend on them.
+        // Coarse bins keep the fixture small; ties and ranking do not
+        // depend on them.
         let cfg = SlmConfig {
             resolution: 0.1,
             top_k: 3,
@@ -1101,12 +1094,6 @@ mod tests {
         ChunkedIndex::build(&all, cfg.clone(), ModSpec::none(), 4)
             .write_path(&file)
             .unwrap();
-        let legacy = tmpfile("table_binoffs.lbe");
-        std::fs::write(
-            &legacy,
-            downgrade_blobs_to_binoffs(&std::fs::read(&file).unwrap()),
-        )
-        .unwrap();
         let fresh = tmpfile("table_init");
         init(&fresh, &all);
         // The delta repeats four stored peptides (skipped, so store ids stay
@@ -1127,7 +1114,7 @@ mod tests {
         store.append(&sub(8..n)).unwrap();
         store.compact().unwrap();
 
-        let sources = [&file, &legacy, &fresh, &appended, &compacted];
+        let sources = [&file, &fresh, &appended, &compacted];
         let open = |path: &Path, budget: usize| {
             if path.is_dir() {
                 ChunkStore::open_generation_dir(path, budget)
@@ -1208,15 +1195,6 @@ mod tests {
                 );
             }
         }
-        // A pre-directory file differs from today's in layout only: same
-        // results, same fault/evict sequence, same resident bytes.
-        for budget in [1usize, 2, usize::MAX] {
-            assert_eq!(
-                pass(&legacy, budget),
-                pass(&file, budget),
-                "budget {budget}"
-            );
-        }
     }
 
     // -----------------------------------------------------------------------
@@ -1227,44 +1205,36 @@ mod tests {
     fn faulted_chunks_equal_the_built_ones_and_reserialize_to_their_blobs() {
         // What `write_path` wrote is what `ChunkStore` reads back: metadata
         // and every chunk, and a faulted chunk written out again is its
-        // blob section byte for byte — from a legacy `binoffs` file too,
-        // which is how an old chunk reaches the current layout.
+        // blob section byte for byte.
         for (name, spec) in [
             ("rt_plain.lbe", ModSpec::none()),
             ("rt_mods.lbe", ModSpec::paper_default()),
         ] {
             let c = ChunkedIndex::build(&db(), SlmConfig::default(), spec, 2);
             let p = tmpfile(name);
-            let pl = tmpfile(&format!("binoffs_{name}"));
             c.write_path(&p).unwrap();
             let bytes = std::fs::read(&p).unwrap();
-            let legacy = downgrade_blobs_to_binoffs(&bytes);
-            assert!(legacy.len() > bytes.len() + 3 * 4_000_000);
-            std::fs::write(&pl, &legacy).unwrap();
             let written = ParsedContainer::parse(&bytes, 0, None, MAGIC_CHUNKED).unwrap();
 
-            for (path, zero_copy) in [(&p, true), (&pl, false)] {
-                let mut store = ChunkStore::open_path(path, usize::MAX).unwrap();
-                assert_eq!(store.config, c.shared_config());
-                assert_eq!(store.global_ids, c.global_ids);
-                assert_eq!(store.intervals, ladder_intervals(&c.boundaries));
-                for (ci, built) in c.chunks().iter().enumerate() {
-                    store.ensure_resident(ci).unwrap();
-                    let faulted = store.resident[ci].as_ref().unwrap();
-                    assert_eq!(faulted, built, "{name} chunk {ci}");
-                    assert_eq!(faulted.is_arena_backed(), zero_copy);
-                    faulted.validate().unwrap();
-                    let mut blob = Vec::new();
-                    io::write_index(&mut blob, faulted).unwrap();
-                    let s = written.find(&chunk_section_name(ci)).unwrap();
-                    assert!(
-                        blob == bytes[s.offset as usize..(s.offset + s.len) as usize],
-                        "{name} chunk {ci} does not reserialize to its blob"
-                    );
-                }
+            let mut store = ChunkStore::open_path(&p, usize::MAX).unwrap();
+            assert_eq!(store.config, c.shared_config());
+            assert_eq!(store.global_ids, c.global_ids);
+            assert_eq!(store.intervals, ladder_intervals(&c.boundaries));
+            for (ci, built) in c.chunks().iter().enumerate() {
+                store.ensure_resident(ci).unwrap();
+                let faulted = store.resident[ci].as_ref().unwrap();
+                assert_eq!(faulted, built, "{name} chunk {ci}");
+                assert!(faulted.is_arena_backed());
+                faulted.validate().unwrap();
+                let mut blob = Vec::new();
+                io::write_index(&mut blob, faulted).unwrap();
+                let s = written.find(&chunk_section_name(ci)).unwrap();
+                assert!(
+                    blob == bytes[s.offset as usize..(s.offset + s.len) as usize],
+                    "{name} chunk {ci} does not reserialize to its blob"
+                );
             }
             std::fs::remove_file(&p).ok();
-            std::fs::remove_file(&pl).ok();
         }
     }
 
@@ -1414,21 +1384,20 @@ mod tests {
         for (what, edit, expect) in io::test_support::directory_corruptions() {
             let bent = crate::format::rewrite_container(&pristine, MAGIC_CHUNKED, |name, blob| {
                 if *name != last_chunk {
-                    return blob.to_vec();
+                    return Some((*name, blob.to_vec()));
                 }
                 let chunk = io::read_index_bytes(blob, &ReadOptions::default()).unwrap();
                 let (mut bitmap, mut starts) = io::test_support::dir_parts(&chunk);
                 edit(&mut bitmap, &mut starts);
-                let broken = SlmIndex::from_owned_unchecked_with(
+                let broken = SlmIndex::from_owned_unchecked(
                     chunk.config().clone(),
                     chunk.entries().to_vec(),
                     (bitmap, starts),
                     chunk.postings().to_vec(),
-                    true,
                 );
                 let mut out = Vec::new();
                 io::write_index(&mut out, &broken).unwrap();
-                out
+                Some((*name, out))
             });
             std::fs::write(&p, &bent).unwrap();
             for opts in [ReadOptions::default(), ReadOptions::trusted()] {
@@ -1567,7 +1536,7 @@ mod tests {
                     let me = chunk_section_name(self.ci);
                     let bent =
                         crate::format::rewrite_container(pristine, MAGIC_CHUNKED, |name, blob| {
-                            if *name == me { bytes } else { blob }.to_vec()
+                            Some((*name, if *name == me { bytes } else { blob }.to_vec()))
                         });
                     std::fs::write(path, bent).unwrap();
                 }
@@ -1697,9 +1666,7 @@ mod tests {
     fn every_damaged_blob_is_invalid_data_on_fault_and_no_verdict_sticks() {
         // Sources: what `init` stores (a compressed frame), the same store
         // holding a chunk raw (what `init` writes when the frame would not
-        // be smaller) and a chunk in the legacy `binoffs` layout (compressed
-        // under the u64 scheme, filed under the hash of *those* bytes), and
-        // an `LBECHK2` file's blob section.
+        // be smaller), and an `LBECHK2` file's blob section.
         let cfg = SlmConfig {
             resolution: 0.1,
             ..SlmConfig::default()
@@ -1744,19 +1711,6 @@ mod tests {
             ci: 1,
             stored: raw_of(1),
         };
-        let legacy_image = io::test_support::downgrade_to_binoffs(&raw_of(2));
-        let legacy_ref = BlobRef {
-            hash: crate::format::content_hash64(&legacy_image),
-            raw_len: legacy_image.len() as u64,
-            stored_len: 0, // accounting only; no fault reads it
-        };
-        let legacy = BlobSource {
-            what: "legacy binoffs generation blob",
-            home: in_store(legacy_ref.hash, Some(legacy_ref)),
-            ci: 2,
-            stored: crate::compress::compress_container(&legacy_image, MAGIC_V2).unwrap(),
-        };
-        assert!(crate::compress::is_compressed_blob(&legacy.stored));
         let file_bytes = std::fs::read(&file).unwrap();
         let section = {
             let parsed = ParsedContainer::parse(&file_bytes, 0, None, MAGIC_CHUNKED).unwrap();
@@ -1771,7 +1725,7 @@ mod tests {
             stored: section,
         };
 
-        for source in [&compressed, &raw, &legacy, &in_file] {
+        for source in [&compressed, &raw, &in_file] {
             source.install(&source.stored);
             let pristine = {
                 let mut store = source.open();
@@ -1879,5 +1833,73 @@ mod tests {
 
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn every_layout_below_the_floor_is_one_typed_error() {
+        // Each row — an `LBESLM1` file, and `LBESLM2` with dense `binoffs`,
+        // with no flags, with flags 0, all checksum-valid — through every
+        // single-index entry point and as a generation-store blob: one
+        // `InvalidData` that names the layout and says what to do.
+        let dir = tmpfile("below_the_floor_store");
+        GenerationStore::init(&dir, &db(), SlmConfig::default(), ModSpec::none(), 2).unwrap();
+        let mut current = Vec::new();
+        let idx = IndexBuilder::new(SlmConfig::default(), ModSpec::none()).build(&db());
+        io::write_index(&mut current, &idx).unwrap();
+        let path = tmpfile("below_the_floor.slm");
+        for (layout, image) in io::test_support::below_the_floor(&current) {
+            std::fs::write(&path, &image).unwrap();
+            let hash = crate::format::content_hash64(&image);
+            let blob = BlobSource {
+                what: layout,
+                home: Home::BlobFile {
+                    dir: dir.clone(),
+                    path: crate::lifecycle::blob_path(&dir, hash),
+                    reseat: Some(BlobRef {
+                        hash,
+                        raw_len: image.len() as u64,
+                        stored_len: 0, // accounting only; no fault reads it
+                    }),
+                },
+                ci: 0,
+                stored: image.clone(),
+            };
+            blob.install(&blob.stored);
+            let errors = [
+                io::read_index(&image[..]).unwrap_err(),
+                io::read_index_bytes(&image, &ReadOptions::default()).unwrap_err(),
+                io::read_index_path(&path).unwrap_err(),
+                blob.open().ensure_resident(0).unwrap_err(),
+            ];
+            for err in &errors {
+                assert_eq!(
+                    err.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "{layout}: {err}"
+                );
+            }
+            // The fault keeps the prefix that names the blob. A blob is an
+            // `LBESLM2` container by construction of the store, so an
+            // `LBESLM1` one is refused as a container, before any layout.
+            let fault = errors[3].to_string();
+            assert!(
+                fault.starts_with(&format!("chunk blob {hash:016x}: ")),
+                "{fault}"
+            );
+            let named = match layout.contains("LBESLM1") {
+                true => &errors[..3],
+                false => &errors[..],
+            };
+            for err in named {
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(layout)
+                        && msg.contains("no longer read; rebuild with `lbe index`"),
+                    "{layout}: {msg}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
     }
 }

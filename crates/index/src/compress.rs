@@ -10,10 +10,6 @@
 //! section     scheme
 //! "postings"  zigzag-delta u32 (entry ids, ascending within every bin)
 //! "binptr"    zigzag-delta u32 (strictly increasing posting offsets)
-//! "binoffs"   zigzag-delta u64 (legacy dense CSR row pointers — no writer
-//!             emits the section any more, but blobs holding it are on disk
-//!             and a legacy container handed to [`compress_container`]
-//!             still packs it)
 //! "binmap"    zigzag-delta u64, which only pays through its width-0 blocks:
 //!             128 all-zero bitmap words (81.92 Da of axis no fragment of
 //!             the chunk reaches) pack to one byte. A light chunk's bitmap
@@ -71,7 +67,7 @@
 //! check or a CRC instead of panicking.
 
 use crate::format::{crc32, AlignedBuf, ParsedContainer, VerifiedImage};
-use crate::io::{SEC_BINMAP, SEC_BINOFFS, SEC_BINPTR, SEC_POSTINGS};
+use crate::io::{SEC_BINMAP, SEC_BINPTR, SEC_POSTINGS};
 use std::io;
 
 /// Magic leading every compressed chunk blob.
@@ -388,7 +384,7 @@ fn encode_section(name: &[u8; 8], payload: &[u8]) -> (u8, Vec<u8>) {
                 out,
             );
             Some(SCHEME_DELTA_U32)
-        } else if (*name == SEC_BINOFFS || *name == SEC_BINMAP) && payload.len().is_multiple_of(8) {
+        } else if *name == SEC_BINMAP && payload.len().is_multiple_of(8) {
             pack_deltas(
                 payload
                     .chunks_exact(8)

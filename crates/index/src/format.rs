@@ -825,23 +825,26 @@ pub(crate) fn container_from_payloads(magic: &[u8; 8], payloads: &[([u8; 8], Vec
     out
 }
 
-/// Test support: re-emits the container `bytes` with every section payload
-/// mapped through `edit(name, payload)` — a checksum-valid container whose
-/// *content* is whatever the test wants (a legacy layout, a broken
-/// directory), so it reaches the validation behind the CRCs.
+/// Test support: re-emits the container `bytes` with every section mapped
+/// through `edit(name, payload)` to a renamed or rewritten section, or
+/// dropped (`None`) — a checksum-valid container whose *content* is
+/// whatever the test wants (an old layout, a broken directory), so it
+/// reaches the validation behind the CRCs.
 #[cfg(test)]
 pub(crate) fn rewrite_container(
     bytes: &[u8],
     magic: &[u8; 8],
-    mut edit: impl FnMut(&[u8; 8], &[u8]) -> Vec<u8>,
+    mut edit: impl FnMut(&[u8; 8], &[u8]) -> Option<([u8; 8], Vec<u8>)>,
 ) -> Vec<u8> {
     let parsed = ParsedContainer::parse(bytes, 0, None, magic).expect("well-formed container");
     let payloads: Vec<([u8; 8], Vec<u8>)> = parsed
         .sections()
         .iter()
-        .map(|s| {
-            let payload = &bytes[s.offset as usize..(s.offset + s.len) as usize];
-            (s.name, edit(&s.name, payload))
+        .filter_map(|s| {
+            edit(
+                &s.name,
+                &bytes[s.offset as usize..(s.offset + s.len) as usize],
+            )
         })
         .collect();
     container_from_payloads(magic, &payloads)

@@ -18,8 +18,7 @@
 //!             | top_k u64
 //! "flags"     u64 layout-flags bitfield; bit 0 = MASS_SORTED (entry ids
 //!             ascend by precursor mass → the banded query kernel applies).
-//!             Optional: files written before the section existed load
-//!             with no flags and search via the full-scan path.
+//!             Required, with bit 0 set: the writer always sets it.
 //! "entries"   SpectrumEntry×n — the repr(C) record: peptide u32,
 //!             modform u16, nfrag u16, mass f32 (12 bytes each)
 //! "binmap"    u64×(num_bins/64 + 1) bin occupancy bitmap: bit b%64 of word
@@ -40,10 +39,9 @@
 //! Each array is one contiguous aligned region, so the reader performs one
 //! sequential read of the whole container into an aligned arena and hands
 //! the [`SlmIndex`] zero-copy views — load cost is O(sections) parsing plus
-//! one memory-bandwidth pass (CRC verification), instead of the v1 reader's
-//! per-element `read_exact` calls. Element counts are derived from the
-//! verified section lengths, never from untrusted claims, so a corrupt file
-//! cannot force a large allocation.
+//! one memory-bandwidth pass (CRC verification). Element counts are
+//! derived from the verified section lengths, never from untrusted claims,
+//! so a corrupt file cannot force a large allocation.
 //!
 //! Every v2 load has the same two steps. The bytes become a *verified
 //! image* ([`crate::format`]: header, table CRC, every section against its
@@ -55,42 +53,23 @@
 //! structural validation once: the O(ions) [`SlmIndex::validate`] by
 //! default, its cheap O(bins) opening alone under [`ReadOptions::trusted`].
 //!
-//! # Legacy layouts — still read, never written
+//! # Format floor
 //!
-//! * **`LBESLM2` with "binoffs"**: containers written before the bin
-//!   directory carry one `"binoffs"` section — `u64×(num_bins+1)` dense CSR
-//!   row pointers, 4 MB at the default resolution however few ions the
-//!   index holds — in place of "binmap" + "binptr". Same magic, same
-//!   format version: the reader picks the layout by which section is
-//!   present (the way "flags" was introduced).
-//! * **`LBESLM1`**: the element-streamed dump — magic, config fields, then
-//!   `count`-prefixed entry/offset/posting arrays (offsets dense `u64`),
-//!   all little-endian, no checksums. Its writer survives only as test
-//!   support; `tests/data/legacy_v1.slm1` is a frozen file of it.
-//!
-//! Both load by converting the dense offsets to the directory with the
-//! routine the builder uses, into owned storage (their element layout
-//! cannot back the directory's views), and then validate and search exactly
-//! like a current file.
-//!
-//! # Migration
-//!
-//! Re-write any legacy file by loading and saving it:
-//! `write_index_path(p, &read_index_path(p)?)` upgrades in place; for a
-//! generation store, `lbe index compact` rewrites every chunk in the
-//! current layout.
+//! The reader takes what this writer writes and nothing older. The
+//! element-streamed `LBESLM1` dump, an `LBESLM2` carrying the dense
+//! `"binoffs"` row pointers in place of "binmap" + "binptr", and an
+//! `LBESLM2` without a "flags" section (or with bit 0 clear) are each one
+//! `InvalidData` error that names the layout and says it is no longer
+//! read; rebuild such a file with `lbe index`.
 
-use crate::bindir;
 use crate::config::SlmConfig;
 use crate::format::{section_name, view_checked, AlignedBuf, CrcSink, SectionPlan, VerifiedImage};
 use crate::slm::{SlmIndex, SpectrumEntry};
 use lbe_spectra::theo::TheoParams;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Magic of the legacy element-streamed format (read-only).
-pub const MAGIC_V1: &[u8; 8] = b"LBESLM1\0";
 /// Magic of the v2 single-index container (read and written).
 pub const MAGIC_V2: &[u8; 8] = b"LBESLM2\0";
 /// Magic of the v2 *chunked* container (see [`crate::chunked`]).
@@ -106,16 +85,15 @@ pub(crate) const SEC_ENTRIES: [u8; 8] = section_name("entries");
 pub(crate) const SEC_BINMAP: [u8; 8] = section_name("binmap");
 /// Bin-directory posting offsets of the occupied bins (u32, + sentinel).
 pub(crate) const SEC_BINPTR: [u8; 8] = section_name("binptr");
-/// Legacy dense CSR row pointers (u64×(num_bins+1)) — read, never written.
-pub(crate) const SEC_BINOFFS: [u8; 8] = section_name("binoffs");
 pub(crate) const SEC_POSTINGS: [u8; 8] = section_name("postings");
-/// Optional layout-flags section (u64 LE bitfield). Files written before
-/// the section existed simply lack it — they load with no flags set and
-/// search via the full-scan path; no format break.
+/// Layout-flags section (u64 LE bitfield); required, with
+/// [`FLAG_MASS_SORTED`] set.
 pub(crate) const SEC_FLAGS: [u8; 8] = section_name("flags");
 
 /// `flags` bit 0: entry ids ascend by precursor mass, so the banded
 /// (precursor-filtered) query kernel may binary-search posting lists.
+/// Every index is mass-sorted, so the writer always sets it and the reader
+/// requires it.
 pub const FLAG_MASS_SORTED: u64 = 1 << 0;
 
 /// Options of the read path.
@@ -175,14 +153,8 @@ fn r_exact<R: Read, const N: usize>(r: &mut R) -> io::Result<[u8; N]> {
 fn r_u16<R: Read>(r: &mut R) -> io::Result<u16> {
     Ok(u16::from_le_bytes(r_exact::<R, 2>(r)?))
 }
-fn r_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    Ok(u32::from_le_bytes(r_exact::<R, 4>(r)?))
-}
 fn r_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(r_exact::<R, 8>(r)?))
-}
-fn r_f32<R: Read>(r: &mut R) -> io::Result<f32> {
-    Ok(f32::from_le_bytes(r_exact::<R, 4>(r)?))
 }
 fn r_f64<R: Read>(r: &mut R) -> io::Result<f64> {
     Ok(f64::from_le_bytes(r_exact::<R, 8>(r)?))
@@ -192,23 +164,8 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Cap on bytes preallocated per array before any of its elements have been
-/// read (v1 path only — v2 counts come from verified section lengths).
-/// Counts come from the (untrusted) header: a corrupt or malicious file
-/// claiming 10^12 entries must fail on its first short read, not OOM the
-/// process in `Vec::with_capacity`. Legitimate arrays larger than the cap
-/// grow geometrically while reading, which is amortized-free.
-const MAX_PREALLOC_BYTES: usize = 1 << 20;
-
-/// A capacity bounded by [`MAX_PREALLOC_BYTES`] for `count` elements of
-/// `elem_bytes` each.
-fn bounded_capacity(count: usize, elem_bytes: usize) -> usize {
-    count.min(MAX_PREALLOC_BYTES / elem_bytes.max(1))
-}
-
 // ---------------------------------------------------------------------------
-// Config encoding (shared by v1 and v2 — the v2 "config" section payload is
-// exactly the v1 header's config field run).
+// Config encoding (the "config" section payload).
 // ---------------------------------------------------------------------------
 
 fn check_config_serializable(cfg: &SlmConfig) -> io::Result<()> {
@@ -380,15 +337,6 @@ pub fn write_index<W: Write>(writer: W, index: &SlmIndex) -> io::Result<()> {
     w.flush()
 }
 
-/// The `flags` section payload of one index.
-fn index_flags(index: &SlmIndex) -> [u8; 8] {
-    let mut flags = 0u64;
-    if index.is_mass_sorted() {
-        flags |= FLAG_MASS_SORTED;
-    }
-    flags.to_le_bytes()
-}
-
 /// Plans the six v2 sections of one index: one checksum pass over each
 /// array, no serialization. The chunked container writer caches the result
 /// so each chunk's arrays are checksummed exactly once.
@@ -396,7 +344,7 @@ pub(crate) fn plan_index_sections(
     index: &SlmIndex,
     cfg_bytes: &[u8],
 ) -> io::Result<[SectionPlan; 6]> {
-    let flags = index_flags(index);
+    let flags = FLAG_MASS_SORTED.to_le_bytes();
     let dir = index.bin_directory();
     let (e_len, e_crc) = plan_section(|s| emit_entries(s, index.entries()))?;
     let (m_len, m_crc) = plan_section(|s| emit_u64s(s, dir.bitmap))?;
@@ -439,7 +387,7 @@ pub(crate) fn write_index_sections(
     let dir = index.bin_directory();
     crate::format::write_container(&mut w, MAGIC_V2, plans, |i, w| match i {
         0 => w.write_all(cfg_bytes),
-        1 => w.write_all(&index_flags(index)),
+        1 => w.write_all(&FLAG_MASS_SORTED.to_le_bytes()),
         2 => emit_entries(w, index.entries()),
         3 => emit_u64s(w, dir.bitmap),
         4 => emit_u32s(w, dir.starts),
@@ -448,76 +396,49 @@ pub(crate) fn write_index_sections(
 }
 
 /// Test support shared by this module's tests and the chunk-level tests in
-/// `chunked.rs` and `lifecycle.rs`: writers of the two legacy layouts (the
-/// legacy-read tests need real old files, blobs and containers) and a table
-/// of bin-directory corruptions.
+/// `chunked.rs`: the layouts below the format floor and a table of
+/// bin-directory corruptions.
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
+    use crate::format::rewrite_container;
 
-    /// Serializes an index in the **legacy v1** (`LBESLM1`) element-streamed
-    /// format, as the last build that wrote it did. Outside this crate the
-    /// v1 reader is held to the frozen `tests/data/legacy_v1.slm1`.
-    pub(crate) fn write_index_v1<W: Write>(writer: W, index: &SlmIndex) -> io::Result<()> {
-        // Validate before the first byte goes out: an InvalidInput error
-        // must not leave a magic-only stub behind on disk.
-        let cfg = index.config();
-        check_config_serializable(cfg)?;
-        let mut w = BufWriter::new(writer);
-        w.write_all(MAGIC_V1)?;
-        write_config(&mut w, cfg)?;
-
-        w_u64(&mut w, index.num_spectra() as u64)?;
-        for e in index.entries() {
-            w_u32(&mut w, e.peptide)?;
-            w_u16(&mut w, e.modform)?;
-            w_u16(&mut w, e.num_fragments)?;
-            w_f32(&mut w, e.precursor_mass)?;
+    /// Every layout below the format floor, each made from the current
+    /// `LBESLM2` image `current` with valid checksums, as `(what the error
+    /// names, image)`.
+    pub(crate) fn below_the_floor(current: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+        let idx = read_index_bytes(current, &ReadOptions::default()).unwrap();
+        // The pre-directory layout's dense row pointers, by plain counting.
+        let mut binoffs = 0u64.to_le_bytes().to_vec();
+        let mut at = 0u64;
+        for bin in 0..idx.config().num_bins() as u32 {
+            at += idx.bin_postings(bin).len() as u64;
+            binoffs.extend(at.to_le_bytes());
         }
-
-        let num_bins = cfg.num_bins();
-        w_u64(&mut w, num_bins as u64 + 1)?;
-        for o in index.bin_directory().dense_offsets(num_bins) {
-            w_u64(&mut w, o)?;
-        }
-
-        w_u64(&mut w, index.num_ions() as u64)?;
-        for &p in index.postings() {
-            w_u32(&mut w, p)?;
-        }
-        w.flush()
-    }
-
-    /// Serializes an index as `LBESLM2` in the **legacy `binoffs` layout** —
-    /// byte for byte what [`write_index`] emitted before the bin directory.
-    pub(crate) fn index_binoffs_bytes(index: &SlmIndex) -> Vec<u8> {
-        let mut entries = Vec::new();
-        emit_entries(&mut entries, index.entries()).unwrap();
-        let dense: Vec<u64> = index
-            .bin_directory()
-            .dense_offsets(index.config().num_bins())
-            .collect();
-        let mut binoffs = Vec::new();
-        emit_u64s(&mut binoffs, &dense).unwrap();
-        let mut postings = Vec::new();
-        emit_u32s(&mut postings, index.postings()).unwrap();
-        crate::format::container_from_payloads(
-            MAGIC_V2,
-            &[
-                (SEC_CONFIG, config_bytes(index.config()).unwrap()),
-                (SEC_FLAGS, index_flags(index).to_vec()),
-                (SEC_ENTRIES, entries),
-                (SEC_BINOFFS, binoffs),
-                (SEC_POSTINGS, postings),
-            ],
-        )
-    }
-
-    /// The legacy-layout image of a current-layout `LBESLM2`
-    /// image (what the chunk-level legacy tests feed through
-    /// [`crate::format::rewrite_container`]).
-    pub(crate) fn downgrade_to_binoffs(current: &[u8]) -> Vec<u8> {
-        index_binoffs_bytes(&read_index_bytes(current, &ReadOptions::default()).unwrap())
+        vec![
+            ("an LBESLM1 index file", b"LBESLM1\0".to_vec()),
+            (
+                "without a binmap + binptr bin directory",
+                rewrite_container(current, MAGIC_V2, |name, p| match *name {
+                    SEC_BINMAP => Some((section_name("binoffs"), binoffs.clone())),
+                    SEC_BINPTR => None,
+                    _ => Some((*name, p.to_vec())),
+                }),
+            ),
+            (
+                "without a flags section",
+                rewrite_container(current, MAGIC_V2, |name, p| {
+                    (*name != SEC_FLAGS).then(|| (*name, p.to_vec()))
+                }),
+            ),
+            (
+                "not flagged mass-sorted",
+                rewrite_container(current, MAGIC_V2, |name, p| {
+                    let p = if *name == SEC_FLAGS { &[0; 8] } else { p };
+                    Some((*name, p.to_vec()))
+                }),
+            ),
+        ]
     }
 
     /// Owned copies of an index's stored directory arrays.
@@ -617,10 +538,16 @@ fn validate_loaded(index: SlmIndex, opts: &ReadOptions) -> io::Result<SlmIndex> 
     Ok(index)
 }
 
-/// Deserializes an index from a reader, dispatching on the magic: v1
-/// (`LBESLM1`) loads element-by-element into owned storage, v2 (`LBESLM2`)
-/// loads the remaining bytes into one aligned arena and hands out zero-copy
-/// views. Cheap structural validation always runs; pass
+/// The one error of every layout below the format floor.
+fn below_floor(layout: &str) -> io::Error {
+    bad(&format!(
+        "{layout} is no longer read; rebuild with `lbe index`"
+    ))
+}
+
+/// Deserializes an index from a reader: an `LBESLM2` container is loaded
+/// into one aligned arena and handed out as zero-copy views. Cheap
+/// structural validation always runs; pass
 /// [`ReadOptions::full_validation`] via [`read_index_with`] for the full
 /// O(ions) scan.
 pub fn read_index<R: Read>(reader: R) -> io::Result<SlmIndex> {
@@ -632,10 +559,6 @@ pub fn read_index_with<R: Read>(reader: R, opts: &ReadOptions) -> io::Result<Slm
     let mut r = reader;
     let magic: [u8; 8] = r_exact(&mut r)?;
     match &magic {
-        // Only the v1 element streamer benefits from buffering; the v2
-        // branch drains the reader in one `read_to_end`, which a BufReader
-        // would slow down by chunking through its internal buffer.
-        m if m == MAGIC_V1 => validate_loaded(read_v1_body(&mut BufReader::new(r))?, opts),
         m if m == MAGIC_V2 => {
             // Generic readers can't be stat'ed: drain into a Vec (geometric
             // growth bounded by the actual bytes present — a corrupt length
@@ -645,6 +568,7 @@ pub fn read_index_with<R: Read>(reader: R, opts: &ReadOptions) -> io::Result<Slm
             r.read_to_end(&mut whole)?;
             read_v2_arena(AlignedBuf::from_slice(&whole), opts)
         }
+        b"LBESLM1\0" => Err(below_floor("an LBESLM1 index file")),
         m if m == MAGIC_CHUNKED => Err(bad(
             "this is a chunked index container; open it with ChunkStore::open_path",
         )),
@@ -653,8 +577,8 @@ pub fn read_index_with<R: Read>(reader: R, opts: &ReadOptions) -> io::Result<Slm
 }
 
 /// Deserializes an index from an in-memory byte image. Unlike
-/// [`read_index`] over a slice, the v2 path copies the image straight into
-/// its aligned arena (no intermediate `Vec`), which matters at
+/// [`read_index`] over a slice, the image is copied straight into its
+/// aligned arena (no intermediate `Vec`), which matters at
 /// memory-bandwidth-bound sizes.
 pub fn read_index_bytes(bytes: &[u8], opts: &ReadOptions) -> io::Result<SlmIndex> {
     if bytes.len() >= 8 && &bytes[..8] == MAGIC_V2 {
@@ -664,9 +588,9 @@ pub fn read_index_bytes(bytes: &[u8], opts: &ReadOptions) -> io::Result<SlmIndex
     }
 }
 
-/// Reads an index from a file. For v2 files the whole container is loaded
-/// with a single sequential read into an aligned arena sized from the
-/// file's actual length.
+/// Reads an index from a file: the whole container is loaded with a single
+/// sequential read into an aligned arena sized from the file's actual
+/// length.
 pub fn read_index_path(path: impl AsRef<Path>) -> io::Result<SlmIndex> {
     read_index_path_with(path, &ReadOptions::default())
 }
@@ -682,8 +606,7 @@ pub fn read_index_path_with(path: impl AsRef<Path>, opts: &ReadOptions) -> io::R
         file.read_exact(buf.as_mut_slice())?;
         read_v2_arena(buf, opts)
     } else {
-        file.seek(SeekFrom::Start(0))?;
-        read_index_with(file, opts)
+        read_index_with(&magic[..], opts)
     }
 }
 
@@ -704,20 +627,19 @@ pub(crate) fn read_v2_parsed(image: VerifiedImage, opts: &ReadOptions) -> io::Re
     let (cfg_off, cfg_len) = image.section(&SEC_CONFIG)?;
     let config = config_from_bytes(&bytes[cfg_off..cfg_off + cfg_len])?;
 
-    // Layout flags: optional (older files lack the section → no flags, and
-    // with them no banded search). Unknown bits are ignored for forward
-    // compatibility; the MASS_SORTED claim itself is verified by the
-    // always-on cheap validation after construction.
-    let flags = match image.find(&SEC_FLAGS) {
-        None => 0u64,
-        Some((f_off, f_len)) => {
-            if f_len != 8 {
-                return Err(bad("flags section is not a single u64"));
-            }
-            u64::from_le_bytes(bytes[f_off..f_off + 8].try_into().unwrap())
-        }
+    // Layout flags: MASS_SORTED is required (the claim itself is verified
+    // by the always-on cheap validation); unknown bits are ignored for
+    // forward compatibility.
+    let Some((f_off, f_len)) = image.find(&SEC_FLAGS) else {
+        return Err(below_floor("an LBESLM2 index without a flags section"));
     };
-    let mass_sorted = flags & FLAG_MASS_SORTED != 0;
+    if f_len != 8 {
+        return Err(bad("flags section is not a single u64"));
+    }
+    let flags = u64::from_le_bytes(bytes[f_off..f_off + 8].try_into().unwrap());
+    if flags & FLAG_MASS_SORTED == 0 {
+        return Err(below_floor("an LBESLM2 index not flagged mass-sorted"));
+    }
 
     let (e_off, e_bytes) = image.section(&SEC_ENTRIES)?;
     let esz = std::mem::size_of::<SpectrumEntry>();
@@ -733,60 +655,45 @@ pub(crate) fn read_v2_parsed(image: VerifiedImage, opts: &ReadOptions) -> io::Re
     let n_postings = p_bytes / 4;
     check_posting_count(n_postings as u64)?;
 
-    let index = if let Some((m_off, m_bytes)) = image.find(&SEC_BINMAP) {
-        if m_bytes % 8 != 0 {
-            return Err(bad("binmap section length is not a whole u64 count"));
-        }
-        let (s_off, s_bytes) = image.section(&SEC_BINPTR)?;
-        if s_bytes % 4 != 0 {
-            return Err(bad("binptr section length is not a whole u32 count"));
-        }
-        if NATIVE_LE {
-            // Validate bounds + alignment once; the index's accessors then
-            // cast unchecked.
-            view_checked::<SpectrumEntry>(bytes, e_off, n_entries)?;
-            view_checked::<u64>(bytes, m_off, m_bytes / 8)?;
-            view_checked::<u32>(bytes, s_off, s_bytes / 4)?;
-            view_checked::<u32>(bytes, p_off, n_postings)?;
-            SlmIndex::from_arena(
-                config,
-                Arc::new(image.into_arena()),
-                (e_off, n_entries),
-                (m_off, m_bytes / 8),
-                (s_off, s_bytes / 4),
-                (p_off, n_postings),
-                mass_sorted,
-            )
-        } else {
-            // Big-endian host: views of little-endian data are impossible;
-            // decode element-wise into owned storage.
-            SlmIndex::from_owned_unchecked_with(
-                config,
-                decode_entries(&bytes[e_off..e_off + e_bytes]),
-                (
-                    decode_u64s(&bytes[m_off..m_off + m_bytes]),
-                    decode_u32s(&bytes[s_off..s_off + s_bytes]),
-                ),
-                decode_u32s(&bytes[p_off..p_off + p_bytes]),
-                mass_sorted,
-            )
-        }
+    let (Some((m_off, m_bytes)), Some((s_off, s_bytes))) =
+        (image.find(&SEC_BINMAP), image.find(&SEC_BINPTR))
+    else {
+        return Err(below_floor(
+            "an LBESLM2 index without a binmap + binptr bin directory",
+        ));
+    };
+    if m_bytes % 8 != 0 {
+        return Err(bad("binmap section length is not a whole u64 count"));
+    }
+    if s_bytes % 4 != 0 {
+        return Err(bad("binptr section length is not a whole u32 count"));
+    }
+    let index = if NATIVE_LE {
+        // Validate bounds + alignment once; the index's accessors then
+        // cast unchecked.
+        view_checked::<SpectrumEntry>(bytes, e_off, n_entries)?;
+        view_checked::<u64>(bytes, m_off, m_bytes / 8)?;
+        view_checked::<u32>(bytes, s_off, s_bytes / 4)?;
+        view_checked::<u32>(bytes, p_off, n_postings)?;
+        SlmIndex::from_arena(
+            config,
+            Arc::new(image.into_arena()),
+            (e_off, n_entries),
+            (m_off, m_bytes / 8),
+            (s_off, s_bytes / 4),
+            (p_off, n_postings),
+        )
     } else {
-        // Legacy layout: dense u64 row pointers. Converted to the directory
-        // by the builder's own routine; the arrays move to owned storage
-        // because the directory has nothing in the arena to view.
-        let (o_off, o_bytes) = image.section(&SEC_BINOFFS)?;
-        if o_bytes % 8 != 0 || o_bytes / 8 != config.num_bins() + 1 {
-            return Err(bad("binoffs section does not match the configuration"));
-        }
-        let dense = decode_u64s(&bytes[o_off..o_off + o_bytes]);
-        let dir = bindir::from_dense(&dense).map_err(|e| bad(&e))?;
-        SlmIndex::from_owned_unchecked_with(
+        // Big-endian host: views of little-endian data are impossible;
+        // decode element-wise into owned storage.
+        SlmIndex::from_owned_unchecked(
             config,
             decode_entries(&bytes[e_off..e_off + e_bytes]),
-            dir,
+            (
+                decode_u64s(&bytes[m_off..m_off + m_bytes]),
+                decode_u32s(&bytes[s_off..s_off + s_bytes]),
+            ),
             decode_u32s(&bytes[p_off..p_off + p_bytes]),
-            mass_sorted,
         )
     };
     validate_loaded(index, opts)
@@ -826,51 +733,6 @@ pub(crate) fn decode_u64s(bytes: &[u8]) -> Vec<u64> {
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
         .collect()
-}
-
-/// The v1 body after its magic has been consumed.
-fn read_v1_body<R: Read>(r: &mut R) -> io::Result<SlmIndex> {
-    let config = read_config(r)?;
-
-    let n_entries = r_u64(r)? as usize;
-    let mut entries = Vec::with_capacity(bounded_capacity(
-        n_entries,
-        std::mem::size_of::<SpectrumEntry>(),
-    ));
-    for _ in 0..n_entries {
-        entries.push(SpectrumEntry {
-            peptide: r_u32(r)?,
-            modform: r_u16(r)?,
-            num_fragments: r_u16(r)?,
-            precursor_mass: r_f32(r)?,
-        });
-    }
-
-    let n_offsets = r_u64(r)? as usize;
-    if n_offsets != config.num_bins() + 1 {
-        return Err(bad("offset table does not match configuration"));
-    }
-    let mut bin_offsets = Vec::with_capacity(bounded_capacity(n_offsets, 8));
-    for _ in 0..n_offsets {
-        bin_offsets.push(r_u64(r)?);
-    }
-
-    let n_postings = r_u64(r)?;
-    if *bin_offsets.last().unwrap_or(&0) != n_postings {
-        return Err(bad("posting count does not match offsets"));
-    }
-    check_posting_count(n_postings)?;
-    let dir = bindir::from_dense(&bin_offsets).map_err(|e| bad(&e))?;
-    drop(bin_offsets);
-    let n_postings = n_postings as usize;
-    let mut postings = Vec::with_capacity(bounded_capacity(n_postings, 4));
-    for _ in 0..n_postings {
-        postings.push(r_u32(r)?);
-    }
-
-    Ok(SlmIndex::from_owned_unchecked(
-        config, entries, dir, postings,
-    ))
 }
 
 /// Writes an index to a file (v2 format).
@@ -913,24 +775,6 @@ mod tests {
             assert_eq!(back, idx);
             back.validate().unwrap();
         }
-    }
-
-    #[test]
-    fn v1_still_loads_and_both_versions_pin_the_same_index() {
-        // Backward compatibility: the legacy writer's output loads (into
-        // owned storage) and equals the same index written as v2.
-        let idx = sample_index(true);
-        let mut v1 = Vec::new();
-        write_index_v1(&mut v1, &idx).unwrap();
-        assert_eq!(&v1[..8], MAGIC_V1);
-        let from_v1 = read_index(&v1[..]).unwrap();
-        assert!(!from_v1.is_arena_backed());
-        assert_eq!(from_v1, idx);
-
-        let mut v2 = Vec::new();
-        write_index(&mut v2, &from_v1).unwrap();
-        let from_v2 = read_index(&v2[..]).unwrap();
-        assert_eq!(from_v2, idx);
     }
 
     #[test]
@@ -1010,22 +854,14 @@ mod tests {
 
     #[test]
     fn truncated_files_rejected_both_versions() {
+        // A cut inside the magic, the body and the last section. (The
+        // other version, `LBESLM1`, is refused whole: see
+        // `chunked::tests::every_layout_below_the_floor_is_one_typed_error`.)
         let idx = sample_index(false);
-        for (version, buf) in [
-            ("v1", {
-                let mut b = Vec::new();
-                write_index_v1(&mut b, &idx).unwrap();
-                b
-            }),
-            ("v2", {
-                let mut b = Vec::new();
-                write_index(&mut b, &idx).unwrap();
-                b
-            }),
-        ] {
-            for cut in [10, buf.len() / 2, buf.len() - 3] {
-                assert!(read_index(&buf[..cut]).is_err(), "{version} cut at {cut}");
-            }
+        let mut buf = Vec::new();
+        write_index(&mut buf, &idx).unwrap();
+        for cut in [5, 10, buf.len() / 2, buf.len() - 3] {
+            assert!(read_index(&buf[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -1074,7 +910,7 @@ mod tests {
 
     #[test]
     fn container_missing_half_the_directory_is_rejected() {
-        // "binmap" without "binptr" is neither layout.
+        // "binmap" without "binptr" is no bin directory.
         let idx = sample_index(false);
         let cfg_bytes = config_bytes(idx.config()).unwrap();
         let all = plan_index_sections(&idx, &cfg_bytes).unwrap();
@@ -1086,7 +922,7 @@ mod tests {
         let mut buf = Vec::new();
         crate::format::write_container(&mut buf, MAGIC_V2, &cut, |i, w| match i {
             0 => w.write_all(&cfg_bytes),
-            1 => w.write_all(&index_flags(&idx)),
+            1 => w.write_all(&FLAG_MASS_SORTED.to_le_bytes()),
             2 => super::emit_entries(w, idx.entries()),
             3 => emit_u64s(w, idx.bin_directory().bitmap),
             _ => emit_u32s(w, idx.postings()),
@@ -1098,101 +934,12 @@ mod tests {
 
     #[test]
     fn oversized_posting_counts_are_rejected_before_any_allocation() {
-        // The directory addresses postings with u32: a v1 header claiming
-        // more is refused outright (the v2 reader applies the same guard to
-        // its verified section length).
+        // The directory addresses postings with u32: the reader refuses a
+        // verified postings section longer than that before laying views.
         assert!(check_posting_count(u32::MAX as u64).is_ok());
         let err = check_posting_count(u32::MAX as u64 + 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        let idx = IndexBuilder::new(SlmConfig::default(), ModSpec::none()).build(&PeptideDb::new());
-        let mut v1 = Vec::new();
-        write_index_v1(&mut v1, &idx).unwrap();
-        // An empty index ends with its dense offsets (all 0) and a zero
-        // posting count; forge both the final offset and the count.
-        let big = (u32::MAX as u64 + 1).to_le_bytes();
-        let n = v1.len();
-        v1[n - 16..n - 8].copy_from_slice(&big);
-        v1[n - 8..].copy_from_slice(&big);
-        let err = read_index(&v1[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("u32"), "{err}");
-    }
-
-    #[test]
-    fn legacy_binoffs_file_loads_validates_and_searches_identically() {
-        use crate::query::{QueryOptions, Searcher};
-        use lbe_spectra::synthetic::{SyntheticDataset, SyntheticDatasetParams};
-        let db = PeptideDb::from_vec(
-            ["ELVISLIVESK", "PEPTIDEK", "MNKQMGGR", "SAMPLERK"]
-                .iter()
-                .map(|s| Peptide::new(s.as_bytes(), 0, 0).unwrap())
-                .collect(),
-        );
-        let idx = IndexBuilder::new(SlmConfig::default(), ModSpec::paper_default()).build(&db);
-        let legacy = index_binoffs_bytes(&idx);
-        let mut current = Vec::new();
-        write_index(&mut current, &idx).unwrap();
-        // The legacy image really is the old layout: a dense table of
-        // num_bins + 1 row pointers the current image does not carry.
-        let dense_bytes = (idx.config().num_bins() + 1) * 8;
-        assert!(legacy.len() > dense_bytes);
-        assert!(current.len() < dense_bytes / 4);
-
-        let from_legacy = read_index(&legacy[..]).unwrap();
-        from_legacy.validate().unwrap();
-        assert!(from_legacy.is_mass_sorted(), "flags survive the old layout");
-        assert_eq!(from_legacy, idx);
-        assert_eq!(from_legacy.heap_bytes(), idx.heap_bytes());
-        // Saving what was loaded upgrades the file to the current bytes.
-        let mut upgraded = Vec::new();
-        write_index(&mut upgraded, &from_legacy).unwrap();
-        assert_eq!(upgraded, current);
-
-        let queries = SyntheticDataset::generate(
-            &db,
-            &ModSpec::paper_default(),
-            &SyntheticDatasetParams {
-                num_spectra: 8,
-                ..Default::default()
-            },
-            7,
-        );
-        let from_current = read_index(&current[..]).unwrap();
-        let (mut a, mut b) = (Searcher::new(&from_legacy), Searcher::new(&from_current));
-        for tol in [0.5, f64::INFINITY] {
-            let opts = QueryOptions {
-                precursor_tolerance: Some(tol),
-                ..Default::default()
-            };
-            for q in &queries.spectra {
-                assert_eq!(a.search_with_opts(q, &opts), b.search_with_opts(q, &opts));
-            }
-        }
-
-        // A legacy file is rejected as cleanly as a current one: wrong
-        // table length, decreasing rows, a first row that is not 0.
-        type Edit = fn(&mut Vec<u8>);
-        let edits: [(Edit, &str); 3] = [
-            (
-                |b| b.truncate(b.len() - 8),
-                "does not match the configuration",
-            ),
-            (|b| b[8 * 1000] = 0xff, "monotone"),
-            (|b| b[0] = 1, "not 0"),
-        ];
-        for (edit, expect) in edits {
-            let bent = crate::format::rewrite_container(&legacy, MAGIC_V2, |name, payload| {
-                let mut p = payload.to_vec();
-                if *name == SEC_BINOFFS {
-                    edit(&mut p);
-                }
-                p
-            });
-            let err = read_index(&bent[..]).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains(expect), "{err}");
-        }
     }
 
     #[test]
@@ -1253,39 +1000,52 @@ mod tests {
         assert_eq!(back, idx);
     }
 
-    /// Truncates a v1-serialized index right after its entry-count word and
-    /// replaces that count with `claimed`.
-    fn forge_entry_count(claimed: u64) -> Vec<u8> {
-        let idx = sample_index(false);
+    /// A valid file whose section table claims an `entries` length of
+    /// `len` bytes, table checksum recomputed so the claim is believed.
+    fn forge_entries_len(len: u64) -> Vec<u8> {
+        use crate::format::{crc32, HEADER_LEN, SECTION_RECORD_LEN};
         let mut buf = Vec::new();
-        write_index_v1(&mut buf, &idx).unwrap();
-        // Header: magic(8) + 3×f64 + u16 + f64 + 2×u8 + count u8 + charges
-        // + top_k u64, then the u64 entry count.
-        let ncharges = idx.config().theo.charges.len();
-        let count_pos = 8 + 8 * 3 + 2 + 8 + 2 + 1 + ncharges + 8;
-        buf.truncate(count_pos);
-        buf.extend_from_slice(&claimed.to_le_bytes());
+        write_index(&mut buf, &sample_index(false)).unwrap();
+        let count = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
+        let table = HEADER_LEN..HEADER_LEN + count * SECTION_RECORD_LEN;
+        let rec = table
+            .clone()
+            .step_by(SECTION_RECORD_LEN)
+            .find(|&r| buf[r..r + 8] == SEC_ENTRIES)
+            .unwrap();
+        buf[rec + 16..rec + 24].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&buf[table]);
+        buf[24..28].copy_from_slice(&crc.to_le_bytes());
         buf
     }
 
     #[test]
     fn forged_huge_entry_count_fails_fast_without_preallocating() {
-        // A corrupt/malicious v1 header claiming 10^12 entries (≈12 TB)
-        // must fail on the first short read; the bounded preallocation
-        // keeps the up-front reservation at ≤ MAX_PREALLOC_BYTES instead of
-        // asking the allocator for terabytes before any entry is read.
-        let buf = forge_entry_count(1_000_000_000_000);
+        // A table claiming 10^12 entries (≈ 12 TB) is refused against the
+        // bytes actually present, before any allocation sized by it.
+        let buf = forge_entries_len(12_000_000_000_000);
         let t0 = std::time::Instant::now();
         let err = read_index(&buf[..]).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("past the container"), "{err}");
         assert!(t0.elapsed() < std::time::Duration::from_secs(5));
     }
 
     #[test]
     fn forged_moderate_entry_count_still_rejected() {
-        // A count above the cap but below address-space limits exercises
-        // the geometric-growth path: reads still fail at EOF.
-        assert!(read_index(&forge_entry_count(1 << 24)[..]).is_err());
+        // One record more than written stays inside the file, so it is the
+        // section checksum that refuses it.
+        let (_, e_len) = {
+            let mut buf = Vec::new();
+            write_index(&mut buf, &sample_index(false)).unwrap();
+            VerifiedImage::verify(AlignedBuf::from_slice(&buf), MAGIC_V2)
+                .unwrap()
+                .section(&SEC_ENTRIES)
+                .unwrap()
+        };
+        let err = read_index(&forge_entries_len(e_len as u64 + 12)[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("checksum"), "{err}");
     }
 
     #[test]
@@ -1301,18 +1061,23 @@ mod tests {
             ..SlmConfig::default()
         };
         let db = PeptideDb::from_vec(vec![Peptide::new(b"PEPTIDEK", 0, 0).unwrap()]);
-        let idx = IndexBuilder::new(cfg, ModSpec::none()).build(&db);
-        type WriterFn = fn(&mut Vec<u8>, &SlmIndex) -> io::Result<()>;
-        let writers: [WriterFn; 2] = [|b, i| write_index(b, i), |b, i| write_index_v1(b, i)];
-        for write in writers {
-            let mut buf = Vec::new();
-            let err = write(&mut buf, &idx).unwrap_err();
+        let idx = IndexBuilder::new(cfg.clone(), ModSpec::none()).build(&db);
+        let mut buf = Vec::new();
+        let err = write_index(&mut buf, &idx).unwrap_err();
+        // The chunked container's writer refuses the same configuration.
+        let path = std::env::temp_dir().join("lbe_io_300_charges.lbe");
+        std::fs::remove_file(&path).ok();
+        let chunked_err = crate::chunked::ChunkedIndex::build(&db, cfg, ModSpec::none(), 1)
+            .write_path(&path)
+            .unwrap_err();
+        for err in [err, chunked_err] {
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
             assert!(err.to_string().contains("300 charge states"));
-            // Validation happens before the first byte: no magic-only stub
-            // is left behind for a later read to trip over.
-            assert!(buf.is_empty());
         }
+        // Validation happens before the first byte: no magic-only stub
+        // is left behind for a later read to trip over.
+        assert!(buf.is_empty());
+        assert!(!path.exists());
     }
 
     #[test]
@@ -1342,69 +1107,19 @@ mod tests {
     }
 
     #[test]
-    fn mass_sorted_flag_round_trips_v2_but_not_v1() {
-        let idx = sample_index(true);
-        assert!(idx.is_mass_sorted());
-        let mut v2 = Vec::new();
-        write_index(&mut v2, &idx).unwrap();
-        assert!(read_index(&v2[..]).unwrap().is_mass_sorted());
-        // v1 has no flags: the layout survives the bytes but not the
-        // claim, so a v1 round trip searches via the full-scan path.
-        let mut v1 = Vec::new();
-        write_index_v1(&mut v1, &idx).unwrap();
-        let from_v1 = read_index(&v1[..]).unwrap();
-        assert!(!from_v1.is_mass_sorted());
-        // Re-writing the v1-loaded index as v2 keeps the flag off — the
-        // writer records what the in-memory index guarantees, nothing more.
-        let mut again = Vec::new();
-        write_index(&mut again, &from_v1).unwrap();
-        assert!(!read_index(&again[..]).unwrap().is_mass_sorted());
-    }
-
-    #[test]
-    fn v2_file_without_flags_section_still_loads_full_scan() {
-        // Simulate a pre-flag v2 file: same container, no "flags" section.
-        let idx = sample_index(false);
-        let cfg_bytes = config_bytes(idx.config()).unwrap();
-        let all = plan_index_sections(&idx, &cfg_bytes).unwrap();
-        let old: Vec<SectionPlan> = all
-            .iter()
-            .filter(|p| p.name != SEC_FLAGS)
-            .copied()
-            .collect();
-        let mut buf = Vec::new();
-        let dir = idx.bin_directory();
-        crate::format::write_container(&mut buf, MAGIC_V2, &old, |i, w| match i {
-            0 => w.write_all(&cfg_bytes),
-            1 => super::emit_entries(w, idx.entries()),
-            2 => emit_u64s(w, dir.bitmap),
-            3 => emit_u32s(w, dir.starts),
-            _ => emit_u32s(w, idx.postings()),
-        })
-        .unwrap();
-        let back = read_index(&buf[..]).unwrap();
-        assert!(!back.is_mass_sorted(), "no flag section → no banded claim");
-        assert_eq!(
-            back, idx,
-            "arrays identical; only the layout claim is absent"
-        );
-    }
-
-    #[test]
     fn forged_mass_sorted_claim_on_unsorted_entries_is_rejected() {
-        // A file may claim MASS_SORTED only if its entry table really is
+        // Every file claims MASS_SORTED, so its entry table must really be
         // sorted — otherwise the banded binary search would silently
         // mis-filter. Forge the claim over shuffled entries.
         let idx = sample_index(false);
         let mut entries = idx.entries().to_vec();
         entries.reverse();
         assert!(entries.len() > 1);
-        let forged = SlmIndex::from_owned_unchecked_with(
+        let forged = SlmIndex::from_owned_unchecked(
             idx.config().clone(),
             entries,
             dir_parts(&idx),
             idx.postings().to_vec(),
-            true, // the forged claim
         );
         let mut buf = Vec::new();
         write_index(&mut buf, &forged).unwrap();
@@ -1417,18 +1132,15 @@ mod tests {
         use proptest::prelude::*;
         use std::sync::OnceLock;
 
-        /// Shared fixture: the reference index plus one serialized buffer
-        /// per format version (building an index per case would dominate
-        /// the run).
-        fn fixture() -> &'static (SlmIndex, Vec<u8>, Vec<u8>) {
-            static FIXTURE: OnceLock<(SlmIndex, Vec<u8>, Vec<u8>)> = OnceLock::new();
+        /// Shared fixture: the reference index and its serialized buffer
+        /// (building an index per case would dominate the run).
+        fn fixture() -> &'static (SlmIndex, Vec<u8>) {
+            static FIXTURE: OnceLock<(SlmIndex, Vec<u8>)> = OnceLock::new();
             FIXTURE.get_or_init(|| {
                 let idx = sample_index(true);
-                let mut v1 = Vec::new();
-                write_index_v1(&mut v1, &idx).unwrap();
-                let mut v2 = Vec::new();
-                write_index(&mut v2, &idx).unwrap();
-                (idx, v1, v2)
+                let mut buf = Vec::new();
+                write_index(&mut buf, &idx).unwrap();
+                (idx, buf)
             })
         }
 
@@ -1436,14 +1148,13 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// Truncating a valid file at any length must fail with a clean
-            /// error — no panic, no OOM-scale preallocation (both readers
-            /// bound allocations by bytes actually present). The draw
+            /// error — no panic, no OOM-scale preallocation (the reader
+            /// bounds allocations by bytes actually present). The draw
             /// domain exceeds any fixture size so `% len` reaches every
             /// byte of the file.
             #[test]
-            fn truncation_fails_cleanly(cut in 0usize..(1 << 30), v2 in proptest::arbitrary::any::<bool>()) {
-                let (_, v1_buf, v2_buf) = fixture();
-                let buf = if v2 { v2_buf } else { v1_buf };
+            fn truncation_fails_cleanly(cut in 0usize..(1 << 30)) {
+                let (_, buf) = fixture();
                 let cut = cut % buf.len(); // strictly shorter than the file
                 let err = read_index_with(
                     &buf[..cut],
@@ -1461,8 +1172,8 @@ mod tests {
                 pos in 0usize..(1 << 30),
                 bit in 0u32..8,
             ) {
-                let (idx, _, v2_buf) = fixture();
-                let mut buf = v2_buf.clone();
+                let (idx, buf) = fixture();
+                let mut buf = buf.clone();
                 let pos = pos % buf.len();
                 buf[pos] ^= 1 << bit;
                 match read_index_with(&buf[..], &ReadOptions { full_validation: true }) {
@@ -1472,29 +1183,6 @@ mod tests {
                         &loaded == idx,
                         "corruption at byte {} bit {} passed silently", pos, bit
                     ),
-                }
-            }
-
-            /// v1 has no checksums, so a flip can load "successfully" with
-            /// silently different payload values (e.g. a precursor mass) —
-            /// the property v1 CAN promise is weaker: the reader never
-            /// panics, never over-allocates, and any failure is a clean
-            /// InvalidData/UnexpectedEof (a flipped count field streams off
-            /// the end of the buffer, hence EOF).
-            #[test]
-            fn v1_bit_flips_never_panic(
-                pos in 0usize..(1 << 30),
-                bit in 0u32..8,
-            ) {
-                let (_, v1_buf, _) = fixture();
-                let mut buf = v1_buf.clone();
-                let pos = pos % buf.len();
-                buf[pos] ^= 1 << bit;
-                if let Err(e) = read_index_with(&buf[..], &ReadOptions { full_validation: true }) {
-                    prop_assert!(
-                        matches!(e.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
-                        "unexpected error kind at byte {}: {}", pos, e
-                    );
                 }
             }
         }

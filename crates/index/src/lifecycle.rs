@@ -73,7 +73,7 @@
 use crate::chunked::{self, ChunkedIndex, SEC_BOUNDS, SEC_GIDOFFS, SEC_GIDS};
 use crate::config::SlmConfig;
 use crate::format::{content_hash64, section_name, FileContainer, SectionPlan};
-use crate::io::{self, MAGIC_CHUNKED, MAGIC_MANIFEST, MAGIC_V1, MAGIC_V2, SEC_CONFIG};
+use crate::io::{self, MAGIC_CHUNKED, MAGIC_MANIFEST, MAGIC_V2, SEC_CONFIG};
 use lbe_bio::dedup::dedup_peptides;
 use lbe_bio::mods::{ModSpec, ModType, VariableMod};
 use lbe_bio::peptide::{Peptide, PeptideDb};
@@ -969,18 +969,22 @@ impl GenerationStore {
 /// `lbe index stats` speaks both formats: every chunk reports generation 1,
 /// uncompressed, with its embedded blob hashed on the fly.
 ///
-/// A single-index `LBESLM1`/`LBESLM2` file — a `cluster build` shard, say —
-/// has no chunks to list; the error names it and what this function reads.
+/// A single-index `LBESLM2` file — a `cluster build` shard, say — has no
+/// chunks to list; the error names it, or any other file that is no
+/// `LBECHK2` container, and what this function reads.
 pub fn chunked_container_stats(path: impl AsRef<Path>) -> std::io::Result<StoreStats> {
     let path = path.as_ref();
     let mut magic = [0u8; 8];
     std::fs::File::open(path)?.read_exact(&mut magic)?;
-    if [MAGIC_V1, MAGIC_V2].contains(&&magic) {
+    if &magic != MAGIC_CHUNKED {
+        let what = match &magic == MAGIC_V2 {
+            true => "a single-index LBESLM2 file with no chunks to list",
+            false => "not an LBECHK2 chunked container",
+        };
         return Err(bad(&format!(
-            "{} is a single-index {} file with no chunks to list; chunk statistics \
-             read an LBECHK2 chunked container file or a generation store directory",
-            path.display(),
-            String::from_utf8_lossy(&magic[..7])
+            "{} is {what}; chunk statistics read an LBECHK2 chunked container file \
+             or a generation store directory",
+            path.display()
         )));
     }
     let mut c = FileContainer::open(path, MAGIC_CHUNKED)?;
@@ -1221,107 +1225,6 @@ mod tests {
         let mut b = ChunkStore::open_generation_dir(d.join("b"), 2).unwrap();
         let seqs: Vec<&[u8]> = all.peptides()[..8].iter().map(|p| p.sequence()).collect();
         assert_eq!(search_all(&mut a, &seqs), search_all(&mut b, &seqs));
-    }
-
-    /// Rewrites every live chunk of the store at `dir` the way a build
-    /// from before the bin directory stored it: dense `binoffs` layout,
-    /// compressed (its row pointers under the delta-u64 scheme), filed
-    /// under the content hash of *those* bytes, with a manifest to match.
-    fn downgrade_store_to_binoffs(dir: &Path) {
-        let (cur, mut man) = load_current(dir).unwrap();
-        for r in man.records.iter_mut().filter(|r| !r.tombstone) {
-            let old_path = blob_path(dir, r.hash);
-            let stored = std::fs::read(&old_path).unwrap();
-            let raw = if crate::compress::is_compressed_blob(&stored) {
-                crate::compress::decompress_container(&stored, MAGIC_V2)
-                    .unwrap()
-                    .as_slice()
-                    .to_vec()
-            } else {
-                stored
-            };
-            let legacy = io::test_support::downgrade_to_binoffs(&raw);
-            let enc = crate::compress::compress_container(&legacy, MAGIC_V2).unwrap();
-            // 4 MB of mostly-repeated row pointers: the old layout always
-            // compressed, and by a lot.
-            assert!(enc.len() * 4 < legacy.len());
-            std::fs::remove_file(&old_path).unwrap();
-            r.hash = content_hash64(&legacy);
-            r.compressed = true;
-            r.raw_len = legacy.len() as u64;
-            r.stored_len = enc.len() as u64;
-            std::fs::write(blob_path(dir, r.hash), &enc).unwrap();
-        }
-        write_manifest(dir, manifest_seq(&cur).unwrap() + 1, &man).unwrap();
-    }
-
-    fn live_hashes(dir: &Path) -> Vec<u64> {
-        let (_, man) = load_current(dir).unwrap();
-        man.live().map(|r| r.hash).collect()
-    }
-
-    #[test]
-    fn legacy_blobs_serve_beside_new_ones_and_compact_away() {
-        let d = tmpdir("legacy_mixed");
-        let all = many_db(60);
-        let init = |dir: &Path, db: &PeptideDb| {
-            GenerationStore::init(dir, db, SlmConfig::default(), ModSpec::none(), 16)
-                .unwrap()
-                .0
-        };
-        // `old`: written by the previous layout's writer, then appended to
-        // by this one. `new`: the same history, all in the current layout.
-        let old = init(&d.join("old"), &sub(&all, 0..40));
-        let new = init(&d.join("new"), &sub(&all, 0..40));
-        downgrade_store_to_binoffs(old.dir());
-        assert!(live_hashes(old.dir())
-            .iter()
-            .zip(live_hashes(new.dir()))
-            .all(|(a, b)| *a != b));
-        let seqs: Vec<&[u8]> = all
-            .peptides()
-            .iter()
-            .step_by(7)
-            .map(|p| p.sequence())
-            .collect();
-        let search = |dir: &Path, budget: usize| {
-            let mut s = ChunkStore::open_generation_dir(dir, budget).unwrap();
-            let results = search_all(&mut s, &seqs);
-            (results, s.stats())
-        };
-        // A store of legacy compressed blobs alone faults, validates and
-        // searches like its current-layout twin, residency events included.
-        assert_eq!(search(old.dir(), 2), search(new.dir(), 2));
-        let legacy_logical = old.stats().unwrap().logical_bytes;
-        assert!(legacy_logical > 3 * 4_000_000);
-
-        old.append(&sub(&all, 30..60)).unwrap();
-        new.append(&sub(&all, 30..60)).unwrap();
-        // Legacy and current chunks side by side.
-        let (gens_old, gens_new) = (live_hashes(old.dir()), live_hashes(new.dir()));
-        assert_eq!(
-            gens_old[3..],
-            gens_new[3..],
-            "appended chunks are current-layout"
-        );
-        assert_eq!(search(old.dir(), 2), search(new.dir(), 2));
-        assert_eq!(search(old.dir(), usize::MAX), search(new.dir(), usize::MAX));
-
-        // Compaction rewrites every chunk in the current layout: the store
-        // ends byte-identical to one built from scratch over the peptides.
-        let compacted = old.compact().unwrap();
-        assert_eq!(compacted.blobs_reused, 0, "no legacy blob survives");
-        let scratch = init(&d.join("scratch"), &all);
-        let hashes = live_hashes(scratch.dir());
-        assert_eq!(live_hashes(old.dir()), hashes);
-        for h in &hashes {
-            assert_eq!(
-                std::fs::read(blob_path(old.dir(), *h)).unwrap(),
-                std::fs::read(blob_path(scratch.dir(), *h)).unwrap()
-            );
-        }
-        assert!(old.stats().unwrap().logical_bytes * 4 < legacy_logical);
-        assert_eq!(search(old.dir(), 2), search(scratch.dir(), 2));
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! each bin's admitted run is likewise found with two binary searches.
 //! The hot loop then scans only in-window postings; everything outside the
 //! band is counted in [`QueryStats::postings_skipped_by_band`] but never
-//! loaded. An open search (ΔM = ∞), or an index without the mass-sorted
-//! layout (pre-flag files), takes the full-bin path through the same code —
-//! both paths have identical semantics (proptested against
+//! loaded. An open search (ΔM = ∞) takes the full-bin path through the
+//! same code — both paths have identical semantics (proptested against
 //! [`brute_force_shared_peaks`]).
 //!
 //! The scan itself is **two-phase SoA** (see `crate::scan`): phase one
@@ -102,12 +101,11 @@ pub fn rank_key_cmp(a: (f32, u32, u16), b: (f32, u32, u16)) -> Ordering {
 /// Which posting path [`Searcher::search_with_opts`] takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanMode {
-    /// Cost-based choice: banded scan when the index is mass-sorted, ΔM is
-    /// finite, *and* the band's entry coverage stays below
-    /// [`AUTO_FULL_SCAN_COVERAGE`] (estimated per query from the two
-    /// entry-table binary searches); full-bin scan otherwise — a
-    /// near-total band would make per-bin admission pure overhead. The
-    /// default everywhere. Findings are identical either way.
+    /// Cost-based choice: banded scan when ΔM is finite *and* the band's
+    /// entry coverage stays below [`AUTO_FULL_SCAN_COVERAGE`] (estimated
+    /// per query from the two entry-table binary searches); full-bin scan
+    /// otherwise — a near-total band would make per-bin admission pure
+    /// overhead. The default everywhere. Findings are identical either way.
     #[default]
     Auto,
     /// Always scan whole bins (the pre-banding kernel). Results are
@@ -357,13 +355,12 @@ impl<'a> Searcher<'a> {
         let index = self.index;
         let query_mass = query.precursor_neutral_mass();
         let num_entries = index.num_spectra() as u32;
-        // Filtration first: a closed search over a mass-sorted index
-        // restricts every scan to the admitted entry band up front — unless
-        // the band covers (nearly) everything, in which case Auto's cost
-        // heuristic drops to the full-scan path (same findings, none of the
-        // per-bin admission overhead).
-        let want_banded =
-            opts.scan_mode == ScanMode::Auto && index.is_mass_sorted() && !tol.is_infinite();
+        // Filtration first: a closed search restricts every scan to the
+        // admitted entry band up front — unless the band covers (nearly)
+        // everything, in which case Auto's cost heuristic drops to the
+        // full-scan path (same findings, none of the per-bin admission
+        // overhead).
+        let want_banded = opts.scan_mode == ScanMode::Auto && !tol.is_infinite();
         let (banded, band_lo, band_hi) = if want_banded {
             let (lo, hi) = index.entry_range_for_mass_band(query_mass - tol, query_mass + tol);
             if band_coverage(hi - lo, num_entries) >= AUTO_FULL_SCAN_COVERAGE {

@@ -65,9 +65,8 @@ pub(crate) fn admitted_run(postings: &[u32], entry_lo: u32, entry_hi: u32) -> (u
 /// One indexed theoretical spectrum: a (peptide, modform) pair.
 ///
 /// `#[repr(C)]`, 12 bytes, no padding — this exact layout (little-endian)
-/// is also the on-disk record of the `entries` section in both index
-/// formats, which is what lets a v2 arena hand out the entry table as a
-/// zero-copy slice.
+/// is also the on-disk record of the `entries` section, which is what
+/// lets a v2 arena hand out the entry table as a zero-copy slice.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C)]
 pub struct SpectrumEntry {
@@ -127,8 +126,7 @@ impl ArenaSlice {
 /// Freshly built indexes own their `Vec`s; indexes deserialized from a v2
 /// container are *views into one aligned arena* loaded with a single
 /// sequential read (O(sections) parsing instead of O(elements)) — the
-/// refactor that makes load time track disk bandwidth. A v1 file, whose
-/// element-streamed layout cannot back views, always loads into `Owned`.
+/// refactor that makes load time track disk bandwidth.
 #[derive(Debug, Clone)]
 enum IndexStorage {
     /// Heap-owned arrays (built in memory, or deserialized on a
@@ -152,7 +150,11 @@ enum IndexStorage {
     },
 }
 
-/// The fragment-ion index over a set of theoretical spectra.
+/// The fragment-ion index over a set of theoretical spectra. Entry ids
+/// ascend by precursor mass — the invariant the banded query kernel needs
+/// to binary-search each bin's posting list down to a precursor window.
+/// The builder produces it and [`SlmIndex::validate_cheap`] checks it on
+/// every load.
 #[derive(Debug, Clone)]
 pub struct SlmIndex {
     config: SlmConfig,
@@ -161,13 +163,6 @@ pub struct SlmIndex {
     /// always owned: it is derived from the bitmap at construction, for
     /// arena-backed indexes too.
     bin_rank: Vec<u32>,
-    /// `true` when entry ids ascend by `precursor_mass` — the invariant the
-    /// banded query kernel needs to binary-search each bin's posting list
-    /// down to a precursor window. Freshly built indexes always have it;
-    /// files written before the `MASS_SORTED` flag existed load without it
-    /// and search via the full-scan path. Not part of logical equality
-    /// (it is a property of the layout, not of what is indexed).
-    mass_sorted: bool,
 }
 
 impl PartialEq for SlmIndex {
@@ -192,39 +187,20 @@ impl SlmIndex {
         dir: (Vec<u64>, Vec<u32>),
         postings: Vec<u32>,
     ) -> Self {
-        debug_assert!(
-            entries
-                .windows(2)
-                .all(|w| w[0].precursor_mass <= w[1].precursor_mass),
-            "builder must emit entries in ascending precursor-mass order"
-        );
-        let index = Self::from_owned_unchecked_with(config, entries, dir, postings, true);
+        let index = Self::from_owned_unchecked(config, entries, dir, postings);
         debug_assert_eq!(index.validate_cheap(), Ok(()));
         index
     }
 
     /// Assembles an owned-storage index from possibly-inconsistent parts
-    /// (used by [`crate::io`]'s deserializers, which validate *after*
-    /// construction so corrupt files surface as clean errors rather than
-    /// debug-assert panics).
+    /// (used by [`crate::io`]'s big-endian deserializer, which validates
+    /// *after* construction so corrupt files surface as clean errors rather
+    /// than debug-assert panics).
     pub(crate) fn from_owned_unchecked(
-        config: SlmConfig,
-        entries: Vec<SpectrumEntry>,
-        dir: (Vec<u64>, Vec<u32>),
-        postings: Vec<u32>,
-    ) -> Self {
-        Self::from_owned_unchecked_with(config, entries, dir, postings, false)
-    }
-
-    /// [`SlmIndex::from_owned_unchecked`] with an explicit mass-sorted
-    /// claim (from a container's `MASS_SORTED` flag); the claim is verified
-    /// by [`SlmIndex::validate_cheap`], which every deserializer runs.
-    pub(crate) fn from_owned_unchecked_with(
         config: SlmConfig,
         entries: Vec<SpectrumEntry>,
         (bin_bitmap, bin_starts): (Vec<u64>, Vec<u32>),
         postings: Vec<u32>,
-        mass_sorted: bool,
     ) -> Self {
         SlmIndex {
             config,
@@ -235,12 +211,11 @@ impl SlmIndex {
                 bin_starts,
                 postings,
             },
-            mass_sorted,
         }
     }
 
     /// Assembles an arena-backed index whose arrays are views into `arena`
-    /// (used by [`crate::io`]'s v2 reader). Each `(byte_off, len)` pair must
+    /// (used by [`crate::io`]'s reader). Each `(byte_off, len)` pair must
     /// have been validated in-bounds and aligned via
     /// [`crate::format::view_checked`].
     pub(crate) fn from_arena(
@@ -250,7 +225,6 @@ impl SlmIndex {
         bin_bitmap: (usize, usize),
         bin_starts: (usize, usize),
         postings: (usize, usize),
-        mass_sorted: bool,
     ) -> Self {
         let slice = |(byte_off, len): (usize, usize)| ArenaSlice { byte_off, len };
         let bin_bitmap = slice(bin_bitmap);
@@ -264,17 +238,7 @@ impl SlmIndex {
                 bin_starts: slice(bin_starts),
                 postings: slice(postings),
             },
-            mass_sorted,
         }
-    }
-
-    /// `true` when entry ids ascend by precursor mass, enabling the banded
-    /// (precursor-filtered) query kernel. Always true for freshly built
-    /// indexes; false for files written before the `MASS_SORTED` container
-    /// flag existed, which search via the full-scan path.
-    #[inline]
-    pub fn is_mass_sorted(&self) -> bool {
-        self.mass_sorted
     }
 
     /// `true` if this index's arrays are zero-copy views into a loaded
@@ -424,12 +388,10 @@ impl SlmIndex {
 
     /// The contiguous entry-id range `[lo, hi)` whose precursor masses fall
     /// in `[lo_mass, hi_mass]` (closed interval, matching
-    /// [`SlmConfig::precursor_admits`]). Requires a mass-sorted index —
-    /// entry ids ascend by mass, so two binary searches over the entry
-    /// table bound the whole admitted band.
+    /// [`SlmConfig::precursor_admits`]). Entry ids ascend by mass, so two
+    /// binary searches over the entry table bound the whole admitted band.
     #[inline]
     pub fn entry_range_for_mass_band(&self, lo_mass: f64, hi_mass: f64) -> (u32, u32) {
-        debug_assert!(self.mass_sorted, "banded lookup on an unsorted index");
         let entries = self.entries();
         let lo = entries.partition_point(|e| (e.precursor_mass as f64) < lo_mass) as u32;
         let hi = entries.partition_point(|e| (e.precursor_mass as f64) <= hi_mass) as u32;
@@ -517,13 +479,13 @@ impl SlmIndex {
         Ok(())
     }
 
-    /// Cheap structural invariants — O(bins / 64 + occupied bins), no
-    /// posting scan: the bin directory is well-formed for the configured
-    /// axis (`bindir::validate` — bitmap length and range, one strictly
-    /// increasing offset per set bit, final offset equal to the posting
-    /// count), so no lookup can leave its arrays. Always run by the
-    /// deserializers; the full [`SlmIndex::validate`] scan sits behind a
-    /// read option.
+    /// Cheap structural invariants — O(bins / 64 + occupied bins +
+    /// entries), no posting scan: the bin directory is well-formed for the
+    /// configured axis (`bindir::validate` — bitmap length and range, one
+    /// strictly increasing offset per set bit, final offset equal to the
+    /// posting count), so no lookup can leave its arrays, and entries
+    /// ascend by precursor mass. Always run by the deserializers; the full
+    /// [`SlmIndex::validate`] scan sits behind a read option.
     pub fn validate_cheap(&self) -> Result<(), String> {
         let dir = self.bin_directory();
         bindir::validate(
@@ -535,14 +497,12 @@ impl SlmIndex {
         if self.entries().len() > u32::MAX as usize {
             return Err("more entries than u32 ids".into());
         }
-        // A file claiming MASS_SORTED with an unsorted (or NaN-bearing)
-        // entry table would silently mis-band queries; verify the claim
-        // here (O(entries), far below the O(ions) full scan).
-        if self.mass_sorted
-            && !self
-                .entries()
-                .windows(2)
-                .all(|w| w[0].precursor_mass <= w[1].precursor_mass)
+        // An unsorted (or NaN-bearing) entry table would silently mis-band
+        // queries; O(entries), far below the O(ions) full scan.
+        if !self
+            .entries()
+            .windows(2)
+            .all(|w| w[0].precursor_mass <= w[1].precursor_mass)
         {
             return Err("index claims mass-sorted entries but they are not".into());
         }

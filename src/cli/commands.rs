@@ -108,7 +108,7 @@ COMMANDS:
   search          --index index.lbe --queries q.{ms2|mgf|mzML} --out results.tsv
                   [--top-k 10] [--max-resident-chunks 0] [--csv] [--full-scan]
                   search an index (chunked v2 container, or a single-index
-                  LBESLM1/LBESLM2 file), write a TSV (or CSV) of PSMs;
+                  LBESLM2 file), write a TSV (or CSV) of PSMs;
                   queries may be MS2, MGF, or mzML (autodetected; mzML MS1
                   survey scans are skipped and counted, msconvert 32/64-bit
                   uncompressed arrays supported); --max-resident-chunks
@@ -2033,26 +2033,111 @@ mod tests {
         }
     }
 
-    /// An `LBESLM1` file written once by the last build whose public API
-    /// had a v1 writer; see `tests/data/README.md`.
-    const LEGACY_V1: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/legacy_v1.slm1");
+    /// Re-emits the single-index file `current` with each section mapped
+    /// through `edit` to a renamed or rewritten section, or dropped
+    /// (`None`), checksums recomputed.
+    fn rewrite(
+        current: &[u8],
+        edit: impl Fn([u8; 8], &[u8]) -> Option<([u8; 8], Vec<u8>)>,
+    ) -> Vec<u8> {
+        use lbe_index::format::{crc32, write_container, ParsedContainer, SectionPlan};
+        let parsed = ParsedContainer::parse(current, 0, None, lbe_index::io::MAGIC_V2).unwrap();
+        let payloads: Vec<([u8; 8], Vec<u8>)> = parsed
+            .sections()
+            .iter()
+            .filter_map(|s| {
+                edit(
+                    s.name,
+                    &current[s.offset as usize..(s.offset + s.len) as usize],
+                )
+            })
+            .collect();
+        let plans: Vec<SectionPlan> = payloads
+            .iter()
+            .map(|(name, p)| SectionPlan {
+                name: *name,
+                len: p.len() as u64,
+                crc: crc32(p),
+            })
+            .collect();
+        let mut out = Vec::new();
+        write_container(&mut out, lbe_index::io::MAGIC_V2, &plans, |i, w| {
+            w.write_all(&payloads[i].1)
+        })
+        .unwrap();
+        out
+    }
+
+    /// Every layout below the format floor, each made from the current
+    /// single-index file `current` with valid checksums, as `(what the
+    /// error names, bytes)`.
+    fn below_the_floor(current: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+        use lbe_index::format::section_name;
+        let idx = lbe_index::read_index(current).unwrap();
+        let mut binoffs = 0u64.to_le_bytes().to_vec();
+        let mut at = 0u64;
+        for bin in 0..idx.config().num_bins() as u32 {
+            at += idx.bin_postings(bin).len() as u64;
+            binoffs.extend(at.to_le_bytes());
+        }
+        const FLAGS: [u8; 8] = section_name("flags");
+        const BINMAP: [u8; 8] = section_name("binmap");
+        const BINPTR: [u8; 8] = section_name("binptr");
+        vec![
+            ("an LBESLM1 index file", b"LBESLM1\0".to_vec()),
+            (
+                "without a binmap + binptr bin directory",
+                rewrite(current, |name, p| match name {
+                    BINMAP => Some((section_name("binoffs"), binoffs.clone())),
+                    BINPTR => None,
+                    _ => Some((name, p.to_vec())),
+                }),
+            ),
+            (
+                "without a flags section",
+                rewrite(current, |name, p| {
+                    (name != FLAGS).then(|| (name, p.to_vec()))
+                }),
+            ),
+            (
+                "not flagged mass-sorted",
+                rewrite(current, |name, p| {
+                    Some((name, if name == FLAGS { &[0; 8] } else { p }.to_vec()))
+                }),
+            ),
+        ]
+    }
 
     #[test]
-    fn search_reads_legacy_v1_single_index_files() {
-        let d = tmpdir("legacy_v1");
-        let out = d.join("r.tsv").to_string_lossy().to_string();
-        let queries = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/corpus.ms2");
-        let msg = run(&format!(
-            "search --index {LEGACY_V1} --queries {queries} --out {out}"
-        ))
-        .unwrap();
-        // Frozen bytes, so a frozen answer.
-        assert!(
-            msg.contains("against 64 indexed spectra (single index), wrote 172 PSMs"),
-            "{msg}"
-        );
-        let report = std::fs::read_to_string(&out).unwrap();
-        assert_eq!(report.lines().nth(1), Some("0\t1\t20\t0\t5\t6.9423"));
+    fn search_and_stats_refuse_every_layout_below_the_floor() {
+        // Each old layout through `search --index` (no results file is
+        // left behind) and `index stats`: an error, never a search.
+        let p = shards_fixture("below_the_floor");
+        let current = std::fs::read(p("shards/shard-0000.slm2")).unwrap();
+        for (layout, image) in below_the_floor(&current) {
+            let file = p("old.slm");
+            std::fs::write(&file, &image).unwrap();
+            let out = p("r.tsv");
+            let err = run(&format!(
+                "search --index {file} --queries {} --out {out}",
+                p("q.ms2")
+            ))
+            .unwrap_err()
+            .to_string();
+            assert!(
+                err.contains(layout) && err.contains("no longer read; rebuild with `lbe index`"),
+                "{layout}: {err}"
+            );
+            assert!(!std::path::Path::new(&out).exists(), "{layout}");
+            let err = run(&format!("index stats --index {file}"))
+                .unwrap_err()
+                .to_string();
+            let kind = match layout.contains("LBESLM1") {
+                true => "is not an LBECHK2 chunked container",
+                false => "is a single-index LBESLM2 file",
+            };
+            assert!(err.contains(&format!("{file} {kind}")), "{layout}: {err}");
+        }
     }
 
     /// [`search_fixture`] plus `shards/`, a 2-rank `cluster build` output:
@@ -2093,19 +2178,15 @@ mod tests {
     #[test]
     fn index_stats_on_a_single_index_file_says_what_it_found_and_what_it_reads() {
         let p = shards_fixture("stats_single");
-        for (file, kind) in [
-            (p("shards/shard-0000.slm2"), "LBESLM2"),
-            (LEGACY_V1.to_string(), "LBESLM1"),
-        ] {
-            let err = run(&format!("index stats --index {file}"))
-                .unwrap_err()
-                .to_string();
-            assert!(
-                err.contains(&format!("{file} is a single-index {kind} file"))
-                    && err.contains("LBECHK2 chunked container file or a generation store"),
-                "{err}"
-            );
-        }
+        let file = p("shards/shard-0000.slm2");
+        let err = run(&format!("index stats --index {file}"))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(&format!("{file} is a single-index LBESLM2 file"))
+                && err.contains("LBECHK2 chunked container file or a generation store"),
+            "{err}"
+        );
     }
 
     #[test]

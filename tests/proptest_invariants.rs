@@ -435,15 +435,16 @@ proptest! {
 // Sparse bin directory ≡ dense CSR oracle.
 //
 // The index keeps a sparse directory (occupancy bitmap + offsets of the
-// occupied bins); the files it used to write keep dense row pointers. The
-// oracle below *is* the dense CSR, built by hand and handed to the index
-// through those legacy files, so every lookup the directory answers can be
-// checked against plain slicing.
+// occupied bins). The oracle below *is* a dense CSR, built by hand; the
+// current-layout file it is handed to the index through carries a
+// directory derived from it by plain loops here — not by the crate's own
+// dense-to-sparse conversion — so every lookup the directory answers can
+// be checked against plain slicing.
 // ---------------------------------------------------------------------------
 
 mod bin_directory_oracle {
     use lbe::index::format::{crc32, section_name, write_container, SectionPlan};
-    use lbe::index::io::{MAGIC_V1, MAGIC_V2};
+    use lbe::index::io::MAGIC_V2;
     use lbe::index::query::AUTO_FULL_SCAN_COVERAGE;
     use lbe::index::{
         read_index, write_index, QueryOptions, QueryStats, ScanMode, Searcher, SlmConfig, SlmIndex,
@@ -565,35 +566,35 @@ mod bin_directory_oracle {
             b
         }
 
-        fn offset_bytes(&self) -> Vec<u8> {
-            self.offsets.iter().flat_map(|o| o.to_le_bytes()).collect()
-        }
-
         fn posting_bytes(&self) -> Vec<u8> {
             self.postings.iter().flat_map(|p| p.to_le_bytes()).collect()
         }
 
-        /// The element-streamed `LBESLM1` file (no layout flags).
-        fn v1_file(&self) -> Vec<u8> {
-            let mut f = MAGIC_V1.to_vec();
-            f.extend(self.config_bytes());
-            f.extend((self.masses.len() as u64).to_le_bytes());
-            f.extend(self.entry_bytes());
-            f.extend((self.offsets.len() as u64).to_le_bytes());
-            f.extend(self.offset_bytes());
-            f.extend((self.postings.len() as u64).to_le_bytes());
-            f.extend(self.posting_bytes());
-            f
-        }
-
-        /// The `LBESLM2` container as written before the bin directory:
-        /// dense `binoffs`, MASS_SORTED claimed.
-        fn binoffs_file(&self) -> Vec<u8> {
+        /// The `LBESLM2` container of this CSR: its sparse bin directory —
+        /// one bitmap bit and one `binptr` offset per occupied bin, then
+        /// the posting count — written out by plain loops.
+        fn file(&self) -> Vec<u8> {
+            let mut binmap = vec![0u64; self.num_bins() / 64 + 1];
+            let mut binptr = Vec::new();
+            for b in 0..self.num_bins() {
+                if !self.bin(b).is_empty() {
+                    binmap[b / 64] |= 1 << (b % 64);
+                    binptr.push(self.offsets[b] as u32);
+                }
+            }
+            binptr.push(self.postings.len() as u32);
             let payloads = [
                 ("config", self.config_bytes()),
                 ("flags", FLAG_MASS_SORTED.to_le_bytes().to_vec()),
                 ("entries", self.entry_bytes()),
-                ("binoffs", self.offset_bytes()),
+                (
+                    "binmap",
+                    binmap.iter().flat_map(|w| w.to_le_bytes()).collect(),
+                ),
+                (
+                    "binptr",
+                    binptr.iter().flat_map(|o| o.to_le_bytes()).collect(),
+                ),
                 ("postings", self.posting_bytes()),
             ];
             let plans: Vec<SectionPlan> = payloads
@@ -728,7 +729,7 @@ mod bin_directory_oracle {
             let qm = q.precursor_neutral_mass();
             for tol in [f64::INFINITY, 45.0, 0.5] {
                 for mode in [ScanMode::Auto, ScanMode::FullScan] {
-                    let band = (mode == ScanMode::Auto && idx.is_mass_sorted() && tol.is_finite())
+                    let band = (mode == ScanMode::Auto && tol.is_finite())
                         .then(|| idx.entry_range_for_mass_band(qm - tol, qm + tol))
                         .filter(|&(lo, hi)| {
                             n > 0 && ((hi - lo) as f64 / n as f64) < AUTO_FULL_SCAN_COVERAGE
@@ -755,34 +756,25 @@ mod bin_directory_oracle {
         Ok(())
     }
 
-    /// One case: a dense CSR drawn from `seed`, loaded through a legacy
-    /// file (v1 or `binoffs` `LBESLM2`, by a seed bit the occupancy shape
-    /// does not use), then re-saved in the current layout and loaded again
-    /// as arena views.
+    /// One case: a dense CSR drawn from `seed`, written as a current
+    /// `LBESLM2` file and loaded as arena views — which the writer must
+    /// serialize back to the same bytes, so the hand-built file is one the
+    /// writer itself would produce.
     pub fn check_case(seed: u64) -> Result<(), String> {
         let d = Dense::generate(seed);
-        let as_binoffs = (seed >> 2) & 1 == 1;
-        let legacy_file = if as_binoffs {
-            d.binoffs_file()
-        } else {
-            d.v1_file()
-        };
-        let legacy = read_index(&legacy_file[..]).map_err(|e| format!("legacy load: {e}"))?;
-        let mut current_file = Vec::new();
-        write_index(&mut current_file, &legacy).map_err(|e| e.to_string())?;
-        let current = read_index(&current_file[..]).map_err(|e| format!("reload: {e}"))?;
-        if legacy.is_mass_sorted() != as_binoffs || !current.is_arena_backed() {
-            return Err("fixture did not take the intended load paths".into());
+        let file = d.file();
+        let idx = read_index(&file[..]).map_err(|e| format!("load: {e}"))?;
+        if !idx.is_arena_backed() {
+            return Err("index did not load as arena views".into());
         }
-        if current != legacy || current.heap_bytes() != legacy.heap_bytes() {
-            return Err("legacy-converted and reloaded indexes differ".into());
+        let mut rewritten = Vec::new();
+        write_index(&mut rewritten, &idx).map_err(|e| e.to_string())?;
+        if rewritten != file {
+            return Err("the writer does not reproduce the hand-built file".into());
         }
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
-        for idx in [&legacy, &current] {
-            check_lookups(&d, idx, &mut rng)?;
-            check_searches(&d, idx, &mut rng)?;
-        }
-        Ok(())
+        check_lookups(&d, &idx, &mut rng)?;
+        check_searches(&d, &idx, &mut rng)
     }
 }
 
