@@ -1,8 +1,8 @@
 //! The resident search engine: indexes opened once, searched many times.
 //!
-//! This is the engine split the one-shot CLI path needed: opening (magic
-//! sniff → [`ChunkStore`] or [`SlmIndex`], always under full validation)
-//! lives here, shared by `lbe search` and `lbe serve`, and search entry
+//! This is the engine split the one-shot CLI path needed: opening (a
+//! generation-store directory → [`ChunkStore`], a file → [`SlmIndex`],
+//! always under full validation) lives here, shared by `lbe search` and `lbe serve`, and search entry
 //! points take per-request [`QueryOptions`] so a daemon can serve mixed
 //! scan-mode/tolerance/top-k requests from one resident index.
 //!
@@ -13,20 +13,20 @@
 //! [`search_batch_parallel_with_opts`], recycling one scratch allocation
 //! for the sequential path.
 
-use lbe_index::io::{ReadOptions, MAGIC_CHUNKED};
+use lbe_index::io::ReadOptions;
 use lbe_index::{
     search_batch_parallel_with_opts, ChunkStore, QueryOptions, SearchResult, SearchScratch,
     Searcher, SlmIndex,
 };
 use lbe_spectra::preprocess::{preprocess_spectrum, PreprocessParams};
 use lbe_spectra::spectrum::Spectrum;
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
 /// A search backend resident in memory for the lifetime of the engine.
 enum Backend {
-    /// Lazily-resident chunked container; `&mut` search ⇒ mutex-guarded.
+    /// Lazily-resident generation store; `&mut` search ⇒ mutex-guarded.
     Chunked(Mutex<Box<ChunkStore>>),
     /// A fully-resident single index plus one recycled scratch state.
     Single {
@@ -46,10 +46,10 @@ pub struct ResidentEngine {
 
 impl ResidentEngine {
     /// Opens the index at `path`: a directory is a generation store (see
-    /// `lbe_index::lifecycle`); a file is sniffed by its 8-byte magic to
-    /// pick the chunked or single-file reader. `max_resident` caps how
-    /// many chunks of a chunked backend stay in memory (`usize::MAX` =
-    /// all).
+    /// `lbe_index::lifecycle`), a file a single index — anything else in a
+    /// file, an `LBECHK2` chunked container included, is the single-index
+    /// reader's error. `max_resident` caps how many chunks of a store stay
+    /// in memory (`usize::MAX` = all).
     ///
     /// Files handed to a server are untrusted input, so the full
     /// validation scan always runs; any failure is returned *before* a
@@ -60,25 +60,12 @@ impl ResidentEngine {
         let opts = ReadOptions {
             full_validation: true,
         };
-        if path.is_dir() {
+        let backend = if path.is_dir() {
             let store = ChunkStore::open_generation_dir_with(path, max_resident, &opts)?;
-            return Ok(ResidentEngine {
-                backend: Backend::Chunked(Mutex::new(Box::new(store))),
-                preprocess: PreprocessParams::default(),
-            });
-        }
-        let mut magic = [0u8; 8];
-        std::fs::File::open(path)?.read_exact(&mut magic)?;
-        let backend = if &magic == MAGIC_CHUNKED {
-            Backend::Chunked(Mutex::new(Box::new(ChunkStore::open_path_with(
-                path,
-                max_resident,
-                &opts,
-            )?)))
+            Backend::Chunked(Mutex::new(Box::new(store)))
         } else {
-            let index = Box::new(lbe_index::read_index_path_with(path, &opts)?);
             Backend::Single {
-                index,
+                index: Box::new(lbe_index::read_index_path_with(path, &opts)?),
                 scratch: Mutex::new(SearchScratch::default()),
             }
         };
@@ -201,7 +188,7 @@ impl ResidentEngine {
     }
 
     /// Number of indexed spectra, when the backend can report it cheaply
-    /// (`None` for a chunked container, matching the one-shot CLI).
+    /// (`None` for a generation store, matching the one-shot CLI).
     pub fn num_indexed(&self) -> Option<usize> {
         match &self.backend {
             Backend::Chunked(_) => None,
@@ -209,7 +196,7 @@ impl ResidentEngine {
         }
     }
 
-    /// Chunk count of the served container; 0 for a single index.
+    /// Chunk count of the served store; 0 for a single index.
     pub fn num_chunks(&self) -> usize {
         match &self.backend {
             Backend::Chunked(store) => store

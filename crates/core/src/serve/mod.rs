@@ -61,7 +61,7 @@ const MID_FRAME_PATIENCE: u32 = 40;
 pub struct ServeConfig {
     /// Worker threads per search wave (single-index backend).
     pub threads: usize,
-    /// Resident-chunk budget for chunked containers (`usize::MAX` = all).
+    /// Resident-chunk budget for a generation store (`usize::MAX` = all).
     pub max_resident_chunks: usize,
     /// Total queries admitted server-wide before readers block.
     pub max_inflight: usize,

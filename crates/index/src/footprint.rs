@@ -75,10 +75,9 @@ impl MemoryFootprint {
 /// On-disk vs in-memory accounting for a [`crate::ChunkStore`]: how many
 /// logical (uncompressed) bytes the store indexes, how many bytes that
 /// costs on disk under the generation store's compressed blobs, and how
-/// much of it is currently resident. `stored == logical` for an
-/// uncompressed `LBECHK2` container; compression widens the gap — the
-/// resident budget then covers a larger *logical* working set per disk
-/// byte.
+/// much of it is currently resident. `stored == logical` for a store whose
+/// blobs are all raw; compression widens the gap — the resident budget
+/// then covers a larger *logical* working set per disk byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageFootprint {
     /// Uncompressed bytes across all chunk blobs.

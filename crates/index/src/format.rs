@@ -1,13 +1,13 @@
 //! The `LBESLM2` container primitives: CRC32, aligned arenas, and the
-//! versioned section-table layout shared by single-index files and chunked
-//! containers.
+//! versioned section-table layout shared by single-index files, generation
+//! store chunk blobs and the store's `LBECHK3` manifest.
 //!
-//! A *container* is a self-contained byte range (a whole file, or one chunk
-//! blob embedded in a larger file) laid out as:
+//! A *container* is a self-contained byte range (a whole file, or a chunk
+//! image decoded from a compressed blob) laid out as:
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     magic (b"LBESLM2\0" or b"LBECHK2\0")
+//! 0       8     magic (b"LBESLM2\0" or b"LBECHK3\0")
 //! 8       4     format version, u32 LE (currently 2)
 //! 12      4     section count S, u32 LE
 //! 16      8     container length in bytes, u64 LE (truncation check)
@@ -1027,9 +1027,9 @@ impl VerifiedImage {
 }
 
 /// A container opened *on disk*: only the header and section table are
-/// read eagerly; payloads are fetched on demand with [`FileContainer::read_section`].
-/// This is what makes lazy chunk residency possible — opening a 100-chunk
-/// index reads a few KB, not the whole file.
+/// read eagerly; payloads are fetched on demand with
+/// [`FileContainer::read_section`], each on its own — how a generation
+/// store's manifest is read.
 #[derive(Debug)]
 pub struct FileContainer {
     file: std::fs::File,
@@ -1094,42 +1094,15 @@ impl FileContainer {
                 String::from_utf8_lossy(name)
             ))
         })?;
-        self.read_section_desc(&s)
-    }
-
-    /// Like [`FileContainer::read_section`], for an already-located section
-    /// descriptor (lazy chunk faults keep the directory around).
-    pub fn read_section_desc(&mut self, s: &Section) -> io::Result<AlignedBuf> {
-        let buf = self.read_section_desc_unverified(s)?;
+        let mut buf = AlignedBuf::zeroed(s.len as usize);
+        self.file.seek(SeekFrom::Start(s.offset))?;
+        self.file.read_exact(buf.as_mut_slice())?;
         if crc32(buf.as_slice()) != s.crc {
             return Err(bad(&format!(
                 "section {:?} checksum mismatch (corrupt file)",
                 String::from_utf8_lossy(&s.name)
             )));
         }
-        Ok(buf)
-    }
-
-    /// Reads a section's payload **without** checking its CRC. Only for
-    /// payloads that carry their own verification — chunk blobs are
-    /// complete inner containers whose table checksum and per-section CRCs
-    /// cover every data byte, so checking the outer CRC too would checksum
-    /// the same bytes twice on every fault.
-    pub fn read_section_desc_unverified(&mut self, s: &Section) -> io::Result<AlignedBuf> {
-        self.read_section_desc_into(s, AlignedBuf::with_capacity(0))
-    }
-
-    /// [`FileContainer::read_section_desc_unverified`] into `buf`'s
-    /// allocation when it is large enough (a chunk fault reuses the evicted
-    /// chunk's buffer).
-    pub(crate) fn read_section_desc_into(
-        &mut self,
-        s: &Section,
-        mut buf: AlignedBuf,
-    ) -> io::Result<AlignedBuf> {
-        buf.reset_zeroed(s.len as usize);
-        self.file.seek(SeekFrom::Start(s.offset))?;
-        self.file.read_exact(buf.as_mut_slice())?;
         Ok(buf)
     }
 }
@@ -1619,10 +1592,10 @@ mod tests {
     #[test]
     fn empty_container_round_trips() {
         let mut out = Vec::new();
-        write_container(&mut out, b"LBECHK2\0", &[], |_, _| unreachable!()).unwrap();
+        write_container(&mut out, b"LBECHK3\0", &[], |_, _| unreachable!()).unwrap();
         assert_eq!(out.len(), HEADER_LEN);
         let buf = AlignedBuf::from_slice(&out);
-        let c = ParsedContainer::parse(buf.as_slice(), 0, None, b"LBECHK2\0").unwrap();
+        let c = ParsedContainer::parse(buf.as_slice(), 0, None, b"LBECHK3\0").unwrap();
         assert!(c.sections().is_empty());
     }
 }

@@ -46,8 +46,8 @@
 //! Every v2 load has the same two steps. The bytes become a *verified
 //! image* ([`crate::format`]: header, table CRC, every section against its
 //! table CRC — each byte checksummed once, unknown sections included), by
-//! `VerifiedImage::verify` for a file, a byte slice or an `LBECHK2` blob
-//! section, or by the decompressor for a compressed generation blob. Then
+//! `VerifiedImage::verify` for a file, a byte slice or a raw generation
+//! blob, or by the decompressor for a compressed one. Then
 //! the one parser here, `read_v2_parsed`, which accepts nothing but that
 //! type and takes no checksum itself, lays the views and runs the
 //! structural validation once: the O(ions) [`SlmIndex::validate`] by
@@ -60,7 +60,9 @@
 //! `"binoffs"` row pointers in place of "binmap" + "binptr", and an
 //! `LBESLM2` without a "flags" section (or with bit 0 clear) are each one
 //! `InvalidData` error that names the layout and says it is no longer
-//! read; rebuild such a file with `lbe index`.
+//! read; rebuild such a file with `lbe index`. So is an `LBECHK2` chunked
+//! container file, the single-file form a chunked index had before the
+//! generation store of [`crate::lifecycle`] became its one on-disk form.
 
 use crate::config::SlmConfig;
 use crate::format::{section_name, view_checked, AlignedBuf, CrcSink, SectionPlan, VerifiedImage};
@@ -72,8 +74,6 @@ use std::sync::Arc;
 
 /// Magic of the v2 single-index container (read and written).
 pub const MAGIC_V2: &[u8; 8] = b"LBESLM2\0";
-/// Magic of the v2 *chunked* container (see [`crate::chunked`]).
-pub const MAGIC_CHUNKED: &[u8; 8] = b"LBECHK2\0";
 /// Magic of the v3 generation *manifest* container (see
 /// [`crate::lifecycle`]): a directory-backed index whose chunks live as
 /// content-addressed blob files beside the manifest.
@@ -298,20 +298,8 @@ fn emit_u32s<W: Write + ?Sized>(w: &mut W, values: &[u32]) -> io::Result<()> {
     }
 }
 
-pub(crate) fn emit_f64s<W: Write + ?Sized>(w: &mut W, values: &[f64]) -> io::Result<()> {
-    if NATIVE_LE {
-        // SAFETY: plain floats, any bit pattern valid as bytes.
-        let bytes = unsafe {
-            std::slice::from_raw_parts(values.as_ptr() as *const u8, std::mem::size_of_val(values))
-        };
-        w.write_all(bytes)
-    } else {
-        values.iter().try_for_each(|&v| w_f64(w, v))
-    }
-}
-
 /// Runs `emit` into a [`CrcSink`] to plan a section: `(len, crc)`.
-pub(crate) fn plan_section<F>(emit: F) -> io::Result<(u64, u32)>
+fn plan_section<F>(emit: F) -> io::Result<(u64, u32)>
 where
     F: FnOnce(&mut CrcSink) -> io::Result<()>,
 {
@@ -340,10 +328,7 @@ pub fn write_index<W: Write>(writer: W, index: &SlmIndex) -> io::Result<()> {
 /// Plans the six v2 sections of one index: one checksum pass over each
 /// array, no serialization. The chunked container writer caches the result
 /// so each chunk's arrays are checksummed exactly once.
-pub(crate) fn plan_index_sections(
-    index: &SlmIndex,
-    cfg_bytes: &[u8],
-) -> io::Result<[SectionPlan; 6]> {
+fn plan_index_sections(index: &SlmIndex, cfg_bytes: &[u8]) -> io::Result<[SectionPlan; 6]> {
     let flags = FLAG_MASS_SORTED.to_le_bytes();
     let dir = index.bin_directory();
     let (e_len, e_crc) = plan_section(|s| emit_entries(s, index.entries()))?;
@@ -417,6 +402,7 @@ pub(crate) mod test_support {
         }
         vec![
             ("an LBESLM1 index file", b"LBESLM1\0".to_vec()),
+            ("an LBECHK2 chunked container", b"LBECHK2\0".to_vec()),
             (
                 "without a binmap + binptr bin directory",
                 rewrite_container(current, MAGIC_V2, |name, p| match *name {
@@ -569,9 +555,8 @@ pub fn read_index_with<R: Read>(reader: R, opts: &ReadOptions) -> io::Result<Slm
             read_v2_arena(AlignedBuf::from_slice(&whole), opts)
         }
         b"LBESLM1\0" => Err(below_floor("an LBESLM1 index file")),
-        m if m == MAGIC_CHUNKED => Err(bad(
-            "this is a chunked index container; open it with ChunkStore::open_path",
-        )),
+        b"LBECHK2\0" => Err(bad("an LBECHK2 chunked container is no longer read; \
+             rebuild with `lbe index init` as a generation store directory")),
         _ => Err(bad("not an LBE SLM index file (bad magic)")),
     }
 }
@@ -616,8 +601,8 @@ fn read_v2_arena(arena: AlignedBuf, opts: &ReadOptions) -> io::Result<SlmIndex> 
 }
 
 /// Turns a **verified** v2 single-index image into an index: the one tail
-/// of every v2 load — a file, a byte slice, an `LBECHK2` blob section, a
-/// generation-store blob (raw or just decompressed). The checksums are
+/// of every v2 load — a file, a byte slice, a generation-store blob (raw or
+/// just decompressed). The checksums are
 /// the type's business (no CRC is taken here); this derives element counts
 /// from the verified section lengths, backs the index with zero-copy views
 /// into the image's arena on little-endian hosts, and runs the structural
@@ -848,8 +833,10 @@ mod tests {
 
     #[test]
     fn chunked_magic_points_at_the_right_api() {
+        // The single-file chunked container is below the format floor; its
+        // chunks now live in a generation store.
         let err = read_index(&b"LBECHK2\0........."[..]).unwrap_err();
-        assert!(err.to_string().contains("ChunkStore::open_path"));
+        assert!(err.to_string().contains("`lbe index init`"), "{err}");
     }
 
     #[test]
@@ -1064,20 +1051,21 @@ mod tests {
         let idx = IndexBuilder::new(cfg.clone(), ModSpec::none()).build(&db);
         let mut buf = Vec::new();
         let err = write_index(&mut buf, &idx).unwrap_err();
-        // The chunked container's writer refuses the same configuration.
-        let path = std::env::temp_dir().join("lbe_io_300_charges.lbe");
-        std::fs::remove_file(&path).ok();
-        let chunked_err = crate::chunked::ChunkedIndex::build(&db, cfg, ModSpec::none(), 1)
-            .write_path(&path)
+        // The generation store's writer refuses the same configuration.
+        let dir = std::env::temp_dir().join("lbe_io_300_charges_store");
+        std::fs::remove_dir_all(&dir).ok();
+        let store_err = crate::lifecycle::GenerationStore::init(&dir, &db, cfg, ModSpec::none(), 1)
             .unwrap_err();
-        for err in [err, chunked_err] {
+        for err in [err, store_err] {
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
             assert!(err.to_string().contains("300 charge states"));
         }
         // Validation happens before the first byte: no magic-only stub
-        // is left behind for a later read to trip over.
+        // is left behind for a later read to trip over — no blob, and no
+        // manifest naming one.
         assert!(buf.is_empty());
-        assert!(!path.exists());
+        assert_eq!(std::fs::read_dir(dir.join("chunks")).unwrap().count(), 0);
+        assert!(!dir.join("CURRENT").exists());
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   the `ΔM` window first: each bin's posting list is binary-searched
 //!   down to the admitted mass band and only in-window postings are
 //!   scanned (see [`query`] — the filtration-first kernel);
+//! * a mass-chunked index (the paper's Fig. 1 chunks, "stored on disks
+//!   when not in use") has one on-disk form, the generation store of
+//!   [`lifecycle`], written one chunk at a time and searched by
+//!   [`ChunkStore`] under a resident-chunk budget;
 //! * every structure reports its exact heap bytes, which is how the memory
 //!   figure (Fig. 5) is reproduced deterministically.
 //!
@@ -59,7 +63,7 @@ pub mod seqtag;
 pub mod slm;
 
 pub use builder::{BuildStats, IndexBuilder};
-pub use chunked::{ChunkStore, ChunkedIndex, ResidencyStats};
+pub use chunked::{ChunkStore, ResidencyStats};
 pub use config::SlmConfig;
 pub use footprint::{MemoryFootprint, StorageFootprint};
 pub use io::{

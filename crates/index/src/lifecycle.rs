@@ -1,11 +1,11 @@
 //! Generational index lifecycle: append-only delta chunks, content-addressed
 //! blob storage, compaction, and garbage collection (`LBECHK3`).
 //!
-//! The `LBECHK2` container of [`crate::chunked`] is immutable — absorbing
-//! new peptides means a full rebuild. This module breaks that assumption
-//! with an LSM-flavored *generation store*: a directory whose chunks live
-//! as content-addressed blob files and whose container is a **manifest** of
-//! (hash, mass-range, generation, tombstone) records.
+//! The *generation store* is the one on-disk form of a chunked index (the
+//! paper's Fig. 1 chunks, "stored on disks when not in use", §II-B): a
+//! directory whose chunks live as content-addressed blob files and whose
+//! container is a **manifest** of (hash, mass-range, generation, tombstone)
+//! records. LSM-flavored, it absorbs new peptides without a rebuild.
 //!
 //! # On-disk layout
 //!
@@ -39,8 +39,7 @@
 //!             raw_len u64 | stored_len u64 | lo_mass f64 | hi_mass f64
 //!             (flags bit 0 = tombstone, bit 1 = compressed blob)
 //! "gidoffs"   u64×(live+1) CSR offsets into "gids", one row per live record
-//! "gids"      u32 flat local→store peptide id table (the pair an LBECHK2
-//!             file carries, through the one codec in `crate::chunked`)
+//! "gids"      u32 flat local→store peptide id table
 //! "pepoffs"   u64×(P+1) CSR offsets into "pepseq"
 //! "pepseq"    concatenated peptide residue bytes
 //! "pepprot"   u32×P protein ids
@@ -49,36 +48,47 @@
 //! "meta"      chunk_size u64 | next_generation u32 | reserved u32
 //! ```
 //!
+//! # Writing one chunk at a time
+//!
+//! Every generation is written by one loop (`write_chunks`): sort the
+//! peptides by precursor mass (Fig. 1's first step), split the order into
+//! runs of at most `chunk_size`, and per run build its index, write its
+//! blob and drop it before building the next — a build holds one chunk,
+//! never the whole index. Each run reports its first and last mass: a
+//! fresh generation (`init`, `compact`) turns them into a boundary ladder
+//! (chunk i covers `[last mass of run i−1, last mass of run i]`, the first
+//! edge 0, the last +∞), a delta generation (`append`) keeps them as its
+//! chunks' own ranges.
+//!
 //! The store persists its *peptides* — not just its chunks — which is what
 //! makes [`GenerationStore::compact`] exact rather than approximate: a
-//! compaction rebuilds the union peptide set through the same
-//! [`ChunkedIndex::build`] a from-scratch index uses, so an
-//! appended-then-compacted store is **byte-identical in search output** to
-//! an index built from scratch over the same peptides (golden-pinned in CI).
-//! Appends dedup the delta against stored sequences keeping first
-//! occurrence — the same rule as [`lbe_bio::dedup::dedup_peptides`] — so
-//! `init(base) + append(delta)` holds exactly the peptides
-//! `dedup(base ++ delta)` would.
+//! compaction rebuilds the union peptide set through the same loop a
+//! from-scratch `init` uses, so an appended-then-compacted store is
+//! **byte-identical in search output** to a store built from scratch over
+//! the same peptides (golden-pinned in CI). `init` and `append` dedup their
+//! input by sequence keeping first occurrence — the same rule as
+//! [`lbe_bio::dedup::dedup_peptides`] — so `init(base) + append(delta)`
+//! holds exactly the peptides `dedup(base ++ delta)` would.
 //!
 //! Tombstones record superseded chunks without deleting anything (readers
 //! of older manifests stay valid); [`GenerationStore::gc`] reclaims
 //! unreferenced blobs and prunes old manifests once history is no longer
 //! needed.
 //!
-//! This module only *mutates* stores. Opening one for search — manifest →
+//! This module only *writes* stores. Opening one for search — manifest →
 //! intervals and id tables, blob fault, decompress, hash check — is
-//! [`crate::ChunkStore::open_generation_dir`], the same reader that serves
-//! `LBECHK2` files; what a generation hands it is `Manifest::into_store_parts`.
+//! [`crate::ChunkStore::open_generation_dir`]; what a generation hands it
+//! is `Manifest::into_store_parts`.
 
-use crate::chunked::{self, ChunkedIndex, SEC_BOUNDS, SEC_GIDOFFS, SEC_GIDS};
+use crate::builder::IndexBuilder;
 use crate::config::SlmConfig;
 use crate::format::{content_hash64, section_name, FileContainer, SectionPlan};
-use crate::io::{self, MAGIC_CHUNKED, MAGIC_MANIFEST, MAGIC_V2, SEC_CONFIG};
+use crate::io::{self, MAGIC_MANIFEST, MAGIC_V2, SEC_CONFIG};
 use lbe_bio::dedup::dedup_peptides;
 use lbe_bio::mods::{ModSpec, ModType, VariableMod};
 use lbe_bio::peptide::{Peptide, PeptideDb};
 use std::collections::HashSet;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Name of the pointer file naming the live manifest.
@@ -98,6 +108,8 @@ const FLAG_COMPRESSED: u32 = 1 << 1;
 const KNOWN_FLAGS: u32 = FLAG_TOMBSTONE | FLAG_COMPRESSED;
 
 const SEC_MANIFEST: [u8; 8] = section_name("manifest");
+const SEC_GIDOFFS: [u8; 8] = section_name("gidoffs");
+const SEC_GIDS: [u8; 8] = section_name("gids");
 const SEC_PEPOFFS: [u8; 8] = section_name("pepoffs");
 const SEC_PEPSEQ: [u8; 8] = section_name("pepseq");
 const SEC_PEPPROT: [u8; 8] = section_name("pepprot");
@@ -388,6 +400,51 @@ fn modspec_from_bytes(bytes: &[u8]) -> std::io::Result<ModSpec> {
     })
 }
 
+/// Encodes one id table per live chunk as the "gidoffs" (`u64` CSR
+/// offsets) and "gids" (flat `u32` ids) section payloads.
+fn gid_csr_bytes(tables: &[Vec<u32>]) -> (Vec<u8>, Vec<u8>) {
+    let mut gidoffs = Vec::with_capacity((tables.len() + 1) * 8);
+    let mut gids = Vec::new();
+    let mut acc = 0u64;
+    gidoffs.extend_from_slice(&acc.to_le_bytes());
+    for table in tables {
+        acc += table.len() as u64;
+        gidoffs.extend_from_slice(&acc.to_le_bytes());
+        for &g in table {
+            gids.extend_from_slice(&g.to_le_bytes());
+        }
+    }
+    (gidoffs, gids)
+}
+
+/// Decodes [`gid_csr_bytes`]' payloads (already CRC-verified) back into one
+/// id table per chunk, rejecting anything that is not a CSR of exactly
+/// `num_chunks` rows over the whole id table.
+fn gid_csr_from_bytes(
+    gidoffs: &[u8],
+    gids: &[u8],
+    num_chunks: usize,
+) -> std::io::Result<Vec<Vec<u32>>> {
+    if !gidoffs.len().is_multiple_of(8) || gidoffs.len() / 8 != num_chunks + 1 {
+        return Err(bad("gidoffs section does not match the chunk count"));
+    }
+    if !gids.len().is_multiple_of(4) {
+        return Err(bad("gids section length is not a whole u32 count"));
+    }
+    let offs = io::decode_u64s(gidoffs);
+    let all = io::decode_u32s(gids);
+    if offs.windows(2).any(|w| w[0] > w[1])
+        || offs.first() != Some(&0)
+        || offs.last() != Some(&(all.len() as u64))
+    {
+        return Err(bad("gid offsets are not a valid CSR over the id table"));
+    }
+    Ok(offs
+        .windows(2)
+        .map(|w| all[w[0] as usize..w[1] as usize].to_vec())
+        .collect())
+}
+
 /// Serializes `m` as a `MANIFEST-{seq:06}` container in `dir` and atomically
 /// repoints `CURRENT` at it. Returns the new manifest's file name.
 fn write_manifest(dir: &Path, seq: u64, m: &Manifest) -> std::io::Result<String> {
@@ -403,7 +460,7 @@ fn write_manifest(dir: &Path, seq: u64, m: &Manifest) -> std::io::Result<String>
     for r in &m.records {
         r.encode(&mut manifest);
     }
-    let (gidoffs, gids) = chunked::gid_csr_bytes(&m.global_ids);
+    let (gidoffs, gids) = gid_csr_bytes(&m.global_ids);
     let mut pepoffs = Vec::with_capacity((m.peptides.len() + 1) * 8);
     let mut pepseq = Vec::new();
     let mut pepprot = Vec::with_capacity(m.peptides.len() * 4);
@@ -473,7 +530,7 @@ fn read_manifest(path: &Path) -> std::io::Result<Manifest> {
     let live_count = records.iter().filter(|r| !r.tombstone).count();
 
     // One id table per live record, in record order.
-    let global_ids = chunked::gid_csr_from_bytes(
+    let global_ids = gid_csr_from_bytes(
         c.read_section(&SEC_GIDOFFS)?.as_slice(),
         c.read_section(&SEC_GIDS)?.as_slice(),
         live_count,
@@ -546,26 +603,40 @@ fn read_manifest(path: &Path) -> std::io::Result<Manifest> {
 // Chunk blob writing.
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct NewChunks {
     records: Vec<ManifestRecord>,
     global_ids: Vec<Vec<u32>>,
     created_blobs: usize,
 }
 
-/// Serializes every chunk of `index`, content-addresses it, writes blobs
-/// that do not already exist (compressed when that is smaller), and returns
-/// the manifest records. `intervals[i]` is chunk i's mass-coverage record.
+/// Builds and writes one generation's chunks, one chunk at a time:
+/// `peptides` sorted by precursor mass, split into runs of at most
+/// `chunk_size`, and per run its index built, serialized, content-addressed
+/// and written as a blob unless one already exists (compressed when that is
+/// smaller) — then dropped before the next run is built. Peptide `i` gets
+/// store id `first_id + i`. Each record's interval is its run's first and
+/// last mass; see [`ladder`] for a fresh generation's.
 fn write_chunks(
     dir: &Path,
-    index: &ChunkedIndex,
-    intervals: &[(f64, f64)],
+    peptides: &PeptideDb,
+    first_id: u32,
+    config: &SlmConfig,
+    modspec: &ModSpec,
+    chunk_size: usize,
     generation: u32,
 ) -> std::io::Result<NewChunks> {
-    let mut records = Vec::with_capacity(index.num_chunks());
-    let mut created_blobs = 0usize;
-    for (i, chunk) in index.chunks().iter().enumerate() {
+    // Sort (id, peptide) pairs by mass — Fig. 1's first step.
+    let mut order: Vec<(u32, &Peptide)> = peptides.iter().collect();
+    order.sort_by(|a, b| a.1.mass().partial_cmp(&b.1.mass()).expect("finite masses"));
+
+    let mut new = NewChunks::default();
+    for run in order.chunks(chunk_size) {
+        let local = PeptideDb::from_vec(run.iter().map(|&(_, p)| p.clone()).collect());
+        let chunk = IndexBuilder::new(config.clone(), modspec.clone()).build(&local);
         let mut raw = Vec::new();
-        io::write_index(&mut raw, chunk)?;
+        io::write_index(&mut raw, &chunk)?;
+        drop(chunk);
         let hash = content_hash64(&raw);
         let enc = crate::compress::compress_container(&raw, MAGIC_V2)?;
         let (bytes, compressed): (&[u8], bool) = if enc.len() < raw.len() {
@@ -583,24 +654,36 @@ fn write_chunks(
                 .join(format!("{hash:016x}.tmp{}", std::process::id()));
             std::fs::write(&tmp, bytes)?;
             std::fs::rename(&tmp, &path)?;
-            created_blobs += 1;
+            new.created_blobs += 1;
         }
-        records.push(ManifestRecord {
+        new.records.push(ManifestRecord {
             hash,
             generation,
             tombstone: false,
             compressed,
             raw_len: raw.len() as u64,
             stored_len: bytes.len() as u64,
-            lo_mass: intervals[i].0,
-            hi_mass: intervals[i].1,
+            lo_mass: run[0].1.mass(),
+            hi_mass: run[run.len() - 1].1.mass(),
         });
+        new.global_ids
+            .push(run.iter().map(|&(id, _)| first_id + id).collect());
     }
-    Ok(NewChunks {
-        records,
-        global_ids: index.global_ids().to_vec(),
-        created_blobs,
-    })
+    Ok(new)
+}
+
+/// Turns a fresh generation's run edges into its boundary ladder: chunk i
+/// covers `[hi of chunk i−1, hi of chunk i]`, the first edge 0 and the last
+/// +∞, so consecutive chunks share their boundary mass.
+fn ladder(records: &mut [ManifestRecord]) {
+    let mut lo = 0.0;
+    for r in records.iter_mut() {
+        r.lo_mass = lo;
+        lo = r.hi_mass;
+    }
+    if let Some(last) = records.last_mut() {
+        last.hi_mass = f64::INFINITY;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -704,9 +787,8 @@ impl GenerationStore {
         std::fs::create_dir_all(dir.join(CHUNKS_DIR))?;
         let input = db.len();
         let (db, _) = dedup_peptides(PeptideDb::from_vec(db.peptides().to_vec()));
-        let index = ChunkedIndex::build(&db, config.clone(), modspec.clone(), chunk_size);
-        let intervals = chunked::ladder_intervals(index.boundaries());
-        let new = write_chunks(dir, &index, &intervals, 1)?;
+        let mut new = write_chunks(dir, &db, 0, &config, &modspec, chunk_size, 1)?;
+        ladder(&mut new.records);
         let new_chunks = new.records.len();
         let total = db.len();
         let manifest = Manifest {
@@ -782,34 +864,18 @@ impl GenerationStore {
         }
         let base_count = man.peptides.len() as u32;
         let delta_db = PeptideDb::from_vec(fresh);
-        let index = ChunkedIndex::build(
-            &delta_db,
-            man.config.clone(),
-            man.modspec.clone(),
-            man.chunk_size,
-        );
         // Delta chunks cover exactly their own peptides' mass range (they
         // may overlap any existing chunk — selection is per-interval).
-        let intervals: Vec<(f64, f64)> = index
-            .global_ids()
-            .iter()
-            .map(|g| {
-                let lo = delta_db
-                    .get(*g.first().expect("chunks are non-empty"))
-                    .mass();
-                let hi = delta_db
-                    .get(*g.last().expect("chunks are non-empty"))
-                    .mass();
-                (lo, hi)
-            })
-            .collect();
         let generation = man.next_generation;
-        let mut new = write_chunks(&self.dir, &index, &intervals, generation)?;
-        for table in &mut new.global_ids {
-            for g in table {
-                *g += base_count;
-            }
-        }
+        let new = write_chunks(
+            &self.dir,
+            &delta_db,
+            base_count,
+            &man.config,
+            &man.modspec,
+            man.chunk_size,
+            generation,
+        )?;
         let new_chunks = new.records.len();
 
         let mut peptides = man.peptides.into_vec();
@@ -845,24 +911,26 @@ impl GenerationStore {
     }
 
     /// Rewrites the whole store as one fresh mass-sorted generation: the
-    /// stored peptides are rebuilt through the same [`ChunkedIndex::build`]
-    /// a from-scratch index uses, so the compacted store searches
-    /// **byte-identically** to an index built from scratch over the same
+    /// stored peptides are rebuilt through the same chunk loop a
+    /// from-scratch `init` uses, so the compacted store searches
+    /// **byte-identically** to a store built from scratch over the same
     /// peptides, and chunks the rebuild reproduces verbatim share their
     /// existing blobs by content hash. Superseded chunks become tombstones
     /// (reclaimed by [`GenerationStore::gc`]).
     pub fn compact(&self) -> std::io::Result<CompactOutcome> {
         let (cur_name, man) = load_current(&self.dir)?;
         let chunks_before = man.live().count();
-        let index = ChunkedIndex::build(
-            &man.peptides,
-            man.config.clone(),
-            man.modspec.clone(),
-            man.chunk_size,
-        );
-        let intervals = chunked::ladder_intervals(index.boundaries());
         let generation = man.next_generation;
-        let new = write_chunks(&self.dir, &index, &intervals, generation)?;
+        let mut new = write_chunks(
+            &self.dir,
+            &man.peptides,
+            0,
+            &man.config,
+            &man.modspec,
+            man.chunk_size,
+            generation,
+        )?;
+        ladder(&mut new.records);
         let chunks_after = new.records.len();
         let blobs_reused = chunks_after - new.created_blobs;
 
@@ -965,64 +1033,11 @@ impl GenerationStore {
     }
 }
 
-/// [`StoreStats`] for a plain single-file `LBECHK2` container, so
-/// `lbe index stats` speaks both formats: every chunk reports generation 1,
-/// uncompressed, with its embedded blob hashed on the fly.
-///
-/// A single-index `LBESLM2` file — a `cluster build` shard, say — has no
-/// chunks to list; the error names it, or any other file that is no
-/// `LBECHK2` container, and what this function reads.
-pub fn chunked_container_stats(path: impl AsRef<Path>) -> std::io::Result<StoreStats> {
-    let path = path.as_ref();
-    let mut magic = [0u8; 8];
-    std::fs::File::open(path)?.read_exact(&mut magic)?;
-    if &magic != MAGIC_CHUNKED {
-        let what = match &magic == MAGIC_V2 {
-            true => "a single-index LBESLM2 file with no chunks to list",
-            false => "not an LBECHK2 chunked container",
-        };
-        return Err(bad(&format!(
-            "{} is {what}; chunk statistics read an LBECHK2 chunked container file \
-             or a generation store directory",
-            path.display()
-        )));
-    }
-    let mut c = FileContainer::open(path, MAGIC_CHUNKED)?;
-    let directory = chunked::chunk_directory(c.sections())?;
-    let intervals =
-        chunked::bounds_from_bytes(c.read_section(&SEC_BOUNDS)?.as_slice(), directory.len())?;
-    let num_peptides = match c.find(&SEC_GIDS) {
-        Some(s) => (s.len / 4) as usize,
-        None => return Err(bad("chunked container is missing its gids section")),
-    };
-    let mut records = Vec::with_capacity(directory.len());
-    for (s, &(lo_mass, hi_mass)) in directory.iter().zip(&intervals) {
-        let blob = c.read_section_desc_unverified(s)?;
-        records.push(ManifestRecord {
-            hash: content_hash64(blob.as_slice()),
-            generation: 1,
-            tombstone: false,
-            compressed: false,
-            raw_len: s.len,
-            stored_len: s.len,
-            lo_mass,
-            hi_mass,
-        });
-    }
-    let logical_bytes = records.iter().map(|r| r.raw_len).sum();
-    Ok(StoreStats {
-        num_peptides,
-        next_generation: 2,
-        logical_bytes,
-        stored_bytes: logical_bytes,
-        records,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunked::{ChunkStore, ChunkedIndex};
+    use crate::chunked::ChunkStore;
+    use crate::query::QueryOptions;
     use lbe_bio::mods::ModForm;
     use lbe_spectra::spectrum::{Peak, Spectrum};
     use lbe_spectra::theo::{TheoParams, TheoSpectrum};
@@ -1094,7 +1109,11 @@ mod tests {
 
     fn search_all(store: &mut ChunkStore, seqs: &[&[u8]]) -> Vec<crate::query::SearchResult> {
         seqs.iter()
-            .map(|s| store.search(&perfect_query(s)).unwrap())
+            .map(|s| {
+                store
+                    .search_with_opts(&perfect_query(s), &QueryOptions::default())
+                    .unwrap()
+            })
             .collect()
     }
 
@@ -1102,28 +1121,80 @@ mod tests {
 
     #[test]
     fn init_store_matches_chunked_container_exactly() {
-        let d = tmpdir("init_equiv");
-        let file = d.join("plain.lbe");
-        let chunked = ChunkedIndex::build(&db6(), SlmConfig::default(), ModSpec::none(), 2);
-        chunked.write_path(&file).unwrap();
-        let (_, out) = GenerationStore::init(
-            d.join("gen"),
-            &db6(),
-            SlmConfig::default(),
-            ModSpec::none(),
-            2,
-        )
-        .unwrap();
-        assert_eq!(out.peptides_added, 6);
-        assert_eq!(out.new_chunks, 3);
-        assert_eq!(out.generation, 1);
-        let mut a = ChunkStore::open_path(&file, 2).unwrap();
-        let mut b = ChunkStore::open_generation_dir(d.join("gen"), 2).unwrap();
-        assert_eq!(b.num_chunks(), 3);
-        // Full SearchResult equality — PSMs *and* work counters — because
-        // the boundary-interval records reproduce the container's chunk
-        // selection exactly.
-        assert_eq!(search_all(&mut b, &QUERIES), search_all(&mut a, &QUERIES));
+        // The store written one chunk at a time is the chunked container
+        // built whole: the peptides sorted by mass and cut into runs of
+        // `chunk_size`, each run's index serialized as its blob, its ids in
+        // run order, and the boundary ladder — the reference built here in
+        // memory, run by run.
+        let db = db6();
+        let mut order: Vec<(u32, &Peptide)> = db.iter().collect();
+        order.sort_by(|a, b| a.1.mass().total_cmp(&b.1.mass()));
+        for (spec, size) in [
+            (ModSpec::none(), 2),
+            (ModSpec::paper_default(), 4),
+            (ModSpec::none(), 100),
+        ] {
+            let d = tmpdir("init_equiv");
+            let (_, out) =
+                GenerationStore::init(&d, &db, SlmConfig::default(), spec.clone(), size).unwrap();
+            let runs: Vec<&[(u32, &Peptide)]> = order.chunks(size).collect();
+            assert_eq!((out.peptides_added, out.generation), (6, 1));
+            assert_eq!(out.new_chunks, runs.len());
+            let (_, man) = load_current(&d).unwrap();
+            assert_eq!(man.records.len(), runs.len());
+            for (i, (run, r)) in runs.iter().zip(&man.records).enumerate() {
+                let local = PeptideDb::from_vec(run.iter().map(|&(_, p)| p.clone()).collect());
+                let chunk = IndexBuilder::new(SlmConfig::default(), spec.clone()).build(&local);
+                let mut blob = Vec::new();
+                io::write_index(&mut blob, &chunk).unwrap();
+                assert_eq!(
+                    (r.hash, r.raw_len),
+                    (content_hash64(&blob), blob.len() as u64)
+                );
+                let ids: Vec<u32> = run.iter().map(|&(id, _)| id).collect();
+                assert_eq!(man.global_ids[i], ids, "chunk {i}");
+                let lo = match i {
+                    0 => 0.0,
+                    _ => runs[i - 1].last().unwrap().1.mass(),
+                };
+                let hi = match i + 1 == runs.len() {
+                    true => f64::INFINITY,
+                    false => run.last().unwrap().1.mass(),
+                };
+                assert_eq!((r.lo_mass, r.hi_mass), (lo, hi), "chunk {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn gid_csr_codec_round_trips_and_rejects_what_is_not_a_csr() {
+        let tables = vec![vec![4u32, 0, 9], vec![], vec![7]];
+        let (offs, gids) = gid_csr_bytes(&tables);
+        assert_eq!(gid_csr_from_bytes(&offs, &gids, 3).unwrap(), tables);
+        assert_eq!(gid_csr_bytes(&[]).0, 0u64.to_le_bytes());
+        let u64s = |v: &[u64]| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
+        for (what, offs, gids, rows) in [
+            ("row count", offs.clone(), gids.clone(), 2),
+            (
+                "ragged offsets",
+                offs[..offs.len() - 1].to_vec(),
+                gids.clone(),
+                3,
+            ),
+            (
+                "ragged ids",
+                offs.clone(),
+                gids[..gids.len() - 1].to_vec(),
+                3,
+            ),
+            ("first offset", u64s(&[1, 3, 3, 4]), gids.clone(), 3),
+            ("descending", u64s(&[0, 3, 2, 4]), gids.clone(), 3),
+            ("short of the table", u64s(&[0, 3, 3, 3]), gids.clone(), 3),
+            ("past the table", u64s(&[0, 3, 3, 5]), gids.clone(), 3),
+        ] {
+            let err = gid_csr_from_bytes(&offs, &gids, rows).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        }
     }
 
     #[test]
@@ -1277,7 +1348,9 @@ mod tests {
         // And the compressed store still searches correctly.
         let mut store = ChunkStore::open_generation_dir(&d, 1).unwrap();
         let q = many_db(240).peptides()[7].sequence().to_vec();
-        let r = store.search(&perfect_query(&q)).unwrap();
+        let r = store
+            .search_with_opts(&perfect_query(&q), &QueryOptions::default())
+            .unwrap();
         assert_eq!(r.psms[0].peptide, 7);
     }
 
@@ -1361,7 +1434,9 @@ mod tests {
         .unwrap();
         let mut reader = ChunkStore::open_generation_dir(&d, usize::MAX).unwrap();
         assert!(!reader.refresh_generation().unwrap(), "nothing new yet");
-        reader.search(&perfect_query(b"PEPTIDEK")).unwrap();
+        reader
+            .search_with_opts(&perfect_query(b"PEPTIDEK"), &QueryOptions::default())
+            .unwrap();
         let warm = reader.stats();
         assert_eq!(warm.faults as usize, out.new_chunks);
 
@@ -1369,7 +1444,9 @@ mod tests {
         assert!(reader.refresh_generation().unwrap());
         // The old generation's chunks carried over: a new open search
         // faults only the appended delta chunks.
-        let r = reader.search(&perfect_query(b"WWWWWWK")).unwrap();
+        let r = reader
+            .search_with_opts(&perfect_query(b"WWWWWWK"), &QueryOptions::default())
+            .unwrap();
         assert_eq!(r.psms[0].peptide, 4, "appended peptide is searchable");
         let after = reader.stats();
         assert_eq!(
@@ -1393,14 +1470,22 @@ mod tests {
         let mut store = ChunkStore::open_generation_dir(&d, 2).unwrap();
         assert_eq!(store.num_chunks(), 3);
 
-        store.search(&perfect_query(b"GGGGGK")).unwrap(); // fault 0
+        store
+            .search_with_opts(&perfect_query(b"GGGGGK"), &QueryOptions::default())
+            .unwrap(); // fault 0
         assert_eq!(store.resident_chunks(), vec![0]);
-        store.search(&perfect_query(b"WWWWWWK")).unwrap(); // fault 1 (+∞ tail) and 2
-                                                           // Chunk 0 — least recently used — was evicted, even though chunk 1
-                                                           // is from the same old generation as chunk 0 and chunk 2 is newer.
+        store
+            .search_with_opts(&perfect_query(b"WWWWWWK"), &QueryOptions::default())
+            .unwrap(); // fault 1 (+∞ tail) and 2
+                       // Chunk 0 — least recently used — was evicted, even though chunk 1
+                       // is from the same old generation as chunk 0 and chunk 2 is newer.
         assert_eq!(store.resident_chunks(), vec![1, 2]);
-        store.search(&perfect_query(b"WWWWWWK")).unwrap(); // hits 1, 2
-        store.search(&perfect_query(b"GGGGGK")).unwrap(); // fault 0, evict LRU = 1
+        store
+            .search_with_opts(&perfect_query(b"WWWWWWK"), &QueryOptions::default())
+            .unwrap(); // hits 1, 2
+        store
+            .search_with_opts(&perfect_query(b"GGGGGK"), &QueryOptions::default())
+            .unwrap(); // fault 0, evict LRU = 1
         assert_eq!(
             store.resident_chunks(),
             vec![0, 2],
@@ -1408,21 +1493,6 @@ mod tests {
         );
         let s = store.stats();
         assert_eq!((s.faults, s.evictions, s.hits), (4, 2, 2));
-    }
-
-    #[test]
-    fn plain_chunked_container_stats() {
-        let d = tmpdir("plain_stats");
-        let file = d.join("plain.lbe");
-        ChunkedIndex::build(&db6(), SlmConfig::default(), ModSpec::none(), 2)
-            .write_path(&file)
-            .unwrap();
-        let stats = chunked_container_stats(&file).unwrap();
-        assert_eq!(stats.records.len(), 3);
-        assert_eq!(stats.num_peptides, 6);
-        assert_eq!(stats.logical_bytes, stats.stored_bytes);
-        assert!(stats.records.iter().all(|r| !r.compressed && !r.tombstone));
-        assert!(stats.records[2].hi_mass.is_infinite());
     }
 
     #[test]
@@ -1582,7 +1652,7 @@ mod tests {
                         // byte-identical (or fail cleanly at blob fault).
                         QUERIES
                             .iter()
-                            .map(|q| s.search(&perfect_query(q)))
+                            .map(|q| s.search_with_opts(&perfect_query(q), &QueryOptions::default()))
                             .collect::<std::io::Result<Vec<_>>>()
                     }
                 };
@@ -1621,7 +1691,7 @@ mod tests {
                 // Lazy open must succeed — blobs are untouched until fault.
                 let mut s = ChunkStore::open_generation_dir(&f.dir, usize::MAX).unwrap();
                 // An open search faults every chunk, including the bent one.
-                let res = s.search(&perfect_query(b"PEPTIDEK"));
+                let res = s.search_with_opts(&perfect_query(b"PEPTIDEK"), &QueryOptions::default());
                 restore(f);
                 prop_assert!(
                     res.is_err(),

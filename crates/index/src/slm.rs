@@ -138,9 +138,7 @@ enum IndexStorage {
         bin_starts: Vec<u32>,
         postings: Vec<u32>,
     },
-    /// Zero-copy views into a shared arena (one buffer per container; the
-    /// chunks of an eagerly opened chunked container share a single
-    /// arena).
+    /// Zero-copy views into a shared arena (one buffer per container).
     Arena {
         arena: Arc<AlignedBuf>,
         entries: ArenaSlice,

@@ -22,15 +22,14 @@ use lbe_core::serve::{serve_stdin, ResidentEngine, ServeConfig, Server};
 use lbe_core::{
     cluster_build_rank, cluster_search_rank, cluster_search_rank_supervised, write_shards,
 };
-use lbe_index::lifecycle::chunked_container_stats;
-use lbe_index::{ChunkedIndex, GenerationStore, Psm, QueryOptions, ScanMode, SlmConfig};
+use lbe_index::{GenerationStore, Psm, QueryOptions, ScanMode, SlmConfig};
 use lbe_spectra::mgf::write_mgf;
 use lbe_spectra::ms2::write_ms2_path;
 use lbe_spectra::mzml::write_mzml_path;
 use lbe_spectra::preprocess::PreprocessParams;
 use lbe_spectra::spectrum::Spectrum;
 use lbe_spectra::synthetic::{SyntheticDataset, SyntheticDatasetParams};
-use std::io::Write;
+use std::io::{Read, Write};
 
 /// Any command failure (argument, I/O, or data error).
 pub type CmdError = Box<dyn std::error::Error>;
@@ -77,17 +76,14 @@ COMMANDS:
   synth-queries   --db peptides.fasta --out q.ms2 [--n 100] [--seed 7]
                   [--mods none|oxidation|paper] [--format ms2|mzml|mgf]
                   generate query spectra with ground truth in the MS2 scan
-  index           --db peptides.fasta --out index.lbe [--digest]
-                  [--mods none|oxidation|paper] [--chunk-size 50000]
-                  build a mass-chunked SLM fragment-ion index and write a
-                  v2 (LBECHK2) container; --digest accepts a raw proteome
-                  FASTA and streams it through tryptic digestion first
   index init      --db peptides.fasta --out DIR [--digest]
                   [--mods none|oxidation|paper] [--chunk-size 50000]
-                  create a generation store: a directory of
+                  build a mass-chunked SLM fragment-ion index as a
+                  generation store, one chunk at a time: a directory of
                   content-addressed (and, when smaller, compressed) chunk
-                  blobs under an LBECHK3 manifest; `search` and `serve`
-                  accept the directory anywhere they accept an index file
+                  blobs under an LBECHK3 manifest; --digest accepts a raw
+                  proteome FASTA and streams it through tryptic digestion
+                  first; `search` and `serve` take the directory as --index
   index append    --index DIR --db delta.fasta [--digest]
                   digest only the new peptides (duplicates vs the stored
                   set are skipped) into append-only delta chunks; config,
@@ -100,22 +96,22 @@ COMMANDS:
   index gc        --index DIR
                   drop tombstoned records, delete unreferenced chunk
                   blobs and superseded manifests
-  index stats     --index DIR|index.lbe
+  index stats     --index DIR
                   per-chunk inventory (content hash, generation,
                   live/tombstone, compression, raw vs stored bytes, mass
-                  range) plus store totals; works on generation store
-                  directories and plain LBECHK2 files
-  search          --index index.lbe --queries q.{ms2|mgf|mzML} --out results.tsv
+                  range) plus store totals of a generation store directory
+  search          --index DIR --queries q.{ms2|mgf|mzML} --out results.tsv
                   [--top-k 10] [--max-resident-chunks 0] [--csv] [--full-scan]
-                  search an index (chunked v2 container, or a single-index
-                  LBESLM2 file), write a TSV (or CSV) of PSMs;
+                  search an index (a generation store directory, or a
+                  single-index LBESLM2 file such as a `cluster build`
+                  shard), write a TSV (or CSV) of PSMs;
                   queries may be MS2, MGF, or mzML (autodetected; mzML MS1
                   survey scans are skipped and counted, msconvert 32/64-bit
                   uncompressed arrays supported); --max-resident-chunks
                   N > 0 caps how many chunks are held in memory (0 = all);
                   --full-scan disables the banded precursor-filtered
                   kernel (identical PSMs, more postings scanned — A/B aid)
-  serve           --index index.lbe [--addr 127.0.0.1:0] [--stdin]
+  serve           --index DIR [--addr 127.0.0.1:0] [--stdin]
                   [--threads 4] [--max-resident-chunks 0]
                   [--max-inflight 256] [--max-wave 64]
                   [--per-conn-inflight 64] [--wave-deadline-ms 0]
@@ -399,48 +395,24 @@ fn synth_queries<W: Write>(args: &Args, out: &mut W) -> Result<(), CmdError> {
 }
 
 fn index_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), CmdError> {
-    let sub = args.positional.first().map(String::as_str);
-    if sub.is_some() && args.positional.len() != 1 {
-        return Err(Box::new(ArgError(
-            "usage: lbe index [init|append|compact|gc|stats] --option value ...".into(),
-        )));
-    }
+    let sub = match args.positional.as_slice() {
+        [sub] => sub.as_str(),
+        _ => {
+            return Err(Box::new(ArgError(
+                "usage: lbe index init|append|compact|gc|stats --option value ...".into(),
+            )))
+        }
+    };
     match sub {
-        None => index_build(args, out),
-        Some("init") => index_init(args, out),
-        Some("append") => index_append(args, out),
-        Some("compact") => index_compact(args, out),
-        Some("gc") => index_gc(args, out),
-        Some("stats") => index_stats(args, out),
-        Some(other) => Err(Box::new(ArgError(format!(
-            "unknown index subcommand {other:?} (init|append|compact|gc|stats, \
-             or no subcommand for a single-file LBECHK2 build)"
+        "init" => index_init(args, out),
+        "append" => index_append(args, out),
+        "compact" => index_compact(args, out),
+        "gc" => index_gc(args, out),
+        "stats" => index_stats(args, out),
+        other => Err(Box::new(ArgError(format!(
+            "unknown index subcommand {other:?} (init|append|compact|gc|stats)"
         )))),
     }
-}
-
-/// The legacy single-file build: `lbe index --db ... --out index.lbe`.
-fn index_build<W: Write>(args: &Args, out: &mut W) -> Result<(), CmdError> {
-    args.reject_unknown(&["db", "out", "mods", "chunk-size", "digest"])?;
-    let db_path = args.require("db")?;
-    let output = args.require("out")?;
-    let chunk_size = args.get_parsed("chunk-size", 50_000usize)?;
-    if chunk_size == 0 {
-        return Err(Box::new(ArgError("--chunk-size must be at least 1".into())));
-    }
-    let db = read_db(args, db_path, out)?;
-    let modspec = parse_mods(args)?;
-    let index = ChunkedIndex::build(&db, SlmConfig::default(), modspec, chunk_size);
-    index.write_path(output)?;
-    writeln!(
-        out,
-        "indexed {} peptides -> {} spectra in {} chunk(s) ({:.2} MB), wrote {output}",
-        db.len(),
-        index.num_spectra(),
-        index.num_chunks(),
-        index.heap_bytes() as f64 / 1e6
-    )?;
-    Ok(())
 }
 
 /// `lbe index init`: creates a generation-store directory (LBECHK3).
@@ -449,6 +421,9 @@ fn index_init<W: Write>(args: &Args, out: &mut W) -> Result<(), CmdError> {
     let db_path = args.require("db")?;
     let output = args.require("out")?;
     let chunk_size = args.get_parsed("chunk-size", 50_000usize)?;
+    if chunk_size == 0 {
+        return Err(Box::new(ArgError("--chunk-size must be at least 1".into())));
+    }
     let db = read_db(args, db_path, out)?;
     let modspec = parse_mods(args)?;
     let (store, o) = GenerationStore::init(output, &db, SlmConfig::default(), modspec, chunk_size)?;
@@ -508,16 +483,14 @@ fn index_gc<W: Write>(args: &Args, out: &mut W) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// `lbe index stats`: per-chunk inventory of a generation store directory
-/// or a plain single-file LBECHK2 container.
+/// `lbe index stats`: per-chunk inventory of a generation store directory.
 fn index_stats<W: Write>(args: &Args, out: &mut W) -> Result<(), CmdError> {
     args.reject_unknown(&["index"])?;
     let index_path = args.require("index")?;
-    let stats = if std::path::Path::new(index_path).is_dir() {
-        GenerationStore::open(index_path)?.stats()?
-    } else {
-        chunked_container_stats(index_path)?
-    };
+    if !std::path::Path::new(index_path).is_dir() {
+        return Err(not_a_store(index_path));
+    }
+    let stats = GenerationStore::open(index_path)?.stats()?;
     writeln!(
         out,
         "{:>5}  {:<16}  {:>3}  {:<4}  {:<4}  {:>12}  {:>12}  mass range",
@@ -551,6 +524,27 @@ fn index_stats<W: Write>(args: &Args, out: &mut W) -> Result<(), CmdError> {
         stats.next_generation
     )?;
     Ok(())
+}
+
+/// Why `index stats` refuses the file at `path`: a single-index file has
+/// no chunks to list, and any other file is what the index reader makes of
+/// its magic — an `LBECHK2` chunked container is below the format floor.
+fn not_a_store(path: &str) -> CmdError {
+    let mut magic = [0u8; 8];
+    if let Err(e) = std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut magic)) {
+        return e.into();
+    }
+    let msg = match &magic == lbe_index::io::MAGIC_V2 {
+        true => format!(
+            "{path} is a single-index LBESLM2 file with no chunks to list; \
+             chunk statistics read a generation store directory"
+        ),
+        false => match lbe_index::read_index(&magic[..]) {
+            Err(e) => format!("{path}: {e}"),
+            Ok(_) => unreachable!("a magic alone is no index"),
+        },
+    };
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg).into()
 }
 
 /// Writes the PSM table of one query to the results file.
@@ -1559,8 +1553,11 @@ mod tests {
         Ok(String::from_utf8(out).unwrap())
     }
 
+    /// Fresh (pre-cleaned) test directory: `index init` refuses a
+    /// directory that already holds a store.
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join("lbe_cli_tests").join(name);
+        std::fs::remove_dir_all(&d).ok();
         std::fs::create_dir_all(&d).unwrap();
         d
     }
@@ -1614,22 +1611,22 @@ mod tests {
         assert!(msg.contains("12 query spectra"));
 
         let msg = run(&format!(
-            "index --db {} --out {}",
+            "index init --db {} --out {}",
             p("clustered.fasta"),
-            p("idx.lbe")
+            p("idx")
         ))
         .unwrap();
-        assert!(msg.contains("indexed"));
+        assert!(msg.contains("initialized generation store"));
         assert!(msg.contains("chunk(s)"));
-        // The file on disk is a v2 chunked container.
+        // The index on disk is a generation store: a manifest and its blobs.
         assert_eq!(
-            &std::fs::read(p("idx.lbe")).unwrap()[..8],
-            lbe_index::io::MAGIC_CHUNKED
+            &std::fs::read(p("idx/MANIFEST-000001")).unwrap()[..8],
+            lbe_index::io::MAGIC_MANIFEST
         );
 
         let msg = run(&format!(
             "search --index {} --queries {} --out {} --top-k 3",
-            p("idx.lbe"),
+            p("idx"),
             p("q.ms2"),
             p("results.tsv")
         ))
@@ -1706,11 +1703,11 @@ mod tests {
         assert!(!msg.contains("tomb "));
 
         // The compacted store must search identically to a from-scratch
-        // single-file index over the same peptide set.
+        // store over the same peptide set.
         run(&format!(
-            "index --db {} --out {}",
+            "index init --db {} --out {}",
             p("pep.fasta"),
-            p("full.lbe")
+            p("full")
         ))
         .unwrap();
         run(&format!(
@@ -1728,7 +1725,7 @@ mod tests {
         .unwrap();
         run(&format!(
             "search --index {} --queries {} --out {} --top-k 5",
-            p("full.lbe"),
+            p("full"),
             p("q.ms2"),
             p("full.tsv")
         ))
@@ -1738,10 +1735,19 @@ mod tests {
             std::fs::read(p("full.tsv")).unwrap()
         );
 
-        // `stats` also inventories a plain LBECHK2 file.
-        let msg = run(&format!("index stats --index {}", p("full.lbe"))).unwrap();
-        assert!(msg.contains("stored"));
-
+        // `index` builds only through its subcommands: the bare build of
+        // the single-file container is gone, and writes nothing.
+        let err = run(&format!(
+            "index --db {} --out {}",
+            p("pep.fasta"),
+            p("bare")
+        ))
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("init|append|compact|gc|stats"),
+            "{err}"
+        );
+        assert!(!std::path::Path::new(&p("bare")).exists());
         assert!(run(&format!("index bogus --index {}", p("store"))).is_err());
         assert!(run(&format!(
             "index init --db {} --out {}",
@@ -1812,14 +1818,14 @@ mod tests {
         ))
         .unwrap();
         run(&format!(
-            "index --db {} --out {}",
+            "index init --db {} --out {}",
             p("pep.fasta"),
-            p("i.slm")
+            p("i")
         ))
         .unwrap();
         let msg = run(&format!(
             "search --index {} --queries {} --out {}",
-            p("i.slm"),
+            p("i"),
             p("q.mzML"),
             p("r.tsv")
         ))
@@ -1892,14 +1898,14 @@ mod tests {
         let f = std::fs::File::create(p("q.mgf")).unwrap();
         lbe_spectra::mgf::write_mgf(f, &spectra).unwrap();
         run(&format!(
-            "index --db {} --out {}",
+            "index init --db {} --out {}",
             p("pep.fasta"),
-            p("i.slm")
+            p("i")
         ))
         .unwrap();
         let msg = run(&format!(
             "search --index {} --queries {} --out {}",
-            p("i.slm"),
+            p("i"),
             p("q.mgf"),
             p("r.tsv")
         ))
@@ -1923,9 +1929,9 @@ mod tests {
         ))
         .unwrap();
         let err = run(&format!(
-            "index --db {} --out {} --mods sumo",
+            "index init --db {} --out {} --mods sumo",
             p("pep.fasta"),
-            p("i.slm")
+            p("i")
         ))
         .unwrap_err();
         assert!(err.to_string().contains("none|oxidation|paper"));
@@ -1961,22 +1967,22 @@ mod tests {
         let p = search_fixture("resident_budget");
         // Small chunks so the container really has several.
         let msg = run(&format!(
-            "index --db {} --out {} --chunk-size 25",
+            "index init --db {} --out {} --chunk-size 25",
             p("pep.fasta"),
-            p("i.lbe")
+            p("i")
         ))
         .unwrap();
         assert!(msg.contains("chunk(s)"));
         run(&format!(
             "search --index {} --queries {} --out {}",
-            p("i.lbe"),
+            p("i"),
             p("q.ms2"),
             p("all.tsv")
         ))
         .unwrap();
         let msg = run(&format!(
             "search --index {} --queries {} --out {} --max-resident-chunks 1",
-            p("i.lbe"),
+            p("i"),
             p("q.ms2"),
             p("one.tsv")
         ))
@@ -1989,7 +1995,7 @@ mod tests {
         );
         assert!(run(&format!(
             "search --index {} --queries {} --out {} --max-resident-chunks -1",
-            p("i.lbe"),
+            p("i"),
             p("q.ms2"),
             p("bad.tsv")
         ))
@@ -2000,14 +2006,14 @@ mod tests {
     fn search_csv_output_shape() {
         let p = search_fixture("csv_search");
         run(&format!(
-            "index --db {} --out {}",
+            "index init --db {} --out {}",
             p("pep.fasta"),
-            p("i.lbe")
+            p("i")
         ))
         .unwrap();
         run(&format!(
             "search --index {} --queries {} --out {} --csv --top-k 2",
-            p("i.lbe"),
+            p("i"),
             p("q.ms2"),
             p("r.csv")
         ))
@@ -2085,6 +2091,7 @@ mod tests {
         const BINPTR: [u8; 8] = section_name("binptr");
         vec![
             ("an LBESLM1 index file", b"LBESLM1\0".to_vec()),
+            ("an LBECHK2 chunked container", b"LBECHK2\0".to_vec()),
             (
                 "without a binmap + binptr bin directory",
                 rewrite(current, |name, p| match name {
@@ -2125,18 +2132,18 @@ mod tests {
             .unwrap_err()
             .to_string();
             assert!(
-                err.contains(layout) && err.contains("no longer read; rebuild with `lbe index`"),
+                err.contains(layout) && err.contains("no longer read; rebuild with `lbe index"),
                 "{layout}: {err}"
             );
             assert!(!std::path::Path::new(&out).exists(), "{layout}");
             let err = run(&format!("index stats --index {file}"))
                 .unwrap_err()
                 .to_string();
-            let kind = match layout.contains("LBESLM1") {
-                true => "is not an LBECHK2 chunked container",
-                false => "is a single-index LBESLM2 file",
+            let what = match image.starts_with(lbe_index::io::MAGIC_V2) {
+                true => format!("{file} is a single-index LBESLM2 file"),
+                false => format!("{file}: {layout} is no longer read"),
             };
-            assert!(err.contains(&format!("{file} {kind}")), "{layout}: {err}");
+            assert!(err.contains(&what), "{layout}: {err}");
         }
     }
 
@@ -2184,7 +2191,7 @@ mod tests {
             .to_string();
         assert!(
             err.contains(&format!("{file} is a single-index LBESLM2 file"))
-                && err.contains("LBECHK2 chunked container file or a generation store"),
+                && err.contains("chunk statistics read a generation store directory"),
             "{err}"
         );
     }
@@ -2223,12 +2230,14 @@ mod tests {
     fn index_rejects_zero_chunk_size() {
         let p = search_fixture("zero_chunk");
         let err = run(&format!(
-            "index --db {} --out {} --chunk-size 0",
+            "index init --db {} --out {} --chunk-size 0",
             p("pep.fasta"),
-            p("i.lbe")
+            p("i")
         ))
         .unwrap_err();
         assert!(err.to_string().contains("chunk-size"));
+        // Refused on the command line, before a directory is made.
+        assert!(!std::path::Path::new(&p("i")).exists());
     }
 
     #[test]
@@ -2248,16 +2257,16 @@ mod tests {
         .unwrap();
         for mods in ["none", "oxidation", "paper"] {
             run(&format!(
-                "index --db {} --out {} --mods {mods}",
+                "index init --db {} --out {} --mods {mods}",
                 p("pep.fasta"),
-                p("i.slm")
+                p(&format!("i_{mods}"))
             ))
             .unwrap();
         }
         assert!(run(&format!(
-            "index --db {} --out {} --mods bogus",
+            "index init --db {} --out {} --mods bogus",
             p("pep.fasta"),
-            p("i.slm")
+            p("i")
         ))
         .is_err());
     }
@@ -2273,14 +2282,16 @@ mod tests {
         .unwrap();
         // `index --digest` takes the raw proteome directly...
         let msg = run(&format!(
-            "index --db {} --out {} --digest",
+            "index init --db {} --out {} --digest",
             p("prot.fasta"),
-            p("i.lbe")
+            p("i")
         ))
         .unwrap();
         assert!(msg.contains("unique peptides"));
-        assert!(msg.contains("indexed"));
-        // ...and produces the same index file as the two-step path.
+        assert!(msg.contains("initialized generation store"));
+        // ...and produces the same chunks as the two-step path (the
+        // manifests differ: only a streamed digest knows each peptide's
+        // protein and missed cleavages).
         run(&format!(
             "digest --in {} --out {}",
             p("prot.fasta"),
@@ -2288,14 +2299,15 @@ mod tests {
         ))
         .unwrap();
         run(&format!(
-            "index --db {} --out {}",
+            "index init --db {} --out {}",
             p("pep.fasta"),
-            p("i2.lbe")
+            p("i2")
         ))
         .unwrap();
+        let stats = |dir: &str| run(&format!("index stats --index {}", p(dir))).unwrap();
         assert_eq!(
-            std::fs::read(p("i.lbe")).unwrap(),
-            std::fs::read(p("i2.lbe")).unwrap(),
+            stats("i"),
+            stats("i2"),
             "--digest index differs from digest-then-index"
         );
         // `simulate --digest` runs end-to-end on the raw proteome too.
@@ -2340,14 +2352,14 @@ mod tests {
         ))
         .unwrap();
         run(&format!(
-            "index --db {} --out {}",
+            "index init --db {} --out {}",
             p("pep.fasta"),
-            p("i.lbe")
+            p("i")
         ))
         .unwrap();
         let msg = run(&format!(
             "search --index {} --queries {} --out {}",
-            p("i.lbe"),
+            p("i"),
             p("q.mgf"),
             p("r.tsv")
         ))
@@ -2361,14 +2373,14 @@ mod tests {
         // Same spectra, no extension: content sniffing must kick in.
         std::fs::copy(p("q.ms2"), p("queries_noext")).unwrap();
         run(&format!(
-            "index --db {} --out {}",
+            "index init --db {} --out {}",
             p("pep.fasta"),
-            p("i.lbe")
+            p("i")
         ))
         .unwrap();
         let msg = run(&format!(
             "search --index {} --queries {} --out {}",
-            p("i.lbe"),
+            p("i"),
             p("queries_noext"),
             p("r.tsv")
         ))
@@ -2448,14 +2460,14 @@ mod tests {
         let text = text.replacen("      <spectrum ", &format!("{ms1}      <spectrum "), 1);
         std::fs::write(p("q.mzML"), text).unwrap();
         run(&format!(
-            "index --db {} --out {}",
+            "index init --db {} --out {}",
             p("pep.fasta"),
-            p("i.lbe")
+            p("i")
         ))
         .unwrap();
         let msg = run(&format!(
             "search --index {} --queries {} --out {}",
-            p("i.lbe"),
+            p("i"),
             p("q.mzML"),
             p("r.tsv")
         ))

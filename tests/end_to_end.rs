@@ -6,7 +6,9 @@ use lbe::core::engine::{run_distributed_search, EngineConfig};
 use lbe::core::grouping::{group_peptides, GroupingParams};
 use lbe::core::partition::PartitionPolicy;
 use lbe::core::pipeline::PipelineBuilder;
-use lbe::index::{ChunkStore, ChunkedIndex, IndexBuilder, Searcher, SlmConfig};
+use lbe::index::{
+    ChunkStore, GenerationStore, IndexBuilder, QueryOptions, SearchResult, Searcher, SlmConfig,
+};
 use lbe::spectra::preprocess::{preprocess_spectrum, PreprocessParams};
 use lbe::spectra::synthetic::{SyntheticDataset, SyntheticDatasetParams};
 
@@ -234,17 +236,17 @@ fn chunked_index_agrees_with_distributed_candidates() {
         .map(|s| preprocess_spectrum(s, &pre))
         .collect();
 
-    let path = tmp_container("e2e_vs_dist.lbe");
-    ChunkedIndex::build(db, SlmConfig::default(), ModSpec::none(), 100)
-        .write_path(&path)
-        .unwrap();
-    let mut chunked = ChunkStore::open_path(&path, usize::MAX).unwrap();
+    let dir = tmp_store("e2e_vs_dist");
+    GenerationStore::init(&dir, db, SlmConfig::default(), ModSpec::none(), 100).unwrap();
+    let mut chunked = ChunkStore::open_generation_dir(&dir, usize::MAX).unwrap();
     let grouping = group_peptides(db, &GroupingParams::default());
     let cfg = EngineConfig::with_policy(PartitionPolicy::Chunk);
     let dist = run_distributed_search(db, &grouping, &queries, &cfg, 4);
 
     for (qi, q) in queries.iter().enumerate() {
-        let c = chunked.search(q).unwrap();
+        let c = chunked
+            .search_with_opts(q, &QueryOptions::default())
+            .unwrap();
         let mut ca: Vec<(u32, u16)> = c.psms.iter().map(|p| (p.peptide, p.shared_peaks)).collect();
         let mut da: Vec<(u32, u16)> = dist.psms[qi]
             .iter()
@@ -254,7 +256,7 @@ fn chunked_index_agrees_with_distributed_candidates() {
         da.sort_unstable();
         assert_eq!(ca, da, "query {qi}");
     }
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -304,7 +306,7 @@ fn footprint_overhead_master_only() {
 
 #[test]
 fn disk_backed_index_is_transparent_end_to_end() {
-    // The full pipeline's database, written as a v2 chunked container and
+    // The full pipeline's database, written as a generation store and
     // searched disk-backed with a one-chunk residency budget, must produce
     // the same results as the all-resident store — and rank what one index
     // over the same database ranks — across the facade crate, the storage
@@ -327,22 +329,28 @@ fn disk_backed_index_is_transparent_end_to_end() {
         .map(|s| preprocess_spectrum(s, &pre))
         .collect();
 
-    let chunked = ChunkedIndex::build(db, SlmConfig::default(), ModSpec::none(), 40);
-    assert!(chunked.num_chunks() > 1, "fixture must exercise chunking");
-    let path = tmp_container("e2e_disk_backed.lbe");
-    chunked.write_path(&path).unwrap();
+    let dir = tmp_store("e2e_disk_backed");
+    GenerationStore::init(&dir, db, SlmConfig::default(), ModSpec::none(), 40).unwrap();
+    let search_all = |store: &mut ChunkStore| -> Vec<SearchResult> {
+        queries
+            .iter()
+            .map(|q| store.search_with_opts(q, &QueryOptions::default()))
+            .collect::<std::io::Result<_>>()
+            .unwrap()
+    };
 
-    let mut resident = ChunkStore::open_path(&path, usize::MAX).unwrap();
-    let in_memory = resident.search_batch(&queries).unwrap();
+    let mut resident = ChunkStore::open_generation_dir(&dir, usize::MAX).unwrap();
+    assert!(resident.num_chunks() > 1, "fixture must exercise chunking");
+    let in_memory = search_all(&mut resident);
     assert_eq!(resident.stats().evictions, 0);
 
-    let mut store = ChunkStore::open_path(&path, 1).unwrap();
-    let disk_backed = store.search_batch(&queries).unwrap();
+    let mut store = ChunkStore::open_generation_dir(&dir, 1).unwrap();
+    let disk_backed = search_all(&mut store);
     assert_eq!(disk_backed, in_memory);
     assert!(store.num_resident() <= 1);
     assert!(store.stats().evictions > 0);
 
-    let rows = |rs: &[lbe::index::SearchResult]| -> Vec<Vec<(u32, u16, u16, u32)>> {
+    let rows = |rs: &[SearchResult]| -> Vec<Vec<(u32, u16, u16, u32)>> {
         rs.iter()
             .map(|r| {
                 r.psms
@@ -356,12 +364,12 @@ fn disk_backed_index_is_transparent_end_to_end() {
     let (single, _) = Searcher::new(&single).search_batch(&queries);
     assert_eq!(rows(&in_memory), rows(&single));
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A scratch path for one test's container file.
-fn tmp_container(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("lbe_e2e_containers");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// A fresh (pre-cleaned) path for one test's generation store.
+fn tmp_store(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("lbe_e2e_stores").join(name);
+    std::fs::remove_dir_all(&dir).ok();
+    dir
 }

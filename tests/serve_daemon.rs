@@ -41,9 +41,10 @@ fn corpus_index() -> &'static str {
     INDEX.get_or_init(|| {
         let d = tmpdir("fixture");
         let pep = d.join("pep.fasta").to_string_lossy().to_string();
-        let idx = d.join("corpus.lbe").to_string_lossy().to_string();
+        let idx = d.join("corpus_store").to_string_lossy().to_string();
+        std::fs::remove_dir_all(&idx).ok();
         cli(&format!("digest --in {} --out {pep}", data("corpus.fasta")));
-        cli(&format!("index --db {pep} --out {idx}"));
+        cli(&format!("index init --db {pep} --out {idx}"));
         idx
     })
 }
@@ -419,10 +420,13 @@ fn bad_index_paths_are_clean_errors() {
     std::fs::write(&garbage, b"NOTANIDX________").unwrap();
     assert!(ResidentEngine::open(&garbage, usize::MAX).is_err());
 
-    // A real container truncated in half fails validation.
-    let whole = std::fs::read(corpus_index()).unwrap();
-    let truncated = d.join("truncated.lbe");
-    std::fs::write(&truncated, &whole[..whole.len() / 2]).unwrap();
+    // A real store whose manifest is truncated in half fails validation.
+    let store = std::path::Path::new(corpus_index());
+    let whole = std::fs::read(store.join("MANIFEST-000001")).unwrap();
+    let truncated = d.join("truncated_store");
+    std::fs::create_dir_all(&truncated).unwrap();
+    std::fs::copy(store.join("CURRENT"), truncated.join("CURRENT")).unwrap();
+    std::fs::write(truncated.join("MANIFEST-000001"), &whole[..whole.len() / 2]).unwrap();
     assert!(ResidentEngine::open(&truncated, usize::MAX).is_err());
 
     // The CLI surfaces the same failure without ever printing a banner.

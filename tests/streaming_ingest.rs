@@ -41,10 +41,11 @@ fn golden_corpus_cli_reports_match_committed() {
         p("pep.fasta")
     ));
     assert!(msg.contains("6 proteins"), "{msg}");
+    std::fs::remove_dir_all(d.join("store")).ok();
     cli(&format!(
-        "index --db {} --out {}",
+        "index init --db {} --out {}",
         p("pep.fasta"),
-        p("c.lbe")
+        p("store")
     ));
     for (queries, expected) in [
         ("corpus.ms2", "expected_search_text.tsv"),
@@ -53,7 +54,7 @@ fn golden_corpus_cli_reports_match_committed() {
     ] {
         cli(&format!(
             "search --index {} --queries {} --out {}",
-            p("c.lbe"),
+            p("store"),
             data(queries),
             p("report.tsv")
         ));
@@ -63,10 +64,13 @@ fn golden_corpus_cli_reports_match_committed() {
     }
 }
 
-/// `lbe index` over the checked-in corpus must write the exact bytes the
-/// committed length + CRC32 pairs describe — one chunk and many, with and
-/// without modforms. The search goldens above only pin what a search
-/// *finds*; this pins entry order, posting order and the container layout.
+/// `lbe index init` over the checked-in corpus must write the exact store
+/// the committed rows describe — one chunk and many, with and without
+/// modforms: per configuration, the length and CRC-32 of `MANIFEST-000001`,
+/// then each chunk's raw image length and content hash (its blob's name) as
+/// `lbe index stats` prints them. The search goldens above only pin what a
+/// search *finds*; this pins entry order, posting order, the bin directory
+/// and the layout of every chunk, and the manifest around them.
 #[test]
 fn golden_corpus_index_bytes_match_committed() {
     let d = tmpdir("index_crc");
@@ -76,25 +80,40 @@ fn golden_corpus_index_bytes_match_committed() {
         data("corpus.fasta"),
         p("pep.fasta")
     ));
-    let want = std::fs::read_to_string(data("expected_index.crc")).unwrap();
-    let rows: Vec<&str> = want.lines().filter(|l| !l.starts_with('#')).collect();
-    assert_eq!(rows.len(), 4, "expected_index.crc lost a row");
-    for row in rows {
-        let f: Vec<&str> = row.split('\t').collect();
-        let (mods, chunk, bytes, crc) = (f[0], f[1], f[2], f[3]);
-        let chunk_flag = match chunk {
-            "default" => String::new(),
-            n => format!(" --chunk-size {n}"),
-        };
-        cli(&format!(
-            "index --db {} --out {} --mods {mods}{chunk_flag}",
-            p("pep.fasta"),
-            p("c.lbe")
-        ));
-        let got = std::fs::read(p("c.lbe")).unwrap();
-        let got = format!("{}\t{:08x}", got.len(), lbe::index::format::crc32(&got));
-        assert_eq!(got, format!("{bytes}\t{crc}"), "index bytes drifted: {row}");
+    let mut got = Vec::new();
+    for mods in ["none", "paper"] {
+        for chunk in ["default", "64"] {
+            let chunk_flag = match chunk {
+                "default" => String::new(),
+                n => format!(" --chunk-size {n}"),
+            };
+            let store = p(&format!("{mods}_{chunk}"));
+            std::fs::remove_dir_all(&store).ok();
+            cli(&format!(
+                "index init --db {} --out {store} --mods {mods}{chunk_flag}",
+                p("pep.fasta")
+            ));
+            let manifest = std::fs::read(format!("{store}/MANIFEST-000001")).unwrap();
+            got.push(format!(
+                "{mods}\t{chunk}\tMANIFEST-000001\t{}\t{:08x}",
+                manifest.len(),
+                lbe::index::format::crc32(&manifest)
+            ));
+            // Chunk rows: `chunk hash gen live comp raw stored [lo, hi]`.
+            let stats = cli(&format!("index stats --index {store}"));
+            got.extend(
+                stats
+                    .lines()
+                    .map(|l| l.split_whitespace().collect::<Vec<_>>())
+                    .filter(|f| f.len() > 7 && f[1].len() == 16 && f[0].parse::<usize>().is_ok())
+                    .map(|f| format!("{mods}\t{chunk}\tchunk{}\t{}\t{}", f[0], f[5], f[1])),
+            );
+        }
     }
+    let want = std::fs::read_to_string(data("expected_index.crc")).unwrap();
+    let want: Vec<&str> = want.lines().filter(|l| !l.starts_with('#')).collect();
+    assert_eq!(want.len(), 28, "expected_index.crc lost a row");
+    assert_eq!(got, want, "index bytes drifted");
 }
 
 /// The generation store CI's lifecycle step builds — `init --chunk-size 64`
