@@ -6,12 +6,14 @@
 //! points take per-request [`QueryOptions`] so a daemon can serve mixed
 //! scan-mode/tolerance/top-k requests from one resident index.
 //!
-//! Thread-safety model: the chunked backend's LRU residency makes
-//! [`ChunkStore::search_with_opts`] `&mut self`, so it sits behind a
-//! `Mutex` and waves run sequentially under the lock; the single-index
-//! backend is immutable and fans a wave out across `minipool` workers via
-//! [`search_batch_parallel_with_opts`], recycling one scratch allocation
-//! for the sequential path.
+//! Thread-safety model: the chunked backend's residency (which chunks are
+//! resident, their eviction credits, one recycled scratch) makes
+//! [`ChunkStore::search_wave`] `&mut self`, so it sits behind a `Mutex`
+//! and a whole wave is one `search_wave` call under the lock — chunk-major,
+//! on one thread, each chunk the wave needs faulted at most once; the
+//! single-index backend is immutable and fans a wave out across `minipool`
+//! workers via [`search_batch_parallel_with_opts`], recycling one scratch
+//! allocation for the sequential path.
 
 use lbe_index::io::ReadOptions;
 use lbe_index::{
@@ -83,7 +85,8 @@ impl ResidentEngine {
         preprocess_spectrum(raw, &self.preprocess)
     }
 
-    /// Searches one (already preprocessed) spectrum under `opts`.
+    /// Searches one (already preprocessed) spectrum under `opts` — on a
+    /// generation store, a wave of one.
     pub fn search_one(&self, query: &Spectrum, opts: &QueryOptions) -> io::Result<SearchResult> {
         match &self.backend {
             Backend::Chunked(store) => store
@@ -122,27 +125,25 @@ impl ResidentEngine {
     ///
     /// The single-index backend groups jobs by identical options and runs
     /// each group as one [`search_batch_parallel_with_opts`] batch on
-    /// `num_threads` pool workers; the chunked backend takes the store
-    /// lock once and answers the wave sequentially (its LRU state is the
-    /// shared mutable resource). The deadline is checked per job (chunked)
-    /// or per options group (single): a search already dispatched runs to
-    /// completion — the deadline bounds *queueing*, it does not abort
-    /// compute mid-query. Every job that runs produces a result
-    /// bit-identical to [`ResidentEngine::search_one`] on the same job.
+    /// `num_threads` pool workers, checking the deadline before each
+    /// group. The chunked backend takes the store lock once and makes one
+    /// [`ChunkStore::search_wave`] call, which walks the wave chunk by
+    /// chunk and checks the deadline before each chunk: a job started
+    /// means one of its chunks was searched, and a started job runs to
+    /// completion — the deadline bounds *queueing*, it does not abort a
+    /// job midway. Every job that runs produces a result bit-identical to
+    /// [`ResidentEngine::search_one`] on the same job.
     pub fn search_wave_deadline(
         &self,
         jobs: &[(Spectrum, QueryOptions)],
         num_threads: usize,
         deadline: Option<std::time::Instant>,
     ) -> Vec<Option<io::Result<SearchResult>>> {
-        let expired = || deadline.is_some_and(|d| std::time::Instant::now() >= d);
         match &self.backend {
-            Backend::Chunked(store) => {
-                let mut guard = store.lock().expect("chunk store lock poisoned");
-                jobs.iter()
-                    .map(|(q, opts)| (!expired()).then(|| guard.search_with_opts(q, opts)))
-                    .collect()
-            }
+            Backend::Chunked(store) => store
+                .lock()
+                .expect("chunk store lock poisoned")
+                .search_wave(jobs, deadline),
             Backend::Single { index, .. } => {
                 // Group job indices by options; each distinct options set
                 // becomes one parallel batch. Waves are small (bounded by
@@ -157,7 +158,7 @@ impl ResidentEngine {
                 let mut out: Vec<Option<io::Result<SearchResult>>> =
                     (0..jobs.len()).map(|_| None).collect();
                 for (opts, idxs) in groups {
-                    if expired() {
+                    if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
                         continue; // whole group degraded
                     }
                     let batch: Vec<Spectrum> = idxs.iter().map(|&i| jobs[i].0.clone()).collect();

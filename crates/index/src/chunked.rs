@@ -13,8 +13,17 @@
 //! one on-disk form of a chunked index. It is the §II-B observation that
 //! chunks "may be stored on disks when not in use" made real: it holds at
 //! most a configured number of chunks resident, faulting them in from
-//! their blob files on demand and evicting least-recently-used ones; a
-//! budget of `usize::MAX` is the all-resident index.
+//! their blob files on demand; a budget of `usize::MAX` is the
+//! all-resident index.
+//!
+//! Two choices keep a paging store from re-reading what it just dropped.
+//! A wave of queries is searched **chunk-major**
+//! ([`ChunkStore::search_wave`]): each chunk any job of the wave needs is
+//! visited once — the resident ones first — and every job that touches it
+//! is searched while it is resident, so a wave faults each chunk at most
+//! once. And a full cache evicts by **GreedyDual** weighted caching
+//! (N. Young, *Algorithmica* 1994; Cao & Irani, USITS 1997), priced in
+//! the chunk's decoded bytes: what is costly to re-fault stays longer.
 
 use crate::config::SlmConfig;
 use crate::footprint::StorageFootprint;
@@ -24,8 +33,10 @@ use crate::lifecycle::BlobRef;
 use crate::query::{QueryOptions, QueryStats, SearchResult, Searcher};
 use crate::slm::SlmIndex;
 use lbe_spectra::spectrum::Spectrum;
+use std::borrow::Borrow;
 use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
@@ -101,13 +112,26 @@ pub struct ResidencyStats {
     pub faults: u64,
     /// Chunks evicted to stay within the resident budget.
     pub evictions: u64,
+    /// Decoded image bytes faulted in: the manifest's `raw_len` summed over
+    /// every fault. Comparable across eviction policies where a mean time
+    /// per fault is not, since a policy changes which chunks fault.
+    pub fault_bytes: u64,
 }
 
 /// A disk-backed chunked index with **lazy chunk residency**: at most
-/// `max_resident` chunks are held in memory;
-/// [`ChunkStore::search_with_opts`] faults the chunks a query needs from
-/// disk on demand and evicts the least-recently-used resident chunk when
-/// over budget — the paper's "stored on disks when not in use" made real.
+/// `max_resident` chunks are held in memory; [`ChunkStore::search_wave`]
+/// faults the chunks a wave of queries needs from disk on demand — the
+/// paper's "stored on disks when not in use" made real.
+///
+/// **Eviction is GreedyDual, priced in bytes.** Every access to chunk `c`,
+/// hit or fault, gives it the credit `floor + raw_len[c]` (its decoded
+/// image bytes, from the manifest). When a fault finds the budget full it
+/// evicts the resident chunk of least credit — of those, the least
+/// recently used — and raises `floor` to the victim's credit, so chunks
+/// that are not touched again age towards eviction whatever their size. A
+/// large chunk survives longer than a small one used as recently, since
+/// re-faulting it costs more. Integers, deterministic, no parameter; when
+/// every chunk has the same size it evicts in exactly LRU order.
 ///
 /// Backed by a generation-store directory
 /// ([`ChunkStore::open_generation_dir`]), whose chunks live as
@@ -126,9 +150,9 @@ pub struct ResidencyStats {
 /// to the next. An all-resident store sizes each buffer to its chunk.
 ///
 /// Search results are bit-identical for any budget (tested down to
-/// `max_resident = 1`), and rank exactly as one monolithic index over the
-/// same peptides does; `usize::MAX` keeps every chunk resident once
-/// faulted.
+/// `max_resident = 1`), any wave size and any job order, and rank exactly
+/// as one monolithic index over the same peptides does; `usize::MAX`
+/// keeps every chunk resident once faulted.
 #[derive(Debug)]
 pub struct ChunkStore {
     /// The generation-store directory.
@@ -143,8 +167,12 @@ pub struct ChunkStore {
     intervals: Vec<(f64, f64)>,
     global_ids: Vec<Vec<u32>>,
     resident: Vec<Option<SlmIndex>>,
-    /// Last-access tick per chunk (0 = never).
-    last_used: Vec<u64>,
+    /// Eviction priority per chunk, `(credit, last-access tick)`: the
+    /// resident chunk with the least is the next victim (see the type's
+    /// docs).
+    priority: Vec<(u64, u64)>,
+    /// GreedyDual's floor: the credit of the last victim.
+    floor: u64,
     tick: u64,
     max_resident: usize,
     read_opts: ReadOptions,
@@ -191,7 +219,8 @@ impl ChunkStore {
             intervals,
             global_ids,
             resident: (0..n).map(|_| None).collect(),
-            last_used: vec![0; n],
+            priority: vec![(0, 0); n],
+            floor: 0,
             tick: 0,
             max_resident,
             read_opts: *opts,
@@ -230,13 +259,10 @@ impl ChunkStore {
         }
         let n = blobs.len();
         let mut resident: Vec<Option<SlmIndex>> = (0..n).map(|_| None).collect();
-        let mut last_used = vec![0u64; n];
         for (i, b) in blobs.iter().enumerate() {
             if let Some(chunk) = parked.remove(&b.hash) {
                 if check_gid_cover(&chunk, &global_ids[i]).is_ok() {
-                    self.tick += 1;
                     resident[i] = Some(chunk);
-                    last_used[i] = self.tick;
                 }
             }
         }
@@ -246,7 +272,11 @@ impl ChunkStore {
         self.intervals = intervals;
         self.global_ids = global_ids;
         self.resident = resident;
-        self.last_used = last_used;
+        // A carried-over chunk counts as accessed now.
+        self.priority = vec![(0, 0); n];
+        for ci in self.resident_chunks() {
+            self.touch(ci);
+        }
         Ok(true)
     }
 
@@ -275,7 +305,7 @@ impl ChunkStore {
         self.max_resident
     }
 
-    /// Cumulative hit/fault/eviction counters.
+    /// Cumulative hit/fault/eviction counters and faulted bytes.
     pub fn stats(&self) -> ResidencyStats {
         self.stats
     }
@@ -313,7 +343,7 @@ impl ChunkStore {
     }
 
     /// Makes chunk `ci` resident, faulting it from disk (and evicting the
-    /// least-recently-used resident chunk if over budget).
+    /// resident chunk of least GreedyDual credit if the budget is full).
     ///
     /// **Every fault verifies the bytes it just read** — nothing remembers
     /// that a hash or a path was good last time, because a blob can rot
@@ -331,22 +361,22 @@ impl ChunkStore {
     /// for (O(ions) by default), and the id-table cover check closes it.
     /// Whatever fails the blob is prefixed `chunk blob <hash>:`.
     fn ensure_resident(&mut self, ci: usize) -> std::io::Result<()> {
-        self.tick += 1;
         if self.resident[ci].is_some() {
             self.stats.hits += 1;
-            self.last_used[ci] = self.tick;
+            self.touch(ci);
             return Ok(());
         }
         while self.num_resident() >= self.max_resident {
-            let lru = self
+            let victim = self
                 .resident
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| c.is_some())
-                .min_by_key(|&(i, _)| self.last_used[i])
+                .min_by_key(|&(i, _)| self.priority[i])
                 .map(|(i, _)| i)
                 .expect("resident count >= budget >= 1");
-            self.spare = self.resident[lru]
+            self.floor = self.priority[victim].0;
+            self.spare = self.resident[victim]
                 .take()
                 .and_then(SlmIndex::into_unshared_arena);
             self.stats.evictions += 1;
@@ -354,16 +384,26 @@ impl ChunkStore {
         let opts = self.read_opts;
         let into = self.image_buffer();
         let b = self.blobs[ci];
+        let gids = &self.global_ids[ci];
         let chunk = read_generation_blob(&self.dir, b, into, &mut self.read_buf)
             .and_then(|image| io::read_v2_parsed(image, &opts))
+            .and_then(|chunk| check_gid_cover(&chunk, gids).map(|()| chunk))
             .map_err(|e| {
                 std::io::Error::new(e.kind(), format!("chunk blob {:016x}: {e}", b.hash))
             })?;
-        check_gid_cover(&chunk, &self.global_ids[ci])?;
         self.resident[ci] = Some(chunk);
-        self.last_used[ci] = self.tick;
+        self.touch(ci);
         self.stats.faults += 1;
+        self.stats.fault_bytes += b.raw_len;
         Ok(())
+    }
+
+    /// Records an access to chunk `ci`: its credit becomes the floor plus
+    /// the bytes a re-fault would decode, and it becomes the most recently
+    /// used.
+    fn touch(&mut self, ci: usize) {
+        self.tick += 1;
+        self.priority[ci] = (self.floor + self.blobs[ci].raw_len, self.tick);
     }
 
     /// The buffer the next fault decodes into (see the type's docs): while
@@ -388,28 +428,96 @@ impl ChunkStore {
         self.blobs.iter().map(|b| b.raw_len).max().unwrap_or(0) as usize
     }
 
-    /// Searches one query under per-request [`QueryOptions`], faulting in
-    /// the chunks its precursor window touches: a tolerance override
-    /// narrows (or widens) both the chunk selection and every per-chunk
-    /// band; a top-k override bounds the per-chunk heaps and the merged
-    /// result. [`QueryOptions::default`] searches under the store's own
+    /// Searches one query under per-request [`QueryOptions`]: a wave of
+    /// one (see [`ChunkStore::search_wave`]). A tolerance override narrows
+    /// (or widens) both the chunk selection and every per-chunk band; a
+    /// top-k override bounds the per-chunk heaps and the merged result.
+    /// [`QueryOptions::default`] searches under the store's own
     /// configuration.
     pub fn search_with_opts(
         &mut self,
         query: &Spectrum,
         opts: &QueryOptions,
     ) -> std::io::Result<SearchResult> {
-        let tol = opts.effective_tolerance(&self.config);
-        let top_k = opts.effective_top_k(&self.config);
-        let mut psms = Vec::new();
-        let mut stats = QueryStats::default();
-        let touched = intervals_overlapping(&self.intervals, query.precursor_neutral_mass(), tol);
-        for ci in touched {
-            self.ensure_resident(ci)?;
+        self.search_wave(&[(query, *opts)], None)
+            .pop()
+            .flatten()
+            .expect("without a deadline every job runs")
+    }
+
+    /// Searches a wave of `(spectrum, options)` jobs **chunk-major**,
+    /// returning results in job order.
+    ///
+    /// Each job's chunk set is the chunks its precursor window overlaps
+    /// under its own effective tolerance. The union of those sets is
+    /// visited once — the resident chunks first, then the rest, each in
+    /// ascending order — and while a chunk is resident every job that
+    /// touches it is searched on it, with one recycled scratch. A job keeps
+    /// a running top-k, merged by [`crate::query::rank_cmp`] and truncated
+    /// after each chunk, and sums its [`QueryStats`]. `rank_cmp` is a
+    /// total order, so each result is bit-identical to the job searched
+    /// alone, whatever the wave's size or order. Since resident chunks go
+    /// first, no fault evicts a chunk the wave has still to visit: a wave
+    /// faults each chunk at most once.
+    ///
+    /// A chunk whose fault fails gives its error (`chunk blob <hash>: …`)
+    /// to exactly the jobs that touch it, which are not searched further;
+    /// the wave's other jobs complete, and nothing of the failure is
+    /// remembered for the next wave.
+    ///
+    /// `deadline` is checked before each chunk. Once it has passed, jobs
+    /// that have had no chunk searched are left out and return `None`;
+    /// jobs already started finish. Without a deadline every job returns
+    /// `Some`.
+    pub fn search_wave<S: Borrow<Spectrum>>(
+        &mut self,
+        jobs: &[(S, QueryOptions)],
+        deadline: Option<Instant>,
+    ) -> Vec<Option<std::io::Result<SearchResult>>> {
+        let mut visits: Vec<(usize, usize)> = Vec::new(); // (chunk, job)
+        for (j, (q, opts)) in jobs.iter().enumerate() {
+            let q: &Spectrum = q.borrow();
+            let tol = opts.effective_tolerance(&self.config);
+            visits.extend(
+                intervals_overlapping(&self.intervals, q.precursor_neutral_mass(), tol)
+                    .into_iter()
+                    .map(|ci| (ci, j)),
+            );
+        }
+        visits.sort_unstable_by_key(|&(ci, j)| (self.resident[ci].is_none(), ci, j));
+
+        // Per job: `None` until its first chunk is searched, then its
+        // running result, or the error that ended it.
+        let mut out: Vec<Option<std::io::Result<SearchResult>>> =
+            jobs.iter().map(|_| None).collect();
+        let empty = || SearchResult {
+            psms: Vec::new(),
+            stats: QueryStats::default(),
+        };
+        let passed = || deadline.is_some_and(|d| Instant::now() >= d);
+        let mut expired = passed();
+        for visit in visits.chunk_by(|a, b| a.0 == b.0) {
+            let ci = visit[0].0;
+            expired = expired || passed();
+            let live = |state: &Option<std::io::Result<SearchResult>>| match state {
+                None => !expired,
+                Some(r) => r.is_ok(),
+            };
+            if !visit.iter().any(|&(_, j)| live(&out[j])) {
+                continue;
+            }
+            if let Err(e) = self.ensure_resident(ci) {
+                for &(_, j) in visit {
+                    if live(&out[j]) {
+                        out[j] = Some(Err(std::io::Error::new(e.kind(), e.to_string())));
+                    }
+                }
+                continue;
+            }
             let chunk = self.resident[ci].as_ref().expect("just made resident");
-            // Recycle one scratch across chunks and queries: sized once to
-            // the largest needed band instead of zero-allocated per visit.
-            // Scratch reuse is invisible in results (tested).
+            // Recycle one scratch across chunks, jobs and waves: sized once
+            // to the largest needed band instead of zero-allocated per
+            // visit. Scratch reuse is invisible in results (tested).
             // Mapped: PSMs carry global peptide ids before the per-chunk
             // top-k truncates, so tie order matches a monolithic search.
             let mut searcher = Searcher::with_scratch_mapped(
@@ -417,18 +525,34 @@ impl ChunkStore {
                 std::mem::take(&mut self.scratch),
                 &self.global_ids[ci],
             );
-            let r = searcher.search_with_opts(query, opts);
+            for &(_, j) in visit {
+                if !live(&out[j]) {
+                    continue;
+                }
+                let (q, opts) = &jobs[j];
+                let r = searcher.search_with_opts(q.borrow(), opts);
+                let Ok(acc) = out[j].get_or_insert_with(|| Ok(empty())) else {
+                    unreachable!("a failed job is not live");
+                };
+                acc.stats.accumulate(&r.stats);
+                acc.psms.extend(r.psms);
+                // Best first: score descending (a total order, so crafted
+                // NaN-bearing inputs cannot panic the sort) with the
+                // `(peptide, modform)` tie-break, which never mentions
+                // entry ids — the merged ranking is what one index over all
+                // the peptides would return.
+                acc.psms.sort_by(crate::query::rank_cmp);
+                acc.psms.truncate(opts.effective_top_k(&self.config));
+            }
             self.scratch = searcher.into_scratch();
-            stats.accumulate(&r.stats);
-            psms.extend(r.psms);
         }
-        // Merge best-first: score descending (a total order, so crafted
-        // NaN-bearing inputs cannot panic the sort) with the `(peptide,
-        // modform)` tie-break, which never mentions entry ids — the merged
-        // ranking is what one index over all the peptides would return.
-        psms.sort_by(crate::query::rank_cmp);
-        psms.truncate(top_k);
-        Ok(SearchResult { psms, stats })
+        // A job whose window touches no chunk has nothing to search.
+        for state in &mut out {
+            if state.is_none() && !expired {
+                *state = Some(Ok(empty()));
+            }
+        }
+        out
     }
 }
 
@@ -704,32 +828,81 @@ mod tests {
             "fixture must put an exact-score tie across the top-k cut"
         );
 
-        // One pass over every job on a freshly opened store: the results
-        // and what the residency layer did to produce them.
-        let pass = |path: &Path, budget: usize| {
+        // What every other way of searching must reproduce: the store
+        // searched one job at a time, all resident — whole results, PSMs
+        // with their entry ids and all six work counters.
+        let one_at_a_time = |path: &Path| -> Vec<SearchResult> {
+            let mut store = ChunkStore::open_generation_dir(path, usize::MAX).unwrap();
+            jobs.iter()
+                .map(|(opts, q)| store.search_with_opts(q, opts).unwrap())
+                .collect()
+        };
+        let seed = 0xC0FF_EE5E_u64;
+        eprintln!("job-order shuffle seed {seed:#x}");
+        let orders = [
+            ("given", (0..jobs.len()).collect::<Vec<_>>()),
+            ("reversed", (0..jobs.len()).rev().collect()),
+            ("shuffled", shuffled(jobs.len(), seed)),
+        ];
+        // One pass over every job on a freshly opened store, `order`ed and
+        // cut into waves of `wave` jobs — each wave mixes tolerances unless
+        // it is one job: the results in job order and what the residency
+        // layer did to produce them.
+        let pass = |path: &Path, budget: usize, order: &[usize], wave: usize| {
             let mut store = ChunkStore::open_generation_dir(path, budget).unwrap();
             assert!(store.num_chunks() > 4, "{path:?} must exercise chunking");
-            let results: Vec<SearchResult> = jobs
-                .iter()
-                .map(|(opts, q)| store.search_with_opts(q, opts).unwrap())
-                .collect();
-            assert!(store.num_resident() <= budget);
-            (results, store.stats(), store.resident_heap_bytes())
+            let mut results: Vec<Option<SearchResult>> = vec![None; jobs.len()];
+            for part in order.chunks(wave) {
+                let batch: Vec<(&Spectrum, QueryOptions)> =
+                    part.iter().map(|&j| (jobs[j].1, jobs[j].0)).collect();
+                for (&j, r) in part.iter().zip(store.search_wave(&batch, None)) {
+                    results[j] = Some(r.expect("no deadline").unwrap());
+                }
+                assert!(store.num_resident() <= budget);
+            }
+            let results: Vec<SearchResult> = results.into_iter().map(Option::unwrap).collect();
+            (results, store.stats(), store.num_chunks())
         };
         for path in sources {
-            let resident = pass(path, usize::MAX);
-            assert_eq!(resident.1.evictions, 0);
-            assert_eq!(rows(&resident.0), expect, "{path:?} vs one index");
-            for budget in [1usize, 2] {
-                // Whole results: PSMs with their entry ids, and all six
-                // work counters.
-                assert_eq!(
-                    pass(path, budget).0,
-                    resident.0,
-                    "{path:?}, budget {budget}"
-                );
+            let want = one_at_a_time(path);
+            assert_eq!(rows(&want), expect, "{path:?} vs one index");
+            for budget in [1usize, 2, usize::MAX] {
+                for (name, order) in &orders {
+                    for wave in [1, 3, jobs.len()] {
+                        let case = format!(
+                            "{path:?}, budget {budget}, {name} order (seed {seed:#x}), waves of {wave}"
+                        );
+                        let (got, stats, chunks) = pass(path, budget, order, wave);
+                        assert_eq!(got, want, "{case}");
+                        if budget == usize::MAX {
+                            assert_eq!(stats.evictions, 0, "{case}");
+                        }
+                        if wave == jobs.len() {
+                            assert!(stats.faults <= chunks as u64, "{case}: {stats:?}");
+                        }
+                    }
+                }
             }
         }
+    }
+
+    /// splitmix64: the seeded tests' deterministic noise.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `0..n` in a Fisher–Yates order drawn from `seed`.
+    fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+        let mut state = seed;
+        let mut out: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            out.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+        }
+        out
     }
 
     // -----------------------------------------------------------------------
@@ -786,11 +959,16 @@ mod tests {
         default_search(&mut store, &perfect_query(b"PEPTIDEK")).unwrap();
         let s1 = store.stats();
         assert_eq!((s1.faults, s1.evictions, s1.hits), (3, 2, 0));
+        let all_bytes: u64 = store.blobs.iter().map(|b| b.raw_len).sum();
+        assert_eq!(s1.fault_bytes, all_bytes);
+        let kept = store.blobs[store.resident_chunks()[0]].raw_len;
         assert_eq!(store.num_resident(), 1);
-        // A second query re-faults everything (thrash at budget 1)...
+        // A second query visits the chunk still resident first, then
+        // re-faults the other two (thrash at budget 1)...
         default_search(&mut store, &perfect_query(b"GGGGGK")).unwrap();
         let s2 = store.stats();
-        assert_eq!((s2.faults, s2.evictions), (6, 5));
+        assert_eq!((s2.faults, s2.evictions, s2.hits), (5, 4, 1));
+        assert_eq!(s2.fault_bytes, all_bytes + all_bytes - kept);
         assert!(store.resident_heap_bytes() > 0);
 
         // ...while an all-resident store faults each chunk exactly once.
@@ -803,23 +981,141 @@ mod tests {
     }
 
     #[test]
-    fn store_lru_evicts_least_recently_used() {
-        // Closed search with budget 2: touching chunks {0,1}, then {2},
-        // must evict chunk 0 (least recent), keeping chunk 1... then
-        // touching {1} is a hit.
+    fn store_evicts_the_chunk_of_least_credit() {
+        // Closed 1 Da searches of one chunk each, budget 2 of 3. An access
+        // gives a chunk the credit floor + its decoded bytes, and a fault
+        // evicts the least credit and raises the floor to it: among chunks
+        // used since the last eviction the smaller goes first, while older
+        // chunks age out. Twice here the victim is one LRU would keep.
         let cfg = SlmConfig::default().with_precursor_tolerance(1.0);
-        let dir = store_of("lru", &db(), cfg, ModSpec::none(), 2);
+        let dir = store_of("least_credit", &db(), cfg, ModSpec::none(), 2);
         let mut store = ChunkStore::open_generation_dir(&dir, 2).unwrap();
-        // Fault 0 then 1 directly through the public search path.
-        let m0 = lbe_bio::aa::peptide_neutral_mass(b"GGGGGK").unwrap();
-        let chunks0 = store.chunks_for_query(m0);
-        assert!(chunks0.contains(&0));
-        for seq in [&b"GGGGGK"[..], b"PEPTIDEK", b"ELVISLIVESK"] {
-            default_search(&mut store, &perfect_query(seq)).unwrap();
+        let size: Vec<u64> = store.blobs.iter().map(|b| b.raw_len).collect();
+        assert!(size[0] < size[1] && size[1] < size[2], "{size:?}");
+        let seqs = [&b"GGGGGK"[..], b"PEPTIDEK", b"ELVISLIVESK"];
+        for (ci, seq) in seqs.iter().enumerate() {
+            let mass = perfect_query(seq).precursor_neutral_mass();
+            assert_eq!(store.chunks_for_query(mass), vec![ci]);
         }
-        // Budget respected throughout.
-        assert!(store.num_resident() <= 2);
-        assert!(store.stats().evictions >= 1);
+        // (chunk searched, resident chunks after it)
+        for (ci, resident) in [
+            (1, vec![1]),    // credit s1
+            (0, vec![0, 1]), // credit s0
+            (2, vec![1, 2]), // evicts 0: s0 < s1, though 1 is older; floor s0
+            (0, vec![0, 2]), // evicts 1: s1 < s0 + s2; floor s1
+            (1, vec![1, 2]), // evicts 0: s1 + s0 < s0 + s2, though 2 is older
+        ] {
+            default_search(&mut store, &perfect_query(seqs[ci])).unwrap();
+            assert_eq!(store.resident_chunks(), resident, "after chunk {ci}");
+        }
+        let s = store.stats();
+        assert_eq!((s.faults, s.evictions, s.hits), (5, 3, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// GreedyDual as its definition reads, over a resident set keyed by
+    /// chunk: `(credit, last access)` per resident chunk, and the counters
+    /// a [`ChunkStore`] keeps.
+    #[derive(Default)]
+    struct GreedyDualModel {
+        floor: u64,
+        tick: u64,
+        resident: std::collections::BTreeMap<usize, (u64, u64)>,
+        stats: ResidencyStats,
+    }
+
+    impl GreedyDualModel {
+        fn access(&mut self, ci: usize, bytes: u64, budget: usize) {
+            self.tick += 1;
+            if self.resident.contains_key(&ci) {
+                self.stats.hits += 1;
+            } else {
+                if self.resident.len() == budget {
+                    let (&victim, &(credit, _)) =
+                        self.resident.iter().min_by_key(|(_, &p)| p).unwrap();
+                    self.floor = credit;
+                    self.resident.remove(&victim);
+                    self.stats.evictions += 1;
+                }
+                self.stats.faults += 1;
+                self.stats.fault_bytes += bytes;
+            }
+            self.resident.insert(ci, (self.floor + bytes, self.tick));
+        }
+    }
+
+    /// A store of one peptide per chunk; `seqs` of distinct lengths give
+    /// chunks of distinct sizes.
+    fn one_per_chunk(name: &str, seqs: &[&str]) -> (PathBuf, Vec<u64>) {
+        let dir = store_of(name, &db_of(seqs), SlmConfig::default(), ModSpec::none(), 1);
+        let store = ChunkStore::open_generation_dir(&dir, 1).unwrap();
+        let sizes = store.blobs.iter().map(|b| b.raw_len).collect();
+        (dir, sizes)
+    }
+
+    #[test]
+    fn eviction_matches_a_greedy_dual_reference_model() {
+        let seqs = [
+            "GK",
+            "GGGGGK",
+            "PEPTIDEK",
+            "ELVISLIVESK",
+            "WWWWWWWWWWWWWWK",
+            "SAMPLERSAMPLERSAMPLERK",
+        ];
+        let (dir, sizes) = one_per_chunk("greedy_dual_model", &seqs);
+        let n = sizes.len();
+        let mut distinct = sizes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), n, "chunks must differ in size: {sizes:?}");
+        for seed in 1..=6u64 {
+            let mut state = seed;
+            for budget in 1..n {
+                let mut store = ChunkStore::open_generation_dir(&dir, budget).unwrap();
+                let mut model = GreedyDualModel::default();
+                for step in 0..48 {
+                    let ci = (splitmix(&mut state) % n as u64) as usize;
+                    store.ensure_resident(ci).unwrap();
+                    model.access(ci, sizes[ci], budget);
+                    let want: Vec<usize> = model.resident.keys().copied().collect();
+                    let case = format!("seed {seed}, budget {budget}, step {step}");
+                    assert_eq!(store.resident_chunks(), want, "{case}");
+                    assert_eq!(store.stats(), model.stats, "{case}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn equal_sized_chunks_evict_in_lru_order() {
+        let seqs = ["AAAAAAK", "GGGGGGK", "SSSSSSK", "VVVVVVK"];
+        let (dir, sizes) = one_per_chunk("equal_sizes", &seqs);
+        assert!(sizes.iter().all(|&b| b == sizes[0]), "{sizes:?}");
+        let seed = 7;
+        let mut state = seed;
+        for budget in 1..seqs.len() {
+            let mut store = ChunkStore::open_generation_dir(&dir, budget).unwrap();
+            let mut lru: Vec<usize> = Vec::new(); // least recently used first
+            for step in 0..40 {
+                let ci = (splitmix(&mut state) % seqs.len() as u64) as usize;
+                store.ensure_resident(ci).unwrap();
+                match lru.iter().position(|&c| c == ci) {
+                    Some(at) => _ = lru.remove(at),
+                    None if lru.len() == budget => _ = lru.remove(0),
+                    None => {}
+                }
+                lru.push(ci);
+                let mut want = lru.clone();
+                want.sort_unstable();
+                assert_eq!(
+                    store.resident_chunks(),
+                    want,
+                    "seed {seed}, budget {budget}, step {step}"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -832,15 +1128,17 @@ mod tests {
             ModSpec::none(),
             2,
         );
-        // Budget 2 of 3 chunks, cycling: every visit faults and every fault
-        // after the second evicts, so two buffers, each sized for the
-        // largest chunk, carry every chunk in turn.
+        // Budget 2 of 3 chunks, each access to the one chunk not resident
+        // — the last victim, whichever the policy picked: every access
+        // faults and every fault after the second evicts, so two buffers,
+        // each sized for the largest chunk, carry every chunk in turn.
         let mut store = ChunkStore::open_generation_dir(&dir, 2).unwrap();
         let n = store.num_chunks();
         assert_eq!(n, 3);
         let largest = store.largest_image();
         let mut buffers = std::collections::HashSet::new();
-        for ci in (0..n).cycle().take(4 * n) {
+        for _ in 0..4 * n {
+            let ci = (0..n).find(|&c| store.resident[c].is_none()).unwrap();
             store.ensure_resident(ci).unwrap();
             let chunk = store.resident[ci].as_ref().unwrap();
             let (start, capacity) = chunk.arena_allocation().unwrap();
@@ -940,6 +1238,85 @@ mod tests {
                 assert!(err.to_string().contains(expect), "{what}: {err}");
             }
             std::fs::remove_file(blob_path(&dir, reseat.hash)).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_fault_fails_exactly_the_jobs_that_touch_its_chunk() {
+        let cfg = SlmConfig {
+            resolution: 0.1,
+            top_k: 3,
+            ..SlmConfig::default()
+        };
+        let dir = store_of("wave_failure", &tie_db(), cfg, ModSpec::none(), 4);
+        let jobs: Vec<(Spectrum, QueryOptions)> = [
+            ("PEPTIDEIAIK", 0.01),
+            ("SAMPLERLGGLR", 0.01),
+            ("MNKQMGGR", 1.0),
+            ("ELVISLIVESK", 0.01),
+            ("WWYYFFHHK", 500.0),
+            ("TAMPIERIGGIR", f64::INFINITY),
+        ]
+        .iter()
+        .map(|&(seq, tol)| {
+            let opts = QueryOptions {
+                precursor_tolerance: Some(tol),
+                ..Default::default()
+            };
+            (perfect_query(seq.as_bytes()), opts)
+        })
+        .collect();
+        let (clean, touches, hash) = {
+            let mut store = ChunkStore::open_generation_dir(&dir, usize::MAX).unwrap();
+            let clean: Vec<SearchResult> = store
+                .search_wave(&jobs, None)
+                .into_iter()
+                .map(|r| r.unwrap().unwrap())
+                .collect();
+            // The damaged chunk: the first 0.01 Da job's, which other jobs
+            // of the wave do not touch.
+            let chunks = |(q, opts): &(Spectrum, QueryOptions)| {
+                let tol = opts.effective_tolerance(&store.config);
+                intervals_overlapping(&store.intervals, q.precursor_neutral_mass(), tol)
+            };
+            let bad = chunks(&jobs[0])[0];
+            let touches: Vec<bool> = jobs.iter().map(|j| chunks(j).contains(&bad)).collect();
+            (clean, touches, store.blobs[bad].hash)
+        };
+        assert!(touches.iter().any(|&t| !t), "{touches:?}");
+        let path = blob_path(&dir, hash);
+        let pristine = std::fs::read(&path).unwrap();
+        let mut bent = pristine.clone();
+        bent[pristine.len() / 2] ^= 0x01;
+        for budget in [1, 2, usize::MAX] {
+            std::fs::write(&path, &bent).unwrap();
+            let mut store = ChunkStore::open_generation_dir(&dir, budget).unwrap();
+            let results = store.search_wave(&jobs, None);
+            for (j, r) in results.into_iter().enumerate() {
+                let r = r.expect("no deadline");
+                match touches[j] {
+                    true => {
+                        let err = r.expect_err(&format!("budget {budget}, job {j}"));
+                        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                        let msg = err.to_string();
+                        assert!(
+                            msg.starts_with(&format!("chunk blob {hash:016x}: ")),
+                            "{msg}"
+                        );
+                    }
+                    false => assert_eq!(r.unwrap(), clean[j], "budget {budget}, job {j}"),
+                }
+            }
+            // No verdict sticks: with the blob restored, the next wave on
+            // the same store answers every job.
+            std::fs::write(&path, &pristine).unwrap();
+            let again: Vec<SearchResult> = store
+                .search_wave(&jobs, None)
+                .into_iter()
+                .map(|r| r.unwrap().unwrap())
+                .collect();
+            assert_eq!(again, clean, "budget {budget}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1460,7 +1460,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_generation_chunks_evict_by_recency_not_generation() {
+    fn mixed_generation_chunks_evict_by_credit_not_generation() {
         let d = tmpdir("evict_order");
         let cfg = SlmConfig::default().with_precursor_tolerance(0.5);
         // Gen 1: chunks 0 (light) and 1 (heavy, hi = +∞); gen 2: chunk 2.
@@ -1469,27 +1469,36 @@ mod tests {
         writer.append(&sub(&db6(), 4..6)).unwrap();
         let mut store = ChunkStore::open_generation_dir(&d, 2).unwrap();
         assert_eq!(store.num_chunks(), 3);
+        // Eviction credit is priced in decoded bytes: chunk 2, the newest,
+        // is smaller than chunk 1 and larger than chunk 0.
+        let size: Vec<u64> = writer
+            .stats()
+            .unwrap()
+            .records
+            .iter()
+            .filter(|r| !r.tombstone)
+            .map(|r| r.raw_len)
+            .collect();
+        assert!(size[0] < size[2] && size[2] < size[1], "{size:?}");
 
         store
             .search_with_opts(&perfect_query(b"GGGGGK"), &QueryOptions::default())
-            .unwrap(); // fault 0
+            .unwrap(); // fault 0: credit s0
         assert_eq!(store.resident_chunks(), vec![0]);
         store
             .search_with_opts(&perfect_query(b"WWWWWWK"), &QueryOptions::default())
-            .unwrap(); // fault 1 (+∞ tail) and 2
-                       // Chunk 0 — least recently used — was evicted, even though chunk 1
-                       // is from the same old generation as chunk 0 and chunk 2 is newer.
+            .unwrap(); // fault 1 (+∞ tail): credit s1; fault 2, evicting 0 (s0 < s1)
         assert_eq!(store.resident_chunks(), vec![1, 2]);
         store
             .search_with_opts(&perfect_query(b"WWWWWWK"), &QueryOptions::default())
-            .unwrap(); // hits 1, 2
+            .unwrap(); // hits 1, then 2: credits s0 + s1 and s0 + s2
         store
             .search_with_opts(&perfect_query(b"GGGGGK"), &QueryOptions::default())
-            .unwrap(); // fault 0, evict LRU = 1
+            .unwrap(); // fault 0, evicting 2 (s0 + s2 < s0 + s1)
         assert_eq!(
             store.resident_chunks(),
-            vec![0, 2],
-            "the gen-1 chunk used least recently is evicted; the newer-used gen-2 chunk stays"
+            vec![0, 1],
+            "the smaller chunk is evicted though it was used last; generation plays no part"
         );
         let s = store.stats();
         assert_eq!((s.faults, s.evictions, s.hits), (4, 2, 2));

@@ -614,10 +614,14 @@ fn search<W: Write>(args: &Args, out: &mut W) -> Result<(), CmdError> {
     let mut sink = std::io::BufWriter::new(std::fs::File::create(output)?);
     writeln!(sink, "{}", result_header(sep))?;
 
+    // The whole file is one wave: a generation store visits each chunk
+    // once for all the queries. Rows go out in query order up to the
+    // first failed query, whose error ends the command.
+    let jobs: Vec<(Spectrum, QueryOptions)> =
+        queries.into_iter().map(|q| (q, query_opts)).collect();
     let mut total_psms = 0usize;
-    for q in &queries {
-        let r = engine.search_one(q, &query_opts)?;
-        total_psms += write_result_rows(&mut sink, q.scan, &r.psms, top_k, sep)?;
+    for ((q, _), r) in jobs.iter().zip(engine.search_wave(&jobs, 1)) {
+        total_psms += write_result_rows(&mut sink, q.scan, &r?.psms, top_k, sep)?;
     }
     sink.flush()?;
     let backend = engine.backend_summary();
@@ -625,12 +629,12 @@ fn search<W: Write>(args: &Args, out: &mut W) -> Result<(), CmdError> {
         Some(n) => writeln!(
             out,
             "searched {} spectra against {n} indexed spectra ({backend}), wrote {total_psms} PSMs to {output}",
-            queries.len(),
+            jobs.len(),
         )?,
         None => writeln!(
             out,
             "searched {} spectra ({backend}), wrote {total_psms} PSMs to {output}",
-            queries.len(),
+            jobs.len(),
         )?,
     }
     Ok(())
@@ -1987,7 +1991,14 @@ mod tests {
             p("one.tsv")
         ))
         .unwrap();
-        assert!(msg.contains("faults"));
+        // The query file is one wave: each chunk is faulted once, even
+        // with one resident at a time.
+        let counts: Vec<&str> = msg.split(['(', ' ', ',']).collect();
+        let chunks = counts[counts.iter().position(|&w| w == "chunks").unwrap() - 1];
+        assert!(
+            msg.contains(&format!("({chunks} chunks, {chunks} faults,")),
+            "{msg}"
+        );
         // Identical result files: residency is invisible in the output.
         assert_eq!(
             std::fs::read_to_string(p("all.tsv")).unwrap(),

@@ -825,6 +825,98 @@ fn generous_wave_deadline_never_degrades() {
     assert_eq!(stats.degraded, 0);
 }
 
+/// A deadline that passes mid-wave on a generation store degrades exactly
+/// the jobs none of whose chunks had been searched by then: every other
+/// job finishes with its full result — the open job that started on the
+/// first chunk included, though most of its chunks come after the
+/// deadline.
+#[test]
+fn a_deadline_mid_wave_degrades_only_jobs_not_started() {
+    use lbe::index::{ChunkStore, GenerationStore, SlmConfig};
+    use std::time::{Duration, Instant};
+    corpus_index();
+    let db = lbe::core::ingest::load_peptide_db(tmpdir("fixture").join("pep.fasta")).unwrap();
+    let dir = tmpdir("mid_wave").join("store");
+    std::fs::remove_dir_all(&dir).ok();
+    // 0.01 Da by the store's own configuration; 16 peptides a chunk.
+    let closed = SlmConfig::default().with_precursor_tolerance(0.01);
+    GenerationStore::init(&dir, &db, closed, lbe::bio::mods::ModSpec::none(), 16).unwrap();
+
+    // Budget 1, so every wave starts cold but for one chunk: a fresh
+    // engine has none resident and visits the chunks in ascending order,
+    // so a job starts at its lowest chunk.
+    let open = || ResidentEngine::open(&dir, 1).unwrap();
+    let engine = open();
+    let raw: Vec<Spectrum> = SpectrumReader::open(data("corpus.ms2"))
+        .unwrap()
+        .map(|s| s.unwrap())
+        .collect();
+    let everything = QueryOptions {
+        precursor_tolerance: Some(f64::INFINITY),
+        ..Default::default()
+    };
+    let mut jobs = vec![(engine.preprocess(&raw[0]), everything)];
+    jobs.extend(
+        raw.iter()
+            .map(|s| (engine.preprocess(s), QueryOptions::default())),
+    );
+    let store = ChunkStore::open_generation_dir(&dir, 1).unwrap();
+    let first: Vec<Option<usize>> = std::iter::once(Some(0))
+        .chain(jobs[1..].iter().map(|(q, _)| {
+            store
+                .chunks_for_query(q.precursor_neutral_mass())
+                .first()
+                .copied()
+        }))
+        .collect();
+    assert!(store.num_chunks() > 8, "{}", store.num_chunks());
+
+    let start = Instant::now();
+    let full: Vec<_> = engine
+        .search_wave(&jobs, 1)
+        .into_iter()
+        .map(|r| r.unwrap())
+        .collect();
+    let whole = start.elapsed();
+
+    let mut mid_wave = 0;
+    for attempt in 0..40u32 {
+        let engine = open();
+        let share = [0.5, 0.3, 0.7, 0.4, 0.6][attempt as usize % 5];
+        let deadline = Instant::now() + Duration::from_secs_f64(whole.as_secs_f64() * share);
+        let got = engine.search_wave_deadline(&jobs, 1, Some(deadline));
+        // The first chunk the deadline stopped: no job starting there or
+        // later ran, every job starting earlier finished.
+        let cut = (0..jobs.len())
+            .filter(|&j| got[j].is_none())
+            .filter_map(|j| first[j])
+            .min()
+            .unwrap_or(usize::MAX);
+        for (j, r) in got.iter().enumerate() {
+            let case = format!(
+                "attempt {attempt}, job {j} from chunk {:?}, cut {cut}",
+                first[j]
+            );
+            match r {
+                Some(r) => {
+                    assert!(first[j].is_none_or(|c| c < cut), "{case}");
+                    assert_eq!(r.as_ref().unwrap(), &full[j], "{case}");
+                }
+                None => assert!(first[j].is_none_or(|c| c >= cut), "{case}"),
+            }
+        }
+        let degraded = got.iter().filter(|r| r.is_none()).count();
+        if degraded > 0 && degraded < jobs.len() - 1 {
+            mid_wave += 1;
+            if mid_wave == 3 {
+                break;
+            }
+        }
+    }
+    assert!(mid_wave > 0, "no deadline fell inside a wave of {whole:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Idle reap: a connection that goes quiet past the idle timeout gets a
 /// clean `Bye` and an orderly close — while an *active* connection on the
 /// same server keeps working, and the reap is not a protocol error.
