@@ -4,11 +4,10 @@
 //! The paper's pipeline is one SPMD program, and it exists here once:
 //!
 //! * `rank_share` is a rank's **work** — extract its peptide partition
-//!   from the clustered database, build its *partial* SLM index
-//!   (optionally spilling it to disk and reopening it), search every query
-//!   against it. It sends nothing and depends only on `(db, partition,
-//!   rank, queries, cfg)`, so any process can compute any rank's share and
-//!   get the same bytes.
+//!   from the clustered database, build its *partial* SLM index, search
+//!   every query against it. It sends nothing and depends only on `(db,
+//!   partition, rank, queries, cfg)`, so any process can compute any
+//!   rank's share and get the same bytes.
 //! * `search_program` is the **protocol** around it: charge the virtual
 //!   clock for the share through [`SearchCostModel`] (serial preprocessing,
 //!   extraction, build), barrier — the paper times querying separately
@@ -201,14 +200,6 @@ pub struct EngineConfig {
     /// policy is used unchanged (exposing the imbalance mis-prediction
     /// causes).
     pub weight_partition_by_speed: bool,
-    /// When set, each rank **spills its partial index to disk** after
-    /// construction (one v2 `LBESLM2` file per rank under this directory)
-    /// and reopens it arena-backed for the query phase — the paper's §II-B
-    /// "stored on disks when not in use" applied to `simulate`, whose
-    /// owned per-rank indexes otherwise hold the whole database in memory
-    /// simultaneously. Results are bit-identical to the in-memory run
-    /// (tested); spill files are left behind for inspection/reuse.
-    pub spill_dir: Option<std::path::PathBuf>,
     /// Posting-scan mode for every rank's query phase:
     /// [`lbe_index::ScanMode::Auto`] (the default) lets closed searches
     /// take the banded precursor-filtered kernel;
@@ -224,8 +215,7 @@ pub struct EngineConfig {
     /// a whole-proteome pass. The file must contain the same records the
     /// `db` passed to [`run_distributed_search`] was loaded from; results
     /// are bit-identical to the in-memory extraction (tested). Mismatched
-    /// files are environment errors and panic with context, like
-    /// [`EngineConfig::spill_dir`].
+    /// files are environment errors and panic with context.
     pub stream_db_from: Option<std::path::PathBuf>,
 }
 
@@ -242,7 +232,6 @@ impl EngineConfig {
             rank_speeds: None,
             weight_partition_by_speed: false,
             scan_mode: lbe_index::ScanMode::Auto,
-            spill_dir: None,
             stream_db_from: None,
         }
     }
@@ -492,30 +481,6 @@ fn rank_share(
     let t_build = Instant::now();
     let index = build_partial_index(&local_db, cfg);
 
-    // Optional disk spill: write the freshly built index as a v2 container,
-    // drop the owned arrays, and reopen arena-backed. The rank then
-    // searches views into one load-time buffer instead of three owned Vecs
-    // — and the file stays behind, so a production deployment can skip the
-    // build entirely on the next run. I/O failures here are programming/
-    // environment errors (unwritable spill_dir), not data-dependent, so
-    // they surface as a panic with context rather than silently degrading
-    // to the in-memory path.
-    let index = match &cfg.spill_dir {
-        None => index,
-        Some(dir) => {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| panic!("cannot create spill dir {}: {e}", dir.display()));
-            let path = dir.join(format!("rank{rank:04}.slm2"));
-            lbe_index::write_index_path(&path, &index).unwrap_or_else(|e| {
-                panic!("cannot spill rank {rank} index to {}: {e}", path.display())
-            });
-            drop(index);
-            // This process wrote the file one line above: checksums still
-            // verify it, but the full O(ions) validation scan is skipped.
-            lbe_index::read_index_path_with(&path, &lbe_index::ReadOptions::trusted())
-                .unwrap_or_else(|e| panic!("cannot reopen spilled index {}: {e}", path.display()))
-        }
-    };
     let build_time = t_build.elapsed().as_secs_f64();
 
     // The master (rank 0) also holds the mapping table: one id per peptide
@@ -747,8 +712,8 @@ pub(crate) fn extract_local_db(
 /// the mapping table) are identical to the in-memory extraction.
 ///
 /// I/O or content mismatches here are environment errors (wrong/modified
-/// file), not data-dependent conditions, so — like `spill_dir` failures —
-/// they panic with context rather than silently degrading.
+/// file), not data-dependent conditions, so they panic with context rather
+/// than silently degrading.
 fn stream_partition_db(path: &std::path::Path, rank_gids: &[u32], me: usize) -> PeptideDb {
     use std::collections::HashMap;
     let slot_of: HashMap<u32, usize> = rank_gids
@@ -1083,34 +1048,6 @@ mod tests {
         );
         // Results unchanged.
         assert_eq!(r_w.total_candidates, r_u.total_candidates);
-    }
-
-    #[test]
-    fn disk_spilled_ranks_match_in_memory_run_exactly() {
-        let dir = std::env::temp_dir().join("lbe_engine_spill_test");
-        std::fs::remove_dir_all(&dir).ok();
-        let in_mem = EngineConfig::with_policy(PartitionPolicy::Cyclic);
-        let mut spilled = in_mem.clone();
-        spilled.spill_dir = Some(dir.clone());
-        let r_mem = run_with_cfg(&in_mem, 3);
-        let r_spill = run_with_cfg(&spilled, 3);
-        // Disk round-tripping every rank's index must be invisible in the
-        // results: same PSMs, counters, and virtual times.
-        assert_eq!(r_mem.psms, r_spill.psms);
-        assert_eq!(r_mem.per_rank_stats, r_spill.per_rank_stats);
-        assert_eq!(r_mem.total_candidates, r_spill.total_candidates);
-        assert_eq!(r_mem.rank_query_times, r_spill.rank_query_times);
-        assert_eq!(r_mem.footprints, r_spill.footprints);
-        // One v2 container per rank is left behind, each independently
-        // reloadable.
-        for rank in 0..3 {
-            let path = dir.join(format!("rank{rank:04}.slm2"));
-            let idx = lbe_index::read_index_path(&path)
-                .unwrap_or_else(|e| panic!("rank {rank} spill unreadable: {e}"));
-            assert!(idx.is_arena_backed());
-            assert_eq!(idx.num_spectra(), r_spill.index_spectra[rank]);
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Writes `db` as the peptide-per-record FASTA the streaming path

@@ -107,7 +107,7 @@ pub struct ReadOptions {
     ///
     /// **On by default** — a file that loads must be safe to search
     /// (an out-of-range posting id would otherwise panic mid-query).
-    /// Disable it only for trusted files, e.g. a spill file this process
+    /// Disable it only for trusted files, e.g. an index this process
     /// just wrote, where the O(ions) pass is pure overhead.
     pub full_validation: bool,
 }

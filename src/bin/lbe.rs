@@ -5,8 +5,8 @@
 //! lbe digest         --in prot.fasta --out peptides.fasta
 //! lbe cluster-db     --in peptides.fasta --out clustered.fasta
 //! lbe synth-queries  --db peptides.fasta --out queries.ms2 --n 500
-//! lbe index          --db clustered.fasta --out index.slm --mods paper
-//! lbe search         --index index.slm --queries queries.ms2 --out psms.tsv
+//! lbe index init     --db clustered.fasta --out store --mods paper
+//! lbe search         --index store --queries queries.ms2 --out psms.tsv
 //! lbe simulate       --db peptides.fasta --queries queries.ms2 --ranks 16 --policy cyclic
 //! ```
 //!

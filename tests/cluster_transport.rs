@@ -367,6 +367,22 @@ fn cluster_cli_rejects_backend_misuse() {
     assert!(err.contains("cluster needs a mode"), "{err}");
     let err = cli("cluster search --sim --ranks 0 --db x --queries y --out z").unwrap_err();
     assert!(err.contains("--ranks must be at least 1"), "{err}");
+    // `cluster build` takes none of the search flags: they are refused
+    // before any work, and no bench file is written.
+    let bench = tmpdir("build_flags").join("b.json");
+    std::fs::remove_file(&bench).ok();
+    let err = cli(&format!(
+        "cluster build --sim --db x --out y --top-k 3 --queries nope.ms2 --bench-out {}",
+        bench.display()
+    ))
+    .unwrap_err();
+    assert!(err.starts_with("cluster build: unknown option --"), "{err}");
+    assert!(!bench.exists());
+    let err = cli("cluster build --sim --supervise --db x --out y").unwrap_err();
+    assert!(
+        err.starts_with("cluster build: unknown option --supervise"),
+        "{err}"
+    );
 }
 
 #[test]
