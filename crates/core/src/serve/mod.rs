@@ -40,7 +40,7 @@ use lbe_index::{QueryOptions, ScanMode};
 use lbe_spectra::spectrum::{Peak, Spectrum};
 use proto::{ProtoError, Request, Response};
 use std::io::{self, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,6 +50,15 @@ use std::time::Duration;
 /// How long a blocked reader/waiter sleeps between checks of the stop
 /// flag. Bounds shutdown latency for idle connections.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// How long one reply write may block on a client that has stopped
+/// reading (its socket buffers full) before the connection counts as
+/// broken: the writer thread then closes the socket and drains its queue
+/// without writing, still releasing admission slots. Without it the writer
+/// would park in `write` for good, and shutdown, which joins every
+/// connection's writer, with it. The same patience a client caught
+/// mid-frame gets at shutdown.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How many poll intervals a reader keeps waiting for the *rest* of a
 /// frame after shutdown begins (a client caught mid-frame gets ~2 s of
@@ -496,10 +505,13 @@ fn read_frame_interruptible(
 /// latency to one pacing period (the cluster links in `tcp.rs` set it for
 /// the same reason). The writer thread flushes once per drained reply queue,
 /// so disabling Nagle does not mean a segment per frame. The read timeout is
-/// what lets the reader poll the stop flag and the idle clock.
+/// what lets the reader poll the stop flag and the idle clock; the write
+/// timeout ([`WRITE_TIMEOUT`]) is what frees the writer from a client that
+/// stopped reading.
 fn configure_accepted(stream: &TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(POLL_INTERVAL))
+    stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))
 }
 
 /// One connection: a reader loop on this thread plus a writer thread, so
@@ -556,6 +568,13 @@ fn handle_connection(
                         }
                         Err(_) => broken = true,
                     }
+                }
+                if broken {
+                    // A failed or timed-out write may have left half a
+                    // frame: close the socket, so the client sees the end,
+                    // the reader stops admitting, and dropping `sink` does
+                    // not wait out another timeout flushing the rest.
+                    let _ = sink.get_ref().shutdown(Shutdown::Both);
                 }
             }
         })
@@ -855,18 +874,25 @@ mod tests {
         let (accepted, _) = listener.accept().unwrap();
         assert!(!accepted.nodelay().unwrap(), "Nagle is the OS default");
         assert_eq!(accepted.read_timeout().unwrap(), None);
+        assert_eq!(accepted.write_timeout().unwrap(), None);
         configure_accepted(&accepted).unwrap();
         assert!(accepted.nodelay().unwrap());
-        // The kernel keeps the timeout in clock ticks: 50 ms reads back as
+        // The kernel keeps a timeout in clock ticks: 50 ms reads back as
         // 52 ms at 250 Hz.
-        let timeout = accepted.read_timeout().unwrap().expect("a read timeout");
-        assert!(
-            (POLL_INTERVAL..POLL_INTERVAL + Duration::from_millis(10)).contains(&timeout),
-            "{timeout:?}"
-        );
+        let ticks = |set: Duration, got: Option<Duration>| {
+            let got = got.expect("a timeout");
+            assert!(
+                (set..set + Duration::from_millis(10)).contains(&got),
+                "{got:?}"
+            );
+        };
+        ticks(POLL_INTERVAL, accepted.read_timeout().unwrap());
+        ticks(WRITE_TIMEOUT, accepted.write_timeout().unwrap());
         // The options belong to the socket, so the writer thread's clone of
         // the stream has them too.
-        assert!(accepted.try_clone().unwrap().nodelay().unwrap());
+        let writer = accepted.try_clone().unwrap();
+        assert!(writer.nodelay().unwrap());
+        ticks(WRITE_TIMEOUT, writer.write_timeout().unwrap());
         drop(client);
     }
 }

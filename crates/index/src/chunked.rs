@@ -93,7 +93,7 @@ fn read_generation_blob(
     let image = if crate::compress::is_compressed_blob(bytes) {
         crate::compress::decompress_verified(bytes, MAGIC_V2, into)?
     } else {
-        into.reset_zeroed(bytes.len());
+        into.reset_for_overwrite(bytes.len());
         into.as_mut_slice().copy_from_slice(bytes);
         VerifiedImage::verify(into, MAGIC_V2)?
     };
@@ -930,7 +930,10 @@ mod tests {
                     .build(&PeptideDb::from_vec(local.collect()));
                 let faulted = store.resident[ci].as_ref().unwrap();
                 assert_eq!(faulted, &built, "{name} chunk {ci}");
-                assert!(faulted.is_arena_backed());
+                assert!(
+                    faulted.arena().unwrap().as_slice() == raw_blob(&store, ci),
+                    "{name} chunk {ci}: the faulted image is not its blob's"
+                );
                 faulted.validate().unwrap();
                 let mut blob = Vec::new();
                 io::write_index(&mut blob, faulted).unwrap();
@@ -1140,10 +1143,10 @@ mod tests {
         for _ in 0..4 * n {
             let ci = (0..n).find(|&c| store.resident[c].is_none()).unwrap();
             store.ensure_resident(ci).unwrap();
-            let chunk = store.resident[ci].as_ref().unwrap();
-            let (start, capacity) = chunk.arena_allocation().unwrap();
-            assert!(capacity >= largest, "chunk {ci}");
-            buffers.insert(start);
+            let arena = store.resident[ci].as_ref().unwrap().arena().unwrap();
+            assert!(arena.capacity() >= largest, "chunk {ci}");
+            assert!(arena.as_slice() == raw_blob(&store, ci), "chunk {ci}");
+            buffers.insert(arena.as_slice().as_ptr());
         }
         assert_eq!(store.stats().faults, 4 * n as u64);
         assert_eq!(buffers.len(), 2);
@@ -1153,12 +1156,81 @@ mod tests {
         let image_len = |store: &ChunkStore, ci: usize| store.blobs[ci].raw_len as usize;
         for ci in 0..n {
             store.ensure_resident(ci).unwrap();
-            let chunk = store.resident[ci].as_ref().unwrap();
-            let (_, capacity) = chunk.arena_allocation().unwrap();
+            let arena = store.resident[ci].as_ref().unwrap().arena().unwrap();
             let len = image_len(&store, ci);
-            assert_eq!(capacity, len.div_ceil(64) * 64, "chunk {ci}");
+            assert_eq!(arena.capacity(), len.div_ceil(64) * 64, "chunk {ci}");
         }
         assert!((0..n).any(|ci| image_len(&store, ci) < largest));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn faults_into_a_larger_chunks_dirty_buffer_are_byte_exact_and_damage_is_still_refused() {
+        // A fault does not clear the buffer it decodes into. One buffer
+        // (budget 1), chunks of very different sizes faulted largest first,
+        // so each decodes over what a larger image left behind — and then,
+        // on the next sweep, the largest over the smallest's leftovers.
+        let lens = [6usize, 6, 6, 20, 20, 20, 45, 45, 45];
+        let seqs: Vec<String> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let residues = b"ACDEFGHILMNPQRSTVWY";
+                let body = (0..len - 1).map(|j| residues[(i * 7 + j * 5) % residues.len()]);
+                String::from_utf8(body.chain([b'K']).collect()).unwrap()
+            })
+            .collect();
+        let cfg = SlmConfig {
+            resolution: 1.0,
+            ..SlmConfig::default()
+        };
+        let dir = store_of("dirty_buffers", &db_of(&seqs), cfg, ModSpec::none(), 3);
+        let mut store = ChunkStore::open_generation_dir(&dir, 1).unwrap();
+        let n = store.num_chunks();
+        assert_eq!(n, 3);
+        let mut by_size: Vec<usize> = (0..n).collect();
+        by_size.sort_by_key(|&ci| std::cmp::Reverse(store.blobs[ci].raw_len));
+        let (largest, smallest) = (by_size[0], by_size[n - 1]);
+        let len = |ci: usize| store.blobs[ci].raw_len;
+        assert!(
+            len(largest) >= 2 * len(smallest),
+            "{}, {}",
+            len(largest),
+            len(smallest)
+        );
+        let images: Vec<Vec<u8>> = (0..n).map(|ci| raw_blob(&store, ci)).collect();
+        let mut buffers = std::collections::HashSet::new();
+        let mut fault = |store: &mut ChunkStore, ci: usize| {
+            store.ensure_resident(ci).unwrap();
+            let arena = store.resident[ci].as_ref().unwrap().arena().unwrap();
+            assert!(arena.as_slice() == images[ci], "chunk {ci}");
+            buffers.insert(arena.as_slice().as_ptr());
+        };
+        for _ in 0..2 {
+            for &ci in &by_size {
+                fault(&mut store, ci);
+            }
+        }
+        assert_eq!(store.stats().faults, 2 * n as u64);
+        assert_eq!(buffers.len(), 1);
+
+        // Every damage of the corruption table below, to the smallest
+        // chunk's blob, faulted over the largest image: refused. The
+        // repaired blob then faults byte-exact over the largest again.
+        let path = blob_path(&dir, store.blobs[smallest].hash);
+        let stored = std::fs::read(&path).unwrap();
+        assert!(crate::compress::is_compressed_blob(&stored));
+        for (what, bent) in damages(&stored) {
+            std::fs::write(&path, &bent).unwrap();
+            store.ensure_resident(largest).unwrap();
+            let err = store.ensure_resident(smallest).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+            std::fs::write(&path, &stored).unwrap();
+            store.ensure_resident(largest).unwrap();
+            store.ensure_resident(smallest).unwrap();
+            let arena = store.resident[smallest].as_ref().unwrap().arena().unwrap();
+            assert!(arena.as_slice() == images[smallest], "after {what}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -37,11 +37,18 @@
 //! bytes again.
 //!
 //! The delta decoder works a 128-value block at a time, straight into the
-//! destination words: a width-0 block (all deltas zero — most of a light
-//! chunk's bitmap) is a fill; widths up to 56 bits take one unaligned
-//! 8-byte load, a shift and a mask per value; only wider blocks, which no
-//! real section produces, keep a byte-at-a-time accumulator. The encoded
-//! format is what it always was.
+//! destination words. A width-0 block (all deltas zero — most of a light
+//! chunk's bitmap) is a fill. A full block of width `B` runs a kernel
+//! monomorphised on `B`, picked by one `match` on the width byte: eight
+//! values of `B` bits fill exactly `B` bytes, so the block is 16 groups of
+//! 8 in which every load offset, shift and mask is a constant — one 8-byte
+//! load per value up to 56 bits, one 16-byte load from 57 to 64. Wide
+//! blocks are no corner case: a bitmap word's delta is effectively random,
+//! so most non-empty blocks of a real chunk's `binmap` are 57–64 bits wide.
+//! Partial blocks, and full ones too close to the end of the stream for the
+//! kernel's loads, take guarded paths. The arena is not cleared first: the
+//! decoder writes every section byte and `fill_and_verify` zeroes the
+//! padding between them. The encoded format is what it always was.
 //!
 //! # Blob framing (`LBEZCHK1`)
 //!
@@ -163,22 +170,92 @@ fn put_value<const W: usize>(prev: &mut u64, z: u64, slot: &mut [u8]) {
     slot.copy_from_slice(&prev.to_le_bytes()[..W]);
 }
 
+/// Bytes a value of `width` bits is read from by the full-block kernels:
+/// it starts at most 7 bits into its first byte, so 7 + 56 bits fit one
+/// 8-byte load and 7 + 64 one 16-byte load.
+const fn load_bytes(width: usize) -> usize {
+    if width <= 56 {
+        8
+    } else {
+        16
+    }
+}
+
+/// How many bytes from a full block's first packed byte its kernel reads:
+/// up to the end of the last value's load, which runs past the block's own
+/// `16 · width` bytes into whatever follows it in the stream.
+const fn kernel_span(width: usize) -> usize {
+    15 * width + 7 * width / 8 + load_bytes(width)
+}
+
+/// The full-block kernel for width `B` (1–64): 128 values as 16 groups of
+/// 8, since 8 values of `B` bits fill exactly `B` bytes. Within a group
+/// value `j` starts at bit `j·B`, so every load offset, shift and mask is a
+/// constant of the monomorphised kernel. `packed` holds at least
+/// [`kernel_span`]`(B)` bytes and `block` is `BLOCK · W` bytes, so one
+/// slice per group is the only bounds check left.
+#[inline(always)]
+fn full_block<const B: usize, const W: usize>(packed: &[u8], block: &mut [u8], prev: &mut u64) {
+    let mask = u64::MAX >> (64 - B);
+    let span = 7 * B / 8 + load_bytes(B);
+    for (g, out) in block.chunks_exact_mut(8 * W).enumerate() {
+        let group = &packed[g * B..g * B + span];
+        for j in 0..8 {
+            let (at, shift) = (j * B / 8, j * B % 8);
+            let z = if B <= 56 {
+                u64::from_le_bytes(group[at..at + 8].try_into().unwrap()) >> shift
+            } else {
+                (u128::from_le_bytes(group[at..at + 16].try_into().unwrap()) >> shift) as u64
+            };
+            put_value::<W>(prev, z & mask, &mut out[j * W..(j + 1) * W]);
+        }
+    }
+}
+
+/// Runs the [`full_block`] kernel of `width` (1–64) — one `match`, so the
+/// width is a constant inside every kernel.
+fn decode_full_block<const W: usize>(
+    width: usize,
+    packed: &[u8],
+    block: &mut [u8],
+    prev: &mut u64,
+) {
+    macro_rules! by_width {
+        ($($b:literal)*) => {
+            match width {
+                $($b => full_block::<$b, W>(packed, block, prev),)*
+                _ => unreachable!("block width {width} was checked to be 1..=64"),
+            }
+        };
+    }
+    by_width!(
+        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61
+        62 63 64
+    )
+}
+
 /// Decodes a [`pack_deltas`] stream of exactly `dst.len() / W` values
 /// straight into `dst` as `W`-byte little-endian words (`W` = 4 or 8), a
 /// block at a time. Fails cleanly on a count that is not the destination's,
 /// on truncated or trailing bytes and on nonsense widths; no input can make
 /// it read or write out of bounds.
 ///
-/// Per block, by width: **0** is a fill (every delta is zero — 128 empty
-/// bitmap words, a run of equal offsets). **1–56** takes one unaligned
-/// 8-byte little-endian load per value — a value starts at most 7 bits into
-/// its first byte, so 7 + 56 bits always sit inside the load — shifted and
-/// masked; the loads may run on into the bytes of the *next* block, which are
-/// in the slice anyway, so only the last few values of a stream (those
-/// starting within 8 bytes of its end) need care: what is left of the stream
-/// is shorter than one load, and a single zero-padded load serves them all.
-/// **57–64** (only a `u64` stream that jumps by more than 2⁵⁵ — never a real
-/// section) keeps the byte-at-a-time `u128` accumulator.
+/// Per block: width **0** is a fill (every delta is zero — 128 empty bitmap
+/// words, a run of equal offsets). A **full** block whose kernel's loads
+/// stay inside the stream — one length check per block, [`kernel_span`] —
+/// runs the [`full_block`] kernel of its width, 1–64: constant offsets,
+/// shifts and masks, one 8-byte load per value up to 56 bits and one
+/// 16-byte load from 57 (a value starts at most 7 bits into its first
+/// byte). Wide blocks are the common case of a `binmap` stream, whose
+/// dense words delta to effectively random values. The loads run on into
+/// the bytes of the *next* block, which are in the slice anyway.
+///
+/// The rest — partial blocks, and a full block too close to the stream's
+/// end — takes the guarded paths. **1–56**: the same 8-byte load per value
+/// while it fits, then, for the values starting within 8 bytes of the end,
+/// a single zero-padded load that serves them all. **57–64**: a
+/// byte-at-a-time `u128` accumulator.
 fn unpack_deltas<const W: usize>(src: &[u8], dst: &mut [u8]) -> io::Result<()> {
     if !dst.len().is_multiple_of(W) {
         return Err(bad("delta section length is not a whole value count"));
@@ -217,6 +294,9 @@ fn unpack_deltas<const W: usize>(src: &[u8], dst: &mut [u8]) -> io::Result<()> {
                 for slot in block.chunks_exact_mut(W) {
                     slot.copy_from_slice(&word[..W]);
                 }
+            }
+            _ if n == BLOCK && window.len() >= kernel_span(width) => {
+                decode_full_block::<W>(width, window, block, &mut prev)
             }
             1..=56 => {
                 let mask = (1u64 << width) - 1;
@@ -426,8 +506,10 @@ pub fn decompress_container(enc: &[u8], magic: &[u8; 8]) -> io::Result<AlignedBu
 /// offer.
 ///
 /// The image is decoded into `into`'s allocation when that is large enough
-/// (a chunk fault reuses the evicted chunk's buffer), zeroed first either
-/// way.
+/// (a chunk fault reuses the evicted chunk's buffer), which is not cleared
+/// first: the decoder writes every section byte and
+/// [`VerifiedImage::fill_and_verify`] zeroes every other byte the frame
+/// does not carry, so nothing of the buffer's previous image survives.
 pub(crate) fn decompress_verified(
     enc: &[u8],
     magic: &[u8; 8],
@@ -456,13 +538,15 @@ pub(crate) fn decompress_verified(
         .ok_or_else(|| bad("compressed blob truncated inside its prefix"))?;
 
     // The prefix holds the header + checksummed section table, which is all
-    // `fill_and_verify` parses before asking for the first payload; the
-    // zeroed rest is the padding every gap must decode to.
-    into.reset_zeroed(raw_len);
+    // `fill_and_verify` parses before asking for the first payload. The
+    // arena is not cleared: the sections are decoded over it and
+    // `fill_and_verify` zeroes the padding past the prefix, so every byte
+    // of the image is written before it is checksummed.
+    into.reset_for_overwrite(raw_len);
     into.as_mut_slice()[..prefix_len].copy_from_slice(prefix);
 
     let mut pos = FRAME_HEADER_LEN + prefix_len;
-    let image = VerifiedImage::fill_and_verify(into, magic, |s, dst| {
+    let image = VerifiedImage::fill_and_verify(into, magic, prefix_len, |s, dst| {
         if (s.offset as usize) < prefix_len {
             return Err(bad("section payload outside the container"));
         }
@@ -540,10 +624,10 @@ mod tests {
     use lbe_bio::mods::ModSpec;
     use lbe_bio::peptide::{Peptide, PeptideDb};
 
-    fn v2_blob(seqs: &[&str]) -> Vec<u8> {
+    fn v2_blob<S: AsRef<str>>(seqs: &[S]) -> Vec<u8> {
         let db = PeptideDb::from_vec(
             seqs.iter()
-                .map(|s| Peptide::new(s.as_bytes(), 0, 0).unwrap())
+                .map(|s| Peptide::new(s.as_ref().as_bytes(), 0, 0).unwrap())
                 .collect(),
         );
         let idx = IndexBuilder::new(SlmConfig::default(), ModSpec::none()).build(&db);
@@ -560,18 +644,21 @@ mod tests {
         assert_eq!(dec.as_slice(), &raw[..]);
     }
 
-    #[test]
-    fn compression_shrinks_real_blobs() {
-        let seqs: Vec<String> = (0..120)
+    /// 120 peptides (30 distinct) — enough ions for a dense bitmap.
+    fn real_peptides() -> Vec<String> {
+        (0..120)
             .map(|i| {
                 format!(
                     "PEPT{}DEK",
                     ["A", "C", "D", "E", "F"][i % 5].repeat(i % 6 + 1)
                 )
             })
-            .collect();
-        let refs: Vec<&str> = seqs.iter().map(String::as_str).collect();
-        let raw = v2_blob(&refs);
+            .collect()
+    }
+
+    #[test]
+    fn compression_shrinks_real_blobs() {
+        let raw = v2_blob(&real_peptides());
         let enc = compress_container(&raw, MAGIC_V2).unwrap();
         assert!(
             enc.len() < raw.len(),
@@ -585,7 +672,7 @@ mod tests {
 
     #[test]
     fn empty_index_roundtrips() {
-        let raw = v2_blob(&[]);
+        let raw = v2_blob::<&str>(&[]);
         let enc = compress_container(&raw, MAGIC_V2).unwrap();
         let dec = decompress_container(&enc, MAGIC_V2).unwrap();
         assert_eq!(dec.as_slice(), &raw[..]);
@@ -785,6 +872,164 @@ mod tests {
         pack_deltas([1u64, 2, 3].into_iter(), &mut enc);
         enc[8] = 65;
         assert!(both_decoders::<8>(&enc, 3).is_err());
+    }
+
+    /// `len` zigzags whose largest has exactly `width` bits, varied below it
+    /// (all zero at width 0).
+    fn zigzags(width: u32, len: usize) -> Vec<u64> {
+        let low = if width == 0 {
+            0
+        } else {
+            u64::MAX >> (64 - width)
+        };
+        (0..len as u64)
+            .map(|i| match i % 5 {
+                0 => low,
+                1 => low ^ (low >> 1),
+                2 => low >> 1,
+                3 => low & i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                _ => 0,
+            })
+            .collect()
+    }
+
+    /// The value stream whose zigzag deltas are `zs`.
+    fn values_of(zs: &[u64]) -> Vec<u64> {
+        let mut v = 0u64;
+        zs.iter()
+            .map(|&z| {
+                v = v.wrapping_add(unzigzag(z) as u64);
+                v
+            })
+            .collect()
+    }
+
+    /// The width byte of every block of a [`pack_deltas`] stream.
+    fn block_widths(stream: &[u8]) -> Vec<u8> {
+        let mut left = u64::from_le_bytes(stream[..8].try_into().unwrap()) as usize;
+        let (mut pos, mut widths) = (8, Vec::new());
+        while left > 0 {
+            let n = left.min(BLOCK);
+            widths.push(stream[pos]);
+            pos += 1 + (n * stream[pos] as usize).div_ceil(8);
+            left -= n;
+        }
+        assert_eq!(pos, stream.len());
+        widths
+    }
+
+    /// Both decoders, both word sizes, against the values `stream` encodes.
+    fn decodes_to(stream: &[u8], values: &[u64]) {
+        assert_eq!(both_decoders::<8>(stream, values.len()).unwrap(), values);
+        let low: Vec<u64> = values.iter().map(|v| v & u32::MAX as u64).collect();
+        assert_eq!(both_decoders::<4>(stream, values.len()).unwrap(), low);
+    }
+
+    #[test]
+    fn full_blocks_of_every_width_decode_on_both_sides_of_the_load_guards() {
+        // One stream, a full block of every width in turn: each kernel's
+        // loads run on into a block of another width.
+        let zs: Vec<u64> = (0..=64).flat_map(|w| zigzags(w, BLOCK)).collect();
+        let values = values_of(&zs);
+        let mut enc = Vec::new();
+        pack_deltas(values.iter().copied(), &mut enc);
+        assert_eq!(block_widths(&enc), (0..=64).collect::<Vec<u8>>());
+        decodes_to(&enc, &values);
+
+        // Per width, one full block and then a tail of every length from 0
+        // to 16 encoded bytes: nothing, a width-0 block (its header alone),
+        // or a width-8 block of one to 15 values. The kernel needs
+        // `kernel_span(width)` bytes from the block's start, so across the
+        // tails the block sits on each side of its 8- or 16-byte load guard.
+        for width in 0..=64u32 {
+            let w = width as usize;
+            if width > 0 {
+                let slack = |tail: usize| 16 * w + tail >= kernel_span(w);
+                assert!(!slack(0) && slack(16), "width {width}");
+            }
+            for tail in 0..=16usize {
+                let mut zs = zigzags(width, BLOCK);
+                match tail {
+                    0 => {}
+                    1 => zs.push(0),
+                    _ => zs.extend((0..tail as u64 - 1).map(|i| 0x80 | i)),
+                }
+                let values = values_of(&zs);
+                let mut enc = Vec::new();
+                pack_deltas(values.iter().copied(), &mut enc);
+                assert_eq!(
+                    enc.len(),
+                    8 + 1 + 16 * w + tail,
+                    "width {width}, tail {tail}"
+                );
+                assert_eq!(enc[8] as u32, width);
+                decodes_to(&enc, &values);
+            }
+        }
+    }
+
+    #[test]
+    fn a_built_chunks_bitmap_is_mostly_57_to_64_bit_blocks_and_decodes_exactly() {
+        // A dense bitmap word's delta is effectively random, so a real
+        // chunk's binmap stream is where the widest kernels run.
+        let raw = v2_blob(&real_peptides());
+        let enc = compress_container(&raw, MAGIC_V2).unwrap();
+        let sections = ParsedContainer::parse(&raw, 0, None, MAGIC_V2).unwrap();
+        let at = sections
+            .sections()
+            .iter()
+            .position(|s| s.name == SEC_BINMAP)
+            .unwrap();
+        let (record, payload) = frame_layout(&enc).1[at].clone();
+        assert_eq!(enc[record], SCHEME_DELTA_U64);
+        let stream = &enc[payload];
+        let widths = block_widths(stream);
+        let wide = widths.iter().filter(|&&w| w >= 57).count();
+        assert!(
+            wide * 2 > widths.iter().filter(|&&w| w > 0).count(),
+            "{widths:?}"
+        );
+        let s = &sections.sections()[at];
+        let words: Vec<u64> = raw[s.offset as usize..(s.offset + s.len) as usize]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(both_decoders::<8>(stream, words.len()).unwrap(), words);
+    }
+
+    #[test]
+    fn a_frame_decodes_over_a_dirty_buffer_to_the_same_verdict_as_over_a_clean_one() {
+        // The arena is not cleared before a decode. Whatever it held — a
+        // larger image, garbage, too few bytes, or the very image the frame
+        // decodes to (where a byte the decoder skipped would go unnoticed) —
+        // the intact frame decodes byte-exact and every damaged one fails
+        // exactly as it does over a fresh buffer.
+        let (raw, enc) = small_frame();
+        let dirt = [
+            v2_blob(&real_peptides()),
+            vec![0xA5; raw.len() + 200],
+            vec![0xFF; raw.len() / 2],
+            raw.clone(),
+        ];
+        let over = |dirt: &[u8], frame: &[u8]| {
+            decompress_verified(frame, MAGIC_V2, AlignedBuf::from_slice(dirt))
+                .map(VerifiedImage::into_arena)
+        };
+        for d in &dirt {
+            assert_eq!(over(d, &enc).unwrap().as_slice(), &raw[..]);
+            for pos in 0..enc.len() {
+                let mut bent = enc.clone();
+                bent[pos] ^= 0x01;
+                match (decompress_container(&bent, MAGIC_V2), over(d, &bent)) {
+                    (Ok(a), Ok(b)) => assert_eq!(a.as_slice(), b.as_slice(), "flip at {pos}"),
+                    (Err(a), Err(b)) => {
+                        assert_eq!(b.kind(), io::ErrorKind::InvalidData);
+                        assert_eq!(a.to_string(), b.to_string(), "flip at {pos}");
+                    }
+                    (a, b) => panic!("flip at {pos}: clean {a:?}, dirty {b:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -448,6 +448,13 @@ struct AlignBlock([u8; ALIGNMENT]);
 /// A heap buffer whose start is [`ALIGNMENT`]-aligned, so section payloads
 /// at aligned container offsets stay aligned in memory and can back typed
 /// slices directly.
+///
+/// Who zeroes what: [`AlignedBuf::zeroed`] hands out zeros and
+/// [`AlignedBuf::from_slice`] a copy. A recycled buffer is *not* cleared —
+/// a chunk fault resizes the evicted chunk's buffer with
+/// `reset_for_overwrite`, and the fault path then writes every byte of the
+/// new image over whatever the old one left: the decoder the sections,
+/// `VerifiedImage::fill_and_verify` the padding.
 pub struct AlignedBuf {
     blocks: Vec<AlignBlock>,
     len: usize,
@@ -503,14 +510,24 @@ impl AlignedBuf {
         self.blocks.capacity() * ALIGNMENT
     }
 
-    /// Makes the buffer `len` zero bytes, in its own allocation when that
+    /// Makes the buffer `len` bytes long, in its own allocation when that
     /// is large enough, else in one of exactly `len` bytes (rounded up to
-    /// whole blocks).
-    pub(crate) fn reset_zeroed(&mut self, len: usize) {
+    /// whole blocks) — **without clearing it**: bytes the buffer already
+    /// held keep whatever an earlier image left in them, and only blocks it
+    /// grows by start as zeros. So the caller must write every byte before
+    /// anything reads it: the raw-blob fault path copies the whole image
+    /// over it, and a compressed one is decoded section by section with
+    /// [`VerifiedImage::fill_and_verify`] zeroing the padding in between.
+    pub(crate) fn reset_for_overwrite(&mut self, len: usize) {
         let nblocks = len.div_ceil(ALIGNMENT);
-        self.blocks.clear();
-        self.blocks.reserve_exact(nblocks);
-        self.blocks.resize(nblocks, AlignBlock([0; ALIGNMENT]));
+        if nblocks > self.blocks.capacity() {
+            // Nothing in the old allocation is worth copying into the new.
+            self.blocks.clear();
+            self.blocks.reserve_exact(nblocks);
+        }
+        if self.blocks.len() < nblocks {
+            self.blocks.resize(nblocks, AlignBlock([0; ALIGNMENT]));
+        }
         self.len = len;
     }
 
@@ -544,8 +561,10 @@ impl AlignedBuf {
 
     /// The bytes.
     pub fn as_slice(&self) -> &[u8] {
-        // SAFETY: `blocks` owns at least `len` initialized bytes (zeroed at
-        // construction) laid out contiguously.
+        // SAFETY: `blocks` owns at least `len` bytes laid out contiguously
+        // (every constructor and `reset_for_overwrite` keep
+        // `blocks.len() * ALIGNMENT >= len`), all initialized: a block is
+        // only ever created zeroed or written in full.
         unsafe { std::slice::from_raw_parts(self.blocks.as_ptr() as *const u8, self.len) }
     }
 
@@ -933,14 +952,25 @@ pub(crate) struct VerifiedImage {
 impl VerifiedImage {
     /// Verifies a complete image as read from disk.
     pub(crate) fn verify(arena: AlignedBuf, magic: &[u8; 8]) -> io::Result<Self> {
-        Self::fill_and_verify(arena, magic, |_, _| Ok(()))
+        let carried = arena.len();
+        Self::fill_and_verify(arena, magic, carried, |_, _| Ok(()))
     }
 
-    /// Verifies an image whose prefix (header + table, at least) is in
-    /// `arena` and whose section payloads `fill(section, payload)` puts in
-    /// place, in table order. Each payload is checksummed right after its
-    /// `fill` — while a freshly decoded one is still in cache — and the
-    /// result both checked against the table and folded into the whole.
+    /// Verifies an image of which `arena[..carried]` (header + table, at
+    /// least) is in place and whose section payloads `fill(section,
+    /// payload)` puts in place, in table order. Each payload is checksummed
+    /// right after its `fill` — while a freshly decoded one is still in
+    /// cache — and the result both checked against the table and folded
+    /// into the whole.
+    ///
+    /// Who writes which byte: the caller the first `carried`; `fill` every
+    /// byte of every section payload (a decoder that fails part-way returns
+    /// its error, and the image is never built); this function every other
+    /// byte at or past `carried` — the padding gaps and the tail, and any
+    /// header or table bytes a damaged frame's prefix left out — which it
+    /// zeroes right before reading them. So the arena need not be cleared
+    /// beforehand, and whatever an earlier image left in it cannot reach
+    /// this one. ([`VerifiedImage::verify`] carries the whole image.)
     ///
     /// Sections must lie after the table, in table order, without
     /// overlapping (what [`write_container`] emits): a fold over regions
@@ -949,19 +979,42 @@ impl VerifiedImage {
     pub(crate) fn fill_and_verify(
         mut arena: AlignedBuf,
         magic: &[u8; 8],
+        carried: usize,
         mut fill: impl FnMut(&Section, &mut [u8]) -> io::Result<()>,
     ) -> io::Result<Self> {
-        let container = ParsedContainer::parse(arena.as_slice(), 0, None, magic)?;
+        let len = arena.len();
         let bytes = arena.as_mut_slice();
+        // Zeroes `bytes[from..to]` past `carried` (and within the image).
+        let clear = |bytes: &mut [u8], from: usize, to: usize| {
+            if let Some(region) = bytes.get_mut(from.max(carried)..to.min(len)) {
+                region.fill(0);
+            }
+        };
+        // A header or table the carried bytes stop short of (only a damaged
+        // frame's) is read as zeros, as padding is.
+        clear(bytes, 0, HEADER_LEN);
+        if let Some(count) = bytes.get(12..16) {
+            let count = u32::from_le_bytes(count.try_into().unwrap()) as usize;
+            clear(
+                bytes,
+                HEADER_LEN,
+                HEADER_LEN.saturating_add(SECTION_RECORD_LEN.saturating_mul(count)),
+            );
+        }
+        let container = ParsedContainer::parse(bytes, 0, None, magic)?;
         let mut cursor = HEADER_LEN + SECTION_RECORD_LEN * container.sections.len();
         let mut crc = crc32(&bytes[..cursor]);
+        let padding = |bytes: &mut [u8], from: usize, to: usize| {
+            clear(bytes, from, to);
+            crc32(&bytes[from..to])
+        };
         for s in &container.sections {
             // In bounds and overflow-free: `parse_table` checked both.
             let (off, end) = (s.offset as usize, (s.offset + s.len) as usize);
             if off < cursor {
                 return Err(bad("container sections overlap or are not in table order"));
             }
-            crc = crc32_combine(crc, crc32(&bytes[cursor..off]), (off - cursor) as u64);
+            crc = crc32_combine(crc, padding(bytes, cursor, off), (off - cursor) as u64);
             let payload = &mut bytes[off..end];
             fill(s, payload)?;
             if crc32(payload) != s.crc {
@@ -973,8 +1026,7 @@ impl VerifiedImage {
             crc = crc32_combine(crc, s.crc, s.len);
             cursor = end;
         }
-        let tail = &bytes[cursor..];
-        crc = crc32_combine(crc, crc32(tail), tail.len() as u64);
+        crc = crc32_combine(crc, padding(bytes, cursor, len), (len - cursor) as u64);
         Ok(VerifiedImage {
             arena,
             container,

@@ -254,14 +254,12 @@ impl SlmIndex {
         }
     }
 
-    /// Start and capacity of the arena's allocation, for tests that check
-    /// which buffer a chunk landed in.
+    /// The arena this index views, for tests that check which buffer a
+    /// chunk landed in and what that buffer holds.
     #[cfg(test)]
-    pub(crate) fn arena_allocation(&self) -> Option<(*const u8, usize)> {
+    pub(crate) fn arena(&self) -> Option<&AlignedBuf> {
         match &self.storage {
-            IndexStorage::Arena { arena, .. } => {
-                Some((arena.as_slice().as_ptr(), arena.capacity()))
-            }
+            IndexStorage::Arena { arena, .. } => Some(arena),
             IndexStorage::Owned { .. } => None,
         }
     }
@@ -460,7 +458,8 @@ impl SlmIndex {
     pub fn validate(&self) -> Result<(), String> {
         self.validate_cheap()?;
         let n = self.entries().len() as u32;
-        if self.postings().iter().any(|&e| e >= n) {
+        // A fold, not `any`: without the early exit the scan vectorises.
+        if self.postings().iter().fold(false, |bad, &e| bad | (e >= n)) {
             return Err("posting references nonexistent entry".into());
         }
         let total: usize = self

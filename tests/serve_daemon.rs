@@ -966,3 +966,71 @@ fn idle_connections_are_reaped_with_a_clean_bye() {
     // response frame.
     assert_eq!(stats.responses, 3);
 }
+
+/// Lifecycle: a client that pipelines queries and never reads cannot hold
+/// up shutdown. Its replies fill the socket buffers, the server's writer
+/// for it blocks in `write`, its per-connection gate fills and its reader
+/// stops taking queries. A `Shutdown` from a second connection must still
+/// end `run`, which joins that writer: the accepted socket's write timeout
+/// breaks it.
+#[test]
+fn shutdown_completes_behind_a_client_that_never_reads() {
+    use std::time::{Duration, Instant};
+    let (addr, _handle, runner) = start_daemon(ServeConfig::default());
+    let spectra: Vec<Spectrum> = SpectrumReader::open(data("corpus.ms2"))
+        .unwrap()
+        .map(|s| s.unwrap())
+        .collect();
+    // Large replies, so the buffers fill fast: every candidate of an open
+    // full scan.
+    let frame = |req_id: u64| {
+        let s = &spectra[req_id as usize % spectra.len()];
+        let mut wire = Vec::new();
+        let query = Request::Query {
+            req_id,
+            full_scan: true,
+            tolerance: None,
+            top_k: Some(1000),
+            scan: s.scan,
+            precursor_mz: s.precursor_mz,
+            charge: s.charge,
+            peaks: s.peaks.iter().map(|p| (p.mz, p.intensity)).collect(),
+        };
+        proto::write_frame(&mut wire, &query.encode()).unwrap();
+        wire
+    };
+
+    // Send until the server has taken nothing for a second: its reader is
+    // waiting on a gate that a blocked writer no longer releases.
+    let stalled = TcpStream::connect(addr).unwrap();
+    stalled
+        .set_write_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let start = Instant::now();
+    let mut sent = 0u64;
+    while (&stalled).write_all(&frame(sent)).is_ok() {
+        sent += 1;
+        assert!(
+            start.elapsed() < Duration::from_secs(120),
+            "the server kept reading ({sent} queries)"
+        );
+    }
+
+    let mut control = TcpStream::connect(addr).unwrap();
+    let mut shutdown = Vec::new();
+    proto::write_frame(&mut shutdown, &Request::Shutdown { req_id: 5 }.encode()).unwrap();
+    control.write_all(&shutdown).unwrap();
+    // The bound: one poll interval for the reader to see the stop flag,
+    // the 2 s write timeout, and the queries already admitted.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(runner.join().unwrap()));
+    let stats = done_rx
+        .recv_timeout(Duration::from_secs(15))
+        .expect("shutdown hung behind a client that never reads");
+    match read_response(&mut BufReader::new(&control)) {
+        Response::Bye { req_id } => assert_eq!(req_id, 5),
+        other => panic!("expected Bye, got {other:?}"),
+    }
+    assert!(stats.responses < stats.requests, "{stats:?}");
+    drop(stalled);
+}
