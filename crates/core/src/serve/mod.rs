@@ -117,6 +117,10 @@ pub struct ServeStats {
     /// Queries answered with a degraded (partial) result because their
     /// wave's deadline expired before they were searched.
     pub degraded: u64,
+    /// Connections whose reply write failed or timed out (a client that
+    /// stopped reading, or went away): each counted once, after which its
+    /// remaining replies are dropped unsent.
+    pub write_failures: u64,
 }
 
 #[derive(Default)]
@@ -126,6 +130,7 @@ struct StatsInner {
     responses: AtomicU64,
     protocol_errors: AtomicU64,
     degraded: AtomicU64,
+    write_failures: AtomicU64,
 }
 
 impl StatsInner {
@@ -136,6 +141,7 @@ impl StatsInner {
             responses: self.responses.load(Ordering::SeqCst),
             protocol_errors: self.protocol_errors.load(Ordering::SeqCst),
             degraded: self.degraded.load(Ordering::SeqCst),
+            write_failures: self.write_failures.load(Ordering::SeqCst),
         }
     }
 }
@@ -549,7 +555,7 @@ fn handle_connection(
                 // wave's replies to this connection leave in one write (one
                 // segment, one client wake-up) instead of one per frame —
                 // and with `TCP_NODELAY` set, the flush is when they leave.
-                let mut framed = 0u64;
+                let (mut framed, was_broken) = (0u64, broken);
                 for (release, response) in std::iter::once(first).chain(reply_rx.try_iter()) {
                     if release {
                         gate.release();
@@ -569,11 +575,12 @@ fn handle_connection(
                         Err(_) => broken = true,
                     }
                 }
-                if broken {
+                if broken && !was_broken {
                     // A failed or timed-out write may have left half a
                     // frame: close the socket, so the client sees the end,
                     // the reader stops admitting, and dropping `sink` does
                     // not wait out another timeout flushing the rest.
+                    stats.write_failures.fetch_add(1, Ordering::SeqCst);
                     let _ = sink.get_ref().shutdown(Shutdown::Both);
                 }
             }

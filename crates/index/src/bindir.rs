@@ -70,34 +70,6 @@ impl<'a> BinDirectory<'a> {
     }
 }
 
-/// Builds the stored half of a directory (`bitmap`, `starts`) from the
-/// builder's dense CSR prefix sums. Both vectors are allocated exactly.
-/// Fails on input no directory can represent: a first offset other than 0
-/// or a decreasing pair.
-pub(crate) fn from_dense(dense: &[u32]) -> Result<(Vec<u64>, Vec<u32>), String> {
-    let Some((&first, &last)) = dense.first().zip(dense.last()) else {
-        return Err("bin offset table is empty".into());
-    };
-    if first != 0 {
-        return Err("first bin offset is not 0".into());
-    }
-    let num_bins = dense.len() - 1;
-    let occupied = dense.windows(2).filter(|w| w[0] != w[1]).count();
-    let mut bitmap = vec![0u64; bitmap_words(num_bins)];
-    let mut starts = Vec::with_capacity(occupied + 1);
-    for (b, w) in dense.windows(2).enumerate() {
-        if w[0] > w[1] {
-            return Err("bin offsets not monotone".into());
-        }
-        if w[0] < w[1] {
-            bitmap[b >> 6] |= 1 << (b & 63);
-            starts.push(w[0]);
-        }
-    }
-    starts.push(last);
-    Ok((bitmap, starts))
-}
-
 /// The per-word running popcount of `bitmap`. Wrapping, so a corrupt
 /// oversized bitmap cannot panic here; [`validate`] recounts in `usize`.
 pub(crate) fn ranks(bitmap: &[u64]) -> Vec<u32> {
@@ -151,8 +123,37 @@ pub(crate) fn validate(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Builds the stored half of a directory (`bitmap`, `starts`) from
+    /// dense CSR prefix sums (`num_bins + 1` of them): the oracle the
+    /// builder's reference build and these tests compare against. Fails
+    /// on input no directory can represent: a first offset other than 0 or
+    /// a decreasing pair.
+    pub(crate) fn from_dense(dense: &[u32]) -> Result<(Vec<u64>, Vec<u32>), String> {
+        let Some((&first, &last)) = dense.first().zip(dense.last()) else {
+            return Err("bin offset table is empty".into());
+        };
+        if first != 0 {
+            return Err("first bin offset is not 0".into());
+        }
+        let num_bins = dense.len() - 1;
+        let occupied = dense.windows(2).filter(|w| w[0] != w[1]).count();
+        let mut bitmap = vec![0u64; bitmap_words(num_bins)];
+        let mut starts = Vec::with_capacity(occupied + 1);
+        for (b, w) in dense.windows(2).enumerate() {
+            if w[0] > w[1] {
+                return Err("bin offsets not monotone".into());
+            }
+            if w[0] < w[1] {
+                bitmap[b >> 6] |= 1 << (b & 63);
+                starts.push(w[0]);
+            }
+        }
+        starts.push(last);
+        Ok((bitmap, starts))
+    }
 
     fn view<'a>(bitmap: &'a [u64], rank: &'a [u32], starts: &'a [u32]) -> BinDirectory<'a> {
         BinDirectory {

@@ -1,13 +1,17 @@
-//! Index construction: every fragment generated once, every posting
-//! scattered once, straight into its final slot.
+//! Index construction in cache-sized passes: every fragment generated
+//! once, every posting written twice, each time into a few streams that
+//! stay in cache.
 //!
 //! **Pass 1** walks the peptides in id order. Per modform
 //! ([`for_each_modform`]) it generates the fragment m/z
 //! ([`for_each_fragment`]), quantizes each kept one to its bin and appends
-//! the bin to one flat `u32` array while bumping a `u32` bin histogram; the
-//! spectrum's [`SpectrumEntry`] records its precursor mass and how many bins
-//! it appended. Nothing is allocated per modform and no `f64` fragment is
-//! retained — the bins are all pass 2 needs.
+//! the bin to one flat `u32` array; the spectrum's [`SpectrumEntry`]
+//! records its precursor mass and how many bins it appended. Both arrays
+//! are reserved once, before the walk, and never grow: a peptide has
+//! exactly [`count_modforms`] entries, and each of them at most `(len − 1)
+//! × series × charges` fragments — the exact count when none is dropped.
+//! The only histogram is a coarse one, over *buckets* of `2^F` adjacent
+//! bins (`bin >> F`).
 //!
 //! **Entry ids are assigned in ascending precursor-mass order**, by a
 //! stable sort over the peptide-major modform-minor pass-1 order, so equal
@@ -17,27 +21,49 @@
 //! (see [`crate::query`]). Peptide and modform ids are untouched; only the
 //! internal entry numbering changes.
 //!
-//! **Pass 2** walks the entries in that *new* id order and writes
-//! `postings[cursor[bin]++] = id` for each of the entry's bins, the cursors
-//! starting at the histogram's prefix sums. Ids arrive ascending, so every
-//! bin's posting list is ascending as written — the invariant the kernel
-//! binary-searches on needs no sort afterwards.
+//! **Coarse pass.** In *new* id order, every posting is written once into
+//! its bucket's contiguous region of the final `postings` array, packed as
+//! `(bin mod 2^F) << (32 − F) | id`. The writes form one sequential stream
+//! per bucket (≈ 125 at the default axis) instead of one random store per
+//! posting, and each region holds its postings in ascending id order.
+//!
+//! **Fine pass.** Each bucket is counting-sorted by its packed bin field
+//! back into its own region: `2^F` counters (16 KB at F = 12, L1-resident)
+//! over a copy of the bucket. The sort is stable, so every bin's list comes
+//! out ascending — the invariant the kernel binary-searches on — and the
+//! pass unpacks the ids and writes the sparse bin directory (bitmap words
+//! and `starts` of `bindir.rs`) as it goes.
+//!
+//! **F is read off the input**: `F = min(12, 32 − bits(entries − 1))`, the
+//! widest bin field that leaves room for every entry id (12 up to 2^20
+//! entries). F = 0 makes every bucket one bin: the coarse pass is then the
+//! one-scatter build, and the fine pass a copy.
 //!
 //! [`IndexBuilder::build_parallel`] splits pass 1 into contiguous peptide
-//! ranges (balanced by estimated ions) and pass 2 into contiguous *id*
-//! pieces (balanced by ions). A piece needs its own ions per bin: every
+//! ranges (balanced by estimated ions), the coarse pass into contiguous
+//! *id* pieces (balanced by ions) and the fine pass into groups of whole
+//! buckets (balanced by postings, cut on bitmap-word boundaries, so each
+//! group owns its words). A piece needs its own ions per bucket: every
 //! piece but the last counts them in one re-read of its flat bins, the
-//! last takes what is left of pass 1's histogram, and a bin's slots are
+//! last takes what is left of pass 1's histogram, and a bucket's slots are
 //! handed out to the pieces in piece order. Piece `p`'s ids are all below
-//! piece `p + 1`'s, so the lists stay ascending, and since neither the
-//! bins, the sort nor the slot of any posting depends on where the ranges
-//! and pieces were cut, the index is **identical for every thread count**
-//! (tested) — the sequential [`IndexBuilder::build`] is the same code with
-//! one range and one piece, which is the last: nothing is re-read.
+//! piece `p + 1`'s, so each region stays ascending, and since neither the
+//! bins, the sort nor the slot of any posting depends on where the ranges,
+//! pieces and groups were cut, the index is **identical for every thread
+//! count** (tested) — the sequential [`IndexBuilder::build`] is the same
+//! code with one range, one piece (the last: nothing is re-read) and one
+//! group.
 //!
-//! Construction is allocation-exact (no over-allocation to distort the
-//! memory figures), and its transient memory is 4 bytes per ion of flat
-//! bins plus one `u32` histogram per task.
+//! The index is allocated exactly (capacity = length: nothing distorts the
+//! memory figures). Besides it the build holds, at most: 8 bytes per
+//! peptide of modform counts (pass 1 only); the flat bins, 4 bytes per
+//! fragment before drops (up to the coarse pass); 44 bytes per entry
+//! around the sort (the pass-1 entries and their copy, a slice per entry
+//! locating its bins, the renumbering and the sort's buffer); one coarse
+//! histogram of `num_bins / 2^F` counters per task; and per fine-pass task
+//! a copy of its largest bucket, `2^F` counters and its buckets' `starts`.
+//! Above F = 0 no table has a slot per bin, and no array grows by
+//! doubling.
 
 use crate::bindir;
 use crate::config::SlmConfig;
@@ -46,6 +72,11 @@ use lbe_bio::mods::{count_modforms, for_each_modform, ModSpec};
 use lbe_bio::peptide::PeptideDb;
 use lbe_spectra::theo::for_each_fragment;
 use std::marker::PhantomData;
+use std::ops::Range;
+
+/// Widest packed bin field F. A bucket then spans 4 096 bins, whose `u32`
+/// counters (16 KB) stay in L1 through the fine pass.
+const MAX_PACKED_WIDTH: u32 = 12;
 
 /// Statistics from one index build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,6 +91,55 @@ pub struct BuildStats {
     pub dropped_fragments: usize,
 }
 
+/// The coarse pass's bucket size and posting format: a bucket is the
+/// `2^width` bins sharing `bin >> width`, and a packed posting carries the
+/// low `width` bits of its bin above a `32 − width`-bit entry id.
+#[derive(Debug, Clone, Copy)]
+struct Packing {
+    width: u32,
+}
+
+impl Packing {
+    /// The widest packing, at most `max_width` bits, whose id field holds
+    /// every id of an index with `entries` entries (`entries ≤ 2^32`).
+    fn for_entries(entries: usize, max_width: u32) -> Self {
+        let id_bits = usize::BITS - entries.saturating_sub(1).leading_zeros();
+        Packing {
+            width: max_width.min(32u32.saturating_sub(id_bits)),
+        }
+    }
+
+    /// Buckets covering a `num_bins`-bin axis; the last may be partial.
+    fn buckets(self, num_bins: usize) -> usize {
+        (num_bins.saturating_sub(1) >> self.width) + 1
+    }
+
+    #[inline]
+    fn bucket(self, bin: u32) -> usize {
+        (bin >> self.width) as usize
+    }
+
+    /// `id` under the low `width` bits of `bin`. The shift is done in
+    /// `u64`, so at width 0 (a shift by 32) the id is left alone.
+    #[inline]
+    fn pack(self, bin: u32, id: u32) -> u32 {
+        let low = bin & ((1 << self.width) - 1);
+        (u64::from(low) << (32 - self.width)) as u32 | id
+    }
+
+    /// The bin of a packed posting, relative to its bucket's first bin.
+    #[inline]
+    fn low(self, packed: u32) -> usize {
+        (u64::from(packed) >> (32 - self.width)) as usize
+    }
+
+    /// The entry id of a packed posting.
+    #[inline]
+    fn id(self, packed: u32) -> u32 {
+        packed & (u32::MAX >> self.width)
+    }
+}
+
 /// Pass-1 output for one contiguous peptide range.
 struct RangePass1 {
     /// Index entries, in peptide-major modform-minor order within the range.
@@ -67,15 +147,15 @@ struct RangePass1 {
     /// The bin of every kept fragment, entry after entry: an entry's bins
     /// are the `num_fragments` following those of the entries before it.
     bins: Vec<u32>,
-    /// Ions per bin contributed by this range (`num_bins` long).
-    bin_counts: Vec<u32>,
+    /// Ions per bucket contributed by this range.
+    bucket_counts: Vec<u32>,
     /// Fragments outside `max_fragment_mz`.
     dropped: usize,
 }
 
-/// Postings array shared across pass-2 piece tasks.
+/// Postings array shared across coarse-pass piece tasks.
 ///
-/// Every `(piece, bin)` pair owns a disjoint slot window `[cursor,
+/// Every `(piece, bucket)` pair owns a disjoint slot window `[cursor,
 /// cursor + count)` carved out of the same prefix sums, so concurrent
 /// writers never alias; the wrapper only exists to hand each task a raw
 /// pointer with bounds checking in debug builds.
@@ -85,8 +165,9 @@ struct SharedPostings<'a> {
     _marker: PhantomData<&'a mut [u32]>,
 }
 
-// SAFETY: writes go through `write`, and callers (pass 2 below) only write
-// slots inside windows that are disjoint across tasks by construction.
+// SAFETY: writes go through `write`, and callers (the coarse pass below)
+// only write slots inside windows that are disjoint across tasks by
+// construction.
 unsafe impl Send for SharedPostings<'_> {}
 unsafe impl Sync for SharedPostings<'_> {}
 
@@ -103,7 +184,7 @@ impl<'a> SharedPostings<'a> {
     #[inline]
     fn write(&self, slot: usize, value: u32) {
         debug_assert!(slot < self.len);
-        // SAFETY: `slot < len` (checked in debug; guaranteed by the CSR
+        // SAFETY: `slot < len` (checked in debug; guaranteed by the bucket
         // prefix sums in release) and no other task owns this slot.
         unsafe { *self.ptr.add(slot) = value }
     }
@@ -144,34 +225,66 @@ impl IndexBuilder {
         self.build_parallel(db, 1)
     }
 
-    /// Like [`IndexBuilder::build`], with both passes split `num_threads`
+    /// Like [`IndexBuilder::build`], with every pass split `num_threads`
     /// ways on the shared work-stealing pool. The produced index is
     /// identical for every thread count.
     pub fn build_parallel(&mut self, db: &PeptideDb, num_threads: usize) -> SlmIndex {
+        self.build_packed(db, num_threads, MAX_PACKED_WIDTH)
+    }
+
+    /// [`IndexBuilder::build_parallel`] with the packed bin field F at most
+    /// `max_width` (≤ 12) bits wide: the seam through which tests take
+    /// every F, down to 0, on inputs far smaller than a million entries.
+    pub(crate) fn build_packed(
+        &mut self,
+        db: &PeptideDb,
+        num_threads: usize,
+        max_width: u32,
+    ) -> SlmIndex {
         assert!(num_threads >= 1, "need at least one thread");
+        assert!(max_width <= MAX_PACKED_WIDTH, "packed bin field too wide");
         self.check_fragment_counts(db);
         let num_bins = self.config.num_bins();
         let this = &*self;
 
-        // Pass 1: per peptide range, the entries, their fragments' bins and
-        // the bin histogram.
-        let ranges = split_ranges_weighted(db, &this.modspec, num_threads);
-        let mut pass1 = run_tasks(ranges, |(lo, hi)| this.pass1_range(db, lo, hi));
-        let total_entries: usize = pass1.iter().map(|r| r.entries.len()).sum();
-        let total_ions: usize = pass1.iter().map(|r| r.bins.len()).sum();
-        let dropped: usize = pass1.iter().map(|r| r.dropped).sum();
+        // The entry count is known before anything is generated, and with
+        // it the packing.
+        let forms: Vec<usize> = db
+            .peptides()
+            .iter()
+            .map(|p| count_modforms(p.sequence(), &this.modspec))
+            .collect();
+        let total_entries = forms.iter().fold(0usize, |acc, &n| acc.saturating_add(n));
         assert!(
             total_entries <= u32::MAX as usize,
             "index partition exceeds u32 entry ids; partition the input"
+        );
+        let packing = Packing::for_entries(total_entries, max_width);
+        let buckets = packing.buckets(num_bins);
+
+        // Pass 1: per peptide range, the entries, their fragments' bins and
+        // the bucket histogram.
+        let ranges = split_ranges_weighted(db, &forms, num_threads);
+        let mut pass1 = run_tasks(ranges, |(lo, hi)| {
+            this.pass1_range(db, &forms, lo, hi, packing)
+        });
+        drop(forms);
+        let total_ions: usize = pass1.iter().map(|r| r.bins.len()).sum();
+        let dropped: usize = pass1.iter().map(|r| r.dropped).sum();
+        assert_eq!(
+            pass1.iter().map(|r| r.entries.len()).sum::<usize>(),
+            total_entries,
+            "modform count disagrees with the modform walk"
         );
         assert!(
             total_ions <= u32::MAX as usize,
             "index partition exceeds u32 posting offsets; partition the input"
         );
-        // No bin holds more than `total_ions`, so no `u32` count wrapped.
-        let mut bin_totals = std::mem::take(&mut pass1[0].bin_counts);
+        // No bucket holds more than `total_ions`, so no `u32` count wrapped.
+        let mut bucket_totals = std::mem::take(&mut pass1[0].bucket_counts);
         for r in &mut pass1[1..] {
-            for (total, count) in bin_totals.iter_mut().zip(std::mem::take(&mut r.bin_counts)) {
+            let counts = std::mem::take(&mut r.bucket_counts);
+            for (total, count) in bucket_totals.iter_mut().zip(counts) {
                 *total += count;
             }
         }
@@ -199,100 +312,137 @@ impl IndexBuilder {
                 .precursor_mass
                 .total_cmp(&entries_old[b as usize].precursor_mass)
         });
-        let mut entries: Vec<SpectrumEntry> = order
+        let entries: Vec<SpectrumEntry> = order
             .iter()
             .map(|&old_id| entries_old[old_id as usize])
             .collect();
         drop(entries_old);
 
-        // Pass 2 runs over contiguous pieces of the new id range, each
-        // needing its own ions per bin: every piece but the last counts
-        // them, and the last piece's are what is left of pass 1's histogram
-        // (all of it when there is one piece).
-        let ions_of: Vec<u64> = entries.iter().map(|e| e.num_fragments as u64).collect();
-        let pieces = split_balanced(&ions_of, num_threads);
+        // The coarse pass runs over contiguous pieces of the new id range,
+        // each needing its own ions per bucket: every piece but the last
+        // counts them, and the last piece's are what is left of pass 1's
+        // histogram (all of it when there is one piece).
+        let pieces = split_balanced(entries.len(), num_threads, |id| {
+            u64::from(entries[id].num_fragments)
+        });
         let mut cursors = run_tasks(pieces[..pieces.len() - 1].to_vec(), |(lo, hi)| {
-            let mut counts = vec![0u32; num_bins];
+            let mut counts = vec![0u32; buckets];
             for &old_id in &order[lo..hi] {
                 for &bin in bins_old[old_id as usize] {
-                    counts[bin as usize] += 1;
+                    counts[packing.bucket(bin)] += 1;
                 }
             }
             counts
         });
         for counts in &cursors {
-            for (left, count) in bin_totals.iter_mut().zip(counts) {
+            for (left, count) in bucket_totals.iter_mut().zip(counts) {
                 *left -= count;
             }
         }
-        cursors.push(bin_totals);
+        cursors.push(bucket_totals);
 
-        // Exclusive prefix sum → CSR offsets; within a bin the slots go to
-        // the pieces in piece (= id) order, turning each piece's counts
-        // into its disjoint write cursors.
-        let mut bin_offsets: Vec<u32> = Vec::with_capacity(num_bins + 1);
+        // Exclusive prefix sum → bucket regions; within a bucket the slots
+        // go to the pieces in piece (= id) order, turning each piece's
+        // counts into its disjoint write cursors.
+        let mut bucket_starts: Vec<u32> = Vec::with_capacity(buckets + 1);
         let mut next = 0u32;
-        for bin in 0..num_bins {
-            bin_offsets.push(next);
+        for bucket in 0..buckets {
+            bucket_starts.push(next);
             for piece in &mut cursors {
-                let count = piece[bin];
-                piece[bin] = next; // now a cursor, not a count
+                let count = piece[bucket];
+                piece[bucket] = next; // now a cursor, not a count
                 next += count;
             }
         }
-        bin_offsets.push(next);
+        bucket_starts.push(next);
         debug_assert_eq!(next as usize, total_ions);
-        // The dense prefix sums were only scaffolding for the fill; the
-        // index keeps the sparse directory.
-        let dir = bindir::from_dense(&bin_offsets).expect("prefix sums form a valid CSR");
 
-        // Pass 2: each piece writes its ids, ascending, through its own
-        // cursors.
+        // Coarse pass: each piece writes its packed ids, ascending, through
+        // its own cursors.
         let mut postings = vec![0u32; total_ions];
         let shared = SharedPostings::new(&mut postings);
         let fills: Vec<_> = pieces.into_iter().zip(cursors).collect();
         run_tasks(fills, |((lo, hi), mut cursors)| {
             for new_id in lo..hi {
                 for &bin in bins_old[order[new_id] as usize] {
-                    let slot = &mut cursors[bin as usize];
-                    shared.write(*slot as usize, new_id as u32);
+                    let slot = &mut cursors[packing.bucket(bin)];
+                    shared.write(*slot as usize, packing.pack(bin, new_id as u32));
                     *slot += 1;
                 }
             }
         });
+        // Pass 1's bins are spent: free them before the fine pass.
+        drop((bins_old, order));
+        drop(pass1);
 
+        let dir = fine_pass(
+            &mut postings,
+            &bucket_starts,
+            packing,
+            num_bins,
+            num_threads,
+        );
         self.stats = BuildStats {
             peptides: db.len(),
             spectra: entries.len(),
             ions: postings.len(),
             dropped_fragments: dropped,
         };
-        // Allocation-exact: footprint accounting equates capacity and length.
-        entries.shrink_to_fit();
         SlmIndex::from_parts(self.config.clone(), entries, dir, postings)
+    }
+
+    /// Fragments one modform of a `len`-residue peptide generates before
+    /// any is dropped: `(len − 1) × series × charges`.
+    fn fragments_per_form(&self, len: usize) -> usize {
+        let theo = &self.config.theo;
+        let series = theo.b_ions as usize + theo.y_ions as usize;
+        len.saturating_sub(1)
+            .saturating_mul(series * theo.charges.len())
     }
 
     /// Fails the build if a spectrum of `db` could hold more fragments than
     /// [`SpectrumEntry::num_fragments`] counts.
     fn check_fragment_counts(&self, db: &PeptideDb) {
-        let theo = &self.config.theo;
-        let per_cleavage = (theo.b_ions as usize + theo.y_ions as usize) * theo.charges.len();
         let longest = db.peptides().iter().map(|p| p.len()).max().unwrap_or(0);
         assert!(
-            longest.saturating_sub(1).saturating_mul(per_cleavage) <= u16::MAX as usize,
+            self.fragments_per_form(longest) <= u16::MAX as usize,
             "a {longest}-residue peptide exceeds u16 fragments per spectrum; \
              index fewer fragment charge states or shorter peptides"
         );
     }
 
+    /// Pass 1's reservation for peptide ids `[lo, hi)`, given every
+    /// peptide's modform count: its entries, exactly, and its fragments
+    /// before drops, exactly — an upper bound on the bins it keeps.
+    fn reservation(&self, db: &PeptideDb, forms: &[usize], lo: u32, hi: u32) -> (usize, usize) {
+        let range = lo as usize..hi as usize;
+        let peptides = db.peptides()[range.clone()].iter();
+        peptides
+            .zip(&forms[range])
+            .fold((0, 0), |(entries, fragments), (p, &n)| {
+                (
+                    entries + n,
+                    fragments + n * self.fragments_per_form(p.len()),
+                )
+            })
+    }
+
     /// Pass 1 over peptide ids `[lo, hi)`: entries, the bins of their kept
-    /// fragments, per-bin ion counts, dropped-fragment count.
-    fn pass1_range(&self, db: &PeptideDb, lo: u32, hi: u32) -> RangePass1 {
+    /// fragments, per-bucket ion counts, dropped-fragment count.
+    fn pass1_range(
+        &self,
+        db: &PeptideDb,
+        forms: &[usize],
+        lo: u32,
+        hi: u32,
+        packing: Packing,
+    ) -> RangePass1 {
         let (config, modspec) = (&self.config, &self.modspec);
+        let (entries, fragments) = self.reservation(db, forms, lo, hi);
         let mut out = RangePass1 {
-            entries: Vec::new(),
-            bins: Vec::new(),
-            bin_counts: vec![0u32; config.num_bins()],
+            entries: Vec::with_capacity(entries),
+            bins: Vec::with_capacity(fragments),
+            bucket_counts: vec![0u32; packing.buckets(config.num_bins())],
             dropped: 0,
         };
         // Scratch of the two generators, reused across the range.
@@ -306,7 +456,7 @@ impl IndexBuilder {
                     for_each_fragment(seq, sites, modspec, &config.theo, &mut prefix, |mz| {
                         match config.bin_of(mz) {
                             Some(bin) => {
-                                out.bin_counts[bin as usize] += 1;
+                                out.bucket_counts[packing.bucket(bin)] += 1;
                                 out.bins.push(bin);
                             }
                             None => out.dropped += 1,
@@ -323,6 +473,113 @@ impl IndexBuilder {
         }
         out
     }
+}
+
+/// The fine pass: counting-sorts every bucket's region of `postings` by
+/// bin, unpacking the ids, and returns the sparse directory (`bitmap`,
+/// `starts`) it writes on the way. Groups of whole buckets are separate
+/// tasks; each group starts on a bitmap-word boundary, so it owns its
+/// words (and its regions) outright.
+fn fine_pass(
+    postings: &mut [u32],
+    bucket_starts: &[u32],
+    packing: Packing,
+    num_bins: usize,
+    num_threads: usize,
+) -> (Vec<u64>, Vec<u32>) {
+    let buckets = bucket_starts.len() - 1;
+    // A group is cut every `unit` buckets: one bitmap word's worth when a
+    // bucket is narrower than a word.
+    let unit = 1usize << 6u32.saturating_sub(packing.width);
+    let cut = |u: usize| (u * unit).min(buckets);
+    let groups = split_balanced(buckets.div_ceil(unit), num_threads, |u| {
+        u64::from(bucket_starts[cut(u + 1)] - bucket_starts[cut(u)])
+    });
+
+    let mut bitmap = vec![0u64; bindir::bitmap_words(num_bins)];
+    let first_word = |bucket: usize| (bucket << packing.width) >> 6;
+    let mut tasks = Vec::with_capacity(groups.len());
+    let (mut postings_left, mut words_left) = (postings, &mut bitmap[..]);
+    for (i, &(lo, hi)) in groups.iter().enumerate() {
+        let group = cut(lo)..cut(hi);
+        let len = (bucket_starts[group.end] - bucket_starts[group.start]) as usize;
+        let (own, rest) = std::mem::take(&mut postings_left).split_at_mut(len);
+        postings_left = rest;
+        let words = if i + 1 == groups.len() {
+            words_left.len()
+        } else {
+            first_word(group.end) - first_word(group.start)
+        };
+        let (own_words, rest) = std::mem::take(&mut words_left).split_at_mut(words);
+        words_left = rest;
+        tasks.push((group, own, own_words));
+    }
+    let parts = run_tasks(tasks, |(group, postings, words)| {
+        sort_buckets(group, postings, words, bucket_starts, packing)
+    });
+
+    let occupied: usize = parts.iter().map(Vec::len).sum();
+    let mut starts = Vec::with_capacity(occupied + 1);
+    for part in &parts {
+        starts.extend_from_slice(part);
+    }
+    starts.push(bucket_starts[buckets]);
+    (bitmap, starts)
+}
+
+/// Sorts the buckets `group` — whose regions are `postings` and whose bins'
+/// bitmap words are `words` — by bin, and returns the posting offset of
+/// each of their occupied bins, in bin order.
+fn sort_buckets(
+    group: Range<usize>,
+    postings: &mut [u32],
+    words: &mut [u64],
+    bucket_starts: &[u32],
+    packing: Packing,
+) -> Vec<u32> {
+    let span = 1usize << packing.width;
+    let base = bucket_starts[group.start];
+    let word_base = (group.start << packing.width) >> 6;
+    let sizes = group
+        .clone()
+        .map(|b| (bucket_starts[b + 1] - bucket_starts[b]) as usize);
+    let mut copy = Vec::with_capacity(sizes.clone().max().unwrap_or(0));
+    // A bucket has at most `min(span, size)` occupied bins.
+    let mut starts = Vec::with_capacity(sizes.map(|n| n.min(span)).sum());
+    let mut cursors = vec![0u32; span];
+    for bucket in group {
+        let (lo, hi) = (bucket_starts[bucket], bucket_starts[bucket + 1]);
+        if lo == hi {
+            continue;
+        }
+        let region = &mut postings[(lo - base) as usize..(hi - base) as usize];
+        copy.clear();
+        copy.extend_from_slice(region);
+        cursors.fill(0);
+        for &p in &copy {
+            cursors[packing.low(p)] += 1;
+        }
+        // Counts → cursors into the region; every occupied bin gets its
+        // bit and its start.
+        let first_bin = bucket << packing.width;
+        let mut next = 0u32;
+        for (low, cursor) in cursors.iter_mut().enumerate() {
+            let count = *cursor;
+            if count != 0 {
+                let bin = first_bin + low;
+                words[(bin >> 6) - word_base] |= 1 << (bin & 63);
+                starts.push(lo + next);
+            }
+            *cursor = next;
+            next += count;
+        }
+        for &p in &copy {
+            let cursor = &mut cursors[packing.low(p)];
+            region[*cursor as usize] = packing.id(p);
+            *cursor += 1;
+        }
+    }
+    starts
 }
 
 /// Runs `task` on every input — inline when there is at most one,
@@ -345,12 +602,10 @@ fn run_tasks<I: Send, T: Send>(inputs: Vec<I>, task: impl Fn(I) -> T + Sync) -> 
         .collect()
 }
 
-/// Splits `0..weights.len()` into at most `parts` contiguous ranges of
-/// near-equal total weight (a greedy boundary at each `1/parts`-th of the
-/// total). Ranges are never empty unless `weights` is (one empty range
-/// then).
-fn split_balanced(weights: &[u64], parts: usize) -> Vec<(usize, usize)> {
-    let len = weights.len();
+/// Splits `0..len` into at most `parts` contiguous ranges of near-equal
+/// total `weight` (a greedy boundary at each `1/parts`-th of the total).
+/// Ranges are never empty unless `len` is 0 (one empty range then).
+fn split_balanced(len: usize, parts: usize, weight: impl Fn(usize) -> u64) -> Vec<(usize, usize)> {
     if len == 0 {
         return vec![(0, 0)];
     }
@@ -358,7 +613,7 @@ fn split_balanced(weights: &[u64], parts: usize) -> Vec<(usize, usize)> {
     if parts == 1 {
         return vec![(0, len)];
     }
-    let total: u64 = weights.iter().sum();
+    let total: u64 = (0..len).map(&weight).sum();
     let mut ranges = Vec::with_capacity(parts);
     let mut lo = 0usize;
     let mut acc = 0u64;
@@ -369,7 +624,7 @@ fn split_balanced(weights: &[u64], parts: usize) -> Vec<(usize, usize)> {
         let max_hi = len - (parts - 1 - r);
         let mut hi = lo;
         while hi < max_hi && (hi == lo || acc < target) {
-            acc += weights[hi];
+            acc += weight(hi);
             hi += 1;
         }
         ranges.push((lo, hi));
@@ -383,25 +638,21 @@ fn split_balanced(weights: &[u64], parts: usize) -> Vec<(usize, usize)> {
 }
 
 /// Splits `0..db.len()` into at most `parts` contiguous peptide ranges
-/// balanced by *estimated pass-1 work* (modform count × sequence length, a
-/// proxy for theoretical ions) rather than by peptide count — a database
-/// where modform-heavy peptides sit clustered (sorted input, one protein
-/// family contiguous) must not serialize the build behind one straggler
-/// range. Ranges are never empty unless `db` is (one empty range then).
-fn split_ranges_weighted(db: &PeptideDb, modspec: &ModSpec, parts: usize) -> Vec<(u32, u32)> {
+/// balanced by *estimated pass-1 work* (modform count `forms[id]` ×
+/// sequence length, a proxy for theoretical ions) rather than by peptide
+/// count — a database where modform-heavy peptides sit clustered (sorted
+/// input, one protein family contiguous) must not serialize the build
+/// behind one straggler range. Ranges are never empty unless `db` is (one
+/// empty range then).
+fn split_ranges_weighted(db: &PeptideDb, forms: &[usize], parts: usize) -> Vec<(u32, u32)> {
     // Peptide ids are `u32` (`PeptideDb` enforces it).
-    if parts.min(db.len()) <= 1 {
-        // A single range is the whole database, whatever the weights.
-        return vec![(0, db.len() as u32)];
-    }
-    let weight = |p: &lbe_bio::peptide::Peptide| {
-        count_modforms(p.sequence(), modspec) as u64 * p.len().max(1) as u64
-    };
-    let weights: Vec<u64> = db.peptides().iter().map(weight).collect();
-    split_balanced(&weights, parts)
-        .into_iter()
-        .map(|(lo, hi)| (lo as u32, hi as u32))
-        .collect()
+    let peptides = db.peptides();
+    split_balanced(peptides.len(), parts, |id| {
+        forms[id] as u64 * peptides[id].len().max(1) as u64
+    })
+    .into_iter()
+    .map(|(lo, hi)| (lo as u32, hi as u32))
+    .collect()
 }
 
 #[cfg(test)]
@@ -415,6 +666,14 @@ mod tests {
                 .map(|s| Peptide::new(s.as_bytes(), 0, 0).unwrap())
                 .collect(),
         )
+    }
+
+    /// Every peptide's modform count, as the build computes it.
+    fn modforms(d: &PeptideDb, spec: &ModSpec) -> Vec<usize> {
+        d.peptides()
+            .iter()
+            .map(|p| count_modforms(p.sequence(), spec))
+            .collect()
     }
 
     #[test]
@@ -584,7 +843,7 @@ mod tests {
             let d = db(&refs);
             for parts in [1usize, 2, 3, 8, 200] {
                 for spec in [ModSpec::none(), ModSpec::paper_default()] {
-                    let ranges = split_ranges_weighted(&d, &spec, parts);
+                    let ranges = split_ranges_weighted(&d, &modforms(&d, &spec), parts);
                     let mut expect = 0u32;
                     for &(lo, hi) in &ranges {
                         assert_eq!(lo, expect);
@@ -611,7 +870,7 @@ mod tests {
         let refs: Vec<&str> = seqs.iter().map(String::as_str).collect();
         let d = db(&refs);
         let spec = ModSpec::paper_default();
-        let ranges = split_ranges_weighted(&d, &spec, 4);
+        let ranges = split_ranges_weighted(&d, &modforms(&d, &spec), 4);
         assert_eq!(ranges.len(), 4);
         // The heavy cluster (first 16 peptides) is spread over several
         // ranges instead of riding in the first one.
@@ -686,7 +945,7 @@ mod tests {
         };
         postings.shrink_to_fit();
         let entries = order.iter().map(|&old_id| old[old_id].0).collect();
-        let dir = bindir::from_dense(&bin_offsets).unwrap();
+        let dir = bindir::tests::from_dense(&bin_offsets).unwrap();
         let index = SlmIndex::from_parts(config.clone(), entries, dir, postings);
         (index, stats)
     }
@@ -793,6 +1052,137 @@ mod tests {
         let index = IndexBuilder::new(coarse.clone(), ModSpec::none()).build(&awkward);
         let repeats = |bin| index.bin_postings(bin).windows(2).any(|w| w[0] == w[1]);
         assert!((0..coarse.num_bins() as u32).any(repeats));
+    }
+
+    /// The database of `matches_reference_on_the_awkward_inputs`.
+    const AWKWARD: [&str; 9] = [
+        "PEPTLDEK",
+        "PEPTIDEK",
+        "K",
+        "PEPTIDEK",
+        "MNKQMCNQK",
+        "NNK",
+        "PEPTLDEK",
+        "GG",
+        "MMMNK",
+    ];
+
+    /// Every packed width F from 0 (one bin per bucket) to 12, at 1, 2, 3
+    /// and 8 threads, builds the reference index. The 1300 Da axis ends in
+    /// a partial bucket at every F > 0, F = 12 puts bin bits in the top bit
+    /// of a packed posting, and the 50 Da axis repeats an id within a bin.
+    #[test]
+    fn every_packed_width_matches_reference_on_the_awkward_inputs() {
+        let awkward = db(&AWKWARD);
+        let check = |config: &SlmConfig, spec: &ModSpec| {
+            let (reference, ref_stats) = build_reference(config, spec, &awkward);
+            for width in 0..=MAX_PACKED_WIDTH {
+                for threads in [1, 2, 3, 8] {
+                    let mut b = IndexBuilder::new(config.clone(), spec.clone());
+                    let index = b.build_packed(&awkward, threads, width);
+                    assert!(index == reference, "F = {width}, {threads} threads");
+                    assert_eq!(b.stats(), ref_stats, "F = {width}, {threads} threads");
+                    assert_eq!(index.heap_bytes(), reference.heap_bytes());
+                }
+            }
+        };
+        let config = |max_fragment_mz, theo| SlmConfig {
+            max_fragment_mz,
+            theo,
+            ..SlmConfig::default()
+        };
+        for spec in [
+            ModSpec::none(),
+            ModSpec::oxidation_only(),
+            ModSpec::paper_default(),
+            two_mods_on_one_residue(),
+        ] {
+            for theo in theo_variants() {
+                check(&config(1300.0, theo), &spec);
+            }
+            let doubly = lbe_spectra::theo::TheoParams::with_doubly_charged();
+            check(&config(300.0, doubly), &spec);
+        }
+        let coarse = SlmConfig {
+            resolution: 50.0,
+            ..SlmConfig::default()
+        };
+        check(&coarse, &ModSpec::paper_default());
+    }
+
+    #[test]
+    fn packing_width_is_read_off_the_entry_count() {
+        let width = |entries| Packing::for_entries(entries, MAX_PACKED_WIDTH).width;
+        assert_eq!(width(0), 12);
+        assert_eq!(width(1 << 20), 12);
+        assert_eq!(width((1 << 20) + 1), 11);
+        assert_eq!(width(1 << 31), 1);
+        assert_eq!(width((1 << 31) + 1), 0);
+        assert_eq!(width(u32::MAX as usize), 0);
+        // The id field of the widest packing holds the largest id, and at
+        // width 0 a packed posting is its id.
+        for (entries, bin) in [(1usize << 20, 0xABC_DEFu32), (u32::MAX as usize, 7)] {
+            let packing = Packing::for_entries(entries, MAX_PACKED_WIDTH);
+            let id = (entries - 1) as u32;
+            let packed = packing.pack(bin, id);
+            assert_eq!(packing.id(packed), id);
+            assert_eq!(
+                packing.low(packed),
+                (bin & ((1 << packing.width) - 1)) as usize
+            );
+        }
+        assert_eq!(Packing { width: 0 }.pack(u32::MAX, 5), 5);
+        assert_eq!(Packing { width: 12 }.buckets(4096), 1);
+        assert_eq!(Packing { width: 12 }.buckets(4097), 2);
+        assert_eq!(Packing { width: 0 }.buckets(4097), 4097);
+    }
+
+    /// Pass 1 reserves exactly: Σ `count_modforms` entries — also under a
+    /// modform cap below 2, where the walk still yields two forms — and
+    /// every generated fragment, which is every kept one unless
+    /// `max_fragment_mz` drops some.
+    #[test]
+    fn pass1_reservation_is_exact() {
+        let d = db(&AWKWARD);
+        let capped = |cap| ModSpec {
+            max_modforms_per_peptide: cap,
+            ..ModSpec::paper_default()
+        };
+        let specs = [
+            ModSpec::none(),
+            ModSpec::paper_default(),
+            capped(1),
+            capped(0),
+        ];
+        let theo = lbe_spectra::theo::TheoParams::with_doubly_charged();
+        for (max_fragment_mz, drops) in [(5100.0, false), (300.0, true)] {
+            let config = SlmConfig {
+                max_fragment_mz,
+                theo: theo.clone(),
+                ..SlmConfig::default()
+            };
+            for spec in &specs {
+                let forms = modforms(&d, spec);
+                let mut b = IndexBuilder::new(config.clone(), spec.clone());
+                let index = b.build(&d);
+                assert_eq!(forms.iter().sum::<usize>(), index.num_spectra(), "{spec:?}");
+                let end = d.len() as u32;
+                let (entries, fragments) = b.reservation(&d, &forms, 0, end);
+                let packing = Packing {
+                    width: MAX_PACKED_WIDTH,
+                };
+                let out = b.pass1_range(&d, &forms, 0, end, packing);
+                assert_eq!(entries, out.entries.len());
+                assert_eq!(out.entries.capacity(), out.entries.len());
+                assert_eq!(fragments, out.bins.len() + out.dropped);
+                assert_eq!(out.bins.capacity(), fragments);
+                assert_eq!(out.dropped > 0, drops, "{max_fragment_mz} Da");
+            }
+        }
+        // Under a cap below 2 the walk yields two forms of a peptide with
+        // a modifiable site, and the count says two.
+        let forms = modforms(&db(&["MK"]), &capped(1));
+        assert_eq!(forms, vec![2]);
     }
 
     mod differential {

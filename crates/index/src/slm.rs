@@ -178,7 +178,8 @@ impl PartialEq for SlmIndex {
 
 impl SlmIndex {
     /// Assembles an index from parts (used by [`crate::builder`]); `dir`
-    /// is [`bindir::from_dense`]'s `(bitmap, starts)` pair.
+    /// is the stored half of the bin directory, `(bitmap, starts)`, both
+    /// allocated exactly.
     pub(crate) fn from_parts(
         config: SlmConfig,
         entries: Vec<SpectrumEntry>,

@@ -58,7 +58,19 @@ fn start_daemon(
     ShutdownHandle,
     std::thread::JoinHandle<lbe::core::ServeStats>,
 ) {
-    let engine = ResidentEngine::open(corpus_index(), usize::MAX).unwrap();
+    start_daemon_on(corpus_index(), cfg)
+}
+
+/// [`start_daemon`] over the index at `index`.
+fn start_daemon_on(
+    index: &str,
+    cfg: ServeConfig,
+) -> (
+    std::net::SocketAddr,
+    ShutdownHandle,
+    std::thread::JoinHandle<lbe::core::ServeStats>,
+) {
+    let engine = ResidentEngine::open(index, usize::MAX).unwrap();
     let server = Server::bind(engine, "127.0.0.1:0", cfg).unwrap();
     let addr = server.local_addr();
     let handle = server.shutdown_handle();
@@ -967,53 +979,159 @@ fn idle_connections_are_reaped_with_a_clean_bye() {
     assert_eq!(stats.responses, 3);
 }
 
+/// The most bytes one direction of a loopback TCP connection can hold
+/// unread: the sender's send buffer plus the receiver's receive buffer,
+/// each at most its autotuning maximum (`tcp_wmem`, `tcp_rmem`; neither
+/// side sets `SO_SNDBUF`/`SO_RCVBUF`). 64 MiB each where the limits cannot
+/// be read.
+fn socket_buffer_bound() -> u64 {
+    let max = |name: &str| {
+        std::fs::read_to_string(format!("/proc/sys/net/ipv4/{name}"))
+            .ok()
+            .and_then(|s| s.split_whitespace().nth(2)?.parse().ok())
+            .unwrap_or(64 << 20)
+    };
+    max("tcp_wmem") + max("tcp_rmem")
+}
+
 /// Lifecycle: a client that pipelines queries and never reads cannot hold
 /// up shutdown. Its replies fill the socket buffers, the server's writer
 /// for it blocks in `write`, its per-connection gate fills and its reader
 /// stops taking queries. A `Shutdown` from a second connection must still
 /// end `run`, which joins that writer: the accepted socket's write timeout
 /// breaks it.
+///
+/// The premise — the writer blocks — is established, not assumed: the
+/// client keeps sending until the replies the server must already have
+/// produced exceed what the socket buffers can hold (or the server gives
+/// up on the connection first). That takes large replies: an index whose
+/// 2 000 peptides share a six-residue prefix, so a full scan of one of
+/// them ranks the whole top 1 000.
 #[test]
 fn shutdown_completes_behind_a_client_that_never_reads() {
+    use lbe::bio::mods::{ModForm, ModSpec};
+    use lbe::spectra::spectrum::Peak;
+    use lbe::spectra::theo::{TheoParams, TheoSpectrum};
+    use std::io::ErrorKind;
     use std::time::{Duration, Instant};
-    let (addr, _handle, runner) = start_daemon(ServeConfig::default());
-    let spectra: Vec<Spectrum> = SpectrumReader::open(data("corpus.ms2"))
-        .unwrap()
-        .map(|s| s.unwrap())
+
+    let residues = b"ADEFGHNPQSTVWY";
+    let peptide = |i: usize| {
+        let mut seq = b"GASPVT".to_vec();
+        seq.extend([i / 196, i / 14 % 14, i % 14].map(|r| residues[r]));
+        seq.push(b'K');
+        seq
+    };
+    let dir = tmpdir("never_reads");
+    let fasta = dir.join("shared_prefix.fasta");
+    let fasta_text: String = (0..2000)
+        .map(|i| format!(">p{i}\n{}\n", String::from_utf8(peptide(i)).unwrap()))
         .collect();
-    // Large replies, so the buffers fill fast: every candidate of an open
-    // full scan.
+    std::fs::write(&fasta, fasta_text).unwrap();
+    let store = dir.join("store").to_string_lossy().to_string();
+    std::fs::remove_dir_all(&store).ok();
+    cli(&format!(
+        "index init --db {} --out {store}",
+        fasta.display()
+    ));
+    let cfg = ServeConfig::default();
+    let (addr, _handle, runner) = start_daemon_on(&store, cfg);
+
+    // One query, sent over and over: peptide 0's fragments, padded with
+    // faint peaks that match nothing (preprocessing keeps the top 100) so
+    // that a request is about as large as its reply.
+    let theo = TheoSpectrum::from_sequence(
+        &peptide(0),
+        &ModForm::unmodified(),
+        &ModSpec::none(),
+        &TheoParams::default(),
+    );
+    let mut peaks: Vec<Peak> = theo
+        .fragment_mzs
+        .iter()
+        .map(|&mz| Peak {
+            mz,
+            intensity: 100.0,
+        })
+        .collect();
+    peaks.extend((0..1500).map(|k| Peak {
+        mz: 4000.0 + 0.25 * k as f64,
+        intensity: 1.0,
+    }));
+    let query = Spectrum {
+        scan: 1,
+        precursor_mz: theo.precursor_mass + 1.007_276,
+        charge: 1,
+        peaks,
+        title: String::new(),
+    };
     let frame = |req_id: u64| {
-        let s = &spectra[req_id as usize % spectra.len()];
         let mut wire = Vec::new();
-        let query = Request::Query {
+        let request = Request::Query {
             req_id,
             full_scan: true,
             tolerance: None,
             top_k: Some(1000),
-            scan: s.scan,
-            precursor_mz: s.precursor_mz,
-            charge: s.charge,
-            peaks: s.peaks.iter().map(|p| (p.mz, p.intensity)).collect(),
+            scan: query.scan,
+            precursor_mz: query.precursor_mz,
+            charge: query.charge,
+            peaks: query.peaks.iter().map(|p| (p.mz, p.intensity)).collect(),
         };
-        proto::write_frame(&mut wire, &query.encode()).unwrap();
+        proto::write_frame(&mut wire, &request.encode()).unwrap();
         wire
     };
 
-    // Send until the server has taken nothing for a second: its reader is
-    // waiting on a gate that a blocked writer no longer releases.
+    // The sizes, measured on a connection that reads.
+    let request_bytes = frame(0).len() as u64;
+    let reply_bytes = {
+        let mut probe = TcpStream::connect(addr).unwrap();
+        probe.write_all(&frame(0)).unwrap();
+        let payload = proto::read_frame(&mut probe).unwrap().unwrap();
+        match Response::decode(&payload).unwrap() {
+            Response::Result { psms, .. } => assert_eq!(psms.len(), 1000),
+            other => panic!("expected a result, got {other:?}"),
+        }
+        payload.len() as u64 + 4
+    };
+    // After `n` requests, at most `bound / request_bytes` whole ones (and
+    // a part of one more) are still unread in the socket buffers, one sits
+    // in the reader and `per_conn_inflight` are admitted but unanswered:
+    // the replies to the rest exist. Once those outgrow the buffers, by
+    // more than the writer's 8 KB `BufWriter` and the frame in its hands,
+    // the writer is blocked.
+    let bound = socket_buffer_bound();
+    let unanswered = bound / request_bytes + 2 + cfg.per_conn_inflight as u64;
+    let needed = unanswered + bound / reply_bytes + 3;
+
     let stalled = TcpStream::connect(addr).unwrap();
     stalled
-        .set_write_timeout(Some(Duration::from_secs(1)))
+        .set_write_timeout(Some(Duration::from_millis(200)))
         .unwrap();
     let start = Instant::now();
-    let mut sent = 0u64;
-    while (&stalled).write_all(&frame(sent)).is_ok() {
-        sent += 1;
+    let (mut sent, mut request, mut at) = (0u64, frame(0), 0usize);
+    loop {
         assert!(
             start.elapsed() < Duration::from_secs(120),
-            "the server kept reading ({sent} queries)"
+            "the server kept reading ({sent} of {needed} queries sent)"
         );
+        match (&stalled).write(&request[at..]) {
+            Ok(n) => {
+                at += n;
+                if at == request.len() {
+                    sent += 1;
+                    (request, at) = (frame(sent), 0);
+                }
+            }
+            // Stalled: done once the premise holds, else the server is
+            // only slow and the next write goes through.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if sent >= needed {
+                    break;
+                }
+            }
+            // The server closed the connection: its writer already broke.
+            Err(_) => break,
+        }
     }
 
     let mut control = TcpStream::connect(addr).unwrap();
@@ -1031,6 +1149,7 @@ fn shutdown_completes_behind_a_client_that_never_reads() {
         Response::Bye { req_id } => assert_eq!(req_id, 5),
         other => panic!("expected Bye, got {other:?}"),
     }
+    assert!(stats.write_failures >= 1, "{stats:?}");
     assert!(stats.responses < stats.requests, "{stats:?}");
     drop(stalled);
 }
