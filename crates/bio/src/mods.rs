@@ -312,17 +312,46 @@ pub fn enumerate_modforms(seq: &[u8], spec: &ModSpec) -> Vec<ModForm> {
 
 /// Counts the modforms of `seq` without enumerating them: exactly
 /// `enumerate_modforms(seq, spec).len()`, cap included.
+pub fn count_modforms(seq: &[u8], spec: &ModSpec) -> usize {
+    tally_modforms(seq, spec).forms
+}
+
+/// What [`for_each_modform`] yields for one sequence, counted without
+/// walking it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ModformTally {
+    /// Modforms visited, cap included: [`count_modforms`].
+    pub forms: usize,
+    /// Modified sites summed over those modforms: the total length of the
+    /// `sites` slices the walk passes.
+    pub sites: usize,
+}
+
+/// Residue positions whose modform counts [`tally_modforms`] keeps on the
+/// stack; a larger `max_mods_per_peptide` (on a long enough sequence)
+/// takes one heap allocation.
+const STACK_SIZES: usize = 16;
+
+/// Counts [`for_each_modform`]'s modforms of `seq` and their sites.
 ///
 /// With `m_p` mods applicable at position `p`, the forms of `k` modified
 /// residues number `e_k(m_1, …, m_n)` (the elementary symmetric
 /// polynomial), so one pass over the sequence updating `e_0..=e_max`
-/// gives the uncapped total.
-pub fn count_modforms(seq: &[u8], spec: &ModSpec) -> usize {
+/// gives the count of every size. The walk visits sizes in ascending
+/// order, so the cap keeps the smallest: the first `forms` of them.
+pub fn tally_modforms(seq: &[u8], spec: &ModSpec) -> ModformTally {
     let max_size = spec.max_mods_per_peptide.min(seq.len());
     if spec.mods.is_empty() || max_size == 0 {
-        return 1;
+        return ModformTally { forms: 1, sites: 0 };
     }
-    let mut by_size = vec![0usize; max_size + 1];
+    let mut stack = [0usize; STACK_SIZES];
+    let mut heap = Vec::new();
+    let by_size = if max_size < STACK_SIZES {
+        &mut stack[..=max_size]
+    } else {
+        heap.resize(max_size + 1, 0);
+        &mut heap[..]
+    };
     by_size[0] = 1;
     for &c in seq {
         let here = spec.mods.iter().filter(|m| m.applies_to(c)).count();
@@ -335,7 +364,14 @@ pub fn count_modforms(seq: &[u8], spec: &ModSpec) -> usize {
     }
     let total = by_size.iter().fold(0usize, |a, &n| a.saturating_add(n));
     // The walk visits two forms before it first looks at the cap.
-    total.min(spec.max_modforms_per_peptide.max(2))
+    let forms = total.min(spec.max_modforms_per_peptide.max(2));
+    let (mut left, mut sites) = (forms, 0usize);
+    for (size, &n) in by_size.iter().enumerate() {
+        let taken = n.min(left);
+        sites = sites.saturating_add(taken.saturating_mul(size));
+        left -= taken;
+    }
+    ModformTally { forms, sites }
 }
 
 #[cfg(test)]
@@ -539,7 +575,11 @@ mod tests {
             let want = enumerate_breadth_first(&seq, &spec);
             // Bit-equal, delta masses included; the scratch is reused dirty.
             assert_eq!(enumerate_modforms(&seq, &spec), want, "case {case}");
+            let tally = tally_modforms(&seq, &spec);
             assert_eq!(count_modforms(&seq, &spec), want.len(), "case {case}");
+            assert_eq!(tally.forms, want.len(), "case {case}");
+            let sites: usize = want.iter().map(ModForm::num_mods).sum();
+            assert_eq!(tally.sites, sites, "case {case}");
             let mut visits = 0usize;
             for_each_modform(&seq, &spec, &mut scratch, |sites, delta| {
                 assert_eq!(sites, &want[visits].sites[..], "case {case}");
@@ -547,6 +587,34 @@ mod tests {
                 visits += 1;
             });
             assert_eq!(visits, want.len(), "case {case}");
+        }
+    }
+
+    /// Up to 15 modified residues count on the stack, more on the heap:
+    /// both sides of the switch agree with the walk, capped and not.
+    #[test]
+    fn tally_matches_the_walk_on_both_sides_of_the_stack_array() {
+        let seq = [b'M'; 17];
+        for max_mods in [STACK_SIZES - 1, STACK_SIZES, 17, 40] {
+            let spec = |cap| ModSpec {
+                mods: vec![VariableMod::new(ModType::Oxidation, b"M")],
+                max_mods_per_peptide: max_mods,
+                max_modforms_per_peptide: cap,
+            };
+            // Σ_{k ≤ max} C(17, k) forms carrying Σ k·C(17, k) sites.
+            let (mut binom, mut forms, mut sites) = (1usize, 0, 0);
+            for k in 0..=max_mods.min(17) {
+                forms += binom;
+                sites += k * binom;
+                binom = binom * (17 - k) / (k + 1);
+            }
+            let uncapped = tally_modforms(&seq, &spec(usize::MAX));
+            assert_eq!(uncapped, ModformTally { forms, sites }, "max {max_mods}");
+            let want = enumerate_modforms(&seq, &spec(300));
+            let capped = tally_modforms(&seq, &spec(300));
+            assert_eq!(capped.forms, want.len(), "max {max_mods}");
+            let want_sites: usize = want.iter().map(ModForm::num_mods).sum();
+            assert_eq!(capped.sites, want_sites, "max {max_mods}");
         }
     }
 

@@ -1,82 +1,101 @@
 //! Index construction in cache-sized passes: every fragment generated
-//! once, every posting written twice, each time into a few streams that
-//! stay in cache.
+//! twice, once to count it and once to place it, and every posting written
+//! twice, each time into a few streams that stay in cache. Nothing is kept
+//! per fragment between the passes.
 //!
-//! **Pass 1** walks the peptides in id order. Per modform
-//! ([`for_each_modform`]) it generates the fragment m/z
-//! ([`for_each_fragment`]), quantizes each kept one to its bin and appends
-//! the bin to one flat `u32` array; the spectrum's [`SpectrumEntry`]
-//! records its precursor mass and how many bins it appended. Both arrays
-//! are reserved once, before the walk, and never grow: a peptide has
-//! exactly [`count_modforms`] entries, and each of them at most `(len − 1)
-//! × series × charges` fragments — the exact count when none is dropped.
-//! The only histogram is a coarse one, over *buckets* of `2^F` adjacent
-//! bins (`bin >> F`).
+//! **Counting pass.** It walks the peptides in id order. Per modform
+//! ([`for_each_modform`]) it computes the precursor mass
+//! ([`prefix_masses`]), then the fragment m/z ([`emit_fragments`]), and
+//! quantizes each one to its bin. A kept fragment is only counted, in a
+//! histogram over *buckets* of `2^F` adjacent bins (`bin >> F`), and its
+//! bin marked in the bin directory's occupancy bitmap. There is one
+//! histogram per precursor-mass *slab* (below). Per spectrum the pass keeps
+//! its [`SpectrumEntry`] (precursor mass, kept-fragment count) and its mod
+//! sites. Both arrays are allocated once, exactly, before the walk:
+//! [`tally_modforms`] counts a peptide's modforms and their sites without
+//! walking them.
 //!
-//! **Entry ids are assigned in ascending precursor-mass order**, by a
-//! stable sort over the peptide-major modform-minor pass-1 order, so equal
-//! masses keep that order. The payoff is the banded query kernel — with
+//! **Entry ids are assigned in ascending precursor-mass order**, by a sort
+//! on `(mass, pass-1 id)` — the peptide-major modform-minor order breaks
+//! ties, so equal masses keep it. The payoff is the banded query kernel — with
 //! ids ordered by mass, a closed search binary-searches every bin's posting
 //! list down to its precursor window instead of scanning the whole bin
 //! (see [`crate::query`]). Peptide and modform ids are untouched; only the
 //! internal entry numbering changes.
 //!
-//! **Coarse pass.** In *new* id order, every posting is written once into
-//! its bucket's contiguous region of the final `postings` array, packed as
-//! `(bin mod 2^F) << (32 − F) | id`. The writes form one sequential stream
-//! per bucket (≈ 125 at the default axis) instead of one random store per
-//! posting, and each region holds its postings in ascending id order.
+//! **Coarse pass.** In *new* id order, each spectrum's fragments are
+//! generated again ([`for_each_fragment`], from its peptide and its stored
+//! sites), and every kept one is written into its bucket's contiguous
+//! region of the final `postings` array, packed as `(bin mod 2^F) << (32 −
+//! F) | id`. The writes form one sequential stream per bucket (≈ 125 at
+//! the default axis) instead of one random store per posting, and each
+//! region holds its postings in ascending id order.
 //!
 //! **Fine pass.** Each bucket is counting-sorted by its packed bin field
 //! back into its own region: `2^F` counters (16 KB at F = 12, L1-resident)
 //! over a copy of the bucket. The sort is stable, so every bin's list comes
 //! out ascending — the invariant the kernel binary-searches on — and the
-//! pass unpacks the ids and writes the sparse bin directory (bitmap words
-//! and `starts` of `bindir.rs`) as it goes.
+//! pass unpacks the ids and writes the sparse bin directory's `starts`
+//! (`bindir.rs`) as it goes, one per bit of the counting pass's bitmap.
 //!
 //! **F is read off the input**: `F = min(12, 32 − bits(entries − 1))`, the
 //! widest bin field that leaves room for every entry id (12 up to 2^20
 //! entries). F = 0 makes every bucket one bin: the coarse pass is then the
 //! one-scatter build, and the fine pass a copy.
 //!
-//! [`IndexBuilder::build_parallel`] splits pass 1 into contiguous peptide
-//! ranges (balanced by estimated ions), the coarse pass into contiguous
-//! *id* pieces (balanced by ions) and the fine pass into groups of whole
-//! buckets (balanced by postings, cut on bitmap-word boundaries, so each
-//! group owns its words). A piece needs its own ions per bucket: every
-//! piece but the last counts them in one re-read of its flat bins, the
-//! last takes what is left of pass 1's histogram, and a bucket's slots are
-//! handed out to the pieces in piece order. Piece `p`'s ids are all below
-//! piece `p + 1`'s, so each region stays ascending, and since neither the
-//! bins, the sort nor the slot of any posting depends on where the ranges,
-//! pieces and groups were cut, the index is **identical for every thread
-//! count** (tested) — the sequential [`IndexBuilder::build`] is the same
-//! code with one range, one piece (the last: nothing is re-read) and one
-//! group.
+//! **Threads.** [`IndexBuilder::build_parallel`] splits the counting pass
+//! into contiguous peptide ranges (balanced by estimated ions), the coarse
+//! pass into *pieces*, and the fine pass into groups of whole buckets
+//! (balanced by postings, cut on bitmap-word boundaries, so each group's
+//! bins own one run of `starts`, sized by its words' popcount). A slab is
+//! a run of `f32` precursor masses, 1/32 of a binade wide (see `Slabs`):
+//! a monotone function of the sort key, so after the sort each slab is a
+//! contiguous run of new ids. A piece is a run of whole
+//! slabs (balanced by ions), and its ions per bucket are its slabs'
+//! histograms summed — no piece generates anything to learn them. A
+//! bucket's slots are handed out to the pieces in piece order. Piece `p`'s
+//! ids are all below piece `p + 1`'s, so each region stays ascending. The
+//! bins, the sort and the slot of every posting depend on none of the cuts
+//! (ranges, slabs, pieces, groups), so the index is **identical for every
+//! thread count** (tested). The sequential [`IndexBuilder::build`] is the
+//! same code with one range, one slab, one piece and one group. Every
+//! coarse-pass write is checked against its piece's own window, and every
+//! window must come out exactly full: the placed fragments are the counted
+//! ones, since both passes run the same pure function of a peptide and its
+//! sites.
 //!
-//! The index is allocated exactly (capacity = length: nothing distorts the
-//! memory figures). Besides it the build holds, at most: 8 bytes per
-//! peptide of modform counts (pass 1 only); the flat bins, 4 bytes per
-//! fragment before drops (up to the coarse pass); 44 bytes per entry
-//! around the sort (the pass-1 entries and their copy, a slice per entry
-//! locating its bins, the renumbering and the sort's buffer); one coarse
-//! histogram of `num_bins / 2^F` counters per task; and per fine-pass task
-//! a copy of its largest bucket, `2^F` counters and its buckets' `starts`.
-//! Above F = 0 no table has a slot per bin, and no array grows by
-//! doubling.
+//! **What the build holds.** The index is allocated exactly (capacity =
+//! length: nothing distorts the memory figures). Besides it the build
+//! holds, at most:
+//! - 16 bytes per peptide of modform tallies, up to the counting pass;
+//! - per spectrum, its pass-1 entry (12 bytes, up to the sort), its sort
+//!   key (8, during the sort), and a site offset and the renumbering (4 +
+//!   4, through the coarse pass);
+//! - 4 bytes per mod site, through the coarse pass;
+//! - per counting task one histogram of `slabs × num_bins / 2^F` counters,
+//!   at most 2^16 (256 KB) unless one slab alone is wider, and one bitmap
+//!   (a bit per bin); per piece `num_bins / 2^F` windows;
+//! - per fine-pass task a copy of its largest bucket and `2^F` counters.
+//!
+//! No table but the postings has a slot per fragment. Above F = 0 none but
+//! the bitmaps has a slot per bin, and no array grows by doubling.
 
 use crate::bindir;
 use crate::config::SlmConfig;
 use crate::slm::{SlmIndex, SpectrumEntry};
-use lbe_bio::mods::{count_modforms, for_each_modform, ModSpec};
+use lbe_bio::mods::{for_each_modform, tally_modforms, ModSpec, ModformTally};
 use lbe_bio::peptide::PeptideDb;
-use lbe_spectra::theo::for_each_fragment;
+use lbe_spectra::theo::{emit_fragments, for_each_fragment, prefix_masses};
 use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Widest packed bin field F. A bucket then spans 4 096 bins, whose `u32`
 /// counters (16 KB) stay in L1 through the fine pass.
 const MAX_PACKED_WIDTH: u32 = 12;
+
+/// Counters in one counting task's slab histograms, at most, unless a
+/// single slab's histogram (one counter per bucket) is larger.
+const HISTOGRAM_BUDGET: usize = 1 << 16;
 
 /// Statistics from one index build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -140,25 +159,119 @@ impl Packing {
     }
 }
 
-/// Pass-1 output for one contiguous peptide range.
-struct RangePass1 {
-    /// Index entries, in peptide-major modform-minor order within the range.
+/// `mass`'s place in [`f32::total_cmp`]'s order, as an unsigned integer:
+/// the renumbering's sort key. A non-negative mass keeps its bit pattern
+/// under a set sign bit; a negative one has every bit flipped, which puts
+/// it below them and reverses the order of its magnitudes.
+#[inline]
+fn mass_key(mass: f32) -> u32 {
+    let bits = mass.to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    }
+}
+
+/// Precursor-mass slabs: the keys of the counting pass's histograms and
+/// the units the coarse pass is cut in.
+///
+/// A slab is a run of [`mass_key`]s between those of 32 Da and 16 384 Da,
+/// `2^shift` keys wide: 32 slabs per binade at the finest shift (18), 289
+/// in all. Masses outside that span join the end slabs. So [`Slabs::of`]
+/// never decreases along the sort's order, whatever the masses.
+#[derive(Debug, Clone, Copy)]
+struct Slabs {
+    shift: u32,
+}
+
+impl Slabs {
+    /// The keys of 32 Da and of 16 384 Da.
+    const SPAN: Range<u32> = 0xC200_0000..0xC680_0000;
+
+    /// `2^18` keys per slab: 32 per binade of `2^23`.
+    const FINEST: u32 = 18;
+
+    /// The slabs for a build on `num_threads` threads whose histograms have
+    /// `buckets` counters per slab: one slab on one thread (one piece needs
+    /// no cut), else the finest whose histograms fit [`HISTOGRAM_BUDGET`].
+    fn new(num_threads: usize, buckets: usize) -> Self {
+        let mut slabs = Slabs {
+            shift: if num_threads == 1 { 32 } else { Self::FINEST },
+        };
+        while slabs.count() > 1 && slabs.count() * buckets > HISTOGRAM_BUDGET {
+            slabs.shift += 1;
+        }
+        slabs
+    }
+
+    /// Number of slabs.
+    fn count(self) -> usize {
+        (u64::from(Self::SPAN.end - Self::SPAN.start) >> self.shift) as usize + 1
+    }
+
+    /// The slab of precursor mass `mass`.
+    #[inline]
+    fn of(self, mass: f32) -> usize {
+        let clamped = mass_key(mass).clamp(Self::SPAN.start, Self::SPAN.end);
+        (u64::from(clamped - Self::SPAN.start) >> self.shift) as usize
+    }
+}
+
+/// What the counting pass keeps, in pass-1 (peptide-major modform-minor)
+/// order: each array allocated once, at its exact length.
+struct Pass1 {
+    /// Index entries, their ids still the pass-1 ones.
     entries: Vec<SpectrumEntry>,
-    /// The bin of every kept fragment, entry after entry: an entry's bins
-    /// are the `num_fragments` following those of the entries before it.
-    bins: Vec<u32>,
-    /// Ions per bucket contributed by this range.
-    bucket_counts: Vec<u32>,
+    /// Entry `i`'s mod sites are `sites[site_starts[i]..site_starts[i +
+    /// 1]]`: one start per entry and an end.
+    site_starts: Vec<u32>,
+    /// Every entry's `(position, mod index)` sites, entry after entry.
+    sites: Vec<(u16, u8)>,
+    counts: Counts,
+}
+
+/// What the counting pass counts, per peptide range and then summed.
+struct Counts {
+    /// Kept fragments per `(slab, bucket)`, slab-major.
+    histogram: Vec<u32>,
+    /// The bin directory's occupancy bitmap: a bit per bin that keeps a
+    /// fragment.
+    bitmap: Vec<u64>,
     /// Fragments outside `max_fragment_mz`.
     dropped: usize,
+}
+
+impl Counts {
+    /// Adds `other`'s counts to these.
+    fn add(&mut self, other: Counts) {
+        for (total, count) in self.histogram.iter_mut().zip(other.histogram) {
+            *total += count;
+        }
+        for (word, bits) in self.bitmap.iter_mut().zip(other.bitmap) {
+            *word |= bits;
+        }
+        self.dropped += other.dropped;
+    }
+}
+
+/// One counting task's share of [`Pass1`]'s arrays: its peptides' entries,
+/// site starts and sites.
+struct RangeOut<'a> {
+    peptides: Range<u32>,
+    entries: &'a mut [SpectrumEntry],
+    site_starts: &'a mut [u32],
+    sites: &'a mut [(u16, u8)],
+    /// The offset of `sites[0]` in the whole sites array.
+    site_base: u32,
 }
 
 /// Postings array shared across coarse-pass piece tasks.
 ///
 /// Every `(piece, bucket)` pair owns a disjoint slot window `[cursor,
-/// cursor + count)` carved out of the same prefix sums, so concurrent
-/// writers never alias; the wrapper only exists to hand each task a raw
-/// pointer with bounds checking in debug builds.
+/// end)` carved out of the same prefix sums, so concurrent writers never
+/// alias; the wrapper only exists to hand each task a raw pointer with
+/// bounds checking in debug builds.
 struct SharedPostings<'a> {
     ptr: *mut u32,
     len: usize,
@@ -180,12 +293,13 @@ impl<'a> SharedPostings<'a> {
         }
     }
 
-    /// Writes `value` at `slot`. Caller must own `slot`'s cursor window.
+    /// Writes `value` at `slot`. Caller must own `slot`'s window.
     #[inline]
     fn write(&self, slot: usize, value: u32) {
         debug_assert!(slot < self.len);
-        // SAFETY: `slot < len` (checked in debug; guaranteed by the bucket
-        // prefix sums in release) and no other task owns this slot.
+        // SAFETY: the coarse pass checks `slot` against its own window,
+        // which the bucket prefix sums place inside `0..len` and apart
+        // from every other task's.
         unsafe { *self.ptr.add(slot) = value }
     }
 }
@@ -247,148 +361,137 @@ impl IndexBuilder {
         let num_bins = self.config.num_bins();
         let this = &*self;
 
-        // The entry count is known before anything is generated, and with
-        // it the packing.
-        let forms: Vec<usize> = db
+        // The entry and site counts are known before anything is
+        // generated, and with the entry count the packing.
+        let tallies: Vec<ModformTally> = db
             .peptides()
             .iter()
-            .map(|p| count_modforms(p.sequence(), &this.modspec))
+            .map(|p| tally_modforms(p.sequence(), &this.modspec))
             .collect();
-        let total_entries = forms.iter().fold(0usize, |acc, &n| acc.saturating_add(n));
+        let total = sum_tallies(&tallies);
         assert!(
-            total_entries <= u32::MAX as usize,
+            total.forms <= u32::MAX as usize,
             "index partition exceeds u32 entry ids; partition the input"
         );
-        let packing = Packing::for_entries(total_entries, max_width);
+        let packing = Packing::for_entries(total.forms, max_width);
         let buckets = packing.buckets(num_bins);
+        let slabs = Slabs::new(num_threads, buckets);
 
-        // Pass 1: per peptide range, the entries, their fragments' bins and
-        // the bucket histogram.
-        let ranges = split_ranges_weighted(db, &forms, num_threads);
-        let mut pass1 = run_tasks(ranges, |(lo, hi)| {
-            this.pass1_range(db, &forms, lo, hi, packing)
-        });
-        drop(forms);
-        let total_ions: usize = pass1.iter().map(|r| r.bins.len()).sum();
-        let dropped: usize = pass1.iter().map(|r| r.dropped).sum();
-        assert_eq!(
-            pass1.iter().map(|r| r.entries.len()).sum::<usize>(),
-            total_entries,
-            "modform count disagrees with the modform walk"
-        );
+        let pass1 = this.count_pass(db, &tallies, num_threads, packing, slabs);
+        drop(tallies);
+        let Pass1 {
+            entries: entries_old,
+            site_starts,
+            sites,
+            counts:
+                Counts {
+                    histogram,
+                    bitmap,
+                    dropped,
+                },
+        } = pass1;
+        let total_ions: usize = entries_old
+            .iter()
+            .map(|e| usize::from(e.num_fragments))
+            .sum();
         assert!(
             total_ions <= u32::MAX as usize,
             "index partition exceeds u32 posting offsets; partition the input"
         );
-        // No bucket holds more than `total_ions`, so no `u32` count wrapped.
-        let mut bucket_totals = std::mem::take(&mut pass1[0].bucket_counts);
-        for r in &mut pass1[1..] {
-            let counts = std::mem::take(&mut r.bucket_counts);
-            for (total, count) in bucket_totals.iter_mut().zip(counts) {
-                *total += count;
-            }
-        }
 
-        // The pass-1 (peptide-major) order: every entry and its bins.
-        let mut entries_old: Vec<SpectrumEntry> = Vec::with_capacity(total_entries);
-        let mut bins_old: Vec<&[u32]> = Vec::with_capacity(total_entries);
-        for r in &pass1 {
-            let mut rest = &r.bins[..];
-            for e in &r.entries {
-                let (own, after) = rest.split_at(e.num_fragments as usize);
-                bins_old.push(own);
-                rest = after;
-            }
-            entries_old.extend_from_slice(&r.entries);
-        }
-
-        // Renumber entries into ascending precursor-mass order. The sort is
-        // stable, so equal masses keep the peptide-major modform-minor
-        // pass-1 order — the permutation (and with it the whole index) is
-        // deterministic and thread-count-independent.
-        let mut order: Vec<u32> = (0..total_entries as u32).collect();
-        order.sort_by(|&a, &b| {
-            entries_old[a as usize]
-                .precursor_mass
-                .total_cmp(&entries_old[b as usize].precursor_mass)
-        });
+        // Renumber entries into ascending precursor-mass order. Equal
+        // masses keep the peptide-major modform-minor pass-1 order (the
+        // pass-1 id breaks the tie), so the permutation — and with it the
+        // whole index — is deterministic and thread-count-independent.
+        let mut keys: Vec<u64> = entries_old
+            .iter()
+            .zip(0u64..)
+            .map(|(e, old_id)| u64::from(mass_key(e.precursor_mass)) << 32 | old_id)
+            .collect();
+        keys.sort_unstable();
+        let order: Vec<u32> = keys.iter().map(|&key| key as u32).collect();
+        drop(keys);
         let entries: Vec<SpectrumEntry> = order
             .iter()
             .map(|&old_id| entries_old[old_id as usize])
             .collect();
         drop(entries_old);
 
-        // The coarse pass runs over contiguous pieces of the new id range,
-        // each needing its own ions per bucket: every piece but the last
-        // counts them, and the last piece's are what is left of pass 1's
-        // histogram (all of it when there is one piece).
-        let pieces = split_balanced(entries.len(), num_threads, |id| {
-            u64::from(entries[id].num_fragments)
-        });
-        let mut cursors = run_tasks(pieces[..pieces.len() - 1].to_vec(), |(lo, hi)| {
-            let mut counts = vec![0u32; buckets];
-            for &old_id in &order[lo..hi] {
-                for &bin in bins_old[old_id as usize] {
-                    counts[packing.bucket(bin)] += 1;
-                }
-            }
-            counts
-        });
-        for counts in &cursors {
-            for (left, count) in bucket_totals.iter_mut().zip(counts) {
-                *left -= count;
-            }
-        }
-        cursors.push(bucket_totals);
+        let (pieces, counts): (Vec<_>, Vec<_>) =
+            cut_pieces(&entries, &histogram, slabs, buckets, num_threads)
+                .into_iter()
+                .unzip();
+        drop(histogram);
 
         // Exclusive prefix sum → bucket regions; within a bucket the slots
         // go to the pieces in piece (= id) order, turning each piece's
-        // counts into its disjoint write cursors.
+        // counts into its disjoint windows `[cursor, end)`.
+        let mut windows: Vec<Vec<(u32, u32)>> =
+            counts.iter().map(|_| Vec::with_capacity(buckets)).collect();
         let mut bucket_starts: Vec<u32> = Vec::with_capacity(buckets + 1);
         let mut next = 0u32;
         for bucket in 0..buckets {
             bucket_starts.push(next);
-            for piece in &mut cursors {
-                let count = piece[bucket];
-                piece[bucket] = next; // now a cursor, not a count
-                next += count;
+            for (piece, counts) in windows.iter_mut().zip(&counts) {
+                let end = next + counts[bucket];
+                piece.push((next, end));
+                next = end;
             }
         }
         bucket_starts.push(next);
-        debug_assert_eq!(next as usize, total_ions);
+        drop(counts);
+        assert_eq!(
+            next as usize, total_ions,
+            "histogram disagrees with the entries"
+        );
 
-        // Coarse pass: each piece writes its packed ids, ascending, through
-        // its own cursors.
+        // Coarse pass: each piece regenerates its spectra's fragments in id
+        // order and writes their packed ids through its own windows.
+        let (config, modspec) = (&this.config, &this.modspec);
         let mut postings = vec![0u32; total_ions];
         let shared = SharedPostings::new(&mut postings);
-        let fills: Vec<_> = pieces.into_iter().zip(cursors).collect();
-        run_tasks(fills, |((lo, hi), mut cursors)| {
-            for new_id in lo..hi {
-                for &bin in bins_old[order[new_id] as usize] {
-                    let slot = &mut cursors[packing.bucket(bin)];
-                    shared.write(*slot as usize, packing.pack(bin, new_id as u32));
-                    *slot += 1;
-                }
+        let fills: Vec<_> = pieces.into_iter().zip(windows).collect();
+        run_tasks(fills, |(ids, mut windows)| {
+            let mut prefix = Vec::new();
+            for new_id in ids {
+                let old_id = order[new_id] as usize;
+                let own_sites = site_starts[old_id] as usize..site_starts[old_id + 1] as usize;
+                let seq = db.get(entries[new_id].peptide).sequence();
+                let packed_id = new_id as u32;
+                for_each_fragment(
+                    seq,
+                    &sites[own_sites],
+                    modspec,
+                    &config.theo,
+                    &mut prefix,
+                    |mz| {
+                        if let Some(bin) = config.bin_of(mz) {
+                            let (cursor, end) = &mut windows[packing.bucket(bin)];
+                            assert!(
+                                cursor < end,
+                                "a piece placed more fragments than it counted"
+                            );
+                            shared.write(*cursor as usize, packing.pack(bin, packed_id));
+                            *cursor += 1;
+                        }
+                    },
+                );
             }
+            assert!(
+                windows.iter().all(|(cursor, end)| cursor == end),
+                "a piece placed fewer fragments than it counted"
+            );
         });
-        // Pass 1's bins are spent: free them before the fine pass.
-        drop((bins_old, order));
-        drop(pass1);
+        drop((order, site_starts, sites));
 
-        let dir = fine_pass(
-            &mut postings,
-            &bucket_starts,
-            packing,
-            num_bins,
-            num_threads,
-        );
+        let starts = fine_pass(&mut postings, &bucket_starts, &bitmap, packing, num_threads);
         self.stats = BuildStats {
             peptides: db.len(),
             spectra: entries.len(),
             ions: postings.len(),
             dropped_fragments: dropped,
         };
-        SlmIndex::from_parts(self.config.clone(), entries, dir, postings)
+        SlmIndex::from_parts(self.config.clone(), entries, (bitmap, starts), postings)
     }
 
     /// Fragments one modform of a `len`-residue peptide generates before
@@ -411,82 +514,188 @@ impl IndexBuilder {
         );
     }
 
-    /// Pass 1's reservation for peptide ids `[lo, hi)`, given every
-    /// peptide's modform count: its entries, exactly, and its fragments
-    /// before drops, exactly — an upper bound on the bins it keeps.
-    fn reservation(&self, db: &PeptideDb, forms: &[usize], lo: u32, hi: u32) -> (usize, usize) {
-        let range = lo as usize..hi as usize;
-        let peptides = db.peptides()[range.clone()].iter();
-        peptides
-            .zip(&forms[range])
-            .fold((0, 0), |(entries, fragments), (p, &n)| {
-                (
-                    entries + n,
-                    fragments + n * self.fragments_per_form(p.len()),
-                )
-            })
-    }
-
-    /// Pass 1 over peptide ids `[lo, hi)`: entries, the bins of their kept
-    /// fragments, per-bucket ion counts, dropped-fragment count.
-    fn pass1_range(
+    /// The counting pass over all of `db`, split into `num_threads`
+    /// peptide ranges: every entry and its sites, written into arrays of
+    /// the exact lengths `tallies` (every peptide's) gives, and the
+    /// ranges' counts summed.
+    fn count_pass(
         &self,
         db: &PeptideDb,
-        forms: &[usize],
-        lo: u32,
-        hi: u32,
+        tallies: &[ModformTally],
+        num_threads: usize,
         packing: Packing,
-    ) -> RangePass1 {
+        slabs: Slabs,
+    ) -> Pass1 {
+        let total = sum_tallies(tallies);
+        assert!(
+            total.sites <= u32::MAX as usize,
+            "index partition exceeds u32 mod-site offsets; partition the input"
+        );
+        let mut entries = vec![
+            SpectrumEntry {
+                peptide: 0,
+                modform: 0,
+                num_fragments: 0,
+                precursor_mass: 0.0,
+            };
+            total.forms
+        ];
+        let mut site_starts = vec![0u32; total.forms + 1];
+        site_starts[total.forms] = total.sites as u32;
+        let mut sites = vec![(0u16, 0u8); total.sites];
+
+        // Hand each range its share of the three arrays.
+        let mut outs = Vec::new();
+        let (mut entries_left, mut starts_left, mut sites_left) = (
+            &mut entries[..],
+            &mut site_starts[..total.forms],
+            &mut sites[..],
+        );
+        let mut site_base = 0u32;
+        for (lo, hi) in split_ranges_weighted(db, tallies, num_threads) {
+            let own = sum_tallies(&tallies[lo as usize..hi as usize]);
+            let (own_entries, rest) = std::mem::take(&mut entries_left).split_at_mut(own.forms);
+            entries_left = rest;
+            let (own_starts, rest) = std::mem::take(&mut starts_left).split_at_mut(own.forms);
+            starts_left = rest;
+            let (own_sites, rest) = std::mem::take(&mut sites_left).split_at_mut(own.sites);
+            sites_left = rest;
+            outs.push(RangeOut {
+                peptides: lo..hi,
+                entries: own_entries,
+                site_starts: own_starts,
+                sites: own_sites,
+                site_base,
+            });
+            site_base += own.sites as u32;
+        }
+
+        let counted = run_tasks(outs, |out| self.count_range(db, out, packing, slabs));
+        let mut counted = counted.into_iter();
+        let mut counts = counted.next().expect("at least one range");
+        for range in counted {
+            counts.add(range);
+        }
+        Pass1 {
+            entries,
+            site_starts,
+            sites,
+            counts,
+        }
+    }
+
+    /// The counting pass over one peptide range: fills `out` and returns
+    /// the range's counts.
+    fn count_range(
+        &self,
+        db: &PeptideDb,
+        out: RangeOut<'_>,
+        packing: Packing,
+        slabs: Slabs,
+    ) -> Counts {
         let (config, modspec) = (&self.config, &self.modspec);
-        let (entries, fragments) = self.reservation(db, forms, lo, hi);
-        let mut out = RangePass1 {
-            entries: Vec::with_capacity(entries),
-            bins: Vec::with_capacity(fragments),
-            bucket_counts: vec![0u32; packing.buckets(config.num_bins())],
-            dropped: 0,
-        };
+        let buckets = packing.buckets(config.num_bins());
+        let mut histogram = vec![0u32; slabs.count() * buckets];
+        let mut bitmap = vec![0u64; bindir::bitmap_words(config.num_bins())];
+        let mut dropped = 0usize;
+        let mut entries = out.entries.iter_mut().zip(out.site_starts.iter_mut());
+        let mut next_site = 0usize;
         // Scratch of the two generators, reused across the range.
         let (mut site_buf, mut prefix) = (Vec::new(), Vec::new());
-        for pid in lo..hi {
+        for pid in out.peptides {
             let seq = db.get(pid).sequence();
             let mut modform = 0usize;
             for_each_modform(seq, modspec, &mut site_buf, |sites, _| {
-                let first = out.bins.len();
-                let mass =
-                    for_each_fragment(seq, sites, modspec, &config.theo, &mut prefix, |mz| {
-                        match config.bin_of(mz) {
-                            Some(bin) => {
-                                out.bucket_counts[packing.bucket(bin)] += 1;
-                                out.bins.push(bin);
-                            }
-                            None => out.dropped += 1,
-                        }
-                    });
-                out.entries.push(SpectrumEntry {
+                let (entry, site_start) = entries
+                    .next()
+                    .expect("modform tally disagrees with the walk");
+                *site_start = out.site_base + next_site as u32;
+                out.sites[next_site..next_site + sites.len()].copy_from_slice(sites);
+                next_site += sites.len();
+                let mass = prefix_masses(seq, sites, modspec, &mut prefix) as f32;
+                let row = &mut histogram[slabs.of(mass) * buckets..][..buckets];
+                let mut kept = 0u16;
+                emit_fragments(&prefix, &config.theo, |mz| match config.bin_of(mz) {
+                    Some(bin) => {
+                        row[packing.bucket(bin)] += 1;
+                        bitmap[(bin >> 6) as usize] |= 1 << (bin & 63);
+                        kept += 1;
+                    }
+                    None => dropped += 1,
+                });
+                *entry = SpectrumEntry {
                     peptide: pid,
                     modform: modform as u16,
-                    num_fragments: (out.bins.len() - first) as u16,
-                    precursor_mass: mass as f32,
-                });
+                    num_fragments: kept,
+                    precursor_mass: mass,
+                };
                 modform += 1;
             });
         }
-        out
+        assert!(
+            entries.next().is_none() && next_site == out.sites.len(),
+            "modform tally disagrees with the walk"
+        );
+        Counts {
+            histogram,
+            bitmap,
+            dropped,
+        }
     }
 }
 
+/// The coarse pass's pieces: runs of whole slabs, at most `num_threads`,
+/// balanced by ions. Each comes with its new ids — the run of `entries`
+/// (mass-sorted) whose masses fall in its slabs — and its ions per bucket,
+/// its slabs' rows of `histogram` summed.
+fn cut_pieces(
+    entries: &[SpectrumEntry],
+    histogram: &[u32],
+    slabs: Slabs,
+    buckets: usize,
+    num_threads: usize,
+) -> Vec<(Range<usize>, Vec<u32>)> {
+    let rows =
+        |run: Range<usize>| histogram[run.start * buckets..run.end * buckets].chunks_exact(buckets);
+    let slab_ions = |slab: usize| rows(slab..slab + 1).flatten().map(|&n| u64::from(n)).sum();
+    let first_id = |slab: usize| entries.partition_point(|e| slabs.of(e.precursor_mass) < slab);
+    split_balanced(slabs.count(), num_threads, slab_ions)
+        .into_iter()
+        .map(|(lo, hi)| {
+            let mut counts = vec![0u32; buckets];
+            for row in rows(lo..hi) {
+                for (count, &n) in counts.iter_mut().zip(row) {
+                    *count += n;
+                }
+            }
+            (first_id(lo)..first_id(hi), counts)
+        })
+        .collect()
+}
+
+/// The modforms and sites of `tallies` together.
+fn sum_tallies(tallies: &[ModformTally]) -> ModformTally {
+    tallies
+        .iter()
+        .fold(ModformTally { forms: 0, sites: 0 }, |acc, t| ModformTally {
+            forms: acc.forms.saturating_add(t.forms),
+            sites: acc.sites.saturating_add(t.sites),
+        })
+}
+
 /// The fine pass: counting-sorts every bucket's region of `postings` by
-/// bin, unpacking the ids, and returns the sparse directory (`bitmap`,
-/// `starts`) it writes on the way. Groups of whole buckets are separate
-/// tasks; each group starts on a bitmap-word boundary, so it owns its
-/// words (and its regions) outright.
+/// bin, unpacking the ids, and returns the directory's `starts`, one per
+/// bit of `bitmap` (the occupied bins, which the counting pass marked)
+/// and an end. Groups of whole buckets are separate tasks; each group
+/// starts on a bitmap-word boundary, so its bins' starts are one slice of
+/// the array, sized off its words before it runs.
 fn fine_pass(
     postings: &mut [u32],
     bucket_starts: &[u32],
+    bitmap: &[u64],
     packing: Packing,
-    num_bins: usize,
     num_threads: usize,
-) -> (Vec<u64>, Vec<u32>) {
+) -> Vec<u32> {
     let buckets = bucket_starts.len() - 1;
     // A group is cut every `unit` buckets: one bitmap word's worth when a
     // bucket is narrower than a word.
@@ -496,57 +705,54 @@ fn fine_pass(
         u64::from(bucket_starts[cut(u + 1)] - bucket_starts[cut(u)])
     });
 
-    let mut bitmap = vec![0u64; bindir::bitmap_words(num_bins)];
-    let first_word = |bucket: usize| (bucket << packing.width) >> 6;
+    let occupied = |words: &[u64]| -> usize { words.iter().map(|w| w.count_ones() as usize).sum() };
+    let mut starts = vec![0u32; occupied(bitmap) + 1];
+    starts[occupied(bitmap)] = bucket_starts[buckets];
+    // Every group but the last ends on a word boundary; the last owns
+    // every word left.
+    let first_word = |bucket: usize| {
+        if bucket == buckets {
+            bitmap.len()
+        } else {
+            (bucket << packing.width) >> 6
+        }
+    };
     let mut tasks = Vec::with_capacity(groups.len());
-    let (mut postings_left, mut words_left) = (postings, &mut bitmap[..]);
-    for (i, &(lo, hi)) in groups.iter().enumerate() {
+    let (mut postings_left, mut starts_left) = (postings, &mut starts[..]);
+    for &(lo, hi) in &groups {
         let group = cut(lo)..cut(hi);
         let len = (bucket_starts[group.end] - bucket_starts[group.start]) as usize;
         let (own, rest) = std::mem::take(&mut postings_left).split_at_mut(len);
         postings_left = rest;
-        let words = if i + 1 == groups.len() {
-            words_left.len()
-        } else {
-            first_word(group.end) - first_word(group.start)
-        };
-        let (own_words, rest) = std::mem::take(&mut words_left).split_at_mut(words);
-        words_left = rest;
-        tasks.push((group, own, own_words));
+        let words = &bitmap[first_word(group.start)..first_word(group.end)];
+        let (own_starts, rest) = std::mem::take(&mut starts_left).split_at_mut(occupied(words));
+        starts_left = rest;
+        tasks.push((group, own, own_starts));
     }
-    let parts = run_tasks(tasks, |(group, postings, words)| {
-        sort_buckets(group, postings, words, bucket_starts, packing)
+    run_tasks(tasks, |(group, postings, starts)| {
+        sort_buckets(group, postings, starts, bucket_starts, packing)
     });
-
-    let occupied: usize = parts.iter().map(Vec::len).sum();
-    let mut starts = Vec::with_capacity(occupied + 1);
-    for part in &parts {
-        starts.extend_from_slice(part);
-    }
-    starts.push(bucket_starts[buckets]);
-    (bitmap, starts)
+    starts
 }
 
-/// Sorts the buckets `group` — whose regions are `postings` and whose bins'
-/// bitmap words are `words` — by bin, and returns the posting offset of
-/// each of their occupied bins, in bin order.
+/// Sorts the buckets `group` — whose regions are `postings` — by bin, and
+/// writes the posting offset of each of their occupied bins, in bin order,
+/// to `starts`, which has exactly one slot per occupied bin.
 fn sort_buckets(
     group: Range<usize>,
     postings: &mut [u32],
-    words: &mut [u64],
+    starts: &mut [u32],
     bucket_starts: &[u32],
     packing: Packing,
-) -> Vec<u32> {
-    let span = 1usize << packing.width;
+) {
     let base = bucket_starts[group.start];
-    let word_base = (group.start << packing.width) >> 6;
-    let sizes = group
+    let largest = group
         .clone()
-        .map(|b| (bucket_starts[b + 1] - bucket_starts[b]) as usize);
-    let mut copy = Vec::with_capacity(sizes.clone().max().unwrap_or(0));
-    // A bucket has at most `min(span, size)` occupied bins.
-    let mut starts = Vec::with_capacity(sizes.map(|n| n.min(span)).sum());
-    let mut cursors = vec![0u32; span];
+        .map(|b| bucket_starts[b + 1] - bucket_starts[b])
+        .max();
+    let mut copy = Vec::with_capacity(largest.unwrap_or(0) as usize);
+    let mut cursors = vec![0u32; 1 << packing.width];
+    let mut occupied = starts.iter_mut();
     for bucket in group {
         let (lo, hi) = (bucket_starts[bucket], bucket_starts[bucket + 1]);
         if lo == hi {
@@ -560,15 +766,15 @@ fn sort_buckets(
             cursors[packing.low(p)] += 1;
         }
         // Counts → cursors into the region; every occupied bin gets its
-        // bit and its start.
-        let first_bin = bucket << packing.width;
+        // start.
         let mut next = 0u32;
-        for (low, cursor) in cursors.iter_mut().enumerate() {
+        for cursor in &mut cursors {
             let count = *cursor;
             if count != 0 {
-                let bin = first_bin + low;
-                words[(bin >> 6) - word_base] |= 1 << (bin & 63);
-                starts.push(lo + next);
+                let start = occupied
+                    .next()
+                    .expect("a bin the counting pass did not mark");
+                *start = lo + next;
             }
             *cursor = next;
             next += count;
@@ -579,7 +785,10 @@ fn sort_buckets(
             *cursor += 1;
         }
     }
-    starts
+    assert!(
+        occupied.next().is_none(),
+        "a bin the counting pass marked holds no posting"
+    );
 }
 
 /// Runs `task` on every input — inline when there is at most one,
@@ -644,11 +853,15 @@ fn split_balanced(len: usize, parts: usize, weight: impl Fn(usize) -> u64) -> Ve
 /// input, one protein family contiguous) must not serialize the build
 /// behind one straggler range. Ranges are never empty unless `db` is (one
 /// empty range then).
-fn split_ranges_weighted(db: &PeptideDb, forms: &[usize], parts: usize) -> Vec<(u32, u32)> {
+fn split_ranges_weighted(
+    db: &PeptideDb,
+    tallies: &[ModformTally],
+    parts: usize,
+) -> Vec<(u32, u32)> {
     // Peptide ids are `u32` (`PeptideDb` enforces it).
     let peptides = db.peptides();
     split_balanced(peptides.len(), parts, |id| {
-        forms[id] as u64 * peptides[id].len().max(1) as u64
+        tallies[id].forms as u64 * peptides[id].len().max(1) as u64
     })
     .into_iter()
     .map(|(lo, hi)| (lo as u32, hi as u32))
@@ -658,6 +871,7 @@ fn split_ranges_weighted(db: &PeptideDb, forms: &[usize], parts: usize) -> Vec<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbe_bio::mods::count_modforms;
     use lbe_bio::peptide::Peptide;
 
     fn db(seqs: &[&str]) -> PeptideDb {
@@ -668,11 +882,11 @@ mod tests {
         )
     }
 
-    /// Every peptide's modform count, as the build computes it.
-    fn modforms(d: &PeptideDb, spec: &ModSpec) -> Vec<usize> {
+    /// Every peptide's modform tally, as the build computes it.
+    fn modforms(d: &PeptideDb, spec: &ModSpec) -> Vec<ModformTally> {
         d.peptides()
             .iter()
-            .map(|p| count_modforms(p.sequence(), spec))
+            .map(|p| tally_modforms(p.sequence(), spec))
             .collect()
     }
 
@@ -1110,6 +1324,50 @@ mod tests {
         check(&coarse, &ModSpec::paper_default());
     }
 
+    /// The sort key orders masses as `f32::total_cmp` does — signed zeros,
+    /// negatives, infinities and NaNs included — and every slab count's
+    /// `Slabs::of` never decreases along that order.
+    #[test]
+    fn mass_keys_and_slabs_follow_the_sort_order() {
+        let mut masses = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -1.5,
+            -1000.0,
+            f32::MIN_POSITIVE,
+            1.0,
+            31.99,
+            32.0,
+            147.07,
+            1024.0,
+            1024.001,
+            2500.25,
+            16383.9,
+            16384.0,
+            1e9,
+            f32::MAX,
+        ];
+        masses.sort_by(f32::total_cmp);
+        for w in masses.windows(2) {
+            assert!(mass_key(w[0]) < mass_key(w[1]), "{} {}", w[0], w[1]);
+        }
+        for threads in [1, 2, 8] {
+            for buckets in [1, 125, 4097] {
+                let slabs = Slabs::new(threads, buckets);
+                assert!(slabs.count() == 1 || slabs.count() * buckets <= HISTOGRAM_BUDGET);
+                let of: Vec<usize> = masses.iter().map(|&m| slabs.of(m)).collect();
+                assert!(of.windows(2).all(|w| w[0] <= w[1]), "{of:?}");
+                assert!(of.iter().all(|&s| s < slabs.count()));
+            }
+        }
+        assert_eq!(Slabs::new(1, 125).count(), 1);
+        assert_eq!(Slabs::new(2, 125).count(), 289);
+    }
+
     #[test]
     fn packing_width_is_read_off_the_entry_count() {
         let width = |entries| Packing::for_entries(entries, MAX_PACKED_WIDTH).width;
@@ -1137,10 +1395,14 @@ mod tests {
         assert_eq!(Packing { width: 0 }.buckets(4097), 4097);
     }
 
-    /// Pass 1 reserves exactly: Σ `count_modforms` entries — also under a
-    /// modform cap below 2, where the walk still yields two forms — and
-    /// every generated fragment, which is every kept one unless
-    /// `max_fragment_mz` drops some.
+    /// The counting pass allocates exactly and counts what the build
+    /// places. Its entries number Σ `count_modforms` — also under a modform
+    /// cap below 2, where the walk still yields two forms — and its sites Σ
+    /// `tally_modforms`' sites, each array at capacity = length. Sorted by
+    /// mass, its entries are the index's; their kept fragments, and the
+    /// slab histograms' total, are the index's ions; kept + dropped is
+    /// every fragment generated, and only the 300 Da axis drops any. The
+    /// same holds on three counting tasks.
     #[test]
     fn pass1_reservation_is_exact() {
         let d = db(&AWKWARD);
@@ -1161,28 +1423,150 @@ mod tests {
                 theo: theo.clone(),
                 ..SlmConfig::default()
             };
+            let packing = Packing {
+                width: MAX_PACKED_WIDTH,
+            };
+            let buckets = packing.buckets(config.num_bins());
             for spec in &specs {
-                let forms = modforms(&d, spec);
+                let forms: usize = d
+                    .peptides()
+                    .iter()
+                    .map(|p| count_modforms(p.sequence(), spec))
+                    .sum();
+                let tallies = modforms(&d, spec);
                 let mut b = IndexBuilder::new(config.clone(), spec.clone());
                 let index = b.build(&d);
-                assert_eq!(forms.iter().sum::<usize>(), index.num_spectra(), "{spec:?}");
-                let end = d.len() as u32;
-                let (entries, fragments) = b.reservation(&d, &forms, 0, end);
-                let packing = Packing {
-                    width: MAX_PACKED_WIDTH,
-                };
-                let out = b.pass1_range(&d, &forms, 0, end, packing);
-                assert_eq!(entries, out.entries.len());
-                assert_eq!(out.entries.capacity(), out.entries.len());
-                assert_eq!(fragments, out.bins.len() + out.dropped);
-                assert_eq!(out.bins.capacity(), fragments);
-                assert_eq!(out.dropped > 0, drops, "{max_fragment_mz} Da");
+                assert_eq!(forms, index.num_spectra(), "{spec:?}");
+                let generated: usize = d
+                    .peptides()
+                    .iter()
+                    .zip(&tallies)
+                    .map(|(p, t)| t.forms * b.fragments_per_form(p.len()))
+                    .sum();
+                for threads in [1, 3] {
+                    let slabs = Slabs::new(threads, buckets);
+                    let pass1 = b.count_pass(&d, &tallies, threads, packing, slabs);
+                    let sites = sum_tallies(&tallies).sites;
+                    assert_eq!(pass1.entries.len(), forms);
+                    assert_eq!(pass1.entries.capacity(), forms);
+                    assert_eq!(pass1.site_starts.len(), forms + 1);
+                    assert_eq!(pass1.site_starts.capacity(), forms + 1);
+                    assert_eq!(pass1.sites.len(), sites);
+                    assert_eq!(pass1.sites.capacity(), sites);
+                    assert!(pass1.site_starts.windows(2).all(|w| w[0] <= w[1]));
+                    assert_eq!(pass1.site_starts[forms] as usize, sites);
+                    let mut sorted = pass1.entries.clone();
+                    sorted.sort_by(|x, y| x.precursor_mass.total_cmp(&y.precursor_mass));
+                    assert_eq!(&sorted[..], index.entries(), "{threads} threads");
+                    let kept: usize = pass1
+                        .entries
+                        .iter()
+                        .map(|e| usize::from(e.num_fragments))
+                        .sum();
+                    let counted: u64 = pass1.counts.histogram.iter().map(|&n| u64::from(n)).sum();
+                    assert_eq!(kept, index.num_ions());
+                    assert_eq!(counted as usize, kept);
+                    assert_eq!(kept + pass1.counts.dropped, generated);
+                    assert_eq!(pass1.counts.dropped > 0, drops, "{max_fragment_mz} Da");
+                }
             }
         }
         // Under a cap below 2 the walk yields two forms of a peptide with
         // a modifiable site, and the count says two.
         let forms = modforms(&db(&["MK"]), &capped(1));
-        assert_eq!(forms, vec![2]);
+        assert_eq!(forms, vec![ModformTally { forms: 2, sites: 1 }]);
+    }
+
+    /// The coarse pass's cuts fall between slabs, so the database is built
+    /// to put cuts between close masses: anagram families (equal
+    /// precursor masses, peptide-major modform-minor order to keep) spread
+    /// over adjacent slabs, so at 8 threads at least one piece ends in one
+    /// slab and the next piece starts in the slab after it. On the 300 Da
+    /// axis some of their fragments are dropped. Every build at 1–8
+    /// threads writes the bytes `build` writes.
+    #[test]
+    fn piece_cuts_between_equal_mass_anagrams_keep_the_bytes() {
+        let bases = [
+            "PEPTIDEK",
+            "ELVISLIVESK",
+            "SAMPLERK",
+            "GGAASSYYK",
+            "WWYYFFHHK",
+            "MNKQMGGR",
+            "ACDEFGHIK",
+            "LLNQTSR",
+            "VVAMPNGK",
+            "DDEEQRK",
+            "HHMMWWCK",
+            "TTSSGGAAR",
+        ];
+        let mut seqs = Vec::new();
+        for base in bases {
+            let b = base.as_bytes();
+            let rotated = [&b[1..], &b[..1]].concat();
+            let reversed: Vec<u8> = b.iter().rev().copied().collect();
+            for s in [b.to_vec(), rotated, reversed, b.to_vec()] {
+                seqs.push(String::from_utf8(s).unwrap());
+            }
+        }
+        let refs: Vec<&str> = seqs.iter().map(String::as_str).collect();
+        let d = db(&refs);
+        let config = SlmConfig {
+            max_fragment_mz: 300.0,
+            ..SlmConfig::default()
+        };
+        let bytes = |index: &SlmIndex| {
+            let mut out = Vec::new();
+            crate::io::write_index(&mut out, index).unwrap();
+            out
+        };
+        for spec in [ModSpec::none(), ModSpec::paper_default()] {
+            let mut b = IndexBuilder::new(config.clone(), spec.clone());
+            let reference = b.build(&d);
+            let ref_stats = b.stats();
+            assert!(ref_stats.dropped_fragments > 0);
+            let want = bytes(&reference);
+            // Premise: each family's members share one f32 mass.
+            let mass_of = |pid: u32| {
+                let e = reference.entries().iter().find(|e| e.peptide == pid);
+                e.unwrap().precursor_mass
+            };
+            for family in 0..bases.len() as u32 {
+                let masses: Vec<f32> = (0..4).map(|i| mass_of(4 * family + i)).collect();
+                assert!(
+                    masses.iter().all(|&m| m == masses[0]),
+                    "{:?}",
+                    &refs[4 * family as usize]
+                );
+            }
+            // Premise: at 8 threads a cut separates adjacent slabs.
+            let packing = Packing::for_entries(reference.num_spectra(), MAX_PACKED_WIDTH);
+            let buckets = packing.buckets(config.num_bins());
+            let slabs = Slabs::new(8, buckets);
+            let pass1 = b.count_pass(&d, &modforms(&d, &spec), 8, packing, slabs);
+            let pieces = cut_pieces(
+                reference.entries(),
+                &pass1.counts.histogram,
+                slabs,
+                buckets,
+                8,
+            );
+            let entries = reference.entries();
+            let slab = |id: usize| slabs.of(entries[id].precursor_mass);
+            let adjacent_cut = pieces.windows(2).any(|w| {
+                let (before, after) = (&w[0].0, &w[1].0);
+                !before.is_empty()
+                    && !after.is_empty()
+                    && slab(after.start) == slab(before.end - 1) + 1
+            });
+            assert!(adjacent_cut, "{spec:?}: no cut between adjacent slabs");
+            for threads in 1..=8 {
+                let mut b = IndexBuilder::new(config.clone(), spec.clone());
+                let index = b.build_parallel(&d, threads);
+                assert!(bytes(&index) == want, "{spec:?}, {threads} threads");
+                assert_eq!(b.stats(), ref_stats, "{spec:?}, {threads} threads");
+            }
+        }
     }
 
     mod differential {

@@ -66,8 +66,9 @@ pub struct TheoSpectrum {
 /// Fragments come out in generation order — per charge state, per
 /// cleavage, b before y — not sorted; nothing is allocated once `prefix`
 /// (scratch the caller reuses across spectra) has grown to the longest
-/// sequence. This is the one definition of the fragment arithmetic:
-/// [`TheoSpectrum::from_sequence`] is this, collected and sorted.
+/// sequence. This is [`prefix_masses`] then [`emit_fragments`], the one
+/// definition of the fragment arithmetic: [`TheoSpectrum::from_sequence`]
+/// is this, collected and sorted.
 ///
 /// Panics on an empty sequence, a zero charge state, or non-standard
 /// residues — upstream digestion guarantees standard sequences.
@@ -77,42 +78,82 @@ pub fn for_each_fragment<F: FnMut(f64)>(
     spec: &ModSpec,
     params: &TheoParams,
     prefix: &mut Vec<f64>,
-    mut emit: F,
+    emit: F,
 ) -> f64 {
-    let n = seq.len();
-    assert!(n >= 1, "cannot fragment an empty peptide");
+    let precursor_mass = prefix_masses(seq, sites, spec, prefix);
+    emit_fragments(prefix, params, emit);
+    precursor_mass
+}
 
-    // Prefix sums over per-residue masses including modification deltas:
-    // prefix[i] = mass of residues 0..i.
-    prefix.clear();
-    prefix.push(0.0f64);
+/// The first half of [`for_each_fragment`], for a caller that needs the
+/// precursor mass before the fragments: fills `prefix` with the prefix
+/// sums of `seq`'s residue masses including the deltas of `sites`
+/// (`prefix[i]` = mass of residues `0..i`, `seq.len() + 1` values) and
+/// returns the neutral precursor mass.
+///
+/// Panics on an empty sequence or non-standard residues.
+pub fn prefix_masses(
+    seq: &[u8],
+    sites: &[(u16, u8)],
+    spec: &ModSpec,
+    prefix: &mut Vec<f64>,
+) -> f64 {
+    assert!(!seq.is_empty(), "cannot fragment an empty peptide");
+    // Sized, then overwritten: no capacity check per residue.
+    prefix.resize(seq.len() + 1, 0.0);
+    prefix[0] = 0.0;
     let mut acc = 0.0f64;
-    let mut sites = sites.iter().peekable();
-    for (i, &c) in seq.iter().enumerate() {
-        let delta = match sites.next_if(|&&(pos, _)| pos as usize == i) {
-            Some(&(_, mi)) => spec.mods[mi as usize].mod_type.delta_mass(),
-            None => 0.0,
-        };
-        acc += residue_mass_unchecked(c) + delta;
-        prefix.push(acc);
+    let mut sites = sites.iter();
+    let mut next_site = sites.next();
+    for (i, (&c, slot)) in seq.iter().zip(&mut prefix[1..]).enumerate() {
+        let mut mass = residue_mass_unchecked(c);
+        if let Some(&(_, mi)) = next_site.filter(|&&(pos, _)| pos as usize == i) {
+            mass += spec.mods[mi as usize].mod_type.delta_mass();
+            next_site = sites.next();
+        }
+        acc += mass;
+        *slot = acc;
     }
-    let total = prefix[n];
+    acc + WATER_MASS
+}
 
+/// The second half of [`for_each_fragment`]: passes every fragment m/z of
+/// the peptide whose [`prefix_masses`] are `prefix` to `emit`, in
+/// generation order.
+///
+/// Panics on a zero charge state.
+pub fn emit_fragments<F: FnMut(f64)>(prefix: &[f64], params: &TheoParams, mut emit: F) {
     for &z in &params.charges {
         assert!(z >= 1, "fragment charge must be >= 1");
-        let zf = z as f64;
-        for i in 1..n {
-            if params.b_ions {
-                let neutral = prefix[i]; // b ion: prefix, no water
-                emit((neutral + zf * PROTON_MASS) / zf);
-            }
-            if params.y_ions {
-                let neutral = total - prefix[n - i] + WATER_MASS; // y_i: last i residues
-                emit((neutral + zf * PROTON_MASS) / zf);
-            }
+        if z == 1 {
+            // `1.0 * PROTON_MASS` and `x / 1.0` are exact, so this is the
+            // general arm's arithmetic, bit for bit, without its divide.
+            neutral_fragments(prefix, params, |neutral| emit(neutral + PROTON_MASS));
+        } else {
+            let zf = z as f64;
+            neutral_fragments(prefix, params, |neutral| {
+                emit((neutral + zf * PROTON_MASS) / zf)
+            });
         }
     }
-    total + WATER_MASS
+}
+
+/// The neutral mass of every b and y fragment, per cleavage, b before y.
+#[inline(always)]
+fn neutral_fragments(prefix: &[f64], params: &TheoParams, mut emit: impl FnMut(f64)) {
+    let n = prefix.len() - 1;
+    let total = prefix[n];
+    // Cleavage i pairs b_i (residues 0..i: prefix[i], no water) with y_i
+    // (the last i residues: total − prefix[n − i] + water).
+    let cleavages = prefix[1..n].iter().zip(prefix[1..n].iter().rev());
+    for (&b, &rest) in cleavages {
+        if params.b_ions {
+            emit(b);
+        }
+        if params.y_ions {
+            emit(total - rest + WATER_MASS);
+        }
+    }
 }
 
 impl TheoSpectrum {
