@@ -68,7 +68,8 @@ const MID_FRAME_PATIENCE: u32 = 40;
 /// Server tuning knobs. The defaults suit tests and small deployments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker threads per search wave (single-index backend).
+    /// Worker threads every search wave fans each chunk visit's jobs over
+    /// (at most one per `minipool` thread).
     pub threads: usize,
     /// Resident-chunk budget for a generation store (`usize::MAX` = all).
     pub max_resident_chunks: usize,
@@ -348,7 +349,7 @@ fn dispatch_loop(
                 Err(_) => break,
             }
         }
-        // A generation-store backend reopens the latest generation between
+        // A generation store reopens the latest generation between
         // waves (one small CURRENT read when nothing changed) — connections
         // never drop, and only chunks whose content hashes moved re-fault.
         // A transient error (e.g. a concurrent gc) leaves the wave on the

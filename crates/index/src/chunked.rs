@@ -14,7 +14,8 @@
 //! chunks "may be stored on disks when not in use" made real: it holds at
 //! most a configured number of chunks resident, faulting them in from
 //! their blob files on demand; a budget of `usize::MAX` is the
-//! all-resident index.
+//! all-resident index. A single index file is a store of one always
+//! resident chunk ([`ChunkStore::from_index`]).
 //!
 //! Two choices keep a paging store from re-reading what it just dropped.
 //! A wave of queries is searched **chunk-major**
@@ -30,7 +31,8 @@ use crate::footprint::StorageFootprint;
 use crate::format::{AlignedBuf, VerifiedImage};
 use crate::io::{self, ReadOptions, MAGIC_V2};
 use crate::lifecycle::BlobRef;
-use crate::query::{QueryOptions, QueryStats, SearchResult, Searcher};
+use crate::parallel::search_jobs;
+use crate::query::{QueryOptions, SearchResult, SearchScratch};
 use crate::slm::SlmIndex;
 use lbe_spectra::spectrum::Spectrum;
 use std::borrow::Borrow;
@@ -134,7 +136,8 @@ pub struct ResidencyStats {
 /// every chunk has the same size it evicts in exactly LRU order.
 ///
 /// Backed by a generation-store directory
-/// ([`ChunkStore::open_generation_dir`]), whose chunks live as
+/// ([`ChunkStore::open_generation_dir`]), or by one index already in
+/// memory ([`ChunkStore::from_index`]). A directory's chunks live as
 /// content-addressed — and usually compressed — blob files; a compressed
 /// blob is decompressed on fault, so the resident budget bounds
 /// *uncompressed* working-set bytes while the disk holds the compressed
@@ -155,16 +158,18 @@ pub struct ResidencyStats {
 /// keeps every chunk resident once faulted.
 #[derive(Debug)]
 pub struct ChunkStore {
-    /// The generation-store directory.
-    dir: PathBuf,
+    /// The generation-store directory; `None` for a store over one index
+    /// ([`ChunkStore::from_index`]), whose chunk is never faulted.
+    dir: Option<PathBuf>,
     /// Manifest file name this store was loaded from — compared against
     /// `CURRENT` by [`ChunkStore::refresh_generation`].
     current: String,
-    /// Per-chunk blob references, in chunk order.
+    /// Per-chunk blob references, in chunk order (none without a dir).
     blobs: Vec<BlobRef>,
     config: SlmConfig,
     /// Per-chunk closed mass-coverage intervals driving chunk selection.
     intervals: Vec<(f64, f64)>,
+    /// Per-chunk local→global peptide-id tables (none without a dir).
     global_ids: Vec<Vec<u32>>,
     resident: Vec<Option<SlmIndex>>,
     /// Eviction priority per chunk, `(credit, last-access tick)`: the
@@ -177,9 +182,9 @@ pub struct ChunkStore {
     max_resident: usize,
     read_opts: ReadOptions,
     stats: ResidencyStats,
-    /// Searcher scratch recycled across chunks and queries (O(largest
-    /// chunk) once, instead of a fresh zeroed allocation per chunk visit).
-    scratch: crate::query::SearchScratch,
+    /// One searcher scratch per wave worker, recycled across chunks and
+    /// waves (O(largest chunk) once each, not zero-allocated per visit).
+    scratches: Vec<SearchScratch>,
     /// The image buffer of the chunk just evicted, which the fault that
     /// evicted it decodes into.
     spare: Option<AlignedBuf>,
@@ -212,7 +217,7 @@ impl ChunkStore {
         let (config, blobs, intervals, global_ids) = manifest.into_store_parts();
         let n = blobs.len();
         Ok(ChunkStore {
-            dir: dir.to_path_buf(),
+            dir: Some(dir.to_path_buf()),
             current,
             blobs,
             config,
@@ -225,10 +230,44 @@ impl ChunkStore {
             max_resident,
             read_opts: *opts,
             stats: ResidencyStats::default(),
-            scratch: crate::query::SearchScratch::default(),
+            scratches: Vec::new(),
             spare: None,
             read_buf: Vec::new(),
         })
+    }
+
+    /// A store of one chunk, `index`, resident for the store's life and
+    /// covering every precursor mass, searched under the index's own
+    /// peptide ids: every result is exactly a lone [`crate::Searcher`]
+    /// run's. It reads no file.
+    pub fn from_index(index: SlmIndex) -> Self {
+        ChunkStore {
+            dir: None,
+            current: String::new(),
+            blobs: Vec::new(),
+            config: index.config().clone(),
+            intervals: vec![(f64::NEG_INFINITY, f64::INFINITY)],
+            global_ids: Vec::new(),
+            resident: vec![Some(index)],
+            priority: vec![(0, 0)],
+            floor: 0,
+            tick: 0,
+            max_resident: usize::MAX,
+            read_opts: ReadOptions::default(),
+            stats: ResidencyStats::default(),
+            scratches: Vec::new(),
+            spare: None,
+            read_buf: Vec::new(),
+        }
+    }
+
+    /// The index of a store made by [`ChunkStore::from_index`]; `None` for
+    /// a generation store.
+    pub fn single_index(&self) -> Option<&SlmIndex> {
+        match self.dir {
+            None => self.resident[0].as_ref(),
+            Some(_) => None,
+        }
     }
 
     /// If `CURRENT` has moved since this store loaded its manifest, reload
@@ -239,12 +278,16 @@ impl ChunkStore {
     /// up.
     ///
     /// Cumulative [`ResidencyStats`] persist across refreshes; carried-over
-    /// chunks count as neither faults nor hits.
+    /// chunks count as neither faults nor hits. A store without a directory
+    /// returns `Ok(false)` and touches no file.
     pub fn refresh_generation(&mut self) -> std::io::Result<bool> {
-        if crate::lifecycle::read_current_name(&self.dir)? == self.current {
+        let Some(dir) = &self.dir else {
+            return Ok(false);
+        };
+        if crate::lifecycle::read_current_name(dir)? == self.current {
             return Ok(false);
         }
-        let (current, manifest) = crate::lifecycle::load_current(&self.dir)?;
+        let (current, manifest) = crate::lifecycle::load_current(dir)?;
         let (config, blobs, intervals, global_ids) = manifest.into_store_parts();
 
         // Park the old residents by content hash, then reseat the ones the
@@ -383,9 +426,13 @@ impl ChunkStore {
         }
         let opts = self.read_opts;
         let into = self.image_buffer();
+        let dir = self
+            .dir
+            .as_deref()
+            .expect("a store without a directory never evicts its chunk");
         let b = self.blobs[ci];
         let gids = &self.global_ids[ci];
-        let chunk = read_generation_blob(&self.dir, b, into, &mut self.read_buf)
+        let chunk = read_generation_blob(dir, b, into, &mut self.read_buf)
             .and_then(|image| io::read_v2_parsed(image, &opts))
             .and_then(|chunk| check_gid_cover(&chunk, gids).map(|()| chunk))
             .map_err(|e| {
@@ -403,7 +450,9 @@ impl ChunkStore {
     /// used.
     fn touch(&mut self, ci: usize) {
         self.tick += 1;
-        self.priority[ci] = (self.floor + self.blobs[ci].raw_len, self.tick);
+        // A chunk without a blob is never evicted, so its credit is moot.
+        let bytes = self.blobs.get(ci).map_or(0, |b| b.raw_len);
+        self.priority[ci] = (self.floor + bytes, self.tick);
     }
 
     /// The buffer the next fault decodes into (see the type's docs): while
@@ -439,7 +488,7 @@ impl ChunkStore {
         query: &Spectrum,
         opts: &QueryOptions,
     ) -> std::io::Result<SearchResult> {
-        self.search_wave(&[(query, *opts)], None)
+        self.search_wave(&[(query, *opts)], 1, None)
             .pop()
             .flatten()
             .expect("without a deadline every job runs")
@@ -452,28 +501,33 @@ impl ChunkStore {
     /// under its own effective tolerance. The union of those sets is
     /// visited once — the resident chunks first, then the rest, each in
     /// ascending order — and while a chunk is resident every job that
-    /// touches it is searched on it, with one recycled scratch. A job keeps
-    /// a running top-k, merged by [`crate::query::rank_cmp`] and truncated
-    /// after each chunk, and sums its [`QueryStats`]. `rank_cmp` is a
-    /// total order, so each result is bit-identical to the job searched
-    /// alone, whatever the wave's size or order. Since resident chunks go
-    /// first, no fault evicts a chunk the wave has still to visit: a wave
-    /// faults each chunk at most once.
+    /// touches it is searched on it, fanned over `num_threads` workers. A
+    /// job keeps a running top-k, merged by [`crate::query::rank_cmp`] and
+    /// truncated after each chunk, and sums its
+    /// [`crate::query::QueryStats`]. `rank_cmp` is a total order, so each
+    /// result is bit-identical to the job searched alone, whatever the
+    /// wave's size, order or thread count.
+    /// Since resident chunks go first, no fault evicts a chunk the wave has
+    /// still to visit: a wave faults each chunk at most once.
     ///
     /// A chunk whose fault fails gives its error (`chunk blob <hash>: …`)
     /// to exactly the jobs that touch it, which are not searched further;
     /// the wave's other jobs complete, and nothing of the failure is
     /// remembered for the next wave.
     ///
-    /// `deadline` is checked before each chunk. Once it has passed, jobs
-    /// that have had no chunk searched are left out and return `None`;
-    /// jobs already started finish. Without a deadline every job returns
-    /// `Some`.
-    pub fn search_wave<S: Borrow<Spectrum>>(
+    /// `deadline` is checked before each chunk — for a one-chunk store,
+    /// once per wave. Once it has passed, jobs that have had no chunk
+    /// searched are left out and return `None`; jobs already started
+    /// finish. Without a deadline every job returns `Some`.
+    pub fn search_wave<S: Borrow<Spectrum> + Sync>(
         &mut self,
         jobs: &[(S, QueryOptions)],
+        num_threads: usize,
         deadline: Option<Instant>,
     ) -> Vec<Option<std::io::Result<SearchResult>>> {
+        assert!(num_threads >= 1, "need at least one thread");
+        self.scratches
+            .resize_with(num_threads, SearchScratch::default);
         let mut visits: Vec<(usize, usize)> = Vec::new(); // (chunk, job)
         for (j, (q, opts)) in jobs.iter().enumerate() {
             let q: &Spectrum = q.borrow();
@@ -490,48 +544,36 @@ impl ChunkStore {
         // running result, or the error that ended it.
         let mut out: Vec<Option<std::io::Result<SearchResult>>> =
             jobs.iter().map(|_| None).collect();
-        let empty = || SearchResult {
-            psms: Vec::new(),
-            stats: QueryStats::default(),
-        };
         let passed = || deadline.is_some_and(|d| Instant::now() >= d);
         let mut expired = passed();
         for visit in visits.chunk_by(|a, b| a.0 == b.0) {
             let ci = visit[0].0;
             expired = expired || passed();
-            let live = |state: &Option<std::io::Result<SearchResult>>| match state {
-                None => !expired,
-                Some(r) => r.is_ok(),
-            };
-            if !visit.iter().any(|&(_, j)| live(&out[j])) {
+            let live: Vec<usize> = visit
+                .iter()
+                .map(|&(_, j)| j)
+                .filter(|&j| match &out[j] {
+                    None => !expired,
+                    Some(r) => r.is_ok(),
+                })
+                .collect();
+            if live.is_empty() {
                 continue;
             }
             if let Err(e) = self.ensure_resident(ci) {
-                for &(_, j) in visit {
-                    if live(&out[j]) {
-                        out[j] = Some(Err(std::io::Error::new(e.kind(), e.to_string())));
-                    }
+                for &j in &live {
+                    out[j] = Some(Err(std::io::Error::new(e.kind(), e.to_string())));
                 }
                 continue;
             }
             let chunk = self.resident[ci].as_ref().expect("just made resident");
-            // Recycle one scratch across chunks, jobs and waves: sized once
-            // to the largest needed band instead of zero-allocated per
-            // visit. Scratch reuse is invisible in results (tested).
             // Mapped: PSMs carry global peptide ids before the per-chunk
             // top-k truncates, so tie order matches a monolithic search.
-            let mut searcher = Searcher::with_scratch_mapped(
-                chunk,
-                std::mem::take(&mut self.scratch),
-                &self.global_ids[ci],
-            );
-            for &(_, j) in visit {
-                if !live(&out[j]) {
-                    continue;
-                }
-                let (q, opts) = &jobs[j];
-                let r = searcher.search_with_opts(q.borrow(), opts);
-                let Ok(acc) = out[j].get_or_insert_with(|| Ok(empty())) else {
+            let gids = self.global_ids.get(ci).map(Vec::as_slice);
+            let job = |i: usize| (jobs[live[i]].0.borrow(), &jobs[live[i]].1);
+            let results = search_jobs(chunk, gids, live.len(), job, &mut self.scratches);
+            for (&j, r) in live.iter().zip(results) {
+                let Ok(acc) = out[j].get_or_insert_with(|| Ok(SearchResult::default())) else {
                     unreachable!("a failed job is not live");
                 };
                 acc.stats.accumulate(&r.stats);
@@ -542,14 +584,13 @@ impl ChunkStore {
                 // entry ids — the merged ranking is what one index over all
                 // the peptides would return.
                 acc.psms.sort_by(crate::query::rank_cmp);
-                acc.psms.truncate(opts.effective_top_k(&self.config));
+                acc.psms.truncate(jobs[j].1.effective_top_k(&self.config));
             }
-            self.scratch = searcher.into_scratch();
         }
         // A job whose window touches no chunk has nothing to search.
         for state in &mut out {
             if state.is_none() && !expired {
-                *state = Some(Ok(empty()));
+                *state = Some(Ok(SearchResult::default()));
             }
         }
         out
@@ -562,6 +603,7 @@ mod tests {
     use crate::builder::IndexBuilder;
     use crate::format::{content_hash64, ParsedContainer, Section};
     use crate::lifecycle::{blob_path, GenerationStore};
+    use crate::query::{ScanMode, Searcher};
     use lbe_bio::mods::{ModForm, ModSpec};
     use lbe_bio::peptide::{Peptide, PeptideDb};
     use lbe_spectra::spectrum::Peak;
@@ -637,7 +679,8 @@ mod tests {
 
     /// Chunk `ci`'s image as its blob file holds it, decoded if compressed.
     fn raw_blob(store: &ChunkStore, ci: usize) -> Vec<u8> {
-        let stored = std::fs::read(blob_path(&store.dir, store.blobs[ci].hash)).unwrap();
+        let stored =
+            std::fs::read(blob_path(store.dir.as_ref().unwrap(), store.blobs[ci].hash)).unwrap();
         if crate::compress::is_compressed_blob(&stored) {
             crate::compress::decompress_container(&stored, MAGIC_V2)
                 .unwrap()
@@ -794,10 +837,13 @@ mod tests {
         .iter()
         .map(|s| perfect_query(s.as_bytes()))
         .collect();
-        let jobs: Vec<(QueryOptions, &Spectrum)> = [0.01, 1.0, 500.0, f64::INFINITY]
+        // `serve_mixed`'s four tolerances under both scan modes.
+        let jobs: Vec<(QueryOptions, &Spectrum)> = [ScanMode::Auto, ScanMode::FullScan]
             .iter()
-            .flat_map(|&tol| {
+            .flat_map(|&scan_mode| [0.01, 1.0, 500.0, f64::INFINITY].map(|t| (scan_mode, t)))
+            .flat_map(|(scan_mode, tol)| {
                 let opts = QueryOptions {
+                    scan_mode,
                     precursor_tolerance: Some(tol),
                     ..Default::default()
                 };
@@ -805,7 +851,8 @@ mod tests {
             })
             .collect();
 
-        // The reference: one index over all the peptides.
+        // The reference: one index over all the peptides, each job searched
+        // alone.
         let mono = IndexBuilder::new(cfg.clone(), ModSpec::none()).build(&all);
         let rows = |rs: &[SearchResult]| -> Vec<Vec<(u32, u16, u16, u32)>> {
             rs.iter()
@@ -818,11 +865,11 @@ mod tests {
                 .collect()
         };
         let mut searcher = Searcher::new(&mono);
-        let expect: Vec<SearchResult> = jobs
+        let lone: Vec<SearchResult> = jobs
             .iter()
             .map(|(opts, q)| searcher.search_with_opts(q, opts))
             .collect();
-        let expect = rows(&expect);
+        let expect = rows(&lone);
         assert!(
             expect.iter().any(|q| q.len() == 3 && q[0].3 == q[2].3),
             "fixture must put an exact-score tie across the top-k cut"
@@ -844,18 +891,17 @@ mod tests {
             ("reversed", (0..jobs.len()).rev().collect()),
             ("shuffled", shuffled(jobs.len(), seed)),
         ];
-        // One pass over every job on a freshly opened store, `order`ed and
-        // cut into waves of `wave` jobs — each wave mixes tolerances unless
-        // it is one job: the results in job order and what the residency
-        // layer did to produce them.
-        let pass = |path: &Path, budget: usize, order: &[usize], wave: usize| {
-            let mut store = ChunkStore::open_generation_dir(path, budget).unwrap();
-            assert!(store.num_chunks() > 4, "{path:?} must exercise chunking");
+        // One pass over every job on a freshly opened `store`, `order`ed and
+        // cut into waves of `wave` jobs on `threads` workers — each wave
+        // mixes tolerances and scan modes unless it is one job: the results
+        // in job order and what the residency layer did to produce them.
+        let pass = |mut store: ChunkStore, order: &[usize], wave: usize, threads: usize| {
+            let budget = store.max_resident();
             let mut results: Vec<Option<SearchResult>> = vec![None; jobs.len()];
             for part in order.chunks(wave) {
                 let batch: Vec<(&Spectrum, QueryOptions)> =
                     part.iter().map(|&j| (jobs[j].1, jobs[j].0)).collect();
-                for (&j, r) in part.iter().zip(store.search_wave(&batch, None)) {
+                for (&j, r) in part.iter().zip(store.search_wave(&batch, threads, None)) {
                     results[j] = Some(r.expect("no deadline").unwrap());
                 }
                 assert!(store.num_resident() <= budget);
@@ -863,27 +909,50 @@ mod tests {
             let results: Vec<SearchResult> = results.into_iter().map(Option::unwrap).collect();
             (results, store.stats(), store.num_chunks())
         };
+        // A single index file is a one-chunk store searched unmapped: every
+        // job's result, entry ids and counters included, is the lone run's.
+        let file = tmpfile("table_file.slm2");
+        io::write_index_path(&file, &mono).unwrap();
+        for threads in [1usize, 2, 4] {
+            for (name, order) in &orders {
+                for wave in [1, 3, jobs.len()] {
+                    let case = format!(
+                        "index file, {threads} threads, {name} order (seed {seed:#x}), waves of {wave}"
+                    );
+                    let store = ChunkStore::from_index(io::read_index_path(&file).unwrap());
+                    let (got, stats, chunks) = pass(store, order, wave, threads);
+                    assert_eq!(got, lone, "{case}");
+                    assert_eq!((chunks, stats.faults, stats.evictions), (1, 0, 0), "{case}");
+                }
+            }
+        }
         for path in sources {
             let want = one_at_a_time(path);
             assert_eq!(rows(&want), expect, "{path:?} vs one index");
             for budget in [1usize, 2, usize::MAX] {
-                for (name, order) in &orders {
-                    for wave in [1, 3, jobs.len()] {
-                        let case = format!(
-                            "{path:?}, budget {budget}, {name} order (seed {seed:#x}), waves of {wave}"
-                        );
-                        let (got, stats, chunks) = pass(path, budget, order, wave);
-                        assert_eq!(got, want, "{case}");
-                        if budget == usize::MAX {
-                            assert_eq!(stats.evictions, 0, "{case}");
-                        }
-                        if wave == jobs.len() {
-                            assert!(stats.faults <= chunks as u64, "{case}: {stats:?}");
+                for threads in [1usize, 2, 4] {
+                    for (name, order) in &orders {
+                        for wave in [1, 3, jobs.len()] {
+                            let case = format!(
+                                "{path:?}, budget {budget}, {threads} threads, {name} order \
+                                 (seed {seed:#x}), waves of {wave}"
+                            );
+                            let store = ChunkStore::open_generation_dir(path, budget).unwrap();
+                            assert!(store.num_chunks() > 4, "{path:?} must exercise chunking");
+                            let (got, stats, chunks) = pass(store, order, wave, threads);
+                            assert_eq!(got, want, "{case}");
+                            if budget == usize::MAX {
+                                assert_eq!(stats.evictions, 0, "{case}");
+                            }
+                            if wave == jobs.len() {
+                                assert!(stats.faults <= chunks as u64, "{case}: {stats:?}");
+                            }
                         }
                     }
                 }
             }
         }
+        std::fs::remove_file(&file).ok();
     }
 
     /// splitmix64: the seeded tests' deterministic noise.
@@ -1342,7 +1411,7 @@ mod tests {
         let (clean, touches, hash) = {
             let mut store = ChunkStore::open_generation_dir(&dir, usize::MAX).unwrap();
             let clean: Vec<SearchResult> = store
-                .search_wave(&jobs, None)
+                .search_wave(&jobs, 1, None)
                 .into_iter()
                 .map(|r| r.unwrap().unwrap())
                 .collect();
@@ -1364,7 +1433,7 @@ mod tests {
         for budget in [1, 2, usize::MAX] {
             std::fs::write(&path, &bent).unwrap();
             let mut store = ChunkStore::open_generation_dir(&dir, budget).unwrap();
-            let results = store.search_wave(&jobs, None);
+            let results = store.search_wave(&jobs, 1, None);
             for (j, r) in results.into_iter().enumerate() {
                 let r = r.expect("no deadline");
                 match touches[j] {
@@ -1384,7 +1453,7 @@ mod tests {
             // the same store answers every job.
             std::fs::write(&path, &pristine).unwrap();
             let again: Vec<SearchResult> = store
-                .search_wave(&jobs, None)
+                .search_wave(&jobs, 1, None)
                 .into_iter()
                 .map(|r| r.unwrap().unwrap())
                 .collect();

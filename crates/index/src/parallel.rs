@@ -1,110 +1,114 @@
-//! Shared-memory parallel batch search.
+//! Shared-memory parallel search: one block-scheduled kernel.
 //!
-//! Within one node the index is immutable and shared; the query batch is
-//! embarrassingly parallel. This module provides a real (not simulated)
-//! multi-threaded batch searcher used by node-local deployments and by the
-//! hybrid mode's intra-rank level.
+//! Within one node the index is immutable and shared; a batch of queries
+//! is embarrassingly parallel. `search_jobs` splits the jobs into
+//! **small blocks** claimed dynamically by a fixed set of workers on the
+//! shared work-stealing pool (`minipool`), each searching with one
+//! caller-owned [`SearchScratch`], so a skewed batch — e.g. a mix of cheap
+//! closed-search and expensive open-search spectra — never finishes with
+//! its slowest *contiguous* slice: whichever worker goes idle claims the
+//! next block. It serves node-local batches and cluster ranks
+//! ([`search_batch_parallel_with_opts`]) and every chunk visit of a
+//! [`crate::ChunkStore`] wave, which recycles the scratches across waves.
 //!
-//! [`search_batch_parallel_with_opts`] splits the queries into **small blocks**
-//! claimed dynamically by a fixed set of workers on the shared
-//! work-stealing pool (`minipool`). Each worker owns one [`Searcher`]
-//! (scratch state is allocated `num_threads` times total, not per block),
-//! so a skewed batch — e.g. a mix of cheap closed-search and expensive
-//! open-search spectra — never finishes with its slowest *contiguous*
-//! slice: whichever worker goes idle claims the next block.
-//!
-//! Results are returned in query order and are bit-identical to the
-//! sequential path — parallelism must never change what is found (tested,
+//! Results are returned in job order and are bit-identical to searching
+//! each job alone — parallelism must never change what is found (tested,
 //! including a proptest over batch size / thread count / skew).
 
-use crate::query::{QueryOptions, QueryStats, SearchResult, Searcher};
+use crate::query::{QueryOptions, QueryStats, SearchResult, SearchScratch, Searcher};
 use crate::slm::SlmIndex;
 use lbe_spectra::spectrum::Spectrum;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// One worker's output: result blocks keyed by block id, plus its share of
-/// the accumulated work counters.
-type WorkerOutput = (Vec<(usize, Vec<SearchResult>)>, QueryStats);
 
 /// Queries per work-stealing block: fine-grained for small batches (so a
 /// cluster of expensive queries splits across workers instead of riding in
 /// one block), coarsening as the batch grows (the per-block cost — one
-/// `fetch_add` and one result push — amortizes over more searches).
+/// lock to claim it — amortizes over more searches).
 fn block_size(num_queries: usize, workers: usize) -> usize {
     (num_queries / (workers * 16)).clamp(1, 32)
 }
 
+/// Searches jobs `0..num_jobs`, `job(i)` being a spectrum and its
+/// [`QueryOptions`], against `index` on one worker per scratch (at most one
+/// per job and one per pool thread): one on the calling thread, the rest
+/// on the pool. With `global_ids`, PSM peptide ids are translated before
+/// top-k selection ([`Searcher::with_scratch_mapped`]). Returns one result
+/// per job, in job order, each bit-identical to a lone [`Searcher`] run of
+/// that job.
+pub(crate) fn search_jobs<'q>(
+    index: &SlmIndex,
+    global_ids: Option<&[u32]>,
+    num_jobs: usize,
+    job: impl Fn(usize) -> (&'q Spectrum, &'q QueryOptions) + Sync,
+    scratches: &mut [SearchScratch],
+) -> Vec<SearchResult> {
+    assert!(!scratches.is_empty(), "need at least one thread");
+    // No more workers than the pool has threads: the caller is one of
+    // them, so a process confined to one CPU searches on the calling
+    // thread alone instead of waking a thread that cannot run beside it.
+    let workers = match scratches.len().min(num_jobs) {
+        0 | 1 => 1,
+        n => n.min(minipool::current_num_threads()),
+    };
+    let block = block_size(num_jobs, workers);
+    // Each block of jobs owns its slice of the results, claimed by
+    // whichever worker asks next: results land in job order, and each
+    // search runs on freshly reset scratch, so scheduling cannot change
+    // them.
+    let mut results: Vec<SearchResult> = Vec::new();
+    results.resize_with(num_jobs, SearchResult::default);
+    let blocks = Mutex::new(results.chunks_mut(block).enumerate());
+    let work = |scratch: &mut SearchScratch| {
+        let mut searcher = match global_ids {
+            Some(ids) => Searcher::with_scratch_mapped(index, std::mem::take(scratch), ids),
+            None => Searcher::with_scratch(index, std::mem::take(scratch)),
+        };
+        loop {
+            // Claimed in its own statement, so the lock is not held while
+            // the block is searched.
+            let claimed = blocks.lock().expect("search worker panicked").next();
+            let Some((b, out)) = claimed else { break };
+            for (i, slot) in (b * block..).zip(out) {
+                let (q, o) = job(i);
+                *slot = searcher.search_with_opts(q, o);
+            }
+        }
+        *scratch = searcher.into_scratch();
+    };
+    let (here, pooled) = scratches[..workers]
+        .split_first_mut()
+        .expect("at least one scratch");
+    if pooled.is_empty() {
+        work(here);
+    } else {
+        let work = &work;
+        minipool::scope(|s| {
+            for scratch in pooled {
+                s.spawn(move |_| work(scratch));
+            }
+            work(here);
+        });
+    }
+    results
+}
+
 /// Searches `queries` against `index` under one set of [`QueryOptions`]
-/// using `num_threads` workers on the shared work-stealing pool, with
-/// dynamic block scheduling — the batch entry point of node-local search,
-/// cluster ranks and a resident server's query waves (one options set per
-/// wave, every worker searching under it).
-///
-/// Returns per-query results (in input order) and the accumulated work
-/// counters, bit-identical to the sequential
-/// [`Searcher::search_batch_with_opts`] for any thread count.
-/// `num_threads = 1` degenerates to the sequential path.
+/// on `num_threads` workers (`search_jobs`, the index's own ids): per
+/// query results in input order and the accumulated work counters,
+/// bit-identical to [`Searcher::search_batch_with_opts`].
 pub fn search_batch_parallel_with_opts(
     index: &SlmIndex,
     queries: &[Spectrum],
     num_threads: usize,
     opts: &QueryOptions,
 ) -> (Vec<SearchResult>, QueryStats) {
-    assert!(num_threads >= 1, "need at least one thread");
-    if num_threads == 1 || queries.len() <= 1 {
-        let mut s = Searcher::new(index);
-        return s.search_batch_with_opts(queries, opts);
-    }
-
-    let workers = num_threads.min(queries.len());
-    let block = block_size(queries.len(), workers);
-    let num_blocks = queries.len().div_ceil(block);
-    let next_block = AtomicUsize::new(0);
-    // Each worker pushes (block id, that block's results) here when it runs
-    // out of blocks; order of arrival is scheduling-dependent, so the merge
-    // below re-sorts by block id. Per-query results themselves cannot
-    // differ: each search runs on freshly reset scratch.
-    let collected: Mutex<Vec<WorkerOutput>> = Mutex::new(Vec::with_capacity(workers));
-
-    minipool::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| {
-                let mut searcher = Searcher::new(index);
-                let mut mine: Vec<(usize, Vec<SearchResult>)> = Vec::new();
-                let mut stats = QueryStats::default();
-                loop {
-                    let b = next_block.fetch_add(1, Ordering::Relaxed);
-                    if b >= num_blocks {
-                        break;
-                    }
-                    let lo = b * block;
-                    let hi = (lo + block).min(queries.len());
-                    let (results, block_stats) =
-                        searcher.search_batch_with_opts(&queries[lo..hi], opts);
-                    stats.accumulate(&block_stats);
-                    mine.push((b, results));
-                }
-                collected
-                    .lock()
-                    .expect("search worker panicked while collecting")
-                    .push((mine, stats));
-            });
-        }
-    });
-
-    let mut per_block: Vec<(usize, Vec<SearchResult>)> = Vec::with_capacity(num_blocks);
+    let workers = num_threads.min(queries.len().max(1));
+    let mut scratches: Vec<SearchScratch> = (0..workers).map(|_| Default::default()).collect();
+    let job = |i: usize| (&queries[i], opts);
+    let results = search_jobs(index, None, queries.len(), job, &mut scratches);
     let mut totals = QueryStats::default();
-    for (blocks, stats) in collected.into_inner().expect("collector poisoned") {
-        per_block.extend(blocks);
-        // Stats are u64 sums, so accumulation order cannot change them.
-        totals.accumulate(&stats);
-    }
-    per_block.sort_unstable_by_key(|&(b, _)| b);
-    debug_assert_eq!(per_block.len(), num_blocks);
-    let mut results = Vec::with_capacity(queries.len());
-    for (_, r) in per_block {
-        results.extend(r);
+    for r in &results {
+        totals.accumulate(&r.stats);
     }
     (results, totals)
 }

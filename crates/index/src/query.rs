@@ -207,7 +207,7 @@ impl QueryStats {
 }
 
 /// Result of searching one spectrum.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SearchResult {
     /// Top-k candidate PSMs, best first.
     pub psms: Vec<Psm>,

@@ -98,12 +98,20 @@ fn main() {
         println!();
     }
 
-    if let (Some(chunk), Some(cyclic)) = (chunk16, cyclic16) {
-        let speedup = lb_speedup_over_chunk(&chunk, &cyclic);
-        let (apparent, waste) = stall_amplification(&chunk, 16);
-        println!("cyclic vs chunk CPU-time speedup at 16 ranks: {speedup:.1}x");
-        println!(
-            "chunk at 16 ranks: stall looks like {apparent:.2}x wall-clock but wastes {waste:.1}x CPU-normalized time (§VI)"
-        );
-    }
+    let chunk = chunk16.expect("chunk ran at 16 ranks");
+    let cyclic = cyclic16.expect("cyclic ran at 16 ranks");
+    let speedup = lb_speedup_over_chunk(&chunk, &cyclic);
+    let (apparent, waste) = stall_amplification(&chunk, 16);
+    println!("cyclic vs chunk CPU-time speedup at 16 ranks: {speedup:.1}x");
+    println!(
+        "chunk at 16 ranks: stall looks like {apparent:.2}x wall-clock but wastes {waste:.1}x CPU-normalized time (§VI)"
+    );
+    assert!(
+        chunk.load_imbalance_pct() > cyclic.load_imbalance_pct() && speedup > 1.0,
+        "LBE's cyclic policy balances the load the chunk policy does not"
+    );
+    assert!(
+        waste > apparent,
+        "the chunk policy's stall wastes more CPU time than its wall clock shows"
+    );
 }

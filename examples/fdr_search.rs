@@ -87,13 +87,22 @@ fn main() {
     println!("queries with at least one candidate: {}", ids.len());
 
     let q = compute_q_values(ids);
-    for threshold in [0.01, 0.05, 0.10] {
+    let accepted = [0.01, 0.05, 0.10].map(|threshold| {
+        let n = accepted_at(&q, threshold);
         println!(
-            "accepted at {:>4.0}% FDR : {:>4} target PSMs",
-            threshold * 100.0,
-            accepted_at(&q, threshold)
+            "accepted at {:>4.0}% FDR : {n:>4} target PSMs",
+            threshold * 100.0
         );
-    }
+        n
+    });
+    assert!(
+        accepted.windows(2).all(|w| w[0] <= w[1]),
+        "a looser FDR threshold accepts no fewer PSMs: {accepted:?}"
+    );
+    assert!(
+        accepted[0] >= 120 * 9 / 10,
+        "most of the 120 signal spectra pass 1% FDR: {accepted:?}"
+    );
     let decoy_top1 = q.iter().filter(|r| r.id.is_decoy).count();
     println!("\ndecoy top-1 hits: {decoy_top1} (each inflates the estimated FDR — that is the control working)");
 }

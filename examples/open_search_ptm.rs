@@ -99,8 +99,12 @@ fn main() {
         "top-1 correct, PTM-aware index : {top1_mod}/{}",
         queries.len()
     );
-    if let Some((seq, shift)) = example_shift {
-        println!("\nexample: {seq} identified with mass shift {shift:+.4} Da");
-        println!("(open search localized the modification the blind index missed)");
-    }
+    assert!(
+        top1_mod > top1_plain,
+        "the PTM-aware index identifies more modified queries than the blind one"
+    );
+    let (seq, shift) = example_shift.expect("a modified query is identified with its shift");
+    println!("\nexample: {seq} identified with mass shift {shift:+.4} Da");
+    println!("(open search localized the modification the blind index missed)");
+    assert!(shift.abs() > 0.5, "a modification shifts the mass: {shift}");
 }

@@ -54,6 +54,10 @@ fn main() {
         report.queries,
         report.top1_accuracy() * 100.0
     );
+    assert_eq!(
+        report.top1_correct, report.queries,
+        "every synthetic query's top-1 match is its ground-truth peptide"
+    );
 
     // Show the first query's best match with its provenance.
     if let Some(psm) = report.search.psms[0].first() {

@@ -17,9 +17,10 @@
 //!   reconnect policy (next-epoch handshake), and healing a truly dead
 //!   peer fails as a typed `Disconnected`.
 
+use lbe::cluster::collectives::COLLECTIVE_TAG_BASE;
 use lbe::cluster::{
     CommCostModel, CommError, Communicator, FaultPlan, FaultRule, FaultyTransport, Hostfile,
-    RetryPolicy, SimTransport, TcpConfig, TcpTransport, Transport,
+    RetryPolicy, SimTransport, Tag, TcpConfig, TcpTransport, Transport,
 };
 use lbe::core::{
     cluster_search_rank, cluster_search_rank_supervised, DistributedSearchReport, EngineConfig,
@@ -329,6 +330,10 @@ fn fixture() -> (PeptideDb, Grouping, Vec<Spectrum>) {
     (db, grouping, queries.spectra)
 }
 
+/// The gather collective's tag (`collectives.rs` reserves the tags from
+/// `COLLECTIVE_TAG_BASE` up: barrier up, barrier down, gather, ...).
+const TAG_GATHER: Tag = COLLECTIVE_TAG_BASE + 2;
+
 /// Clean (unsupervised) sim run, the byte-exact baseline.
 fn clean_report(
     db: &PeptideDb,
@@ -446,10 +451,19 @@ fn worker_lost_mid_gather_is_recovered_bit_identically() {
     let rec = report.recovery.as_ref().expect("recovery recorded");
     assert_eq!(rec.ranks_lost, vec![2]);
     assert_eq!(rec.queries_reexecuted, queries.len());
-    // Rank 1 was untouched; rank 2 itself completed (only its results were
-    // lost in flight from the master's point of view).
+    // Rank 1 was untouched. Rank 2 searched its share, but its gather send
+    // races the master's sever: it either lands before the link goes
+    // (rank 2 returns `Ok`) or finds it gone, and nothing else.
     assert!(workers[0].is_ok());
-    assert!(workers[1].is_ok());
+    match &workers[1] {
+        Ok(_) => {}
+        Err(CommError::Disconnected {
+            rank: 2,
+            peer: 0,
+            tag: Some(tag),
+        }) if *tag == TAG_GATHER => {}
+        Err(e) => panic!("rank 2 may only lose its gather send, not fail with {e:?}"),
+    }
 }
 
 #[test]

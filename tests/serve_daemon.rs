@@ -625,32 +625,60 @@ fn serve_cli_command_roundtrip() {
 }
 
 /// `query --csv` and `--top-k` produce byte-identical reports to the
-/// one-shot `search` under the same flags, over the same daemon.
+/// one-shot `search` under the same flags, over the same daemon — on a
+/// generation store and on a single index file, which the engine serves as
+/// a one-chunk store that still reports itself as a single index.
 #[test]
 fn query_flags_match_one_shot_search() {
-    let (addr, handle, runner) = start_daemon(ServeConfig::default());
     let d = tmpdir("flags");
     let p = |n: &str| d.join(n).to_string_lossy().to_string();
-    for flags in ["--csv", "--top-k 3", "--top-k 1 --csv", "--full-scan"] {
-        cli(&format!(
-            "search --index {} --queries {} --out {} {flags}",
-            corpus_index(),
-            data("corpus.ms2"),
-            p("one_shot.tsv")
-        ));
-        cli(&format!(
-            "query --addr {addr} --queries {} --out {} {flags}",
-            data("corpus.ms2"),
-            p("served.tsv")
-        ));
-        assert_eq!(
-            std::fs::read_to_string(p("served.tsv")).unwrap(),
-            std::fs::read_to_string(p("one_shot.tsv")).unwrap(),
-            "flags {flags:?} diverged"
-        );
+    // A single index file over the whole corpus: the shard of a one-rank
+    // cluster build.
+    let pep = std::path::Path::new(corpus_index()).with_file_name("pep.fasta");
+    cli(&format!(
+        "cluster build --sim --ranks 1 --db {} --out {}",
+        pep.display(),
+        p("shards")
+    ));
+    let file = p("shards/shard-0000.slm2");
+    for index in [corpus_index(), file.as_str()] {
+        let (addr, handle, runner) = start_daemon_on(index, ServeConfig::default());
+        for flags in ["--csv", "--top-k 3", "--top-k 1 --csv", "--full-scan"] {
+            let summary = cli(&format!(
+                "search --index {index} --queries {} --out {} {flags}",
+                data("corpus.ms2"),
+                p("one_shot.tsv")
+            ));
+            assert_eq!(
+                summary.contains("(single index)"),
+                index == file,
+                "{summary}"
+            );
+            cli(&format!(
+                "query --addr {addr} --queries {} --out {} {flags}",
+                data("corpus.ms2"),
+                p("served.tsv")
+            ));
+            assert_eq!(
+                std::fs::read_to_string(p("served.tsv")).unwrap(),
+                std::fs::read_to_string(p("one_shot.tsv")).unwrap(),
+                "{index}: flags {flags:?} diverged"
+            );
+        }
+        handle.shutdown();
+        runner.join().unwrap();
     }
-    handle.shutdown();
-    runner.join().unwrap();
+
+    // What a file-backed engine says of itself: no chunks (the Pong frame
+    // reads this), its indexed spectra, and a refresh that reads no file —
+    // the file is gone by then.
+    let engine = ResidentEngine::open(&file, usize::MAX).unwrap();
+    assert_eq!(engine.num_chunks(), 0);
+    assert_eq!(engine.backend_summary(), "single index");
+    let indexed = lbe::index::read_index_path(&file).unwrap().num_spectra();
+    assert_eq!(engine.num_indexed(), Some(indexed));
+    std::fs::remove_file(&file).unwrap();
+    assert!(matches!(engine.refresh(), Ok(false)));
 }
 
 /// A daemon serving a generation store picks up appended generations
