@@ -39,9 +39,11 @@
 //!   duplicate entry ids within one run are legal (a spectrum can
 //!   contribute several fragments to one bin window), so a hardware scatter
 //!   would lose increments.
-//! * **Prefetch** ([`prefetch_postings`], [`prefetch_endpoints`]): while
+//! * **Prefetch** ([`prefetch_postings`], [`prefetch_search_path`]): while
 //!   run *r* is accumulating, the first lines of run *r + 1* are requested;
-//!   while bin *b*'s run is being admitted, bin *b + 1*'s endpoints are.
+//!   before bin *b*'s run is resolved against the band, bin *b + 4*'s
+//!   endpoints are, and for a bin of more than 16 postings its seven
+//!   eighth-points (the first three levels of its binary searches).
 //!   `_mm_prefetch` needs no CPU feature beyond x86_64 itself, so the hints
 //!   are active in every build on that arch (no-ops elsewhere) — prefetch
 //!   is purely a performance hint, never a correctness dependency.
@@ -144,22 +146,33 @@ pub(crate) fn prefetch_postings(run: &[u32]) {
     let _ = run;
 }
 
-/// Hints a posting run's *endpoints* into L1 — the two loads the
-/// fragment-level band's O(1) prune/accept test is about to make. Phase one
-/// of the kernel issues this for bin *b + 1* while admitting bin *b*: bin
-/// runs are scattered across the posting array and the endpoint loads are
-/// the cold misses of the admission loop. Active on x86_64 in every build;
-/// a no-op elsewhere.
+/// Hints the loads that resolving a bin's posting run will make: its two
+/// endpoints (the fragment-level band's O(1) prune/accept test) and, for a
+/// run longer than one cache line's 16 postings, its seven eighth-points —
+/// the first three levels of `partition_point`'s search path when the band
+/// cuts the bin. Phase one of the kernel issues this a few bins ahead of
+/// the one it resolves: bin runs are scattered across the posting array,
+/// so these loads are the cold misses of resolution. Active on x86_64 in
+/// every build; a no-op elsewhere.
 #[inline(always)]
-pub(crate) fn prefetch_endpoints(run: &[u32]) {
+pub(crate) fn prefetch_search_path(run: &[u32]) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch hints are architecturally valid for any address and
-    // never fault; both pointers come from a live slice.
+    // never fault; besides, every pointer here lies inside the live slice:
+    // `first`/`last` are its elements, and `len * k / 8 < len` for
+    // `0 < k < 8` keeps each eighth-point offset in bounds.
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         if let (Some(first), Some(last)) = (run.first(), run.last()) {
             _mm_prefetch(first as *const u32 as *const i8, _MM_HINT_T0);
             _mm_prefetch(last as *const u32 as *const i8, _MM_HINT_T0);
+            let len = run.len();
+            if len > 16 {
+                let base = run.as_ptr();
+                for k in 1..8 {
+                    _mm_prefetch(base.add(len * k / 8) as *const i8, _MM_HINT_T0);
+                }
+            }
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -318,9 +331,15 @@ mod tests {
     fn prefetch_hints_accept_any_run_shape() {
         // Pure hints — the only observable contract is "never faults",
         // including on empty and single-element runs.
-        for run in [&[][..], &[1u32][..], &[1u32; 40][..]] {
+        for run in [
+            &[][..],
+            &[1u32][..],
+            &[1u32; 16][..],
+            &[1u32; 17][..],
+            &[1u32; 40][..],
+        ] {
             prefetch_postings(run);
-            prefetch_endpoints(run);
+            prefetch_search_path(run);
         }
     }
 
