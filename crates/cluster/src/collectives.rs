@@ -117,7 +117,7 @@ impl Communicator {
     /// Gathers one `T` per rank at `root`. Returns `Some(values)` (indexed
     /// by rank) on the root, `None` elsewhere. `sim_bytes` models each
     /// contribution's wire size.
-    pub fn try_gather<T: Wire + Send + 'static>(
+    pub fn try_gather<T: Wire>(
         &mut self,
         root: usize,
         value: T,
@@ -137,7 +137,7 @@ impl Communicator {
     /// every rank that contributed (its own included), `None` for ranks in
     /// `dead` on entry or whose receive failed — those join the set.
     /// Other ranks ignore `dead` and get `None`.
-    pub fn try_gather_tolerating<T: Wire + Send + 'static>(
+    pub fn try_gather_tolerating<T: Wire>(
         &mut self,
         root: usize,
         value: T,
@@ -165,7 +165,7 @@ impl Communicator {
 
     /// Broadcasts the root's value to all ranks. The root passes
     /// `Some(value)`, others `None`; every rank returns the value.
-    pub fn try_broadcast<T: Wire + Clone + Send + 'static>(
+    pub fn try_broadcast<T: Wire + Clone>(
         &mut self,
         root: usize,
         value: Option<T>,
@@ -200,7 +200,7 @@ impl Communicator {
         sim_bytes: usize,
     ) -> Result<Option<T>, CommError>
     where
-        T: Wire + Send + 'static,
+        T: Wire,
         F: Fn(T, T) -> T,
     {
         assert!(root < self.size(), "reduce root out of range");
@@ -231,7 +231,7 @@ impl Communicator {
         sim_bytes: usize,
     ) -> Result<T, CommError>
     where
-        T: Wire + Clone + Send + 'static,
+        T: Wire + Clone,
         F: Fn(T, T) -> T,
     {
         let reduced = self.try_reduce(0, value, op, sim_bytes)?;
@@ -239,7 +239,7 @@ impl Communicator {
     }
 
     /// Gather + broadcast: every rank gets the full rank-indexed vector.
-    pub fn try_all_gather<T: Wire + Clone + Send + 'static>(
+    pub fn try_all_gather<T: Wire + Clone>(
         &mut self,
         value: T,
         sim_bytes: usize,
@@ -250,7 +250,7 @@ impl Communicator {
     }
 
     /// Scatters one `T` to each rank from the root's rank-indexed vector.
-    pub fn try_scatter<T: Wire + Send + 'static>(
+    pub fn try_scatter<T: Wire>(
         &mut self,
         root: usize,
         values: Option<Vec<T>>,

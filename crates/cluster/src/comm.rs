@@ -2,22 +2,36 @@
 //!
 //! Semantics mirror MPI's matched send/receive: a receive names its source
 //! rank and tag; messages from other `(src, tag)` pairs are buffered until a
-//! matching receive posts. Payloads are typed end-to-end. On the sim backend
-//! values move as `Box<dyn Any>` pointer handoffs and a mismatched receive
-//! type panics (the moral equivalent of an MPI datatype mismatch aborting
-//! the job); on wire backends values are encoded with [`crate::wire`] and a
-//! mismatch surfaces as a typed [`CommError::Codec`].
+//! matching receive posts. Payloads are typed end-to-end: every backend
+//! carries the same [`crate::wire`]-encoded bytes, and a receive that names
+//! the wrong type is a typed [`CommError::Codec`].
+//!
+//! ## The frame check
+//!
+//! Each frame is `[seq u32 LE][check u32 LE][encode_msg bytes]`. `seq`
+//! counts the sends on one `(dest, tag)` pair from 0, and `check` is
+//! FNV-1a-32 over `seq` and the message. The receiver verifies both before
+//! it decodes:
+//!
+//! * a checksum mismatch is a [`CommError::Codec`] (the frame was
+//!   corrupted in flight);
+//! * a `seq` below the expected one is a duplicate, dropped while the
+//!   receive goes on waiting within its deadline;
+//! * a `seq` above the expected one means a frame on that `(src, tag)` was
+//!   lost (a corrupted one counts as lost), a [`CommError::Codec`] rather
+//!   than the next frame read in its place.
 //!
 //! The communicator itself is a thin handle over a [`Transport`]: all
-//! policy that engine code sees — typed messaging, timeouts with rank/tag
-//! context, virtual-vs-wall time — lives here, so SPMD programs run
-//! unchanged on either backend.
+//! policy that engine code sees — typed messaging, the frame check,
+//! timeouts with rank/tag context, virtual-vs-wall time — lives here, so
+//! SPMD programs run unchanged on either backend.
 
 use crate::clock::{CommCostModel, VirtualClock};
 use crate::retry::RetryPolicy;
-use crate::transport::{Frame, Payload, Transport};
+use crate::transport::{Frame, Transport};
 use crate::wire::{self, Wire, WireError};
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -169,6 +183,10 @@ pub struct Communicator {
     retry: RetryPolicy,
     /// Jitter stream for retry backoff.
     retry_rng: ChaCha8Rng,
+    /// The `seq` the next send to each `(dest, tag)` carries.
+    send_seq: HashMap<(usize, Tag), u32>,
+    /// The `seq` the next frame from each `(src, tag)` must carry.
+    recv_seq: HashMap<(usize, Tag), u32>,
 }
 
 impl Communicator {
@@ -193,6 +211,8 @@ impl Communicator {
             recv_timeout,
             retry,
             retry_rng,
+            send_seq: HashMap::new(),
+            recv_seq: HashMap::new(),
         }
     }
 
@@ -275,24 +295,9 @@ impl Communicator {
     /// Sends `value` to `dest` with `tag`. `sim_bytes` is the modelled wire
     /// size used by the cost model (the real encoded size applies on wire
     /// backends). Sends are non-blocking (buffered), as with an MPI eager
-    /// send. Self-sends are legal.
-    ///
-    /// Panics on transport failure; use [`Communicator::try_send`] to handle
-    /// failures.
-    pub fn send<T: Wire + Send + 'static>(
-        &mut self,
-        dest: usize,
-        tag: Tag,
-        value: T,
-        sim_bytes: usize,
-    ) {
-        self.try_send(dest, tag, value, sim_bytes)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Communicator::send`] but surfaces transport failures as a
-    /// typed [`CommError`].
-    pub fn try_send<T: Wire + Send + 'static>(
+    /// send. Self-sends are legal. A transient failure is retried under the
+    /// [`RetryPolicy`] with the same frame, `seq` included.
+    pub fn try_send<T: Wire>(
         &mut self,
         dest: usize,
         tag: Tag,
@@ -300,51 +305,52 @@ impl Communicator {
         sim_bytes: usize,
     ) -> Result<(), CommError> {
         assert!(dest < self.size(), "send to nonexistent rank {dest}");
-        if !self.transport.is_virtual() {
-            // Wire frames are re-encodable, so a transient send failure can
-            // be retried with a fresh frame.
-            let bytes = wire::encode_msg(&value);
-            return self.with_transient_retry(|t| {
-                t.send(
-                    dest,
-                    tag,
-                    Frame {
-                        payload: Payload::Bytes(bytes.clone()),
-                        sent_at: 0.0,
-                        sim_bytes,
-                    },
-                )
-            });
-        }
+        let next = self.send_seq.entry((dest, tag)).or_insert(0);
+        let seq = *next;
+        *next = seq.wrapping_add(1);
+        let msg = wire::encode_msg(&value);
+        let mut bytes = Vec::with_capacity(ENVELOPE_LEN + msg.len());
+        bytes.extend_from_slice(&seq.to_le_bytes());
+        bytes.extend_from_slice(&frame_check(seq, &msg).to_le_bytes());
+        bytes.extend_from_slice(&msg);
         let frame = Frame {
-            payload: Payload::Value(Box::new(value)),
+            bytes,
             sent_at: self.now(),
             sim_bytes,
         };
-        self.transport.send(dest, tag, frame)
+        self.with_transient_retry(|t| t.send(dest, tag, frame.clone()))
     }
 
-    /// Blocking receive of a `T` from rank `src` with tag `tag`.
-    ///
-    /// On the sim backend, advances the virtual clock to the message's
-    /// modelled arrival time; panics on type mismatch, timeout, or
-    /// disconnected peers — unrecoverable SPMD programming errors. Use
-    /// [`Communicator::try_recv`] where failure should be handled.
-    pub fn recv<T: Wire + Send + 'static>(&mut self, src: usize, tag: Tag) -> T {
-        self.try_recv(src, tag).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Communicator::recv`] but surfaces timeout, disconnect, I/O,
-    /// and decode failures as a typed [`CommError`] with rank/tag context.
-    pub fn try_recv<T: Wire + Send + 'static>(
-        &mut self,
-        src: usize,
-        tag: Tag,
-    ) -> Result<T, CommError> {
+    /// Blocking receive of a `T` from rank `src` with tag `tag`. On the sim
+    /// backend, advances the virtual clock to the message's modelled
+    /// arrival time. Timeout, disconnect, I/O, a failed frame check and a
+    /// failed decode are typed [`CommError`]s with rank/tag context.
+    pub fn try_recv<T: Wire>(&mut self, src: usize, tag: Tag) -> Result<T, CommError> {
         assert!(src < self.size(), "receive from nonexistent rank {src}");
-        let timeout = self.recv_timeout;
-        let frame = self.with_transient_retry(|t| t.recv(src, tag, timeout))?;
-        self.open(src, tag, frame)
+        let rank = self.rank();
+        let codec = |err| CommError::Codec {
+            rank,
+            src,
+            tag,
+            err,
+        };
+        let deadline = Instant::now() + self.recv_timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let frame = self.with_transient_retry(|t| t.recv(src, tag, left))?;
+            let (seq, msg) = open_envelope(&frame.bytes).map_err(codec)?;
+            let next = self.recv_seq.entry((src, tag)).or_insert(0);
+            if seq < *next {
+                continue; // a duplicate of a frame already received
+            }
+            let lost = seq > *next;
+            *next = seq.wrapping_add(1);
+            if lost {
+                return Err(codec(WireError::Malformed("an earlier frame was lost")));
+            }
+            self.sync_clock_to(frame.sent_at + self.cost.transfer_time(frame.sim_bytes));
+            return wire::decode_msg::<T>(msg).map_err(codec);
+        }
     }
 
     /// Runs `op` against the transport, retrying transient failures under
@@ -375,39 +381,27 @@ impl Communicator {
             }
         }
     }
+}
 
-    /// Unwraps a frame: advances the clock to the modelled arrival time
-    /// (sim) and recovers the typed value.
-    fn open<T: Wire + Send + 'static>(
-        &mut self,
-        src: usize,
-        tag: Tag,
-        frame: Frame,
-    ) -> Result<T, CommError> {
-        match frame.payload {
-            Payload::Value(boxed) => {
-                let arrival = frame.sent_at + self.cost.transfer_time(frame.sim_bytes);
-                self.sync_clock_to(arrival);
-                Ok(*boxed.downcast::<T>().unwrap_or_else(|_| {
-                    panic!(
-                        "rank {}: type mismatch receiving from rank {} tag {} (expected {})",
-                        self.rank(),
-                        src,
-                        tag,
-                        std::any::type_name::<T>()
-                    )
-                }))
-            }
-            Payload::Bytes(bytes) => {
-                wire::decode_msg::<T>(&bytes).map_err(|err| CommError::Codec {
-                    rank: self.rank(),
-                    src,
-                    tag,
-                    err,
-                })
-            }
-        }
+/// Bytes of the `[seq][check]` envelope ahead of each message.
+const ENVELOPE_LEN: usize = 8;
+
+/// FNV-1a-32 over a frame's `seq` and message bytes.
+fn frame_check(seq: u32, msg: &[u8]) -> u32 {
+    wire::fnv1a(wire::fnv1a(wire::FNV_OFFSET, &seq.to_le_bytes()), msg)
+}
+
+/// Verifies a frame's envelope: its `seq` and the message behind it.
+fn open_envelope(bytes: &[u8]) -> Result<(u32, &[u8]), WireError> {
+    let (head, msg) = bytes
+        .split_first_chunk::<ENVELOPE_LEN>()
+        .ok_or(WireError::Truncated)?;
+    let seq = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
+    let check = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
+    if check != frame_check(seq, msg) {
+        return Err(WireError::Malformed("frame checksum mismatch"));
     }
+    Ok((seq, msg))
 }
 
 impl fmt::Debug for Communicator {
@@ -424,16 +418,41 @@ impl fmt::Debug for Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, FaultyTransport};
     use crate::threaded::{Cluster, ClusterConfig};
+    use crate::transport::SimTransport;
+
+    /// Two communicators over one sim mesh, driven from one thread (sends
+    /// are eager), rank 0's transport wearing `plan`.
+    fn pair(plan: &str) -> (Communicator, Communicator) {
+        let mut mesh = SimTransport::mesh(2).into_iter();
+        let plan = FaultPlan::parse(plan).unwrap();
+        let t0 = FaultyTransport::wrap(Box::new(mesh.next().unwrap()), plan);
+        let over = |t: Box<dyn Transport>| {
+            Communicator::over(t, CommCostModel::default(), Duration::from_millis(100))
+        };
+        (over(Box::new(t0)), over(Box::new(mesh.next().unwrap())))
+    }
+
+    fn is_codec(r: Result<impl fmt::Debug, CommError>) -> bool {
+        matches!(
+            r,
+            Err(CommError::Codec {
+                rank: 1,
+                src: 0,
+                ..
+            })
+        )
+    }
 
     #[test]
     fn send_recv_round_trip() {
         let out = Cluster::new(ClusterConfig::new(2)).run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, 7, String::from("hello"), 5);
+                comm.try_send(1, 7, String::from("hello"), 5).unwrap();
                 String::new()
             } else {
-                comm.recv::<String>(0, 7)
+                comm.try_recv::<String>(0, 7).unwrap()
             }
         });
         assert_eq!(out.results[1], "hello");
@@ -443,13 +462,13 @@ mod tests {
     fn out_of_order_tags_buffered() {
         let out = Cluster::new(ClusterConfig::new(2)).run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, 1, 111u32, 4);
-                comm.send(1, 2, 222u32, 4);
+                comm.try_send(1, 1, 111u32, 4).unwrap();
+                comm.try_send(1, 2, 222u32, 4).unwrap();
                 (0, 0)
             } else {
                 // Receive tag 2 first even though tag 1 was sent first.
-                let b = comm.recv::<u32>(0, 2);
-                let a = comm.recv::<u32>(0, 1);
+                let b = comm.try_recv::<u32>(0, 2).unwrap();
+                let a = comm.try_recv::<u32>(0, 1).unwrap();
                 (a, b)
             }
         });
@@ -460,8 +479,8 @@ mod tests {
     fn self_send_works() {
         let out = Cluster::new(ClusterConfig::new(1)).run(|comm| {
             let me = comm.rank();
-            comm.send(me, 0, 42u64, 8);
-            comm.recv::<u64>(me, 0)
+            comm.try_send(me, 0, 42u64, 8).unwrap();
+            comm.try_recv::<u64>(me, 0).unwrap()
         });
         assert_eq!(out.results[0], 42);
     }
@@ -475,9 +494,9 @@ mod tests {
         let out = Cluster::new(cfg).run(|comm| {
             if comm.rank() == 0 {
                 comm.compute(5.0); // sender is at t=5 when it sends
-                comm.send(1, 0, (), 0);
+                comm.try_send(1, 0, (), 0).unwrap();
             } else {
-                comm.recv::<()>(0, 0); // arrival at 5 + 1 latency
+                comm.try_recv::<()>(0, 0).unwrap(); // arrival at 5 + 1 latency
             }
             comm.now()
         });
@@ -489,11 +508,11 @@ mod tests {
         let cfg = ClusterConfig::new(2).with_cost(CommCostModel::free());
         let out = Cluster::new(cfg).run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, 0, (), 0); // sent at t=0
+                comm.try_send(1, 0, (), 0).unwrap(); // sent at t=0
                 0.0
             } else {
                 comm.compute(10.0);
-                comm.recv::<()>(0, 0); // arrival t=0 < local t=10
+                comm.try_recv::<()>(0, 0).unwrap(); // arrival t=0 < local t=10
                 comm.now()
             }
         });
@@ -501,12 +520,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "type mismatch")]
-    fn type_mismatch_panics() {
-        Cluster::new(ClusterConfig::new(1)).run(|comm| {
-            comm.send(0, 0, 1u32, 4);
-            let _ = comm.recv::<String>(0, 0);
+    fn type_mismatch_is_a_typed_codec_error() {
+        let out = Cluster::new(ClusterConfig::new(1)).run(|comm| {
+            comm.try_send(0, 0, 1u32, 4).unwrap();
+            comm.try_recv::<String>(0, 0).unwrap_err()
         });
+        assert!(
+            matches!(
+                out.results[0],
+                CommError::Codec {
+                    rank: 0,
+                    src: 0,
+                    tag: 0,
+                    err: WireError::TypeMismatch { .. },
+                }
+            ),
+            "{}",
+            out.results[0]
+        );
     }
 
     #[test]
@@ -531,15 +562,69 @@ mod tests {
         let out = Cluster::new(ClusterConfig::new(3)).run(|comm| match comm.rank() {
             0 => {
                 // Receive from 2 first, then 1 — regardless of arrival order.
-                let from2 = comm.recv::<usize>(2, 0);
-                let from1 = comm.recv::<usize>(1, 0);
+                let from2 = comm.try_recv::<usize>(2, 0).unwrap();
+                let from1 = comm.try_recv::<usize>(1, 0).unwrap();
                 vec![from1, from2]
             }
             r => {
-                comm.send(0, 0, r * 100, 8);
+                comm.try_send(0, 0, r * 100, 8).unwrap();
                 vec![]
             }
         });
         assert_eq!(out.results[0], vec![100, 200]);
+    }
+
+    #[test]
+    fn duplicated_frames_are_dropped() {
+        // Every frame rank 0 sends arrives twice. Without the seq check the
+        // second all-reduce would read the first one's duplicate (3).
+        let plan = FaultPlan::parse("dup=1").unwrap();
+        let results: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = SimTransport::mesh(2)
+                .into_iter()
+                .map(|t| {
+                    let plan = plan.clone();
+                    scope.spawn(move || {
+                        let me = t.rank() as u64;
+                        let t: Box<dyn Transport> = if me == 0 {
+                            Box::new(FaultyTransport::wrap(Box::new(t), plan))
+                        } else {
+                            Box::new(t)
+                        };
+                        let mut comm =
+                            Communicator::over(t, CommCostModel::default(), Duration::from_secs(5));
+                        let first = comm.try_all_reduce(me + 1, |a, b| a + b, 8).unwrap();
+                        let second = comm.try_all_reduce(11 * (me + 1), |a, b| a + b, 8).unwrap();
+                        (first, second)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(results, vec![(3, 33), (3, 33)]);
+    }
+
+    #[test]
+    fn a_lost_frame_is_a_typed_error_not_the_next_value() {
+        let (mut c0, mut c1) = pair("");
+        c0.try_send(1, 5, 1u32, 4).unwrap();
+        c0.try_send(1, 5, 2u32, 4).unwrap();
+        // Lose the first frame beneath rank 1's communicator.
+        c1.transport.recv(0, 5, Duration::ZERO).unwrap();
+        assert!(is_codec(c1.try_recv::<u32>(0, 5)));
+        // The check resynchronizes: the next frame is read as sent.
+        c0.try_send(1, 5, 3u32, 4).unwrap();
+        assert_eq!(c1.try_recv::<u32>(0, 5).unwrap(), 3);
+    }
+
+    #[test]
+    fn one_flipped_bit_is_a_typed_error() {
+        for seed in 0..40 {
+            let (mut c0, mut c1) = pair(&format!("seed={seed};corrupt=1"));
+            c0.try_send(1, 5, (0x0123_4567_89ab_cdefu64, 42u32), 12)
+                .unwrap();
+            let got = c1.try_recv::<(u64, u32)>(0, 5);
+            assert!(is_codec(got), "seed {seed}");
+        }
     }
 }

@@ -19,9 +19,9 @@
 //! * `rank=R` — the plan applies only on rank `R` (others run faultless).
 //! * `drop=P` — each outbound frame is silently discarded with probability `P`.
 //! * `delay=P:MS` — each outbound frame is delayed `MS` ms with probability `P`.
-//! * `dup=P` — each outbound byte frame is sent twice with probability `P`.
-//! * `corrupt=P` — one payload byte of an outbound byte frame is flipped
-//!   with probability `P`.
+//! * `dup=P` — each outbound frame is sent twice with probability `P`.
+//! * `corrupt=P` — one bit of an outbound frame is flipped with
+//!   probability `P`.
 //! * `kill=PEER[:TAG]:N` — from this rank's `N`th operation (send or
 //!   receive, 1-based) against `PEER` (optionally only ops on `TAG`), the
 //!   peer appears dead: every later exchange with it fails with
@@ -31,12 +31,13 @@
 //!   meaningful for multi-process backends, never in-process simulations.
 //!
 //! Probabilistic faults act on the send side only; deterministic rules
-//! count both sends and receives. Frames carrying in-process values
-//! ([`Payload::Value`]) cannot be duplicated or corrupted (they are not
-//! clonable bytes); drop, delay, and the deterministic rules still apply.
+//! count both sends and receives. Every backend carries encoded bytes, so
+//! every rule acts the same on the simulator as over TCP; the
+//! communicator's frame check turns a duplicate into a dropped frame and a
+//! corruption into a typed [`CommError::Codec`].
 
 use crate::comm::{CommError, Tag};
-use crate::transport::{Frame, Payload, Transport};
+use crate::transport::{Frame, Transport};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -82,9 +83,9 @@ pub struct FaultPlan {
     pub delay_prob: f64,
     /// Delay applied when the delay fault fires.
     pub delay: Duration,
-    /// Per-send duplication probability (byte frames only).
+    /// Per-send duplication probability.
     pub dup_prob: f64,
-    /// Per-send single-byte corruption probability (byte frames only).
+    /// Per-send single-bit corruption probability.
     pub corrupt_prob: f64,
     /// Deterministic Nth-operation rules.
     pub rules: Vec<FaultRule>,
@@ -380,21 +381,18 @@ impl Transport for FaultyTransport {
         }
         let duplicate = self.plan.dup_prob > 0.0 && self.rng.gen_bool(self.plan.dup_prob);
         let corrupt = self.plan.corrupt_prob > 0.0 && self.rng.gen_bool(self.plan.corrupt_prob);
-        if let Payload::Bytes(bytes) = &mut frame.payload {
-            if corrupt && !bytes.is_empty() {
-                let i = self.rng.gen_range(0..bytes.len());
-                bytes[i] ^= 1u8 << self.rng.gen_range(0..8u32);
-            }
-            if duplicate {
-                let copy = Frame {
-                    payload: Payload::Bytes(bytes.clone()),
-                    sent_at: frame.sent_at,
-                    sim_bytes: frame.sim_bytes,
-                };
-                self.inner.send(dest, tag, copy)?;
-            }
+        if corrupt && !frame.bytes.is_empty() {
+            let i = self.rng.gen_range(0..frame.bytes.len());
+            frame.bytes[i] ^= 1u8 << self.rng.gen_range(0..8u32);
         }
-        self.inner.send(dest, tag, frame)
+        if !duplicate {
+            return self.inner.send(dest, tag, frame);
+        }
+        self.inner.send(dest, tag, frame.clone())?;
+        // The original is delivered; a copy that finds the peer already
+        // gone (it may have finished on the original) is not an error.
+        let _ = self.inner.send(dest, tag, frame);
+        Ok(())
     }
 
     fn recv(&mut self, src: usize, tag: Tag, timeout: Duration) -> Result<Frame, CommError> {
@@ -422,9 +420,8 @@ mod tests {
 
     fn frame(bytes: &[u8]) -> Frame {
         Frame {
-            payload: Payload::Bytes(bytes.to_vec()),
-            sent_at: 0.0,
-            sim_bytes: bytes.len(),
+            bytes: bytes.to_vec(),
+            ..Frame::default()
         }
     }
 
@@ -489,10 +486,7 @@ mod tests {
         // Earlier frames were delivered.
         for expect in [b"a", b"b"] {
             let got = t1.recv(0, 9, Duration::from_millis(200)).unwrap();
-            match got.payload {
-                Payload::Bytes(b) => assert_eq!(b, expect),
-                _ => panic!("expected bytes"),
-            }
+            assert_eq!(got.bytes, expect);
         }
     }
 
@@ -510,10 +504,7 @@ mod tests {
             }
             let mut seen = Vec::new();
             while let Ok(f) = t1.recv(0, 5, Duration::from_millis(50)) {
-                match f.payload {
-                    Payload::Bytes(b) => seen.push(b),
-                    _ => panic!("expected bytes"),
-                }
+                seen.push(f.bytes);
             }
             seen
         };

@@ -4,9 +4,9 @@
 //! reproduces that execution model without an MPI runtime:
 //!
 //! * **Ranks are OS threads** with no shared mutable state; they communicate
-//!   only through typed point-to-point messages ([`Communicator::send`] /
-//!   [`Communicator::recv`]) and MPI-style collectives (barrier, broadcast,
-//!   gather, scatter, reduce, all-gather, all-reduce).
+//!   only through typed point-to-point messages ([`Communicator::try_send`]
+//!   / [`Communicator::try_recv`]) and MPI-style collectives (barrier,
+//!   broadcast, gather, scatter, reduce, all-gather, all-reduce).
 //! * **Virtual time**: every rank carries a [`VirtualClock`]. Compute work
 //!   advances the clock through an explicit cost model, and messages carry
 //!   their send timestamp so a receive advances the receiver to
@@ -26,8 +26,11 @@
 //! [`Transport`]: the threaded simulator above remains the default backend,
 //! and [`TcpTransport`] runs the same SPMD programs across real OS
 //! processes over length-prefixed TCP frames (rank discovery via
-//! [`Hostfile`], [`wire`]-encoded typed messages, rendezvous at rank 0).
-//! Engine code never names a backend — it sees only [`Communicator`].
+//! [`Hostfile`], rendezvous at rank 0). Both backends carry the same
+//! bytes: each message is [`wire`]-encoded and sealed in a checked
+//! `[seq][check]` envelope, so a mistyped, lost, duplicated or corrupted
+//! frame is caught the same way on either. Engine code never names a
+//! backend — it sees only [`Communicator`].
 //!
 //! ## Fault tolerance
 //!
@@ -38,7 +41,8 @@
 //! [`Communicator`] and reconnect-with-epoch healing inside
 //! [`TcpTransport`]. [`FaultyTransport`] wraps any backend with a
 //! deterministic [`FaultPlan`] (drop / delay / duplicate / corrupt /
-//! kill-at-Nth-op) so the whole stack can be chaos-tested reproducibly.
+//! kill-at-Nth-op) so the whole stack can be chaos-tested reproducibly;
+//! every rule but the process-fatal `die` runs in-process on the simulator.
 //!
 //! ```
 //! use lbe_cluster::{Cluster, ClusterConfig};
@@ -81,5 +85,5 @@ pub use retry::RetryPolicy;
 pub use sim::{rank_times_from_work, ImbalanceSummary};
 pub use tcp::{TcpConfig, TcpTransport};
 pub use threaded::{Cluster, ClusterConfig, RunOutcome};
-pub use transport::{Frame, Payload, SimTransport, Transport};
+pub use transport::{Frame, SimTransport, Transport};
 pub use wire::{Wire, WireError};

@@ -18,8 +18,9 @@
 //! the tag and payload, mirroring the serve protocol (PR 6): the length is
 //! checked against a cap before any allocation, payload buffers preallocate
 //! at most 64 KiB regardless of the claimed length, and all failures are
-//! typed [`CommError`]s. Payloads are [`crate::wire`]-encoded messages, so
-//! the communicator's type fingerprints catch cross-typed exchanges.
+//! typed [`CommError`]s. Payloads are the communicator's checked frames,
+//! the same bytes the simulator carries, so its frame check and type
+//! fingerprints catch lost, duplicated, corrupted and cross-typed frames.
 //!
 //! Frames from a peer that arrive while a receive waits on a different tag
 //! are buffered per-peer and never dropped; self-sends go through an
@@ -42,7 +43,7 @@
 use crate::comm::{CommError, Tag};
 use crate::hostfile::Hostfile;
 use crate::retry::RetryPolicy;
-use crate::transport::{Frame, Payload, Transport};
+use crate::transport::{Frame, Transport};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -268,25 +269,15 @@ impl TcpTransport {
         if self.size == 1 {
             return Ok(());
         }
-        let ready = Frame {
-            payload: Payload::Bytes(Vec::new()),
-            sent_at: 0.0,
-            sim_bytes: 0,
-        };
         if self.rank == 0 {
             for src in 1..self.size {
                 self.recv(src, TAG_READY, timeout)?;
             }
             for dest in 1..self.size {
-                let go = Frame {
-                    payload: Payload::Bytes(Vec::new()),
-                    sent_at: 0.0,
-                    sim_bytes: 0,
-                };
-                self.send(dest, TAG_GO, go)?;
+                self.send(dest, TAG_GO, Frame::default())?;
             }
         } else {
-            self.send(0, TAG_READY, ready)?;
+            self.send(0, TAG_READY, Frame::default())?;
             self.recv(0, TAG_GO, timeout)?;
         }
         Ok(())
@@ -608,17 +599,7 @@ impl Transport for TcpTransport {
     }
 
     fn send(&mut self, dest: usize, tag: Tag, frame: Frame) -> Result<(), CommError> {
-        let bytes = match frame.payload {
-            Payload::Bytes(b) => b,
-            Payload::Value(_) => {
-                // The communicator encodes for non-virtual transports; a
-                // boxed value here is a bug in the caller.
-                return Err(CommError::Setup {
-                    rank: self.rank,
-                    detail: "in-process payload handed to a wire transport".to_string(),
-                });
-            }
-        };
+        let bytes = frame.bytes;
         if dest == self.rank {
             self.loopback.push_back((tag, bytes));
             return Ok(());
@@ -732,9 +713,8 @@ impl Transport for TcpTransport {
             }
         };
         Ok(Frame {
-            payload: Payload::Bytes(bytes),
-            sent_at: 0.0,
-            sim_bytes: 0,
+            bytes,
+            ..Frame::default()
         })
     }
 }

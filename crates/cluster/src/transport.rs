@@ -1,50 +1,31 @@
-//! The pluggable byte/value mover under [`crate::Communicator`].
+//! The pluggable byte mover under [`crate::Communicator`].
 //!
 //! A [`Transport`] knows how to move a tagged [`Frame`] from one rank to
 //! another and nothing else: no clocks, no cost models, no typed payloads.
-//! The communicator layers MPI-style matched typed messaging and (for the
-//! sim backend) virtual time on top, so engine code is backend-agnostic.
+//! The communicator encodes every message with [`crate::wire`] and layers
+//! MPI-style matched typed messaging, the frame check and (for the sim
+//! backend) virtual time on top, so engine code is backend-agnostic.
 //!
-//! Two backends exist:
+//! Two backends exist, and both carry the same encoded bytes:
 //!
 //! * [`SimTransport`] — the original in-process backend: ranks are threads,
-//!   frames move over crossbeam channels as `Box<dyn Any>` pointer handoffs,
-//!   and each frame carries the sender's virtual timestamp and a modelled
-//!   wire size for the cost model. Deterministic; still the default.
-//! * [`crate::TcpTransport`] — real sockets between OS processes, carrying
-//!   [`crate::wire`]-encoded bytes with length-prefixed frames.
+//!   frames move over crossbeam channels, and each frame carries the
+//!   sender's virtual timestamp and a modelled wire size for the cost
+//!   model. Deterministic; still the default.
+//! * [`crate::TcpTransport`] — real sockets between OS processes, with
+//!   length-prefixed frames.
 
 use crate::comm::{CommError, Tag};
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
-use std::any::Any;
 use std::time::Duration;
 
-/// What a frame carries: an in-process boxed value (sim backend) or encoded
-/// bytes (wire backends).
-pub enum Payload {
-    /// A typed value handed across threads by pointer. Only the sim backend
-    /// produces these.
-    Value(Box<dyn Any + Send>),
-    /// A [`crate::wire`]-encoded message.
-    Bytes(Vec<u8>),
-}
-
-impl Payload {
-    /// Human label for diagnostics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Payload::Value(_) => "value",
-            Payload::Bytes(_) => "bytes",
-        }
-    }
-}
-
 /// One message as a transport sees it.
+#[derive(Debug, Clone, Default)]
 pub struct Frame {
-    /// The cargo.
-    pub payload: Payload,
-    /// Sender's virtual time at the moment of send (sim backend only;
-    /// wire backends carry 0.0 — real time passes by itself).
+    /// The communicator's envelope and the [`crate::wire`]-encoded message.
+    pub bytes: Vec<u8>,
+    /// Sender's clock at the moment of send. Only the sim backend carries
+    /// it; a TCP frame arrives with 0.0, since real time passes by itself.
     pub sent_at: f64,
     /// Modelled wire size in bytes for the cost model (sim backend only).
     pub sim_bytes: usize,
@@ -61,7 +42,7 @@ pub trait Transport: Send {
     fn rank(&self) -> usize;
     /// Number of ranks in the cluster.
     fn size(&self) -> usize;
-    /// `true` if this backend models time virtually (values move in-process
+    /// `true` if this backend models time virtually (frames move in-process
     /// and clocks must be driven by the cost model); `false` if real wall
     /// time applies.
     fn is_virtual(&self) -> bool;
@@ -81,7 +62,7 @@ pub(crate) struct Envelope {
 }
 
 /// The in-process simulator backend: one mailbox per rank, full mesh of
-/// senders, frames as pointer handoffs between threads.
+/// senders, frames handed between threads.
 pub struct SimTransport {
     rank: usize,
     size: usize,

@@ -1,12 +1,13 @@
 //! Explicit wire codec for cluster messages.
 //!
-//! The sim backend moves values between ranks as `Box<dyn Any>` — a pointer
-//! handoff inside one address space. A real network backend needs bytes, so
-//! every type that crosses the cluster implements [`Wire`]: a fixed
+//! Every message crosses the cluster as bytes, on the simulator as over
+//! TCP, so every type that crosses implements [`Wire`]: a fixed
 //! little-endian encoding plus a 32-bit structural fingerprint
-//! ([`Wire::WIRE_ID`]) that stands in for the `Any` downcast. A receive that
-//! names the wrong type fails the fingerprint check and surfaces a typed
-//! error instead of misinterpreting bytes.
+//! ([`Wire::WIRE_ID`]). A receive that names the wrong type fails the
+//! fingerprint check and surfaces a typed error instead of misinterpreting
+//! bytes. The communicator wraps each [`encode_msg`] message in a
+//! `[seq u32][check u32]` envelope (see [`crate::comm`]), with [`fnv1a`]
+//! as its checksum.
 //!
 //! Decoding follows the framing discipline established by the serve
 //! protocol (PR 6): every read is bounds-checked, collection lengths are
@@ -23,8 +24,8 @@ use std::fmt;
 pub enum WireError {
     /// The buffer ended before the value was complete.
     Truncated,
-    /// The message's type fingerprint does not match the requested type —
-    /// the wire equivalent of an `Any` downcast failure.
+    /// The message's type fingerprint does not match the requested type:
+    /// the receive named the wrong type.
     TypeMismatch {
         /// Fingerprint the receiver expected.
         expected: u32,
@@ -141,25 +142,12 @@ pub trait Wire: Sized {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError>;
 }
 
-/// FNV-1a step used to mix component fingerprints into composite ones.
-pub const fn wire_mix(h: u32, x: u32) -> u32 {
-    let mut h = h;
-    let bytes = x.to_le_bytes();
-    let mut i = 0;
-    while i < 4 {
-        h ^= bytes[i] as u32;
-        h = h.wrapping_mul(0x0100_0193);
-        i += 1;
-    }
-    h
-}
+/// FNV-1a-32 offset basis: the state [`fnv1a`] starts a fresh hash from.
+pub const FNV_OFFSET: u32 = 0x811c_9dc5;
 
-const FNV_OFFSET: u32 = 0x811c_9dc5;
-
-/// Fingerprint seed for a primitive, derived from a short name.
-const fn prim_id(name: &str) -> u32 {
-    let mut h = FNV_OFFSET;
-    let bytes = name.as_bytes();
+/// FNV-1a-32 over `bytes`, continuing from state `h`. Each step is a
+/// bijection of the state, so changing any single byte changes the result.
+pub const fn fnv1a(mut h: u32, bytes: &[u8]) -> u32 {
     let mut i = 0;
     while i < bytes.len() {
         h ^= bytes[i] as u32;
@@ -167,6 +155,16 @@ const fn prim_id(name: &str) -> u32 {
         i += 1;
     }
     h
+}
+
+/// FNV-1a step used to mix component fingerprints into composite ones.
+pub const fn wire_mix(h: u32, x: u32) -> u32 {
+    fnv1a(h, &x.to_le_bytes())
+}
+
+/// Fingerprint seed for a primitive, derived from a short name.
+const fn prim_id(name: &str) -> u32 {
+    fnv1a(FNV_OFFSET, name.as_bytes())
 }
 
 macro_rules! wire_int {

@@ -69,8 +69,8 @@ fn ring_communication() {
         let me = comm.rank();
         let right = (me + 1) % p;
         let left = (me + p - 1) % p;
-        comm.send(right, 1, me, 8);
-        comm.recv::<usize>(left, 1)
+        comm.try_send(right, 1, me, 8).unwrap();
+        comm.try_recv::<usize>(left, 1).unwrap()
     });
     for (me, &got) in out.results.iter().enumerate() {
         assert_eq!(got, (me + p - 1) % p);

@@ -5,8 +5,8 @@
 //!   simulator and a real loopback-TCP mesh, asserting bit-identical
 //!   results;
 //! * **typed failure surfaces** — timeouts and codec mismatches on the TCP
-//!   backend come back as `CommError` values with rank/tag context, never
-//!   panics;
+//!   backend (and a mistyped receive on the simulator too) come back as
+//!   `CommError` values with rank/tag context, never panics;
 //! * **codec fuzzing** — garbage bytes, truncations, and forged length
 //!   prefixes fed to the wire decoder produce typed errors, never panics
 //!   or huge allocations;
@@ -89,8 +89,9 @@ fn collective_gauntlet(
     let p = comm.size();
 
     // Point-to-point ring warm-up: me -> right, recv from left.
-    comm.send((me + 1) % p, 7, (me as u32, format!("from-{me}")), 16);
-    let (left_rank, left_msg) = comm.recv::<(u32, String)>((me + p - 1) % p, 7);
+    comm.try_send((me + 1) % p, 7, (me as u32, format!("from-{me}")), 16)
+        .unwrap();
+    let (left_rank, left_msg) = comm.try_recv::<(u32, String)>((me + p - 1) % p, 7).unwrap();
     assert_eq!(left_rank as usize, (me + p - 1) % p);
 
     let bcast = comm
@@ -172,12 +173,12 @@ fn tcp_large_payload_round_trip() {
     let out = tcp_cluster(2, |comm| {
         if comm.rank() == 0 {
             let n = blob.len();
-            comm.send(1, 42, blob.clone(), n);
-            comm.recv::<u64>(1, 43)
+            comm.try_send(1, 42, blob.clone(), n).unwrap();
+            comm.try_recv::<u64>(1, 43).unwrap()
         } else {
-            let got = comm.recv::<Vec<u8>>(0, 42);
+            let got = comm.try_recv::<Vec<u8>>(0, 42).unwrap();
             assert_eq!(got, blob);
-            comm.send(0, 43, got.len() as u64, 8);
+            comm.try_send(0, 43, got.len() as u64, 8).unwrap();
             0
         }
     });
@@ -226,9 +227,11 @@ fn tcp_peer_death_is_typed_disconnect() {
 
 #[test]
 fn tcp_type_mismatch_is_typed_codec_error() {
-    tcp_cluster(2, |comm| {
+    // Both backends carry the same bytes, so the simulator gives the same
+    // typed error for the same fault.
+    let program = |comm: &mut Communicator| {
         if comm.rank() == 0 {
-            comm.send(1, 5, 123u32, 4);
+            comm.try_send(1, 5, 123u32, 4).unwrap();
         } else {
             let err = comm.try_recv::<String>(0, 5).unwrap_err();
             match err {
@@ -245,7 +248,9 @@ fn tcp_type_mismatch_is_typed_codec_error() {
             }
         }
         comm.try_barrier().unwrap();
-    });
+    };
+    Cluster::new(ClusterConfig::new(2)).run(program);
+    tcp_cluster(2, program);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //!   fault stream replays bit-identically, whatever the plan;
 //! * the **chaos matrix** — the collective gauntlet run over an
 //!   in-process mesh whose master wears a [`FaultyTransport`] with random
-//!   drop/delay plans: every run either matches the clean run
+//!   drop/delay/dup/corrupt plans: every run either matches the clean run
 //!   bit-for-bit or surfaces typed `CommError`s, and always terminates
 //!   (bounded by receive timeouts, so the test completing *is* the
 //!   no-hang assertion);
@@ -130,7 +130,7 @@ proptest! {
             for i in 0..frames {
                 let bytes = vec![i as u8, (i as u8) ^ 0xA5, 0x5A];
                 let frame = lbe::cluster::Frame {
-                    payload: lbe::cluster::Payload::Bytes(bytes),
+                    bytes,
                     sent_at: 0.0,
                     sim_bytes: 3,
                 };
@@ -138,10 +138,7 @@ proptest! {
             }
             let mut delivered = Vec::new();
             while let Ok(f) = t1.recv(0, 9, Duration::from_millis(20)) {
-                match f.payload {
-                    lbe::cluster::Payload::Bytes(b) => delivered.push(b),
-                    _ => unreachable!("sim frames are bytes here"),
-                }
+                delivered.push(f.bytes);
             }
             delivered
         };
@@ -150,7 +147,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos matrix: collectives under random drop/delay plans
+// Chaos matrix: collectives under random drop/delay/dup/corrupt plans
 // ---------------------------------------------------------------------------
 
 /// A compact gauntlet over the fallible collective surface; any injected
@@ -212,18 +209,31 @@ fn chaos_matrix_is_bit_identical_or_typed_error() {
     let clean = chaos_run(p, &FaultPlan::none(), RetryPolicy::none());
     let clean: Vec<GauntletOut> = clean.into_iter().map(|r| r.unwrap()).collect();
 
-    let plans = [
-        "seed=1;delay=0.6:2",          // delays only: must still succeed exactly
-        "seed=2;delay=0.9:1",          // heavier delays, still lossless
-        "seed=3;drop=0.15",            // occasional loss
-        "seed=4;drop=0.4",             // heavy loss
-        "seed=5;drop=0.9",             // almost nothing gets through
-        "seed=6;drop=0.2;delay=0.3:2", // loss and delay together
-    ];
+    let mut plans: Vec<String> = [
+        "seed=1;delay=0.6:2",           // delays only: must still succeed exactly
+        "seed=2;delay=0.9:1",           // heavier delays, still lossless
+        "seed=3;drop=0.15",             // occasional loss
+        "seed=4;drop=0.4",              // heavy loss
+        "seed=5;drop=0.9",              // almost nothing gets through
+        "seed=6;drop=0.2;delay=0.3:2",  // loss and delay together
+        "seed=7;dup=0.5",               // duplicates are dropped: lossless
+        "seed=8;dup=1",                 // every frame twice
+        "seed=9;corrupt=0.3",           // corrupted frames are typed errors
+        "seed=10;drop=0.2;dup=0.3",     // duplicates on top of loss
+        "seed=11;drop=0.2;corrupt=0.2", // corruption on top of loss
+        "seed=12;drop=0.1;dup=0.3;corrupt=0.2",
+    ]
+    .map(String::from)
+    .to_vec();
+    // A corrupted frame usually ends its run in timeouts, which would hide
+    // a wrong value. At a low rate, some of these seeds damage one late
+    // frame and nothing else, so the damage could only show as a value.
+    plans.extend((0..6).map(|seed| format!("seed={seed};corrupt=0.1")));
     let mut saw_error = false;
-    for spec in plans {
+    let mut saw_codec = false;
+    for spec in &plans {
         let plan = FaultPlan::parse(spec).unwrap();
-        let lossless = plan.drop_prob == 0.0;
+        let lossless = plan.drop_prob == 0.0 && plan.corrupt_prob == 0.0;
         let out = chaos_run(p, &plan, RetryPolicy::none());
         let mut ok_results = Vec::new();
         for (rank, r) in out.into_iter().enumerate() {
@@ -231,6 +241,7 @@ fn chaos_matrix_is_bit_identical_or_typed_error() {
                 Ok(v) => ok_results.push((rank, v)),
                 Err(e) => {
                     saw_error = true;
+                    saw_codec |= plan.drop_prob == 0.0 && matches!(e, CommError::Codec { .. });
                     // Typed by construction; spot-check the context too.
                     match e {
                         CommError::Timeout { .. }
@@ -241,7 +252,7 @@ fn chaos_matrix_is_bit_identical_or_typed_error() {
                     }
                     assert!(
                         !lossless,
-                        "{spec}: delay-only plan must not error at rank {rank}"
+                        "{spec}: a plan without loss or corruption must not error at rank {rank}"
                     );
                 }
             }
@@ -250,7 +261,7 @@ fn chaos_matrix_is_bit_identical_or_typed_error() {
             assert_eq!(
                 ok_results.len(),
                 p,
-                "{spec}: delay-only plan must succeed everywhere"
+                "{spec}: a plan without loss or corruption must succeed everywhere"
             );
         }
         // Any rank that *did* finish must have computed exactly the clean
@@ -264,7 +275,11 @@ fn chaos_matrix_is_bit_identical_or_typed_error() {
     }
     assert!(
         saw_error,
-        "the drop plans must produce at least one typed error"
+        "the drop and corrupt plans must produce at least one typed error"
+    );
+    assert!(
+        saw_codec,
+        "the corrupt plans must produce at least one Codec error"
     );
 }
 
@@ -529,16 +544,9 @@ fn tcp_pair() -> (TcpTransport, TcpTransport) {
 
 fn byte_frame(bytes: &[u8]) -> lbe::cluster::Frame {
     lbe::cluster::Frame {
-        payload: lbe::cluster::Payload::Bytes(bytes.to_vec()),
+        bytes: bytes.to_vec(),
         sent_at: 0.0,
         sim_bytes: bytes.len(),
-    }
-}
-
-fn frame_bytes(f: lbe::cluster::Frame) -> Vec<u8> {
-    match f.payload {
-        lbe::cluster::Payload::Bytes(b) => b,
-        _ => panic!("expected bytes"),
     }
 }
 
@@ -549,12 +557,12 @@ fn tcp_severed_link_heals_transparently_with_next_epoch() {
         let a = scope.spawn(move || {
             let mut t0 = t0;
             // Before the cut.
-            let got = frame_bytes(t0.recv(1, 5, Duration::from_secs(5)).unwrap());
+            let got = t0.recv(1, 5, Duration::from_secs(5)).unwrap().bytes;
             assert_eq!(got, b"one");
             // Rank 1 severs now; our next receive trips over the dead
             // socket, heals on our retained listener (epoch 1), and still
             // delivers the frame sent on the fresh stream.
-            let got = frame_bytes(t0.recv(1, 5, Duration::from_secs(5)).unwrap());
+            let got = t0.recv(1, 5, Duration::from_secs(5)).unwrap().bytes;
             assert_eq!(got, b"two");
             t0.send(1, 6, byte_frame(b"ack")).unwrap();
         });
@@ -568,7 +576,7 @@ fn tcp_severed_link_heals_transparently_with_next_epoch() {
             // The dialing side of the heal: this send redials rank 0 and
             // handshakes with the next epoch before writing.
             t1.send(0, 5, byte_frame(b"two")).unwrap();
-            let got = frame_bytes(t1.recv(0, 6, Duration::from_secs(5)).unwrap());
+            let got = t1.recv(0, 6, Duration::from_secs(5)).unwrap().bytes;
             assert_eq!(got, b"ack");
         });
         a.join().unwrap();
