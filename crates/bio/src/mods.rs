@@ -12,6 +12,7 @@
 //! `Σ_{k=0..min(s,max)} C(s,k)` modforms.
 
 use std::fmt;
+use std::ops::Range;
 
 /// A kind of modification, with its Unimod monoisotopic delta mass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,7 +155,16 @@ impl ModSpec {
 
     /// Appends [`ModSpec::candidate_sites`] to `sites`.
     fn push_candidate_sites(&self, seq: &[u8], sites: &mut Vec<(u16, u8)>) {
+        // Most residues carry no mod: one bit test (of the 256-bit set of
+        // every rule's targets) passes them over.
+        let mut targets = [0u64; 4];
+        for &t in self.mods.iter().flat_map(|m| &m.targets) {
+            targets[usize::from(t >> 6)] |= 1 << (t & 63);
+        }
         for (pos, &c) in seq.iter().enumerate() {
+            if targets[usize::from(c >> 6)] & 1 << (c & 63) == 0 {
+                continue;
+            }
             for (mi, m) in self.mods.iter().enumerate() {
                 if m.applies_to(c) {
                     sites.push((pos as u16, mi as u8));
@@ -220,11 +230,74 @@ pub fn for_each_modform<F: FnMut(&[(u16, u8)], f64)>(
     seq: &[u8],
     spec: &ModSpec,
     scratch: &mut Vec<(u16, u8)>,
-    mut visit: F,
+    visit: F,
 ) {
+    walk_modforms(
+        seq,
+        spec,
+        scratch,
+        None,
+        spec.max_modforms_per_peptide,
+        visit,
+    );
+}
+
+/// Reusable buffers of [`modform_sites`].
+#[derive(Debug, Clone, Default)]
+pub struct ModformScratch {
+    /// The walk's candidate sites and chosen slots, as
+    /// [`for_each_modform`]'s scratch.
+    sites: Vec<(u16, u8)>,
+    /// The sizes of the subtrees the walk counts instead of visiting.
+    subtrees: Vec<u64>,
+}
+
+/// The sites of modform number `ordinal` of `seq`, in [`for_each_modform`]'s
+/// order: exactly `enumerate_modforms(seq, spec)[ordinal].sites`, cap
+/// included, or `None` when `seq` has no such modform.
+///
+/// It is that walk, stopped on the visit of form `ordinal`. Every subtree
+/// the walk would finish before that form — a choice of site and all its
+/// completions — is counted instead of visited (the number of ways to pick
+/// the remaining sites from the positions after it), so the walk descends
+/// one path and costs about `size × sites` steps, not `ordinal` visits. It
+/// allocates nothing once `scratch` has grown; the slice it returns is
+/// borrowed from `scratch`.
+pub fn modform_sites<'s>(
+    seq: &[u8],
+    spec: &ModSpec,
+    ordinal: usize,
+    scratch: &'s mut ModformScratch,
+) -> Option<&'s [(u16, u8)]> {
+    if ordinal == 0 {
+        return Some(&[]);
+    }
+    let limit = spec.max_modforms_per_peptide.min(ordinal.saturating_add(1));
+    let sites = &mut scratch.sites;
+    let subtrees = Some(&mut scratch.subtrees);
+    let (visited, last) = walk_modforms(seq, spec, sites, subtrees, limit, |_, _| {});
+    // A walk that reached form `ordinal` returned straight from its visit,
+    // so that form's sites are still in the chosen slots.
+    (visited - 1 == ordinal).then(|| &scratch.sites[last])
+}
+
+/// [`for_each_modform`]'s walk, stopped after the visit that reaches
+/// `limit` forms (looked at from the second form on). With `subtrees` it
+/// counts, without visiting, every subtree that ends before `limit`.
+/// Returns the forms walked past (visited or counted) and where in
+/// `scratch` the last visited form's sites are, when that visit stopped
+/// the walk.
+fn walk_modforms<F: FnMut(&[(u16, u8)], f64)>(
+    seq: &[u8],
+    spec: &ModSpec,
+    scratch: &mut Vec<(u16, u8)>,
+    subtrees: Option<&mut Vec<u64>>,
+    limit: usize,
+    mut visit: F,
+) -> (usize, Range<usize>) {
     visit(&[], 0.0);
     if spec.mods.is_empty() || spec.max_mods_per_peptide == 0 {
-        return;
+        return (1, 0..0);
     }
     // `scratch` = the candidate sites, then one slot per chosen site.
     scratch.clear();
@@ -233,23 +306,68 @@ pub fn for_each_modform<F: FnMut(&[(u16, u8)], f64)>(
     let max_size = spec.max_mods_per_peptide.min(num_sites);
     scratch.resize(num_sites + max_size, (0, 0));
     let (sites, chosen) = scratch.split_at_mut(num_sites);
+    let subtrees = match subtrees {
+        Some(table) => {
+            subtree_sizes(sites, max_size, table);
+            &table[..]
+        }
+        None => &[],
+    };
     let mut visited = 1usize;
     for size in 1..=max_size {
         let before = visited;
         let mut walk = SizeWalk {
             spec,
             sites,
+            subtrees,
+            stride: max_size,
             size,
+            limit,
             visited: &mut visited,
             visit: &mut visit,
         };
         if !walk.extend(chosen, 0, 0, 0.0) {
-            return;
+            return (visited, num_sites..num_sites + size);
         }
         // No combination of this size (positions ran out): none larger.
         if visited == before {
-            return;
+            break;
         }
+    }
+    (visited, 0..0)
+}
+
+/// Fills `table` so that `table[i * stride + r]` is the number of ways to
+/// choose `r < stride` more sites, at most one per position, from the
+/// positions after site `i`'s: the forms under choosing site `i` with `r`
+/// slots left. Counts saturate (a saturated subtree is walked, not
+/// counted).
+fn subtree_sizes(sites: &[(u16, u8)], stride: usize, table: &mut Vec<u64>) {
+    // Row `sites.len()` accumulates the counts over the positions after
+    // the one being filled in: e_r of their multiplicities, as in
+    // `tally_modforms`.
+    let acc = sites.len() * stride;
+    table.clear();
+    if stride == 0 {
+        return;
+    }
+    table.resize(acc + stride, 0);
+    table[acc] = 1;
+    let mut end = sites.len();
+    while end > 0 {
+        let pos = sites[end - 1].0;
+        let start = sites[..end]
+            .iter()
+            .rposition(|&(p, _)| p != pos)
+            .map_or(0, |i| i + 1);
+        for i in start..end {
+            table.copy_within(acc..acc + stride, i * stride);
+        }
+        let here = (end - start) as u64;
+        for r in (1..stride).rev() {
+            table[acc + r] = table[acc + r].saturating_add(here.saturating_mul(table[acc + r - 1]));
+        }
+        end = start;
     }
 }
 
@@ -257,7 +375,13 @@ pub fn for_each_modform<F: FnMut(&[(u16, u8)], f64)>(
 struct SizeWalk<'a, F> {
     spec: &'a ModSpec,
     sites: &'a [(u16, u8)],
+    /// [`subtree_sizes`]' table with row length `stride`, or empty: then
+    /// every form is visited.
+    subtrees: &'a [u64],
+    stride: usize,
     size: usize,
+    /// Forms after which the walk stops.
+    limit: usize,
     visited: &'a mut usize,
     visit: &'a mut F,
 }
@@ -266,7 +390,7 @@ impl<F: FnMut(&[(u16, u8)], f64)> SizeWalk<'_, F> {
     /// Fills `chosen[depth..size]` with every admissible continuation
     /// drawn from `sites[from..]`, visiting each completed combination.
     /// `delta` is the mass of `chosen[..depth]`, summed in site order.
-    /// Returns `false` once the modform cap is reached.
+    /// Returns `false` once `limit` forms have been visited.
     fn extend(&mut self, chosen: &mut [(u16, u8)], depth: usize, from: usize, delta: f64) -> bool {
         for si in from..self.sites.len() {
             let (pos, mi) = self.sites[si];
@@ -274,6 +398,14 @@ impl<F: FnMut(&[(u16, u8)], f64)> SizeWalk<'_, F> {
             // can only be with the site chosen last.
             if depth > 0 && chosen[depth - 1].0 == pos {
                 continue;
+            }
+            if let Some(&under) = self.subtrees.get(si * self.stride + self.size - depth - 1) {
+                // None of this choice's forms reaches the limit: count
+                // them and move on.
+                if self.visited.saturating_add(under as usize) < self.limit {
+                    *self.visited += under as usize;
+                    continue;
+                }
             }
             chosen[depth] = (pos, mi);
             let delta = delta + self.spec.mods[mi as usize].mod_type.delta_mass();
@@ -285,7 +417,7 @@ impl<F: FnMut(&[(u16, u8)], f64)> SizeWalk<'_, F> {
             }
             (self.visit)(&chosen[..self.size], delta);
             *self.visited += 1;
-            if *self.visited >= self.spec.max_modforms_per_peptide {
+            if *self.visited >= self.limit {
                 return false;
             }
         }
@@ -588,6 +720,51 @@ mod tests {
             });
             assert_eq!(visits, want.len(), "case {case}");
         }
+    }
+
+    /// The stopping walk names every form the full walk yields, the last
+    /// one before a cap included, and nothing past the end.
+    #[test]
+    fn modform_sites_is_the_walks_form_at_every_ordinal() {
+        use rand::{Rng, SeedableRng};
+        let two_on_one = ModSpec {
+            mods: vec![
+                VariableMod::new(ModType::Deamidation, b"NQ"),
+                VariableMod::new(ModType::Custom(10.0), b"NK"),
+            ],
+            max_mods_per_peptide: 3,
+            max_modforms_per_peptide: usize::MAX,
+        };
+        let bases = [ModSpec::paper_default(), two_on_one];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
+        let mut scratch = ModformScratch::default();
+        let (mut capped, mut longest) = (0, 0);
+        for case in 0..300 {
+            let len = rng.gen_range(1..16usize);
+            let seq: Vec<u8> = (0..len)
+                .map(|_| b"AMNQKCG"[rng.gen_range(0..7usize)])
+                .collect();
+            let mut spec = bases[case % bases.len()].clone();
+            spec.max_modforms_per_peptide = [0, 1, 2, 7, 40, 512, usize::MAX][case % 7];
+            if case % 3 == 0 {
+                spec.max_mods_per_peptide = rng.gen_range(0..7usize);
+            }
+            let forms = enumerate_modforms(&seq, &spec);
+            if forms.len() == spec.max_modforms_per_peptide.max(2) {
+                capped += 1;
+            }
+            longest = longest.max(forms.len());
+            for (k, form) in forms.iter().enumerate() {
+                let got = modform_sites(&seq, &spec, k, &mut scratch);
+                assert_eq!(got, Some(&form.sites[..]), "case {case}, form {k}");
+            }
+            for past in [forms.len(), forms.len() + 1, usize::MAX] {
+                let got = modform_sites(&seq, &spec, past, &mut scratch);
+                assert_eq!(got, None, "case {case}, ordinal {past}");
+            }
+        }
+        assert!(capped > 20, "only {capped} cases reached their cap");
+        assert!(longest > 100, "longest enumeration {longest}");
     }
 
     /// Up to 15 modified residues count on the stack, more on the heap:

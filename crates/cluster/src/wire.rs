@@ -6,8 +6,8 @@
 //! ([`Wire::WIRE_ID`]). A receive that names the wrong type fails the
 //! fingerprint check and surfaces a typed error instead of misinterpreting
 //! bytes. The communicator wraps each [`encode_msg`] message in a
-//! `[seq u32][check u32]` envelope (see [`crate::comm`]), with [`fnv1a`]
-//! as its checksum.
+//! `[seq u32][check u32]` envelope (see [`crate::comm`]), whose check is
+//! [`fnv1a`]'s step taken a word at a time.
 //!
 //! Decoding follows the framing discipline established by the serve
 //! protocol (PR 6): every read is bounds-checked, collection lengths are
@@ -145,13 +145,16 @@ pub trait Wire: Sized {
 /// FNV-1a-32 offset basis: the state [`fnv1a`] starts a fresh hash from.
 pub const FNV_OFFSET: u32 = 0x811c_9dc5;
 
+/// FNV-1a-32 prime: the odd multiplier of [`fnv1a`]'s step.
+pub const FNV_PRIME: u32 = 0x0100_0193;
+
 /// FNV-1a-32 over `bytes`, continuing from state `h`. Each step is a
 /// bijection of the state, so changing any single byte changes the result.
 pub const fn fnv1a(mut h: u32, bytes: &[u8]) -> u32 {
     let mut i = 0;
     while i < bytes.len() {
         h ^= bytes[i] as u32;
-        h = h.wrapping_mul(0x0100_0193);
+        h = h.wrapping_mul(FNV_PRIME);
         i += 1;
     }
     h

@@ -275,10 +275,10 @@ struct RankReturn {
 /// cannot name index types — hence tuples at the boundary instead of trait
 /// impls on foreign structs.)
 type RankReturnWire = (
-    (usize, usize, usize),          // peptides, spectra, ions
-    (f64, f64),                     // build_time, query_time
-    (u64, u64, u64, u64, u64, u64), // QueryStats fields
-    (usize, usize, usize, usize),   // MemoryFootprint fields
+    (usize, usize, usize),               // peptides, spectra, ions
+    (f64, f64),                          // build_time, query_time
+    (u64, u64, u64, u64, u64, u64, u64), // QueryStats fields
+    (usize, usize, usize, usize),        // MemoryFootprint fields
 );
 
 impl RankReturn {
@@ -293,6 +293,7 @@ impl RankReturn {
                 self.stats.postings_skipped_by_band,
                 self.stats.bins_pruned_by_band,
                 self.stats.candidates,
+                self.stats.entries_scored_directly,
             ),
             (
                 self.footprint.entries,
@@ -318,6 +319,7 @@ impl RankReturn {
                 postings_skipped_by_band: s.3,
                 bins_pruned_by_band: s.4,
                 candidates: s.5,
+                entries_scored_directly: s.6,
             },
             footprint: MemoryFootprint {
                 entries: f.0,
@@ -897,6 +899,38 @@ mod tests {
         let cfg = EngineConfig::with_policy(policy);
         let report = run_distributed_search(&db, &grouping, &queries.spectra, &cfg, ranks);
         (report, queries, db)
+    }
+
+    /// Every field a rank returns, the direct arm's counter included,
+    /// survives the wire form the gather carries, so cluster totals sum
+    /// the same counters a single index reports.
+    #[test]
+    fn rank_return_round_trips_through_its_wire_form() {
+        let sent = RankReturn {
+            peptides: 1,
+            spectra: 2,
+            ions: 3,
+            build_time: 0.5,
+            query_time: 0.25,
+            stats: QueryStats {
+                peaks: 4,
+                bins_touched: 5,
+                postings_scanned: 6,
+                postings_skipped_by_band: 7,
+                bins_pruned_by_band: 8,
+                candidates: 9,
+                entries_scored_directly: 10,
+            },
+            footprint: MemoryFootprint {
+                entries: 11,
+                bin_directory: 12,
+                postings: 13,
+                mapping_table: 14,
+            },
+        };
+        let bytes = lbe_cluster::wire::encode_msg(&sent.to_wire());
+        let got = lbe_cluster::wire::decode_msg::<RankReturnWire>(&bytes).unwrap();
+        assert_eq!(RankReturn::from_wire(got), sent);
     }
 
     #[test]

@@ -65,7 +65,10 @@
 //! sites.
 //!
 //! **What the build holds.** The index is allocated exactly (capacity =
-//! length: nothing distorts the memory figures). Besides it the build
+//! length: nothing distorts the memory figures), with its peptide table
+//! (residues and mod spec, copied from the database last, so a closed
+//! search can score its band directly; see [`crate::query`]). Besides it
+//! the build
 //! holds, at most:
 //! - 16 bytes per peptide of modform tallies, up to the counting pass;
 //! - per spectrum, its pass-1 entry (12 bytes, up to the sort), its sort
@@ -82,7 +85,7 @@
 
 use crate::bindir;
 use crate::config::SlmConfig;
-use crate::slm::{SlmIndex, SpectrumEntry};
+use crate::slm::{PeptideTable, SlmIndex, SpectrumEntry};
 use lbe_bio::mods::{for_each_modform, tally_modforms, ModSpec, ModformTally};
 use lbe_bio::peptide::PeptideDb;
 use lbe_spectra::theo::{emit_fragments, for_each_fragment, prefix_masses};
@@ -492,6 +495,7 @@ impl IndexBuilder {
             dropped_fragments: dropped,
         };
         SlmIndex::from_parts(self.config.clone(), entries, (bitmap, starts), postings)
+            .with_peptides(PeptideTable::new(db, &self.modspec))
     }
 
     /// Fragments one modform of a `len`-residue peptide generates before
@@ -1160,7 +1164,8 @@ mod tests {
         postings.shrink_to_fit();
         let entries = order.iter().map(|&old_id| old[old_id].0).collect();
         let dir = bindir::tests::from_dense(&bin_offsets).unwrap();
-        let index = SlmIndex::from_parts(config.clone(), entries, dir, postings);
+        let index = SlmIndex::from_parts(config.clone(), entries, dir, postings)
+            .with_peptides(PeptideTable::new(db, spec));
         (index, stats)
     }
 

@@ -852,8 +852,11 @@ mod tests {
             .collect();
 
         // The reference: one index over all the peptides, each job searched
-        // alone.
-        let mono = IndexBuilder::new(cfg.clone(), ModSpec::none()).build(&all);
+        // alone. It is searched as a file holds it, without the peptide
+        // table the build attaches, so its closed jobs take the posting
+        // walk as every store's do, and every counter compares.
+        let built = IndexBuilder::new(cfg.clone(), ModSpec::none()).build(&all);
+        let mono = built.clone().without_peptides();
         let rows = |rs: &[SearchResult]| -> Vec<Vec<(u32, u16, u16, u32)>> {
             rs.iter()
                 .map(|r| {
@@ -874,6 +877,15 @@ mod tests {
             expect.iter().any(|q| q.len() == 3 && q[0].3 == q[2].3),
             "fixture must put an exact-score tie across the top-k cut"
         );
+        // The built index scores its small bands directly: the same PSMs,
+        // score bits included.
+        let mut direct = Searcher::new(&built);
+        let scored: Vec<SearchResult> = jobs
+            .iter()
+            .map(|(opts, q)| direct.search_with_opts(q, opts))
+            .collect();
+        assert_eq!(rows(&scored), expect);
+        assert!(scored.iter().any(|r| r.stats.entries_scored_directly > 0));
 
         // What every other way of searching must reproduce: the store
         // searched one job at a time, all resident — whole results, PSMs

@@ -110,16 +110,18 @@ mod tests {
     use lbe_bio::mods::ModSpec;
     use lbe_bio::peptide::{Peptide, PeptideDb};
 
+    /// Peptide `i` of [`idx`]'s database.
+    fn idx_seq(i: usize) -> String {
+        format!(
+            "PEPT{}DEK",
+            ["A", "C", "D", "E", "F"][i % 5].repeat(i % 4 + 1)
+        )
+    }
+
     fn idx(n: usize) -> SlmIndex {
         let db = PeptideDb::from_vec(
             (0..n)
-                .map(|i| {
-                    let seq = format!(
-                        "PEPT{}DEK",
-                        ["A", "C", "D", "E", "F"][i % 5].repeat(i % 4 + 1)
-                    );
-                    Peptide::new(seq.as_bytes(), 0, 0).unwrap()
-                })
+                .map(|i| Peptide::new(idx_seq(i).as_bytes(), 0, 0).unwrap())
                 .collect(),
         );
         IndexBuilder::new(SlmConfig::default(), ModSpec::none()).build(&db)
@@ -130,8 +132,13 @@ mod tests {
         let i = idx(20);
         let f = MemoryFootprint::of_index(&i);
         // heap_bytes uses capacities; footprint uses exact lengths. The
-        // builder allocates exactly, so they should agree.
-        assert_eq!(f.total(), i.heap_bytes());
+        // builder allocates exactly, so they agree but for the peptide
+        // table: each peptide's residues and a u32 offset, plus one end
+        // offset (`ModSpec::none()` holds no rules).
+        let residues: usize = (0..20).map(|n| idx_seq(n).len()).sum();
+        let table = residues + 4 * (20 + 1);
+        assert_eq!(i.peptide_table_bytes(), table);
+        assert_eq!(f.total() + table, i.heap_bytes());
     }
 
     #[test]
@@ -149,8 +156,14 @@ mod tests {
             MemoryFootprint::of_index(&owned)
         );
         // heap_bytes agrees too: the arena variant counts the bytes its
-        // views span, which equals the exact-length owned accounting.
-        assert_eq!(arena.heap_bytes(), owned.heap_bytes());
+        // views span, which equals the exact-length owned accounting. Only
+        // the built index holds a peptide table; a file carries none.
+        assert_eq!(arena.peptide_table_bytes(), 0);
+        assert!(owned.peptide_table_bytes() > 0);
+        assert_eq!(
+            arena.heap_bytes() + owned.peptide_table_bytes(),
+            owned.heap_bytes()
+        );
     }
 
     #[test]

@@ -32,14 +32,37 @@
 //! they would be without it. Splitting resolution from accumulation keeps
 //! the inner loop branch-light and data-parallel.
 //!
-//! [`ScanMode::Auto`] is a *cost decision*, not just a capability check:
-//! when the band's entry coverage (estimated for free from the two
-//! entry-table binary searches) reaches [`AUTO_FULL_SCAN_COVERAGE`], the
-//! per-bin admission bookkeeping cannot pay for itself and the kernel
-//! takes the full-scan path — results are identical (the candidate loop
-//! applies the same precursor admission), only the work accounting and
-//! wall clock differ. This is what keeps ΔM = ∞-adjacent searches from
-//! regressing below plain full scan.
+//! [`ScanMode::Auto`] is a *cost decision* among **three arms**, made per
+//! query from the two entry-table binary searches:
+//!
+//! * **Direct** — a band of at most `DIRECT_MAX_ENTRIES` entries, on an
+//!   index that carries its peptide table (built in this process; a file or
+//!   a store chunk carries none). Resolving a 0.01 Da query's ≈ 330
+//!   occupied bins only to find a band of ≈ 3 entries costs far more than
+//!   scoring those entries, so the arm regenerates each entry's fragments
+//!   (peptide residues, the modform's sites, the builder's own
+//!   `for_each_fragment` and `bin_of`) and counts them against the query's
+//!   peak windows — Tide's way, scoring each spectrum against the few
+//!   candidates in its precursor window. No posting is loaded. It reports
+//!   `peaks`, `bins_touched`, `postings_scanned` (the fragment matches),
+//!   `postings_skipped_by_band` (the windows' postings, from two directory
+//!   offsets per peak, minus those) and `candidates` exactly as the banded
+//!   walk would; `bins_pruned_by_band` is 0, because it tests no bin, and
+//!   [`QueryStats::entries_scored_directly`] is the band's width.
+//! * **Banded walk** — a larger band that covers less than
+//!   [`AUTO_FULL_SCAN_COVERAGE`] of the entries: the two-phase scan above,
+//!   every bin resolved against the band. It counts every counter but
+//!   `entries_scored_directly`.
+//! * **Full scan** — ΔM = ∞, or a band at or over that coverage: whole
+//!   bins, no admission bookkeeping (which cannot pay for itself there —
+//!   this is what keeps ΔM = ∞-adjacent searches from regressing below
+//!   plain full scan). Its `postings_skipped_by_band` and
+//!   `bins_pruned_by_band` are 0.
+//!
+//! Results are identical on every arm (each applies the same precursor
+//! admission to the same shared-peak counts and intensity sums, in the
+//! same order); only the work accounting and the wall clock differ.
+//! [`ScanMode::FullScan`] forces the third arm.
 //!
 //! The per-entry counters live in a scratch arena indexed *band-relative*
 //! (`entry − band_lo`), so a closed search's counter footprint is the
@@ -61,13 +84,16 @@
 //! output. Top-k selection is a bounded heap (O(candidates · log k)), not
 //! a full sort.
 
+use crate::bindir;
 use crate::config::SlmConfig;
 use crate::scan;
-use crate::slm::{admitted_run, SlmIndex};
+use crate::slm::{admitted_run, PeptideTable, SlmIndex};
+use lbe_bio::mods::{modform_sites, ModformScratch};
 use lbe_spectra::spectrum::Spectrum;
-use lbe_spectra::theo::TheoSpectrum;
+use lbe_spectra::theo::{for_each_fragment, TheoSpectrum};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// One candidate peptide-to-spectrum match.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,14 +132,17 @@ pub fn rank_key_cmp(a: (f32, u32, u16), b: (f32, u32, u16)) -> Ordering {
     b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
 }
 
-/// Which posting path [`Searcher::search_with_opts`] takes.
+/// Which path [`Searcher::search_with_opts`] takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanMode {
-    /// Cost-based choice: banded scan when ΔM is finite *and* the band's
-    /// entry coverage stays below [`AUTO_FULL_SCAN_COVERAGE`] (estimated
-    /// per query from the two entry-table binary searches); full-bin scan
-    /// otherwise — a near-total band would make per-bin admission pure
-    /// overhead. The default everywhere. Findings are identical either way.
+    /// Cost-based choice among three arms (module doc), per query from the
+    /// two entry-table binary searches: when ΔM is finite, a band of at
+    /// most `DIRECT_MAX_ENTRIES` entries is scored directly if the index
+    /// carries its peptide table, a band covering less than
+    /// [`AUTO_FULL_SCAN_COVERAGE`] of the entries is walked bin by bin;
+    /// otherwise — ΔM = ∞, or a near-total band, which would make per-bin
+    /// admission pure overhead — whole bins are scanned. The default
+    /// everywhere. Findings are identical on every arm.
     #[default]
     Auto,
     /// Always scan whole bins (the pre-banding kernel). Results are
@@ -123,7 +152,8 @@ pub enum ScanMode {
 }
 
 /// Band-coverage threshold at which [`ScanMode::Auto`] abandons the banded
-/// path for the plain full scan.
+/// walk for the plain full scan (a band small enough for the direct arm is
+/// far below it).
 ///
 /// The banded kernel pays an O(1) endpoint test (sometimes two binary
 /// searches) per bin; its payoff is the postings it never loads. When the
@@ -140,6 +170,18 @@ pub const AUTO_FULL_SCAN_COVERAGE: f64 = 0.95;
 /// bin's misses land before it is reached; near enough that its lines are
 /// still cached.
 const RESOLVE_AHEAD: usize = 4;
+
+/// The largest band, in entries, that [`ScanMode::Auto`] scores directly
+/// (when the index carries its peptide table).
+///
+/// Measured per query on `lbe-e2e`'s 9 M-ion `batch_closed` index (each
+/// query timed cold on one arm, grouped by band width): the arm costs
+/// ≈ 2.5 µs plus ≈ 0.75 µs per entry, the banded walk 11–27 µs whatever
+/// the width, and the two cross at 24–32 entries. At 16 the arm is still
+/// ≥ 1.4× cheaper in every width it takes, a margin for entries with
+/// more fragments (longer peptides, deeper modform walks); the
+/// `index.query.da1` probe could not tell cuts of 8 to 32 apart.
+const DIRECT_MAX_ENTRIES: u32 = 16;
 
 /// Fraction of the entry table a band of `band_width` entries covers —
 /// the [`ScanMode::Auto`] cost signal. An empty index reports full
@@ -206,6 +248,10 @@ pub struct QueryStats {
     pub bins_pruned_by_band: u64,
     /// Candidate PSMs passing the shared-peak + precursor filters (cPSMs).
     pub candidates: u64,
+    /// Band entries scored directly from their regenerated fragments
+    /// instead of through their postings (the whole band when
+    /// [`ScanMode::Auto`] takes the direct arm, else zero).
+    pub entries_scored_directly: u64,
 }
 
 impl QueryStats {
@@ -217,6 +263,7 @@ impl QueryStats {
         self.postings_skipped_by_band += other.postings_skipped_by_band;
         self.bins_pruned_by_band += other.bins_pruned_by_band;
         self.candidates += other.candidates;
+        self.entries_scored_directly += other.entries_scored_directly;
     }
 }
 
@@ -239,6 +286,12 @@ pub struct SearchResult {
 /// the invariant when recycling.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
+    /// Per-entry slots of the posting walk — shared-peak counter and
+    /// matched-intensity sum packed per entry ([`scan::Slot`], one cache
+    /// line touch per scatter), reset by the candidate sweep, indexed
+    /// band-relative (slot `entry − band_lo`). Sized lazily per query to
+    /// the admitted band (closed search) or the whole index (open search /
+    /// full scan) — grow-only.
     slots: Vec<scan::Slot>,
     /// SoA run table filled in phase one of each search and drained in
     /// phase two (`run_start[i]..run_end[i]` indexes the flat posting
@@ -248,12 +301,23 @@ pub struct SearchScratch {
     run_start: Vec<usize>,
     run_end: Vec<usize>,
     run_weight: Vec<f32>,
+    /// The direct arm's buffers: per query its peak windows that hold
+    /// postings and a bitmap of the bins they cover (one bit per bin of
+    /// the axis, left clear between searches); per entry its mod sites,
+    /// prefix masses and matches (`(peak, intensity)` per fragment in a
+    /// window). Only their capacity is recycled.
+    windows: Vec<PeakWindow>,
+    covered: Vec<u64>,
+    mod_sites: ModformScratch,
+    prefix: Vec<f64>,
+    matches: Vec<(u32, f32)>,
 }
 
 impl SearchScratch {
-    /// `true` if every counter slot is zero — the recycling invariant.
+    /// `true` if every counter slot and coverage bit is zero — the
+    /// recycling invariant.
     fn is_clean(&self) -> bool {
-        self.slots.iter().all(scan::Slot::is_clear)
+        self.slots.iter().all(scan::Slot::is_clear) && self.covered.iter().all(|&w| w == 0)
     }
 }
 
@@ -268,18 +332,7 @@ pub struct Searcher<'a> {
     /// per-chunk top-k could truncate on local-id tie order and diverge
     /// from a single-index (or distributed) search over the same data.
     global_ids: Option<&'a [u32]>,
-    /// Per-entry scratch slots — shared-peak counter and matched-intensity
-    /// sum packed per entry ([`scan::Slot`], one cache line touch per
-    /// scatter), reset by the candidate sweep, indexed band-relative
-    /// (slot `entry − band_lo`). Sized lazily per query to the admitted
-    /// band (closed search) or the whole index (open search / full scan) —
-    /// grow-only.
-    slots: Vec<scan::Slot>,
-    /// Phase-one run table (SoA): admitted posting runs as ranges into the
-    /// index's flat posting array, plus the per-run intensity weight.
-    run_start: Vec<usize>,
-    run_end: Vec<usize>,
-    run_weight: Vec<f32>,
+    scratch: SearchScratch,
 }
 
 impl<'a> Searcher<'a> {
@@ -308,10 +361,7 @@ impl<'a> Searcher<'a> {
         Searcher {
             index,
             global_ids: None,
-            slots: scratch.slots,
-            run_start: scratch.run_start,
-            run_end: scratch.run_end,
-            run_weight: scratch.run_weight,
+            scratch,
         }
     }
 
@@ -333,12 +383,7 @@ impl<'a> Searcher<'a> {
 
     /// Releases the scratch for reuse by a later searcher.
     pub fn into_scratch(self) -> SearchScratch {
-        SearchScratch {
-            slots: self.slots,
-            run_start: self.run_start,
-            run_end: self.run_end,
-            run_weight: self.run_weight,
-        }
+        self.scratch
     }
 
     /// The index being searched.
@@ -358,9 +403,20 @@ impl<'a> Searcher<'a> {
     /// built with that configuration (same interval expressions feed the
     /// band binary search and the admission check).
     pub fn search_with_opts(&mut self, query: &Spectrum, opts: &QueryOptions) -> SearchResult {
+        self.search_with_cut(query, opts, DIRECT_MAX_ENTRIES)
+    }
+
+    /// [`Searcher::search_with_opts`] with the direct arm taken for banded
+    /// queries of at most `direct_max` band entries (tests force the arm
+    /// with `u32::MAX`).
+    pub(crate) fn search_with_cut(
+        &mut self,
+        query: &Spectrum,
+        opts: &QueryOptions,
+        direct_max: u32,
+    ) -> SearchResult {
         let cfg = self.index.config();
         let tol = opts.effective_tolerance(cfg);
-        let top_k = opts.effective_top_k(cfg);
         let mut stats = QueryStats {
             peaks: query.peaks.len() as u64,
             ..Default::default()
@@ -385,11 +441,46 @@ impl<'a> Searcher<'a> {
         } else {
             (false, 0, num_entries)
         };
+        let mut found = Candidates {
+            index,
+            global_ids: self.global_ids,
+            tol,
+            query_mass,
+            admitted: 0,
+            topk: TopK::new(opts.effective_top_k(cfg)),
+        };
+        match index.peptides() {
+            Some(table) if banded && band_hi - band_lo <= direct_max => {
+                self.score_band_directly(table, query, band_lo..band_hi, &mut stats, &mut found)
+            }
+            _ => self.walk_postings(query, banded, band_lo..band_hi, &mut stats, &mut found),
+        }
+        stats.candidates = found.admitted;
+        SearchResult {
+            psms: found.topk.into_sorted(),
+            stats,
+        }
+    }
+
+    /// The posting walk over the band (`banded`) or the whole index: bins,
+    /// scatter, sweep. Offers every entry at or over the shared-peak
+    /// threshold to `found`, in ascending entry id.
+    fn walk_postings(
+        &mut self,
+        query: &Spectrum,
+        banded: bool,
+        band: Range<u32>,
+        stats: &mut QueryStats,
+        found: &mut Candidates<'_>,
+    ) {
+        let index = self.index;
+        let scratch = &mut self.scratch;
+        let (band_lo, band_hi) = (band.start, band.end);
         let width = (band_hi - band_lo) as usize;
-        if self.slots.len() < width {
+        if scratch.slots.len() < width {
             // Grow-only; new slots are zero, surviving slots are zero by
             // the scratch invariant.
-            self.slots.resize(width, scan::Slot::default());
+            scratch.slots.resize(width, scan::Slot::default());
         }
 
         // Phase one, collect: walk every peak's tolerance window and push
@@ -400,7 +491,7 @@ impl<'a> Searcher<'a> {
         // run table.
         let directory = index.bin_directory();
         let postings = index.postings();
-        debug_assert!(self.run_start.is_empty());
+        debug_assert!(scratch.run_start.is_empty());
         for peak in &query.peaks {
             let Some((blo, bhi)) = index.bins_for_mz(peak.mz) else {
                 continue;
@@ -408,9 +499,9 @@ impl<'a> Searcher<'a> {
             stats.bins_touched += (bhi - blo + 1) as u64;
             let runs = directory.window(blo, bhi);
             for k in 0..runs.len() - 1 {
-                self.run_start.push(runs[k] as usize);
-                self.run_end.push(runs[k + 1] as usize);
-                self.run_weight.push(peak.intensity);
+                scratch.run_start.push(runs[k] as usize);
+                scratch.run_end.push(runs[k + 1] as usize);
+                scratch.run_weight.push(peak.intensity);
             }
         }
 
@@ -423,8 +514,11 @@ impl<'a> Searcher<'a> {
         // for run `i + RESOLVE_AHEAD` — the misses of several bins then
         // overlap instead of queueing one bin at a time.
         if banded {
-            let (run_start, run_end, run_weight) =
-                (&mut self.run_start, &mut self.run_end, &mut self.run_weight);
+            let (run_start, run_end, run_weight) = (
+                &mut scratch.run_start,
+                &mut scratch.run_end,
+                &mut scratch.run_weight,
+            );
             let collected = run_start.len();
             let mut kept = 0;
             for i in 0..collected {
@@ -454,58 +548,148 @@ impl<'a> Searcher<'a> {
         // accumulation, prefetching the next run's postings while the
         // current one scatters (runs are scattered across the posting
         // array; without the hint every run switch starts cold).
-        let num_runs = self.run_start.len();
+        let num_runs = scratch.run_start.len();
         for r in 0..num_runs {
-            stats.postings_scanned += (self.run_end[r] - self.run_start[r]) as u64;
+            stats.postings_scanned += (scratch.run_end[r] - scratch.run_start[r]) as u64;
             if r + 1 < num_runs {
-                scan::prefetch_postings(&postings[self.run_start[r + 1]..self.run_end[r + 1]]);
+                scan::prefetch_postings(
+                    &postings[scratch.run_start[r + 1]..scratch.run_end[r + 1]],
+                );
             }
             scan::accumulate_run(
-                &postings[self.run_start[r]..self.run_end[r]],
-                self.run_weight[r],
+                &postings[scratch.run_start[r]..scratch.run_end[r]],
+                scratch.run_weight[r],
                 band_lo,
-                &mut self.slots[..width],
+                &mut scratch.slots[..width],
             );
         }
-        self.run_start.clear();
-        self.run_end.clear();
-        self.run_weight.clear();
+        scratch.run_start.clear();
+        scratch.run_end.clear();
+        scratch.run_weight.clear();
 
         // Candidate pass: `scan::sweep_band` hands over the slots that
         // reach the shared-peak threshold, in ascending entry-id order, and
-        // leaves the band clear for the next query. What is left here is
-        // admission, scoring and the top-k push; `rank_cmp` is a total
-        // order, so candidate order cannot affect the ranked output.
-        let mut topk = TopK::new(top_k);
-        let global_ids = self.global_ids;
+        // leaves the band clear for the next query.
         scan::sweep_band(
-            &mut self.slots[..width],
-            cfg.shared_peak_threshold,
-            |off, shared, matched| {
-                let entry = band_lo + off as u32;
-                let meta = index.entry(entry);
-                if SlmConfig::precursor_admits_with(tol, query_mass, meta.precursor_mass as f64) {
-                    stats.candidates += 1;
-                    topk.push(Psm {
-                        entry,
-                        // Global-id translation (when mapped) happens *here*,
-                        // before the top-k push, so score ties truncate in
-                        // global (peptide, modform) order.
-                        peptide: match global_ids {
-                            Some(map) => map[meta.peptide as usize],
-                            None => meta.peptide,
-                        },
-                        modform: meta.modform,
-                        shared_peaks: shared,
-                        score: score(shared, matched),
-                    });
-                }
-            },
+            &mut scratch.slots[..width],
+            index.config().shared_peak_threshold,
+            |off, shared, matched| found.offer(band_lo + off as u32, shared, matched),
         );
+    }
 
-        SearchResult {
-            psms: topk.into_sorted(),
-            stats,
+    /// The direct arm: scores each entry of a small band from its
+    /// regenerated fragments, collecting, resolving and scattering no
+    /// posting run.
+    ///
+    /// An entry's fragments come from its peptide's residues and its
+    /// modform's sites ([`modform_sites`], a walk that stops at the
+    /// ordinal) through [`for_each_fragment`] and [`SlmConfig::bin_of`] —
+    /// the builder's own arithmetic, so its kept bins are exactly the bins
+    /// that hold its postings. A fragment whose bin no peak window covers
+    /// (one bit test) is dropped; one that is covered joins the matches of
+    /// every window covering it. The matches are then added in the
+    /// scatter's order: peaks in query order, each peak's intensity once
+    /// per matching fragment. Every count, score bit and candidate
+    /// therefore equals the posting walk's, and so do the counters: a
+    /// match is a posting the walk would scan, and the rest of the
+    /// windows' postings (two directory offsets per peak, no posting load)
+    /// are the ones it would skip. No bin is tested, so none is counted as
+    /// pruned.
+    fn score_band_directly(
+        &mut self,
+        table: &PeptideTable,
+        query: &Spectrum,
+        band: Range<u32>,
+        stats: &mut QueryStats,
+        found: &mut Candidates<'_>,
+    ) {
+        let index = self.index;
+        let cfg = index.config();
+        let directory = index.bin_directory();
+        let scratch = &mut self.scratch;
+        // The peak windows. A window without an occupied bin can match no
+        // indexed fragment: it is counted, then dropped.
+        let windows = &mut scratch.windows;
+        windows.clear();
+        let mut window_postings = 0u64;
+        for (peak, p) in query.peaks.iter().zip(0u32..) {
+            let Some((lo, hi)) = index.bins_for_mz(peak.mz) else {
+                continue;
+            };
+            stats.bins_touched += (hi - lo + 1) as u64;
+            let runs = directory.window(lo, hi);
+            let postings = runs[runs.len() - 1] - runs[0];
+            if postings > 0 {
+                window_postings += u64::from(postings);
+                windows.push(PeakWindow {
+                    lo,
+                    hi,
+                    peak: p,
+                    intensity: peak.intensity,
+                });
+            }
+        }
+        // By first bin, then last: both bounds then ascend (each is a
+        // monotone function of the window's centre), so the windows
+        // covering a bin are one run, found by two binary searches. A
+        // preprocessed spectrum's peaks ascend in m/z, so this finds the
+        // windows already sorted.
+        windows.sort_unstable_by_key(|w| (w.lo, w.hi));
+        let covered = &mut scratch.covered;
+        let words = bindir::bitmap_words(cfg.num_bins());
+        if covered.len() < words {
+            covered.resize(words, 0);
+        }
+        for w in windows.iter() {
+            let (first, last) = ((w.lo >> 6) as usize, (w.hi >> 6) as usize);
+            let (head, tail) = (u64::MAX << (w.lo & 63), u64::MAX >> (63 - (w.hi & 63)));
+            if first == last {
+                covered[first] |= head & tail;
+            } else {
+                covered[first] |= head;
+                covered[first + 1..last].fill(u64::MAX);
+                covered[last] |= tail;
+            }
+        }
+
+        let spec = table.modspec();
+        let floor = cfg.shared_peak_threshold.max(1);
+        let matches = &mut scratch.matches;
+        stats.entries_scored_directly = (band.end - band.start) as u64;
+        for entry in band {
+            let meta = index.entry(entry);
+            let seq = table.sequence(meta.peptide);
+            let sites = modform_sites(seq, spec, usize::from(meta.modform), &mut scratch.mod_sites)
+                .expect("the peptide table enumerates every modform the index holds");
+            matches.clear();
+            for_each_fragment(seq, sites, spec, &cfg.theo, &mut scratch.prefix, |mz| {
+                let Some(bin) = cfg.bin_of(mz) else {
+                    return;
+                };
+                if covered[(bin >> 6) as usize] & 1 << (bin & 63) == 0 {
+                    return;
+                }
+                let first = windows.partition_point(|w| w.hi < bin);
+                let end = windows.partition_point(|w| w.lo <= bin);
+                matches.extend(windows[first..end].iter().map(|w| (w.peak, w.intensity)));
+            });
+            // Equal peaks add equal intensities, so an unstable sort keeps
+            // every sum's bits.
+            matches.sort_unstable_by_key(|&(peak, _)| peak);
+            let (mut shared, mut matched) = (0u16, 0f32);
+            for &(_, intensity) in matches.iter() {
+                shared = shared.saturating_add(1);
+                matched += intensity;
+            }
+            stats.postings_scanned += matches.len() as u64;
+            if shared >= floor {
+                found.offer(entry, shared, matched);
+            }
+        }
+        stats.postings_skipped_by_band = window_postings - stats.postings_scanned;
+        // Leave the coverage clear for the next query.
+        for w in windows.iter() {
+            covered[(w.lo >> 6) as usize..=(w.hi >> 6) as usize].fill(0);
         }
     }
 
@@ -530,6 +714,51 @@ impl<'a> Searcher<'a> {
             })
             .collect();
         (results, total)
+    }
+}
+
+/// One peak's fragment-tolerance window on the direct arm: its bins
+/// `lo..=hi`, the peak's place in the query and its intensity.
+#[derive(Debug, Clone, Copy)]
+struct PeakWindow {
+    lo: u32,
+    hi: u32,
+    peak: u32,
+    intensity: f32,
+}
+
+/// What both arms do with an entry whose shared-peak count reached the
+/// threshold: precursor admission, scoring and the top-k push.
+struct Candidates<'a> {
+    index: &'a SlmIndex,
+    global_ids: Option<&'a [u32]>,
+    tol: f64,
+    query_mass: f64,
+    /// Entries admitted so far ([`QueryStats::candidates`]).
+    admitted: u64,
+    topk: TopK,
+}
+
+impl Candidates<'_> {
+    #[inline]
+    fn offer(&mut self, entry: u32, shared: u16, matched: f32) {
+        let meta = self.index.entry(entry);
+        if SlmConfig::precursor_admits_with(self.tol, self.query_mass, meta.precursor_mass as f64) {
+            self.admitted += 1;
+            self.topk.push(Psm {
+                entry,
+                // Global-id translation (when mapped) happens *here*,
+                // before the top-k push, so score ties truncate in global
+                // (peptide, modform) order.
+                peptide: match self.global_ids {
+                    Some(map) => map[meta.peptide as usize],
+                    None => meta.peptide,
+                },
+                modform: meta.modform,
+                shared_peaks: shared,
+                score: score(shared, matched),
+            });
+        }
     }
 }
 
@@ -756,7 +985,10 @@ mod tests {
             .map(|&m| Peak::new(m, 100.0))
             .collect();
         let q = Spectrum::new(0, lbe_bio::aa::precursor_mz(m_light, 2), 2, peaks);
-        let mut s = Searcher::new(&idx);
+        // Without its peptide table (as a file holds it) the index answers
+        // this one-entry band with the posting walk, which tests bins.
+        let walked = idx.clone().without_peptides();
+        let mut s = Searcher::new(&walked);
         let banded = s.search(&q);
         let full = s.search_with_opts(&q, &FULL_SCAN);
         assert_eq!(banded.psms, full.psms);
@@ -1242,6 +1474,245 @@ mod tests {
         let r = s.search(&q);
         assert_eq!(r.psms[0].modform as usize, ox);
         assert_eq!(r.psms[0].shared_peaks as usize, theo.fragment_count());
+    }
+
+    /// The counters both arms report alike: all but the two that tell
+    /// them apart.
+    fn shared_counters(s: QueryStats) -> QueryStats {
+        QueryStats {
+            bins_pruned_by_band: 0,
+            entries_scored_directly: 0,
+            ..s
+        }
+    }
+
+    /// Every PSM field, the score as bits.
+    fn psm_bits(psms: &[Psm]) -> Vec<(u32, u32, u16, u16, u32)> {
+        psms.iter()
+            .map(|p| {
+                let bits = p.score.to_bits();
+                (p.entry, p.peptide, p.modform, p.shared_peaks, bits)
+            })
+            .collect()
+    }
+
+    /// Peptides for the direct-arm tests: random ones rich in modifiable
+    /// residues (so modform ordinals run past the first few), and
+    /// positional isomers — `M` or `N` at two places, one modified — whose
+    /// modforms of one modification have equal masses and different
+    /// sites.
+    fn direct_arm_db() -> PeptideDb {
+        const RESIDUES: &[u8] = b"ACDEGHILMNPQSTVWYK";
+        let mut state = 0x2545_F491u32;
+        let mut next = |n: usize| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) as usize % n
+        };
+        let mut seqs: Vec<String> = (0..90)
+            .map(|_| {
+                let len = 6 + next(14);
+                let mut seq: Vec<u8> = (0..len).map(|_| RESIDUES[next(RESIDUES.len())]).collect();
+                seq.push(b'K');
+                String::from_utf8(seq).unwrap()
+            })
+            .collect();
+        seqs.extend(["AMGGMSAK", "PEMTIDEMK", "NGASNLLK", "SAMPLERMAK"].map(String::from));
+        let refs: Vec<&str> = seqs.iter().map(String::as_str).collect();
+        db(&refs)
+    }
+
+    /// The direct arm, forced on bands of 0, 1, [`DIRECT_MAX_ENTRIES`],
+    /// one more and 67 entries, against the posting walk (the same index
+    /// without its peptide table) and the full scan: every PSM field and
+    /// score bit, and every counter but the two that tell the arms apart.
+    /// Shared-peak thresholds 0 (the floor of 1), 1 and 4, top-k bounded
+    /// and not, peaks in m/z order and out of it, a mapped searcher, and
+    /// an axis that ends inside the fragments. One searcher's scratch
+    /// serves every case.
+    #[test]
+    fn direct_arm_equals_the_posting_walk_and_the_full_scan() {
+        let d = direct_arm_db();
+        let spec = ModSpec {
+            max_modforms_per_peptide: 64,
+            ..ModSpec::paper_default()
+        };
+        let gids: Vec<u32> = (0..d.len() as u32).map(|p| 5000 - 3 * p).collect();
+        let (mut isomer_bands, mut arm_scored, mut edge_peaks) = (0, 0, 0);
+        for max_fragment_mz in [2000.0, 650.0] {
+            for threshold in [0u16, 1, 4] {
+                let cfg = SlmConfig {
+                    max_fragment_mz,
+                    shared_peak_threshold: threshold,
+                    top_k: usize::MAX,
+                    ..SlmConfig::default()
+                };
+                let mut builder = IndexBuilder::new(cfg.clone(), spec.clone());
+                let idx = builder.build(&d);
+                if max_fragment_mz < 1000.0 {
+                    assert!(builder.stats().dropped_fragments > 0);
+                }
+                let walked = idx.clone().without_peptides();
+                let entries = idx.entries();
+                let n = entries.len();
+                assert!(n > 67 * 2, "{n} entries");
+                let mass = |e: usize| entries[e].precursor_mass as f64;
+                let mut arm = Searcher::new(&idx);
+                let mut arm_mapped =
+                    Searcher::with_scratch_mapped(&idx, SearchScratch::default(), &gids);
+                for width in [
+                    0usize,
+                    1,
+                    DIRECT_MAX_ENTRIES as usize,
+                    DIRECT_MAX_ENTRIES as usize + 1,
+                    67,
+                ] {
+                    // Bands of exactly `width` entries, at three places.
+                    let starts = (1..n - width - 1).filter(|&lo| {
+                        let gap_below = mass(lo) - mass(lo - 1);
+                        let gap_above = mass(lo + width) - mass((lo + width).max(1) - 1);
+                        gap_below > 1e-3 && gap_above > 1e-3
+                    });
+                    let starts: Vec<usize> = starts.collect();
+                    assert!(starts.len() >= 3, "no band of {width} entries");
+                    for &lo in &[
+                        starts[0],
+                        starts[starts.len() / 2],
+                        starts[starts.len() - 1],
+                    ] {
+                        // The band's entries, or for an empty band the
+                        // gap below `lo`: centre and half-width.
+                        let (m_lo, m_hi) = match width {
+                            0 => (mass(lo - 1) + 1e-4, mass(lo) - 1e-4),
+                            _ => (mass(lo), mass(lo + width - 1)),
+                        };
+                        // Peaks: one band entry's fragments (else entry
+                        // `lo`'s), intensities of varied magnitude so that
+                        // the order of the adds shows in the bits, half
+                        // another entry's, and a peak at the axis edge.
+                        let target = entries[lo + width / 2];
+                        let form = &lbe_bio::mods::enumerate_modforms(
+                            d.get(target.peptide).sequence(),
+                            &spec,
+                        )[target.modform as usize];
+                        let theo = TheoSpectrum::from_sequence(
+                            d.get(target.peptide).sequence(),
+                            form,
+                            &spec,
+                            &cfg.theo,
+                        );
+                        let other = entries[(lo + 7) % n];
+                        let other_theo = TheoSpectrum::from_sequence(
+                            d.get(other.peptide).sequence(),
+                            &ModForm::unmodified(),
+                            &spec,
+                            &cfg.theo,
+                        );
+                        let mut peaks: Vec<Peak> = theo
+                            .fragment_mzs
+                            .iter()
+                            .chain(other_theo.fragment_mzs.iter().step_by(2))
+                            .enumerate()
+                            .map(|(k, &mz)| Peak::new(mz, 0.1 + (k * k % 97) as f32 * 13.7))
+                            .collect();
+                        peaks.push(Peak::new(max_fragment_mz - 0.01, 3.3));
+                        let mut sorted = peaks.clone();
+                        sorted.sort_by(|a, b| a.mz.total_cmp(&b.mz));
+                        for peaks in [peaks, sorted] {
+                            let q = Spectrum::new(
+                                0,
+                                lbe_bio::aa::precursor_mz(0.5 * (m_lo + m_hi), 2),
+                                2,
+                                peaks,
+                            );
+                            let qm = q.precursor_neutral_mass();
+                            let tol = (qm - m_lo).max(m_hi - qm) + 1e-6;
+                            let (blo, bhi) = idx.entry_range_for_mass_band(qm - tol, qm + tol);
+                            assert_eq!((blo as usize, (bhi - blo) as usize), (lo, width));
+                            edge_peaks += q
+                                .peaks
+                                .iter()
+                                .filter(|p| {
+                                    cfg.bin_of(p.mz)
+                                        .is_some_and(|b| b + 5 >= cfg.num_bins() as u32)
+                                })
+                                .count();
+                            for top_k in [None, Some(3)] {
+                                let opts = QueryOptions {
+                                    top_k,
+                                    precursor_tolerance: Some(tol),
+                                    ..Default::default()
+                                };
+                                let at = format!(
+                                    "axis {max_fragment_mz}, threshold {threshold}, band {lo}+{width}, top {top_k:?}"
+                                );
+                                let walk = Searcher::new(&walked).search_with_opts(&q, &opts);
+                                let full = Searcher::new(&walked).search_with_opts(
+                                    &q,
+                                    &QueryOptions {
+                                        scan_mode: ScanMode::FullScan,
+                                        ..opts
+                                    },
+                                );
+                                let got = arm.search_with_cut(&q, &opts, u32::MAX);
+                                assert_eq!(psm_bits(&got.psms), psm_bits(&walk.psms), "{at}");
+                                assert_eq!(psm_bits(&full.psms), psm_bits(&walk.psms), "{at}");
+                                assert_eq!(
+                                    shared_counters(got.stats),
+                                    shared_counters(walk.stats),
+                                    "{at}"
+                                );
+                                assert_eq!(got.stats.candidates, full.stats.candidates, "{at}");
+                                assert_eq!(got.stats.entries_scored_directly, width as u64, "{at}");
+                                assert_eq!(got.stats.bins_pruned_by_band, 0, "{at}");
+                                assert_eq!(walk.stats.entries_scored_directly, 0, "{at}");
+                                arm_scored += got.psms.len();
+
+                                // The default cut: the arm up to
+                                // DIRECT_MAX_ENTRIES entries, the walk above.
+                                let auto = Searcher::new(&idx).search_with_opts(&q, &opts);
+                                let chosen = if width <= DIRECT_MAX_ENTRIES as usize {
+                                    got.stats
+                                } else {
+                                    walk.stats
+                                };
+                                assert_eq!(auto.stats, chosen, "{at}");
+                                assert_eq!(psm_bits(&auto.psms), psm_bits(&walk.psms), "{at}");
+
+                                let walk_mapped = Searcher::with_scratch_mapped(
+                                    &walked,
+                                    SearchScratch::default(),
+                                    &gids,
+                                )
+                                .search_with_opts(&q, &opts);
+                                let got_mapped = arm_mapped.search_with_cut(&q, &opts, u32::MAX);
+                                assert_eq!(
+                                    psm_bits(&got_mapped.psms),
+                                    psm_bits(&walk_mapped.psms),
+                                    "{at}, mapped"
+                                );
+                                assert_eq!(got_mapped.stats, got.stats, "{at}, mapped");
+                            }
+                        }
+                        // Positional isomers in one band: equal masses,
+                        // different sites, so different fragments.
+                        let band = &entries[lo..lo + width];
+                        isomer_bands += band
+                            .windows(2)
+                            .filter(|w| {
+                                w[0].precursor_mass == w[1].precursor_mass
+                                    && w[0].peptide == w[1].peptide
+                                    && w[0].modform != w[1].modform
+                            })
+                            .count();
+                    }
+                }
+                assert!(arm.into_scratch().is_clean());
+                assert!(arm_mapped.into_scratch().is_clean());
+            }
+        }
+        assert!(isomer_bands > 0, "no band held two positional isomers");
+        assert!(arm_scored > 0, "the arm found no candidate");
+        assert!(edge_peaks > 0, "no peak window at the axis edge");
     }
 
     /// Bin sizes of [`sized_bin_index`]'s occupied bins, cycled: both sides

@@ -26,6 +26,8 @@
 use crate::bindir::{self, BinDirectory};
 use crate::config::SlmConfig;
 use crate::format::AlignedBuf;
+use lbe_bio::mods::{ModSpec, VariableMod};
+use lbe_bio::peptide::PeptideDb;
 use std::sync::Arc;
 
 /// The admitted sub-run `[start, end)` of one bin's posting list for the
@@ -148,6 +150,67 @@ enum IndexStorage {
     },
 }
 
+/// The peptides an index was built from: every peptide's residues as one
+/// CSR, and the mod spec its modforms were enumerated under. With them a
+/// search can regenerate any entry's fragments by the builder's own
+/// arithmetic instead of reading its postings ([`crate::query`]'s direct
+/// arm). [`crate::builder::IndexBuilder`] attaches it; nothing writes it,
+/// so an index read from a file or a store chunk has none.
+#[derive(Debug, Clone)]
+pub(crate) struct PeptideTable {
+    /// Every peptide's residues, in peptide-id order.
+    residues: Vec<u8>,
+    /// Peptide `p`'s residues are `residues[starts[p]..starts[p + 1]]`.
+    starts: Vec<u32>,
+    modspec: ModSpec,
+}
+
+impl PeptideTable {
+    /// The table of `db` (local peptide ids) under `modspec`, allocated
+    /// exactly.
+    pub(crate) fn new(db: &PeptideDb, modspec: &ModSpec) -> Self {
+        let total: usize = db.peptides().iter().map(|p| p.len()).sum();
+        assert!(
+            total <= u32::MAX as usize,
+            "index partition exceeds u32 residue offsets; partition the input"
+        );
+        let mut residues = Vec::with_capacity(total);
+        let mut starts = Vec::with_capacity(db.len() + 1);
+        starts.push(0);
+        for peptide in db.peptides() {
+            residues.extend_from_slice(peptide.sequence());
+            starts.push(residues.len() as u32);
+        }
+        PeptideTable {
+            residues,
+            starts,
+            modspec: modspec.clone(),
+        }
+    }
+
+    /// The residues of local peptide `peptide`.
+    #[inline]
+    pub(crate) fn sequence(&self, peptide: u32) -> &[u8] {
+        let p = peptide as usize;
+        &self.residues[self.starts[p] as usize..self.starts[p + 1] as usize]
+    }
+
+    /// The mod spec the index's modform ordinals count under.
+    #[inline]
+    pub(crate) fn modspec(&self) -> &ModSpec {
+        &self.modspec
+    }
+
+    /// Heap bytes: the two arrays and the mod spec's rules.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let mods = &self.modspec.mods;
+        self.residues.capacity()
+            + self.starts.capacity() * std::mem::size_of::<u32>()
+            + mods.capacity() * std::mem::size_of::<VariableMod>()
+            + mods.iter().map(|m| m.targets.capacity()).sum::<usize>()
+    }
+}
+
 /// The fragment-ion index over a set of theoretical spectra. Entry ids
 /// ascend by precursor mass — the invariant the banded query kernel needs
 /// to binary-search each bin's posting list down to a precursor window.
@@ -161,11 +224,15 @@ pub struct SlmIndex {
     /// always owned: it is derived from the bitmap at construction, for
     /// arena-backed indexes too.
     bin_rank: Vec<u32>,
+    /// The peptides the index was built from, when it was built in this
+    /// process.
+    peptides: Option<PeptideTable>,
 }
 
 impl PartialEq for SlmIndex {
     /// Logical equality: same configuration and same flat arrays,
-    /// regardless of whether they are owned or arena-backed.
+    /// regardless of whether they are owned or arena-backed, and whether
+    /// or not a peptide table is attached (it changes no answer).
     fn eq(&self, other: &Self) -> bool {
         let (a, b) = (self.bin_directory(), other.bin_directory());
         self.config == other.config
@@ -204,6 +271,7 @@ impl SlmIndex {
         SlmIndex {
             config,
             bin_rank: bindir::ranks(&bin_bitmap),
+            peptides: None,
             storage: IndexStorage::Owned {
                 entries,
                 bin_bitmap,
@@ -230,6 +298,7 @@ impl SlmIndex {
         SlmIndex {
             config,
             bin_rank: bindir::ranks(bin_bitmap.get(&arena)),
+            peptides: None,
             storage: IndexStorage::Arena {
                 arena,
                 entries: slice(entries),
@@ -238,6 +307,32 @@ impl SlmIndex {
                 postings: slice(postings),
             },
         }
+    }
+
+    /// This index with `table` attached (the builder's last step).
+    pub(crate) fn with_peptides(mut self, table: PeptideTable) -> Self {
+        self.peptides = Some(table);
+        self
+    }
+
+    /// This index with no peptide table: what a file holding the same
+    /// index reads back as, for tests that need the posting walk.
+    #[cfg(test)]
+    pub(crate) fn without_peptides(mut self) -> Self {
+        self.peptides = None;
+        self
+    }
+
+    /// The peptide table, if the index was built in this process.
+    #[inline]
+    pub(crate) fn peptides(&self) -> Option<&PeptideTable> {
+        self.peptides.as_ref()
+    }
+
+    /// Heap bytes of the attached peptide table (0 without one): the part
+    /// of [`SlmIndex::heap_bytes`] that is not an index structure.
+    pub(crate) fn peptide_table_bytes(&self) -> usize {
+        self.peptides.as_ref().map_or(0, PeptideTable::heap_bytes)
     }
 
     /// `true` if this index's arrays are zero-copy views into a loaded
@@ -426,28 +521,34 @@ impl SlmIndex {
         (hi - lo + 1, skipped)
     }
 
-    /// Exact heap bytes of the index structures (Fig. 5's y-axis).
+    /// Exact heap bytes the index holds: its structures (entry table, bin
+    /// directory, postings — Fig. 5's y-axis, which
+    /// [`crate::MemoryFootprint`] reports alone) plus the peptide table
+    /// that an index built in this process carries for the direct arm of
+    /// [`crate::query`] (≈ 0.4 % more on a 9 M-ion build).
     ///
-    /// For an arena-backed index this is the bytes its views span (not
-    /// the whole arena — chunks of a shared arena would otherwise be
-    /// multi-counted when summed) plus the owned running popcount.
+    /// For an arena-backed index the structures count the bytes their
+    /// views span (not the whole arena — chunks of a shared arena would
+    /// otherwise be multi-counted when summed) plus the owned running
+    /// popcount.
     pub fn heap_bytes(&self) -> usize {
-        // The directory's vectors are allocated exactly (capacity = length).
-        let directory = self.bin_directory_bytes();
+        // The directory's vectors and the peptide table are allocated
+        // exactly (capacity = length).
+        let directory_and_table = self.bin_directory_bytes() + self.peptide_table_bytes();
         match &self.storage {
             IndexStorage::Owned {
                 entries, postings, ..
             } => {
                 entries.capacity() * std::mem::size_of::<SpectrumEntry>()
                     + postings.capacity() * std::mem::size_of::<u32>()
-                    + directory
+                    + directory_and_table
             }
             IndexStorage::Arena {
                 entries, postings, ..
             } => {
                 entries.len * std::mem::size_of::<SpectrumEntry>()
                     + postings.len * std::mem::size_of::<u32>()
-                    + directory
+                    + directory_and_table
             }
         }
     }

@@ -7,7 +7,8 @@
 //! postings than the full scan on this corpus. A synthetic index adds the
 //! axes the corpus tests hold fixed — shared-peak threshold, top-k, mapped
 //! global ids, exact score ties — and holds the candidate sweep to brute
-//! force across threshold × ΔM × scan mode × top-k.
+//! force across threshold × ΔM × scan mode × top-k — at 0.01 Da through
+//! the direct arm, which scores a small band from regenerated fragments.
 
 use lbe::bio::aa::precursor_mz;
 use lbe::bio::digest::DigestParams;
@@ -242,6 +243,8 @@ fn sweep_differential_threshold_by_tolerance_by_mode_by_top_k() {
     // peptide id, the mapped one cuts the other way.
     let gids: Vec<u32> = (0..n).map(|pid| 1000 + (n - 1 - pid)).collect();
     let (mut ties_at_k, mut mapping_changed_the_cut) = (0, 0);
+    // Entries the narrowest band scored directly, from its fragments.
+    let mut scored_directly = 0;
     for threshold in [0u16, 1, 4, 200] {
         let cfg = SlmConfig {
             shared_peak_threshold: threshold,
@@ -282,6 +285,9 @@ fn sweep_differential_threshold_by_tolerance_by_mode_by_top_k() {
                         precursor_tolerance: Some(tolerance),
                     };
                     let all = plain.search_with_opts(q, &opts(None));
+                    if tolerance == 0.01 {
+                        scored_directly += all.stats.entries_scored_directly;
+                    }
                     let mut found: Vec<(u32, u16)> = all
                         .psms
                         .iter()
@@ -327,6 +333,7 @@ fn sweep_differential_threshold_by_tolerance_by_mode_by_top_k() {
             }
         }
     }
+    assert!(scored_directly > 0, "no 0.01 Da band was scored directly");
     assert!(ties_at_k > 0, "no exact score tie across a top-k boundary");
     assert!(
         mapping_changed_the_cut > 0,
