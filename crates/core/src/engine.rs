@@ -75,6 +75,11 @@ pub struct SearchCostModel {
     /// ("computationally expensive", §I), so it dominates the per-query
     /// cost and is what the paper's load imbalance is made of.
     pub per_candidate_s: f64,
+    /// Per band entry a closed query scored directly — its fragments
+    /// regenerated and counted against the peak windows, no posting read
+    /// (`QueryStats::entries_scored_directly`). The direct arm's measured
+    /// slope on `batch_closed`: ≈ 0.75 µs an entry.
+    pub per_entry_direct_s: f64,
     /// Fixed overhead per query spectrum.
     pub per_query_s: f64,
     /// Index construction cost per ion.
@@ -92,6 +97,7 @@ impl Default for SearchCostModel {
             per_bin_s: 2.0e-9,
             per_bin_pruned_s: 5.0e-10,
             per_candidate_s: 1.0e-6,
+            per_entry_direct_s: 0.75e-6,
             per_query_s: 20e-6,
             per_ion_build_s: 12e-9,
             per_peptide_extract_s: 3e-9,
@@ -101,7 +107,17 @@ impl Default for SearchCostModel {
 
 impl SearchCostModel {
     /// Virtual seconds of one query's search work.
+    ///
+    /// A query that took the direct arm (`entries_scored_directly > 0`)
+    /// walked no bin and loaded no posting — its bin and posting counters
+    /// are the walk's it stood in for — so it is charged its entries and
+    /// candidates only.
     pub fn query_seconds(&self, stats: &QueryStats) -> f64 {
+        if stats.entries_scored_directly > 0 {
+            return self.per_query_s
+                + stats.entries_scored_directly as f64 * self.per_entry_direct_s
+                + stats.candidates as f64 * self.per_candidate_s;
+        }
         // Bins the fragment-level band pruned cost `per_bin_pruned_s` each
         // instead of a full bin visit (`bins_pruned_by_band` is a subset of
         // `bins_touched`; the saturating_sub guards against degenerate
@@ -861,7 +877,80 @@ fn report_from_parts(
 mod tests {
     use super::*;
     use crate::grouping::{group_peptides, GroupingParams};
+    use lbe_index::Searcher;
     use lbe_spectra::synthetic::{SyntheticDataset, SyntheticDatasetParams};
+
+    #[test]
+    fn a_direct_arm_query_is_priced_by_its_entries_not_the_walk_it_stands_in_for() {
+        // The same closed queries against the same index, once built in
+        // this process (its peptide table takes the direct arm) and once
+        // read back from its bytes (no table: the banded walk).
+        let db = small_db();
+        let built = IndexBuilder::new(SlmConfig::default(), ModSpec::none()).build(&db);
+        let mut bytes = Vec::new();
+        lbe_index::io::write_index(&mut bytes, &built).unwrap();
+        let loaded = lbe_index::io::read_index_bytes(&bytes, &Default::default()).unwrap();
+        let queries = SyntheticDataset::generate(
+            &db,
+            &ModSpec::none(),
+            &SyntheticDatasetParams {
+                num_spectra: 6,
+                ..Default::default()
+            },
+            1,
+        );
+        let opts = QueryOptions {
+            precursor_tolerance: Some(0.01),
+            ..Default::default()
+        };
+        let cost = SearchCostModel::default();
+        for q in &queries.spectra {
+            let direct = Searcher::new(&built).search_with_opts(q, &opts).stats;
+            let walk = Searcher::new(&loaded).search_with_opts(q, &opts).stats;
+            assert!(direct.entries_scored_directly > 0, "{direct:?}");
+            assert_eq!(walk.entries_scored_directly, 0);
+            assert_eq!(direct.candidates, walk.candidates);
+            assert_eq!(
+                cost.query_seconds(&direct),
+                cost.per_query_s
+                    + direct.entries_scored_directly as f64 * cost.per_entry_direct_s
+                    + direct.candidates as f64 * cost.per_candidate_s
+            );
+            // The walk's bin and posting counters, which the arm reports
+            // too, are not charged to it.
+            let no_walk = QueryStats {
+                bins_touched: 0,
+                postings_scanned: 0,
+                postings_skipped_by_band: 0,
+                ..direct
+            };
+            assert_eq!(cost.query_seconds(&no_walk), cost.query_seconds(&direct));
+        }
+    }
+
+    #[test]
+    fn a_direct_arm_query_is_priced_below_the_same_query_walked() {
+        // A `batch_closed` query at its probe's means: ≈ 570 peak-window
+        // bins, 127 k postings skipped by a band of 3 entries, 27 scanned,
+        // one candidate. The direct arm reports the walk's counters (less
+        // the pruned bins) plus its entries.
+        let walk = QueryStats {
+            peaks: 52,
+            bins_touched: 570,
+            postings_scanned: 27,
+            postings_skipped_by_band: 126_748,
+            bins_pruned_by_band: 1,
+            candidates: 1,
+            entries_scored_directly: 0,
+        };
+        let direct = QueryStats {
+            bins_pruned_by_band: 0,
+            entries_scored_directly: 3,
+            ..walk
+        };
+        let cost = SearchCostModel::default();
+        assert!(cost.query_seconds(&direct) < cost.query_seconds(&walk));
+    }
 
     fn small_db() -> PeptideDb {
         let seqs = [

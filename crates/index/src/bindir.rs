@@ -23,6 +23,51 @@
 //! `starts` is strictly increasing): one logical CSR has exactly one
 //! directory, which is what lets index equality and byte-identical
 //! rebuilds compare the arrays directly.
+//!
+//! # Checking a directory at the CPU's vector width
+//!
+//! Every load and every chunk fault recomputes the rank table and runs
+//! [`validate`] — whole-bitmap popcounts and a scan of every offset — and
+//! [`crate::SlmIndex::validate`]'s scans of every posting and entry. The
+//! default x86-64 target has no POPCNT (a `count_ones` is a dozen shifts
+//! and masks) and no 256-bit integer compares, so each of these kernels is
+//! defined by [`vector_tiered!`]: one source compiled twice, as built and
+//! for AVX2 + POPCNT, the second run on a CPU that has both (detected at
+//! run time, per call, from the standard library's cached flags). Same
+//! source, same answer; the portable build is the fallback on other CPUs
+//! and the twin the tests hold the tier to. Per `serve_paged` fault (a
+//! 3 126-word bitmap, ≈ 20 k offsets, ≈ 60 k postings; 2.1 GHz TSC cycles)
+//! the rank table fell from ≈ 25 k cycles to ≈ 8 k and the structural
+//! validation from ≈ 33 k to ≈ 20 k.
+
+/// Defines `$name`, which runs `$body` compiled for AVX2 and POPCNT when
+/// this CPU has both and as built otherwise, and `$portable`, the as-built
+/// twin (`#[inline(always)]`, which is what carries its body into the
+/// tier's `#[target_feature]` function).
+macro_rules! vector_tiered {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident / $portable:ident
+        ($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty $body:block) => {
+        $(#[$doc])*
+        $vis fn $name($($arg: $ty),*) -> $ret {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
+                #[target_feature(enable = "avx2,popcnt")]
+                fn wide($($arg: $ty),*) -> $ret {
+                    $portable($($arg),*)
+                }
+                // SAFETY: `wide` enables AVX2 and POPCNT, and both were
+                // just detected on this CPU.
+                return unsafe { wide($($arg),*) };
+            }
+            $portable($($arg),*)
+        }
+
+        #[doc = concat!("[`", stringify!($name), "`] as built, whatever the CPU.")]
+        #[inline(always)]
+        fn $portable($($arg: $ty),*) -> $ret $body
+    };
+}
+pub(crate) use vector_tiered;
 
 /// Words in the occupancy bitmap of a `num_bins`-bin axis: one bit per bin
 /// plus the one-past-the-end position `num_bins`, so the rank of a window's
@@ -70,18 +115,38 @@ impl<'a> BinDirectory<'a> {
     }
 }
 
-/// The per-word running popcount of `bitmap`. Wrapping, so a corrupt
-/// oversized bitmap cannot panic here; [`validate`] recounts in `usize`.
-pub(crate) fn ranks(bitmap: &[u64]) -> Vec<u32> {
-    let mut acc = 0u32;
-    bitmap
-        .iter()
-        .map(|w| {
-            let before = acc;
-            acc = acc.wrapping_add(w.count_ones());
-            before
-        })
-        .collect()
+vector_tiered! {
+    /// The per-word running popcount of `bitmap`. Wrapping, so a corrupt
+    /// oversized bitmap cannot panic here; [`validate`] recounts in `usize`.
+    pub(crate) fn ranks / ranks_portable(bitmap: &[u64]) -> Vec<u32> {
+        let mut acc = 0u32;
+        bitmap
+            .iter()
+            .map(|w| {
+                let before = acc;
+                acc = acc.wrapping_add(w.count_ones());
+                before
+            })
+            .collect()
+    }
+}
+
+vector_tiered! {
+    /// Set bits in `bitmap`, counted in `usize`.
+    fn population / population_portable(bitmap: &[u64]) -> usize {
+        bitmap.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+vector_tiered! {
+    /// `true` unless every offset is below the next.
+    fn not_increasing / not_increasing_portable(starts: &[u32]) -> bool {
+        // A fold, not `any`: without the early exit the scan vectorises.
+        starts
+            .iter()
+            .zip(starts.iter().skip(1))
+            .fold(false, |bad, (a, b)| bad | (a >= b))
+    }
 }
 
 /// Structural check of a directory against its index — O(words +
@@ -101,19 +166,14 @@ pub(crate) fn validate(
     if tail >> (num_bins & 63) != 0 {
         return Err("bin bitmap marks a bin beyond the configured range".into());
     }
-    let occupied: usize = bitmap.iter().map(|w| w.count_ones() as usize).sum();
+    let occupied = population(bitmap);
     if occupied + 1 != starts.len() {
         return Err("bin bitmap population does not match the bin offset count".into());
     }
     if starts[0] != 0 {
         return Err("first bin offset is not 0".into());
     }
-    // A fold, not `any`: without the early exit the scan vectorises.
-    if starts
-        .iter()
-        .zip(&starts[1..])
-        .fold(false, |bad, (a, b)| bad | (a >= b))
-    {
+    if not_increasing(starts) {
         return Err("bin offsets not strictly increasing".into());
     }
     if starts[occupied] as usize != num_postings {
@@ -245,6 +305,58 @@ pub(crate) mod tests {
         assert!(from_dense(&[]).is_err());
         assert!(from_dense(&[1, 1]).unwrap_err().contains("not 0"));
         assert!(from_dense(&[0, 5, 3]).unwrap_err().contains("monotone"));
+    }
+
+    /// `true` (after saying so) unless this CPU runs the vector tier.
+    pub(crate) fn vector_tier_untestable() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
+            return false;
+        }
+        eprintln!("no AVX2 + POPCNT on this CPU: the vector tier is not exercised");
+        true
+    }
+
+    /// A seeded xorshift stream.
+    pub(crate) fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    #[test]
+    fn the_vector_tier_equals_the_portable_build_on_random_directories() {
+        if vector_tier_untestable() {
+            return;
+        }
+        let mut next = xorshift(0x1234_5678_9ABC_DEF1);
+        for num_bins in [0usize, 1, 63, 64, 65, 127, 128, 1000, 4095, 200_001] {
+            let words = bitmap_words(num_bins);
+            for density in [0u32, 1, 8, 32, 63] {
+                // Each bit set with probability density / 64, bits beyond
+                // the axis (in the tail word) included.
+                let bitmap: Vec<u64> = (0..words)
+                    .map(|_| {
+                        (0..64).fold(0u64, |w, b| {
+                            w | (((next() % 64) < density as u64) as u64) << b
+                        })
+                    })
+                    .collect();
+                assert_eq!(ranks(&bitmap), ranks_portable(&bitmap));
+                assert_eq!(population(&bitmap), population_portable(&bitmap));
+                let occupied = population_portable(&bitmap);
+                let mut starts: Vec<u32> = (0..=occupied as u32).map(|k| 3 * k).collect();
+                if occupied > 2 && density % 2 == 1 {
+                    // A tie or a step back somewhere.
+                    let at = 1 + (next() as usize % (occupied - 1));
+                    starts[at] = starts[at - 1] - (density % 4 == 1) as u32;
+                }
+                assert_eq!(not_increasing(&starts), not_increasing_portable(&starts));
+            }
+        }
     }
 
     #[test]

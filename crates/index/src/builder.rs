@@ -285,6 +285,7 @@ struct SharedPostings<'a> {
 // only write slots inside windows that are disjoint across tasks by
 // construction.
 unsafe impl Send for SharedPostings<'_> {}
+// SAFETY: as for `Send`: shared across tasks, each writes its own slots.
 unsafe impl Sync for SharedPostings<'_> {}
 
 impl<'a> SharedPostings<'a> {

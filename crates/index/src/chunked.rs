@@ -1028,6 +1028,85 @@ mod tests {
     }
 
     #[test]
+    fn a_budgeted_replay_over_vector_decoded_blobs_equals_one_over_portable_images() {
+        // The store as written (compressed blobs, decoded on each fault by
+        // the widest kernels this CPU runs) against a copy whose blob files
+        // hold the images the portable decoder makes of them — a raw blob
+        // is loaded as is, no decoder runs. Same names, same manifest: the
+        // same replay at budget 1 must fault, evict and answer alike.
+        // 60 peptides of 8–20 residues, 20 a chunk: several hundred
+        // postings per chunk, so full 128-value blocks on the vector path.
+        let peptides: Vec<String> = (0..60)
+            .map(|i| {
+                let residues = b"ACDEFGHILMNPQRSTVWY";
+                let body = (0..7 + i % 13).map(|j| residues[(i * 11 + j * 7) % residues.len()]);
+                String::from_utf8(body.chain([b'K']).collect()).unwrap()
+            })
+            .collect();
+        let db = db_of(&peptides);
+        let dir = store_of(
+            "tier_replay",
+            &db,
+            SlmConfig::default(),
+            ModSpec::none(),
+            20,
+        );
+        let portable = tmpfile("tier_replay_portable");
+        std::fs::create_dir_all(portable.join("chunks")).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let entry = entry.unwrap();
+            if entry.file_type().unwrap().is_file() {
+                std::fs::copy(entry.path(), portable.join(entry.file_name())).unwrap();
+            }
+        }
+        let mut compressed = 0;
+        for entry in std::fs::read_dir(dir.join("chunks")).unwrap() {
+            let entry = entry.unwrap();
+            let stored = std::fs::read(entry.path()).unwrap();
+            let image = if crate::compress::is_compressed_blob(&stored) {
+                compressed += 1;
+                crate::compress::decompress_portable(&stored, MAGIC_V2)
+                    .unwrap()
+                    .as_slice()
+                    .to_vec()
+            } else {
+                stored
+            };
+            std::fs::write(portable.join("chunks").join(entry.file_name()), image).unwrap();
+        }
+        assert!(compressed > 0, "no compressed blob to decode");
+        let queries: Vec<(Spectrum, f64)> = peptides
+            .iter()
+            .step_by(4)
+            .chain(peptides.iter().rev().step_by(5))
+            .zip([f64::INFINITY, 0.5, 200.0].into_iter().cycle())
+            .map(|(p, tol)| (perfect_query(p.as_bytes()), tol))
+            .collect();
+        let replay = |dir: &Path| {
+            let mut store = ChunkStore::open_generation_dir(dir, 1).unwrap();
+            assert!(store.num_chunks() >= 3);
+            let psms: Vec<Vec<crate::Psm>> = queries
+                .iter()
+                .map(|(q, tol)| {
+                    let opts = QueryOptions {
+                        precursor_tolerance: Some(*tol),
+                        ..QueryOptions::default()
+                    };
+                    store.search_with_opts(q, &opts).unwrap().psms
+                })
+                .collect();
+            (store.stats(), psms)
+        };
+        let (vector, portable_run) = (replay(&dir), replay(&portable));
+        assert!(vector.0.faults > vector.0.evictions && vector.0.evictions > 0);
+        assert_eq!(vector.0, portable_run.0);
+        assert_eq!(vector.1, portable_run.1);
+        assert!(vector.1.iter().any(|p| !p.is_empty()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&portable).ok();
+    }
+
+    #[test]
     fn store_respects_budget_and_counts_residency_events() {
         let dir = store_of(
             "budget_stats",

@@ -65,26 +65,34 @@ pub const SECTION_RECORD_LEN: usize = 32;
 // CRC-32 (IEEE 802.3, the zlib/PNG polynomial), vendored.
 //
 // Checksums are verified on every load and every chunk fault, so they sit
-// on the critical path the v2 format exists to shorten. Two paths compute
+// on the critical path the v2 format exists to shorten. Three paths compute
 // the same reflected 0xEDB88320 remainder, and `Crc32::update` picks one
-// per call:
+// per call, by length and by what the CPU has (detected at run time, from
+// the standard library's cached flags):
 //
-// * x86_64 CPUs with PCLMULQDQ and SSE4.1 (detected at run time) fold
-//   inputs of at least `clmul::MIN_LEN` bytes with carry-less multiplies,
-//   64 bytes an iteration in four 128-bit lanes — the shape of Intel's
-//   "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ" that
-//   zlib and Linux use — and finish the < 16-byte tail in the table loop.
-//   ≈ 24 GB/s on a 637 KB image (2.1 GHz Xeon vCPU, image in cache).
+// * x86_64 CPUs with VPCLMULQDQ and AVX-512F fold inputs of at least
+//   `clmul::WIDE_MIN_LEN` bytes 256 bytes an iteration, in four 512-bit
+//   registers of four 128-bit lanes each, then reduce the 16 lanes to one
+//   and finish as the next path does.
+// * x86_64 CPUs with PCLMULQDQ and SSE4.1 fold inputs of at least
+//   `clmul::MIN_LEN` bytes with carry-less multiplies, 64 bytes an
+//   iteration in four 128-bit lanes — the shape of Intel's "Fast CRC
+//   Computation for Generic Polynomials Using PCLMULQDQ" that zlib and
+//   Linux use — and finish the < 16-byte tail in the table loop.
+//   ≈ 24 GB/s on a 637 KB image (2.1 GHz Xeon vCPU, image in cache); the
+//   512-bit fold takes the ≈ 30 k cycles a `serve_paged` fault spent here
+//   to ≈ 12 k.
 // * Everything else — other architectures, CPUs without the instruction,
-//   short inputs, the kernel's tails — takes "slicing-by-16" (16 derived
+//   short inputs, the kernels' tails — takes "slicing-by-16" (16 derived
 //   tables, 16 input bytes per iteration), ≈ 2.0 GB/s on the same image
 //   and CPU; a byte-at-a-time walk would be ≈ 0.4. It is also the checked
-//   twin the kernel is tested against.
+//   twin both kernels are tested against.
 //
-// The kernel's seven constants are this CRC's own algebra, and a test
-// derives each one: K1…K5 are x^n mod P for n = 544, 480, 160, 96, 64 (the
-// fold distances 4·128 ± 32, 128 ± 32 and 64 bits), P′ is P with its x^32
-// term, and μ is ⌊x^64 / P⌋ — all bit-reflected into 33-bit operands.
+// The kernels' constants are this CRC's own algebra, and a test derives
+// each one: a fold over d bits multiplies by x^(d+32) and x^(d−32) mod P
+// (K1/K2 for d = 512, K3/K4 for 128, and the wide kernel's pairs for 2048,
+// 384 and 256), K5 is x^64 mod P, P′ is P with its x^32 term, and μ is
+// ⌊x^64 / P⌋ — all bit-reflected into 33-bit operands.
 // ---------------------------------------------------------------------------
 
 const CRC_POLY: u32 = 0xEDB8_8320;
@@ -142,9 +150,16 @@ impl Crc32 {
     pub fn update(&mut self, bytes: &[u8]) {
         #[cfg(target_arch = "x86_64")]
         if bytes.len() >= clmul::MIN_LEN && clmul::available() {
-            // SAFETY: `clmul::update` needs PCLMULQDQ and SSE4.1, and
-            // `clmul::available` has just detected both on this CPU.
-            self.state = unsafe { clmul::update(self.state, bytes) };
+            self.state = if bytes.len() >= clmul::WIDE_MIN_LEN && clmul::wide_available() {
+                // SAFETY: `clmul::update_wide` needs PCLMULQDQ, SSE4.1,
+                // AVX-512F and VPCLMULQDQ, and `clmul::available` and
+                // `clmul::wide_available` have just detected all four.
+                unsafe { clmul::update_wide(self.state, bytes) }
+            } else {
+                // SAFETY: `clmul::update` needs PCLMULQDQ and SSE4.1, and
+                // `clmul::available` has just detected both on this CPU.
+                unsafe { clmul::update(self.state, bytes) }
+            };
             return;
         }
         self.state = crc32_table(self.state, bytes);
@@ -188,20 +203,41 @@ fn crc32_table(mut c: u32, bytes: &[u8]) -> u32 {
     c
 }
 
-/// The carry-less-multiply kernel (see the section comment for the shape,
+/// The carry-less-multiply kernels (see the section comment for the shape,
 /// the speed and where the constants come from).
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     use super::crc32_table;
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
-        _mm_loadu_si128, _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+        __m128i, __m512i, _mm512_clmulepi64_epi128, _mm512_extracti32x4_epi32, _mm512_loadu_si512,
+        _mm512_set_epi64, _mm512_setzero_si512, _mm512_ternarylogic_epi64, _mm512_xor_si512,
+        _mm512_zextsi128_si512, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si64,
+        _mm_cvtsi32_si128, _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi64x, _mm_setr_epi32,
+        _mm_srli_si128, _mm_xor_si128,
     };
 
     /// Shortest input [`super::Crc32::update`] hands the kernel: one
     /// 64-byte block, where it already takes 5 ns to the table loop's 18
     /// (and 8 to 42 at 128 bytes).
     pub(super) const MIN_LEN: usize = 64;
+
+    /// Shortest input [`super::Crc32::update`] hands the wide kernel: one
+    /// 256-byte block of its four 512-bit registers.
+    pub(super) const WIDE_MIN_LEN: usize = 256;
+
+    /// x^2080 mod P: folds a 512-bit register 2048 bits forward, low half
+    /// of each 128-bit lane.
+    pub(super) const K2048_LO: u64 = 0x1_1542_778A;
+    /// x^2016 mod P: the same fold, high half.
+    pub(super) const K2048_HI: u64 = 0x1_322D_1430;
+    /// x^416 mod P: folds a 128-bit lane 384 bits forward, low half.
+    pub(super) const K384_LO: u64 = 0x0_3DB1_ECDC;
+    /// x^352 mod P: the same fold, high half.
+    pub(super) const K384_HI: u64 = 0x1_7435_9406;
+    /// x^288 mod P: folds a 128-bit lane 256 bits forward, low half.
+    pub(super) const K256_LO: u64 = 0x0_F1DA_05AA;
+    /// x^224 mod P: the same fold, high half.
+    pub(super) const K256_HI: u64 = 0x1_5A54_6366;
 
     /// x^544 mod P: folds a lane 512 bits forward, low half.
     pub(super) const K1: u64 = 0x1_5444_2BD4;
@@ -221,6 +257,11 @@ mod clmul {
     /// Whether this CPU can run [`update`].
     pub(super) fn available() -> bool {
         is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Whether this CPU can run [`update_wide`] (given [`available`]).
+    pub(super) fn wide_available() -> bool {
+        is_x86_feature_detected!("vpclmulqdq") && is_x86_feature_detected!("avx512f")
     }
 
     /// The 16 bytes of `block` at `at`, in one unaligned load.
@@ -266,11 +307,137 @@ mod clmul {
                 *lane = fold(*lane, k1k2, load(block, 16 * i));
             }
         }
-        // 512 → 128 bits, then the remaining whole 16-byte blocks.
+        // 512 → 128 bits, then the rest.
         let k3k4 = _mm_set_epi64x(K4 as i64, K3 as i64);
         let [l0, l1, l2, l3] = lanes;
-        let mut x = fold(fold(fold(l0, k3k4, l1), k3k4, l2), k3k4, l3);
-        let mut rest = blocks.remainder().chunks_exact(16);
+        finish(
+            fold(fold(fold(l0, k3k4, l1), k3k4, l2), k3k4, l3),
+            blocks.remainder(),
+        )
+    }
+
+    /// The 64 bytes of `block` at `at`, in one unaligned load.
+    #[inline(always)]
+    fn load512(block: &[u8], at: usize) -> __m512i {
+        let bytes: &[u8; 64] = block[at..at + 64]
+            .try_into()
+            .expect("a 64-byte range is a [u8; 64]");
+        // SAFETY: `bytes` is 64 readable bytes — the range above is
+        // bounds-checked — and `loadu` has no alignment requirement. It is
+        // AVX-512F, which every caller enables.
+        unsafe { _mm512_loadu_si512(bytes.as_ptr().cast()) }
+    }
+
+    /// [`fold`] in each of the four 128-bit lanes of a 512-bit register,
+    /// each lane by its own constant pair.
+    #[inline]
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    fn fold512(a: __m512i, k: __m512i, next: __m512i) -> __m512i {
+        let lo = _mm512_clmulepi64_epi128::<0x00>(a, k);
+        let hi = _mm512_clmulepi64_epi128::<0x11>(a, k);
+        _mm512_ternarylogic_epi64::<0x96>(lo, hi, next)
+    }
+
+    /// `(lo, hi)` in every 128-bit lane, lane 0 first.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn lanes512(k: [(u64, u64); 4]) -> __m512i {
+        let [a, b, c, d] = k.map(|(lo, hi)| (lo as i64, hi as i64));
+        _mm512_set_epi64(d.1, d.0, c.1, c.0, b.1, b.0, a.1, a.0)
+    }
+
+    /// [`update`], 256 bytes an iteration in four 512-bit registers —
+    /// sixteen 128-bit lanes — each folded 2048 bits forward per step; the
+    /// registers are then folded into one, its four lanes into one, and
+    /// [`finish`] takes the rest. Inputs under 256 bytes go to [`update`].
+    ///
+    /// Calling it is `unsafe` unless the CPU has all four features it
+    /// enables ([`available`] and [`wide_available`]).
+    #[target_feature(enable = "pclmulqdq,sse4.1,avx512f,vpclmulqdq")]
+    pub(super) fn update_wide(state: u32, bytes: &[u8]) -> u32 {
+        let mut blocks = bytes.chunks_exact(256);
+        let Some(first) = blocks.next() else {
+            return update(state, bytes);
+        };
+        let mut regs = [0, 64, 128, 192].map(|at| load512(first, at));
+        regs[0] = _mm512_xor_si512(
+            regs[0],
+            _mm512_zextsi128_si512(_mm_cvtsi32_si128(state as i32)),
+        );
+        let k2048 = lanes512([(K2048_LO, K2048_HI); 4]);
+        for block in &mut blocks {
+            for (i, reg) in regs.iter_mut().enumerate() {
+                *reg = fold512(*reg, k2048, load512(block, 64 * i));
+            }
+        }
+        // Four registers → one (512 bits forward, the K1/K2 fold per lane),
+        // then its lanes 0–2 folded 384, 256 and 128 bits onto lane 3.
+        let k512 = lanes512([(K1, K2); 4]);
+        let [r0, r1, r2, r3] = regs;
+        let x = fold512(fold512(fold512(r0, k512, r1), k512, r2), k512, r3);
+        let to_last = lanes512([(K384_LO, K384_HI), (K256_LO, K256_HI), (K3, K4), (0, 0)]);
+        let y = fold512(x, to_last, _mm512_setzero_si512());
+        let x = _mm_xor_si128(
+            _mm_xor_si128(
+                _mm512_extracti32x4_epi32::<0>(y),
+                _mm512_extracti32x4_epi32::<1>(y),
+            ),
+            _mm_xor_si128(
+                _mm512_extracti32x4_epi32::<2>(y),
+                _mm512_extracti32x4_epi32::<3>(x),
+            ),
+        );
+        finish(x, blocks.remainder())
+    }
+
+    /// [`super::multmodp`] by one carry-less multiply. For 32-bit operands
+    /// in the CRC's reflected order (bit 31 is x^0), the 63-bit product,
+    /// shifted up one bit, holds the product's x^0…x^31 terms in its high
+    /// word and its x^32…x^62 terms, divided by x^32, in its low word —
+    /// both in that same order. So `a · b mod P` is the high word plus
+    /// `low · x^32 mod P`, which is one 4-byte step of the table loop.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn multmodp(a: u32, b: u32) -> u32 {
+        let product =
+            _mm_clmulepi64_si128::<0x00>(_mm_cvtsi32_si128(a as i32), _mm_cvtsi32_si128(b as i32));
+        let c = (_mm_cvtsi128_si64(product) as u64) << 1;
+        let (high, low) = ((c >> 32) as u32, c as u32);
+        let t = &super::CRC_TABLES;
+        high ^ t[3][(low & 0xFF) as usize]
+            ^ t[2][((low >> 8) & 0xFF) as usize]
+            ^ t[1][((low >> 16) & 0xFF) as usize]
+            ^ t[0][(low >> 24) as usize]
+    }
+
+    /// [`super::crc32_combine`], each multiplication by [`multmodp`]
+    /// (≈ 15 cycles where the bit-serial one takes ≈ 40–200).
+    ///
+    /// Calling it is `unsafe` unless the CPU has both features it enables
+    /// ([`available`]).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+        // x^(8·len_b) mod P, one factor x^(2^k) per set bit of 8·len_b.
+        let (mut n, mut k) = (len_b, 3usize);
+        let mut p = 1u32 << 31; // x^0
+        while n != 0 {
+            if n & 1 != 0 {
+                p = multmodp(super::X2N[k & 31], p);
+            }
+            n >>= 1;
+            k += 1;
+        }
+        multmodp(p, crc_a) ^ crc_b
+    }
+
+    /// The end of both kernels: folds the whole 16-byte blocks of `rest`
+    /// into the 128 bits `x`, reduces them to the 32-bit state and takes
+    /// the last < 16 bytes in the table loop.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn finish(mut x: __m128i, rest: &[u8]) -> u32 {
+        let k3k4 = _mm_set_epi64x(K4 as i64, K3 as i64);
+        let mut rest = rest.chunks_exact(16);
         for block in &mut rest {
             x = fold(x, k3k4, load(block, 0));
         }
@@ -307,11 +474,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // appending `n` bytes multiplies the running remainder by x^(8n) mod P:
 // `crc(a ‖ b) = crc(a) · x^(8·|b|) ⊕ crc(b)`, pre- and post-inversion
 // included. This is the polynomial form zlib ≥ 1.2.12 uses — one modular
-// multiplication per set bit of the length against a table of x^(2^k) — and
-// costs about a microsecond a call (the older 32×32 matrix-squaring form
-// costs tens). The chunk-fault path calls it a dozen times per image to fold
-// the CRCs of a container's regions into the CRC of the whole, and once to
-// derive the salted word of a content hash from the plain one.
+// multiplication per set bit of the length against a table of x^(2^k). The
+// chunk-fault path calls it a dozen times per image to fold the CRCs of a
+// container's regions into the CRC of the whole, and once to derive the
+// salted word of a content hash from the plain one. The bit-serial
+// `multmodp` makes a call cost ≈ 0.2–0.5 µs (the older 32×32
+// matrix-squaring form costs tens); on a CPU with PCLMULQDQ each
+// multiplication is one carry-less multiply and a 4-byte table step
+// (`clmul::combine`), which took a `serve_paged` fault's ≈ 15 calls from
+// ≈ 7 k cycles to ≈ 1.5 k.
 // ---------------------------------------------------------------------------
 
 /// `a(x) · b(x) mod P` in the CRC's reflected bit order (bit 31 is x^0).
@@ -365,6 +536,17 @@ fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
 /// `crc32(a ‖ b)` from `crc32(a)`, `crc32(b)` and `b`'s length in bytes —
 /// an identity, not an approximation, and O(log len_b).
 pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if clmul::available() {
+        // SAFETY: `clmul::combine` needs PCLMULQDQ and SSE4.1, and
+        // `clmul::available` has just detected both on this CPU.
+        return unsafe { clmul::combine(crc_a, crc_b, len_b) };
+    }
+    crc32_combine_portable(crc_a, crc_b, len_b)
+}
+
+/// [`crc32_combine`] by the bit-serial [`multmodp`], on any CPU.
+fn crc32_combine_portable(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
     multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b
 }
 
@@ -590,10 +772,15 @@ pub unsafe trait Pod: Copy + 'static {}
 // SAFETY: primitive integers and floats satisfy all three requirements
 // (floats accept any bit pattern, NaNs included).
 unsafe impl Pod for u8 {}
+// SAFETY: as for `u8`.
 unsafe impl Pod for u16 {}
+// SAFETY: as for `u8`.
 unsafe impl Pod for u32 {}
+// SAFETY: as for `u8`.
 unsafe impl Pod for u64 {}
+// SAFETY: as for `u8`.
 unsafe impl Pod for f32 {}
+// SAFETY: as for `u8`.
 unsafe impl Pod for f64 {}
 
 /// A checked typed view of `count` `T`s at `byte_off` in `bytes`.
@@ -1276,6 +1463,16 @@ mod tests {
             ] {
                 assert_eq!(k, (x2nmodp(n, 0) as u64) << 1, "x^{n} mod P");
             }
+            for (lo, hi, d) in [
+                (clmul::K1, clmul::K2, 512),
+                (clmul::K3, clmul::K4, 128),
+                (clmul::K2048_LO, clmul::K2048_HI, 2048),
+                (clmul::K384_LO, clmul::K384_HI, 384),
+                (clmul::K256_LO, clmul::K256_HI, 256),
+            ] {
+                assert_eq!(lo, (x2nmodp(d + 32, 0) as u64) << 1, "x^({d} + 32) mod P");
+                assert_eq!(hi, (x2nmodp(d - 32, 0) as u64) << 1, "x^({d} - 32) mod P");
+            }
             assert_eq!(clmul::P_PRIME, ((CRC_POLY as u64) << 1) | 1);
             assert_eq!(clmul::MU, barrett_quotient());
             assert_eq!(clmul::MU, 0x1_F701_1641);
@@ -1306,6 +1503,98 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    mod wide_clmul_kernel {
+        use super::*;
+
+        #[test]
+        fn the_carry_less_combine_equals_the_bit_serial_one() {
+            if !clmul::available() {
+                eprintln!("no PCLMULQDQ + SSE4.1 on this CPU: clmul::combine not exercised");
+                return;
+            }
+            let words = noise(0xC0B1, 8 * 4096);
+            let word = |i: usize| u32::from_le_bytes(words[4 * i..4 * i + 4].try_into().unwrap());
+            let edges = [0, 1, 1 << 31, u32::MAX, CRC_POLY, 0x8000_0001];
+            for i in 0..4096 {
+                let (a, b) = (word(2 * i), word(2 * i + 1));
+                let len = (a as u64) << (i % 33) >> 3 | (i as u64 % 70);
+                // SAFETY: `clmul::available` detected both features
+                // `clmul::combine` enables, above.
+                let got = unsafe { clmul::combine(a, b, len) };
+                assert_eq!(
+                    got,
+                    crc32_combine_portable(a, b, len),
+                    "{a:#x} {b:#x} {len}"
+                );
+                let (e, f) = (edges[i % edges.len()], edges[i / edges.len() % edges.len()]);
+                // SAFETY: as above.
+                let got = unsafe { clmul::combine(e, f, i as u64) };
+                assert_eq!(
+                    got,
+                    crc32_combine_portable(e, f, i as u64),
+                    "{e:#x} {f:#x} {i}"
+                );
+            }
+        }
+
+        #[test]
+        fn wide_kernel_equals_the_table_loop_at_every_length_offset_and_state() {
+            if !(clmul::available() && clmul::wide_available()) {
+                // `Crc32::update` never selects the wide kernel here either.
+                eprintln!("no VPCLMULQDQ + AVX-512F on this CPU: wide kernel not exercised");
+                return;
+            }
+            // Every length to 1 024 — under one block, and each remainder
+            // of 16-byte blocks and tail bytes after one to three — then
+            // long inputs around 4 KiB, 64 KiB and a chunk image.
+            const LONG: [usize; 9] = [
+                4095,
+                4096,
+                4097,
+                65_535,
+                65_536 + 255,
+                65_537,
+                637_000,
+                (2 << 20) - 1,
+                (2 << 20) + 3,
+            ];
+            let data = noise(0x5EED, (2 << 20) + 3 + 64);
+            let k = u32::from_le_bytes(noise(0x4B, 4).try_into().unwrap());
+            let states = [!0, !0 ^ k, 0, crc32_table(!0, &noise(0x9E, 1000))];
+            for len in (0..=1024).chain(LONG) {
+                for off in [0, 1, 7, 16, 33, 63] {
+                    let bytes = &data[off..off + len];
+                    for state in states {
+                        // SAFETY: `clmul::available` and
+                        // `clmul::wide_available` detected all four features
+                        // `clmul::update_wide` enables, above.
+                        let got = unsafe { clmul::update_wide(state, bytes) };
+                        assert_eq!(
+                            got,
+                            crc32_table(state, bytes),
+                            "len {len}, offset {off}, state {state:#010x}"
+                        );
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn the_dispatched_crc_equals_the_table_loop_in_pieces_of_every_size() {
+            // Whatever tier `Crc32::update` picks per call, a stream fed in
+            // pieces on either side of each kernel's length switch is the
+            // table loop's CRC of the whole.
+            let data = noise(0xC0FFEE, 20_000);
+            for piece in [1, 15, 63, 64, 65, 255, 256, 257, 1000, 4096, 20_000] {
+                let mut h = Crc32::new();
+                for part in data.chunks(piece) {
+                    h.update(part);
+                }
+                assert_eq!(h.finish(), !crc32_table(!0, &data), "pieces of {piece}");
             }
         }
     }

@@ -45,6 +45,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub(crate) mod bindir;
 pub mod builder;

@@ -84,7 +84,6 @@
 //! output. Top-k selection is a bounded heap (O(candidates · log k)), not
 //! a full sort.
 
-use crate::bindir;
 use crate::config::SlmConfig;
 use crate::scan;
 use crate::slm::{admitted_run, PeptideTable, SlmIndex};
@@ -636,7 +635,7 @@ impl<'a> Searcher<'a> {
         // windows already sorted.
         windows.sort_unstable_by_key(|w| (w.lo, w.hi));
         let covered = &mut scratch.covered;
-        let words = bindir::bitmap_words(cfg.num_bins());
+        let words = directory.bitmap.len();
         if covered.len() < words {
             covered.resize(words, 0);
         }

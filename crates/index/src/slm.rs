@@ -23,7 +23,7 @@
 //! the builder and the loaders enforce it, and LBE partitioning is what
 //! keeps real partitions far below it.
 
-use crate::bindir::{self, BinDirectory};
+use crate::bindir::{self, vector_tiered, BinDirectory};
 use crate::config::SlmConfig;
 use crate::format::AlignedBuf;
 use lbe_bio::mods::{ModSpec, VariableMod};
@@ -227,6 +227,11 @@ pub struct SlmIndex {
     /// The peptides the index was built from, when it was built in this
     /// process.
     peptides: Option<PeptideTable>,
+    /// `config.tolerance_bins()` and the axis's last bin, taken once: every
+    /// peak of every query asks for both ([`SlmIndex::bins_for_mz`]), and
+    /// each is an `f64` divide and a libm rounding call.
+    tolerance_bins: u32,
+    last_bin: u32,
 }
 
 impl PartialEq for SlmIndex {
@@ -269,6 +274,8 @@ impl SlmIndex {
         postings: Vec<u32>,
     ) -> Self {
         SlmIndex {
+            tolerance_bins: config.tolerance_bins(),
+            last_bin: last_bin(&config),
             config,
             bin_rank: bindir::ranks(&bin_bitmap),
             peptides: None,
@@ -296,6 +303,8 @@ impl SlmIndex {
         let slice = |(byte_off, len): (usize, usize)| ArenaSlice { byte_off, len };
         let bin_bitmap = slice(bin_bitmap);
         SlmIndex {
+            tolerance_bins: config.tolerance_bins(),
+            last_bin: last_bin(&config),
             config,
             bin_rank: bindir::ranks(bin_bitmap.get(&arena)),
             peptides: None,
@@ -456,9 +465,8 @@ impl SlmIndex {
     #[inline]
     pub(crate) fn bins_for_mz(&self, mz: f64) -> Option<(u32, u32)> {
         let center = self.config.bin_of(mz)?;
-        let tol = self.config.tolerance_bins();
-        let lo = center.saturating_sub(tol);
-        let hi = (center + tol).min(self.config.num_bins() as u32 - 1);
+        let lo = center.saturating_sub(self.tolerance_bins);
+        let hi = (center + self.tolerance_bins).min(self.last_bin);
         Some((lo, hi))
     }
 
@@ -559,16 +567,10 @@ impl SlmIndex {
     /// posting count.
     pub fn validate(&self) -> Result<(), String> {
         self.validate_cheap()?;
-        let n = self.entries().len() as u32;
-        // A fold, not `any`: without the early exit the scan vectorises.
-        if self.postings().iter().fold(false, |bad, &e| bad | (e >= n)) {
+        if any_at_or_above(self.postings(), self.entries().len() as u32) {
             return Err("posting references nonexistent entry".into());
         }
-        let total: usize = self
-            .entries()
-            .iter()
-            .map(|e| e.num_fragments as usize)
-            .sum();
+        let total = fragment_total(self.entries());
         if total != self.postings().len() {
             return Err(format!(
                 "entry fragment counts ({total}) != postings ({})",
@@ -598,14 +600,43 @@ impl SlmIndex {
         }
         // An unsorted (or NaN-bearing) entry table would silently mis-band
         // queries; O(entries), far below the O(ions) full scan.
-        if !self
-            .entries()
-            .windows(2)
-            .all(|w| w[0].precursor_mass <= w[1].precursor_mass)
-        {
+        if !mass_sorted(self.entries()) {
             return Err("index claims mass-sorted entries but they are not".into());
         }
         Ok(())
+    }
+}
+
+/// The last bin of `config`'s axis.
+fn last_bin(config: &SlmConfig) -> u32 {
+    config.num_bins() as u32 - 1
+}
+
+// The linear scans of `validate` and `validate_cheap`, at the CPU's vector
+// width (see `bindir`'s module docs). Each is a fold, not `any`/`all`:
+// without the early exit the scan vectorises.
+
+vector_tiered! {
+    /// `true` if some id in `postings` is `n` or more.
+    fn any_at_or_above / any_at_or_above_portable(postings: &[u32], n: u32) -> bool {
+        postings.iter().fold(false, |bad, &e| bad | (e >= n))
+    }
+}
+
+vector_tiered! {
+    /// Σ `num_fragments` over `entries`.
+    fn fragment_total / fragment_total_portable(entries: &[SpectrumEntry]) -> usize {
+        entries.iter().map(|e| e.num_fragments as usize).sum()
+    }
+}
+
+vector_tiered! {
+    /// `true` if every precursor mass is `<=` the next (a NaN is not).
+    fn mass_sorted / mass_sorted_portable(entries: &[SpectrumEntry]) -> bool {
+        entries
+            .iter()
+            .zip(entries.iter().skip(1))
+            .fold(true, |ok, (a, b)| ok & (a.precursor_mass <= b.precursor_mass))
     }
 }
 
@@ -631,6 +662,57 @@ mod tests {
         // b/y singly charged: (11-1)*2 + (8-1)*2 = 34 ions
         assert_eq!(idx.num_ions(), 34);
         assert!(!idx.is_empty());
+    }
+
+    #[test]
+    fn the_vector_tier_of_the_scans_equals_the_portable_build() {
+        if crate::bindir::tests::vector_tier_untestable() {
+            return;
+        }
+        let mut next = crate::bindir::tests::xorshift(0x0DDB_1A5E_5BAD_5EED);
+        for len in [0usize, 1, 2, 7, 8, 9, 31, 32, 33, 1000, 4097] {
+            let n = (len as u32).max(1);
+            let mut postings: Vec<u32> = (0..len).map(|_| next() as u32 % n).collect();
+            assert_eq!(
+                any_at_or_above(&postings, n),
+                any_at_or_above_portable(&postings, n)
+            );
+            if len > 0 {
+                // One stray id, at each end and in the middle.
+                for at in [0, len / 2, len - 1] {
+                    let keep = postings[at];
+                    postings[at] = n + (next() as u32 % 3);
+                    assert!(any_at_or_above(&postings, n));
+                    assert!(any_at_or_above_portable(&postings, n));
+                    postings[at] = keep;
+                }
+            }
+            let mut mass = 500.0f32;
+            let mut entries: Vec<SpectrumEntry> = (0..len)
+                .map(|i| {
+                    mass += (next() % 100) as f32 * 0.01;
+                    SpectrumEntry {
+                        peptide: i as u32,
+                        modform: 0,
+                        num_fragments: next() as u16,
+                        precursor_mass: mass,
+                    }
+                })
+                .collect();
+            assert_eq!(fragment_total(&entries), fragment_total_portable(&entries));
+            assert!(mass_sorted(&entries) && mass_sorted_portable(&entries));
+            for at in [0, len / 2, len.saturating_sub(1)]
+                .into_iter()
+                .filter(|&a| a < len)
+            {
+                let keep = entries[at].precursor_mass;
+                for bent in [f32::NAN, keep + 1e3, keep - 1e3, keep] {
+                    entries[at].precursor_mass = bent;
+                    assert_eq!(mass_sorted(&entries), mass_sorted_portable(&entries));
+                }
+                entries[at].precursor_mass = keep;
+            }
+        }
     }
 
     #[test]
